@@ -1,12 +1,19 @@
 """CHSH quantity: evaluation, the analytic two-qubit maximum, and a
-multistart numerical maximizer.
+seeded see-saw maximizer for any pair of subsystem dimensions.
 
 The four-correlator combination E(b,c) + E(b',c) + E(b,c') - E(b',c') is
 bounded by 2 on product states and by 2*sqrt(2) on all states. For a pair
 of two-level factors the exact maximum over dichotomic observables is
 2*sqrt(t1^2 + t2^2) with t1 >= t2 the top singular values of the 3x3
 correlation matrix T_kl = <sigma_k (x) sigma_l> — the oracle the numerical
-route is tested against.
+route is tested against on qubits. On larger factors the Gisin-Peres
+pairing of Schmidt levels gives a lower bound it is tested against.
+
+The numerical route is a see-saw: with one side's pair of observables
+fixed, the other side's best pair is exact (the sign of a Hermitian
+matrix, one eigendecomposition each), so alternating the two sides never
+lowers the value. It has no dimension cap; each result says whether the
+search converged.
 
 Pauli convention: sigma_k = 2 J_k for the spin-1/2 generators, components
 ordered (x, y, z), basis m ascending, so sigma_z = diag(-1, +1).
@@ -19,7 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+# perfbench/spans.py wraps ``bell.minimize`` by name, so the binding stays
+from scipy.optimize import minimize  # noqa: F401
 
 from . import qcore
 from .errors import (
@@ -128,10 +136,11 @@ def _check_settings(state: StateVector, settings: ChshSettings):
 def chsh_value(state: StateVector, settings: ChshSettings) -> float:
     """E(b,c) + E(b',c) + E(b,c') - E(b',c') on the given state."""
     _check_settings(state, settings)
+    m = state.amps.reshape(state.space.factor_dims)
 
     def corr(ob, oc):
-        joint = np.kron(ob.operator.matrix, oc.operator.matrix)
-        return np.vdot(state.amps, joint @ state.amps)
+        # <B (x) C> = Tr(M+ B M C^T) with M the amplitude matrix
+        return np.vdot(m, ob.operator.matrix @ m @ oc.operator.matrix.T)
 
     total = (corr(settings.b, settings.c) + corr(settings.b_prime, settings.c)
              + corr(settings.b, settings.c_prime)
@@ -157,11 +166,6 @@ def horodecki_max(state: StateVector) -> float:
     """Exact two-qubit CHSH maximum 2 sqrt(t1^2 + t2^2)."""
     t = np.linalg.svd(correlation_matrix(state), compute_uv=False)
     return 2.0 * math.sqrt(t[0] ** 2 + t[1] ** 2)
-
-
-def _direction(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
 def _settings_from_directions(state, nb, nbp, nc, ncp) -> ChshSettings:
@@ -197,153 +201,115 @@ def analytic_qubit_settings(state: StateVector) -> ChshSettings:
 
 @dataclass(frozen=True)
 class ChshResult:
+    """A CHSH maximum and the settings that attain it.
+
+    ``max_value`` is always ``chsh_value`` of ``settings``. ``converged`` is
+    False only when the see-saw start that gave the settings reached the
+    sweep cap before its stopping rule.
+    """
+
     max_value: float
     settings: ChshSettings
     strategy: str
     n_starts: Optional[int] = None
     seed: Optional[int] = None
     tol: Optional[float] = None
+    converged: bool = True
 
 
-def _maximize_two_level(state, n_starts, seed, tol) -> ChshResult:
-    """Multistart simplex over c-side angles; the b-side optimum for fixed
-    c-directions is exact: |T (nc + nc')| + |T (nc - nc')|."""
-    T = correlation_matrix(state)
-    rng = np.random.default_rng(seed)
+#: see-saw sweeps per start; a sweep updates both sides once
+SEESAW_MAX_SWEEPS = 5000
 
-    def value(x):
-        nc, ncp = _direction(x[0], x[1]), _direction(x[2], x[3])
-        return (np.linalg.norm(T @ (nc + ncp)) + np.linalg.norm(T @ (nc - ncp)))
-
-    best_val, best_x = -np.inf, None
-    for _ in range(n_starts):
-        x0 = rng.uniform(0.0, np.pi, 4)
-        x0[1::2] *= 2.0
-        res = minimize(lambda x: -value(x), x0, method="Nelder-Mead",
-                       options=dict(xatol=tol * 1e-2, fatol=tol * 1e-6,
-                                    maxiter=800))
-        if -res.fun > best_val:
-            best_val, best_x = -float(res.fun), res.x
-
-    nc, ncp = _direction(best_x[0], best_x[1]), _direction(best_x[2], best_x[3])
-
-    def unit(v, fallback):
-        n = np.linalg.norm(v)
-        return v / n if n > 1e-12 else fallback
-
-    nb = unit(T @ (nc + ncp), np.array([0.0, 0.0, 1.0]))
-    nbp = unit(T @ (nc - ncp), np.array([1.0, 0.0, 0.0]))
-    settings = _settings_from_directions(state, nb, nbp, nc, ncp)
-    return ChshResult(chsh_value(state, settings), settings,
-                      "multistart-local-search", n_starts, seed, tol)
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
 
 
-def _balanced_multiplicities(dim: int):
-    """Eigenvalue-multiplicity classes of +-1 patterns; permutations and the
-    global flip are absorbed by the unitary search."""
-    return list(range(1, dim))
+def _best_responses(h: np.ndarray) -> np.ndarray:
+    """For each Hermitian matrix in the stack ``h``, the matrix of the
+    dichotomic observable O maximizing Tr(O h).
 
-
-def _hermitian_from_params(params: np.ndarray, dim: int) -> np.ndarray:
-    h = np.zeros((dim, dim), dtype=complex)
-    idx = 0
-    for i in range(dim):
-        h[i, i] = params[idx]
-        idx += 1
-    for i in range(dim):
-        for k in range(i + 1, dim):
-            h[i, k] = params[idx] + 1j * params[idx + 1]
-            h[k, i] = params[idx] - 1j * params[idx + 1]
-            idx += 2
-    return h
-
-
-#: largest subsystem dimension the generic numerical search accepts; the
-#: parameter count grows like d^2 per observable and the sign-class product
-#: like (d-1)^4, so larger spaces would silently take hours
-GENERAL_SEARCH_MAX_DIM = 3
-
-
-def _maximize_general(state, n_starts, seed, tol) -> ChshResult:
-    """Generic route: observables U diag(s) U+ with U = exp(i H(params)).
-
-    Starts cycle through the sign-multiplicity combinations of the four
-    observables; reports the best value found (a value <= 2 means no
-    violation was found, not that none exists).
+    On a two-level factor O is the traceless part of h over its spectral
+    norm, i.e. n . sigma with n the unit Bloch direction of h, so the
+    observable stays traceless and keeps its Bloch angles. On a larger
+    factor O = sign(h), from one eigendecomposition.
     """
-    dims = state.space.factor_dims
-    d_b, d_c = dims
-    if max(d_b, d_c) > GENERAL_SEARCH_MAX_DIM:
-        raise StrategyUnavailable(
-            f"numerical search supports subsystem dimensions up to "
-            f"{GENERAL_SEARCH_MAX_DIM}, got {dims}; restrict the state to a "
-            f"smaller support (e.g. split at a lower cutoff)")
+    if h.shape[-1] == 2:
+        out = np.empty_like(h)
+        for k, ((a, w), (_, d)) in enumerate(h.tolist()):
+            # the traceless part [[-z, w], [w*, z]] of h over its spectral norm
+            z = 0.5 * (d - a).real
+            norm = math.hypot(z, abs(w))
+            # a vanishing traceless part gives every direction the value 0
+            if norm <= 1e-12:
+                out[k] = PAULI_Z
+            else:
+                out[k] = [[-z / norm, w / norm], [w.conjugate() / norm, z / norm]]
+        return out
+    vals, vecs = np.linalg.eigh(h)
+    signs = np.where(vals >= 0.0, 1.0, -1.0)[:, None, :]
+    return (vecs * signs) @ np.swapaxes(vecs.conj(), 1, 2)
+
+
+def _side_update(m: np.ndarray, x: np.ndarray):
+    """Best responses of one side to the other side's pair x = (X, X').
+
+    With M the amplitude matrix seen from the updated side,
+    <O (x) X> = Tr(O M X^T M+), so the pair answering X + X' and X - X'
+    maximizes the CHSH value for fixed (X, X'). Returns that pair as a
+    stack and the value it reaches.
+    """
+    y = x[0] + _PLUS_MINUS * x[1]
+    h = m @ np.swapaxes(y, 1, 2) @ m.conj().T
+    o = _best_responses(h)
+    return o, np.vdot(o, h).real
+
+
+def _observable(mat: np.ndarray, space: SpaceDescriptor) -> DichotomicObservable:
+    """A see-saw observable matrix as a checked observable on ``space``."""
+    if mat.shape[0] == 2:
+        n = np.array([np.vdot(p, mat).real for p in PAULIS])
+        return qubit_observable(n / np.linalg.norm(n), space)
+    vals, vecs = np.linalg.eigh(mat)
+    return observable_from_unitary(vecs, np.where(vals >= 0.0, 1.0, -1.0), space)
+
+
+def _maximize_seesaw(state, n_starts, seed, tol) -> ChshResult:
+    """See-saw (Werner & Wolf 2001; Liang & Doherty 2007) from seeded starts.
+
+    Each start draws the c-side pair as best responses to random Hermitian
+    matrices, then alternates exact b-side and c-side updates. The value
+    never decreases. A start stops once the remaining gain, extrapolated
+    from the last two sweeps, is at most ``tol``, or after
+    ``SEESAW_MAX_SWEEPS`` sweeps. The best start's settings are returned
+    with their ``chsh_value``.
+    """
+    d_b, d_c = state.space.factor_dims
+    m = state.amps.reshape(d_b, d_c)
+    rng = np.random.default_rng(seed)
+    best_value, best = -math.inf, None
+    for _ in range(n_starts):
+        g = rng.normal(size=(2, d_c, d_c)) + 1j * rng.normal(size=(2, d_c, d_c))
+        c = _best_responses(g + np.swapaxes(g.conj(), 1, 2))
+        value, last_gain, converged = -math.inf, math.inf, False
+        for _ in range(SEESAW_MAX_SWEEPS):
+            b, _ = _side_update(m, c)
+            c, new_value = _side_update(m.T, b)
+            gain, value = new_value - value, new_value
+            # gains shrink geometrically, by r = gain / last_gain per sweep,
+            # so what is left to gain is about gain * r / (1 - r)
+            if gain <= 0.0 or (last_gain < math.inf
+                               and gain * gain <= tol * (last_gain - gain)):
+                converged = True
+                break
+            last_gain = gain
+        if value > best_value:
+            best_value, best = value, (b, c, converged)
+    b, c, converged = best
     space_b = state.space.subspace(0, 1)
     space_c = state.space.subspace(1, 2)
-    nb_params = d_b * d_b
-    nc_params = d_c * d_c
-    combos = [(kb, kbp, kc, kcp)
-              for kb in _balanced_multiplicities(d_b)
-              for kbp in _balanced_multiplicities(d_b)
-              for kc in _balanced_multiplicities(d_c)
-              for kcp in _balanced_multiplicities(d_c)]
-    rng = np.random.default_rng(seed)
-
-    def signs(dim, k):
-        return np.array([1.0] * k + [-1.0] * (dim - k))
-
-    def unitary(p, d):
-        vals, vecs = np.linalg.eigh(_hermitian_from_params(p, d))
-        return (vecs * np.exp(1j * vals)) @ vecs.conj().T
-
-    def observable_matrices(params, combo):
-        kb, kbp, kc, kcp = combo
-        cuts = np.cumsum([nb_params, nb_params, nc_params, nc_params])[:-1]
-        pb, pbp, pc, pcp = np.split(params, cuts)
-        mats = []
-        for p, d, k in ((pb, d_b, kb), (pbp, d_b, kbp),
-                        (pc, d_c, kc), (pcp, d_c, kcp)):
-            u = unitary(p, d)
-            mats.append((u * signs(d, k)) @ u.conj().T)
-        return mats
-
-    psi_mat = state.amps.reshape(d_b, d_c)
-
-    def value(params, combo):
-        ob, obp, oc, ocp = observable_matrices(params, combo)
-        # <B (x) C> = sum_ij B_ij (conj(M) C M^T)_ij with M the amplitude matrix
-        left = psi_mat.conj()
-
-        def corr(b, c):
-            return float(np.sum(b * (left @ c @ psi_mat.T)).real)
-
-        return corr(ob, oc) + corr(obp, oc) + corr(ob, ocp) - corr(obp, ocp)
-
-    def build(params, combo):
-        kb, kbp, kc, kcp = combo
-        cuts = np.cumsum([nb_params, nb_params, nc_params, nc_params])[:-1]
-        pb, pbp, pc, pcp = np.split(params, cuts)
-        return ChshSettings(
-            observable_from_unitary(unitary(pb, d_b), signs(d_b, kb), space_b),
-            observable_from_unitary(unitary(pbp, d_b), signs(d_b, kbp), space_b),
-            observable_from_unitary(unitary(pc, d_c), signs(d_c, kc), space_c),
-            observable_from_unitary(unitary(pcp, d_c), signs(d_c, kcp), space_c),
-        )
-
-    n_params = 2 * nb_params + 2 * nc_params
-    best_val, best = -np.inf, None
-    starts = max(n_starts, len(combos))
-    for i in range(starts):
-        combo = combos[i % len(combos)]
-        x0 = rng.normal(scale=1.0, size=n_params)
-        res = minimize(lambda x: -value(x, combo), x0, method="Nelder-Mead",
-                       options=dict(xatol=1e-6, fatol=tol * 1e-2,
-                                    maxiter=150 * n_params, maxfev=150 * n_params))
-        if -res.fun > best_val:
-            best_val, best = -float(res.fun), (res.x, combo)
-    settings = build(*best)
+    settings = ChshSettings(_observable(b[0], space_b), _observable(b[1], space_b),
+                            _observable(c[0], space_c), _observable(c[1], space_c))
     return ChshResult(chsh_value(state, settings), settings,
-                      "multistart-local-search", n_starts, seed, tol)
+                      "multistart-local-search", n_starts, seed, tol, converged)
 
 
 def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
@@ -351,9 +317,15 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
                   tol: float = 1e-7) -> ChshResult:
     """Maximize the CHSH quantity over dichotomic observable settings.
 
-    ``analytic-qubit`` requires two two-level factors and is exact;
-    ``multistart-local-search`` needs an explicit seed and optimizes the
-    observable parameterizations numerically.
+    ``analytic-qubit`` requires two two-level factors and is exact.
+    ``multistart-local-search`` needs an explicit seed and works for any
+    subsystem dimensions: it runs the see-saw from ``n_starts`` seeded
+    random starts, each until the gain still to come, extrapolated from the
+    last sweeps, is at most ``tol``. Two-level factors get traceless
+    observables, so ``settings.angle_lists()`` gives their Bloch angles.
+    ``max_value`` is the ``chsh_value`` of the returned settings, and
+    ``converged`` is False when the best start hit the sweep cap
+    ``SEESAW_MAX_SWEEPS`` first.
     """
     if state.space.nfactors != 2:
         raise SpaceMismatch("CHSH maximization needs a two-factor state")
@@ -367,7 +339,7 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
             raise ValidationError("the numerical strategy requires an explicit seed")
         if n_starts < 1:
             raise ValidationError("n_starts must be >= 1")
-        if state.space.factor_dims == (2, 2):
-            return _maximize_two_level(state, n_starts, seed, tol)
-        return _maximize_general(state, n_starts, seed, tol)
+        if not tol > 0.0:
+            raise ValidationError("tol must be positive")
+        return _maximize_seesaw(state, n_starts, seed, tol)
     raise StrategyUnavailable(f"unknown strategy {strategy!r}")

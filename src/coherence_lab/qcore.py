@@ -143,6 +143,15 @@ class SpaceDescriptor:
         return len(self.factors) == 1 and self.factors[0].kind == kind
 
 
+def _sum_of_squares(x: np.ndarray) -> float:
+    """Correctly rounded sum of squares, or inf when it exceeds the float
+    range (numpy warns when a single square overflows)."""
+    try:
+        return math.fsum(np.square(x).tolist())
+    except OverflowError:  # finite squares whose sum overflows
+        return math.inf
+
+
 class StateVector:
     """Normalized complex amplitude vector over a labeled basis.
 
@@ -152,7 +161,8 @@ class StateVector:
     amplitudes are kept as given; otherwise they are divided by it, which
     lands within that bound at any dimension. So construction is
     idempotent: ``StateVector(s.space, s.amps)`` has bit-identical
-    amplitudes, and saved states round-trip exactly.
+    amplitudes, and saved states round-trip exactly. Amplitudes too large
+    to square (above about 1e154) are first divided by the largest one.
     """
 
     __slots__ = ("space", "amps")
@@ -167,7 +177,13 @@ class StateVector:
         # a correctly rounded sum of squares keeps the norm within 2 ulps at
         # any dimension; a BLAS dot product drifts by over 2000 ulps on a
         # uniform superposition of 90 601 entries, which breaks the bound
-        norm = math.sqrt(math.fsum(np.square(vec.view(float)).tolist()))
+        sum_sq = _sum_of_squares(vec.view(float))
+        if sum_sq == math.inf:
+            # amplitudes above about 1e154 overflow the squares or their sum;
+            # dividing by the largest component keeps every square <= 1
+            vec /= np.abs(vec.view(float)).max()
+            sum_sq = _sum_of_squares(vec.view(float))
+        norm = math.sqrt(sum_sq)
         if norm < 1e-14:
             raise ZeroVector("cannot normalize a null vector")
         if abs(norm - 1.0) > NORM_TOL:

@@ -9,6 +9,7 @@ use 17 significant digits.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -22,18 +23,21 @@ SCHEMA_VERSION = 1
 
 
 def parse_complex(text: str) -> complex:
-    """Parse an ``a+bi`` string (also accepts plain reals)."""
-    if isinstance(text, (int, float)):
-        return complex(text)
-    if isinstance(text, complex):
-        return text
-    cleaned = str(text).strip().replace(" ", "")
-    if not cleaned:
-        raise ConfigError("empty complex literal")
-    try:
-        return complex(cleaned.replace("i", "j"))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse complex number {text!r}") from exc
+    """Parse an ``a+bi`` string (also accepts plain reals); the value must
+    be finite."""
+    if isinstance(text, (int, float, complex)):
+        value = complex(text)
+    else:
+        cleaned = str(text).strip().replace(" ", "")
+        if not cleaned:
+            raise ConfigError("empty complex literal")
+        try:
+            value = complex(cleaned.replace("i", "j"))
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ConfigError(f"complex number {text!r} is not finite")
+    return value
 
 
 def format_complex(z: complex) -> str:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from coherence_lab import spin
 from coherence_lab.bell import (
     TSIRELSON,
     ChshSettings,
+    DichotomicObservable,
     analytic_qubit_settings,
     chsh_maximize,
     chsh_value,
@@ -21,7 +23,7 @@ from coherence_lab.errors import (
     StrategyUnavailable,
     ValidationError,
 )
-from coherence_lab.qcore import SpaceDescriptor, StateVector, tensor_state
+from coherence_lab.qcore import LinearOperator, SpaceDescriptor, StateVector, tensor_state
 
 TWO_QUBITS = SpaceDescriptor.single_spin(0.5).tensor(SpaceDescriptor.single_spin(0.5))
 
@@ -222,13 +224,80 @@ def test_maximize_strategy_guards():
         chsh_maximize(StateVector(space, amps), "analytic-qubit")
 
 
-def test_maximize_general_rejects_large_subsystems():
-    # a split coherent mode at cutoff 12 has 13-dim subsystems; the generic
-    # search must refuse instead of grinding through (d-1)^4 sign classes
+def test_maximize_balanced_split_photon_13x13():
+    # a single photon split at cutoff 12 has 13-dim subsystems; the see-saw
+    # has no dimension cap and reaches the quantum ceiling quickly
     from coherence_lab import fock
-    out = fock.split_fock(fock.glauber_cs(0.0, 12), fock.SplitSpec.balanced())
-    with pytest.raises(StrategyUnavailable):
-        chsh_maximize(out, "multistart-local-search", n_starts=2, seed=1)
+    out = fock.split_fock(fock.number_state(12, 1), fock.SplitSpec.balanced())
+    assert out.space.factor_dims == (13, 13)
+    t0 = time.perf_counter()
+    res = chsh_maximize(out, "multistart-local-search", n_starts=8, seed=1)
+    assert time.perf_counter() - t0 < 10.0
+    assert res.max_value == pytest.approx(TSIRELSON, abs=1e-6)
+    assert res.converged
+    assert chsh_value(out, res.settings) == res.max_value
+
+
+def _matrix_observable(mat, space) -> DichotomicObservable:
+    return DichotomicObservable(LinearOperator(space, mat, hermitian=True), ("matrix",))
+
+
+def gisin_peres_settings(state: StateVector) -> ChshSettings:
+    """Pair consecutive Schmidt levels and measure each pair as a qubit.
+
+    On the pair (i, i+1) with Schmidt coefficients c_i >= c_i+1, b = Z and
+    b' = X in the b-side Schmidt basis, and c, c' = cos t Z +- sin t X in the
+    c-side one, with tan t = 2 c_i c_i+1 / (c_i^2 + c_i+1^2). An unpaired
+    last level gets +1 from all four observables (Gisin & Peres 1992).
+    """
+    d_b, d_c = state.space.factor_dims
+    u, coeffs, vh = np.linalg.svd(state.amps.reshape(d_b, d_c))
+    d = len(coeffs)
+    # psi = sum_i c_i |u_i> |w_i> with w_i the rows of vh
+    z, x = np.zeros((d, d)), np.zeros((d, d))
+    c, c_prime = np.zeros((d, d)), np.zeros((d, d))
+    z2, x2 = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    for i in range(0, d - 1, 2):
+        t = math.atan2(2 * coeffs[i] * coeffs[i + 1], coeffs[i] ** 2 + coeffs[i + 1] ** 2)
+        block = slice(i, i + 2)
+        z[block, block], x[block, block] = z2, x2
+        c[block, block] = math.cos(t) * z2 + math.sin(t) * x2
+        c_prime[block, block] = math.cos(t) * z2 - math.sin(t) * x2
+    if d % 2:
+        for mat in (z, x, c, c_prime):
+            mat[-1, -1] = 1.0
+    w = vh.T
+    space_b = state.space.subspace(0, 1)
+    space_c = state.space.subspace(1, 2)
+    return ChshSettings(_matrix_observable(u @ z @ u.conj().T, space_b),
+                        _matrix_observable(u @ x @ u.conj().T, space_b),
+                        _matrix_observable(w @ c @ w.conj().T, space_c),
+                        _matrix_observable(w @ c_prime @ w.conj().T, space_c))
+
+
+def test_gisin_peres_settings_reach_gisin_on_qubits():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        state = haar_two_qubit(rng)
+        value = chsh_value(state, gisin_peres_settings(state))
+        assert value == pytest.approx(horodecki_max(state), abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [3, 4, 6, 8])
+def test_maximize_meets_gisin_peres_bound(d):
+    rng = np.random.default_rng(1000 + d)
+    space = SpaceDescriptor.single_spin((d - 1) / 2)
+    space = space.tensor(space)
+    state = StateVector(space, rng.normal(size=d * d) + 1j * rng.normal(size=d * d))
+    bound = chsh_value(state, gisin_peres_settings(state))
+    assert bound > 2.0
+    res = chsh_maximize(state, "multistart-local-search", n_starts=4, seed=d,
+                        tol=1e-10)
+    assert res.converged
+    assert res.max_value >= bound - 1e-8
+    assert res.max_value <= TSIRELSON + 1e-9
+    assert chsh_value(state, res.settings) == res.max_value
+    assert res.settings.angle_lists() is None
 
 
 def test_split_non_cs_spin1_states_violate():

@@ -116,6 +116,21 @@ def test_chsh_multistart_requires_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_chsh_on_saved_split_coherent_state(tmp_path):
+    # the README chain: a split coherent mode at cutoff 40 (41 x 41) does not
+    # violate, and the seeded search gives the same bytes twice
+    state_file = tmp_path / "split.json"
+    assert run_cli(["split", "--system", "fock", "--alpha", "1+0i", "--N", "40",
+                    "--save-state", str(state_file), "--out", str(tmp_path / "r.json")]) == 0
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["chsh", "--state", str(state_file), "--strategy", "multistart",
+            "--n-starts", "32", "--seed", "7"]
+    assert run_cli(args + ["--out", str(a)]) == 0
+    assert read_json(a)["max_value"] <= 2 + 1e-8
+    assert run_cli(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_chsh_reproducible_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["chsh", "--state", "split-spin1-m0", "--strategy", "multistart",
@@ -250,6 +265,20 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 def test_validation_error_exit_code(capsys):
     code = run_cli(["split", "--system", "fock", "--alpha", "3+0i", "--N", "10"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["chsh", "--state", "split-spin1-m0", "--strategy", "multistart", "--seed", "abc"],
+    ["scan", "--system", "spin", "--jA", "1", "--jB", "0.5", "--jC", "0.5",
+     "--n-samples", "5", "--seed", "1.5"],
+    ["split", "--system", "fock", "--alpha", "nan", "--N", "40"],
+    ["split", "--system", "fock", "--alpha", "0.5+nani", "--N", "40"],
+])
+def test_malformed_values_exit_2_with_one_line(argv, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_missing_parameters_exit_code(capsys):

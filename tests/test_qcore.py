@@ -67,6 +67,17 @@ def test_null_state_rejected():
         StateVector(QUBIT, [0.0, 0.0])
 
 
+# 1e200 overflows each square; 1.3e154 squares to a finite value, but the
+# sum of two such squares overflows
+@pytest.mark.parametrize("big", [1e200, 1.3e154, 1e300])
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+def test_huge_amplitudes_normalize(big):
+    state = StateVector(QUBIT, [big, big])
+    np.testing.assert_allclose(state.amps, [1 / math.sqrt(2)] * 2, rtol=0, atol=1e-16)
+    assert StateVector(QUBIT, state.amps).amps.tobytes() == state.amps.tobytes()
+    assert abs(np.linalg.norm(StateVector(QUBIT, [3 * big, 4j * big]).amps) - 1.0) < 1e-15
+
+
 def test_hermitian_flag_checked():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValidationError):
