@@ -348,13 +348,8 @@ DISPATCH = {
 }
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv) -> None:
-    if "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ConfigError("--config needs a file path")
-    config = serialize.load_json(argv[idx + 1])
+def _apply_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    config = serialize.load_json(path)
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
     subparsers = parser._subparsers._group_actions[0].choices.values()
@@ -374,8 +369,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_defaults(parser, argv)
         args = parser.parse_args(argv)
+        # argparse finds --config in every spelling it accepts (--config FILE,
+        # --config=FILE); parsing again lets flags override the file's values
+        if args.config is not None:
+            _apply_config_defaults(parser, args.config)
+            args = parser.parse_args(argv)
         _validate_choices(args)
         return DISPATCH[args.command](args)
     except ConfigError as exc:

@@ -30,9 +30,17 @@ TAIL_TOLERANCE = 1e-12
 
 
 def required_cutoff(alpha) -> int:
-    """Smallest cutoff admitted for coherent amplitude ``alpha``."""
-    a2 = abs(alpha) ** 2
-    return math.ceil(a2 + 12.0 * math.sqrt(a2 + 1.0))
+    """Smallest cutoff admitted for coherent amplitude ``alpha``.
+
+    Raises ``TruncationTooSmall`` when that cutoff is beyond the float range
+    (|alpha| above about 1.3e154), since no cutoff can hold such a state.
+    """
+    try:
+        a2 = abs(alpha) ** 2
+        return math.ceil(a2 + 12.0 * math.sqrt(a2 + 1.0))
+    except OverflowError as exc:
+        raise TruncationTooSmall(
+            f"|alpha|={abs(alpha):.4g} needs a cutoff beyond the float range") from exc
 
 
 def check_cutoff(alpha, cutoff: int) -> None:
@@ -152,37 +160,70 @@ def glauber_cs(alpha, cutoff: int) -> StateVector:
     return StateVector(fock_space(cutoff), amps)
 
 
-def beamsplit_isometry(spec: SplitSpec, cutoff_in: int,
-                       cutoff_out_each: int | None = None) -> SplitIsometry:
-    """Isometry V with V|n> = (mu b+ + nu c+)^n / sqrt(n!) |0,0>.
+def beamsplit_weight(spec: SplitSpec, cutoff_in: int,
+                     cutoff_out_each: int | None = None) -> np.ndarray:
+    """Closed-form beamsplitter weights ``w[k, l]`` for ``qcore.split_amplitudes``.
 
-    Output mode B carries ``mu`` and mode C carries ``nu``. With
-    ``cutoff_out_each >= cutoff_in`` (default: equal) the image subspace of
-    total photon number <= cutoff_in is represented exactly, so V is an
-    exact isometry on the retained space.
+    ``w[k, l] = sqrt(C(k+l, k)) mu^k nu^l`` for k + l <= ``cutoff_in`` and
+    0 elsewhere, on the ``(cutoff_out_each + 1)``-square output grid
+    (default: ``cutoff_in``). Row k is row k - 1 times
+    ``mu sqrt((k+l)/k)``, starting from ``nu^l``; every intermediate is a
+    weight, the square root of a binomial probability, so none exceeds 1 and
+    nothing overflows at any cutoff. The relative error grows by a few
+    ulps per row.
     """
     if cutoff_out_each is None:
         cutoff_out_each = cutoff_in
     if cutoff_out_each < cutoff_in:
         raise InsufficientOutputCutoff(
             f"output cutoff {cutoff_out_each} below input cutoff {cutoff_in}")
-    d_out = cutoff_out_each + 1
-    domain = fock_space(cutoff_in)
-    codomain = fock_space(cutoff_out_each).tensor(fock_space(cutoff_out_each))
-    V = np.zeros((d_out * d_out, cutoff_in + 1), dtype=complex)
-    for n in range(cutoff_in + 1):
-        for k in range(n + 1):
-            amp = math.sqrt(math.comb(n, k)) * spec.mu ** k * spec.nu ** (n - k)
-            V[k * d_out + (n - k), n] = amp
-    return SplitIsometry(domain, codomain, V)
+    d = cutoff_out_each + 1
+    k = np.arange(1, d)[:, None]
+    l = np.arange(d)
+    steps = np.empty((d, d), dtype=complex)
+    steps[0, 0] = 1.0
+    steps[0, 1:] = spec.nu
+    steps[0] = np.cumprod(steps[0])
+    steps[1:] = spec.mu * np.sqrt((k + l) / k)
+    weight = np.cumprod(steps, axis=0)
+    weight[np.add.outer(l, l) > cutoff_in] = 0.0
+    return weight
+
+
+def beamsplit_isometry(spec: SplitSpec, cutoff_in: int,
+                       cutoff_out_each: int | None = None) -> SplitIsometry:
+    """Dense isometry V with V|n> = (mu b+ + nu c+)^n / sqrt(n!) |0,0>.
+
+    Output mode B carries ``mu`` and mode C carries ``nu``. With
+    ``cutoff_out_each >= cutoff_in`` (default: equal) the image subspace of
+    total photon number <= cutoff_in is represented exactly, so V is an
+    exact isometry on the retained space. Built by applying
+    ``qcore.split_amplitudes`` with ``beamsplit_weight`` to every basis
+    state, then checked by ``SplitIsometry``'s full Gram test: a
+    ``(cutoff_out_each + 1)^2 x (cutoff_in + 1)`` matrix for inspection.
+    ``split_fock`` never builds it.
+    """
+    weight = beamsplit_weight(spec, cutoff_in, cutoff_out_each)
+    d_in = cutoff_in + 1
+    columns = qcore.split_amplitudes(np.eye(d_in), weight).reshape(d_in, -1)
+    out = fock_space(weight.shape[0] - 1)
+    return SplitIsometry(fock_space(cutoff_in), out.tensor(out), columns.T)
 
 
 def split_fock(state: StateVector, spec: SplitSpec) -> StateVector:
-    """Send a single-mode state through the beamsplitter; norm preserved."""
+    """Send a single-mode state through the beamsplitter; norm preserved.
+
+    Both output modes keep the input cutoff N. The output amplitude of
+    ``|k, l>`` is ``c[k+l] sqrt(C(k+l, k)) mu^k nu^l`` (``beamsplit_weight``
+    through ``qcore.split_amplitudes``): O(N^2) time and memory, with the
+    unit norm of every column checked on the way and no dense isometry.
+    """
     if not state.space.is_single("fock"):
         raise SpaceMismatch("split_fock needs a state on a single Fock factor")
-    iso = beamsplit_isometry(spec, state.space.factors[0].cutoff)
-    return iso.apply(state)
+    cutoff = state.space.factors[0].cutoff
+    amps = qcore.split_amplitudes(state.amps, beamsplit_weight(spec, cutoff))
+    out = fock_space(cutoff)
+    return StateVector(out.tensor(out), amps.reshape(-1))
 
 
 def nearest_coherent_fit(state: StateVector):

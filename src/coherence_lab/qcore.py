@@ -1,7 +1,8 @@
 """Finite-dimensional complex Hilbert-space kernel.
 
-States, operators, tensor products, Schmidt analysis, matrix exponentials
-and expectation values, shared by the oscillator and spin front ends.
+States, operators, tensor products, the split kernel, Schmidt analysis,
+matrix exponentials and expectation values, shared by the oscillator and
+spin front ends.
 
 Basis conventions (fixed for bit-exact I/O):
   * Fock levels ascend by photon number n = 0..N.
@@ -267,6 +268,38 @@ class SplitIsometry:
         if state.space != self.domain:
             raise SpaceMismatch("state does not live on the isometry's domain")
         return StateVector(self.codomain, self.matrix @ state.amps)
+
+
+def split_amplitudes(c, weight) -> np.ndarray:
+    """Split amplitudes ``out[..., k, l] = c[..., k + l] * weight[k, l]``.
+
+    ``c`` holds one input state (shape ``(d_in,)``) or a stack of them
+    (shape ``(..., d_in)``); ``weight`` is the ``(d_B, d_C)`` grid of a map
+    that sends input level n onto the output pairs with k + l = n, such as
+    the beamsplitter and the stretched spin coupling. Entries of ``weight``
+    with k + l >= d_in multiply nothing. The result has shape
+    ``(..., d_B, d_C)``; its last two axes flattened give the
+    ``numpy.kron`` index k * d_C + l. Cost is O(d_B * d_C) per state.
+
+    Column n of the map lives only on k + l = n, so distinct columns are
+    orthogonal by structure and the map is an isometry exactly when every
+    column has unit norm. That check runs here, once per call, and raises
+    ``ValidationError`` when some ``|sum_k |weight[k, n-k]|^2 - 1|`` reaches
+    ``ISOMETRY_TOL``.
+    """
+    c = np.asarray(c)
+    w = np.asarray(weight)
+    d_in = c.shape[-1]
+    d_b, d_c = w.shape
+    if d_in > d_b + d_c - 1:
+        raise ValidationError("weight grid too small for the input dimension")
+    total = np.add.outer(np.arange(d_b), np.arange(d_c))
+    col_norms = np.bincount(total.ravel(), weights=(w.real ** 2 + w.imag ** 2).ravel())
+    if np.abs(col_norms[:d_in] - 1.0).max() >= ISOMETRY_TOL:
+        raise ValidationError("map is not an isometry")
+    padded = np.zeros(c.shape[:-1] + (d_b + d_c - 1,), dtype=complex)
+    padded[..., :d_in] = c
+    return padded[..., total] * w
 
 
 # ---------------------------------------------------------------------------

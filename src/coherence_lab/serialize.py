@@ -80,10 +80,12 @@ def space_from_dict(data: dict) -> SpaceDescriptor:
 
 
 def state_to_dict(state: StateVector) -> dict:
+    amps = state.amps
     return {
         "schema_version": SCHEMA_VERSION,
         "space": space_to_dict(state.space),
-        "amps": [complex_pair(z) for z in state.amps],
+        # the same [re, im] Python floats as complex_pair, in one call
+        "amps": np.column_stack((amps.real, amps.imag)).tolist(),
     }
 
 

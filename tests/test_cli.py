@@ -42,6 +42,18 @@ def test_state_round_trip_exact():
     assert np.array_equal(back.amps, state.amps)
 
 
+def test_state_to_dict_bytes_match_per_amplitude_pairs():
+    amps = np.array([0.6, -0.8j, -0.0, complex(-0.0, 5e-324),
+                     complex(2.5e-310, -1e-308), complex(-1e-300, 1e-17)])
+    state = StateVector(SpaceDescriptor.single_fock(5), amps)
+    assert np.array_equal(state.amps, amps)
+    assert np.signbit(state.amps[2].real) and state.amps[3].imag == 5e-324
+    per_amplitude = dict(serialize.state_to_dict(state),
+                         amps=[serialize.complex_pair(z) for z in state.amps])
+    assert (serialize.json_text(serialize.state_to_dict(state))
+            == serialize.json_text(per_amplitude))
+
+
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------
@@ -262,6 +274,20 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_config_equals_form(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"order": 3}))
+    out = tmp_path / "r.json"
+    assert run_cli([f"--config={config}", "series", "--out", str(out)]) == 0
+    assert read_json(out)["order"] == 3
+    # explicit flag wins over the config value
+    assert run_cli([f"--config={config}", "series", "--order", "5", "--out", str(out)]) == 0
+    assert read_json(out)["order"] == 5
+    config.write_text(json.dumps({"order": 3, "bogus_key": 1}))
+    assert run_cli([f"--config={config}", "series"]) == 2
+    assert "bogus_key" in capsys.readouterr().err
+
+
 def test_validation_error_exit_code(capsys):
     code = run_cli(["split", "--system", "fock", "--alpha", "3+0i", "--N", "10"])
     assert code == 2
@@ -273,6 +299,7 @@ def test_validation_error_exit_code(capsys):
      "--n-samples", "5", "--seed", "1.5"],
     ["split", "--system", "fock", "--alpha", "nan", "--N", "40"],
     ["split", "--system", "fock", "--alpha", "0.5+nani", "--N", "40"],
+    ["split", "--system", "fock", "--alpha", "1e200", "--N", "40"],
 ])
 def test_malformed_values_exit_2_with_one_line(argv, capsys):
     assert run_cli(argv) == 2
