@@ -164,13 +164,12 @@ def beamsplit_weight(spec: SplitSpec, cutoff_in: int,
                      cutoff_out_each: int | None = None) -> np.ndarray:
     """Closed-form beamsplitter weights ``w[k, l]`` for ``qcore.split_amplitudes``.
 
-    ``w[k, l] = sqrt(C(k+l, k)) mu^k nu^l`` for k + l <= ``cutoff_in`` and
-    0 elsewhere, on the ``(cutoff_out_each + 1)``-square output grid
-    (default: ``cutoff_in``). Row k is row k - 1 times
-    ``mu sqrt((k+l)/k)``, starting from ``nu^l``; every intermediate is a
-    weight, the square root of a binomial probability, so none exceeds 1 and
-    nothing overflows at any cutoff. The relative error grows by a few
-    ulps per row.
+    ``w[k, l] = sqrt(C(k+l, k)) mu^k nu^l`` on the
+    ``(cutoff_out_each + 1)``-square output grid (default: ``cutoff_in``).
+    Row k is row k - 1 times ``mu sqrt((k+l)/k)``, starting from ``nu^l``;
+    every intermediate is a weight, the square root of a binomial
+    probability, so none exceeds 1 and nothing overflows at any cutoff. The
+    relative error grows by a few ulps per row.
     """
     if cutoff_out_each is None:
         cutoff_out_each = cutoff_in
@@ -185,9 +184,7 @@ def beamsplit_weight(spec: SplitSpec, cutoff_in: int,
     steps[0, 1:] = spec.nu
     steps[0] = np.cumprod(steps[0])
     steps[1:] = spec.mu * np.sqrt((k + l) / k)
-    weight = np.cumprod(steps, axis=0)
-    weight[np.add.outer(l, l) > cutoff_in] = 0.0
-    return weight
+    return np.cumprod(steps, axis=0)
 
 
 def beamsplit_isometry(spec: SplitSpec, cutoff_in: int,
