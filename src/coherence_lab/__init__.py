@@ -7,8 +7,8 @@ from .qcore import (
     LinearOperator,
     SchmidtReport,
     SpaceDescriptor,
-    SplitIsometry,
     StateVector,
+    split_amplitudes,
 )
 
 __all__ = [
@@ -25,8 +25,8 @@ __all__ = [
     "LinearOperator",
     "SchmidtReport",
     "SpaceDescriptor",
-    "SplitIsometry",
     "StateVector",
+    "split_amplitudes",
 ]
 
 __version__ = "0.1.0"

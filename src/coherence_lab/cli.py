@@ -6,8 +6,9 @@ use the flag names with underscores). Randomized commands require an
 explicit ``--seed``; outputs are byte-identical for identical config+seed.
 
 Exit codes: 0 success, 2 validation/config error, 3 numerical failure.
-The COHERENCE_LAB_THREADS environment variable caps internal parallelism
-(0 = one thread per CPU).
+The COHERENCE_LAB_THREADS environment variable is validated (a
+nonnegative integer, else exit 2), but scans always run serially, with the
+same results at every setting.
 """
 
 from __future__ import annotations
@@ -359,6 +360,10 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
     unknown = sorted(set(config) - known)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    # argparse applies a flag's type only to string defaults, so every value
+    # goes in as its string form and is parsed exactly like the flag; null
+    # leaves the flag's own default in place
+    config = {key: str(value) for key, value in config.items() if value is not None}
     # subcommands parse into a fresh namespace, so defaults must land on them
     parser.set_defaults(**config)
     for sub in subparsers:

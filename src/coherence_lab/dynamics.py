@@ -17,6 +17,7 @@ in the step size.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,8 +59,10 @@ class DriveSpec:
     values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValidationError("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValidationError("omega must be positive and finite")
+        if not all(map(cmath.isfinite, (self.amplitude, self.frequency, self.phase))):
+            raise ValidationError("drive amplitude, frequency and phase must be finite")
         if self.kind not in ("constant", "sinusoid", "exponential", "table"):
             raise ValidationError(f"unknown drive kind {self.kind!r}")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
@@ -208,6 +211,8 @@ def _validate_grid(t_grid) -> np.ndarray:
     grid = np.array(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValidationError("time grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError("time grid must be finite")
     if grid[0] < 0 or not np.all(np.diff(grid) > 0):
         raise ValidationError("time grid must ascend from t >= 0")
     return grid
@@ -317,6 +322,8 @@ class LinearSpinHamiltonian:
     beta_plus: complex = 0.0
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.beta0) and cmath.isfinite(self.beta_plus)):
+            raise ValidationError("beta0 and beta_plus must be finite")
         if isinstance(self.beta0, complex) and abs(self.beta0.imag) > 1e-12:
             raise ValidationError("beta0 must be real for a Hermitian Hamiltonian")
         object.__setattr__(self, "beta0", float(np.real(self.beta0)))

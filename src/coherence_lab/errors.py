@@ -50,10 +50,6 @@ class TruncationTooSmall(ValidationError):
     """Fock cutoff too small for the requested coherent amplitude."""
 
 
-class InsufficientOutputCutoff(ValidationError):
-    """Beamsplitter output cutoff below the input cutoff."""
-
-
 class StrategyUnavailable(ValidationError):
     """Requested maximization strategy does not apply to this state."""
 

@@ -16,13 +16,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import qcore
-from .errors import (
-    InsufficientOutputCutoff,
-    SpaceMismatch,
-    TruncationTooSmall,
-    ValidationError,
-)
-from .qcore import LinearOperator, SpaceDescriptor, SplitIsometry, StateVector
+from .errors import SpaceMismatch, TruncationTooSmall, ValidationError
+from .qcore import LinearOperator, SpaceDescriptor, StateVector
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +76,10 @@ class SplitSpec:
     def __post_init__(self):
         object.__setattr__(self, "mu", complex(self.mu))
         object.__setattr__(self, "nu", complex(self.nu))
-        if abs(abs(self.mu) ** 2 + abs(self.nu) ** 2 - 1.0) > 1e-12:
+        # products, not ** 2: a huge coefficient gives inf instead of raising
+        # OverflowError, and a NaN fails the comparison
+        norm2 = abs(self.mu) * abs(self.mu) + abs(self.nu) * abs(self.nu)
+        if not abs(norm2 - 1.0) <= 1e-12:
             raise ValidationError("|mu|^2 + |nu|^2 must equal 1")
 
     @classmethod
@@ -146,6 +144,7 @@ def displacement(alpha, cutoff: int) -> LinearOperator:
 def glauber_cs(alpha, cutoff: int) -> StateVector:
     """Coherent state amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!)."""
     check_cutoff(alpha, cutoff)
+    space = fock_space(cutoff)
     alpha = complex(alpha)
     amps = np.empty(cutoff + 1, dtype=complex)
     amps[0] = 1.0
@@ -157,26 +156,21 @@ def glauber_cs(alpha, cutoff: int) -> StateVector:
         deficit = abs(np.linalg.norm(amps) - 1.0)
         if deficit > 1e-15:
             log.debug("coherent state renormalized after truncation, deficit %.3e", deficit)
-    return StateVector(fock_space(cutoff), amps)
+    return StateVector(space, amps)
 
 
-def beamsplit_weight(spec: SplitSpec, cutoff_in: int,
-                     cutoff_out_each: int | None = None) -> np.ndarray:
+def beamsplit_weight(spec: SplitSpec, cutoff: int) -> np.ndarray:
     """Closed-form beamsplitter weights ``w[k, l]`` for ``qcore.split_amplitudes``.
 
-    ``w[k, l] = sqrt(C(k+l, k)) mu^k nu^l`` on the
-    ``(cutoff_out_each + 1)``-square output grid (default: ``cutoff_in``).
+    ``w[k, l] = sqrt(C(k+l, k)) mu^k nu^l`` on the ``(cutoff + 1)``-square
+    output grid: input level n goes to ``(mu b+ + nu c+)^n / sqrt(n!) |0,0>``,
+    with output mode B carrying ``mu`` and mode C carrying ``nu``.
     Row k is row k - 1 times ``mu sqrt((k+l)/k)``, starting from ``nu^l``;
     every intermediate is a weight, the square root of a binomial
     probability, so none exceeds 1 and nothing overflows at any cutoff. The
     relative error grows by a few ulps per row.
     """
-    if cutoff_out_each is None:
-        cutoff_out_each = cutoff_in
-    if cutoff_out_each < cutoff_in:
-        raise InsufficientOutputCutoff(
-            f"output cutoff {cutoff_out_each} below input cutoff {cutoff_in}")
-    d = cutoff_out_each + 1
+    d = cutoff + 1
     k = np.arange(1, d)[:, None]
     l = np.arange(d)
     steps = np.empty((d, d), dtype=complex)
@@ -185,26 +179,6 @@ def beamsplit_weight(spec: SplitSpec, cutoff_in: int,
     steps[0] = np.cumprod(steps[0])
     steps[1:] = spec.mu * np.sqrt((k + l) / k)
     return np.cumprod(steps, axis=0)
-
-
-def beamsplit_isometry(spec: SplitSpec, cutoff_in: int,
-                       cutoff_out_each: int | None = None) -> SplitIsometry:
-    """Dense isometry V with V|n> = (mu b+ + nu c+)^n / sqrt(n!) |0,0>.
-
-    Output mode B carries ``mu`` and mode C carries ``nu``. With
-    ``cutoff_out_each >= cutoff_in`` (default: equal) the image subspace of
-    total photon number <= cutoff_in is represented exactly, so V is an
-    exact isometry on the retained space. Built by applying
-    ``qcore.split_amplitudes`` with ``beamsplit_weight`` to every basis
-    state, then checked by ``SplitIsometry``'s full Gram test: a
-    ``(cutoff_out_each + 1)^2 x (cutoff_in + 1)`` matrix for inspection.
-    ``split_fock`` never builds it.
-    """
-    weight = beamsplit_weight(spec, cutoff_in, cutoff_out_each)
-    d_in = cutoff_in + 1
-    columns = qcore.split_amplitudes(np.eye(d_in), weight).reshape(d_in, -1)
-    out = fock_space(weight.shape[0] - 1)
-    return SplitIsometry(fock_space(cutoff_in), out.tensor(out), columns.T)
 
 
 def split_fock(state: StateVector, spec: SplitSpec) -> StateVector:

@@ -1,8 +1,8 @@
-"""Thread-budget helper for scan/search parallelism.
+"""Parsing and validation of the COHERENCE_LAB_THREADS environment variable.
 
-COHERENCE_LAB_THREADS caps worker threads; 0 means one per CPU, unset means
-serial execution. Results never depend on the schedule: samples use
-counter-based per-index random streams and aggregation is min/max.
+The variable takes a nonnegative integer (0 means one per CPU, unset means
+1); anything else is a ``ConfigError``. Scans validate it but always run
+serially, with the same results at every setting.
 """
 
 from __future__ import annotations

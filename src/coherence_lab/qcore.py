@@ -44,10 +44,16 @@ HERMITIAN_TOL = 1e-12
 ISOMETRY_TOL = 1e-10
 #: Schmidt entropy (in bits) below which a bipartite state counts as product.
 PRODUCT_THRESHOLD_BITS = 1e-9
+#: Largest factor parameter (Fock cutoff or 2j) accepted. A dense operator or
+#: a split grid on a bigger factor needs over 10^12 entries, so larger values
+#: are refused before any array is allocated.
+MAX_FACTOR_PARAM = 10 ** 6
 
 
 def as_twice_j(j) -> int:
-    """Validate a nonnegative half-integer spin and return 2j as an int."""
+    """Validate a finite nonnegative half-integer spin and return 2j as an int."""
+    if not math.isfinite(j):
+        raise InvalidWeight(f"spin must be finite, got {j!r}")
     tj = int(round(2 * j))
     if tj < 0 or abs(2 * j - tj) > 1e-9:
         raise InvalidWeight(f"spin must be a nonnegative half-integer, got {j!r}")
@@ -70,6 +76,9 @@ class Factor:
             raise ValidationError(f"unknown factor kind {self.kind!r}")
         if not isinstance(self.param, int) or self.param < 0:
             raise ValidationError(f"factor parameter must be a nonnegative int, got {self.param!r}")
+        if self.param > MAX_FACTOR_PARAM:
+            raise ValidationError(
+                f"factor parameter {self.param} exceeds the limit {MAX_FACTOR_PARAM}")
 
     @property
     def dim(self) -> int:
@@ -226,9 +235,6 @@ class LinearOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def dagger(self) -> "LinearOperator":
-        return LinearOperator(self.space, self.matrix.conj().T, self.hermitian)
-
 
 @dataclass(frozen=True)
 class SchmidtReport:
@@ -244,30 +250,6 @@ class SchmidtReport:
     is_product: bool
     left_vectors: np.ndarray
     right_vectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class SplitIsometry:
-    """Norm-preserving linear map of one system into a two-factor space."""
-
-    domain: SpaceDescriptor
-    codomain: SpaceDescriptor
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (self.codomain.dim, self.domain.dim):
-            raise ValidationError("isometry shape does not match domain/codomain")
-        gram = mat.conj().T @ mat
-        if np.abs(gram - np.eye(self.domain.dim)).max() >= ISOMETRY_TOL:
-            raise ValidationError("map is not an isometry")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.space != self.domain:
-            raise SpaceMismatch("state does not live on the isometry's domain")
-        return StateVector(self.codomain, self.matrix @ state.amps)
 
 
 def split_amplitudes(c, weight) -> np.ndarray:

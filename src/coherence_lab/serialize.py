@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .dynamics import SpinTrajectory, Trajectory
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .qcore import Factor, SpaceDescriptor, StateVector
 
 SCHEMA_VERSION = 1
@@ -75,7 +75,7 @@ def space_from_dict(data: dict) -> SpaceDescriptor:
             else:
                 raise ConfigError(f"unknown factor kind {f['kind']!r}")
         return SpaceDescriptor(tuple(factors))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed space descriptor: {exc}") from exc
 
 
@@ -93,13 +93,18 @@ def state_from_dict(data: dict) -> StateVector:
     try:
         space = space_from_dict(data["space"])
         amps = np.array([pair_to_complex(p) for p in data["amps"]])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed state file: {exc}") from exc
     return StateVector(space, amps)
 
 
 def json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Indented, key-sorted standard JSON; a NaN or infinity in ``obj``
+    raises ``NumericalError`` instead of becoming a bare ``NaN`` token."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"report holds a non-finite value: {exc}") from exc
 
 
 def load_json(path: str):

@@ -12,26 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from . import fock, qcore
+from . import qcore
 from .errors import (
     AntipodalPoint,
     InvalidWeight,
+    NumericalError,
     SpaceMismatch,
     ValidationError,
     WeightConditionViolated,
 )
-from .qcore import (
-    LinearOperator,
-    SpaceDescriptor,
-    SplitIsometry,
-    StateVector,
-    as_twice_j,
-)
+from .qcore import LinearOperator, SpaceDescriptor, StateVector, as_twice_j
 
 
 def spin_space(j) -> SpaceDescriptor:
@@ -130,8 +125,11 @@ class SpinCsParams:
 
 
 def _cs_amps(tj: int, zeta: complex) -> np.ndarray:
-    amps = np.array([math.sqrt(math.comb(tj, k)) * zeta ** k for k in range(tj + 1)],
-                    dtype=complex)
+    try:
+        amps = np.array([math.sqrt(math.comb(tj, k)) * zeta ** k for k in range(tj + 1)],
+                        dtype=complex)
+    except OverflowError as exc:  # a binomial (2j > 1029) or zeta^k beyond the float range
+        raise NumericalError(f"spin j={tj / 2:g} coherent state overflows: {exc}") from exc
     return amps / np.linalg.norm(amps)
 
 
@@ -190,23 +188,6 @@ def coupling_weight(jB, jC) -> np.ndarray:
     return np.cumprod(steps, axis=0)
 
 
-def addition_isometry(jB, jC) -> SplitIsometry:
-    """Dense stretched-coupling embedding W of spin (jB + jC) into jB (x) jC.
-
-    Maps the lowest-weight state to the product of lowest-weight states and
-    satisfies W J_A+ = (J_B+ + J_C+) W. Built by applying
-    ``qcore.split_amplitudes`` with ``coupling_weight`` to every basis state,
-    then checked by ``SplitIsometry``'s full Gram test: a matrix for
-    inspection, whose intertwining relations are the independent check of
-    the closed-form weights. ``split_spin`` never builds it.
-    """
-    weight = coupling_weight(jB, jC)
-    d_a = sum(weight.shape) - 1
-    columns = qcore.split_amplitudes(np.eye(d_a), weight).reshape(d_a, -1)
-    return SplitIsometry(spin_space(jB + jC), spin_space(jB).tensor(spin_space(jC)),
-                         columns.T)
-
-
 def split_spin(state: StateVector, jB, jC) -> StateVector:
     """Split a spin-j_A state into jB (x) jC via the stretched coupling.
 
@@ -255,8 +236,7 @@ def _ratio_candidate(amps: np.ndarray, tj: int):
     return theta, phi
 
 
-def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None,
-                   coarse_grid: int = 8, polish: bool = True):
+def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
     """Maximize |<j,(theta,phi)|state>| over the sphere.
 
     Returns ``(theta, phi, zeta, fidelity)``; at the antipodal pole
@@ -284,19 +264,18 @@ def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None,
     candidates.append((0.0, 0.0))
     candidates.append((math.pi, 0.0))
     if start is None:
-        for th in np.linspace(0.35, math.pi - 0.35, coarse_grid):
-            for ph in np.linspace(0.0, 2.0 * math.pi, coarse_grid, endpoint=False):
+        for th in np.linspace(0.35, math.pi - 0.35, 8):
+            for ph in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
                 candidates.append((th, ph))
     best = max(candidates, key=lambda c: fid(*c))
     best_fid = fid(*best)
-    if polish:
-        res = minimize(lambda x: -fid(x[0], x[1]), list(best),
-                       method="Nelder-Mead",
-                       options=dict(xatol=1e-10, fatol=1e-15, maxiter=600))
-        # strict improvement only: on a true coherent state the ratio
-        # candidate is machine-exact and must not be fuzzed by the simplex
-        if -res.fun > best_fid + 1e-14:
-            best, best_fid = (res.x[0], res.x[1]), -float(res.fun)
+    res = minimize(lambda x: -fid(x[0], x[1]), list(best),
+                   method="Nelder-Mead",
+                   options=dict(xatol=1e-10, fatol=1e-15, maxiter=600))
+    # strict improvement only: on a true coherent state the ratio
+    # candidate is machine-exact and must not be fuzzed by the simplex
+    if -res.fun > best_fid + 1e-14:
+        best, best_fid = (res.x[0], res.x[1]), -float(res.fun)
     theta = best[0] % (2.0 * math.pi)
     phi = best[1] % (2.0 * math.pi)
     if theta > math.pi:
@@ -307,78 +286,3 @@ def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None,
     else:
         zeta = angle_to_zeta(theta, phi)
     return theta, phi, zeta, best_fid
-
-
-# ---------------------------------------------------------------------------
-# lowest-weight abstraction (two registered instances: fock, spin)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LowestWeightModel:
-    """Reference-state data for a maximal-symmetry coherent-state family.
-
-    ``raising`` lists the positive shift operators, ``cartan`` the diagonal
-    generators with eigenvalues ``weights`` on ``lowest``; ``normalization``
-    maps the coset parameter tau to the closed-form normalization factor.
-    """
-
-    name: str
-    space: SpaceDescriptor
-    lowest: StateVector
-    raising: tuple
-    cartan: tuple
-    weights: tuple
-    normalization: Callable[[complex], float]
-
-    def __post_init__(self):
-        for op in self.raising:
-            residue = np.linalg.norm(op.matrix.conj().T @ self.lowest.amps)
-            if residue >= 1e-12:
-                raise ValidationError("lowering operator does not annihilate the reference state")
-        for op in self.cartan:
-            if np.abs(op.matrix - np.diag(np.diag(op.matrix))).max() >= 1e-12:
-                raise ValidationError("cartan operator is not diagonal")
-
-
-def spin_model(j) -> LowestWeightModel:
-    j0, jp, _ = spin_ops(j)
-    jv = as_twice_j(j) / 2.0
-    return LowestWeightModel(
-        name="spin",
-        space=spin_space(j),
-        lowest=lowest_state(j),
-        raising=(jp,),
-        cartan=(j0,),
-        weights=(-jv,),
-        normalization=lambda tau: (1.0 + abs(tau) ** 2) ** (-jv),
-    )
-
-
-def fock_model(cutoff: int) -> LowestWeightModel:
-    a, adag = fock.ladder_ops(cutoff)
-    return LowestWeightModel(
-        name="fock",
-        space=fock.fock_space(cutoff),
-        lowest=fock.vacuum(cutoff),
-        raising=(adag,),
-        cartan=(fock.number_op(cutoff),),
-        weights=(0.0,),
-        normalization=lambda tau: math.exp(-abs(tau) ** 2 / 2.0),
-    )
-
-
-#: the only registered coherent-state families
-MODEL_BUILDERS = {"fock": fock_model, "spin": spin_model}
-
-
-def model_cs(model: LowestWeightModel, tau: complex) -> StateVector:
-    """N(tau) exp(tau E+) |lowest>; the generic raising-series route."""
-    (raising,) = model.raising
-    vec = model.lowest.amps.copy()
-    term = vec.copy()
-    for k in range(1, model.space.dim + 25):
-        term = raising.matrix @ term * (tau / k)
-        vec = vec + term
-        if np.linalg.norm(term) < 1e-18:
-            break
-    return StateVector(model.space, model.normalization(tau) * vec)

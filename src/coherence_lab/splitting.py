@@ -10,14 +10,13 @@ split into products.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import fock, parallel, qcore, spin
-from .errors import NotComposite, ValidationError
+from .errors import NotComposite, NumericalError, ValidationError
 from .qcore import StateVector
 
 #: phase-aligned distance below which a sample counts as a coherent state
@@ -171,7 +170,9 @@ def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0,
     checks that all redundant equations agree and that the result matches
     the exponential family, which establishes uniqueness to the requested
     order. ``mu = nu = 1`` is the commuting-raising-operator case; a
-    beamsplitter supplies |mu|^2 + |nu|^2 = 1.
+    beamsplitter supplies |mu|^2 + |nu|^2 = 1. A coefficient beyond the
+    float range (huge mu or nu, or an order above 170) raises
+    ``NumericalError``.
     """
     if order < 2:
         raise ValidationError("order must be >= 2")
@@ -186,16 +187,18 @@ def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0,
     b[1] = a[1] * mu / c[0]
     c[1] = a[1] * nu / b[0]
     consistency = 0.0
-    for n in range(2, order + 1):
-        candidates = [b[k] * c[n - k] / (math.comb(n, k) * mu ** k * nu ** (n - k))
-                      for k in range(1, n)]
-        a[n] = candidates[0]
-        consistency = max(consistency,
-                          max(abs(x - a[n]) for x in candidates))
-        b[n] = a[n] * mu ** n / c[0]
-        c[n] = a[n] * nu ** n / b[0]
-    rule = np.array([a[0] * tau_sample ** k / math.factorial(k)
-                     for k in range(order + 1)], dtype=complex)
+    try:
+        for n in range(2, order + 1):
+            candidates = [b[k] * c[n - k] / (math.comb(n, k) * mu ** k * nu ** (n - k))
+                          for k in range(1, n)]
+            a[n] = candidates[0]
+            consistency = max(consistency,
+                              max(abs(x - a[n]) for x in candidates))
+            b[n] = a[n] * mu ** n / c[0]
+            c[n] = a[n] * nu ** n / b[0]
+        rule = SeriesPoly.exponential(tau_sample, a[0], order).coeffs
+    except OverflowError as exc:
+        raise NumericalError(f"series coefficients overflow: {exc}") from exc
     rule_residual = float(np.abs(a - rule).max())
     return AflpSolution(order=order, mu=complex(mu), nu=complex(nu),
                         consistency_residual=float(consistency),
@@ -330,27 +333,23 @@ def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
     Samples whose distance to the fitted nearest coherent state falls
     inside the guard band are excluded from the non-coherent pool. A
     deterministic coherent-state parameter grid is scanned separately for
-    ``cs_max_entropy``. Samples may be processed concurrently; min/max
-    aggregation keeps the result schedule-independent.
+    ``cs_max_entropy``. Each sample draws from its own counter-based stream,
+    so the result does not depend on the order samples are processed in.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     space = (spin.spin_space(system.j_a) if isinstance(system, SpinScanSystem)
              else fock.fock_space(system.cutoff))
 
-    def sample(i: int):
+    # COHERENCE_LAB_THREADS is validated, but samples run serially: the work
+    # holds the interpreter lock, so worker threads would only add overhead
+    parallel.thread_budget()
+    kept = []
+    for i in range(n_samples):
         state = StateVector(space, _haar_amps(seed, i, system.dim))
         ent = _split_entropy(system, state)
-        return ent, _cs_distance(system, state) > CS_DISTANCE_GUARD
-
-    workers = min(parallel.thread_budget(), n_samples)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sample, range(n_samples)))
-    else:
-        results = [sample(i) for i in range(n_samples)]
-
-    kept = [ent for ent, keep in results if keep]
+        if _cs_distance(system, state) > CS_DISTANCE_GUARD:
+            kept.append(ent)
     cs_max = max(_split_entropy(system, cs) for cs in _cs_grid_states(system))
     return ScanStats(
         system=system.label,

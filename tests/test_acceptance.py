@@ -55,16 +55,20 @@ def test_c02_spin_cs_factorization():
     worst_entropy, worst_intertwine = 0.0, 0.0
     for jb, jc in pairs:
         ja = jb + jc
-        w = spin.addition_isometry(jb, jc)
+        # the split kernel applied to every basis state is the dense map W
+        dim_a = int(2 * ja) + 1
+        w = qcore.split_amplitudes(np.eye(dim_a), spin.coupling_weight(jb, jc))
+        w = w.reshape(dim_a, -1).T
         dim_b, dim_c = int(2 * jb) + 1, int(2 * jc) + 1
         for op_a, op_b, op_c in zip(spin.spin_ops(ja), spin.spin_ops(jb),
                                     spin.spin_ops(jc)):
             pair_op = (np.kron(op_b.matrix, np.eye(dim_c))
                        + np.kron(np.eye(dim_b), op_c.matrix))
             worst_intertwine = max(worst_intertwine, np.abs(
-                w.matrix @ op_a.matrix - pair_op @ w.matrix).max())
+                w @ op_a.matrix - pair_op @ w).max())
         for zeta in zetas:
-            out = w.apply(spin.spin_cs(spin.SpinCsParams(j=ja, zeta=zeta)))
+            out = spin.split_spin(spin.spin_cs(spin.SpinCsParams(j=ja, zeta=zeta)),
+                                  jb, jc)
             worst_entropy = max(worst_entropy, schmidt_cut(out, 1).entropy_bits)
     assert worst_entropy < 1e-9
     assert worst_intertwine < 1e-11

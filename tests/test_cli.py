@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherence_lab import serialize, spin
 from coherence_lab.cli import main
@@ -300,12 +306,60 @@ def test_validation_error_exit_code(capsys):
     ["split", "--system", "fock", "--alpha", "nan", "--N", "40"],
     ["split", "--system", "fock", "--alpha", "0.5+nani", "--N", "40"],
     ["split", "--system", "fock", "--alpha", "1e200", "--N", "40"],
+    ["split", "--system", "spin", "--jA", "inf", "--jB", "0.5", "--jC", "0.5", "--zeta", "1"],
+    ["scan", "--system", "spin", "--jA", "nan", "--jB", "0.5", "--jC", "0.5",
+     "--n-samples", "2", "--seed", "1"],
+    ["evolve", "--system", "spin", "--j", "nan", "--beta0", "1", "--zeta0", "0.5",
+     "--tmax", "1", "--samples", "3"],
+    ["evolve", "--system", "spin", "--j", "1", "--beta0", "nan", "--zeta0", "0.5",
+     "--tmax", "1", "--samples", "3"],
 ])
 def test_malformed_values_exit_2_with_one_line(argv, capsys):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,config,code", [
+    ("split", {"system": "spin", "jA": math.inf, "jB": 0.5, "jC": 0.5, "zeta": "1"}, 2),
+    ("evolve", {"system": "spin", "j": math.nan, "beta0": 1, "zeta0": "0.5", "tmax": 1,
+                "samples": 3}, 2),
+    ("evolve", {"system": "spin", "j": 1, "beta0": math.nan, "zeta0": "0.5", "tmax": 1,
+                "samples": 3}, 2),
+    ("evolve", {"system": "fock", "N": 1.5, "lam": "0.1", "omega": 1, "tmax": 1}, 2),
+    ("evolve", {"system": "fock", "drive": "sinusoid", "drive_phase": None, "lam": "0.1",
+                "omega": 1, "drive_frequency": 1, "N": 20, "tmax": 1, "samples": 3}, 0),
+], ids=["split-jA-inf", "evolve-j-nan", "evolve-beta0-nan", "evolve-N-not-int",
+        "evolve-null-keeps-default"])
+def test_config_values_parse_like_flags(command, config, code, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))  # NaN and Infinity tokens, as json.load reads them
+    got, err = _exit_and_stderr(["--config", str(path), command])
+    assert got == code, err
+    if code == 2:
+        assert "error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--order", "8", "--mu", "1e200", "--nu", "1e200"],
+    ["series", "--order", "3", "--mu", "1e-200", "--nu", "1e-200"],
+])
+def test_numerical_failures_exit_3_with_one_line(argv, capsys):
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_json_text_refuses_non_finite_values():
+    from coherence_lab.errors import NumericalError
+    assert serialize.json_text({"x": 1e308, "y": [0.1, -0.0]}) == (
+        '{\n  "x": 1e+308,\n  "y": [\n    0.1,\n    -0.0\n  ]\n}\n')
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericalError):
+            serialize.json_text({"x": [bad]})
 
 
 def test_missing_parameters_exit_code(capsys):
@@ -337,3 +391,166 @@ def test_thread_budget_env(monkeypatch):
     monkeypatch.setenv("COHERENCE_LAB_THREADS", "many")
     with pytest.raises(ConfigError):
         thread_budget()
+
+
+# ---------------------------------------------------------------------------
+# guard: generated argv lists and config files never end in a traceback
+# ---------------------------------------------------------------------------
+
+# value vocabularies: valid, malformed, non-finite, negative, huge and empty.
+# Flags that set the amount of work (sizes, tmax, and the Hamiltonian
+# strengths that fix the substep) take no huge values, so no example runs long.
+REAL = ["0", "1", "0.5", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "", "abc", "1+2i"]
+COMPLEX = ["0", "1+0i", "0.5-0.3i", "-2i", "nan", "inf", "1e200", "1e-200", "-1e300",
+           "", "abc", "1+nani"]
+SPIN = ["0", "0.5", "1", "1.5", "2", "0.3", "-1", "nan", "inf", "1e300", "", "abc"]
+CUTOFF = ["0", "1", "12", "20", "40", "-1", "1.5", "", "abc", str(10 ** 30)]
+SPLIT = ["0.6", "0.8", "0.7071067811865476", "1", "0", "nan", "1e300", "", "abc"]
+SEED = ["0", "7", "-1", "1.5", "", "abc", str(2 ** 64), "1e300"]
+THETA = ["0", "1.2", "3.141592653589793", "-1", "4", "nan", "inf", "1e300", "", "abc"]
+
+
+def _small(*valid):
+    return list(valid) + ["0", "-1", "1.5", "", "abc"]
+
+
+FLAGS = {
+    "split": {
+        "system": ["fock", "spin", "bogus", ""], "alpha": COMPLEX, "N": CUTOFF,
+        "mu": SPLIT, "nu": SPLIT, "jA": SPIN, "jB": SPIN, "jC": SPIN,
+        "zeta": COMPLEX, "theta": THETA, "phi": REAL, "format": ["json", "csv", ""],
+    },
+    "chsh": {
+        "state": ["split-spin1-m0", "split-spin1-lowest", "no-such-state", "",
+                  "@good", "@malformed", "@bad-amps", "@bad-space"],
+        "strategy": ["analytic-qubit", "multistart", "multistart-local-search", "bogus"],
+        "n-starts": _small("1", "2", "4"), "seed": SEED,
+        "tol": ["1e-7", "1e-3", "0", "-1", "nan", "inf", "1e300", "", "abc"],
+    },
+    "evolve": {
+        "system": ["fock", "spin", "bogus"], "drive": ["constant", "sinusoid", "exponential"],
+        "lambda": COMPLEX, "omega": ["1", "0.5", "0", "-1", "nan", "inf", "", "abc"],
+        "drive-frequency": REAL, "drive-phase": REAL, "N": CUTOFF,
+        "initial-alpha": COMPLEX, "j": SPIN,
+        "beta0": ["0", "1", "-0.5", "nan", "inf", "", "abc"],
+        "beta-plus": ["0", "0.3+0.1i", "nan", "inf", "", "abc"],
+        "zeta0": COMPLEX, "theta0": THETA, "phi0": REAL,
+        "tmax": ["0.5", "3.14", "0", "-1", "nan", "inf", "", "abc"],
+        "samples": _small("2", "3", "5"), "format": ["csv", "json"],
+    },
+    "scan": {
+        "system": ["fock", "spin", "bogus"], "N": CUTOFF, "mu": SPLIT, "nu": SPLIT,
+        "jA": SPIN, "jB": SPIN, "jC": SPIN, "n-samples": _small("1", "2", "3"),
+        "seed": SEED,
+    },
+    "series": {"order": _small("2", "3", "8", "12"), "mu": COMPLEX, "nu": COMPLEX},
+}
+
+STATE_FILES = {
+    "@good": lambda: serialize.state_to_dict(spin.split_spin(spin.basis_state(1, 0), 0.5, 0.5)),
+    "@malformed": lambda: {"space": {"factors": [{"kind": "fock"}]}, "amps": "x"},
+    "@bad-amps": lambda: {"space": {"factors": [{"kind": "spin", "twice_j": 1}] * 2},
+                          "amps": [["a", 0]] * 4},
+    "@bad-space": lambda: {"space": {"factors": [{"kind": "fock", "cutoff": "abc"}]},
+                           "amps": [[1, 0]]},
+}
+
+#: one valid call per command and system; examples change or drop flags of one
+BASELINES = [
+    ("split", {"system": "fock", "alpha": "0.5+0.2i", "N": "20"}),
+    ("split", {"system": "spin", "jA": "1.5", "jB": "1", "jC": "0.5", "zeta": "0.5-0.2i"}),
+    ("chsh", {"state": "@good", "strategy": "multistart", "n-starts": "2", "seed": "7"}),
+    ("evolve", {"system": "fock", "drive": "sinusoid", "lambda": "0.1", "omega": "1",
+                "drive-frequency": "1", "N": "20", "tmax": "0.5", "samples": "3"}),
+    ("evolve", {"system": "spin", "j": "1", "beta0": "1", "beta-plus": "0.2",
+                "zeta0": "0.5", "tmax": "0.5", "samples": "3"}),
+    ("scan", {"system": "fock", "N": "14", "n-samples": "2", "seed": "3"}),
+    ("scan", {"system": "spin", "jA": "1", "jB": "0.5", "jC": "0.5", "n-samples": "2",
+              "seed": "3"}),
+    ("series", {"order": "8", "mu": "0.6", "nu": "0.8"}),
+]
+
+JSON_VALUES = st.sampled_from([None, True, 0, 3, -1, 0.5, 1e300, math.nan, math.inf,
+                               "", "abc", [], [1, 2], {"a": 1}])
+
+
+def _dest(flag):
+    return "lam" if flag == "lambda" else flag.replace("-", "_")
+
+
+def _json_value(text):
+    """A flag value as a config file would hold it: a number when it is one."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@st.composite
+def flag_sets(draw):
+    command, base = draw(st.sampled_from(BASELINES))
+    flags = FLAGS[command]
+    dropped = draw(st.lists(st.sampled_from(sorted(base)), unique=True, max_size=1))
+    changed = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3))
+    chosen = {flag: value for flag, value in base.items() if flag not in dropped}
+    chosen.update({flag: draw(st.sampled_from(flags[flag])) for flag in changed})
+    return command, chosen
+
+
+def _guarded_run(argv, config=None):
+    """Run the CLI, with ``config`` as its config file if given; returns (exit
+    code, stderr). ``@name`` in a value stands for the state file ``name``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, build in STATE_FILES.items():
+            (workdir / f"{name[1:]}.json").write_text(json.dumps(build()))
+        if config is not None:
+            path = workdir / "config.json"
+            path.write_text(_with_state_paths(json.dumps(config), workdir))
+            argv = ["--config", str(path)] + argv
+        return _exit_and_stderr([_with_state_paths(a, workdir) for a in argv])
+
+
+def _exit_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:  # argparse rejects the argument list
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _with_state_paths(text, workdir):
+    for name in STATE_FILES:
+        text = text.replace(name, str(workdir / f"{name[1:]}.json"))
+    return text
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag_sets())
+def test_generated_argv_never_ends_in_traceback(case):
+    command, flags = case
+    argv = [command] + [f"--{flag}={value}" for flag, value in flags.items()]
+    _assert_clean_exit(*_guarded_run(argv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flag_sets(), st.data())
+def test_generated_config_never_ends_in_traceback(case, data):
+    command, flags = case
+    in_file = data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    config = {_dest(flag): _json_value(flags[flag]) for flag in in_file}
+    config.update(data.draw(st.dictionaries(
+        st.sampled_from(sorted(_dest(flag) for flag in FLAGS[command])), JSON_VALUES,
+        max_size=2)))
+    argv = [command] + [f"--{flag}={value}" for flag, value in flags.items()
+                        if flag not in in_file]
+    _assert_clean_exit(*_guarded_run(argv, config))

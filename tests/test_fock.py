@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from coherence_lab import qcore
-from coherence_lab.errors import (
-    InsufficientOutputCutoff,
-    SpaceMismatch,
-    TruncationTooSmall,
-    ValidationError,
-)
+from coherence_lab.errors import SpaceMismatch, TruncationTooSmall, ValidationError
 from coherence_lab.fock import (
     FockParams,
     SplitSpec,
-    beamsplit_isometry,
+    beamsplit_weight,
     displacement,
     glauber_cs,
     ladder_ops,
     nearest_coherent_fit,
+    number_op,
     number_state,
     quadrature_ops,
     required_cutoff,
@@ -98,6 +94,12 @@ def test_displacement_inverse_on_low_levels():
         np.testing.assert_allclose(prod @ basis, basis, atol=1e-9)
 
 
+def test_vacuum_is_lowest_weight():
+    a, _ = ladder_ops(15)
+    np.testing.assert_allclose(a.matrix @ vacuum(15).amps, 0.0, atol=1e-15)
+    np.testing.assert_allclose(number_op(15).matrix @ vacuum(15).amps, 0.0, atol=1e-15)
+
+
 def test_glauber_cs_zero_is_vacuum():
     np.testing.assert_allclose(glauber_cs(0.0, 15).amps, vacuum(15).amps,
                                atol=1e-15)
@@ -130,10 +132,9 @@ def test_split_spec_validation():
 
 def test_beamsplit_vacuum_and_single_photon():
     spec = SplitSpec.balanced()
-    iso = beamsplit_isometry(spec, 6)
-    out = iso.apply(vacuum(6))
+    out = split_fock(vacuum(6), spec)
     assert out.amps[0] == pytest.approx(1.0, abs=1e-14)
-    out = iso.apply(number_state(6, 1))
+    out = split_fock(number_state(6, 1), spec)
     d = 7
     expected = np.zeros(d * d, dtype=complex)
     expected[0 * d + 1] = 1 / math.sqrt(2)   # |0,1>
@@ -142,14 +143,11 @@ def test_beamsplit_vacuum_and_single_photon():
 
 
 def test_beamsplit_isometry_gram():
-    iso = beamsplit_isometry(SplitSpec.from_angles(0.7, 2.1), 12)
-    gram = iso.matrix.conj().T @ iso.matrix
+    # the split kernel applied to every basis state is the dense map
+    weight = beamsplit_weight(SplitSpec.from_angles(0.7, 2.1), 12)
+    matrix = qcore.split_amplitudes(np.eye(13), weight).reshape(13, -1).T
+    gram = matrix.conj().T @ matrix
     np.testing.assert_allclose(gram, np.eye(13), atol=1e-12)
-
-
-def test_beamsplit_output_cutoff_guard():
-    with pytest.raises(InsufficientOutputCutoff):
-        beamsplit_isometry(SplitSpec.balanced(), 10, 8)
 
 
 def test_beamsplit_coherent_factorizes():

@@ -22,16 +22,13 @@ from coherence_lab.qcore import (
 )
 from coherence_lab.spin import (
     SpinCsParams,
-    addition_isometry,
     angle_to_zeta,
     basis_state,
-    fock_model,
+    coupling_weight,
     lowest_state,
-    model_cs,
     nearest_cs_fit,
     spin_cs,
     spin_cs_exp,
-    spin_model,
     spin_ops,
     spin_space,
     split_spin,
@@ -171,14 +168,21 @@ def test_isotropy_leaves_reference_state_invariant():
 # stretched-coupling embedding
 # ---------------------------------------------------------------------------
 
+def coupling_matrix(jb, jc):
+    """The stretched coupling as a dense matrix: the split kernel applied to
+    every basis state of spin jb + jc."""
+    d_a = int(2 * (jb + jc)) + 1
+    return qcore.split_amplitudes(np.eye(d_a), coupling_weight(jb, jc)).reshape(d_a, -1).T
+
+
 def test_addition_isometry_spin1_columns():
-    w = addition_isometry(0.5, 0.5)
+    w = coupling_matrix(0.5, 0.5)
     down_down = np.array([1, 0, 0, 0], dtype=complex)
     up_up = np.array([0, 0, 0, 1], dtype=complex)
     triplet = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
-    np.testing.assert_allclose(w.matrix[:, 0], down_down, atol=1e-14)
-    np.testing.assert_allclose(w.matrix[:, 1], triplet, atol=1e-14)
-    np.testing.assert_allclose(w.matrix[:, 2], up_up, atol=1e-14)
+    np.testing.assert_allclose(w[:, 0], down_down, atol=1e-14)
+    np.testing.assert_allclose(w[:, 1], triplet, atol=1e-14)
+    np.testing.assert_allclose(w[:, 2], up_up, atol=1e-14)
 
 
 PAIRS = [(b / 2, c / 2) for b in range(1, 7) for c in range(1, 7)]
@@ -186,16 +190,14 @@ PAIRS = [(b / 2, c / 2) for b in range(1, 7) for c in range(1, 7)]
 
 @pytest.mark.parametrize("jb,jc", PAIRS)
 def test_addition_isometry_is_isometry(jb, jc):
-    w = addition_isometry(jb, jc)
-    dim = w.domain.dim
-    np.testing.assert_allclose(w.matrix.conj().T @ w.matrix, np.eye(dim),
-                               atol=1e-12)
+    w = coupling_matrix(jb, jc)
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(w.shape[1]), atol=1e-12)
 
 
 @pytest.mark.parametrize("jb,jc", PAIRS)
 def test_intertwining_relations(jb, jc):
     ja = jb + jc
-    w = addition_isometry(jb, jc).matrix
+    w = coupling_matrix(jb, jc)
     ops_a = spin_ops(ja)
     ops_b = spin_ops(jb)
     ops_c = spin_ops(jc)
@@ -246,7 +248,7 @@ def test_cs_factorization_random_zeta_all_pairs():
 
 
 # ---------------------------------------------------------------------------
-# fits and the lowest-weight abstraction
+# fits and the lowest-weight state
 # ---------------------------------------------------------------------------
 
 def test_nearest_cs_fit_roundtrip():
@@ -266,24 +268,9 @@ def test_nearest_cs_fit_pole():
     assert np.isinf(abs(zeta))
 
 
-def test_lowest_weight_models():
-    for model in (spin_model(1.5), fock_model(15)):
-        for op in model.raising:
-            assert np.linalg.norm(op.matrix.conj().T @ model.lowest.amps) < 1e-12
-        for op, weight in zip(model.cartan, model.weights):
-            got = op.matrix @ model.lowest.amps
-            np.testing.assert_allclose(got, weight * model.lowest.amps,
-                                       atol=1e-12)
-
-
-def test_model_cs_reproduces_both_families():
-    spin_m = spin_model(1.5)
-    got = model_cs(spin_m, 0.7 - 0.4j)
-    want = spin_cs(SpinCsParams(j=1.5, zeta=0.7 - 0.4j))
-    assert aligned_distance(want, got) < 1e-12
-
-    from coherence_lab.fock import glauber_cs
-    fock_m = fock_model(30)
-    got = model_cs(fock_m, 0.9 + 0.2j)
-    want = glauber_cs(0.9 + 0.2j, 30)
-    assert aligned_distance(want, got) < 1e-10
+@pytest.mark.parametrize("j", HALF_SPINS)
+def test_lowest_state_is_lowest_weight(j):
+    j0, _, jm = spin_ops(j)
+    low = lowest_state(j).amps
+    np.testing.assert_allclose(jm.matrix @ low, 0.0, atol=1e-15)
+    np.testing.assert_allclose(j0.matrix @ low, -j * low, atol=1e-15)
