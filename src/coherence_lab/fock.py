@@ -187,7 +187,7 @@ def split_fock(state: StateVector, spec: SplitSpec) -> StateVector:
     Both output modes keep the input cutoff N. The output amplitude of
     ``|k, l>`` is ``c[k+l] sqrt(C(k+l, k)) mu^k nu^l`` (``beamsplit_weight``
     through ``qcore.split_amplitudes``): O(N^2) time and memory, with the
-    unit norm of every column checked on the way and no dense isometry.
+    unit norm of every column checked on the way.
     """
     if not state.space.is_single("fock"):
         raise SpaceMismatch("split_fock needs a state on a single Fock factor")

@@ -193,8 +193,7 @@ def split_spin(state: StateVector, jB, jC) -> StateVector:
 
     The amplitude of ``|k>|l>`` is ``c[k+l]`` times the closed-form
     ``coupling_weight`` (through ``qcore.split_amplitudes``): O(dim_B dim_C)
-    time and memory, with the unit norm of every column checked on the way
-    and no dense isometry.
+    time and memory, with the unit norm of every column checked on the way.
     """
     if not state.space.is_single("spin"):
         raise SpaceMismatch("split_spin needs a state on a single spin factor")
