@@ -10,9 +10,14 @@ and a global phase whose -omega*t/2 piece depends on whether the vacuum
 energy omega/2 is included in H; ``eta_convention_report`` measures which
 convention reproduces the textbook phase formula instead of assuming one.
 
-Spin: H = beta0 J0 + beta+ J+ + beta+* J-. Both integrators use
-midpoint-evaluated exponential stepping: unitary per step and second order
-in the step size.
+Spin: H = beta0 J0 + beta+ J+ + beta+* J-. Both integrators take
+fourth-order Magnus steps (two-point Gauss-Legendre; Iserles & Norsett,
+Phil. Trans. R. Soc. A 357, 983 (1999); Blanes, Casas, Oteo & Ros, Phys.
+Rep. 470, 151 (2009)): unitary per step, with the exponent built from the
+Hamiltonian matrices and their commutator, never from the closed-form
+solution, so the integrator stays an independent check of it. A trajectory
+that would need more than ``MAX_SUBSTEPS`` substeps raises
+``NumericalError`` before the first step.
 """
 
 from __future__ import annotations
@@ -29,14 +34,21 @@ import scipy.linalg
 
 from . import fock, qcore, spin
 from .errors import (
+    NumericalError,
     QuadratureFailure,
     StepSizeTooLarge,
     ValidationError,
 )
 from .qcore import LinearOperator, StateVector
 
-#: default substep: 1/400 of a drive period
-STEPS_PER_PERIOD = 400
+#: default substep: 1/50 of a drive period
+STEPS_PER_PERIOD = 50
+#: most substeps one trajectory may take (the defaults use 25 over half a period)
+MAX_SUBSTEPS = 10 ** 5
+#: Gauss-Legendre nodes sit at 1/2 -+ sqrt(3)/6 of a substep; the commutator
+#: term of the Magnus exponent carries sqrt(3)/12
+_GL_NODE = math.sqrt(3.0) / 6.0
+_GL_COMMUTATOR = math.sqrt(3.0) / 12.0
 _NORM_DRIFT_LIMIT = 1e-8
 
 
@@ -242,25 +254,55 @@ def _drive_reach(drive: DriveSpec, t_end: float) -> float:
     return 1.02 * peak
 
 
+def _substep_counts(grid: np.ndarray, max_step: float) -> list:
+    """Substeps for each grid interval, at most ``max_step`` long.
+
+    Raises ``NumericalError`` when the whole trajectory would take more than
+    ``MAX_SUBSTEPS``, so a runaway request ends before any work is done.
+    """
+    if not max_step > 0:
+        raise ValidationError("max_step must be positive")
+    # Python floats overflow to inf without numpy's RuntimeWarning
+    ratios = [float(span) / max_step for span in np.diff(grid)]
+    # checked before math.ceil, which raises OverflowError on inf
+    if all(r <= MAX_SUBSTEPS for r in ratios):
+        counts = [max(1, math.ceil(r)) for r in ratios]
+        if sum(counts) <= MAX_SUBSTEPS:
+            return counts
+    raise NumericalError(
+        f"the trajectory needs more than {MAX_SUBSTEPS} substeps of at most "
+        f"{max_step:.3g}; shorten tmax or weaken the Hamiltonian")
+
+
+def _magnus_step(hamiltonian: Callable[[float], np.ndarray], t: float,
+                 dt: float) -> np.ndarray:
+    """Propagator of one fourth-order Magnus substep from t to t + dt:
+    ``expm(-i dt (H1 + H2)/2 - (sqrt(3)/12) dt^2 [H2, H1])`` with H1, H2 at
+    the Gauss-Legendre nodes. For a static H the commutator vanishes."""
+    h1 = hamiltonian(t + (0.5 - _GL_NODE) * dt)
+    h2 = hamiltonian(t + (0.5 + _GL_NODE) * dt)
+    omega = (-0.5j * dt) * (h1 + h2) - (_GL_COMMUTATOR * dt * dt) * (h2 @ h1 - h1 @ h2)
+    return scipy.linalg.expm(omega)
+
+
 def _stepped(hamiltonian: Callable[[float], np.ndarray], static: bool,
-             psi0: np.ndarray, grid: np.ndarray, max_step: float):
-    """Midpoint exponential stepping; yields the state at every grid time."""
+             psi0: np.ndarray, grid: np.ndarray, counts: list):
+    """Fourth-order Magnus stepping with ``counts[i]`` equal substeps over
+    grid interval i; yields the state at every grid time. A static
+    Hamiltonian's propagator is computed once per substep length."""
     psi = psi0.astype(complex)
     cache = {}
     yield psi
     t = grid[0]
-    for t_next in grid[1:]:
-        span = t_next - t
-        n_sub = max(1, math.ceil(span / max_step))
-        dt = span / n_sub
+    for t_next, n_sub in zip(grid[1:], counts):
+        dt = (t_next - t) / n_sub
         for k in range(n_sub):
-            mid = t + (k + 0.5) * dt
             if static:
                 u = cache.get(dt)
                 if u is None:
-                    u = cache[dt] = scipy.linalg.expm(-1j * hamiltonian(mid) * dt)
+                    u = cache[dt] = _magnus_step(hamiltonian, t, dt)
             else:
-                u = scipy.linalg.expm(-1j * hamiltonian(mid) * dt)
+                u = _magnus_step(hamiltonian, t + k * dt, dt)
             psi = u @ psi
         drift = abs(np.linalg.norm(psi) - 1.0)
         if drift > _NORM_DRIFT_LIMIT:
@@ -283,13 +325,14 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
         initial = fock.vacuum(cutoff)
     if initial.space != space:
         raise ValidationError("initial state must live on fock(cutoff)")
+    if max_step is None:
+        max_step = (2.0 * math.pi / drive.omega) / STEPS_PER_PERIOD
+    counts = _substep_counts(grid, max_step)
     a, adag = fock.ladder_ops(cutoff)
     n_op = fock.number_op(cutoff)
     alpha0 = qcore.expectation(a, initial)
     reach = abs(alpha0) + _drive_reach(drive, grid[-1])
     fock.check_cutoff(reach, cutoff)
-    if max_step is None:
-        max_step = (2.0 * math.pi / drive.omega) / STEPS_PER_PERIOD
 
     def hamiltonian(t: float) -> np.ndarray:
         lam = drive.lam(t)
@@ -297,7 +340,7 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
                 + np.conj(lam) * a.matrix)
 
     states, alphas, raw_phases, fids = [], [], [], []
-    for psi in _stepped(hamiltonian, drive.is_static, initial.amps, grid, max_step):
+    for psi in _stepped(hamiltonian, drive.is_static, initial.amps, grid, counts):
         state = StateVector(space, psi)
         alpha = complex(np.vdot(psi, a.matrix @ psi))
         ov = cs_overlap(state, alpha)
@@ -349,14 +392,15 @@ def evolve_spin(hamiltonian: LinearSpinHamiltonian, j, t_grid,
     space = spin.spin_space(j)
     if initial.space != space:
         raise ValidationError("initial state must live on spin(j)")
-    h_op = hamiltonian.operator(j)
     if max_step is None:
         scale = max(hamiltonian.strength, 1e-6)
         max_step = (2.0 * math.pi / scale) / STEPS_PER_PERIOD
+    counts = _substep_counts(grid, max_step)
+    h_op = hamiltonian.operator(j)
 
     states, zetas, thetas, phis, fids = [], [], [], [], []
     warm = None
-    for psi in _stepped(lambda t: h_op.matrix, True, initial.amps, grid, max_step):
+    for psi in _stepped(lambda t: h_op.matrix, True, initial.amps, grid, counts):
         state = StateVector(space, psi)
         theta, phi, zeta, fid = spin.nearest_cs_fit(state, start=warm)
         warm = (theta, phi)

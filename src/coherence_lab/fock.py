@@ -31,7 +31,8 @@ def required_cutoff(alpha) -> int:
     (|alpha| above about 1.3e154), since no cutoff can hold such a state.
     """
     try:
-        a2 = abs(alpha) ** 2
+        r = float(abs(alpha))  # a Python float overflows to inf without a warning
+        a2 = r * r
         return math.ceil(a2 + 12.0 * math.sqrt(a2 + 1.0))
     except OverflowError as exc:
         raise TruncationTooSmall(

@@ -235,6 +235,28 @@ def _ratio_candidate(amps: np.ndarray, tj: int):
     return theta, phi
 
 
+def _fid_ceiling(tj: int) -> float:
+    """Ceiling on ``|vdot(_angles_amps(tj, theta, phi), state.amps)|`` as
+    floating point computes it, for any angles and any ``StateVector``.
+
+    Worst-case rounding, first order in eps = 2**-52, with n = tj + 1:
+
+    - ``_cs_amps`` divides by ``np.linalg.norm``, whose sum of 2n squares
+      and square root err by at most (n + 3) eps/4, and numpy's complex
+      division rounds each part twice: the fitted vector's norm is at most
+      1 + (n + 7) eps/4 (the pole vector's is exactly 1);
+    - a ``StateVector`` keeps its computed norm within 4 eps of 1, so its
+      exact norm is at most 1 + 5 eps;
+    - each part of the complex dot product sums 2n products and errs by at
+      most n eps sum_k |u_k| |v_k| <= n eps |u| |v|, so sqrt(2) n eps in
+      modulus;
+    - ``abs`` adds at most eps.
+
+    The total, (1.67 n + 7.75) eps, stays below (2 n + 10) eps.
+    """
+    return 1.0 + (2 * tj + 12) * np.finfo(float).eps
+
+
 def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
     """Maximize |<j,(theta,phi)|state>| over the sphere.
 
@@ -268,13 +290,16 @@ def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
                 candidates.append((th, ph))
     best = max(candidates, key=lambda c: fid(*c))
     best_fid = fid(*best)
-    res = minimize(lambda x: -fid(x[0], x[1]), list(best),
-                   method="Nelder-Mead",
-                   options=dict(xatol=1e-10, fatol=1e-15, maxiter=600))
-    # strict improvement only: on a true coherent state the ratio
-    # candidate is machine-exact and must not be fuzzed by the simplex
-    if -res.fun > best_fid + 1e-14:
-        best, best_fid = (res.x[0], res.x[1]), -float(res.fun)
+    # strict improvement only: on a true coherent state the ratio candidate
+    # is machine-exact and must not be fuzzed by the simplex. No computed
+    # fid exceeds _fid_ceiling(tj), so once best_fid + 1e-14 reaches it the
+    # polish could not be kept and is skipped.
+    if best_fid + 1e-14 < _fid_ceiling(tj):
+        res = minimize(lambda x: -fid(x[0], x[1]), list(best),
+                       method="Nelder-Mead",
+                       options=dict(xatol=1e-10, fatol=1e-15, maxiter=600))
+        if -res.fun > best_fid + 1e-14:
+            best, best_fid = (res.x[0], res.x[1]), -float(res.fun)
     theta = best[0] % (2.0 * math.pi)
     phi = best[1] % (2.0 * math.pi)
     if theta > math.pi:

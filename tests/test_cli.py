@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -344,13 +345,29 @@ def test_config_values_parse_like_flags(command, config, code, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["series", "--order", "8", "--mu", "1e200", "--nu", "1e200"],
     ["series", "--order", "3", "--mu", "1e-200", "--nu", "1e-200"],
+    # beyond the substep budget: 8e6 and 8e9 substeps
+    ["evolve", "--omega", "1e6", "--lambda", "0", "--tmax", "1", "--N", "20",
+     "--samples", "2"],
+    ["evolve", "--system", "spin", "--j", "1", "--beta0", "1e9", "--zeta0", "0.5",
+     "--tmax", "1"],
 ])
 def test_numerical_failures_exit_3_with_one_line(argv, capsys):
+    start = time.perf_counter()
     assert run_cli(argv) == 3
+    assert time.perf_counter() - start < 2.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unreachable_cutoff_exits_2_with_one_line(capsys):
+    # |alpha| about 1e200 squares beyond the float range, without a warning
+    assert run_cli(["evolve", "--omega", "1", "--lambda", "1e200", "--tmax", "1",
+                    "--N", "20", "--samples", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_json_text_refuses_non_finite_values():
@@ -398,8 +415,9 @@ def test_thread_budget_env(monkeypatch):
 # ---------------------------------------------------------------------------
 
 # value vocabularies: valid, malformed, non-finite, negative, huge and empty.
-# Flags that set the amount of work (sizes, tmax, and the Hamiltonian
-# strengths that fix the substep) take no huge values, so no example runs long.
+# tmax and the Hamiltonian strengths that fix the substep take huge values
+# too: the substep budget ends such a run with exit 3. Sample counts stay
+# small, so no example runs long.
 REAL = ["0", "1", "0.5", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "", "abc", "1+2i"]
 COMPLEX = ["0", "1+0i", "0.5-0.3i", "-2i", "nan", "inf", "1e200", "1e-200", "-1e300",
            "", "abc", "1+nani"]
@@ -429,13 +447,14 @@ FLAGS = {
     },
     "evolve": {
         "system": ["fock", "spin", "bogus"], "drive": ["constant", "sinusoid", "exponential"],
-        "lambda": COMPLEX, "omega": ["1", "0.5", "0", "-1", "nan", "inf", "", "abc"],
+        "lambda": COMPLEX,
+        "omega": ["1", "0.5", "0", "-1", "nan", "inf", "1e6", "1e300", "", "abc"],
         "drive-frequency": REAL, "drive-phase": REAL, "N": CUTOFF,
         "initial-alpha": COMPLEX, "j": SPIN,
-        "beta0": ["0", "1", "-0.5", "nan", "inf", "", "abc"],
-        "beta-plus": ["0", "0.3+0.1i", "nan", "inf", "", "abc"],
+        "beta0": ["0", "1", "-0.5", "nan", "inf", "1e6", "1e300", "", "abc"],
+        "beta-plus": ["0", "0.3+0.1i", "nan", "inf", "1e6", "1e300", "", "abc"],
         "zeta0": COMPLEX, "theta0": THETA, "phi0": REAL,
-        "tmax": ["0.5", "3.14", "0", "-1", "nan", "inf", "", "abc"],
+        "tmax": ["0.5", "3.14", "0", "-1", "nan", "inf", "1e6", "1e300", "", "abc"],
         "samples": _small("2", "3", "5"), "format": ["csv", "json"],
     },
     "scan": {

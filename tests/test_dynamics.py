@@ -15,7 +15,7 @@ from coherence_lab.dynamics import (
     evolve_fock,
     evolve_spin,
 )
-from coherence_lab.errors import StepSizeTooLarge, ValidationError
+from coherence_lab.errors import NumericalError, StepSizeTooLarge, ValidationError
 from coherence_lab.qcore import expectation
 
 
@@ -176,6 +176,53 @@ def test_evolve_convergence_order():
         traj = evolve_fock(drive, grid, 30, max_step=dt)
         errs.append(abs(traj.alpha_track[-1] - exact))
     assert errs[0] / errs[1] >= 3.5
+
+
+def test_evolve_fourth_order():
+    # Magnus-4: halving the step cuts the error by about 16x
+    drive = DriveSpec.sinusoid(1.0, 0.3, 2.0)
+    grid = np.array([0.0, 2.0])
+    exact = alpha_of_t(drive, 2.0)
+    errs = []
+    for dt in (0.2, 0.1):
+        traj = evolve_fock(drive, grid, 30, max_step=dt)
+        errs.append(abs(traj.alpha_track[-1] - exact))
+    assert errs[0] / errs[1] >= 12.0
+
+
+def test_evolve_moderate_sinusoid_drives_meet_amplitude_bound():
+    # the default step keeps c07's 1e-6 amplitude bound on |lambda| = 0.2
+    # sinusoid drives, where the second-order midpoint step missed it
+    rng = np.random.default_rng(6)
+    grid = np.linspace(0.0, math.pi, 9)  # half an oscillator period
+    for _ in range(6):
+        lam = 0.2 * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        drive = DriveSpec.sinusoid(1.0, lam, rng.uniform(0.3, 0.9),
+                                   rng.uniform(0, 2 * math.pi))
+        want = np.array([alpha_of_t(drive, t) for t in grid])
+        for cutoff in (40, 80):
+            traj = evolve_fock(drive, grid, cutoff)
+            assert np.abs(traj.alpha_track - want).max() < 1e-6
+
+
+def test_substep_budget(monkeypatch):
+    import coherence_lab.dynamics as dyn
+    # 8e6 and 8e9 substeps at the default step
+    with pytest.raises(NumericalError):
+        evolve_fock(DriveSpec.zero(1e6), np.array([0.0, 1.0]), 20)
+    initial = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.5))
+    with pytest.raises(NumericalError):
+        evolve_spin(LinearSpinHamiltonian(1e9), 1, np.array([0.0, 1.0]), initial)
+    # span / max_step overflows to inf
+    with pytest.raises(NumericalError):
+        evolve_fock(DriveSpec.zero(1.0), np.array([0.0, 1.0]), 20, max_step=1e-320)
+    with pytest.raises(ValidationError):
+        evolve_fock(DriveSpec.zero(1.0), np.array([0.0, 1.0]), 20, max_step=0.0)
+    # the budget counts the substeps of the whole trajectory
+    monkeypatch.setattr(dyn, "MAX_SUBSTEPS", 10)
+    evolve_fock(DriveSpec.zero(1.0), np.array([0.0, 1.0]), 20, max_step=0.1)
+    with pytest.raises(NumericalError):
+        evolve_fock(DriveSpec.zero(1.0), np.array([0.0, 0.5, 1.0]), 20, max_step=0.09)
 
 
 def test_evolve_truncation_guard():
