@@ -6,9 +6,6 @@ use the flag names with underscores). Randomized commands require an
 explicit ``--seed``; outputs are byte-identical for identical config+seed.
 
 Exit codes: 0 success, 2 validation/config error, 3 numerical failure.
-The COHERENCE_LAB_THREADS environment variable is validated (a
-nonnegative integer, else exit 2), but scans always run serially, with the
-same results at every setting.
 """
 
 from __future__ import annotations
@@ -42,13 +39,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="coherent-state splitting, CHSH analysis, and phase-space dynamics")
     parser.add_argument("--config", help="JSON file with default parameter values")
     sub = parser.add_subparsers(dest="command", required=True)
+    #: subcommand parsers by name; config defaults are applied to each
+    parser.commands = {}
+
+    def add_command(name, summary):
+        parser.commands[name] = sub.add_parser(name, help=summary)
+        return parser.commands[name]
 
     def add_common(p):
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"],
                        help="output format (default depends on the command)")
 
-    p = sub.add_parser("split", help="split a coherent state and classify the result")
+    p = add_command("split", "split a coherent state and classify the result")
     p.add_argument("--system", choices=["fock", "spin"])
     p.add_argument("--alpha", help="coherent amplitude a+bi (fock)")
     p.add_argument("--N", type=int, help="Fock cutoff (fock)")
@@ -64,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the split state as JSON")
     add_common(p)
 
-    p = sub.add_parser("chsh", help="maximize the CHSH quantity on a bipartite state")
+    p = add_command("chsh", "maximize the CHSH quantity on a bipartite state")
     p.add_argument("--state",
                    help="named state (e.g. split-spin1-m0) or a state JSON file")
     p.add_argument("--strategy", default="analytic-qubit",
@@ -74,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-7)
     add_common(p)
 
-    p = sub.add_parser("evolve", help="integrate a trajectory and emit CSV")
+    p = add_command("evolve", "integrate a trajectory and emit CSV")
     p.add_argument("--system", choices=["fock", "spin"], default="fock")
     p.add_argument("--drive", choices=["constant", "sinusoid", "exponential"],
                    default="constant")
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of grid points including t=0")
     add_common(p)
 
-    p = sub.add_parser("scan", help="seeded uniqueness scan over random states")
+    p = add_command("scan", "seeded uniqueness scan over random states")
     p.add_argument("--system", choices=["fock", "spin"])
     p.add_argument("--N", type=int, help="Fock cutoff (fock)")
     p.add_argument("--mu", help="beamsplitter coefficient (fock)")
@@ -111,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed")
     add_common(p)
 
-    p = sub.add_parser("series", help="solve the splitting functional equation")
+    p = add_command("series", "solve the splitting functional equation")
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--mu", default="1")
     p.add_argument("--nu", default="1")
@@ -353,10 +356,11 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
     config = serialize.load_json(path)
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    subparsers = parser._subparsers._group_actions[0].choices.values()
+    subparsers = parser.commands.values()
+    # an empty command line parses into every parameter a subcommand knows
     known = set()
     for sub in subparsers:
-        known.update(a.dest for a in sub._actions)
+        known.update(vars(sub.parse_args([])))
     unknown = sorted(set(config) - known)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")

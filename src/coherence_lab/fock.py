@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import qcore
-from .errors import SpaceMismatch, TruncationTooSmall, ValidationError
+from .errors import NumericalError, SpaceMismatch, TruncationTooSmall, ValidationError
 from .qcore import LinearOperator, SpaceDescriptor, StateVector
 
 log = logging.getLogger(__name__)
@@ -202,7 +202,8 @@ def nearest_coherent_fit(state: StateVector):
     """Maximize |<alpha|state>| over alpha; returns (alpha, fidelity).
 
     Seeded at alpha = <a> (exact for true coherent states) and polished by
-    a simplex search in (Re alpha, Im alpha).
+    a simplex search in (Re alpha, Im alpha). A search that stops before it
+    converges raises ``NumericalError``.
     """
     if not state.space.is_single("fock"):
         raise SpaceMismatch("nearest_coherent_fit needs a single Fock factor")
@@ -222,5 +223,7 @@ def nearest_coherent_fit(state: StateVector):
     start = clip(start)
     res = minimize(negfid, [start.real, start.imag], method="Nelder-Mead",
                    options=dict(xatol=1e-10, fatol=1e-14, maxiter=400))
+    if not res.success:
+        raise NumericalError(f"nearest-coherent fit did not converge: {res.message}")
     best = clip(complex(res.x[0], res.x[1]))
     return best, -float(res.fun)

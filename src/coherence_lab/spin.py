@@ -265,7 +265,8 @@ def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
     a finite label should use the angles. Candidates: the caller's warm
     start, a ratio-extraction estimate (exact on true coherent states), the
     two poles, and a coarse sphere grid; the best one is polished by a
-    simplex search.
+    simplex search, and a search that stops before it converges raises
+    ``NumericalError``.
     """
     if not state.space.is_single("spin"):
         raise SpaceMismatch("nearest_cs_fit needs a single spin factor")
@@ -298,6 +299,8 @@ def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
         res = minimize(lambda x: -fid(x[0], x[1]), list(best),
                        method="Nelder-Mead",
                        options=dict(xatol=1e-10, fatol=1e-15, maxiter=600))
+        if not res.success:
+            raise NumericalError(f"nearest-coherent fit did not converge: {res.message}")
         if -res.fun > best_fid + 1e-14:
             best, best_fid = (res.x[0], res.x[1]), -float(res.fun)
     theta = best[0] % (2.0 * math.pi)

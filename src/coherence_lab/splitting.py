@@ -5,17 +5,28 @@ splitting functional equation f_A(mu x + nu y) = f_B(x) f_C(y) order by
 order as a formal power series (the unique solutions are exponentials),
 and run seeded randomized scans demonstrating that only coherent states
 split into products.
+
+A scan excludes a sample from the non-coherent pool when it lies within
+``CS_DISTANCE_GUARD`` of a coherent state. A closed-form grid of coherent
+states screens each chunk of samples with one matrix product, and a proven
+bound on the best coherent fidelity keeps most samples without a
+nearest-coherent fit; only the samples the bound cannot place outside the
+guard band are fitted. Each chunk is split with one ``split_amplitudes``
+call and one stacked SVD, and its entropies are bit-identical to a
+``schmidt_cut`` of each split sample.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
-from . import fock, parallel, qcore, spin
+from . import fock, qcore, spin
 from .errors import NotComposite, NumericalError, ValidationError
 from .qcore import StateVector
 
@@ -282,36 +293,125 @@ def _haar_amps(seed: int, index: int, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _split_entropy(system, state: StateVector) -> float:
-    if isinstance(system, SpinScanSystem):
-        out = spin.split_spin(state, system.j_b, system.j_c)
-    else:
-        out = fock.split_fock(state, system.split)
-    return qcore.schmidt_cut(out, 1).entropy_bits
-
-
 def _cs_distance(system, state: StateVector) -> float:
     """Phase-aligned distance to the fitted nearest coherent state.
 
-    A cheap screen (grid fidelity / <a> seed) rules most samples out; the
-    simplex polish only runs when a sample could plausibly sit inside the
-    guard band.
+    Always runs the fit (``spin.nearest_cs_fit`` or
+    ``fock.nearest_coherent_fit``); ``uniqueness_scan`` calls it only for
+    samples its grid screen cannot place outside the guard band.
     """
     if isinstance(system, SpinScanSystem):
-        tj = qcore.as_twice_j(system.j_a)
-        best = 0.0
-        for th in np.linspace(0.0, math.pi, 9):
-            for ph in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
-                best = max(best, abs(np.vdot(spin._angles_amps(tj, th, ph),
-                                             state.amps)))
-        # coherent peaks narrow like cos^(2j); polish generously so a sample
-        # inside the guard band can never hide between grid points
-        if best < 0.85 ** (tj / 2.0):
-            return math.sqrt(max(0.0, 2.0 - 2.0 * best))
         _, _, _, fid = spin.nearest_cs_fit(state)
     else:
         _, fid = fock.nearest_coherent_fit(state)
     return math.sqrt(max(0.0, 2.0 - 2.0 * fid))
+
+
+# The screen bounds F* = max_n |<n|psi>| over the coherent family from a grid
+# of unit coherent states g whose covering distance is c: every coherent
+# state lies within c of some grid point (an angle for spin, |alpha - beta|
+# for Fock). With best = max_g |<g|psi>|:
+#
+# - Lipschitz on rays (spin and Fock): |F(n) - F(n')| is at most the
+#   phase-aligned distance sqrt(2 - 2 |<n|n'>|), and the overlap is
+#   cos^(2j)(c/2) for spin (Arecchi, Courtens, Gilmore & Thomas, Phys. Rev. A
+#   6, 2211 (1972)) and exp(-c^2/2) for Glauber states, so
+#   F* <= best + sqrt(2 - 2 ov(c)).
+# - Curvature (spin only): rotate the maximizer n* towards its nearest grid
+#   point by angle t <= c. G(t) = |<n(t)|psi>|^2 is a trigonometric polynomial
+#   of degree 2j in t (the rotation's matrix elements carry frequencies
+#   m - m'), with 0 <= G <= 1, so Bernstein's inequality applied to G - 1/2
+#   gives |G''| <= (2j)^2 / 2. G'(0) = 0 at the maximum, hence
+#   best^2 >= G(t) >= F*^2 - j^2 t^2, that is F*^2 <= best^2 + j^2 c^2.
+#
+# The smaller bound holds. A sample whose bound plus SCREEN_MARGIN stays below
+# 1 - guard^2/2 has every fitted distance above the guard band, so it is kept
+# without a fit. The margin covers the rounding of the grid rows and the
+# overlaps (about dim * eps), the fit's own rounding (see spin._fid_ceiling)
+# and the Fock truncation, which moves an overlap of admissible states by
+# about the 1e-12 tail mass.
+
+#: polar angles (poles included) x azimuths of the spin screen grid
+SPIN_SCREEN_GRID = (33, 64)
+#: cells per side of the Fock screen grid, and its smallest step
+FOCK_SCREEN_CELLS = 32
+FOCK_SCREEN_MIN_STEP = 0.1
+#: allowance for rounding between the screen's bound and a fitted fidelity
+SCREEN_MARGIN = 1e-9
+#: most amplitudes one stacked split or screen product holds (1 MiB), which
+#: keeps a scan's memory independent of its sample count
+CHUNK_AMPS = 2 ** 16
+
+
+@dataclass(frozen=True)
+class _Screen:
+    """Unit coherent-state bras <g|, one per row, and the terms of the two
+    bounds: ``lipschitz`` is sqrt(2 - 2 ov(c)) and ``curvature`` is j^2 c^2
+    (inf where that bound does not apply)."""
+
+    bras: np.ndarray
+    lipschitz: float
+    curvature: float
+
+    def bound(self, amps: np.ndarray) -> np.ndarray:
+        """Per row of ``amps``: a proven ceiling on F*, up to rounding."""
+        best = np.abs(amps @ self.bras.T).max(axis=1)
+        return np.minimum(best + self.lipschitz,
+                          np.sqrt(best * best + self.curvature))
+
+    def certified(self, amps: np.ndarray) -> np.ndarray:
+        """Per row of ``amps``: is every fitted distance above the guard band?"""
+        return self.bound(amps) + SCREEN_MARGIN < 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
+
+
+def _unit_rows(bras: np.ndarray) -> np.ndarray:
+    bras /= np.linalg.norm(bras, axis=1, keepdims=True)
+    return bras
+
+
+def _spin_screen(tj: int) -> _Screen:
+    n_theta, n_phi = SPIN_SCREEN_GRID
+    half = np.linspace(0.0, math.pi, n_theta)[:, None] / 2.0
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[:, None]
+    k = np.arange(tj + 1)
+    # spin_cs at zeta = -tan(theta/2) e^(-i phi): sqrt(C(2j, k))
+    # cos^(2j-k)(theta/2) sin^k(theta/2) (-e^(-i phi))^k, in logs so that no
+    # binomial overflows
+    log_mag = (0.5 * (gammaln(tj + 1) - gammaln(k + 1) - gammaln(tj - k + 1))
+               + xlogy(tj - k, np.cos(half)) + xlogy(k, np.sin(half)))
+    bra_phase = np.exp(-1j * (math.pi - phi) * k)
+    bras = (np.exp(log_mag)[:, None, :] * bra_phase[None, :, :]).reshape(-1, tj + 1)
+    # a point lies within dtheta/2 of a grid latitude and, along it, within
+    # dphi/2 of a grid meridian
+    cover = math.pi / (2 * (n_theta - 1)) + math.pi / n_phi
+    overlap = math.cos(cover / 2.0) ** tj
+    return _Screen(_unit_rows(bras), math.sqrt(2.0 - 2.0 * overlap),
+                   (tj / 2.0 * cover) ** 2)
+
+
+def _fock_screen(cutoff: int) -> _Screen:
+    # cell centres of the square of side 2R around the admissible disk (the
+    # disk nearest_coherent_fit clips to) lie within step/sqrt(2) of every
+    # point; centres outside the disk go to its edge, and that projection
+    # moves none of them further from a point of the disk
+    radius = fock.admissible_radius(cutoff)
+    cells = max(1, min(FOCK_SCREEN_CELLS,
+                       math.ceil(2.0 * radius / FOCK_SCREEN_MIN_STEP)))
+    step = 2.0 * radius / cells
+    axis = -radius + (np.arange(cells) + 0.5) * step
+    alpha = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
+    mod = np.minimum(np.abs(alpha), radius)
+    arg = np.angle(alpha)[:, None]
+    n = np.arange(cutoff + 1)
+    log_mag = -mod[:, None] ** 2 / 2.0 + xlogy(n, mod[:, None]) - gammaln(n + 1) / 2.0
+    # conjugated amplitudes, built in place so that no second array of the
+    # grid's size is allocated
+    bras = (-1j * n) * arg
+    bras += log_mag
+    np.exp(bras, out=bras)
+    cover = step / math.sqrt(2.0)
+    overlap = math.exp(-cover * cover / 2.0)
+    return _Screen(_unit_rows(bras), math.sqrt(2.0 - 2.0 * overlap), math.inf)
 
 
 def _cs_grid_states(system):
@@ -327,35 +427,72 @@ def _cs_grid_states(system):
                 yield fock.glauber_cs(r * np.exp(1j * ph), system.cutoff)
 
 
+def _batches(items, size: int):
+    it = iter(items)
+    while batch := list(itertools.islice(it, size)):
+        yield batch
+
+
+def _split_entropies(out_space, weight: np.ndarray, states) -> list:
+    """Schmidt entropy of each split state, bit for bit as ``schmidt_cut``.
+
+    One ``split_amplitudes`` call splits the stack; each row is normalized
+    by ``StateVector`` as ``split_spin``/``split_fock`` do, and one stacked
+    SVD (the LAPACK route of ``schmidt_cut``) gives the coefficients.
+    """
+    split = qcore.split_amplitudes(np.stack([s.amps for s in states]), weight)
+    rows = np.stack([StateVector(out_space, row).amps for row in split])
+    _, coeffs, _ = np.linalg.svd(rows.reshape(split.shape), full_matrices=False)
+    return [qcore.entropy_from_coefficients(c) for c in coeffs]
+
+
 def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
     """Split seeded Haar-random states and record their entanglement.
 
     Samples whose distance to the fitted nearest coherent state falls
     inside the guard band are excluded from the non-coherent pool. A
-    deterministic coherent-state parameter grid is scanned separately for
+    closed-form grid of coherent states, built once per scan, screens the
+    samples first: it proves most of them lie outside the band (see the
+    bounds above ``_Screen``), and only the rest are fitted. Samples go in
+    chunks of at most ``CHUNK_AMPS`` amplitudes, each split with one
+    ``split_amplitudes`` call and one stacked SVD. A deterministic
+    coherent-state parameter grid is split the same way for
     ``cs_max_entropy``. Each sample draws from its own counter-based stream,
-    so the result does not depend on the order samples are processed in.
+    so the result does not depend on the order samples are processed in,
+    and every entropy is bit-identical to a ``schmidt_cut`` of the split
+    sample.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    space = (spin.spin_space(system.j_a) if isinstance(system, SpinScanSystem)
-             else fock.fock_space(system.cutoff))
+    if isinstance(system, SpinScanSystem):
+        space = spin.spin_space(system.j_a)
+        out_space = spin.spin_space(system.j_b).tensor(spin.spin_space(system.j_c))
+        weight = spin.coupling_weight(system.j_b, system.j_c)
+        screen = _spin_screen(qcore.as_twice_j(system.j_a))
+    else:
+        space = fock.fock_space(system.cutoff)
+        out_space = space.tensor(space)
+        weight = fock.beamsplit_weight(system.split, system.cutoff)
+        screen = _fock_screen(system.cutoff)
+    chunk = max(1, CHUNK_AMPS // max(weight.size, screen.bras.shape[0]))
 
-    # COHERENCE_LAB_THREADS is validated, but samples run serially: the work
-    # holds the interpreter lock, so worker threads would only add overhead
-    parallel.thread_budget()
-    kept = []
-    for i in range(n_samples):
-        state = StateVector(space, _haar_amps(seed, i, system.dim))
-        ent = _split_entropy(system, state)
-        if _cs_distance(system, state) > CS_DISTANCE_GUARD:
-            kept.append(ent)
-    cs_max = max(_split_entropy(system, cs) for cs in _cs_grid_states(system))
+    samples = (StateVector(space, _haar_amps(seed, i, system.dim))
+               for i in range(n_samples))
+    min_kept, n_kept = None, 0
+    for states in _batches(samples, chunk):
+        entropies = _split_entropies(out_space, weight, states)
+        certified = screen.certified(np.stack([s.amps for s in states]))
+        for state, ent, sure in zip(states, entropies, certified):
+            if sure or _cs_distance(system, state) > CS_DISTANCE_GUARD:
+                min_kept = ent if min_kept is None else min(min_kept, ent)
+                n_kept += 1
+    cs_max = max(max(_split_entropies(out_space, weight, states))
+                 for states in _batches(_cs_grid_states(system), chunk))
     return ScanStats(
         system=system.label,
         n_samples=n_samples,
         seed=seed,
-        min_entropy_non_cs=min(kept) if kept else None,
+        min_entropy_non_cs=min_kept,
         cs_max_entropy=cs_max,
-        n_excluded=n_samples - len(kept),
+        n_excluded=n_samples - n_kept,
     )

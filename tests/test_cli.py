@@ -279,6 +279,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code = run_cli(["--config", str(config), "series"])
     assert code == 2
     assert "bogus_key" in capsys.readouterr().err
+    # "help" names argparse's help action, not a parameter
+    config.write_text(json.dumps({"help": 1}))
+    assert run_cli(["--config", str(config), "series"]) == 2
 
 
 def test_config_equals_form(tmp_path, capsys):
@@ -394,20 +397,6 @@ def test_weight_condition_exit_code(capsys):
     code = run_cli(["split", "--system", "spin", "--jA", "1", "--jB", "1",
                     "--jC", "1", "--zeta", "0.5+0i"])
     assert code == 2
-
-
-def test_thread_budget_env(monkeypatch):
-    from coherence_lab.errors import ConfigError
-    from coherence_lab.parallel import thread_budget
-    monkeypatch.delenv("COHERENCE_LAB_THREADS", raising=False)
-    assert thread_budget() == 1
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "0")
-    assert thread_budget() >= 1
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "many")
-    with pytest.raises(ConfigError):
-        thread_budget()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from coherence_lab import qcore
-from coherence_lab.errors import SpaceMismatch, TruncationTooSmall, ValidationError
+from coherence_lab import fock, qcore
+from coherence_lab.errors import (
+    NumericalError,
+    SpaceMismatch,
+    TruncationTooSmall,
+    ValidationError,
+)
 from coherence_lab.fock import (
     FockParams,
     SplitSpec,
@@ -208,3 +214,12 @@ def test_nearest_coherent_fit_recovers_alpha():
     fitted, fid = nearest_coherent_fit(state)
     assert abs(fitted - alpha) < 1e-7
     assert fid > 1 - 1e-12
+
+
+def test_nearest_coherent_fit_refuses_an_unconverged_search(monkeypatch):
+    def starved(*args, options, **kwargs):
+        return minimize(*args, options=dict(options, maxiter=3), **kwargs)
+
+    monkeypatch.setattr(fock, "minimize", starved)
+    with pytest.raises(NumericalError):
+        nearest_coherent_fit(glauber_cs(0.8 - 0.35j, 30))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from coherence_lab import qcore, spin
 from coherence_lab.dynamics import LinearSpinHamiltonian, evolve_spin
 from coherence_lab.errors import (
     AntipodalPoint,
     InvalidWeight,
+    NumericalError,
     ValidationError,
     WeightConditionViolated,
 )
@@ -308,6 +310,15 @@ def test_polish_runs_only_when_it_can_improve(monkeypatch):
     # |<cs|1,0>| <= 1/sqrt(2): the polish runs once
     assert nearest_cs_fit(basis_state(1, 0))[3] < 1 - 1e-6
     assert len(calls) == 1
+
+
+def test_nearest_cs_fit_refuses_an_unconverged_search(monkeypatch):
+    def starved(*args, options, **kwargs):
+        return minimize(*args, options=dict(options, maxiter=3), **kwargs)
+
+    monkeypatch.setattr(spin, "minimize", starved)
+    with pytest.raises(NumericalError):
+        nearest_cs_fit(basis_state(1, 0))
 
 
 @pytest.mark.parametrize("j", HALF_SPINS)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherence_lab import fock, spin
 from coherence_lab.errors import NotComposite, ValidationError
@@ -9,8 +12,11 @@ from coherence_lab.qcore import StateVector, overlap, tensor_state
 from coherence_lab.splitting import (
     CS_DISTANCE_GUARD,
     FockScanSystem,
+    ScanStats,
     SeriesPoly,
     SpinScanSystem,
+    _fock_screen,
+    _spin_screen,
     aflp_series_solve,
     factorization_report,
     functional_residuals,
@@ -169,13 +175,6 @@ def test_scan_determinism_bit_for_bit():
     assert c.min_entropy_non_cs != a.min_entropy_non_cs
 
 
-def test_scan_threads_do_not_change_result(monkeypatch):
-    base = uniqueness_scan(SpinScanSystem(1, 0.5, 0.5), 30, seed=5)
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "4")
-    threaded = uniqueness_scan(SpinScanSystem(1, 0.5, 0.5), 30, seed=5)
-    assert base == threaded
-
-
 def test_scan_fock_two_level_states_entangle():
     # closed form: V(c0|0> + c1|1>) has Schmidt matrix [[c0, c1 nu], [c1 mu, 0]]
     spec = fock.SplitSpec.balanced()
@@ -228,3 +227,96 @@ def test_guard_band_excludes_planted_cs():
     from coherence_lab.splitting import _cs_distance
     state = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.7))
     assert _cs_distance(SpinScanSystem(1, 0.5, 0.5), state) < CS_DISTANCE_GUARD
+
+
+# ---------------------------------------------------------------------------
+# the scan's certified grid screen and batching
+# ---------------------------------------------------------------------------
+
+def _screen_case(kind, size, seed, eps):
+    """A screen, a state and its fitted fidelity. ``eps`` None draws a Haar
+    state; otherwise a random coherent state is perturbed by ``eps``."""
+    rng = np.random.default_rng(seed)
+    if kind == "spin":
+        tj = 1 + size % 10
+        screen, space = _spin_screen(tj), spin.spin_space(tj / 2)
+        coherent = spin.spin_cs(spin.SpinCsParams.from_angles(
+            tj / 2, rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)))
+    else:
+        cutoff = 12 + size % 29
+        screen, space = _fock_screen(cutoff), fock.fock_space(cutoff)
+        radius = fock.admissible_radius(cutoff) * math.sqrt(rng.uniform())
+        coherent = fock.glauber_cs(radius * np.exp(2j * math.pi * rng.uniform()),
+                                   cutoff)
+    noise = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    noise /= np.linalg.norm(noise)
+    state = StateVector(space, noise if eps is None else coherent.amps + eps * noise)
+    if kind == "spin":
+        fid = spin.nearest_cs_fit(state)[3]
+    else:
+        fid = fock.nearest_coherent_fit(state)[1]
+    return screen, state, fid
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["spin", "fock"]),
+       size=st.integers(0, 1000),
+       seed=st.integers(0, 2 ** 32 - 1),
+       eps=st.one_of(st.none(), st.just(0.0),
+                     st.floats(-8.0, math.log10(0.3)).map(lambda x: 10.0 ** x)))
+def test_screen_bound_covers_fitted_fidelity(kind, size, seed, eps):
+    # spin 2j <= 10 and Fock N = 12..40: Haar states and coherent states
+    # perturbed by 1e-8 to 0.3 never fit above the screen's proven bound
+    screen, state, fid = _screen_case(kind, size, seed, eps)
+    assert screen.bound(state.amps[None, :])[0] >= fid - 1e-12
+    if eps == 0.0:  # a planted coherent state is never certified
+        assert not screen.certified(state.amps[None, :])[0]
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    fit = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_screen_leaves_few_fits(monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, spin, "nearest_cs_fit", calls)
+    _count_calls(monkeypatch, fock, "nearest_coherent_fit", calls)
+    uniqueness_scan(FockScanSystem(24), 30, 1)
+    assert calls == []
+    uniqueness_scan(SpinScanSystem(3, 1.5, 1.5), 50, 1)
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("system,n_samples,seed,min_entropy,cs_max", [
+    (SpinScanSystem(1, 0.5, 0.5), 60, 11, 0.045673684104547474, 6.406853007629837e-16),
+    (SpinScanSystem(2.5, 1, 1.5), 40, 5, 0.42693685287732264, 6.406853007629857e-16),
+    (SpinScanSystem(3, 1.5, 1.5), 30, 2, 1.121438766918587, 9.610279511444758e-16),
+    (FockScanSystem(16), 20, 4, 2.2585072392406698, 4.7636761811130055e-17),
+    (FockScanSystem(20, fock.SplitSpec.from_angles(0.4, 1.1)), 15, 9,
+     1.9070057740797068, 6.665884158167261e-16),
+])
+def test_scan_stats_bit_identical_to_per_sample_scan(system, n_samples, seed,
+                                                     min_entropy, cs_max):
+    # values recorded from the per-sample scan (one split_spin/split_fock and
+    # one schmidt_cut per state) that the batched scan replaced
+    assert uniqueness_scan(system, n_samples, seed) == ScanStats(
+        system=system.label, n_samples=n_samples, seed=seed,
+        min_entropy_non_cs=min_entropy, cs_max_entropy=cs_max, n_excluded=0)
+
+
+def test_scan_memory_does_not_grow_with_samples():
+    peaks = []
+    for n_samples in (50, 400):
+        tracemalloc.start()
+        try:
+            uniqueness_scan(FockScanSystem(40), n_samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2 * 2 ** 20
