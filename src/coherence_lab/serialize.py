@@ -2,9 +2,11 @@
 
 Complex numbers travel as ``[re, im]`` pairs in JSON and as ``a+bi``
 strings on the command line. State files carry the space descriptor plus
-amplitude pairs and round-trip exactly (floats are emitted with ``repr``
-via the json module, which is shortest-round-trip in Python 3). CSV floats
-use 17 significant digits.
+amplitude pairs and round-trip exactly. JSON text is what
+``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` writes, byte
+for byte: sorted keys, a two-space indent and floats as ``float.__repr__``,
+which is shortest-round-trip in Python 3; a NaN or infinity raises
+``NumericalError``. CSV floats use 17 significant digits.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -98,11 +101,67 @@ def state_from_dict(data: dict) -> StateVector:
     return StateVector(space, amps)
 
 
+#: compact settings, under which json runs its C encoder; any indent sends
+#: json.dumps to the pure-Python one
+_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: non-str keys become their JSON token,
+    quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _ENCODER.encode(key)
+    return _ENCODER.encode(key)
+
+
+def _floats(items) -> bool:
+    return all(map(isinstance, items, repeat(float)))
+
+
+def _indented(obj, indent: str) -> str:
+    """``obj`` in json's ``indent=2``, ``sort_keys`` layout, its first line
+    unindented and its later lines under ``indent``.
+
+    A list of floats, or of non-empty lists of floats (state amplitudes),
+    is encoded in one call to the C encoder; commas are then the only
+    separators in its compact text, so string replacements lay it out.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = (",\n" + inner).join(_key(k) + ": " + _indented(v, inner)
+                                    for k, v in sorted(obj.items()))
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _ENCODER.encode(obj)
+    if not obj:
+        return "[]"
+    if _floats(obj):
+        body = _ENCODER.encode(obj)[1:-1].replace(",", ",\n" + inner)
+    elif (all(map(isinstance, obj, repeat((list, tuple)))) and all(obj)
+          and _floats(chain.from_iterable(obj))):
+        row = inner + "  "
+        body = ("[\n" + row + _ENCODER.encode(obj)[2:-2]
+                .replace(",", ",\n" + row)
+                .replace("],\n" + row + "[", "\n" + inner + "],\n" + inner + "[\n" + row)
+                + "\n" + inner + "]")
+    else:
+        body = (",\n" + inner).join(_indented(v, inner) for v in obj)
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
 def json_text(obj) -> str:
-    """Indented, key-sorted standard JSON; a NaN or infinity in ``obj``
-    raises ``NumericalError`` instead of becoming a bare ``NaN`` token."""
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
+    byte for byte, without json's pure-Python indenting encoder: dict keys
+    sorted, two-space indent, floats written by ``float.__repr__``. A NaN or
+    infinity in ``obj`` raises ``NumericalError`` instead of becoming a bare
+    ``NaN`` token."""
     try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _indented(obj, "") + "\n"
     except ValueError as exc:
         raise NumericalError(f"report holds a non-finite value: {exc}") from exc
 

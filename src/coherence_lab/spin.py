@@ -257,6 +257,11 @@ def _fid_ceiling(tj: int) -> float:
     return 1.0 + (2 * tj + 12) * np.finfo(float).eps
 
 
+def _polish(fid, start):
+    return minimize(lambda x: -fid(x[0], x[1]), list(start), method="Nelder-Mead",
+                    options=dict(xatol=1e-10, fatol=1e-15, maxiter=600))
+
+
 def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
     """Maximize |<j,(theta,phi)|state>| over the sphere.
 
@@ -265,8 +270,8 @@ def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
     a finite label should use the angles. Candidates: the caller's warm
     start, a ratio-extraction estimate (exact on true coherent states), the
     two poles, and a coarse sphere grid; the best one is polished by a
-    simplex search, and a search that stops before it converges raises
-    ``NumericalError``.
+    simplex search. A search that stops before it converges is restarted
+    once where it stopped, and raises ``NumericalError`` if that fails too.
     """
     if not state.space.is_single("spin"):
         raise SpaceMismatch("nearest_cs_fit needs a single spin factor")
@@ -296,9 +301,12 @@ def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
     # fid exceeds _fid_ceiling(tj), so once best_fid + 1e-14 reaches it the
     # polish could not be kept and is skipped.
     if best_fid + 1e-14 < _fid_ceiling(tj):
-        res = minimize(lambda x: -fid(x[0], x[1]), list(best),
-                       method="Nelder-Mead",
-                       options=dict(xatol=1e-10, fatol=1e-15, maxiter=600))
+        res = _polish(fid, best)
+        if not res.success:
+            # the initial simplex from phi = 0 is tiny in phi and can stall
+            # short of the peak; a fresh simplex at the stopping point
+            # gets past it
+            res = _polish(fid, res.x)
         if not res.success:
             raise NumericalError(f"nearest-coherent fit did not converge: {res.message}")
         if -res.fun > best_fid + 1e-14:

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coherence_lab import serialize, spin
+from coherence_lab import fock, serialize, spin
 from coherence_lab.cli import main
 from coherence_lab.qcore import SpaceDescriptor, StateVector
 
@@ -23,6 +23,11 @@ def run_cli(args):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def stdlib_text(obj) -> str:
+    """The reference bytes for ``serialize.json_text``."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +63,7 @@ def test_state_to_dict_bytes_match_per_amplitude_pairs():
     per_amplitude = dict(serialize.state_to_dict(state),
                          amps=[serialize.complex_pair(z) for z in state.amps])
     assert (serialize.json_text(serialize.state_to_dict(state))
-            == serialize.json_text(per_amplitude))
+            == stdlib_text(per_amplitude))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +383,66 @@ def test_json_text_refuses_non_finite_values():
     assert serialize.json_text({"x": 1e308, "y": [0.1, -0.0]}) == (
         '{\n  "x": 1e+308,\n  "y": [\n    0.1,\n    -0.0\n  ]\n}\n')
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(NumericalError):
-            serialize.json_text({"x": [bad]})
+        for obj in ({"x": [bad]}, {"x": bad}, [[0.5, bad], [1.0, 2.0]],
+                    [[1.0, 2.0], [np.float64(bad), 0.0]], [0.5, np.float64(bad)]):
+            with pytest.raises(NumericalError):
+                serialize.json_text(obj)
+
+
+#: the float edge cases: signed zero, the smallest subnormal and normal,
+#: near-overflow and values near 1e-120 (exponent notation in repr)
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+               -1.7976931348623157e308, 1e-120, 1.0000000000000001e-120,
+               -9.999999999999999e-121, 0.1, 1e16, 123456789.0)
+JSON_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from(EDGE_FLOATS)
+               | st.floats(min_value=1e-121, max_value=1e-119))
+ROW_FLOATS = JSON_FLOATS | JSON_FLOATS.map(np.float64)
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | ROW_FLOATS
+               | st.text(st.characters(max_codepoint=127)) | st.text())
+# rows of floats, ragged too, and tuple rows that may be empty or hold the
+# odd int or bool, so that both sides of the bulk-row guard are drawn
+JSON_ROWS = st.lists(st.lists(ROW_FLOATS, min_size=1, max_size=3)
+                     | st.lists(ROW_FLOATS | st.integers(-3, 3) | st.booleans(),
+                                max_size=3).map(tuple), max_size=5)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES | JSON_ROWS | st.lists(JSON_FLOATS, max_size=4),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_DOCS)
+@example([[1.0, 2], [3.0]])
+@example([[1.0], []])
+@example({"amps": [[0.6, -0.0], [5e-324, -2.2250738585072014e-308]],
+          "params": {"alpha": [1e308, 1e-120]}, "settings": [[[0.5, 1.0]], []]})
+@example({"ints": {10: [True, None], 2: 1.5}, "floats": {-0.0: 0, 1e-120: 1},
+          "bools": {False: 0, True: 1}, "none": {None: ()}})
+def test_json_text_matches_the_stdlib_encoder(obj):
+    assert serialize.json_text(obj) == stdlib_text(obj)
+
+
+def _assert_saved_state_exact(text: str, state: StateVector):
+    assert text == stdlib_text(json.loads(text))
+    back = serialize.state_from_dict(json.loads(text))
+    assert back.space == state.space
+    assert back.amps.tobytes() == state.amps.tobytes()
+
+
+def test_large_saved_states_match_the_stdlib_encoder(tmp_path):
+    # the split workload's largest sizes: a cutoff-150 Fock split from the
+    # CLI and a Haar state on a 121 x 121 Fock pair
+    state_file = tmp_path / "state.json"
+    assert run_cli(["split", "--system", "fock", "--alpha", "1.2+0.7i", "--N", "150",
+                    "--save-state", str(state_file), "--out", str(tmp_path / "r.json")]) == 0
+    split = fock.split_fock(fock.glauber_cs(1.2 + 0.7j, 150), fock.SplitSpec.balanced())
+    _assert_saved_state_exact(state_file.read_text(encoding="utf-8"), split)
+    rng = np.random.default_rng(121)
+    space = fock.fock_space(120).tensor(fock.fock_space(120))
+    haar = StateVector(space, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
+    _assert_saved_state_exact(serialize.json_text(serialize.state_to_dict(haar)), haar)
 
 
 def test_missing_parameters_exit_code(capsys):

@@ -321,6 +321,20 @@ def test_nearest_cs_fit_refuses_an_unconverged_search(monkeypatch):
         nearest_cs_fit(basis_state(1, 0))
 
 
+def test_nearest_cs_fit_restarts_a_stalled_search():
+    # the 2520th spin-1 state drawn as normal(3) + 1j normal(3) from
+    # default_rng(102): the first search stalls at phi near -0.074 after
+    # 600 iterations with fidelity 0.884
+    state = StateVector(spin_space(1), [-0.5598415435034929 - 1.9466217084334736j,
+                                        -0.445209926251902 + 0.8860333593009062j,
+                                        0.3935533965643226 - 1.5264526758559385j])
+    fid = nearest_cs_fit(state)[3]
+    grid = max(abs(np.vdot(spin._angles_amps(2, theta, phi), state.amps))
+               for theta in np.linspace(0.0, math.pi, 61)
+               for phi in np.linspace(0.0, 2.0 * math.pi, 120, endpoint=False))
+    assert grid <= fid == pytest.approx(0.9029083194057773, abs=1e-12)
+
+
 @pytest.mark.parametrize("j", HALF_SPINS)
 def test_lowest_state_is_lowest_weight(j):
     j0, _, jm = spin_ops(j)
