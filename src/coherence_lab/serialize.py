@@ -107,27 +107,20 @@ _ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
 
 
 def _key(key) -> str:
-    """A dict key as json writes it: non-str keys become their JSON token,
-    quoted."""
+    """A dict key as json writes it; every report and state file has str
+    keys, so any other key is refused."""
     if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = _ENCODER.encode(key)
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
     return _ENCODER.encode(key)
-
-
-def _floats(items) -> bool:
-    return all(map(isinstance, items, repeat(float)))
 
 
 def _indented(obj, indent: str) -> str:
     """``obj`` in json's ``indent=2``, ``sort_keys`` layout, its first line
     unindented and its later lines under ``indent``.
 
-    A list of floats, or of non-empty lists of floats (state amplitudes),
-    is encoded in one call to the C encoder; commas are then the only
-    separators in its compact text, so string replacements lay it out.
+    A list of non-empty lists of floats (state amplitudes) is encoded in
+    one call to the C encoder; commas are then the only separators in its
+    compact text, so string replacements lay it out.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -140,10 +133,8 @@ def _indented(obj, indent: str) -> str:
         return _ENCODER.encode(obj)
     if not obj:
         return "[]"
-    if _floats(obj):
-        body = _ENCODER.encode(obj)[1:-1].replace(",", ",\n" + inner)
-    elif (all(map(isinstance, obj, repeat((list, tuple)))) and all(obj)
-          and _floats(chain.from_iterable(obj))):
+    if (all(map(isinstance, obj, repeat((list, tuple)))) and all(obj)
+          and all(map(isinstance, chain.from_iterable(obj), repeat(float)))):
         row = inner + "  "
         body = ("[\n" + row + _ENCODER.encode(obj)[2:-2]
                 .replace(",", ",\n" + row)
