@@ -10,19 +10,25 @@ and a global phase whose -omega*t/2 piece depends on whether the vacuum
 energy omega/2 is included in H; ``eta_convention_report`` measures which
 convention reproduces the textbook phase formula instead of assuming one.
 
-Spin: H = beta0 J0 + beta+ J+ + beta+* J-. Both integrators take
-fourth-order Magnus steps (two-point Gauss-Legendre; Iserles & Norsett,
-Phil. Trans. R. Soc. A 357, 983 (1999); Blanes, Casas, Oteo & Ros, Phys.
-Rep. 470, 151 (2009)): unitary per step, with the exponent built from the
-Hamiltonian matrices and their commutator, never from the closed-form
-solution, so the integrator stays an independent check of it. A trajectory
-that would need more than ``MAX_SUBSTEPS`` substeps raises
-``NumericalError`` before the first step.
+Spin: H = beta0 J0 + beta+ J+ + beta+* J-. Both Hamiltonians are
+w0(t) G0 + lam(t) G+ + lam(t)* G-, with G0 diagonal and G+ a fixed
+subdiagonal, and both integrators take fourth-order Magnus steps (two-point
+Gauss-Legendre; Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999);
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), unitary per step.
+A step's exponent is built from the generator coefficients (w0, lam) at the
+two nodes and the closed-form commutator [H2, H1], which lies in the span
+of [G+, G-] (diagonal) and [G0, G+-] (off-diagonal). The exponent is
+therefore Hermitian tridiagonal, and one symmetric tridiagonal eigensolve
+(``scipy.linalg.eigh_tridiagonal``) exponentiates it. It is never built
+from the closed-form solution, so the integrator stays an independent
+check of it. A trajectory that would need more than ``MAX_SUBSTEPS``
+substeps raises ``NumericalError`` before the first step.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -120,17 +126,22 @@ class DriveSpec:
     def is_static(self) -> bool:
         return self.kind == "constant"
 
-    def lam(self, t: float) -> complex:
+    def lam(self, t):
+        """lam at time t: a complex for a float t, an array for an array t."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.amplitude
-        if self.kind == "sinusoid":
-            return self.amplitude * math.cos(self.frequency * t + self.phase)
-        if self.kind == "exponential":
-            return self.amplitude * np.exp(-1j * self.frequency * t)
-        if not self.times[0] <= t <= self.times[-1]:
-            raise ValidationError(f"t={t} outside the drive table")
-        return complex(np.interp(t, self.times, self.values.real),
-                       np.interp(t, self.times, self.values.imag))
+            out = np.full(t.shape, self.amplitude)
+        elif self.kind == "sinusoid":
+            out = self.amplitude * np.cos(self.frequency * t + self.phase)
+        elif self.kind == "exponential":
+            out = self.amplitude * np.exp(-1j * self.frequency * t)
+        else:
+            lo, hi = t.min(), t.max()
+            if not (self.times[0] <= lo and hi <= self.times[-1]):
+                bad = lo if not self.times[0] <= lo else hi
+                raise ValidationError(f"t={bad} outside the drive table")
+            out = np.interp(t, self.times, self.values)
+        return out if np.ndim(out) else complex(out)
 
 
 def _quad_complex(func: Callable[[float], complex], a: float, b: float,
@@ -231,27 +242,26 @@ def _validate_grid(t_grid) -> np.ndarray:
 
 
 def _drive_reach(drive: DriveSpec, t_end: float) -> float:
-    """Peak |alpha| of the classical amplitude ODE, by a coarse RK4 sweep."""
+    """Peak |alpha| of the classical amplitude ODE, by a coarse RK4 sweep.
+
+    RK4 on alpha' = -i omega alpha - i lam(t) with step dt is the linear
+    recurrence alpha <- R alpha + P0 lam(t) + Ph lam(t + dt/2) + P1 lam(t + dt),
+    with z = -i omega dt and R = 1 + z + z^2/2 + z^3/6 + z^4/24, so the
+    forcing comes from one array call of ``lam``.
+    """
     if t_end <= 0.0:
         return 0.0
     n = 1024
     dt = t_end / n
-    alpha = 0.0j
-    peak = 0.0
-    t = 0.0
-
-    def rate(tt: float, a: complex) -> complex:
-        return -1j * drive.omega * a - 1j * drive.lam(tt)
-
-    for _ in range(n):
-        k1 = rate(t, alpha)
-        k2 = rate(t + dt / 2, alpha + dt / 2 * k1)
-        k3 = rate(t + dt / 2, alpha + dt / 2 * k2)
-        k4 = rate(t + dt, alpha + dt * k3)
-        alpha = alpha + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        peak = max(peak, abs(alpha))
-    return 1.02 * peak
+    z = -1j * drive.omega * dt
+    r = 1.0 + z * (1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0)))
+    p0 = (-1j * dt / 6.0) * (1.0 + z * (1.0 + z * (1.0 / 2.0 + z / 4.0)))
+    ph = (-1j * dt / 6.0) * (4.0 + z * (2.0 + z / 2.0))
+    p1 = -1j * dt / 6.0
+    lam = drive.lam(np.arange(2 * n + 1) * (dt / 2.0))
+    forcing = p0 * lam[:-1:2] + ph * lam[1::2] + p1 * lam[2::2]
+    alphas = itertools.accumulate(forcing.tolist(), lambda a, f: r * a + f)
+    return 1.02 * max(map(abs, alphas))
 
 
 def _substep_counts(grid: np.ndarray, max_step: float) -> list:
@@ -274,24 +284,68 @@ def _substep_counts(grid: np.ndarray, max_step: float) -> list:
         f"{max_step:.3g}; shorten tmax or weaken the Hamiltonian")
 
 
-def _magnus_step(hamiltonian: Callable[[float], np.ndarray], t: float,
-                 dt: float) -> np.ndarray:
-    """Propagator of one fourth-order Magnus substep from t to t + dt:
-    ``expm(-i dt (H1 + H2)/2 - (sqrt(3)/12) dt^2 [H2, H1])`` with H1, H2 at
-    the Gauss-Legendre nodes. For a static H the commutator vanishes."""
-    h1 = hamiltonian(t + (0.5 - _GL_NODE) * dt)
-    h2 = hamiltonian(t + (0.5 + _GL_NODE) * dt)
-    omega = (-0.5j * dt) * (h1 + h2) - (_GL_COMMUTATOR * dt * dt) * (h2 @ h1 - h1 @ h2)
-    return scipy.linalg.expm(omega)
+def _bands(g0_op: LinearOperator, raising: LinearOperator) -> tuple:
+    """Fixed bands of a Hamiltonian w0 G0 + lam G+ + lam* G- and of its
+    commutators: diag(G0), the subdiagonal g of G+, diag([G+, G-]) =
+    g[k-1]^2 - g[k]^2 (zero outside the bands) and the subdiagonal
+    (g0[k+1] - g0[k]) g[k] of [G0, G+]."""
+    g0 = np.diagonal(g0_op.matrix).real
+    g = np.diagonal(raising.matrix, -1).real
+    q = np.zeros(g0.size + 1)
+    q[1:-1] = g * g
+    return g0, g, q[:-1] - q[1:], (g0[1:] - g0[:-1]) * g
 
 
-def _stepped(hamiltonian: Callable[[float], np.ndarray], static: bool,
+def _magnus_exponent(coeffs: Callable[[float], tuple], bands: tuple, t: float,
+                     dt: float):
+    """Eigenpairs ``(x, w)``, M = x diag(w) x^H, of the exponent of one
+    fourth-order Magnus substep from t to t + dt; its propagator is exp(-i M).
+
+    H(t) = w0(t) G0 + lam(t) G+ + lam(t)* G- with ``coeffs(t) = (w0, lam)``
+    over the ``_bands``. With H1, H2 at the Gauss-Legendre nodes,
+    M = (dt/2)(H1 + H2) - i c [H2, H1], c = (sqrt(3)/12) dt^2, and
+
+        [H2, H1] = 2i Im(lam2 lam1*) [G+, G-]
+                   + (w2 lam1 - w1 lam2) [G0, G+] - h.c.,
+
+    so M is Hermitian tridiagonal: its diagonal is
+    (dt/2)(w1 + w2) G0 + 2c Im(lam2 lam1*) [G+, G-] and its subdiagonal
+    (dt/2)(lam1 + lam2) G+ - i c (w2 lam1 - w1 lam2) [G0, G+]. The diagonal
+    phases D that make D* M D real and nonnegative below the diagonal reduce
+    M to a real symmetric tridiagonal V diag(w) V^T, which one tridiagonal
+    eigensolve factors; then x = D V. For a static H the commutator terms are
+    exactly 0 and M is dt times H.
+    """
+    g0, g, comm_diag, comm_sub = bands
+    w1, lam1 = coeffs(t + (0.5 - _GL_NODE) * dt)
+    w2, lam2 = coeffs(t + (0.5 + _GL_NODE) * dt)
+    c = _GL_COMMUTATOR * dt * dt
+    diagonal = ((0.5 * dt * (w1 + w2)) * g0
+                + (2.0 * c * (lam2 * lam1.conjugate()).imag) * comm_diag)
+    sub = (0.5 * dt * (lam1 + lam2)) * g - (1j * c * (w2 * lam1 - w1 * lam2)) * comm_sub
+    phase = np.ones(g0.size, dtype=complex)
+    # from the angle, not sub / |sub|: a zero band keeps phase 1 and a
+    # subnormal one does not overflow
+    phase[1:] = np.exp(1j * np.angle(sub))
+    w, v = scipy.linalg.eigh_tridiagonal(diagonal, np.abs(sub))
+    return np.cumprod(phase)[:, None] * v, w
+
+
+def _stepped(coeffs: Callable[[float], tuple], bands: tuple, static: bool,
              psi0: np.ndarray, grid: np.ndarray, counts: list):
     """Fourth-order Magnus stepping with ``counts[i]`` equal substeps over
-    grid interval i; yields the state at every grid time. A static
-    Hamiltonian's propagator is computed once per substep length."""
+    grid interval i; yields the state at every grid time.
+
+    A step applies exp(-i M) = x exp(-i w) x^H. A static Hamiltonian is
+    factored once, as the exponent of a unit step (M is then dt times it),
+    and its dense propagator is formed once per substep length. A
+    time-dependent one is factored once per substep and applied in factored
+    form, two matrix-vector products instead of a matrix product.
+    """
     psi = psi0.astype(complex)
     cache = {}
+    if static:
+        x, w = _magnus_exponent(coeffs, bands, grid[0], 1.0)
     yield psi
     t = grid[0]
     for t_next, n_sub in zip(grid[1:], counts):
@@ -300,11 +354,12 @@ def _stepped(hamiltonian: Callable[[float], np.ndarray], static: bool,
             if static:
                 u = cache.get(dt)
                 if u is None:
-                    u = cache[dt] = _magnus_step(hamiltonian, t, dt)
+                    u = cache[dt] = (x * np.exp(-1j * dt * w)) @ x.conj().T
+                psi = u @ psi
             else:
-                u = _magnus_step(hamiltonian, t + k * dt, dt)
-            psi = u @ psi
-        drift = abs(np.linalg.norm(psi) - 1.0)
+                x, w = _magnus_exponent(coeffs, bands, t + k * dt, dt)
+                psi = x @ (np.exp(-1j * w) * (x.conj().T @ psi))
+        drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
         if drift > _NORM_DRIFT_LIMIT:
             raise StepSizeTooLarge(f"norm drift {drift:.2e} at t={t_next}")
         t = t_next
@@ -334,13 +389,9 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
     reach = abs(alpha0) + _drive_reach(drive, grid[-1])
     fock.check_cutoff(reach, cutoff)
 
-    def hamiltonian(t: float) -> np.ndarray:
-        lam = drive.lam(t)
-        return (drive.omega * n_op.matrix + lam * adag.matrix
-                + np.conj(lam) * a.matrix)
-
     states, alphas, raw_phases, fids = [], [], [], []
-    for psi in _stepped(hamiltonian, drive.is_static, initial.amps, grid, counts):
+    for psi in _stepped(lambda t: (drive.omega, drive.lam(t)), _bands(n_op, adag),
+                        drive.is_static, initial.amps, grid, counts):
         state = StateVector(space, psi)
         alpha = complex(np.vdot(psi, a.matrix @ psi))
         ov = cs_overlap(state, alpha)
@@ -396,11 +447,13 @@ def evolve_spin(hamiltonian: LinearSpinHamiltonian, j, t_grid,
         scale = max(hamiltonian.strength, 1e-6)
         max_step = (2.0 * math.pi / scale) / STEPS_PER_PERIOD
     counts = _substep_counts(grid, max_step)
-    h_op = hamiltonian.operator(j)
+    j0, jp, _ = spin.spin_ops(j)
+    coeffs = (hamiltonian.beta0, hamiltonian.beta_plus)
 
     states, zetas, thetas, phis, fids = [], [], [], [], []
     warm = None
-    for psi in _stepped(lambda t: h_op.matrix, True, initial.amps, grid, counts):
+    for psi in _stepped(lambda t: coeffs, _bands(j0, jp), True, initial.amps, grid,
+                        counts):
         state = StateVector(space, psi)
         theta, phi, zeta, fid = spin.nearest_cs_fit(state, start=warm)
         warm = (theta, phi)

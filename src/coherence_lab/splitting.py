@@ -182,7 +182,8 @@ def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0,
     the exponential family, which establishes uniqueness to the requested
     order. ``mu = nu = 1`` is the commuting-raising-operator case; a
     beamsplitter supplies |mu|^2 + |nu|^2 = 1. A coefficient beyond the
-    float range (huge mu or nu, or an order above 170) raises
+    float range (huge mu or nu, or an order above 170), or a power of a tiny
+    mu or nu that underflows to 0 and is divided by, raises
     ``NumericalError``.
     """
     if order < 2:
@@ -199,17 +200,18 @@ def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0,
     c[1] = a[1] * nu / b[0]
     consistency = 0.0
     try:
-        for n in range(2, order + 1):
-            candidates = [b[k] * c[n - k] / (math.comb(n, k) * mu ** k * nu ** (n - k))
-                          for k in range(1, n)]
-            a[n] = candidates[0]
-            consistency = max(consistency,
-                              max(abs(x - a[n]) for x in candidates))
-            b[n] = a[n] * mu ** n / c[0]
-            c[n] = a[n] * nu ** n / b[0]
-        rule = SeriesPoly.exponential(tau_sample, a[0], order).coeffs
-    except OverflowError as exc:
-        raise NumericalError(f"series coefficients overflow: {exc}") from exc
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for n in range(2, order + 1):
+                candidates = [b[k] * c[n - k] / (math.comb(n, k) * mu ** k * nu ** (n - k))
+                              for k in range(1, n)]
+                a[n] = candidates[0]
+                consistency = max(consistency,
+                                  max(abs(x - a[n]) for x in candidates))
+                b[n] = a[n] * mu ** n / c[0]
+                c[n] = a[n] * nu ** n / b[0]
+            rule = SeriesPoly.exponential(tau_sample, a[0], order).coeffs
+    except (OverflowError, FloatingPointError) as exc:
+        raise NumericalError(f"series coefficients leave the float range: {exc}") from exc
     rule_residual = float(np.abs(a - rule).max())
     return AflpSolution(order=order, mu=complex(mu), nu=complex(nu),
                         consistency_residual=float(consistency),

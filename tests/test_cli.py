@@ -359,6 +359,7 @@ def test_config_values_parse_like_flags(command, config, code, tmp_path):
     ["evolve", "--system", "spin", "--j", "1", "--beta0", "1e9", "--zeta0", "0.5",
      "--tmax", "1"],
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_failures_exit_3_with_one_line(argv, capsys):
     start = time.perf_counter()
     assert run_cli(argv) == 3

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import coherence_lab.dynamics as dyn
 from coherence_lab import fock, spin
 from coherence_lab.dynamics import (
     DriveSpec,
@@ -87,6 +91,72 @@ def test_table_drive_matches_closed_form():
         drive.lam(8.0)
     with pytest.raises(ValidationError):
         DriveSpec.from_table(1.0, [0.0, 1.0], [1.0, np.nan])
+
+
+TABLE_TIMES = np.linspace(0.0, 25.0, 40)
+DRIVE_KINDS = [
+    DriveSpec.constant(1.0, 0.2 - 0.1j),
+    DriveSpec.sinusoid(1.3, 0.2 * np.exp(0.4j), 0.7, 1.1),
+    DriveSpec.exponential(0.8, 0.15 + 0.05j, 1.9),
+    DriveSpec.from_table(1.0, TABLE_TIMES,
+                         0.3 * np.cos(TABLE_TIMES) + 0.1j * np.sin(2 * TABLE_TIMES)),
+]
+
+
+@pytest.mark.parametrize("drive", DRIVE_KINDS, ids=lambda d: d.kind)
+def test_lam_takes_arrays(drive):
+    t = np.linspace(0.0, 20.0, 41)
+    got = drive.lam(t)
+    assert got.shape == t.shape and got.dtype == complex
+    np.testing.assert_allclose(got, [drive.lam(float(x)) for x in t], rtol=0, atol=1e-15)
+    assert type(drive.lam(1.5)) is complex
+    if drive.kind == "table":
+        with pytest.raises(ValidationError, match=r"t=26\.0 outside"):
+            drive.lam(np.array([1.0, 26.0]))
+
+
+def rk4_drive_reach(drive, t_end):
+    """The cutoff check's RK4 sweep as a loop over the stages: the reference
+    for ``_drive_reach``, which runs it as a linear recurrence."""
+    if t_end <= 0.0:
+        return 0.0
+    n = 1024
+    dt = t_end / n
+    alpha = 0.0j
+    peak = 0.0
+    t = 0.0
+
+    def rate(tt, a):
+        return -1j * drive.omega * a - 1j * drive.lam(tt)
+
+    for _ in range(n):
+        k1 = rate(t, alpha)
+        k2 = rate(t + dt / 2, alpha + dt / 2 * k1)
+        k3 = rate(t + dt / 2, alpha + dt / 2 * k2)
+        k4 = rate(t + dt, alpha + dt * k3)
+        alpha = alpha + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+        peak = max(peak, abs(alpha))
+    return 1.02 * peak
+
+
+@pytest.mark.parametrize("drive", DRIVE_KINDS, ids=lambda d: d.kind)
+def test_drive_reach_matches_rk4_loop(drive):
+    assert dyn._drive_reach(drive, 0.0) == 0.0
+    for t_end in (0.3, math.pi, 20.0):
+        assert dyn._drive_reach(drive, t_end) == pytest.approx(
+            rk4_drive_reach(drive, t_end), rel=1e-11)
+
+
+def test_drive_reach_matches_rk4_loop_on_random_sinusoids():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        drive = DriveSpec.sinusoid(rng.uniform(0.2, 3.0),
+                                   rng.uniform(0.01, 1.0) * np.exp(1j * rng.uniform(0, 7)),
+                                   rng.uniform(0.0, 3.0), rng.uniform(0, 7))
+        t_end = rng.uniform(0.1, 30.0)
+        assert dyn._drive_reach(drive, t_end) == pytest.approx(
+            rk4_drive_reach(drive, t_end), rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +311,91 @@ def test_norm_drift_guard_raises(monkeypatch):
     monkeypatch.setattr(dyn, "_NORM_DRIFT_LIMIT", -1.0)
     with pytest.raises(StepSizeTooLarge):
         evolve_fock(constant_drive(), np.linspace(0, 1, 3), 20)
+
+
+# ---------------------------------------------------------------------------
+# Magnus propagator
+# ---------------------------------------------------------------------------
+
+def generator_ops(system, size):
+    """G0, G+ and G-: Fock cutoff ``size`` or spin 2j = size."""
+    if system == "fock":
+        a, adag = fock.ladder_ops(size)
+        return fock.number_op(size), adag, a
+    return spin.spin_ops(size / 2)
+
+
+def dense_magnus_propagator(generators, nodes, dt):
+    """The exponent of a fourth-order Magnus substep built from dense
+    Hamiltonians and their commutator, exponentiated by ``expm``."""
+    g0, gp, gm = generators
+    h1, h2 = (w * g0 + lam * gp + np.conj(lam) * gm for w, lam in nodes)
+    omega = (-0.5j * dt) * (h1 + h2) - (math.sqrt(3.0) / 12.0 * dt * dt) * (h2 @ h1 - h1 @ h2)
+    return scipy.linalg.expm(omega)
+
+
+def assert_unitary_match(u, want):
+    assert np.abs(u - want).max() <= 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-13
+
+
+def two_nodes(t, dt, nodes):
+    """coeffs(s) giving nodes[0] at the first Gauss-Legendre node, nodes[1] after."""
+    return lambda s: nodes[0] if s < t + 0.5 * dt else nodes[1]
+
+
+COEFF = st.floats(-2.0, 2.0)
+LAM = st.builds(lambda r, phi: r * complex(math.cos(phi), math.sin(phi)),
+                st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.one_of(st.tuples(st.just("fock"), st.integers(1, 80)),
+                        st.tuples(st.just("spin"), st.integers(1, 20))),
+       w1=COEFF, w2=COEFF, lam1=LAM, lam2=LAM, dt=st.floats(1e-3, 0.2),
+       t=st.floats(0.0, 10.0))
+@example(system=("fock", 1), w1=1.0, w2=1.0, lam1=0j, lam2=0j, dt=0.1, t=0.0)
+@example(system=("spin", 1), w1=0.0, w2=0.0, lam1=0j, lam2=0j, dt=0.1, t=0.0)
+@example(system=("fock", 1), w1=0.0, w2=0.0, lam1=0j, lam2=2.225073858507203e-309 + 0j,
+         dt=0.125, t=0.0)
+@example(system=("fock", 80), w1=1.0, w2=1.0, lam1=0j, lam2=0.7j, dt=0.2, t=0.0)
+@example(system=("fock", 80), w1=2.0, w2=-2.0, lam1=1.0, lam2=-1j, dt=0.2, t=1.0)
+@example(system=("spin", 20), w1=-2.0, w2=2.0, lam1=1j, lam2=1.0, dt=0.2, t=1.0)
+def test_magnus_propagator_matches_dense_expm(system, w1, w2, lam1, lam2, dt, t):
+    # lam = 0 leaves zero bands and a subnormal lam subnormal ones, which the
+    # phase gauge must keep finite; at the truncation corner k = N the
+    # commutator [G+, G-] is +N, not -1
+    ops = generator_ops(*system)
+    generators = [op.matrix for op in ops]
+    bands = dyn._bands(ops[0], ops[1])
+    nodes = ((w1, complex(lam1)), (w2, complex(lam2)))
+    x, w = dyn._magnus_exponent(two_nodes(t, dt, nodes), bands, t, dt)
+    assert_unitary_match((x * np.exp(-1j * w)) @ x.conj().T,
+                         dense_magnus_propagator(generators, nodes, dt))
+    # a static H is factored once over a unit step and scaled by dt
+    x, w = dyn._magnus_exponent(lambda s: nodes[1], bands, t, 1.0)
+    assert_unitary_match((x * np.exp(-1j * dt * w)) @ x.conj().T,
+                         dense_magnus_propagator(generators, (nodes[1], nodes[1]), dt))
+
+
+def test_steps_use_tridiagonal_eigensolves_not_expm(monkeypatch):
+    calls = {"expm": 0, "eigh_tridiagonal": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(scipy.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    # half a period on 9 samples: 8 intervals of 4 substeps at 50 per period
+    evolve_fock(DriveSpec.sinusoid(1.0, 0.2, 0.7), np.linspace(0.0, math.pi, 9), 24)
+    assert calls == {"expm": 0, "eigh_tridiagonal": 8 * 4}
+    # a static spin Hamiltonian is factored once for all its substep lengths
+    calls.update(expm=0, eigh_tridiagonal=0)
+    ham = LinearSpinHamiltonian(1.0, 0.3)
+    grid = np.linspace(0.0, math.pi / ham.strength, 9)
+    counts = dyn._substep_counts(grid, 2 * math.pi / ham.strength / dyn.STEPS_PER_PERIOD)
+    assert len({(b - a) / n for a, b, n in zip(grid, grid[1:], counts)}) > 1
+    evolve_spin(ham, 2, grid, spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.5)))
+    assert calls == {"expm": 0, "eigh_tridiagonal": 1}
 
 
 # ---------------------------------------------------------------------------
