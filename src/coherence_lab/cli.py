@@ -33,8 +33,19 @@ def _seed_value(raw) -> int:
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that lists the actions its flags made in
+    ``actions`` (argparse keeps them only in private fields); its
+    subcommand parsers are one too."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.__dict__.setdefault("actions", []).append(action)
+        return action
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coherence-lab",
         description="coherent-state splitting, CHSH analysis, and phase-space dynamics")
     parser.add_argument("--config", help="JSON file with default parameter values")
@@ -137,20 +148,14 @@ def _require(args, names) -> None:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
 
 
-_CHOICE_FIELDS = {
-    "system": {"fock", "spin"},
-    "strategy": {"analytic-qubit", "multistart", "multistart-local-search"},
-    "drive": {"constant", "sinusoid", "exponential"},
-    "format": {"json", "csv"},
-}
-
-
-def _validate_choices(args) -> None:
-    """Choice validation for values that arrived through a config file."""
-    for field, allowed in _CHOICE_FIELDS.items():
-        value = getattr(args, field, None)
-        if value is not None and value not in allowed:
-            raise ConfigError(f"invalid {field} {value!r}; choose from {sorted(allowed)}")
+def _validate_choices(parser: argparse.ArgumentParser, args) -> None:
+    """Choice validation for values that arrived through a config file, which
+    argparse checks only on the command line."""
+    for action in parser.commands[args.command].actions:
+        value = getattr(args, action.dest, None)
+        if action.choices is not None and value is not None and value not in action.choices:
+            raise ConfigError(f"invalid {action.dest} {value!r}; "
+                              f"choose from {sorted(action.choices)}")
 
 
 def _check_format(args, expected: str) -> None:
@@ -264,8 +269,8 @@ def cmd_chsh(args) -> int:
 def cmd_evolve(args) -> int:
     _check_format(args, "csv")
     _require(args, ["system", "tmax"])
-    if args.tmax <= 0:
-        raise ConfigError("tmax must be positive")
+    if not 0 < args.tmax < np.inf:
+        raise ConfigError("tmax must be positive and finite")
     if args.samples < 2:
         raise ConfigError("need at least 2 samples")
     grid = np.linspace(0.0, args.tmax, args.samples)
@@ -384,7 +389,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             _apply_config_defaults(parser, args.config)
             args = parser.parse_args(argv)
-        _validate_choices(args)
+        _validate_choices(parser, args)
         return DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

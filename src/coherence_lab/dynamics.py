@@ -21,8 +21,13 @@ of [G+, G-] (diagonal) and [G0, G+-] (off-diagonal). The exponent is
 therefore Hermitian tridiagonal, and one symmetric tridiagonal eigensolve
 (``scipy.linalg.eigh_tridiagonal``) exponentiates it. It is never built
 from the closed-form solution, so the integrator stays an independent
-check of it. A trajectory that would need more than ``MAX_SUBSTEPS``
-substeps raises ``NumericalError`` before the first step.
+check of it. A static Hamiltonian (a constant drive, every spin
+Hamiltonian) takes one exact step per grid interval.
+
+The substep grid is the only time discretization: the Fock cutoff check
+runs the substeps' exact map of a coherent amplitude. A trajectory that
+would need more than ``MAX_SUBSTEPS`` substeps raises ``NumericalError``
+before the first step.
 """
 
 from __future__ import annotations
@@ -241,26 +246,29 @@ def _validate_grid(t_grid) -> np.ndarray:
     return grid
 
 
-def _drive_reach(drive: DriveSpec, t_end: float) -> float:
-    """Peak |alpha| of the classical amplitude ODE, by a coarse RK4 sweep.
+def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
+    """1.02 times the peak |alpha| the drive alone reaches over the
+    trajectory's Magnus substeps (``counts[i]`` over grid interval i).
 
-    RK4 on alpha' = -i omega alpha - i lam(t) with step dt is the linear
-    recurrence alpha <- R alpha + P0 lam(t) + Ph lam(t + dt/2) + P1 lam(t + dt),
-    with z = -i omega dt and R = 1 + z + z^2/2 + z^3/6 + z^4/24, so the
-    forcing comes from one array call of ``lam``.
+    A substep's exponent is omega dt N + nu a+ + nu* a plus a constant, with
+    nu = (dt/2)(lam1 + lam2) - i c omega (lam1 - lam2) (``_magnus_exponent``).
+    It maps a coherent amplitude exactly to alpha <- r alpha + (r - 1) nu /
+    (omega dt), r = exp(-i omega dt), which is stable at any step: this is
+    the amplitude the untruncated integrator carries from the vacuum.
     """
-    if t_end <= 0.0:
+    if not counts:
         return 0.0
-    n = 1024
-    dt = t_end / n
-    z = -1j * drive.omega * dt
-    r = 1.0 + z * (1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0)))
-    p0 = (-1j * dt / 6.0) * (1.0 + z * (1.0 + z * (1.0 / 2.0 + z / 4.0)))
-    ph = (-1j * dt / 6.0) * (4.0 + z * (2.0 + z / 2.0))
-    p1 = -1j * dt / 6.0
-    lam = drive.lam(np.arange(2 * n + 1) * (dt / 2.0))
-    forcing = p0 * lam[:-1:2] + ph * lam[1::2] + p1 * lam[2::2]
-    alphas = itertools.accumulate(forcing.tolist(), lambda a, f: r * a + f)
+    dt = np.repeat(np.diff(grid) / counts, counts)
+    k = np.arange(dt.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    t = np.repeat(grid[:-1], counts) + k * dt
+    lam1 = drive.lam(t + (0.5 - _GL_NODE) * dt)
+    lam2 = drive.lam(t + (0.5 + _GL_NODE) * dt)
+    c = _GL_COMMUTATOR * dt * dt
+    nu = (0.5 * dt) * (lam1 + lam2) - (1j * c * drive.omega) * (lam1 - lam2)
+    phase = -1j * drive.omega * dt
+    forcing = np.expm1(phase) * nu / (drive.omega * dt)
+    alphas = itertools.accumulate(zip(np.exp(phase).tolist(), forcing.tolist()),
+                                  lambda a, rf: rf[0] * a + rf[1], initial=0j)
     return 1.02 * max(map(abs, alphas))
 
 
@@ -336,29 +344,22 @@ def _stepped(coeffs: Callable[[float], tuple], bands: tuple, static: bool,
     """Fourth-order Magnus stepping with ``counts[i]`` equal substeps over
     grid interval i; yields the state at every grid time.
 
-    A step applies exp(-i M) = x exp(-i w) x^H. A static Hamiltonian is
-    factored once, as the exponent of a unit step (M is then dt times it),
-    and its dense propagator is formed once per substep length. A
-    time-dependent one is factored once per substep and applied in factored
-    form, two matrix-vector products instead of a matrix product.
+    A step applies exp(-i M) = x exp(-i w) x^H in factored form. A
+    time-dependent Hamiltonian is factored once per substep. A static one is
+    factored once, as the exponent of a unit step: its exponent over any
+    span is the span times H, so each grid interval takes one exact step.
     """
     psi = psi0.astype(complex)
-    cache = {}
     if static:
         x, w = _magnus_exponent(coeffs, bands, grid[0], 1.0)
     yield psi
     t = grid[0]
     for t_next, n_sub in zip(grid[1:], counts):
         dt = (t_next - t) / n_sub
-        for k in range(n_sub):
-            if static:
-                u = cache.get(dt)
-                if u is None:
-                    u = cache[dt] = (x * np.exp(-1j * dt * w)) @ x.conj().T
-                psi = u @ psi
-            else:
-                x, w = _magnus_exponent(coeffs, bands, t + k * dt, dt)
-                psi = x @ (np.exp(-1j * w) * (x.conj().T @ psi))
+        steps = ([(x, (t_next - t) * w)] if static else
+                 (_magnus_exponent(coeffs, bands, t + k * dt, dt) for k in range(n_sub)))
+        for x_k, w_k in steps:
+            psi = x_k @ (np.exp(-1j * w_k) * (x_k.conj().T @ psi))
         drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
         if drift > _NORM_DRIFT_LIMIT:
             raise StepSizeTooLarge(f"norm drift {drift:.2e} at t={t_next}")
@@ -371,8 +372,9 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
                 max_step: Optional[float] = None) -> Trajectory:
     """Drive a truncated oscillator mode along the given time grid.
 
-    The cutoff must admit the largest amplitude the drive can reach
-    (|alpha(0)| plus the integrated drive strength).
+    The cutoff must admit |alpha(0)| plus the peak amplitude the drive
+    reaches over the substeps. The default substep resolves the oscillator's
+    period and the drive's, whichever is shorter.
     """
     grid = _validate_grid(t_grid)
     space = fock.fock_space(cutoff)
@@ -381,12 +383,12 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
     if initial.space != space:
         raise ValidationError("initial state must live on fock(cutoff)")
     if max_step is None:
-        max_step = (2.0 * math.pi / drive.omega) / STEPS_PER_PERIOD
+        max_step = (2.0 * math.pi / max(drive.omega, abs(drive.frequency))) / STEPS_PER_PERIOD
     counts = _substep_counts(grid, max_step)
     a, adag = fock.ladder_ops(cutoff)
     n_op = fock.number_op(cutoff)
     alpha0 = qcore.expectation(a, initial)
-    reach = abs(alpha0) + _drive_reach(drive, grid[-1])
+    reach = abs(alpha0) + _drive_reach(drive, grid, counts)
     fock.check_cutoff(reach, cutoff)
 
     states, alphas, raw_phases, fids = [], [], [], []
@@ -435,18 +437,16 @@ class LinearSpinHamiltonian:
 
 
 def evolve_spin(hamiltonian: LinearSpinHamiltonian, j, t_grid,
-                initial: StateVector,
-                max_step: Optional[float] = None) -> SpinTrajectory:
+                initial: StateVector) -> SpinTrajectory:
     """Evolve a spin-j state; coherent-state coordinates are fitted by
     maximizing overlap over the sphere, warm-started at the previous point."""
     grid = _validate_grid(t_grid)
     space = spin.spin_space(j)
     if initial.space != space:
         raise ValidationError("initial state must live on spin(j)")
-    if max_step is None:
-        scale = max(hamiltonian.strength, 1e-6)
-        max_step = (2.0 * math.pi / scale) / STEPS_PER_PERIOD
-    counts = _substep_counts(grid, max_step)
+    # H is static, so the substeps only count against the budget
+    scale = max(hamiltonian.strength, 1e-6)
+    counts = _substep_counts(grid, (2.0 * math.pi / scale) / STEPS_PER_PERIOD)
     j0, jp, _ = spin.spin_ops(j)
     coeffs = (hamiltonian.beta0, hamiltonian.beta_plus)
 

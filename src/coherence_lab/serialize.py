@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 from itertools import chain, repeat
 
 import numpy as np
@@ -166,29 +165,22 @@ def load_json(path: str):
 
 
 def f17(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    return f"{x:.17g}"  # "nan" for a NaN of either sign
+
+
+def _csv(header: str, *columns) -> str:
+    rows = (",".join(map(f17, row)) for row in zip(*columns))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    lines = ["t,re_alpha,im_alpha,eta,fidelity"]
-    for k in range(traj.times.size):
-        a = traj.alpha_track[k]
-        lines.append(",".join([
-            f17(traj.times[k]), f17(a.real), f17(a.imag),
-            f17(traj.eta_track[k]), f17(traj.cs_fidelity[k]),
-        ]))
-    return "\n".join(lines) + "\n"
+    a = traj.alpha_track
+    return _csv("t,re_alpha,im_alpha,eta,fidelity",
+                traj.times, a.real, a.imag, traj.eta_track, traj.cs_fidelity)
 
 
 def spin_trajectory_csv(traj: SpinTrajectory) -> str:
-    lines = ["t,re_zeta,im_zeta,theta,phi,fidelity"]
-    for k in range(traj.times.size):
-        z = traj.zeta_track[k]
-        lines.append(",".join([
-            f17(traj.times[k]), f17(z.real), f17(z.imag),
-            f17(traj.theta_track[k]), f17(traj.phi_track[k]),
-            f17(traj.cs_fidelity[k]),
-        ]))
-    return "\n".join(lines) + "\n"
+    z = traj.zeta_track
+    return _csv("t,re_zeta,im_zeta,theta,phi,fidelity",
+                traj.times, z.real, z.imag, traj.theta_track, traj.phi_track,
+                traj.cs_fidelity)

@@ -34,6 +34,8 @@ from .qcore import StateVector
 CS_DISTANCE_GUARD = 1e-6
 #: leading Schmidt coefficient above which product factors are extracted
 FACTOR_COEFF_THRESHOLD = 1.0 - 1e-10
+#: generic values of the series solve's free parameters tau, f_B(0), f_C(0)
+SERIES_TAU, SERIES_B0, SERIES_C0 = 0.7 + 0.4j, 1.1 - 0.3j, 0.8 + 0.5j
 
 
 @dataclass(frozen=True)
@@ -170,13 +172,11 @@ class AflpSolution:
         return int(bad[0]) if bad.size else None
 
 
-def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0,
-                      tau_sample: complex = 0.7 + 0.4j,
-                      b0_sample: complex = 1.1 - 0.3j,
-                      c0_sample: complex = 0.8 + 0.5j) -> AflpSolution:
+def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0) -> AflpSolution:
     """Solve the splitting functional equation order by order.
 
-    With generic sampled values for the free parameters, coefficients of
+    With the generic values ``SERIES_TAU``, ``SERIES_B0`` and ``SERIES_C0``
+    for the free parameters tau, f_B(0) and f_C(0), coefficients of
     order n >= 2 are fixed by the interior (k, n-k) equations; the solver
     checks that all redundant equations agree and that the result matches
     the exponential family, which establishes uniqueness to the requested
@@ -193,9 +193,9 @@ def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0,
     a = np.zeros(order + 1, dtype=complex)
     b = np.zeros(order + 1, dtype=complex)
     c = np.zeros(order + 1, dtype=complex)
-    b[0], c[0] = b0_sample, c0_sample
+    b[0], c[0] = SERIES_B0, SERIES_C0
     a[0] = b[0] * c[0]
-    a[1] = tau_sample * a[0]
+    a[1] = SERIES_TAU * a[0]
     b[1] = a[1] * mu / c[0]
     c[1] = a[1] * nu / b[0]
     consistency = 0.0
@@ -209,7 +209,7 @@ def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0,
                                   max(abs(x - a[n]) for x in candidates))
                 b[n] = a[n] * mu ** n / c[0]
                 c[n] = a[n] * nu ** n / b[0]
-            rule = SeriesPoly.exponential(tau_sample, a[0], order).coeffs
+            rule = SeriesPoly.exponential(SERIES_TAU, a[0], order).coeffs
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalError(f"series coefficients leave the float range: {exc}") from exc
     rule_residual = float(np.abs(a - rule).max())
@@ -419,7 +419,9 @@ def _fock_screen(cutoff: int) -> _Screen:
 def _cs_grid_states(system):
     if isinstance(system, SpinScanSystem):
         for th in np.linspace(0.0, math.pi, 9):
-            for ph in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+            # a pole's azimuth only sets a global phase, so each pole once
+            n_phi = 1 if th in (0.0, math.pi) else 8
+            for ph in np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False):
                 yield spin.spin_cs(spin.SpinCsParams.from_angles(system.j_a, th, ph))
     else:
         radius = min(1.5, fock.admissible_radius(system.cutoff))

@@ -215,6 +215,16 @@ def test_evolve_rejects_json_format(capsys):
     assert code == 2
 
 
+def test_evolve_long_weak_drive_passes_the_cutoff_check(tmp_path):
+    # 31 831 substeps with omega dt up to 4000: |alpha| <= 2 |lambda| / omega
+    out = tmp_path / "traj.csv"
+    assert run_cli(["evolve", "--omega", "1", "--lambda", "0.01", "--tmax", "4000",
+                    "--N", "40", "--samples", "3", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 3
+    assert max(abs(complex(float(r[1]), float(r[2]))) for r in rows) <= 0.02
+
+
 # ---------------------------------------------------------------------------
 # scan / series
 # ---------------------------------------------------------------------------
@@ -368,6 +378,23 @@ def test_numerical_failures_exit_3_with_one_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("numerical error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_tmax_exits_2_with_one_line(capsys):
+    assert run_cli(["evolve", "--tmax", "inf", "--N", "20", "--samples", "3",
+                    "--omega", "1", "--lambda", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_choices_are_the_flags_choices(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"state": "split-spin1-m0", "strategy": "bogus"}))
+    assert run_cli(["--config", str(config), "chsh"]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid strategy 'bogus'; choose from "
+        "['analytic-qubit', 'multistart', 'multistart-local-search']\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

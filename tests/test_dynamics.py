@@ -115,48 +115,69 @@ def test_lam_takes_arrays(drive):
             drive.lam(np.array([1.0, 26.0]))
 
 
-def rk4_drive_reach(drive, t_end):
-    """The cutoff check's RK4 sweep as a loop over the stages: the reference
-    for ``_drive_reach``, which runs it as a linear recurrence."""
-    if t_end <= 0.0:
-        return 0.0
-    n = 1024
-    dt = t_end / n
-    alpha = 0.0j
-    peak = 0.0
-    t = 0.0
+@pytest.mark.parametrize("drive", DRIVE_KINDS, ids=lambda d: d.kind)
+def test_drive_reach_is_the_amplitude_the_integrator_follows(drive):
+    # one substep per interval: the states at the grid times are every
+    # point of the reach recurrence
+    grid = np.linspace(0.0, 20.0, 161)
+    traj = evolve_fock(drive, grid, 60, max_step=1.0001 * (grid[1] - grid[0]))
+    peak = np.abs(traj.alpha_track).max()
+    assert dyn._drive_reach(drive, grid, [1] * 160) / 1.02 == pytest.approx(peak, rel=1e-12)
 
-    def rate(tt, a):
-        return -1j * drive.omega * a - 1j * drive.lam(tt)
 
-    for _ in range(n):
-        k1 = rate(t, alpha)
-        k2 = rate(t + dt / 2, alpha + dt / 2 * k1)
-        k3 = rate(t + dt / 2, alpha + dt / 2 * k2)
-        k4 = rate(t + dt, alpha + dt * k3)
-        alpha = alpha + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        peak = max(peak, abs(alpha))
+def loop_drive_reach(drive, grid, counts):
+    """The cutoff check's substep recurrence as a loop: the reference for
+    ``_drive_reach``, which runs it on arrays."""
+    alpha, peak = 0j, 0.0
+    for start, end, n in zip(grid, grid[1:], counts):
+        dt = (end - start) / n
+        r = np.exp(-1j * drive.omega * dt)
+        for k in range(n):
+            t = start + k * dt
+            lam1 = drive.lam(t + (0.5 - math.sqrt(3) / 6) * dt)
+            lam2 = drive.lam(t + (0.5 + math.sqrt(3) / 6) * dt)
+            nu = dt / 2 * (lam1 + lam2) - 1j * math.sqrt(3) / 12 * drive.omega * dt ** 2 * (
+                lam1 - lam2)
+            alpha = r * alpha - (1 - r) * nu / (drive.omega * dt)
+            peak = max(peak, abs(alpha))
     return 1.02 * peak
 
 
-@pytest.mark.parametrize("drive", DRIVE_KINDS, ids=lambda d: d.kind)
-def test_drive_reach_matches_rk4_loop(drive):
-    assert dyn._drive_reach(drive, 0.0) == 0.0
-    for t_end in (0.3, math.pi, 20.0):
-        assert dyn._drive_reach(drive, t_end) == pytest.approx(
-            rk4_drive_reach(drive, t_end), rel=1e-11)
-
-
-def test_drive_reach_matches_rk4_loop_on_random_sinusoids():
+def test_drive_reach_follows_every_substep():
     rng = np.random.default_rng(11)
     for _ in range(20):
         drive = DriveSpec.sinusoid(rng.uniform(0.2, 3.0),
                                    rng.uniform(0.01, 1.0) * np.exp(1j * rng.uniform(0, 7)),
                                    rng.uniform(0.0, 3.0), rng.uniform(0, 7))
-        t_end = rng.uniform(0.1, 30.0)
-        assert dyn._drive_reach(drive, t_end) == pytest.approx(
-            rk4_drive_reach(drive, t_end), rel=1e-11)
+        grid = np.cumsum(rng.uniform(0.5, 6.0, 6))
+        counts = rng.integers(1, 9, 5).tolist()
+        assert dyn._drive_reach(drive, grid, counts) == pytest.approx(
+            loop_drive_reach(drive, grid, counts), rel=1e-12)
+
+
+def test_drive_reach_is_stable_at_long_steps():
+    # omega dt = 4 per substep is beyond RK4's stability limit (2.83);
+    # the exact substep map keeps |alpha| <= 2 |lam| / omega
+    drive = DriveSpec.constant(1.0, 0.01)
+    grid = np.array([0.0, 2000.0, 4000.0])
+    reach = dyn._drive_reach(drive, grid, [500, 500])
+    assert 0.0 < reach <= 1.02 * 0.02
+
+
+def test_one_point_grid_has_no_reach():
+    assert dyn._drive_reach(DRIVE_KINDS[3], np.array([0.0]), []) == 0.0
+    traj = evolve_fock(constant_drive(), np.array([0.0]), 20)
+    assert traj.alpha_track.tolist() == [0]
+
+
+def test_default_step_resolves_a_fast_drive():
+    # a drive faster than the oscillator sets the default substep
+    grid = np.linspace(0.0, 10.0, 11)
+    for drive in (DriveSpec.sinusoid(0.2, 0.2, 3.0, 0.3),
+                  DriveSpec.exponential(0.2, 0.2, 3.0)):
+        traj = evolve_fock(drive, grid, 60)
+        want = np.array([alpha_of_t(drive, t) for t in grid])
+        assert np.abs(traj.alpha_track - want).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------

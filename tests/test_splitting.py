@@ -15,6 +15,7 @@ from coherence_lab.splitting import (
     ScanStats,
     SeriesPoly,
     SpinScanSystem,
+    _cs_grid_states,
     _fock_screen,
     _spin_screen,
     aflp_series_solve,
@@ -213,6 +214,14 @@ def test_scan_cs_grid_includes_reference_state():
                           0.5, 0.5)
     from coherence_lab.qcore import schmidt_cut
     assert schmidt_cut(out, 1).entropy_bits == 0.0
+
+
+def test_spin_cs_grid_holds_each_pole_once():
+    # 7 interior polar angles x 8 azimuths, plus the two poles
+    amps = np.array([s.amps for s in _cs_grid_states(SpinScanSystem(2, 1, 1))])
+    assert amps.shape == (58, 5)
+    # every row is its own state: only the diagonal overlaps reach 1
+    assert np.sum(np.abs(amps.conj() @ amps.T) > 1 - 1e-12) == 58
 
 
 def test_negative_control_non_stretched_coupling_rejected():
