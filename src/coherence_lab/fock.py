@@ -1,5 +1,7 @@
 """Truncated single-mode oscillator: ladder and quadrature operators,
-displacement, Glauber coherent states, and beamsplitter splitting.
+displacement, Glauber coherent states, and beamsplitter splitting. Coherent
+amplitudes and beamsplitter weights come from one log-domain closed form
+(``_coherent_logs``), so no power or factorial overflows at any cutoff.
 
 Truncation policy: an amplitude alpha is admitted at cutoff N only when
 N >= |alpha|^2 + 12*sqrt(|alpha|^2 + 1), which keeps the neglected Poisson
@@ -8,18 +10,16 @@ tail below 1e-12 and hence below every tolerance used elsewhere.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import gammaln, xlogy
 
 from . import qcore
 from .errors import NumericalError, SpaceMismatch, TruncationTooSmall, ValidationError
 from .qcore import LinearOperator, SpaceDescriptor, StateVector
-
-log = logging.getLogger(__name__)
 
 TAIL_TOLERANCE = 1e-12
 
@@ -142,22 +142,20 @@ def displacement(alpha, cutoff: int) -> LinearOperator:
     return qcore.mat_exp(LinearOperator(a.space, gen))
 
 
+def _coherent_logs(alpha, cutoff: int) -> np.ndarray:
+    """Complex logs of alpha^n / sqrt(n!), n = 0..cutoff, on a new last axis
+    of an array of alpha; a zero alpha gives -inf, exactly 0 once
+    exponentiated, above n = 0."""
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
+    n = np.arange(cutoff + 1)
+    return xlogy(n, np.abs(alpha)) - gammaln(n + 1.0) / 2.0 + n * (1j * np.angle(alpha))
+
+
 def glauber_cs(alpha, cutoff: int) -> StateVector:
     """Coherent state amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!)."""
     check_cutoff(alpha, cutoff)
-    space = fock_space(cutoff)
-    alpha = complex(alpha)
-    amps = np.empty(cutoff + 1, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, cutoff + 1):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    amps *= math.exp(-abs(alpha) ** 2 / 2.0)
-    # the norm costs about 15% of a call and only feeds the debug message
-    if log.isEnabledFor(logging.DEBUG):
-        deficit = abs(np.linalg.norm(amps) - 1.0)
-        if deficit > 1e-15:
-            log.debug("coherent state renormalized after truncation, deficit %.3e", deficit)
-    return StateVector(space, amps)
+    space = fock_space(cutoff)  # refuses a cutoff too large to allocate
+    return StateVector(space, np.exp(_coherent_logs(alpha, cutoff) - np.abs(alpha) ** 2 / 2.0))
 
 
 def beamsplit_weight(spec: SplitSpec, cutoff: int) -> np.ndarray:
@@ -165,21 +163,12 @@ def beamsplit_weight(spec: SplitSpec, cutoff: int) -> np.ndarray:
 
     ``w[k, l] = sqrt(C(k+l, k)) mu^k nu^l`` on the ``(cutoff + 1)``-square
     output grid: input level n goes to ``(mu b+ + nu c+)^n / sqrt(n!) |0,0>``,
-    with output mode B carrying ``mu`` and mode C carrying ``nu``.
-    Row k is row k - 1 times ``mu sqrt((k+l)/k)``, starting from ``nu^l``;
-    every intermediate is a weight, the square root of a binomial
-    probability, so none exceeds 1 and nothing overflows at any cutoff. The
-    relative error grows by a few ulps per row.
+    with output mode B carrying ``mu`` and mode C carrying ``nu``: the
+    ``qcore.hankel_weight`` of mu^k / sqrt(k!), nu^l / sqrt(l!) and 1 / sqrt(n!).
     """
-    d = cutoff + 1
-    k = np.arange(1, d)[:, None]
-    l = np.arange(d)
-    steps = np.empty((d, d), dtype=complex)
-    steps[0, 0] = 1.0
-    steps[0, 1:] = spec.nu
-    steps[0] = np.cumprod(steps[0])
-    steps[1:] = spec.mu * np.sqrt((k + l) / k)
-    return np.cumprod(steps, axis=0)
+    return qcore.hankel_weight(_coherent_logs(spec.mu, cutoff),
+                               _coherent_logs(spec.nu, cutoff),
+                               _coherent_logs(1.0, 2 * cutoff))
 
 
 def split_fock(state: StateVector, spec: SplitSpec) -> StateVector:

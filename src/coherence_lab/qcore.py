@@ -252,6 +252,17 @@ class SchmidtReport:
     right_vectors: np.ndarray
 
 
+def hankel_weight(log_b, log_c, log_a) -> np.ndarray:
+    """``split_amplitudes`` weights ``w[k, l] = exp(log_b[k] + log_c[l] - log_a[k+l])``
+    of the map sending amplitude a_n to b_k c_l on each pair k + l = n. Complex
+    logs carry the phases, -inf in ``log_b`` or ``log_c`` a zero; ``log_a``
+    needs ``len(log_b) + len(log_c) - 1`` finite entries."""
+    w = np.add.outer(log_b, log_c)
+    # row k of the window view is log_a[k + l] over l
+    w -= np.lib.stride_tricks.sliding_window_view(log_a, len(log_c))[:len(log_b)]
+    return np.exp(w, out=w)
+
+
 def split_amplitudes(c, weight) -> np.ndarray:
     """Split amplitudes ``out[..., k, l] = c[..., k + l] * weight[k, l]``.
 

@@ -5,17 +5,21 @@ angular-momentum-addition embedding j_A = j_B + j_C.
 A spin coherent state is parameterized by the stereographic coordinate
 zeta = -tan(theta/2) exp(-i phi) of a point on the sphere; theta = pi (the
 antipodal point, the highest-weight state) is reachable through the angle
-form only, never through an infinite zeta.
+form only, never through an infinite zeta. The amplitudes come from one
+log-domain closed form at the sphere angles (``_cs_logs``), and the coupling
+weights from its log-binomial rows, so no binomial or power overflows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import gammaln, xlogy
 
 from . import qcore
 from .errors import (
@@ -56,24 +60,12 @@ def lowest_state(j) -> StateVector:
 
 
 def basis_state(j, m) -> StateVector:
-    """|j,m> built by raising the lowest-weight state.
-
-    Computes binom(2j, j+m)^(-1/2) (J+)^(j+m)/(j+m)! |j,-j>, which lands
-    exactly on the canonical basis vector.
-    """
+    """|j,m> = binom(2j, j+m)^(-1/2) (J+)^(j+m)/(j+m)! |j,-j>, a basis vector."""
     tj = as_twice_j(j)
     tm = int(round(2 * m))
     if abs(2 * m - tm) > 1e-9 or abs(tm) > tj or (tj + tm) % 2 != 0:
         raise InvalidWeight(f"m={m!r} invalid for j={j!r}")
-    k = (tj + tm) // 2
-    vec = np.zeros(tj + 1, dtype=complex)
-    vec[0] = 1.0
-    if k > 0:
-        _, jp, _ = spin_ops(j)
-        for _ in range(k):
-            vec = jp.matrix @ vec
-        vec *= 1.0 / (math.factorial(k) * math.sqrt(math.comb(tj, k)))
-    return StateVector(spin_space(j), vec)
+    return StateVector.basis(spin_space(j), (tj + tm) // 2)
 
 
 def angle_to_zeta(theta: float, phi: float) -> complex:
@@ -118,32 +110,45 @@ class SpinCsParams:
     def antipodal(self) -> bool:
         return self.theta is not None and abs(self.theta - math.pi) < 1e-12
 
-    def resolved_zeta(self) -> complex:
-        if self.zeta is not None:
-            return self.zeta
-        return angle_to_zeta(self.theta, self.phi)
+
+@functools.lru_cache(maxsize=16)
+def _cs_rows(tj: int) -> tuple:
+    """Read-only rows log sqrt(C(2j, k)), k and 2j - k over k = 0..2j: the
+    per-size part of ``_cs_logs``, built once per size."""
+    k = np.arange(tj + 1.0)
+    rows = (0.5 * (gammaln(tj + 1) - gammaln(k + 1) - gammaln(tj + 1 - k)), k, tj - k)
+    for row in rows:
+        row.setflags(write=False)
+    return rows
 
 
-def _cs_amps(tj: int, zeta: complex) -> np.ndarray:
-    try:
-        amps = np.array([math.sqrt(math.comb(tj, k)) * zeta ** k for k in range(tj + 1)],
-                        dtype=complex)
-    except OverflowError as exc:  # a binomial (2j > 1029) or zeta^k beyond the float range
-        raise NumericalError(f"spin j={tj / 2:g} coherent state overflows: {exc}") from exc
-    return amps / np.linalg.norm(amps)
+def _cs_logs(rows, theta, phi) -> np.ndarray:
+    """Complex logs log sqrt(C(2j, k)) + (2j-k) log cos(theta/2) + k log sin(theta/2)
+    + i k (pi - phi) of the coherent amplitudes at 0 <= theta <= pi, for floats
+    or arrays that broadcast against the k axis. At theta = 0 the logs above
+    k = 0 are -inf, so exactly 0 once exponentiated.
+    """
+    log_binom, k, rest = rows
+    half = theta / 2.0
+    # the real part on theta's shape, then one complex sum with the phases
+    magnitudes = log_binom + xlogy(k, np.sin(half)) + rest * np.log(np.cos(half))
+    return magnitudes + k * (1j * (math.pi - phi))
 
 
 def spin_cs(params: SpinCsParams) -> StateVector:
     """(1+|zeta|^2)^(-j) exp(zeta J+) |j,-j>, normalized.
 
-    Amplitudes are sqrt(binom(2j,k)) zeta^k over m = -j+k. Under
-    exp(i delta J0) the state maps to zeta -> zeta exp(i delta) up to a
-    global phase.
+    Amplitudes are sqrt(binom(2j,k)) zeta^k over m = -j+k, from ``_cs_logs``
+    at theta = 2 atan|zeta|, phi = pi - arg zeta. Under exp(i delta J0) the
+    state maps to zeta -> zeta exp(i delta) up to a global phase.
     """
     tj = as_twice_j(params.j)
     if params.antipodal:
         return StateVector.basis(spin_space(params.j), tj)
-    return StateVector(spin_space(params.j), _cs_amps(tj, params.resolved_zeta()))
+    z = params.zeta
+    theta, phi = ((params.theta, params.phi) if z is None
+                  else (2.0 * math.atan(abs(z)), math.pi - math.atan2(z.imag, z.real)))
+    return StateVector(spin_space(params.j), _angles_amps(_cs_rows(tj), theta, phi))
 
 
 def spin_cs_exp(j, xi: complex) -> StateVector:
@@ -167,25 +172,13 @@ def coupling_weight(jB, jC) -> np.ndarray:
     state of spin jA = jB + jC with n = k + l quanta above its lowest weight is
     ``sum_{k+l=n} w[k, l] |k>|l>`` with
     ``w[k, l] = sqrt(C(2jB, k) C(2jC, l) / C(2jA, k+l))`` (Arecchi, Courtens,
-    Gilmore & Thomas, Phys. Rev. A 6, 2211 (1972)). ``w**2`` is a
-    hypergeometric probability, so the recurrence used here, row 0 from
-    ``sqrt(C(2jC, l) / C(2jA, l))`` and row k from row k - 1 times
-    ``sqrt((2jB-k+1)(k+l) / (k (2jA-k-l+1)))``, keeps every intermediate at
-    most 1. On the way to ``w[2jB, 2jC] = 1`` it passes the corner weight
-    ``1/sqrt(C(2jA, 2jC))``, which underflows for balanced couplings once 2jA
-    passes about 2100; the column-norm check then raises ``ValidationError``.
+    Gilmore & Thomas, Phys. Rev. A 6, 2211 (1972)): the ``qcore.hankel_weight``
+    of the log-binomial rows of 2jB, 2jC and 2jA, in range at any spin.
     """
     b, c = as_twice_j(jB), as_twice_j(jC)
     if b < 1 or c < 1:
         raise ValidationError("subsystem spins must be >= 1/2")
-    k = np.arange(1, b + 1)[:, None]
-    l = np.arange(c + 1)
-    steps = np.empty((b + 1, c + 1))
-    steps[0, 0] = 1.0
-    steps[0, 1:] = np.sqrt((c - l[1:] + 1.0) / (b + c - l[1:] + 1.0))
-    steps[0] = np.cumprod(steps[0])
-    steps[1:] = np.sqrt((b - k + 1.0) * (k + l) / (k * (b + c - k - l + 1.0)))
-    return np.cumprod(steps, axis=0)
+    return qcore.hankel_weight(_cs_rows(b)[0], _cs_rows(c)[0], _cs_rows(b + c)[0])
 
 
 def split_spin(state: StateVector, jB, jC) -> StateVector:
@@ -209,16 +202,18 @@ def split_spin(state: StateVector, jB, jC) -> StateVector:
 # nearest-coherent-state fit
 # ---------------------------------------------------------------------------
 
-def _angles_amps(tj: int, theta: float, phi: float) -> np.ndarray:
+def _angles_amps(rows, theta: float, phi: float) -> np.ndarray:
+    """Unit coherent amplitudes at any angles; ``rows`` from ``_cs_rows``."""
     theta = theta % (2.0 * math.pi)
     if theta > math.pi:  # fold back onto the sphere
         theta = 2.0 * math.pi - theta
         phi = phi + math.pi
     if abs(theta - math.pi) < 1e-15:
-        vec = np.zeros(tj + 1, dtype=complex)
+        vec = np.zeros(rows[0].size, dtype=complex)
         vec[-1] = 1.0
         return vec
-    return _cs_amps(tj, -math.tan(theta / 2.0) * np.exp(-1j * phi))
+    amps = np.exp(_cs_logs(rows, theta, phi))
+    return amps / np.linalg.norm(amps)
 
 
 def _ratio_candidate(amps: np.ndarray, tj: int):
@@ -236,15 +231,15 @@ def _ratio_candidate(amps: np.ndarray, tj: int):
 
 
 def _fid_ceiling(tj: int) -> float:
-    """Ceiling on ``|vdot(_angles_amps(tj, theta, phi), state.amps)|`` as
+    """Ceiling on ``|vdot(_angles_amps(rows, theta, phi), state.amps)|`` as
     floating point computes it, for any angles and any ``StateVector``.
 
     Worst-case rounding, first order in eps = 2**-52, with n = tj + 1:
 
-    - ``_cs_amps`` divides by ``np.linalg.norm``, whose sum of 2n squares
-      and square root err by at most (n + 3) eps/4, and numpy's complex
-      division rounds each part twice: the fitted vector's norm is at most
-      1 + (n + 7) eps/4 (the pole vector's is exactly 1);
+    - ``_angles_amps`` divides ``exp(_cs_logs)`` by ``np.linalg.norm``, whose
+      sum of 2n squares and square root err by at most (n + 3) eps/4, and
+      numpy's complex division rounds each part twice: the fitted vector's
+      norm is at most 1 + (n + 7) eps/4 (the pole vector's is exactly 1);
     - a ``StateVector`` keeps its computed norm within 4 eps of 1, so its
       exact norm is at most 1 + 5 eps;
     - each part of the complex dot product sums 2n products and errs by at
@@ -277,24 +272,25 @@ def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
         raise SpaceMismatch("nearest_cs_fit needs a single spin factor")
     tj = state.space.factors[0].twice_j
     amps = state.amps
+    rows = _cs_rows(tj)
 
     def fid(theta, phi):
-        return abs(np.vdot(_angles_amps(tj, theta, phi), amps))
+        return abs(np.vdot(_angles_amps(rows, theta, phi), amps))
 
-    candidates = []
-    if start is not None:
-        candidates.append(tuple(start))
+    candidates = [] if start is None else [tuple(start)]
     ratio = _ratio_candidate(amps, tj)
     if ratio is not None:
         candidates.append(ratio)
     # pole states are missed by the ratio estimate
-    candidates.append((0.0, 0.0))
-    candidates.append((math.pi, 0.0))
-    if start is None:
-        for th in np.linspace(0.35, math.pi - 0.35, 8):
-            for ph in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
-                candidates.append((th, ph))
-    best = max(candidates, key=lambda c: fid(*c))
+    candidates += [(0.0, 0.0), (math.pi, 0.0)]
+    fids = [fid(*c) for c in candidates]
+    if start is None:  # a coarse sphere grid, scored in one batch
+        th = np.repeat(np.linspace(0.35, math.pi - 0.35, 8), 8)
+        ph = np.tile(np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False), 8)
+        bras = np.exp(_cs_logs(rows, th[:, None], ph[:, None]))
+        fids += list(np.abs(bras.conj() @ amps) / np.linalg.norm(bras, axis=1))
+        candidates += list(zip(th, ph))
+    best = candidates[int(np.argmax(fids))]
     best_fid = fid(*best)
     # strict improvement only: on a true coherent state the ratio candidate
     # is machine-exact and must not be fuzzed by the simplex. No computed

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import fock, qcore, spin
 from .errors import NotComposite, NumericalError, ValidationError
@@ -328,7 +327,8 @@ def _cs_distance(system, state: StateVector) -> float:
 #
 # The smaller bound holds. A sample whose bound plus SCREEN_MARGIN stays below
 # 1 - guard^2/2 has every fitted distance above the guard band, so it is kept
-# without a fit. The margin covers the rounding of the grid rows and the
+# without a fit. The grid rows are the fit's log-domain closed forms
+# (spin._cs_logs, fock._coherent_logs). The margin covers their rounding, the
 # overlaps (about dim * eps), the fit's own rounding (see spin._fid_ceiling)
 # and the Fock truncation, which moves an overlap of admissible states by
 # about the 1e-12 tail mass.
@@ -373,16 +373,11 @@ def _unit_rows(bras: np.ndarray) -> np.ndarray:
 
 def _spin_screen(tj: int) -> _Screen:
     n_theta, n_phi = SPIN_SCREEN_GRID
-    half = np.linspace(0.0, math.pi, n_theta)[:, None] / 2.0
+    theta = np.linspace(0.0, math.pi, n_theta)[:, None, None]
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[:, None]
-    k = np.arange(tj + 1)
-    # spin_cs at zeta = -tan(theta/2) e^(-i phi): sqrt(C(2j, k))
-    # cos^(2j-k)(theta/2) sin^k(theta/2) (-e^(-i phi))^k, in logs so that no
-    # binomial overflows
-    log_mag = (0.5 * (gammaln(tj + 1) - gammaln(k + 1) - gammaln(tj - k + 1))
-               + xlogy(tj - k, np.cos(half)) + xlogy(k, np.sin(half)))
-    bra_phase = np.exp(-1j * (math.pi - phi) * k)
-    bras = (np.exp(log_mag)[:, None, :] * bra_phase[None, :, :]).reshape(-1, tj + 1)
+    bras = spin._cs_logs(spin._cs_rows(tj), theta, phi).reshape(-1, tj + 1)
+    np.conj(bras, out=bras)
+    np.exp(bras, out=bras)
     # a point lies within dtheta/2 of a grid latitude and, along it, within
     # dphi/2 of a grid meridian
     cover = math.pi / (2 * (n_theta - 1)) + math.pi / n_phi
@@ -403,32 +398,35 @@ def _fock_screen(cutoff: int) -> _Screen:
     axis = -radius + (np.arange(cells) + 0.5) * step
     alpha = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
     mod = np.minimum(np.abs(alpha), radius)
-    arg = np.angle(alpha)[:, None]
-    n = np.arange(cutoff + 1)
-    log_mag = -mod[:, None] ** 2 / 2.0 + xlogy(n, mod[:, None]) - gammaln(n + 1) / 2.0
-    # conjugated amplitudes, built in place so that no second array of the
-    # grid's size is allocated
-    bras = (-1j * n) * arg
-    bras += log_mag
+    # conjugated amplitudes, built in place from the logs
+    bras = fock._coherent_logs(mod * np.exp(1j * np.angle(alpha)), cutoff)
+    bras -= (mod ** 2 / 2.0)[:, None]
+    np.conj(bras, out=bras)
     np.exp(bras, out=bras)
     cover = step / math.sqrt(2.0)
     overlap = math.exp(-cover * cover / 2.0)
     return _Screen(_unit_rows(bras), math.sqrt(2.0 - 2.0 * overlap), math.inf)
 
 
-def _cs_grid_states(system):
+def _cs_grid_states(system) -> list:
+    """Coherent states for ``cs_max_entropy``, equal to ``spin_cs``/``glauber_cs``."""
     if isinstance(system, SpinScanSystem):
-        for th in np.linspace(0.0, math.pi, 9):
-            # a pole's azimuth only sets a global phase, so each pole once
-            n_phi = 1 if th in (0.0, math.pi) else 8
-            for ph in np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False):
-                yield spin.spin_cs(spin.SpinCsParams.from_angles(system.j_a, th, ph))
-    else:
-        radius = min(1.5, fock.admissible_radius(system.cutoff))
-        yield fock.glauber_cs(0.0, system.cutoff)
-        for r in np.linspace(radius / 4.0, radius, 4):
-            for ph in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
-                yield fock.glauber_cs(r * np.exp(1j * ph), system.cutoff)
+        tj = qcore.as_twice_j(system.j_a)
+        space = spin.spin_space(system.j_a)
+        # a pole's azimuth only sets a global phase, so each pole once; the
+        # antipodal one is the exact highest-weight state, as spin_cs gives it
+        theta = np.append(0.0, np.repeat(np.linspace(0.0, math.pi, 9)[1:-1], 8))
+        phi = np.append(0.0, np.tile(np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False), 7))
+        amps = np.exp(spin._cs_logs(spin._cs_rows(tj), theta[:, None], phi[:, None]))
+        return ([StateVector(space, row / np.linalg.norm(row)) for row in amps]
+                + [StateVector.basis(space, tj)])
+    space = fock.fock_space(system.cutoff)
+    radius = min(1.5, fock.admissible_radius(system.cutoff))
+    ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
+    alpha = np.append(0.0, np.linspace(radius / 4.0, radius, 4)[:, None] * ring)
+    amps = np.exp(fock._coherent_logs(alpha, system.cutoff)
+                  - (np.abs(alpha) ** 2 / 2.0)[:, None])
+    return [StateVector(space, row) for row in amps]
 
 
 def _batches(items, size: int):

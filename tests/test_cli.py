@@ -96,6 +96,15 @@ def test_split_fock_command_with_state_file(tmp_path):
     assert resaved.encode("utf-8") == state_file.read_bytes()
 
 
+def test_split_large_spin_exits_0_without_stderr(tmp_path, capsys):
+    # C(1200, k) is beyond the float range for most k
+    out = tmp_path / "report.json"
+    assert run_cli(["split", "--system", "spin", "--jA", "600", "--jB", "300",
+                    "--jC", "300", "--zeta", "0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_json(out)["is_product"] is True
+
+
 def test_split_reproducible_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["split", "--system", "spin", "--jA", "1.5", "--jB", "1", "--jC",

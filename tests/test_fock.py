@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.stats import poisson
 
 from coherence_lab import fock, qcore
 from coherence_lab.errors import (
@@ -109,6 +110,17 @@ def test_vacuum_is_lowest_weight():
 def test_glauber_cs_zero_is_vacuum():
     np.testing.assert_allclose(glauber_cs(0.0, 15).amps, vacuum(15).amps,
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("radius", [40.0, 100.0, 300.0])
+def test_glauber_cs_matches_poisson_far_out(radius):
+    # sqrt(poisson.pmf) carries the magnitudes; no power or factorial of the
+    # closed form leaves the float range up to cutoff 93 601
+    alpha = radius * np.exp(0.3j)
+    cutoff = required_cutoff(alpha)
+    n = np.arange(cutoff + 1)
+    want = np.sqrt(poisson.pmf(n, abs(alpha) ** 2)) * np.exp(1j * n * np.angle(alpha))
+    assert np.abs(glauber_cs(alpha, cutoff).amps - want).max() <= 1e-12
 
 
 def test_glauber_cs_eigenstate_of_a():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.stats import binom
 
 from coherence_lab import qcore, spin
 from coherence_lab.dynamics import LinearSpinHamiltonian, evolve_spin
@@ -73,15 +74,27 @@ def test_basis_state_lowest_and_raised():
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("j", [0.5, 1.0, 2.5])
+def raised_lowest_state(j, k):
+    """binom(2j, k)^(-1/2) (J+)^k / k! |j,-j>: the lowest weight state raised
+    k times with spin_ops' J+."""
+    tj = int(2 * j)
+    _, jp, _ = spin_ops(j)
+    vec = np.zeros(tj + 1, dtype=complex)
+    vec[0] = 1.0
+    for _ in range(k):
+        vec = jp.matrix @ vec
+    return vec / (math.factorial(k) * math.sqrt(math.comb(tj, k)))
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 200])
 def test_basis_state_is_canonical(j):
     tj = int(2 * j)
     for k in range(tj + 1):
-        m = -j + k
-        got = basis_state(j, m)
         expected = np.zeros(tj + 1)
         expected[k] = 1.0
-        np.testing.assert_allclose(got.amps, expected, atol=1e-12)
+        assert np.array_equal(basis_state(j, -j + k).amps, expected)
+        if tj <= 5:  # the raising recursion overflows long before 2j = 400
+            np.testing.assert_allclose(raised_lowest_state(j, k), expected, atol=1e-12)
 
 
 def test_basis_state_invalid_weight():
@@ -105,6 +118,18 @@ def test_spin_cs_half_explicit():
 def test_spin_cs_one_explicit():
     s = spin_cs(SpinCsParams(j=1, zeta=1.0))
     np.testing.assert_allclose(s.amps, [0.5, math.sqrt(2) / 2, 0.5], atol=1e-14)
+
+
+@pytest.mark.parametrize("tj", [2000, 10 ** 4])
+def test_spin_cs_matches_binomial_far_out(tj):
+    # |amplitude|^2 is the binomial pmf with p = |zeta|^2 / (1 + |zeta|^2);
+    # C(2j, k) alone overflows a float above 2j = 1029
+    zeta = 0.8 * np.exp(-0.7j)
+    k = np.arange(tj + 1)
+    p = abs(zeta) ** 2 / (1 + abs(zeta) ** 2)
+    want = np.sqrt(binom.pmf(k, tj, p)) * np.exp(1j * k * np.angle(zeta))
+    got = spin_cs(SpinCsParams(j=tj / 2, zeta=zeta)).amps
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_spin_cs_antipodal_via_angles():
@@ -191,6 +216,14 @@ def test_addition_isometry_spin1_columns():
 
 
 PAIRS = [(b / 2, c / 2) for b in range(1, 7) for c in range(1, 7)]
+
+
+def test_large_balanced_coupling_passes_the_column_check():
+    # the corner weight 1/sqrt(C(4000, 2000)) is about 1e-601 in a product
+    # of ratios; summed in logs every column still has unit norm
+    w = coupling_weight(1000, 1000)
+    qcore.split_amplitudes(np.ones(4001) / math.sqrt(4001), w)
+    assert w[0, 0] == 1.0 and w[-1, -1] == 1.0
 
 
 @pytest.mark.parametrize("jb,jc", PAIRS)
@@ -284,7 +317,9 @@ def test_fid_never_exceeds_the_polish_exit_ceiling(tj, zeta, noise, matched, dat
     # computed |<cs|psi>| stays below the ceiling nearest_cs_fit relies on
     kick = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * tj + 2,
                               max_size=2 * tj + 2))
-    amps = spin._cs_amps(tj, zeta) + noise * np.array(kick).view(complex)
+    rows = spin._cs_rows(tj)
+    amps = (spin._angles_amps(rows, 2.0 * math.atan(abs(zeta)), math.pi - np.angle(zeta))
+            + noise * np.array(kick).view(complex))
     assume(np.linalg.norm(amps) > 1e-6)
     state = StateVector(spin_space(tj / 2), amps)
     if matched:
@@ -292,7 +327,7 @@ def test_fid_never_exceeds_the_polish_exit_ceiling(tj, zeta, noise, matched, dat
         phi = math.pi - np.angle(zeta) + data.draw(ANGLE_OFFSETS)
     else:
         theta, phi = data.draw(st.floats(-7.0, 7.0)), data.draw(st.floats(-7.0, 7.0))
-    fid = abs(np.vdot(spin._angles_amps(tj, theta, phi), state.amps))
+    fid = abs(np.vdot(spin._angles_amps(rows, theta, phi), state.amps))
     assert fid <= spin._fid_ceiling(tj)
 
 
@@ -329,7 +364,8 @@ def test_nearest_cs_fit_restarts_a_stalled_search():
                                         -0.445209926251902 + 0.8860333593009062j,
                                         0.3935533965643226 - 1.5264526758559385j])
     fid = nearest_cs_fit(state)[3]
-    grid = max(abs(np.vdot(spin._angles_amps(2, theta, phi), state.amps))
+    rows = spin._cs_rows(2)
+    grid = max(abs(np.vdot(spin._angles_amps(rows, theta, phi), state.amps))
                for theta in np.linspace(0.0, math.pi, 61)
                for phi in np.linspace(0.0, 2.0 * math.pi, 120, endpoint=False))
     assert grid <= fid == pytest.approx(0.9029083194057773, abs=1e-12)

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from coherence_lab import fock, spin
 from coherence_lab.errors import NotComposite, ValidationError
-from coherence_lab.qcore import StateVector, overlap, tensor_state
+from coherence_lab.qcore import StateVector, overlap, schmidt_cut, tensor_state
 from coherence_lab.splitting import (
     CS_DISTANCE_GUARD,
     FockScanSystem,
     ScanStats,
     SeriesPoly,
     SpinScanSystem,
+    _cs_distance,
     _cs_grid_states,
     _fock_screen,
+    _haar_amps,
     _spin_screen,
     aflp_series_solve,
     factorization_report,
@@ -302,21 +304,59 @@ def test_screen_leaves_few_fits(monkeypatch):
     assert len(calls) <= 5
 
 
+def per_sample_scan(system, n_samples, seed):
+    """The scan one state at a time, without screen or batching: every
+    sample is fitted, and every sample and grid state is split by
+    ``split_spin``/``split_fock`` and cut by ``schmidt_cut``. The grid is
+    built point by point with ``spin_cs``/``glauber_cs``."""
+    if isinstance(system, SpinScanSystem):
+        space = spin.spin_space(system.j_a)
+
+        def split(state):
+            return spin.split_spin(state, system.j_b, system.j_c)
+
+        grid = [spin.spin_cs(spin.SpinCsParams.from_angles(system.j_a, th, ph))
+                for th in np.linspace(0.0, math.pi, 9)
+                for ph in np.linspace(0.0, 2.0 * math.pi,
+                                      1 if th in (0.0, math.pi) else 8, endpoint=False)]
+    else:
+        space = fock.fock_space(system.cutoff)
+
+        def split(state):
+            return fock.split_fock(state, system.split)
+
+        radius = min(1.5, fock.admissible_radius(system.cutoff))
+        grid = [fock.glauber_cs(0.0, system.cutoff)] + [
+            fock.glauber_cs(r * np.exp(1j * ph), system.cutoff)
+            for r in np.linspace(radius / 4.0, radius, 4)
+            for ph in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
+    kept = []
+    for index in range(n_samples):
+        state = StateVector(space, _haar_amps(seed, index, system.dim))
+        if _cs_distance(system, state) > CS_DISTANCE_GUARD:
+            kept.append(schmidt_cut(split(state), 1).entropy_bits)
+    return ScanStats(system=system.label, n_samples=n_samples, seed=seed,
+                     min_entropy_non_cs=min(kept) if kept else None,
+                     cs_max_entropy=max(schmidt_cut(split(s), 1).entropy_bits for s in grid),
+                     n_excluded=n_samples - len(kept))
+
+
 @pytest.mark.parametrize("system,n_samples,seed,min_entropy,cs_max", [
-    (SpinScanSystem(1, 0.5, 0.5), 60, 11, 0.045673684104547474, 6.406853007629837e-16),
-    (SpinScanSystem(2.5, 1, 1.5), 40, 5, 0.42693685287732264, 6.406853007629857e-16),
-    (SpinScanSystem(3, 1.5, 1.5), 30, 2, 1.121438766918587, 9.610279511444758e-16),
-    (FockScanSystem(16), 20, 4, 2.2585072392406698, 4.7636761811130055e-17),
+    (SpinScanSystem(1, 0.5, 0.5), 60, 11, 0.045673684104547474, 2.1920692939028035e-30),
+    (SpinScanSystem(2.5, 1, 1.5), 40, 5, 0.4269368528773225, 3.2034265038149467e-16),
+    (SpinScanSystem(3, 1.5, 1.5), 30, 2, 1.1214387669185877, 9.610279511444888e-16),
+    (FockScanSystem(16), 20, 4, 2.25850723924067, 3.679794121926217e-16),
     (FockScanSystem(20, fock.SplitSpec.from_angles(0.4, 1.1)), 15, 9,
-     1.9070057740797068, 6.665884158167261e-16),
+     1.9070057740797073, 3.4624576543523505e-16),
 ])
 def test_scan_stats_bit_identical_to_per_sample_scan(system, n_samples, seed,
                                                      min_entropy, cs_max):
-    # values recorded from the per-sample scan (one split_spin/split_fock and
-    # one schmidt_cut per state) that the batched scan replaced
-    assert uniqueness_scan(system, n_samples, seed) == ScanStats(
-        system=system.label, n_samples=n_samples, seed=seed,
-        min_entropy_non_cs=min_entropy, cs_max_entropy=cs_max, n_excluded=0)
+    # the constants are recorded from per_sample_scan
+    stats = ScanStats(system=system.label, n_samples=n_samples, seed=seed,
+                      min_entropy_non_cs=min_entropy, cs_max_entropy=cs_max,
+                      n_excluded=0)
+    assert per_sample_scan(system, n_samples, seed) == stats
+    assert uniqueness_scan(system, n_samples, seed) == stats
 
 
 def test_scan_memory_does_not_grow_with_samples():
