@@ -10,7 +10,9 @@ and a global phase whose -omega*t/2 piece depends on whether the vacuum
 energy omega/2 is included in H; ``eta_convention_report`` measures which
 convention reproduces the textbook phase formula instead of assuming one.
 
-Spin: H = beta0 J0 + beta+ J+ + beta+* J-. Both Hamiltonians are
+Spin: H = beta0 J0 + beta+ J+ + beta+* J-. Each sample is labelled, with
+no fit, by its own mean generator: alpha = <a>, or the mean spin's direction
+(``spin.mean_spin_label``), both exact on coherent states. Both Hamiltonians are
 w0(t) G0 + lam(t) G+ + lam(t)* G-, with G0 diagonal and G+ a fixed
 subdiagonal, and both integrators take fourth-order Magnus steps (two-point
 Gauss-Legendre; Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999);
@@ -22,10 +24,11 @@ therefore Hermitian tridiagonal, and one symmetric tridiagonal eigensolve
 (``scipy.linalg.eigh_tridiagonal``) exponentiates it. It is never built
 from the closed-form solution, so the integrator stays an independent
 check of it. A static Hamiltonian (a constant drive, every spin
-Hamiltonian) takes one exact step per grid interval.
+Hamiltonian) takes one exact step per grid interval, at any strength; an
+exponent or step phases beyond the float range raise ``NumericalError``.
 
-The substep grid is the only time discretization: the Fock cutoff check
-runs the substeps' exact map of a coherent amplitude. A trajectory that
+For the oscillator the substep grid is the only time discretization: the
+cutoff check runs the substeps' exact map of a coherent amplitude. One that
 would need more than ``MAX_SUBSTEPS`` substeps raises ``NumericalError``
 before the first step.
 """
@@ -54,7 +57,7 @@ from .qcore import LinearOperator, StateVector
 
 #: default substep: 1/50 of a drive period
 STEPS_PER_PERIOD = 50
-#: most substeps one trajectory may take (the defaults use 25 over half a period)
+#: most substeps an oscillator trajectory may take (25 by default over half a period)
 MAX_SUBSTEPS = 10 ** 5
 #: Gauss-Legendre nodes sit at 1/2 -+ sqrt(3)/6 of a substep; the commutator
 #: term of the Magnus exponent carries sqrt(3)/12
@@ -225,7 +228,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SpinTrajectory:
-    """Sampled spin evolution with fitted coherent-state coordinates."""
+    """Sampled spin evolution, labelled by the mean spin's direction.
+
+    ``cs_fidelity`` is the overlap with the coherent state at that label:
+    1 to rounding on a coherent state, and at most the nearest-coherent
+    fidelity (``spin.nearest_cs_fit``) on any other.
+    """
 
     times: np.ndarray
     states: tuple
@@ -328,14 +336,18 @@ def _magnus_exponent(coeffs: Callable[[float], tuple], bands: tuple, t: float,
     w1, lam1 = coeffs(t + (0.5 - _GL_NODE) * dt)
     w2, lam2 = coeffs(t + (0.5 + _GL_NODE) * dt)
     c = _GL_COMMUTATOR * dt * dt
-    diagonal = ((0.5 * dt * (w1 + w2)) * g0
-                + (2.0 * c * (lam2 * lam1.conjugate()).imag) * comm_diag)
-    sub = (0.5 * dt * (lam1 + lam2)) * g - (1j * c * (w2 * lam1 - w1 * lam2)) * comm_sub
+    with np.errstate(all="ignore"):
+        diagonal = ((0.5 * dt * (w1 + w2)) * g0
+                    + (2.0 * c * (lam2 * lam1.conjugate()).imag) * comm_diag)
+        sub = (0.5 * dt * (lam1 + lam2)) * g - (1j * c * (w2 * lam1 - w1 * lam2)) * comm_sub
+    # checked here, so the eigensolve need not check again
+    if not (np.isfinite(diagonal).all() and np.isfinite(sub).all()):
+        raise NumericalError("the Magnus exponent leaves the float range")
     phase = np.ones(g0.size, dtype=complex)
     # from the angle, not sub / |sub|: a zero band keeps phase 1 and a
     # subnormal one does not overflow
     phase[1:] = np.exp(1j * np.angle(sub))
-    w, v = scipy.linalg.eigh_tridiagonal(diagonal, np.abs(sub))
+    w, v = scipy.linalg.eigh_tridiagonal(diagonal, np.abs(sub), check_finite=False)
     return np.cumprod(phase)[:, None] * v, w
 
 
@@ -352,11 +364,15 @@ def _stepped(coeffs: Callable[[float], tuple], bands: tuple, static: bool,
     psi = psi0.astype(complex)
     if static:
         x, w = _magnus_exponent(coeffs, bands, grid[0], 1.0)
+        with np.errstate(over="ignore"):
+            phases = np.multiply.outer(np.diff(grid), w)
+        if not np.all(np.isfinite(phases)):
+            raise NumericalError("the step phases leave the float range")
     yield psi
     t = grid[0]
-    for t_next, n_sub in zip(grid[1:], counts):
+    for i, (t_next, n_sub) in enumerate(zip(grid[1:], counts)):
         dt = (t_next - t) / n_sub
-        steps = ([(x, (t_next - t) * w)] if static else
+        steps = ([(x, phases[i])] if static else
                  (_magnus_exponent(coeffs, bands, t + k * dt, dt) for k in range(n_sub)))
         for x_k, w_k in steps:
             psi = x_k @ (np.exp(-1j * w_k) * (x_k.conj().T @ psi))
@@ -438,30 +454,19 @@ class LinearSpinHamiltonian:
 
 def evolve_spin(hamiltonian: LinearSpinHamiltonian, j, t_grid,
                 initial: StateVector) -> SpinTrajectory:
-    """Evolve a spin-j state; coherent-state coordinates are fitted by
-    maximizing overlap over the sphere, warm-started at the previous point."""
+    """Evolve a spin-j state along the given time grid: one exact step per
+    interval, at any strength, and each sample labelled by
+    ``spin.mean_spin_label`` (exact while the state is coherent), not fitted."""
     grid = _validate_grid(t_grid)
     space = spin.spin_space(j)
     if initial.space != space:
         raise ValidationError("initial state must live on spin(j)")
-    # H is static, so the substeps only count against the budget
-    scale = max(hamiltonian.strength, 1e-6)
-    counts = _substep_counts(grid, (2.0 * math.pi / scale) / STEPS_PER_PERIOD)
     j0, jp, _ = spin.spin_ops(j)
     coeffs = (hamiltonian.beta0, hamiltonian.beta_plus)
-
-    states, zetas, thetas, phis, fids = [], [], [], [], []
-    warm = None
-    for psi in _stepped(lambda t: coeffs, _bands(j0, jp), True, initial.amps, grid,
-                        counts):
-        state = StateVector(space, psi)
-        theta, phi, zeta, fid = spin.nearest_cs_fit(state, start=warm)
-        warm = (theta, phi)
-        states.append(state)
-        zetas.append(zeta)
-        thetas.append(theta)
-        phis.append(phi)
-        fids.append(fid)
+    states = [StateVector(space, psi)
+              for psi in _stepped(lambda t: coeffs, _bands(j0, jp), True, initial.amps,
+                                  grid, [1] * (grid.size - 1))]
+    thetas, phis, zetas, fids = zip(*map(spin.mean_spin_label, states))
     return SpinTrajectory(
         times=grid,
         states=tuple(states),

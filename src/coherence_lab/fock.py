@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from scipy.special import gammaln, xlogy
 
 from . import qcore
-from .errors import NumericalError, SpaceMismatch, TruncationTooSmall, ValidationError
+from .errors import SpaceMismatch, TruncationTooSmall, ValidationError
 from .qcore import LinearOperator, SpaceDescriptor, StateVector
 
 TAIL_TOLERANCE = 1e-12
@@ -53,18 +53,6 @@ def admissible_radius(cutoff: int) -> float:
     disc = b * b - 4.0 * (cutoff ** 2 - 144.0)
     x = (b - math.sqrt(disc)) / 2.0 - 1e-9
     return math.sqrt(max(x, 0.0))
-
-
-@dataclass(frozen=True)
-class FockParams:
-    """Cutoff plus coherent amplitude, validated against the tail criterion."""
-
-    cutoff: int
-    alpha: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        check_cutoff(self.alpha, self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -191,28 +179,24 @@ def nearest_coherent_fit(state: StateVector):
     """Maximize |<alpha|state>| over alpha; returns (alpha, fidelity).
 
     Seeded at alpha = <a> (exact for true coherent states) and polished by
-    a simplex search in (Re alpha, Im alpha). A search that stops before it
-    converges raises ``NumericalError``.
+    ``qcore.polish_fit`` in (Re alpha, Im alpha), inside the disk of
+    amplitudes the cutoff admits. Each evaluation exponentiates the
+    ``_coherent_logs`` row and divides by its norm.
     """
     if not state.space.is_single("fock"):
         raise SpaceMismatch("nearest_coherent_fit needs a single Fock factor")
     cutoff = state.space.factors[0].cutoff
     a, _ = ladder_ops(cutoff)
-    start = qcore.expectation(a, state)
-    # stay inside the admissible amplitude disk for this cutoff
     max_abs = admissible_radius(cutoff)
 
     def clip(z: complex) -> complex:
         return z if abs(z) <= max_abs else z / abs(z) * max_abs
 
-    def negfid(x):
-        alpha = clip(complex(x[0], x[1]))
-        return -abs(np.vdot(glauber_cs(alpha, cutoff).amps, state.amps))
+    def fid(re, im):
+        alpha = clip(complex(re, im))
+        bra = np.exp(_coherent_logs(alpha, cutoff) - abs(alpha) ** 2 / 2.0)
+        return abs(np.vdot(bra, state.amps)) / np.linalg.norm(bra)
 
-    start = clip(start)
-    res = minimize(negfid, [start.real, start.imag], method="Nelder-Mead",
-                   options=dict(xatol=1e-10, fatol=1e-14, maxiter=400))
-    if not res.success:
-        raise NumericalError(f"nearest-coherent fit did not converge: {res.message}")
-    best = clip(complex(res.x[0], res.x[1]))
-    return best, -float(res.fun)
+    start = clip(qcore.expectation(a, state))
+    best, best_fid = qcore.polish_fit(fid, (start.real, start.imag), minimize)
+    return clip(complex(*best)), best_fid

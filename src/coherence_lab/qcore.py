@@ -1,8 +1,8 @@
 """Finite-dimensional complex Hilbert-space kernel.
 
 States, operators, tensor products, the split kernel, Schmidt analysis,
-matrix exponentials and expectation values, shared by the oscillator and
-spin front ends.
+matrix exponentials, expectation values and the nearest-coherent fits'
+polish, shared by the oscillator and spin front ends.
 
 Basis conventions (fixed for bit-exact I/O):
   * Fock levels ascend by photon number n = 0..N.
@@ -28,6 +28,7 @@ from .errors import (
     InvalidWeight,
     NonFinite,
     NotComposite,
+    NumericalError,
     SpaceMismatch,
     ValidationError,
     ZeroVector,
@@ -44,6 +45,8 @@ HERMITIAN_TOL = 1e-12
 ISOMETRY_TOL = 1e-10
 #: Schmidt entropy (in bits) below which a bipartite state counts as product.
 PRODUCT_THRESHOLD_BITS = 1e-9
+#: Nelder-Mead options of every nearest-coherent fit's polish
+POLISH_OPTIONS = dict(xatol=1e-10, fatol=1e-15, maxiter=600)
 #: Largest factor parameter (Fock cutoff or 2j) accepted. A dense operator or
 #: a split grid on a bigger factor needs over 10^12 entries, so larger values
 #: are refused before any array is allocated.
@@ -414,3 +417,28 @@ def aligned_distance(u: StateVector, v: StateVector) -> float:
     if u.space != v.space:
         raise SpaceMismatch("aligned_distance requires equal spaces")
     return float(np.linalg.norm(u.amps - phase_align(u.amps, v.amps)))
+
+
+def polish_fit(fid, best, minimize):
+    """Polish a nearest-coherent fit's best candidate ``best`` (two
+    coordinates) by a simplex search on ``-fid``; returns ``(point, fidelity)``.
+
+    ``minimize`` is ``scipy.optimize.minimize`` as the front end binds it. A
+    search that stalls (a simplex tiny in one coordinate can) is restarted
+    once where it stopped, and a second failure raises ``NumericalError``.
+    The result is kept only when it beats ``best`` by more than 1e-14, so a
+    candidate exact to rounding (a true coherent state's) is never fuzzed.
+    """
+    def search(start):
+        return minimize(lambda x: -fid(*x), list(start), method="Nelder-Mead",
+                        options=POLISH_OPTIONS)
+
+    best_fid = fid(*best)
+    res = search(best)
+    if not res.success:
+        res = search(res.x)
+    if not res.success:
+        raise NumericalError(f"nearest-coherent fit did not converge: {res.message}")
+    if -res.fun > best_fid + 1e-14:
+        return (res.x[0], res.x[1]), -float(res.fun)
+    return best, best_fid

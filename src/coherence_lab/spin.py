@@ -12,6 +12,7 @@ weights from its log-binomial rows, so no binomial or power overflows.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from . import qcore
 from .errors import (
     AntipodalPoint,
     InvalidWeight,
-    NumericalError,
     SpaceMismatch,
     ValidationError,
     WeightConditionViolated,
@@ -230,43 +230,53 @@ def _ratio_candidate(amps: np.ndarray, tj: int):
     return theta, phi
 
 
-def _fid_ceiling(tj: int) -> float:
-    """Ceiling on ``|vdot(_angles_amps(rows, theta, phi), state.amps)|`` as
-    floating point computes it, for any angles and any ``StateVector``.
+def _label(theta: float, phi: float) -> tuple:
+    """Fold any angles onto the sphere: ``(theta, phi, zeta)`` with theta in
+    [0, pi], phi in [0, 2 pi) and zeta complex infinity at the antipodal
+    pole (theta = pi), where only the angles name the state."""
+    theta = theta % (2.0 * math.pi)
+    phi = phi % (2.0 * math.pi)
+    if theta > math.pi:
+        theta = 2.0 * math.pi - theta
+        phi = (phi + math.pi) % (2.0 * math.pi)
+    if abs(theta - math.pi) < 1e-12:
+        return theta, phi, complex(np.inf)
+    return theta, phi, angle_to_zeta(theta, phi)
 
-    Worst-case rounding, first order in eps = 2**-52, with n = tj + 1:
 
-    - ``_angles_amps`` divides ``exp(_cs_logs)`` by ``np.linalg.norm``, whose
-      sum of 2n squares and square root err by at most (n + 3) eps/4, and
-      numpy's complex division rounds each part twice: the fitted vector's
-      norm is at most 1 + (n + 7) eps/4 (the pole vector's is exactly 1);
-    - a ``StateVector`` keeps its computed norm within 4 eps of 1, so its
-      exact norm is at most 1 + 5 eps;
-    - each part of the complex dot product sums 2n products and errs by at
-      most n eps sum_k |u_k| |v_k| <= n eps |u| |v|, so sqrt(2) n eps in
-      modulus;
-    - ``abs`` adds at most eps.
+def mean_spin_label(state: StateVector):
+    """``(theta, phi, zeta, fidelity)`` read from the mean spin, with the
+    overlap at that label as ``fidelity``.
 
-    The total, (1.67 n + 7.75) eps, stays below (2 n + 10) eps.
+    A coherent state has <J> = j n (Arecchi, Courtens, Gilmore & Thomas,
+    Phys. Rev. A 6, 2211 (1972)): here <J0> = -j cos(theta) and <J+> =
+    j sin(theta) exp(i (phi - pi)), so the label is exact on coherent states.
     """
-    return 1.0 + (2 * tj + 12) * np.finfo(float).eps
+    if not state.space.is_single("spin"):
+        raise SpaceMismatch("mean_spin_label needs a single spin factor")
+    tj = state.space.factors[0].twice_j
+    rows = _cs_rows(tj)
+    _, k, rest = rows
+    amps = state.amps
+    mean_j0 = np.dot(amps.real ** 2 + amps.imag ** 2, k - tj / 2.0)
+    # J+ raises level k to k + 1 with sqrt((2j - k)(k + 1))
+    mean_jp = complex(np.vdot(amps[1:], np.sqrt(rest[:-1] * k[1:]) * amps[:-1]))
+    theta, phi, zeta = _label(math.atan2(abs(mean_jp), -mean_j0),
+                              math.pi + cmath.phase(mean_jp))
+    return theta, phi, zeta, abs(np.vdot(_angles_amps(rows, theta, phi), amps))
 
 
-def _polish(fid, start):
-    return minimize(lambda x: -fid(x[0], x[1]), list(start), method="Nelder-Mead",
-                    options=dict(xatol=1e-10, fatol=1e-15, maxiter=600))
-
-
-def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
+def nearest_cs_fit(state: StateVector):
     """Maximize |<j,(theta,phi)|state>| over the sphere.
 
     Returns ``(theta, phi, zeta, fidelity)``; at the antipodal pole
     (theta = pi) zeta is reported as complex infinity, so callers that need
-    a finite label should use the angles. Candidates: the caller's warm
-    start, a ratio-extraction estimate (exact on true coherent states), the
-    two poles, and a coarse sphere grid; the best one is polished by a
-    simplex search. A search that stops before it converges is restarted
-    once where it stopped, and raises ``NumericalError`` if that fails too.
+    a finite label should use the angles. Candidates: a ratio-extraction
+    estimate (exact on true coherent states), the two poles, and a coarse
+    sphere grid; the best one is polished by ``qcore.polish_fit``. The
+    splitting scan calls it only for samples its screen cannot certify;
+    a trajectory's label is ``mean_spin_label``, for which this fit is the
+    test oracle.
     """
     if not state.space.is_single("spin"):
         raise SpaceMismatch("nearest_cs_fit needs a single spin factor")
@@ -277,43 +287,15 @@ def nearest_cs_fit(state: StateVector, start: Optional[tuple] = None):
     def fid(theta, phi):
         return abs(np.vdot(_angles_amps(rows, theta, phi), amps))
 
-    candidates = [] if start is None else [tuple(start)]
     ratio = _ratio_candidate(amps, tj)
-    if ratio is not None:
-        candidates.append(ratio)
     # pole states are missed by the ratio estimate
-    candidates += [(0.0, 0.0), (math.pi, 0.0)]
+    candidates = ([] if ratio is None else [ratio]) + [(0.0, 0.0), (math.pi, 0.0)]
     fids = [fid(*c) for c in candidates]
-    if start is None:  # a coarse sphere grid, scored in one batch
-        th = np.repeat(np.linspace(0.35, math.pi - 0.35, 8), 8)
-        ph = np.tile(np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False), 8)
-        bras = np.exp(_cs_logs(rows, th[:, None], ph[:, None]))
-        fids += list(np.abs(bras.conj() @ amps) / np.linalg.norm(bras, axis=1))
-        candidates += list(zip(th, ph))
-    best = candidates[int(np.argmax(fids))]
-    best_fid = fid(*best)
-    # strict improvement only: on a true coherent state the ratio candidate
-    # is machine-exact and must not be fuzzed by the simplex. No computed
-    # fid exceeds _fid_ceiling(tj), so once best_fid + 1e-14 reaches it the
-    # polish could not be kept and is skipped.
-    if best_fid + 1e-14 < _fid_ceiling(tj):
-        res = _polish(fid, best)
-        if not res.success:
-            # the initial simplex from phi = 0 is tiny in phi and can stall
-            # short of the peak; a fresh simplex at the stopping point
-            # gets past it
-            res = _polish(fid, res.x)
-        if not res.success:
-            raise NumericalError(f"nearest-coherent fit did not converge: {res.message}")
-        if -res.fun > best_fid + 1e-14:
-            best, best_fid = (res.x[0], res.x[1]), -float(res.fun)
-    theta = best[0] % (2.0 * math.pi)
-    phi = best[1] % (2.0 * math.pi)
-    if theta > math.pi:
-        theta = 2.0 * math.pi - theta
-        phi = (phi + math.pi) % (2.0 * math.pi)
-    if abs(theta - math.pi) < 1e-12:
-        zeta = complex(np.inf)
-    else:
-        zeta = angle_to_zeta(theta, phi)
-    return theta, phi, zeta, best_fid
+    # a coarse sphere grid, scored in one batch
+    th = np.repeat(np.linspace(0.35, math.pi - 0.35, 8), 8)
+    ph = np.tile(np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False), 8)
+    bras = np.exp(_cs_logs(rows, th[:, None], ph[:, None]))
+    fids += list(np.abs(bras.conj() @ amps) / np.linalg.norm(bras, axis=1))
+    candidates += list(zip(th, ph))
+    best, best_fid = qcore.polish_fit(fid, candidates[int(np.argmax(fids))], minimize)
+    return _label(*best) + (best_fid,)

@@ -150,9 +150,6 @@ class AflpSolution:
     def coefficients(self, tau: complex, f0: complex = 1.0) -> np.ndarray:
         return SeriesPoly.exponential(tau, f0, self.order).coeffs
 
-    def series(self, tau: complex, f0: complex = 1.0) -> SeriesPoly:
-        return SeriesPoly.exponential(tau, f0, self.order)
-
     def subsystem_taus(self, tau: complex) -> tuple:
         return self.mu * tau, self.nu * tau
 
@@ -329,9 +326,10 @@ def _cs_distance(system, state: StateVector) -> float:
 # 1 - guard^2/2 has every fitted distance above the guard band, so it is kept
 # without a fit. The grid rows are the fit's log-domain closed forms
 # (spin._cs_logs, fock._coherent_logs). The margin covers their rounding, the
-# overlaps (about dim * eps), the fit's own rounding (see spin._fid_ceiling)
-# and the Fock truncation, which moves an overlap of admissible states by
-# about the 1e-12 tail mass.
+# overlaps (about dim * eps), the fit's own rounding (a computed overlap of
+# unit vectors exceeds its exact value by at most about (2 dim + 10) eps) and
+# the Fock truncation, which moves an overlap of admissible states by about
+# the 1e-12 tail mass.
 
 #: polar angles (poles included) x azimuths of the spin screen grid
 SPIN_SCREEN_GRID = (33, 64)

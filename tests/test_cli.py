@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coherence_lab import fock, serialize, spin
+from coherence_lab import fock, qcore, serialize, spin
 from coherence_lab.cli import main
 from coherence_lab.qcore import SpaceDescriptor, StateVector
 
@@ -208,6 +208,23 @@ def test_evolve_spin_csv(tmp_path):
     assert max(mods) - min(mods) < 1e-8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_strong_static_spin_hamiltonian_runs(tmp_path):
+    # one exact step per interval: no substep budget refuses a strong field
+    out = tmp_path / "traj.csv"
+    assert run_cli(["evolve", "--system", "spin", "--j", "1", "--beta0", "1e9",
+                    "--zeta0", "0.5", "--tmax", "1", "--samples", "3",
+                    "--out", str(out)]) == 0
+    t, re_zeta, im_zeta, theta, phi, fid = map(
+        float, out.read_text().strip().split("\n")[-1].split(","))
+    # the classical angle: zeta(t) = zeta(0) exp(-i beta0 t)
+    want = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.5 * np.exp(-1e9j * t)))
+    got = spin.spin_cs(spin.SpinCsParams.from_angles(1, theta, phi))
+    assert abs(complex(re_zeta, im_zeta) - 0.5 * np.exp(-1e9j * t)) < 1e-9
+    assert abs(qcore.overlap(want, got)) > 1 - 1e-12
+    assert fid > 1 - 1e-12
+
+
 def test_evolve_csv_reproducible(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["evolve", "--drive", "constant", "--lambda", "0.1", "--omega", "1",
@@ -372,11 +389,12 @@ def test_config_values_parse_like_flags(command, config, code, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["series", "--order", "8", "--mu", "1e200", "--nu", "1e200"],
     ["series", "--order", "3", "--mu", "1e-200", "--nu", "1e-200"],
-    # beyond the substep budget: 8e6 and 8e9 substeps
+    # beyond the oscillator's substep budget: 8e6 substeps
     ["evolve", "--omega", "1e6", "--lambda", "0", "--tmax", "1", "--N", "20",
      "--samples", "2"],
-    ["evolve", "--system", "spin", "--j", "1", "--beta0", "1e9", "--zeta0", "0.5",
-     "--tmax", "1"],
+    # a spin Hamiltonian whose Magnus exponent leaves the float range
+    ["evolve", "--system", "spin", "--j", "1", "--beta0", "1e300", "--beta-plus", "1e300",
+     "--zeta0", "0.5", "--tmax", "1"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_failures_exit_3_with_one_line(argv, capsys):
@@ -508,9 +526,10 @@ def test_weight_condition_exit_code(capsys):
 # ---------------------------------------------------------------------------
 
 # value vocabularies: valid, malformed, non-finite, negative, huge and empty.
-# tmax and the Hamiltonian strengths that fix the substep take huge values
-# too: the substep budget ends such a run with exit 3. Sample counts stay
-# small, so no example runs long.
+# tmax and the Hamiltonian strengths take huge values too: the oscillator's
+# substep budget, or a spin exponent or step phase beyond the float range,
+# ends such a run with exit 3, and a spin run takes one step per sample at
+# any strength. Sample counts stay small, so no example runs long.
 REAL = ["0", "1", "0.5", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "", "abc", "1+2i"]
 COMPLEX = ["0", "1+0i", "0.5-0.3i", "-2i", "nan", "inf", "1e200", "1e-200", "-1e300",
            "", "abc", "1+nani"]

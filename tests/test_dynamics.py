@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coherence_lab.dynamics as dyn
-from coherence_lab import fock, spin
+from coherence_lab import fock, qcore, spin
 from coherence_lab.dynamics import (
     DriveSpec,
     LinearSpinHamiltonian,
@@ -298,12 +298,19 @@ def test_evolve_moderate_sinusoid_drives_meet_amplitude_bound():
 
 def test_substep_budget(monkeypatch):
     import coherence_lab.dynamics as dyn
-    # 8e6 and 8e9 substeps at the default step
+    # 8e6 substeps at the default step
     with pytest.raises(NumericalError):
         evolve_fock(DriveSpec.zero(1e6), np.array([0.0, 1.0]), 20)
+    # a static spin Hamiltonian takes one exact step per interval at any
+    # strength: zeta(t) = zeta(0) exp(-i beta0 t)
     initial = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.5))
+    traj = evolve_spin(LinearSpinHamiltonian(1e9), 1, np.array([0.0, 1.0]), initial)
+    want = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.5 * np.exp(-1e9j)))
+    assert abs(qcore.overlap(want, traj.states[-1])) > 1 - 1e-12
+    assert abs(traj.zeta_track[-1] - 0.5 * np.exp(-1e9j)) < 1e-9
+    # an exponent beyond the float range is refused
     with pytest.raises(NumericalError):
-        evolve_spin(LinearSpinHamiltonian(1e9), 1, np.array([0.0, 1.0]), initial)
+        evolve_spin(LinearSpinHamiltonian(1e300, 1e300), 1, np.array([0.0, 1.0]), initial)
     # span / max_step overflows to inf
     with pytest.raises(NumericalError):
         evolve_fock(DriveSpec.zero(1.0), np.array([0.0, 1.0]), 20, max_step=1e-320)
@@ -466,6 +473,30 @@ def test_evolve_spin_coherence_for_generic_linear_hamiltonian():
         initial = spin.spin_cs(spin.SpinCsParams(j=j, zeta=0.4 - 0.6j))
         traj = evolve_spin(ham, j, grid, initial)
         assert traj.cs_fidelity.min() > 1 - 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 20), st.floats(-2.0, 2.0), st.complex_numbers(max_magnitude=1.0),
+       st.complex_numbers(max_magnitude=3.0), st.floats(0.1, 10.0))
+def test_evolve_spin_labels_match_the_fit(tj, beta0, beta_plus, zeta0, t_max):
+    # the fit is the oracle of the mean-spin label on every coherent sample
+    initial = spin.spin_cs(spin.SpinCsParams(j=tj / 2, zeta=zeta0))
+    traj = evolve_spin(LinearSpinHamiltonian(beta0, beta_plus), tj / 2,
+                       np.linspace(0.0, t_max, 5), initial)
+    for state, theta, phi, fid in zip(traj.states, traj.theta_track, traj.phi_track,
+                                      traj.cs_fidelity):
+        fit_theta, fit_phi, _, _ = spin.nearest_cs_fit(state)
+        assert abs(theta - fit_theta) < 1e-10
+        if math.sin(theta) > 1e-3:
+            assert abs((phi - fit_phi + math.pi) % (2 * math.pi) - math.pi) < 1e-10
+        assert fid > 1 - 1e-12
+
+
+def test_evolve_spin_fidelity_of_a_non_coherent_state_is_at_most_the_fit():
+    traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 1, np.linspace(0.0, 3.0, 7),
+                       spin.basis_state(1, 0))
+    for state, fid in zip(traj.states, traj.cs_fidelity):
+        assert fid <= spin.nearest_cs_fit(state)[3]
 
 
 def test_linear_spin_hamiltonian_hermitian():

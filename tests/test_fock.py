@@ -13,7 +13,6 @@ from coherence_lab.errors import (
     ValidationError,
 )
 from coherence_lab.fock import (
-    FockParams,
     SplitSpec,
     beamsplit_weight,
     displacement,
@@ -74,8 +73,8 @@ def test_required_cutoff_policy():
     assert required_cutoff(0.0) == 12
     assert required_cutoff(2.0) == math.ceil(4 + 12 * math.sqrt(5))
     with pytest.raises(TruncationTooSmall):
-        FockParams(10, 2.0)
-    FockParams(40, 2.0)
+        fock.check_cutoff(2.0, 10)
+    fock.check_cutoff(2.0, 40)
 
 
 def test_displacement_identity():
@@ -235,3 +234,21 @@ def test_nearest_coherent_fit_refuses_an_unconverged_search(monkeypatch):
     monkeypatch.setattr(fock, "minimize", starved)
     with pytest.raises(NumericalError):
         nearest_coherent_fit(glauber_cs(0.8 - 0.35j, 30))
+
+
+def test_nearest_coherent_fit_restarts_a_stalled_search(monkeypatch):
+    # only the first search is starved: the restart where it stopped converges
+    calls = []
+
+    def starved_once(*args, options, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            options = dict(options, maxiter=3)
+        return minimize(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(fock, "minimize", starved_once)
+    alpha = 0.8 - 0.35j
+    fitted, fid = nearest_coherent_fit(glauber_cs(alpha, 30))
+    assert len(calls) == 2
+    assert abs(fitted - alpha) < 1e-7
+    assert fid > 1 - 1e-12
