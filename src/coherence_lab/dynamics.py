@@ -366,7 +366,7 @@ def _stepped(coeffs: Callable[[float], tuple], bands: tuple, static: bool,
         x, w = _magnus_exponent(coeffs, bands, grid[0], 1.0)
         with np.errstate(over="ignore"):
             phases = np.multiply.outer(np.diff(grid), w)
-        if not np.all(np.isfinite(phases)):
+        if not np.isfinite(phases).all():
             raise NumericalError("the step phases leave the float range")
     yield psi
     t = grid[0]
