@@ -17,9 +17,10 @@ function.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -156,22 +157,52 @@ class SpaceDescriptor:
         return len(self.factors) == 1 and self.factors[0].kind == kind
 
 
-def _sum_of_squares(x: np.ndarray) -> float:
-    """Correctly rounded sum of squares, or inf when it exceeds the float
-    range (numpy warns when a single square overflows)."""
+def _fsum(squares: list) -> float:
+    """Correctly rounded sum, or inf when it exceeds the float range."""
     try:
-        return math.fsum(np.square(x).tolist())
+        return math.fsum(squares)
     except OverflowError:  # finite squares whose sum overflows
         return math.inf
+
+
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Normalize each row of a 2-d complex stack in place by ``StateVector``'s
+    exact rule, and return the stack.
+
+    One finiteness check covers the stack (``NonFinite``), and one ``tolist``
+    feeds a correctly rounded ``math.fsum`` of each row's squares: that keeps
+    a norm within 2 ulps at any dimension, where a BLAS dot product drifts by
+    over 2000 ulps on a uniform superposition of 90 601 entries. A row whose
+    squares overflow (amplitudes above about 1e154) is first divided by its
+    largest component, which keeps every square <= 1. A row within
+    ``NORM_ROUNDING`` of unit norm is kept as given; any other is divided by
+    its norm, and a null row raises ``ZeroVector``.
+    """
+    flat = rows.view(float)
+    if not np.all(np.isfinite(flat)):
+        raise NonFinite("state amplitudes must be finite")
+    for i, squares in enumerate(np.square(flat).tolist()):
+        sum_sq = _fsum(squares)
+        if sum_sq == math.inf:
+            rows[i] /= np.abs(flat[i]).max()
+            sum_sq = _fsum(np.square(flat[i]).tolist())
+        norm = math.sqrt(sum_sq)
+        if norm < 1e-14:
+            raise ZeroVector("cannot normalize a null vector")
+        if abs(norm - 1.0) > NORM_TOL:
+            log.debug("renormalizing state, norm deficit %.3e", abs(norm - 1.0))
+        if abs(norm - 1.0) > NORM_ROUNDING:
+            rows[i] /= norm
+    return rows
 
 
 class StateVector:
     """Normalized complex amplitude vector over a labeled basis.
 
-    Construction normalizes the amplitudes (raising ``ZeroVector`` for a
-    null input) and freezes them; instances are safe to share. When the
-    norm is within ``NORM_ROUNDING`` (4 eps, about 8.9e-16) of 1 the
-    amplitudes are kept as given; otherwise they are divided by it, which
+    Construction normalizes the amplitudes by ``_normalize_rows`` (raising
+    ``ZeroVector`` for a null input) and freezes them; instances are safe to
+    share. When the norm is within ``NORM_ROUNDING`` (4 eps, about 8.9e-16)
+    of 1 the amplitudes are kept as given; otherwise they are divided by it, which
     lands within that bound at any dimension. So construction is
     idempotent: ``StateVector(s.space, s.amps)`` has bit-identical
     amplitudes, and saved states round-trip exactly. Amplitudes too large
@@ -185,24 +216,7 @@ class StateVector:
         if vec.shape != (space.dim,):
             raise ValidationError(
                 f"amplitude length {vec.size} does not match space dim {space.dim}")
-        if not np.all(np.isfinite(vec.view(float))):
-            raise NonFinite("state amplitudes must be finite")
-        # a correctly rounded sum of squares keeps the norm within 2 ulps at
-        # any dimension; a BLAS dot product drifts by over 2000 ulps on a
-        # uniform superposition of 90 601 entries, which breaks the bound
-        sum_sq = _sum_of_squares(vec.view(float))
-        if sum_sq == math.inf:
-            # amplitudes above about 1e154 overflow the squares or their sum;
-            # dividing by the largest component keeps every square <= 1
-            vec /= np.abs(vec.view(float)).max()
-            sum_sq = _sum_of_squares(vec.view(float))
-        norm = math.sqrt(sum_sq)
-        if norm < 1e-14:
-            raise ZeroVector("cannot normalize a null vector")
-        if abs(norm - 1.0) > NORM_TOL:
-            log.debug("renormalizing state, norm deficit %.3e", abs(norm - 1.0))
-        if abs(norm - 1.0) > NORM_ROUNDING:
-            vec /= norm
+        _normalize_rows(vec[None, :])
         vec.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "amps", vec)
@@ -243,16 +257,32 @@ class LinearOperator:
 class SchmidtReport:
     """Schmidt spectrum of a bipartition.
 
-    ``coefficients`` descend; ``entropy_bits`` uses log2 with 0*log0 = 0.
-    ``left_vectors``/``right_vectors`` hold the Schmidt vectors as columns /
-    rows so the state can be reconstructed as sum_k c_k L[:,k] (x) R[k,:].
+    ``coefficients`` descend and come from a values-only SVD of ``matrix``,
+    the state's amplitudes as a (left dim, right dim) matrix; ``entropy_bits``
+    uses log2 with 0*log0 = 0. ``left_vectors``/``right_vectors`` hold the
+    Schmidt vectors as columns / rows, so the state is
+    sum_k c_k L[:,k] (x) R[k,:] to rounding. They take a second SVD with
+    vectors, run on first read and cached, so a caller that reads only the
+    spectrum never pays for them.
     """
 
     coefficients: np.ndarray
     entropy_bits: float
     is_product: bool
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
+    matrix: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def _vectors(self) -> tuple:
+        left, _, right = np.linalg.svd(self.matrix, full_matrices=False)
+        return left, right
+
+    @property
+    def left_vectors(self) -> np.ndarray:
+        return self._vectors[0]
+
+    @property
+    def right_vectors(self) -> np.ndarray:
+        return self._vectors[1]
 
 
 def hankel_weight(log_b, log_c, log_a) -> np.ndarray:
@@ -361,19 +391,24 @@ def mat_exp(op: LinearOperator) -> LinearOperator:
     return LinearOperator(op.space, scipy.linalg.expm(op.matrix))
 
 
-def entropy_from_coefficients(coefficients) -> float:
-    """-sum c^2 log2 c^2 with the 0*log0 = 0 convention."""
+def entropy_from_coefficients(coefficients):
+    """-sum c^2 log2 c^2 with the 0*log0 = 0 convention, over the last axis:
+    a float for one spectrum, an array for a stack of them. A stack's rows
+    sum as the same spectra one at a time do, bit for bit."""
     p = np.asarray(coefficients, dtype=float) ** 2
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
-    return max(0.0, float(-(p * np.log2(p)).sum()))
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    # adding 0.0 turns the -0.0 of a product state into 0.0
+    ent = np.maximum(-(p * logs).sum(axis=-1), 0.0) + 0.0
+    return float(ent) if ent.ndim == 0 else ent
 
 
 def schmidt_cut(state: StateVector, cut: int) -> SchmidtReport:
     """Schmidt decomposition across factors [0, cut) | [cut, n).
 
-    ``cut`` must split the factor list into two nonempty groups.
+    ``cut`` must split the factor list into two nonempty groups. The
+    coefficients are ``np.linalg.svd(..., compute_uv=False)`` of the
+    amplitude matrix; the Schmidt vectors wait until the report's
+    ``left_vectors`` or ``right_vectors`` is read.
     """
     nf = state.space.nfactors
     if nf < 2:
@@ -384,14 +419,13 @@ def schmidt_cut(state: StateVector, cut: int) -> SchmidtReport:
     d_left = math.prod(dims[:cut])
     d_right = math.prod(dims[cut:])
     matrix = state.amps.reshape(d_left, d_right)
-    left, coeffs, right = np.linalg.svd(matrix, full_matrices=False)
+    coeffs = np.linalg.svd(matrix, compute_uv=False)
     ent = entropy_from_coefficients(coeffs)
     return SchmidtReport(
         coefficients=coeffs,
         entropy_bits=ent,
         is_product=ent < PRODUCT_THRESHOLD_BITS,
-        left_vectors=left,
-        right_vectors=right,
+        matrix=matrix,
     )
 
 

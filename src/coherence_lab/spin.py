@@ -244,6 +244,10 @@ def _label(theta: float, phi: float) -> tuple:
     return theta, phi, angle_to_zeta(theta, phi)
 
 
+#: a mean spin |<J>| at most this times j (2j + 1) is rounding, not a direction
+MEAN_SPIN_ROUNDING = 8 * np.finfo(float).eps
+
+
 def mean_spin_label(state: StateVector):
     """``(theta, phi, zeta, fidelity)`` read from the mean spin, with the
     overlap at that label as ``fidelity``.
@@ -251,6 +255,10 @@ def mean_spin_label(state: StateVector):
     A coherent state has <J> = j n (Arecchi, Courtens, Gilmore & Thomas,
     Phys. Rev. A 6, 2211 (1972)): here <J0> = -j cos(theta) and <J+> =
     j sin(theta) exp(i (phi - pi)), so the label is exact on coherent states.
+    When |<J>| is at most ``MEAN_SPIN_ROUNDING`` j (2j + 1), about the
+    rounding of a sum of 2j + 1 terms of size j, the mean spin has no
+    direction (as for |1, 0>), and the label is fixed at theta = 0, phi = 0,
+    the lowest-weight state.
     """
     if not state.space.is_single("spin"):
         raise SpaceMismatch("mean_spin_label needs a single spin factor")
@@ -261,8 +269,11 @@ def mean_spin_label(state: StateVector):
     mean_j0 = np.dot(amps.real ** 2 + amps.imag ** 2, k - tj / 2.0)
     # J+ raises level k to k + 1 with sqrt((2j - k)(k + 1))
     mean_jp = complex(np.vdot(amps[1:], np.sqrt(rest[:-1] * k[1:]) * amps[:-1]))
-    theta, phi, zeta = _label(math.atan2(abs(mean_jp), -mean_j0),
-                              math.pi + cmath.phase(mean_jp))
+    if math.hypot(mean_j0, abs(mean_jp)) <= MEAN_SPIN_ROUNDING * tj / 2.0 * (tj + 1):
+        theta, phi, zeta = _label(0.0, 0.0)
+    else:
+        theta, phi, zeta = _label(math.atan2(abs(mean_jp), -mean_j0),
+                                  math.pi + cmath.phase(mean_jp))
     return theta, phi, zeta, abs(np.vdot(_angles_amps(rows, theta, phi), amps))
 
 

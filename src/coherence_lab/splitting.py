@@ -10,18 +10,22 @@ A scan excludes a sample from the non-coherent pool when it lies within
 ``CS_DISTANCE_GUARD`` of a coherent state. A closed-form grid of coherent
 states screens each chunk of samples with one matrix product, and a proven
 bound on the best coherent fidelity keeps most samples without a
-nearest-coherent fit; only the samples the bound cannot place outside the
-guard band are fitted. Each chunk is split with one ``split_amplitudes``
-call and one stacked SVD, and its entropies are bit-identical to a
-``schmidt_cut`` of each split sample.
+nearest-coherent fit. A sample the grid cannot place outside the guard band
+is screened again on finer cells around the grid points that may hold its
+best coherent state; only a sample this refined bound cannot place either is
+fitted. Each chunk of samples, and the coherent grid for ``cs_max_entropy``,
+is one stacked array: normalized as ``StateVector`` normalizes, split with
+one ``split_amplitudes`` call and reduced to Schmidt coefficients by one
+values-only stacked SVD, with no Schmidt vector and no per-row state. Its
+entropies are bit-identical to a ``schmidt_cut`` of each split sample.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -325,43 +329,115 @@ def _cs_distance(system, state: StateVector) -> float:
 # The smaller bound holds. A sample whose bound plus SCREEN_MARGIN stays below
 # 1 - guard^2/2 has every fitted distance above the guard band, so it is kept
 # without a fit. The grid rows are the fit's log-domain closed forms
-# (spin._cs_logs, fock._coherent_logs). The margin covers their rounding, the
+# (fock._coherent_logs, and for spin the polar factor of spin._cs_logs times
+# its azimuthal phases). The margin covers their rounding, the
 # overlaps (about dim * eps), the fit's own rounding (a computed overlap of
 # unit vectors exceeds its exact value by at most about (2 dim + 10) eps) and
 # the Fock truncation, which moves an overlap of admissible states by about
 # the 1e-12 tail mass.
+#
+# Refinement. Both bounds hold cell by cell. Give each grid point g a cell,
+# a rectangle in the family's coordinates ((theta, phi) for spin, (Re alpha,
+# Im alpha) for Fock) whose points all lie within c of g; the cells cover the
+# family. The maximizer n* lies in some cell, so F* is at most the largest
+# cell bound b(F(g), c), and the same holds for any cover by rectangles with
+# their own points and covering distances. With thr = 1 - guard^2/2 -
+# SCREEN_MARGIN, only a cell whose bound reaches thr can hold an n* that
+# fails the screen: for spin that needs both F(g)^2 >= thr^2 - j^2 c^2 and
+# F(g) >= thr - sqrt(2 - 2 ov(c)), for Fock the latter. Such an open cell is
+# split into REFINE_SPLIT^2 sub-rectangles, each with its centre as grid
+# point and the covering distance c / REFINE_SPLIT: from any point of a
+# (dtheta, dphi) rectangle, a meridian arc of at most dtheta/2 and a
+# latitude arc of at most sin(theta) dphi/2 reach the centre, and for Fock a
+# centre outside the admissible disk moves to its edge, which brings it no
+# further from any point of the disk. The largest bound over the refined
+# cover, split REFINE_LEVELS times over, is again a ceiling on F*. Its rows
+# come from the same closed forms, so the same margin covers its rounding,
+# and only samples it cannot place below thr are fitted.
 
 #: polar angles (poles included) x azimuths of the spin screen grid
 SPIN_SCREEN_GRID = (33, 64)
 #: cells per side of the Fock screen grid, and its smallest step
 FOCK_SCREEN_CELLS = 32
-FOCK_SCREEN_MIN_STEP = 0.1
+FOCK_SCREEN_MIN_STEP = 0.2
 #: allowance for rounding between the screen's bound and a fitted fidelity
 SCREEN_MARGIN = 1e-9
+#: sub-cells per side of a refined screen cell, and the levels of refinement
+REFINE_SPLIT = 4
+REFINE_LEVELS = 2
 #: most amplitudes one stacked split or screen product holds (1 MiB), which
 #: keeps a scan's memory independent of its sample count
 CHUNK_AMPS = 2 ** 16
+#: best coherent fidelity below which every fitted distance is above the guard
+_FIDELITY_CEILING = 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
 
 
 @dataclass(frozen=True)
 class _Screen:
-    """Unit coherent-state bras <g|, one per row, and the terms of the two
-    bounds: ``lipschitz`` is sqrt(2 - 2 ov(c)) and ``curvature`` is j^2 c^2
-    (inf where that bound does not apply)."""
+    """A cover of the coherent family by cells. Cell i is the rectangle
+    ``lo[i]`` to ``lo[i] + size[i]`` in the family's coordinates, and every
+    point of it lies within ``cover`` of the grid point whose unit bra <g| is
+    row i of ``bras``. ``bras_at`` gives the unit bras at an (n, 2) array of
+    points, and ``terms`` the two bound terms at a covering distance c:
+    sqrt(2 - 2 ov(c)) and j^2 c^2 (inf where that bound does not apply)."""
 
     bras: np.ndarray
-    lipschitz: float
-    curvature: float
+    lo: np.ndarray
+    size: np.ndarray
+    cover: float
+    bras_at: Callable
+    terms: Callable
+
+    def _cell_bound(self, fids: np.ndarray, cover: float) -> np.ndarray:
+        lipschitz, curvature = self.terms(cover)
+        return np.minimum(fids + lipschitz, np.sqrt(fids * fids + curvature))
 
     def bound(self, amps: np.ndarray) -> np.ndarray:
-        """Per row of ``amps``: a proven ceiling on F*, up to rounding."""
-        best = np.abs(amps @ self.bras.T).max(axis=1)
-        return np.minimum(best + self.lipschitz,
-                          np.sqrt(best * best + self.curvature))
+        """Per row of ``amps``: a proven ceiling on F* from the grid alone,
+        up to rounding."""
+        return self._cell_bound(np.abs(amps @ self.bras.T).max(axis=1), self.cover)
+
+    def refined_bound(self, amps: np.ndarray) -> np.ndarray:
+        """Per row of ``amps``: the ceiling on F* over the refined cover."""
+        return np.array([self._refine(row, fids)
+                         for row, fids in zip(amps, np.abs(amps @ self.bras.T))])
 
     def certified(self, amps: np.ndarray) -> np.ndarray:
-        """Per row of ``amps``: is every fitted distance above the guard band?"""
-        return self.bound(amps) + SCREEN_MARGIN < 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
+        """Per row of ``amps``: is every fitted distance above the guard band?
+        Rows the grid cannot certify are tried on the refined cover."""
+        fids = np.abs(amps @ self.bras.T)
+        sure = (self._cell_bound(fids.max(axis=1), self.cover) + SCREEN_MARGIN
+                < _FIDELITY_CEILING)
+        for i in np.flatnonzero(~sure):
+            sure[i] = self._refine(amps[i], fids[i]) + SCREEN_MARGIN < _FIDELITY_CEILING
+        return sure
+
+    def _refine(self, row: np.ndarray, fids: np.ndarray) -> float:
+        """Largest cell bound for one state ``row``, whose grid overlaps are
+        ``fids``, after splitting the open cells ``REFINE_LEVELS`` times. A
+        level whose sub-cells would hold more than ``CHUNK_AMPS`` amplitudes
+        is not taken, and the bound stays that of the coarser cover."""
+        lo, size, cover = self.lo, self.size, self.cover
+        bounds = self._cell_bound(fids, cover)
+        settled = 0.0
+        for _ in range(REFINE_LEVELS):
+            is_open = bounds + SCREEN_MARGIN >= _FIDELITY_CEILING
+            n_sub = np.count_nonzero(is_open) * REFINE_SPLIT ** 2
+            if n_sub == 0 or n_sub * row.size > CHUNK_AMPS:
+                break
+            settled = max(settled, bounds[~is_open].max(initial=0.0))
+            lo, size = _split_cells(lo[is_open], size[is_open])
+            cover /= REFINE_SPLIT
+            bounds = self._cell_bound(np.abs(self.bras_at(lo + size / 2.0) @ row), cover)
+        return max(settled, bounds.max())
+
+
+def _split_cells(lo: np.ndarray, size: np.ndarray) -> tuple:
+    """Corners and sizes of the ``REFINE_SPLIT^2`` sub-rectangles of each cell."""
+    steps = np.arange(REFINE_SPLIT) / REFINE_SPLIT
+    offsets = np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 2)
+    corners = lo[:, None, :] + offsets * size[:, None, :]
+    return corners.reshape(-1, 2), np.repeat(size / REFINE_SPLIT, len(offsets), axis=0)
 
 
 def _unit_rows(bras: np.ndarray) -> np.ndarray:
@@ -369,81 +445,106 @@ def _unit_rows(bras: np.ndarray) -> np.ndarray:
     return bras
 
 
+def _spin_bras(tj: int, theta, phi) -> np.ndarray:
+    """Unit bras <theta, phi| on the broadcast shape of ``theta`` and ``phi``
+    (each with a trailing axis of length 1): the unit polar factor of
+    ``spin._cs_logs`` at ``theta`` times the azimuthal phases at ``phi``, so
+    a product grid exponentiates each factor once."""
+    rows = spin._cs_rows(tj)
+    polar = np.exp(spin._cs_logs(rows, theta, math.pi).real)
+    polar /= np.linalg.norm(polar, axis=-1, keepdims=True)
+    return polar * np.exp(-1j * rows[1] * (math.pi - phi))
+
+
+def _spin_terms(tj: int, cover: float) -> tuple:
+    overlap = math.cos(cover / 2.0) ** tj
+    return math.sqrt(2.0 - 2.0 * overlap), (tj / 2.0 * cover) ** 2
+
+
 def _spin_screen(tj: int) -> _Screen:
     n_theta, n_phi = SPIN_SCREEN_GRID
-    theta = np.linspace(0.0, math.pi, n_theta)[:, None, None]
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[:, None]
-    bras = spin._cs_logs(spin._cs_rows(tj), theta, phi).reshape(-1, tj + 1)
+    d_theta, d_phi = math.pi / (n_theta - 1), 2.0 * math.pi / n_phi
+    theta = np.linspace(0.0, math.pi, n_theta)
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    # a point lies within dtheta/2 of a grid latitude and, along it, within
+    # dphi/2 of a grid meridian; the pole rows' cells stop at the pole
+    bottom = np.maximum(theta - d_theta / 2.0, 0.0)
+    top = np.minimum(theta + d_theta / 2.0, math.pi)
+    lo = np.stack([np.repeat(bottom, n_phi), np.tile(phi - d_phi / 2.0, n_theta)], axis=1)
+    size = np.stack([np.repeat(top - bottom, n_phi),
+                     np.full(n_theta * n_phi, d_phi)], axis=1)
+    bras = _spin_bras(tj, theta[:, None, None], phi[:, None]).reshape(-1, tj + 1)
+    return _Screen(bras, lo, size, (d_theta + d_phi) / 2.0,
+                   lambda at: _spin_bras(tj, at[:, :1], at[:, 1:]),
+                   functools.partial(_spin_terms, tj))
+
+
+def _fock_bras(cutoff: int, radius: float, points: np.ndarray) -> np.ndarray:
+    # conjugated amplitudes, built in place from the logs; a point outside the
+    # admissible disk (the one nearest_coherent_fit clips to) goes to its
+    # edge, which moves it no further from any point of the disk
+    alpha = points[:, 0] + 1j * points[:, 1]
+    mod = np.minimum(np.abs(alpha), radius)
+    bras = fock._coherent_logs(mod * np.exp(1j * np.angle(alpha)), cutoff)
+    bras -= (mod ** 2 / 2.0)[:, None]
     np.conj(bras, out=bras)
     np.exp(bras, out=bras)
-    # a point lies within dtheta/2 of a grid latitude and, along it, within
-    # dphi/2 of a grid meridian
-    cover = math.pi / (2 * (n_theta - 1)) + math.pi / n_phi
-    overlap = math.cos(cover / 2.0) ** tj
-    return _Screen(_unit_rows(bras), math.sqrt(2.0 - 2.0 * overlap),
-                   (tj / 2.0 * cover) ** 2)
+    return _unit_rows(bras)
+
+
+def _fock_terms(cover: float) -> tuple:
+    return math.sqrt(2.0 - 2.0 * math.exp(-cover * cover / 2.0)), math.inf
 
 
 def _fock_screen(cutoff: int) -> _Screen:
-    # cell centres of the square of side 2R around the admissible disk (the
-    # disk nearest_coherent_fit clips to) lie within step/sqrt(2) of every
-    # point; centres outside the disk go to its edge, and that projection
-    # moves none of them further from a point of the disk
+    # cell centres of the square of side 2R around the admissible disk lie
+    # within step/sqrt(2) of every point of their cell
     radius = fock.admissible_radius(cutoff)
     cells = max(1, min(FOCK_SCREEN_CELLS,
                        math.ceil(2.0 * radius / FOCK_SCREEN_MIN_STEP)))
     step = 2.0 * radius / cells
     axis = -radius + (np.arange(cells) + 0.5) * step
-    alpha = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
-    mod = np.minimum(np.abs(alpha), radius)
-    # conjugated amplitudes, built in place from the logs
-    bras = fock._coherent_logs(mod * np.exp(1j * np.angle(alpha)), cutoff)
-    bras -= (mod ** 2 / 2.0)[:, None]
-    np.conj(bras, out=bras)
-    np.exp(bras, out=bras)
-    cover = step / math.sqrt(2.0)
-    overlap = math.exp(-cover * cover / 2.0)
-    return _Screen(_unit_rows(bras), math.sqrt(2.0 - 2.0 * overlap), math.inf)
+    centres = np.stack([np.repeat(axis, cells), np.tile(axis, cells)], axis=1)
+    bras_at = functools.partial(_fock_bras, cutoff, radius)
+    return _Screen(bras_at(centres), centres - step / 2.0, np.full_like(centres, step),
+                   step / math.sqrt(2.0), bras_at, _fock_terms)
 
 
-def _cs_grid_states(system) -> list:
-    """Coherent states for ``cs_max_entropy``, equal to ``spin_cs``/``glauber_cs``."""
+def _cs_grid_states(system) -> np.ndarray:
+    """Stacked unit amplitudes of the coherent states for ``cs_max_entropy``,
+    bit for bit those of ``spin_cs``/``glauber_cs`` at the same labels."""
     if isinstance(system, SpinScanSystem):
         tj = qcore.as_twice_j(system.j_a)
-        space = spin.spin_space(system.j_a)
         # a pole's azimuth only sets a global phase, so each pole once; the
         # antipodal one is the exact highest-weight state, as spin_cs gives it
         theta = np.append(0.0, np.repeat(np.linspace(0.0, math.pi, 9)[1:-1], 8))
         phi = np.append(0.0, np.tile(np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False), 7))
         amps = np.exp(spin._cs_logs(spin._cs_rows(tj), theta[:, None], phi[:, None]))
-        return ([StateVector(space, row / np.linalg.norm(row)) for row in amps]
-                + [StateVector.basis(space, tj)])
-    space = fock.fock_space(system.cutoff)
-    radius = min(1.5, fock.admissible_radius(system.cutoff))
-    ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
-    alpha = np.append(0.0, np.linspace(radius / 4.0, radius, 4)[:, None] * ring)
-    amps = np.exp(fock._coherent_logs(alpha, system.cutoff)
-                  - (np.abs(alpha) ** 2 / 2.0)[:, None])
-    return [StateVector(space, row) for row in amps]
+        # row by row, as spin_cs divides each state by np.linalg.norm
+        amps /= np.array([np.linalg.norm(row) for row in amps])[:, None]
+        amps = np.vstack([amps, np.eye(1, tj + 1, tj)])
+    else:
+        radius = min(1.5, fock.admissible_radius(system.cutoff))
+        ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
+        alpha = np.append(0.0, np.linspace(radius / 4.0, radius, 4)[:, None] * ring)
+        amps = np.exp(fock._coherent_logs(alpha, system.cutoff)
+                      - (np.abs(alpha) ** 2 / 2.0)[:, None])
+    return qcore._normalize_rows(amps)
 
 
-def _batches(items, size: int):
-    it = iter(items)
-    while batch := list(itertools.islice(it, size)):
-        yield batch
+def _split_entropies(weight: np.ndarray, amps: np.ndarray) -> list:
+    """Schmidt entropy of each split row of ``amps``, bit for bit as
+    ``schmidt_cut`` of ``split_spin``/``split_fock``.
 
-
-def _split_entropies(out_space, weight: np.ndarray, states) -> list:
-    """Schmidt entropy of each split state, bit for bit as ``schmidt_cut``.
-
-    One ``split_amplitudes`` call splits the stack; each row is normalized
-    by ``StateVector`` as ``split_spin``/``split_fock`` do, and one stacked
-    SVD (the LAPACK route of ``schmidt_cut``) gives the coefficients.
+    One ``split_amplitudes`` call splits the stack, ``qcore._normalize_rows``
+    normalizes each split row as ``StateVector`` does, and one stacked
+    values-only SVD (``compute_uv=False``, the route of ``schmidt_cut``)
+    gives the coefficients; no Schmidt vector is computed.
     """
-    split = qcore.split_amplitudes(np.stack([s.amps for s in states]), weight)
-    rows = np.stack([StateVector(out_space, row).amps for row in split])
-    _, coeffs, _ = np.linalg.svd(rows.reshape(split.shape), full_matrices=False)
-    return [qcore.entropy_from_coefficients(c) for c in coeffs]
+    split = qcore.split_amplitudes(amps, weight)
+    rows = qcore._normalize_rows(split.reshape(len(amps), -1).copy())
+    coeffs = np.linalg.svd(rows.reshape(split.shape), compute_uv=False)
+    return qcore.entropy_from_coefficients(coeffs).tolist()
 
 
 def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
@@ -452,42 +553,43 @@ def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
     Samples whose distance to the fitted nearest coherent state falls
     inside the guard band are excluded from the non-coherent pool. A
     closed-form grid of coherent states, built once per scan, screens the
-    samples first: it proves most of them lie outside the band (see the
-    bounds above ``_Screen``), and only the rest are fitted. Samples go in
-    chunks of at most ``CHUNK_AMPS`` amplitudes, each split with one
-    ``split_amplitudes`` call and one stacked SVD. A deterministic
-    coherent-state parameter grid is split the same way for
-    ``cs_max_entropy``. Each sample draws from its own counter-based stream,
-    so the result does not depend on the order samples are processed in,
-    and every entropy is bit-identical to a ``schmidt_cut`` of the split
-    sample.
+    samples first: it proves most of them lie outside the band, the refined
+    cover proves most of the rest (see the bounds above ``_Screen``), and a
+    sample is fitted, as a ``StateVector``, only when both fail. Samples go
+    in chunks of at most ``CHUNK_AMPS`` amplitudes, each normalized by
+    ``qcore._normalize_rows``, split with one ``split_amplitudes`` call and
+    cut by one values-only stacked SVD. A deterministic coherent-state
+    parameter grid is split the same way for ``cs_max_entropy``. Each sample
+    draws from its own counter-based stream, so the result does not depend
+    on the order samples are processed in, and every entropy is
+    bit-identical to a ``schmidt_cut`` of the split sample.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     if isinstance(system, SpinScanSystem):
         space = spin.spin_space(system.j_a)
-        out_space = spin.spin_space(system.j_b).tensor(spin.spin_space(system.j_c))
         weight = spin.coupling_weight(system.j_b, system.j_c)
         screen = _spin_screen(qcore.as_twice_j(system.j_a))
     else:
         space = fock.fock_space(system.cutoff)
-        out_space = space.tensor(space)
         weight = fock.beamsplit_weight(system.split, system.cutoff)
         screen = _fock_screen(system.cutoff)
     chunk = max(1, CHUNK_AMPS // max(weight.size, screen.bras.shape[0]))
 
-    samples = (StateVector(space, _haar_amps(seed, i, system.dim))
-               for i in range(n_samples))
     min_kept, n_kept = None, 0
-    for states in _batches(samples, chunk):
-        entropies = _split_entropies(out_space, weight, states)
-        certified = screen.certified(np.stack([s.amps for s in states]))
-        for state, ent, sure in zip(states, entropies, certified):
-            if sure or _cs_distance(system, state) > CS_DISTANCE_GUARD:
+    for start in range(0, n_samples, chunk):
+        amps = qcore._normalize_rows(np.stack([
+            _haar_amps(seed, i, system.dim)
+            for i in range(start, min(start + chunk, n_samples))]))
+        entropies = _split_entropies(weight, amps)
+        certified = screen.certified(amps)
+        for row, ent, sure in zip(amps, entropies, certified):
+            if sure or _cs_distance(system, StateVector(space, row)) > CS_DISTANCE_GUARD:
                 min_kept = ent if min_kept is None else min(min_kept, ent)
                 n_kept += 1
-    cs_max = max(max(_split_entropies(out_space, weight, states))
-                 for states in _batches(_cs_grid_states(system), chunk))
+    grid = _cs_grid_states(system)
+    cs_max = max(max(_split_entropies(weight, grid[i:i + chunk]))
+                 for i in range(0, len(grid), chunk))
     return ScanStats(
         system=system.label,
         n_samples=n_samples,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coherence_lab import qcore
 from coherence_lab.errors import (
     InvalidWeight,
+    NonFinite,
     NotComposite,
     SpaceMismatch,
     ValidationError,
@@ -286,6 +287,29 @@ def test_schmidt_reconstruction():
     np.testing.assert_allclose(rebuilt, s.amps, atol=1e-10)
 
 
+def test_schmidt_coefficients_are_values_only_svd():
+    rng = np.random.default_rng(5)
+    space = SpaceDescriptor.single_fock(4).tensor(SpaceDescriptor.single_spin(1.5))
+    s = StateVector(space, rng.normal(size=20) + 1j * rng.normal(size=20))
+    rep = schmidt_cut(s, 1)
+    want = np.linalg.svd(s.amps.reshape(5, 4), compute_uv=False)
+    assert rep.coefficients.tobytes() == want.tobytes()
+    # the Schmidt vectors are computed on first read only
+    assert "_vectors" not in vars(rep)
+    assert rep.left_vectors.shape == (5, 4) and rep.right_vectors.shape == (4, 4)
+    assert "_vectors" in vars(rep)
+
+
+def test_entropy_of_a_stack_matches_each_spectrum():
+    spectra = np.array([[1.0, 0.0, 0.0], [0.8, 0.6, 0.0],
+                        [0.6, 0.6, math.sqrt(0.28)]])
+    stack = qcore.entropy_from_coefficients(spectra)
+    for row, ent in zip(spectra, stack):
+        assert np.float64(qcore.entropy_from_coefficients(row)).tobytes() == ent.tobytes()
+    # a product spectrum has entropy 0.0, not -0.0
+    assert math.copysign(1.0, qcore.entropy_from_coefficients(spectra[0])) == 1.0
+
+
 def test_overlap_self_and_phase():
     s = qubit_state(0.6, 0.8j)
     assert overlap(s, s) == pytest.approx(1.0, abs=1e-14)
@@ -405,3 +429,26 @@ def test_norm_off_by_more_than_rounding_is_normalized(dim, shape, seed, log_offs
     unit = StateVector(space, shaped_amps(shape, dim, seed)).amps
     state = StateVector(space, unit * (1.0 + sign * 10.0 ** log_offset))
     assert abs(np.linalg.norm(state.amps) - 1.0) < qcore.NORM_TOL
+
+
+def test_stacked_normalization_matches_state_vector_bytes():
+    # one stack holds a row kept as given (unit to rounding) and a row that
+    # is divided (norm off by 1e-10); each equals its StateVector's amplitudes
+    space = SpaceDescriptor.single_fock(27)
+    unit = StateVector(space, shaped_amps("gaussian", 28, 2)).amps
+    rows = np.stack([unit, unit * (1.0 + 1e-10)])
+    got = qcore._normalize_rows(rows.copy())
+    assert got[0].tobytes() == unit.tobytes()
+    assert got[1].tobytes() != rows[1].tobytes()
+    for row, given in zip(got, rows):
+        assert row.tobytes() == StateVector(space, given).amps.tobytes()
+
+
+def test_stacked_normalization_checks_the_whole_stack():
+    rows = np.ones((3, 2), dtype=complex)
+    rows[2, 1] = np.nan
+    with pytest.raises(NonFinite):
+        qcore._normalize_rows(rows)
+    rows[2] = 0.0
+    with pytest.raises(ZeroVector):
+        qcore._normalize_rows(rows)

@@ -324,6 +324,21 @@ def test_polish_runs_only_when_it_can_improve(monkeypatch):
     assert len(calls) == 1
 
 
+def test_mean_spin_label_is_fixed_where_the_mean_spin_vanishes():
+    # |1, 0> keeps <J> = 0 under a linear Hamiltonian; the computed mean spin
+    # is rounding noise of up to about 1.1e-15, which once gave labels from
+    # theta = pi to 2.0
+    traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 1,
+                       np.linspace(0.0, 3.0, 7), basis_state(1, 0))
+    assert (traj.theta_track == 0.0).all() and (traj.phi_track == 0.0).all()
+    assert (traj.zeta_track == 0.0).all()
+    for state, fid in zip(traj.states, traj.cs_fidelity):
+        assert fid == abs(state.amps[0])
+    assert spin.mean_spin_label(basis_state(1, 0)) == (0.0, 0.0, 0.0, 0.0)
+    # a coherent state has |<J>| = j, so one next to the pole keeps its label
+    assert spin.mean_spin_label(spin_cs(SpinCsParams(j=1, zeta=1e-6)))[0] > 0.0
+
+
 def test_nearest_cs_fit_refuses_an_unconverged_search(monkeypatch):
     def starved(*args, options, **kwargs):
         return minimize(*args, options=dict(options, maxiter=3), **kwargs)

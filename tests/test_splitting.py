@@ -11,6 +11,7 @@ from coherence_lab.errors import NotComposite, ValidationError
 from coherence_lab.qcore import StateVector, overlap, schmidt_cut, tensor_state
 from coherence_lab.splitting import (
     CS_DISTANCE_GUARD,
+    SCREEN_MARGIN,
     FockScanSystem,
     ScanStats,
     SeriesPoly,
@@ -220,7 +221,7 @@ def test_scan_cs_grid_includes_reference_state():
 
 def test_spin_cs_grid_holds_each_pole_once():
     # 7 interior polar angles x 8 azimuths, plus the two poles
-    amps = np.array([s.amps for s in _cs_grid_states(SpinScanSystem(2, 1, 1))])
+    amps = _cs_grid_states(SpinScanSystem(2, 1, 1))
     assert amps.shape == (58, 5)
     # every row is its own state: only the diagonal overlaps reach 1
     assert np.sum(np.abs(amps.conj() @ amps.T) > 1 - 1e-12) == 58
@@ -277,11 +278,35 @@ def _screen_case(kind, size, seed, eps):
                      st.floats(-8.0, math.log10(0.3)).map(lambda x: 10.0 ** x)))
 def test_screen_bound_covers_fitted_fidelity(kind, size, seed, eps):
     # spin 2j <= 10 and Fock N = 12..40: Haar states and coherent states
-    # perturbed by 1e-8 to 0.3 never fit above the screen's proven bound
+    # perturbed by 1e-8 to 0.3 never fit above the screen's proven bound,
+    # from the grid alone or over the refined cover
     screen, state, fid = _screen_case(kind, size, seed, eps)
-    assert screen.bound(state.amps[None, :])[0] >= fid - 1e-12
+    row = state.amps[None, :]
+    assert screen.bound(row)[0] >= fid - 1e-12
+    assert screen.refined_bound(row)[0] >= fid - 1e-12
     if eps == 0.0:  # a planted coherent state is never certified
-        assert not screen.certified(state.amps[None, :])[0]
+        assert not screen.certified(row)[0]
+
+
+def test_refinement_certifies_what_the_grid_cannot():
+    # seed 3 draws 4 spin-1 states the coarse grid leaves open; the refined
+    # cover places all of them outside the guard band
+    screen = _spin_screen(2)
+    amps = np.stack([StateVector(spin.spin_space(1), _haar_amps(3, i, 3)).amps
+                     for i in range(60)])
+    coarse = screen.bound(amps) + SCREEN_MARGIN < 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
+    assert np.count_nonzero(~coarse) == 4
+    assert screen.certified(amps).all()
+    assert (screen.refined_bound(amps)[~coarse] < screen.bound(amps)[~coarse]).all()
+
+
+def test_refinement_stays_within_chunk_memory():
+    # at j = 200, the 15 open cells around a coherent state would split into
+    # about 96 000 amplitudes, over CHUNK_AMPS: the coarse bound stands
+    screen = _spin_screen(400)
+    row = spin.spin_cs(spin.SpinCsParams.from_angles(200, 1.0, 2.0)).amps[None, :]
+    assert screen.refined_bound(row)[0] == screen.bound(row)[0] >= 1.0
+    assert not screen.certified(row)[0]
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -299,9 +324,9 @@ def test_screen_leaves_few_fits(monkeypatch):
     _count_calls(monkeypatch, spin, "nearest_cs_fit", calls)
     _count_calls(monkeypatch, fock, "nearest_coherent_fit", calls)
     uniqueness_scan(FockScanSystem(24), 30, 1)
-    assert calls == []
     uniqueness_scan(SpinScanSystem(3, 1.5, 1.5), 50, 1)
-    assert len(calls) <= 5
+    uniqueness_scan(SpinScanSystem(1, 0.5, 0.5), 60, 3)
+    assert calls == []
 
 
 def per_sample_scan(system, n_samples, seed):
@@ -341,13 +366,22 @@ def per_sample_scan(system, n_samples, seed):
                      n_excluded=n_samples - len(kept))
 
 
+def _recorded(system, n_samples, seed, min_entropy, cs_max):
+    return pytest.param(system, n_samples, seed, min_entropy, cs_max,
+                        id=f"{system.label}-seed{seed}")
+
+
 @pytest.mark.parametrize("system,n_samples,seed,min_entropy,cs_max", [
-    (SpinScanSystem(1, 0.5, 0.5), 60, 11, 0.045673684104547474, 2.1920692939028035e-30),
-    (SpinScanSystem(2.5, 1, 1.5), 40, 5, 0.4269368528773225, 3.2034265038149467e-16),
-    (SpinScanSystem(3, 1.5, 1.5), 30, 2, 1.1214387669185877, 9.610279511444888e-16),
-    (FockScanSystem(16), 20, 4, 2.25850723924067, 3.679794121926217e-16),
-    (FockScanSystem(20, fock.SplitSpec.from_angles(0.4, 1.1)), 15, 9,
-     1.9070057740797073, 3.4624576543523505e-16),
+    _recorded(SpinScanSystem(1, 0.5, 0.5), 60, 11,
+              0.04567368410454714, 2.1920692939028035e-30),
+    _recorded(SpinScanSystem(2.5, 1, 1.5), 40, 5,
+              0.426936852877323, 3.2034265038149467e-16),
+    _recorded(SpinScanSystem(3, 1.5, 1.5), 30, 2,
+              1.1214387669185872, 9.610279511444778e-16),
+    _recorded(FockScanSystem(16), 20, 4,
+              2.2585072392406698, 3.2034691608323937e-16),
+    _recorded(FockScanSystem(20, fock.SplitSpec.from_angles(0.4, 1.1)), 15, 9,
+              1.9070057740797075, 3.4624576543523505e-16),
 ])
 def test_scan_stats_bit_identical_to_per_sample_scan(system, n_samples, seed,
                                                      min_entropy, cs_max):
