@@ -325,7 +325,8 @@ def split_amplitudes(c, weight) -> np.ndarray:
         raise ValidationError("map is not an isometry")
     padded = np.zeros(c.shape[:-1] + (d_b + d_c - 1,), dtype=complex)
     padded[..., :d_in] = c
-    return padded[..., total] * w
+    # take, not padded[..., total]: a C-contiguous stack, one split per row
+    return np.take(padded, total, axis=-1) * w
 
 
 # ---------------------------------------------------------------------------

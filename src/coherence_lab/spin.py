@@ -248,6 +248,17 @@ def _label(theta: float, phi: float) -> tuple:
 MEAN_SPIN_ROUNDING = 8 * np.finfo(float).eps
 
 
+def _mean_spin(amps: np.ndarray) -> tuple:
+    """``(<J0>, <J+>)`` of each unit row of ``amps`` over its last axis, the
+    2j + 1 levels m = -j..j."""
+    tj = amps.shape[-1] - 1
+    _, k, rest = _cs_rows(tj)
+    mean_j0 = np.vecdot(amps.real ** 2 + amps.imag ** 2, k - tj / 2.0)
+    # J+ raises level k to k + 1 with sqrt((2j - k)(k + 1))
+    mean_jp = np.vecdot(amps[..., 1:], np.sqrt(rest[:-1] * k[1:]) * amps[..., :-1])
+    return mean_j0, mean_jp
+
+
 def mean_spin_label(state: StateVector):
     """``(theta, phi, zeta, fidelity)`` read from the mean spin, with the
     overlap at that label as ``fidelity``.
@@ -264,11 +275,8 @@ def mean_spin_label(state: StateVector):
         raise SpaceMismatch("mean_spin_label needs a single spin factor")
     tj = state.space.factors[0].twice_j
     rows = _cs_rows(tj)
-    _, k, rest = rows
     amps = state.amps
-    mean_j0 = np.dot(amps.real ** 2 + amps.imag ** 2, k - tj / 2.0)
-    # J+ raises level k to k + 1 with sqrt((2j - k)(k + 1))
-    mean_jp = complex(np.vdot(amps[1:], np.sqrt(rest[:-1] * k[1:]) * amps[:-1]))
+    mean_j0, mean_jp = _mean_spin(amps)
     if math.hypot(mean_j0, abs(mean_jp)) <= MEAN_SPIN_ROUNDING * tj / 2.0 * (tj + 1):
         theta, phi, zeta = _label(0.0, 0.0)
     else:
@@ -285,7 +293,7 @@ def nearest_cs_fit(state: StateVector):
     a finite label should use the angles. Candidates: a ratio-extraction
     estimate (exact on true coherent states), the two poles, and a coarse
     sphere grid; the best one is polished by ``qcore.polish_fit``. The
-    splitting scan calls it only for samples its screen cannot certify;
+    splitting scan calls it only for samples its moment bound cannot certify;
     a trajectory's label is ``mean_spin_label``, for which this fit is the
     test oracle.
     """

@@ -7,25 +7,22 @@ and run seeded randomized scans demonstrating that only coherent states
 split into products.
 
 A scan excludes a sample from the non-coherent pool when it lies within
-``CS_DISTANCE_GUARD`` of a coherent state. A closed-form grid of coherent
-states screens each chunk of samples with one matrix product, and a proven
-bound on the best coherent fidelity keeps most samples without a
-nearest-coherent fit. A sample the grid cannot place outside the guard band
-is screened again on finer cells around the grid points that may hold its
-best coherent state; only a sample this refined bound cannot place either is
-fitted. Each chunk of samples, and the coherent grid for ``cs_max_entropy``,
-is one stacked array: normalized as ``StateVector`` normalizes, split with
-one ``split_amplitudes`` call and reduced to Schmidt coefficients by one
+``CS_DISTANCE_GUARD`` of a coherent state. A closed-form bound on the best
+coherent fidelity, read from each sample's first moments (the mean spin, or
+<N> and <a> of the mode), keeps most samples without a nearest-coherent fit;
+only a sample the bound cannot place outside the guard band is fitted. Each
+chunk of samples, and the coherent grid for ``cs_max_entropy``, is one
+stacked array: normalized as ``StateVector`` normalizes, split with one
+``split_amplitudes`` call and reduced to Schmidt coefficients by one
 values-only stacked SVD, with no Schmidt vector and no per-row state. Its
 entropies are bit-identical to a ``schmidt_cut`` of each split sample.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -300,7 +297,7 @@ def _cs_distance(system, state: StateVector) -> float:
 
     Always runs the fit (``spin.nearest_cs_fit`` or
     ``fock.nearest_coherent_fit``); ``uniqueness_scan`` calls it only for
-    samples its grid screen cannot place outside the guard band.
+    samples whose moment bound cannot place them outside the guard band.
     """
     if isinstance(system, SpinScanSystem):
         _, _, _, fid = spin.nearest_cs_fit(state)
@@ -309,205 +306,62 @@ def _cs_distance(system, state: StateVector) -> float:
     return math.sqrt(max(0.0, 2.0 - 2.0 * fid))
 
 
-# The screen bounds F* = max_n |<n|psi>| over the coherent family from a grid
-# of unit coherent states g whose covering distance is c: every coherent
-# state lies within c of some grid point (an angle for spin, |alpha - beta|
-# for Fock). With best = max_g |<g|psi>|:
+# The bounds below cap F* = max_g |<g|psi>| over the coherent family the fit
+# searches, from the first moments of a unit sample psi alone.
 #
-# - Lipschitz on rays (spin and Fock): |F(n) - F(n')| is at most the
-#   phase-aligned distance sqrt(2 - 2 |<n|n'>|), and the overlap is
-#   cos^(2j)(c/2) for spin (Arecchi, Courtens, Gilmore & Thomas, Phys. Rev. A
-#   6, 2211 (1972)) and exp(-c^2/2) for Glauber states, so
-#   F* <= best + sqrt(2 - 2 ov(c)).
-# - Curvature (spin only): rotate the maximizer n* towards its nearest grid
-#   point by angle t <= c. G(t) = |<n(t)|psi>|^2 is a trigonometric polynomial
-#   of degree 2j in t (the rotation's matrix elements carry frequencies
-#   m - m'), with 0 <= G <= 1, so Bernstein's inequality applied to G - 1/2
-#   gives |G''| <= (2j)^2 / 2. G'(0) = 0 at the maximum, hence
-#   best^2 >= G(t) >= F*^2 - j^2 t^2, that is F*^2 <= best^2 + j^2 c^2.
+# - Spin: a coherent state g is the top eigenvector of m.J for some unit m,
+#   with eigenvalue j, and every other eigenvalue is at most j - 1 (Arecchi,
+#   Courtens, Gilmore & Thomas, Phys. Rev. A 6, 2211 (1972); Perelomov,
+#   Commun. Math. Phys. 26, 222 (1972)). So |g><g| <= (m.J + j) / (2j), and
+#   F*^2 <= (1 + |<J>| / j) / 2.
+# - Fock: the fit searches the unit truncated |alpha> with |alpha| <= R =
+#   ``admissible_radius``. Let X = (a - alpha)^+ (a - alpha) on the truncated
+#   mode and V = <N> - |<a>|^2. Then <X> = V + |<a> - alpha|^2 >= V, and
+#   X <= (sqrt(N) + R)^2 = L, since ||a|| = sqrt(N). The truncated a lowers
+#   every level of |alpha> but the top one exactly, so X|alpha> = |alpha|^2
+#   g_N e_N, with g_N the top amplitude of |alpha>; |g_N| grows with |alpha|,
+#   so take g = |g_N| at |alpha| = R and e = R^2 g. Writing psi = F|alpha> +
+#   s chi with chi orthogonal to |alpha> and s^2 = 1 - F^2 gives
+#   V <= <X> <= e g + 2 s e + s^2 L, a floor on s and so a ceiling on F*.
 #
-# The smaller bound holds. A sample whose bound plus SCREEN_MARGIN stays below
-# 1 - guard^2/2 has every fitted distance above the guard band, so it is kept
-# without a fit. The grid rows are the fit's log-domain closed forms
-# (fock._coherent_logs, and for spin the polar factor of spin._cs_logs times
-# its azimuthal phases). The margin covers their rounding, the
-# overlaps (about dim * eps), the fit's own rounding (a computed overlap of
-# unit vectors exceeds its exact value by at most about (2 dim + 10) eps) and
-# the Fock truncation, which moves an overlap of admissible states by about
-# the 1e-12 tail mass.
-#
-# Refinement. Both bounds hold cell by cell. Give each grid point g a cell,
-# a rectangle in the family's coordinates ((theta, phi) for spin, (Re alpha,
-# Im alpha) for Fock) whose points all lie within c of g; the cells cover the
-# family. The maximizer n* lies in some cell, so F* is at most the largest
-# cell bound b(F(g), c), and the same holds for any cover by rectangles with
-# their own points and covering distances. With thr = 1 - guard^2/2 -
-# SCREEN_MARGIN, only a cell whose bound reaches thr can hold an n* that
-# fails the screen: for spin that needs both F(g)^2 >= thr^2 - j^2 c^2 and
-# F(g) >= thr - sqrt(2 - 2 ov(c)), for Fock the latter. Such an open cell is
-# split into REFINE_SPLIT^2 sub-rectangles, each with its centre as grid
-# point and the covering distance c / REFINE_SPLIT: from any point of a
-# (dtheta, dphi) rectangle, a meridian arc of at most dtheta/2 and a
-# latitude arc of at most sin(theta) dphi/2 reach the centre, and for Fock a
-# centre outside the admissible disk moves to its edge, which brings it no
-# further from any point of the disk. The largest bound over the refined
-# cover, split REFINE_LEVELS times over, is again a ceiling on F*. Its rows
-# come from the same closed forms, so the same margin covers its rounding,
-# and only samples it cannot place below thr are fitted.
+# A sample whose bound plus SCREEN_MARGIN stays below 1 - guard^2/2 has every
+# fitted distance above the guard band, so it is kept without a fit. The
+# margin covers the rounding of the moments (each a sum of dim terms of size
+# at most j or N, divided by j or by L >= N, so the bound moves by about
+# dim * eps) and the fit's own rounding (a computed overlap of unit vectors
+# exceeds its exact value by at most about (2 dim + 10) eps).
 
-#: polar angles (poles included) x azimuths of the spin screen grid
-SPIN_SCREEN_GRID = (33, 64)
-#: cells per side of the Fock screen grid, and its smallest step
-FOCK_SCREEN_CELLS = 32
-FOCK_SCREEN_MIN_STEP = 0.2
-#: allowance for rounding between the screen's bound and a fitted fidelity
+#: allowance for rounding between a moment bound and a fitted fidelity
 SCREEN_MARGIN = 1e-9
-#: sub-cells per side of a refined screen cell, and the levels of refinement
-REFINE_SPLIT = 4
-REFINE_LEVELS = 2
-#: most amplitudes one stacked split or screen product holds (1 MiB), which
-#: keeps a scan's memory independent of its sample count
+#: most amplitudes one stacked split holds (1 MiB), which keeps a scan's
+#: memory independent of its sample count
 CHUNK_AMPS = 2 ** 16
 #: best coherent fidelity below which every fitted distance is above the guard
 _FIDELITY_CEILING = 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
 
 
-@dataclass(frozen=True)
-class _Screen:
-    """A cover of the coherent family by cells. Cell i is the rectangle
-    ``lo[i]`` to ``lo[i] + size[i]`` in the family's coordinates, and every
-    point of it lies within ``cover`` of the grid point whose unit bra <g| is
-    row i of ``bras``. ``bras_at`` gives the unit bras at an (n, 2) array of
-    points, and ``terms`` the two bound terms at a covering distance c:
-    sqrt(2 - 2 ov(c)) and j^2 c^2 (inf where that bound does not apply)."""
-
-    bras: np.ndarray
-    lo: np.ndarray
-    size: np.ndarray
-    cover: float
-    bras_at: Callable
-    terms: Callable
-
-    def _cell_bound(self, fids: np.ndarray, cover: float) -> np.ndarray:
-        lipschitz, curvature = self.terms(cover)
-        return np.minimum(fids + lipschitz, np.sqrt(fids * fids + curvature))
-
-    def bound(self, amps: np.ndarray) -> np.ndarray:
-        """Per row of ``amps``: a proven ceiling on F* from the grid alone,
-        up to rounding."""
-        return self._cell_bound(np.abs(amps @ self.bras.T).max(axis=1), self.cover)
-
-    def refined_bound(self, amps: np.ndarray) -> np.ndarray:
-        """Per row of ``amps``: the ceiling on F* over the refined cover."""
-        return np.array([self._refine(row, fids)
-                         for row, fids in zip(amps, np.abs(amps @ self.bras.T))])
-
-    def certified(self, amps: np.ndarray) -> np.ndarray:
-        """Per row of ``amps``: is every fitted distance above the guard band?
-        Rows the grid cannot certify are tried on the refined cover."""
-        fids = np.abs(amps @ self.bras.T)
-        sure = (self._cell_bound(fids.max(axis=1), self.cover) + SCREEN_MARGIN
-                < _FIDELITY_CEILING)
-        for i in np.flatnonzero(~sure):
-            sure[i] = self._refine(amps[i], fids[i]) + SCREEN_MARGIN < _FIDELITY_CEILING
-        return sure
-
-    def _refine(self, row: np.ndarray, fids: np.ndarray) -> float:
-        """Largest cell bound for one state ``row``, whose grid overlaps are
-        ``fids``, after splitting the open cells ``REFINE_LEVELS`` times. A
-        level whose sub-cells would hold more than ``CHUNK_AMPS`` amplitudes
-        is not taken, and the bound stays that of the coarser cover."""
-        lo, size, cover = self.lo, self.size, self.cover
-        bounds = self._cell_bound(fids, cover)
-        settled = 0.0
-        for _ in range(REFINE_LEVELS):
-            is_open = bounds + SCREEN_MARGIN >= _FIDELITY_CEILING
-            n_sub = np.count_nonzero(is_open) * REFINE_SPLIT ** 2
-            if n_sub == 0 or n_sub * row.size > CHUNK_AMPS:
-                break
-            settled = max(settled, bounds[~is_open].max(initial=0.0))
-            lo, size = _split_cells(lo[is_open], size[is_open])
-            cover /= REFINE_SPLIT
-            bounds = self._cell_bound(np.abs(self.bras_at(lo + size / 2.0) @ row), cover)
-        return max(settled, bounds.max())
+def _spin_bound(amps: np.ndarray) -> np.ndarray:
+    """Per unit spin row of ``amps``: a ceiling on its best coherent fidelity."""
+    mean_j0, mean_jp = spin._mean_spin(amps)
+    j = (amps.shape[-1] - 1) / 2.0
+    return np.sqrt((1.0 + np.hypot(mean_j0, np.abs(mean_jp)) / j) / 2.0)
 
 
-def _split_cells(lo: np.ndarray, size: np.ndarray) -> tuple:
-    """Corners and sizes of the ``REFINE_SPLIT^2`` sub-rectangles of each cell."""
-    steps = np.arange(REFINE_SPLIT) / REFINE_SPLIT
-    offsets = np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 2)
-    corners = lo[:, None, :] + offsets * size[:, None, :]
-    return corners.reshape(-1, 2), np.repeat(size / REFINE_SPLIT, len(offsets), axis=0)
-
-
-def _unit_rows(bras: np.ndarray) -> np.ndarray:
-    bras /= np.linalg.norm(bras, axis=1, keepdims=True)
-    return bras
-
-
-def _spin_bras(tj: int, theta, phi) -> np.ndarray:
-    """Unit bras <theta, phi| on the broadcast shape of ``theta`` and ``phi``
-    (each with a trailing axis of length 1): the unit polar factor of
-    ``spin._cs_logs`` at ``theta`` times the azimuthal phases at ``phi``, so
-    a product grid exponentiates each factor once."""
-    rows = spin._cs_rows(tj)
-    polar = np.exp(spin._cs_logs(rows, theta, math.pi).real)
-    polar /= np.linalg.norm(polar, axis=-1, keepdims=True)
-    return polar * np.exp(-1j * rows[1] * (math.pi - phi))
-
-
-def _spin_terms(tj: int, cover: float) -> tuple:
-    overlap = math.cos(cover / 2.0) ** tj
-    return math.sqrt(2.0 - 2.0 * overlap), (tj / 2.0 * cover) ** 2
-
-
-def _spin_screen(tj: int) -> _Screen:
-    n_theta, n_phi = SPIN_SCREEN_GRID
-    d_theta, d_phi = math.pi / (n_theta - 1), 2.0 * math.pi / n_phi
-    theta = np.linspace(0.0, math.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    # a point lies within dtheta/2 of a grid latitude and, along it, within
-    # dphi/2 of a grid meridian; the pole rows' cells stop at the pole
-    bottom = np.maximum(theta - d_theta / 2.0, 0.0)
-    top = np.minimum(theta + d_theta / 2.0, math.pi)
-    lo = np.stack([np.repeat(bottom, n_phi), np.tile(phi - d_phi / 2.0, n_theta)], axis=1)
-    size = np.stack([np.repeat(top - bottom, n_phi),
-                     np.full(n_theta * n_phi, d_phi)], axis=1)
-    bras = _spin_bras(tj, theta[:, None, None], phi[:, None]).reshape(-1, tj + 1)
-    return _Screen(bras, lo, size, (d_theta + d_phi) / 2.0,
-                   lambda at: _spin_bras(tj, at[:, :1], at[:, 1:]),
-                   functools.partial(_spin_terms, tj))
-
-
-def _fock_bras(cutoff: int, radius: float, points: np.ndarray) -> np.ndarray:
-    # conjugated amplitudes, built in place from the logs; a point outside the
-    # admissible disk (the one nearest_coherent_fit clips to) goes to its
-    # edge, which moves it no further from any point of the disk
-    alpha = points[:, 0] + 1j * points[:, 1]
-    mod = np.minimum(np.abs(alpha), radius)
-    bras = fock._coherent_logs(mod * np.exp(1j * np.angle(alpha)), cutoff)
-    bras -= (mod ** 2 / 2.0)[:, None]
-    np.conj(bras, out=bras)
-    np.exp(bras, out=bras)
-    return _unit_rows(bras)
-
-
-def _fock_terms(cover: float) -> tuple:
-    return math.sqrt(2.0 - 2.0 * math.exp(-cover * cover / 2.0)), math.inf
-
-
-def _fock_screen(cutoff: int) -> _Screen:
-    # cell centres of the square of side 2R around the admissible disk lie
-    # within step/sqrt(2) of every point of their cell
+def _fock_bound(amps: np.ndarray) -> np.ndarray:
+    """Per unit Fock row of ``amps``: a ceiling on its best fidelity with an
+    admissible truncated coherent state."""
+    cutoff = amps.shape[-1] - 1
     radius = fock.admissible_radius(cutoff)
-    cells = max(1, min(FOCK_SCREEN_CELLS,
-                       math.ceil(2.0 * radius / FOCK_SCREEN_MIN_STEP)))
-    step = 2.0 * radius / cells
-    axis = -radius + (np.arange(cells) + 0.5) * step
-    centres = np.stack([np.repeat(axis, cells), np.tile(axis, cells)], axis=1)
-    bras_at = functools.partial(_fock_bras, cutoff, radius)
-    return _Screen(bras_at(centres), centres - step / 2.0, np.full_like(centres, step),
-                   step / math.sqrt(2.0), bras_at, _fock_terms)
+    edge = np.exp(fock._coherent_logs(radius, cutoff).real - radius * radius / 2.0)
+    g = edge[-1] / np.linalg.norm(edge)
+    e, x_norm = radius * radius * g, (math.sqrt(cutoff) + radius) ** 2
+    n = np.arange(cutoff + 1.0)
+    mean_a = np.vecdot(amps[..., :-1], np.sqrt(n[1:]) * amps[..., 1:])
+    excess = np.maximum(np.vecdot(amps.real ** 2 + amps.imag ** 2, n)
+                        - np.abs(mean_a) ** 2 - e * g, 0.0)
+    # the positive root of x_norm s^2 + 2 e s - excess
+    s = (np.sqrt(e * e + x_norm * excess) - e) / x_norm
+    return np.sqrt(1.0 - s * s)
 
 
 def _cs_grid_states(system) -> np.ndarray:
@@ -542,7 +396,7 @@ def _split_entropies(weight: np.ndarray, amps: np.ndarray) -> list:
     gives the coefficients; no Schmidt vector is computed.
     """
     split = qcore.split_amplitudes(amps, weight)
-    rows = qcore._normalize_rows(split.reshape(len(amps), -1).copy())
+    rows = qcore._normalize_rows(split.reshape(len(amps), -1))
     coeffs = np.linalg.svd(rows.reshape(split.shape), compute_uv=False)
     return qcore.entropy_from_coefficients(coeffs).tolist()
 
@@ -551,11 +405,10 @@ def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
     """Split seeded Haar-random states and record their entanglement.
 
     Samples whose distance to the fitted nearest coherent state falls
-    inside the guard band are excluded from the non-coherent pool. A
-    closed-form grid of coherent states, built once per scan, screens the
-    samples first: it proves most of them lie outside the band, the refined
-    cover proves most of the rest (see the bounds above ``_Screen``), and a
-    sample is fitted, as a ``StateVector``, only when both fail. Samples go
+    inside the guard band are excluded from the non-coherent pool. A bound
+    from each sample's first moments (``_spin_bound``, ``_fock_bound``; see
+    the proofs above them) proves most samples lie outside the band, and a
+    sample is fitted, as a ``StateVector``, only when it cannot. Samples go
     in chunks of at most ``CHUNK_AMPS`` amplitudes, each normalized by
     ``qcore._normalize_rows``, split with one ``split_amplitudes`` call and
     cut by one values-only stacked SVD. A deterministic coherent-state
@@ -569,12 +422,12 @@ def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
     if isinstance(system, SpinScanSystem):
         space = spin.spin_space(system.j_a)
         weight = spin.coupling_weight(system.j_b, system.j_c)
-        screen = _spin_screen(qcore.as_twice_j(system.j_a))
+        bound = _spin_bound
     else:
         space = fock.fock_space(system.cutoff)
         weight = fock.beamsplit_weight(system.split, system.cutoff)
-        screen = _fock_screen(system.cutoff)
-    chunk = max(1, CHUNK_AMPS // max(weight.size, screen.bras.shape[0]))
+        bound = _fock_bound
+    chunk = max(1, CHUNK_AMPS // weight.size)
 
     min_kept, n_kept = None, 0
     for start in range(0, n_samples, chunk):
@@ -582,7 +435,7 @@ def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
             _haar_amps(seed, i, system.dim)
             for i in range(start, min(start + chunk, n_samples))]))
         entropies = _split_entropies(weight, amps)
-        certified = screen.certified(amps)
+        certified = bound(amps) + SCREEN_MARGIN < _FIDELITY_CEILING
         for row, ent, sure in zip(amps, entropies, certified):
             if sure or _cs_distance(system, StateVector(space, row)) > CS_DISTANCE_GUARD:
                 min_kept = ent if min_kept is None else min(min_kept, ent)

@@ -339,6 +339,18 @@ def test_mean_spin_label_is_fixed_where_the_mean_spin_vanishes():
     assert spin.mean_spin_label(spin_cs(SpinCsParams(j=1, zeta=1e-6)))[0] > 0.0
 
 
+@pytest.mark.parametrize("tj", [1, 2, 7, 40])
+def test_mean_spin_of_a_stack_is_its_rows_bit_for_bit(tj):
+    rng = np.random.default_rng(tj)
+    stack = rng.normal(size=(2, 5, tj + 1)) + 1j * rng.normal(size=(2, 5, tj + 1))
+    stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+    mean_j0, mean_jp = spin._mean_spin(stack)
+    assert mean_j0.shape == mean_jp.shape == (2, 5)
+    for index in np.ndindex(2, 5):
+        row_j0, row_jp = spin._mean_spin(stack[index])
+        assert mean_j0[index] == row_j0 and mean_jp[index] == row_jp
+
+
 def test_nearest_cs_fit_refuses_an_unconverged_search(monkeypatch):
     def starved(*args, options, **kwargs):
         return minimize(*args, options=dict(options, maxiter=3), **kwargs)

@@ -105,6 +105,20 @@ def test_batched_split_equals_per_state_calls():
     assert np.abs(got.reshape(4, -1) - reference).max() <= TOL
 
 
+def test_stacked_split_is_c_contiguous():
+    # each split is one contiguous row of the stack, with the values of the
+    # fancy-indexed gather padded[..., k + l] * weight[k, l]
+    weight = fock.beamsplit_weight(fock.SplitSpec.from_angles(0.4, 2.2), 12)
+    rng = np.random.default_rng(4)
+    batch = rng.normal(size=(3, 2, 13)) + 1j * rng.normal(size=(3, 2, 13))
+    got = qcore.split_amplitudes(batch, weight)
+    assert got.flags.c_contiguous
+    padded = np.zeros((3, 2, 25), dtype=complex)
+    padded[..., :13] = batch
+    total = np.add.outer(np.arange(13), np.arange(13))
+    assert np.array_equal(got, padded[..., total] * weight)
+
+
 def test_large_coherent_states_split_into_products():
     alpha, cutoff = 20.0, 1000
     spec = fock.SplitSpec.from_angles(0.6, 0.4)

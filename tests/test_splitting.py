@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coherence_lab import fock, spin
+from coherence_lab import fock, spin, splitting
 from coherence_lab.errors import NotComposite, ValidationError
 from coherence_lab.qcore import StateVector, overlap, schmidt_cut, tensor_state
 from coherence_lab.splitting import (
@@ -18,9 +18,9 @@ from coherence_lab.splitting import (
     SpinScanSystem,
     _cs_distance,
     _cs_grid_states,
-    _fock_screen,
+    _fock_bound,
     _haar_amps,
-    _spin_screen,
+    _spin_bound,
     aflp_series_solve,
     factorization_report,
     functional_residuals,
@@ -236,27 +236,30 @@ def test_negative_control_non_stretched_coupling_rejected():
 
 def test_guard_band_excludes_planted_cs():
     # plant an exact coherent state among the samples via the guard check
-    from coherence_lab.splitting import _cs_distance
     state = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.7))
     assert _cs_distance(SpinScanSystem(1, 0.5, 0.5), state) < CS_DISTANCE_GUARD
 
 
 # ---------------------------------------------------------------------------
-# the scan's certified grid screen and batching
+# the scan's moment bounds and batching
 # ---------------------------------------------------------------------------
 
-def _screen_case(kind, size, seed, eps):
-    """A screen, a state and its fitted fidelity. ``eps`` None draws a Haar
-    state; otherwise a random coherent state is perturbed by ``eps``."""
+def _certified(bound, amps):
+    return bound(amps) + SCREEN_MARGIN < 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
+
+
+def _bound_case(kind, size, seed, eps):
+    """A moment bound, a state and its fitted fidelity. ``eps`` None draws a
+    Haar state; otherwise a random coherent state is perturbed by ``eps``."""
     rng = np.random.default_rng(seed)
     if kind == "spin":
-        tj = 1 + size % 10
-        screen, space = _spin_screen(tj), spin.spin_space(tj / 2)
+        tj = 1 + size % 40
+        bound, space = _spin_bound, spin.spin_space(tj / 2)
         coherent = spin.spin_cs(spin.SpinCsParams.from_angles(
             tj / 2, rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)))
     else:
-        cutoff = 12 + size % 29
-        screen, space = _fock_screen(cutoff), fock.fock_space(cutoff)
+        cutoff = 12 + size % 49
+        bound, space = _fock_bound, fock.fock_space(cutoff)
         radius = fock.admissible_radius(cutoff) * math.sqrt(rng.uniform())
         coherent = fock.glauber_cs(radius * np.exp(2j * math.pi * rng.uniform()),
                                    cutoff)
@@ -267,7 +270,7 @@ def _screen_case(kind, size, seed, eps):
         fid = spin.nearest_cs_fit(state)[3]
     else:
         fid = fock.nearest_coherent_fit(state)[1]
-    return screen, state, fid
+    return bound, state, fid
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,36 +280,29 @@ def _screen_case(kind, size, seed, eps):
        eps=st.one_of(st.none(), st.just(0.0),
                      st.floats(-8.0, math.log10(0.3)).map(lambda x: 10.0 ** x)))
 def test_screen_bound_covers_fitted_fidelity(kind, size, seed, eps):
-    # spin 2j <= 10 and Fock N = 12..40: Haar states and coherent states
-    # perturbed by 1e-8 to 0.3 never fit above the screen's proven bound,
-    # from the grid alone or over the refined cover
-    screen, state, fid = _screen_case(kind, size, seed, eps)
+    # spin 2j <= 40 and Fock N = 12..60: Haar states and coherent states
+    # perturbed by 1e-8 to 0.3 never fit above the moment bound
+    bound, state, fid = _bound_case(kind, size, seed, eps)
     row = state.amps[None, :]
-    assert screen.bound(row)[0] >= fid - 1e-12
-    assert screen.refined_bound(row)[0] >= fid - 1e-12
+    assert bound(row)[0] >= fid - 1e-12
     if eps == 0.0:  # a planted coherent state is never certified
-        assert not screen.certified(row)[0]
+        assert not _certified(bound, row)[0]
 
 
-def test_refinement_certifies_what_the_grid_cannot():
-    # seed 3 draws 4 spin-1 states the coarse grid leaves open; the refined
-    # cover places all of them outside the guard band
-    screen = _spin_screen(2)
+def test_moment_bound_certifies_every_spin1_sample_of_seed_3():
+    # the largest spin-1 bound of seed 3 is close to 1, but below the guard
     amps = np.stack([StateVector(spin.spin_space(1), _haar_amps(3, i, 3)).amps
                      for i in range(60)])
-    coarse = screen.bound(amps) + SCREEN_MARGIN < 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
-    assert np.count_nonzero(~coarse) == 4
-    assert screen.certified(amps).all()
-    assert (screen.refined_bound(amps)[~coarse] < screen.bound(amps)[~coarse]).all()
+    assert _certified(_spin_bound, amps).all()
 
 
-def test_refinement_stays_within_chunk_memory():
-    # at j = 200, the 15 open cells around a coherent state would split into
-    # about 96 000 amplitudes, over CHUNK_AMPS: the coarse bound stands
-    screen = _spin_screen(400)
+def test_moment_bound_never_certifies_large_coherent_states():
+    # j = 200 and N = 150, where rounding in the moments is largest
     row = spin.spin_cs(spin.SpinCsParams.from_angles(200, 1.0, 2.0)).amps[None, :]
-    assert screen.refined_bound(row)[0] == screen.bound(row)[0] >= 1.0
-    assert not screen.certified(row)[0]
+    assert not _certified(_spin_bound, row)[0]
+    alpha = 0.9 * fock.admissible_radius(150) * np.exp(0.7j)
+    row = fock.glauber_cs(alpha, 150).amps[None, :]
+    assert not _certified(_fock_bound, row)[0]
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -327,6 +323,23 @@ def test_screen_leaves_few_fits(monkeypatch):
     uniqueness_scan(SpinScanSystem(3, 1.5, 1.5), 50, 1)
     uniqueness_scan(SpinScanSystem(1, 0.5, 0.5), 60, 3)
     assert calls == []
+
+
+@pytest.mark.parametrize("system,planted", [
+    (SpinScanSystem(2, 1, 1), spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j))),
+    (FockScanSystem(16), fock.glauber_cs(0.5 + 0.3j, 16)),
+], ids=["spin", "fock"])
+def test_scan_fits_and_excludes_a_planted_coherent_sample(monkeypatch, system, planted):
+    # sample 5 is an exact coherent state: the bound cannot certify it, so the
+    # scan fits it, and the fit puts it inside the guard band
+    haar = splitting._haar_amps
+    monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim: (
+        planted.amps if index == 5 else haar(seed, index, dim)))
+    calls = []
+    _count_calls(monkeypatch, spin, "nearest_cs_fit", calls)
+    _count_calls(monkeypatch, fock, "nearest_coherent_fit", calls)
+    assert uniqueness_scan(system, 12, 7).n_excluded == 1
+    assert len(calls) == 1
 
 
 def per_sample_scan(system, n_samples, seed):
