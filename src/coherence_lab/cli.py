@@ -397,8 +397,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:
+        print(f"numerical error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -13,14 +13,16 @@ convention reproduces the textbook phase formula instead of assuming one.
 Spin: H = beta0 J0 + beta+ J+ + beta+* J-. Each sample is labelled, with
 no fit, by its own mean generator: alpha = <a>, or the mean spin's direction
 (``spin.mean_spin_label``), both exact on coherent states. Both Hamiltonians are
-w0(t) G0 + lam(t) G+ + lam(t)* G-, with G0 diagonal and G+ a fixed
-subdiagonal, and both integrators take fourth-order Magnus steps (two-point
-Gauss-Legendre; Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999);
-Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), unitary per step.
-A step's exponent is built from the generator coefficients (w0, lam) at the
-two nodes and the closed-form commutator [H2, H1], which lies in the span
-of [G+, G-] (diagonal) and [G0, G+-] (off-diagonal). The exponent is
-therefore Hermitian tridiagonal, and one symmetric tridiagonal eigensolve
+w0(t) G0 + lam(t) G+ + lam(t)* G-, with G0 diagonal, G+ a fixed subdiagonal
+and [G0, G+-] = +-G+- (Perelomov, Commun. Math. Phys. 26, 222 (1972)), read
+from the bands ``_generator_bands`` of ``fock`` or ``spin``, and both
+integrators take fourth-order Magnus steps (two-point Gauss-Legendre;
+Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470, 151 (2009)), unitary per step. A step's exponent
+is built from the generator coefficients (w0, lam) at the two nodes and the
+closed-form commutator [H2, H1], which lies in the span of [G+, G-]
+(diagonal) and [G0, G+-] = +-G+- (off-diagonal). The exponent is therefore
+Hermitian tridiagonal over three bands, and one symmetric tridiagonal eigensolve
 (``scipy.linalg.eigh_tridiagonal``) exponentiates it. It is never built
 from the closed-form solution, so the integrator stays an independent
 check of it. A static Hamiltonian (a constant drive, every spin
@@ -53,7 +55,7 @@ from .errors import (
     StepSizeTooLarge,
     ValidationError,
 )
-from .qcore import LinearOperator, StateVector
+from .qcore import StateVector
 
 #: default substep: 1/50 of a drive period
 STEPS_PER_PERIOD = 50
@@ -259,20 +261,17 @@ def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
     trajectory's Magnus substeps (``counts[i]`` over grid interval i).
 
     A substep's exponent is omega dt N + nu a+ + nu* a plus a constant, with
-    nu = (dt/2)(lam1 + lam2) - i c omega (lam1 - lam2) (``_magnus_exponent``).
-    It maps a coherent amplitude exactly to alpha <- r alpha + (r - 1) nu /
-    (omega dt), r = exp(-i omega dt), which is stable at any step: this is
-    the amplitude the untruncated integrator carries from the vacuum.
+    nu from ``_magnus_coefficients``. It maps a coherent amplitude exactly to
+    alpha <- r alpha + (r - 1) nu / (omega dt), r = exp(-i omega dt), which is
+    stable at any step: this is the amplitude the untruncated integrator
+    carries from the vacuum.
     """
     if not counts:
         return 0.0
     dt = np.repeat(np.diff(grid) / counts, counts)
     k = np.arange(dt.size) - np.repeat(np.cumsum(counts) - counts, counts)
     t = np.repeat(grid[:-1], counts) + k * dt
-    lam1 = drive.lam(t + (0.5 - _GL_NODE) * dt)
-    lam2 = drive.lam(t + (0.5 + _GL_NODE) * dt)
-    c = _GL_COMMUTATOR * dt * dt
-    nu = (0.5 * dt) * (lam1 + lam2) - (1j * c * drive.omega) * (lam1 - lam2)
+    _, _, nu = _magnus_coefficients(lambda s: (drive.omega, drive.lam(s)), t, dt)
     phase = -1j * drive.omega * dt
     forcing = np.expm1(phase) * nu / (drive.omega * dt)
     alphas = itertools.accumulate(zip(np.exp(phase).tolist(), forcing.tolist()),
@@ -300,16 +299,30 @@ def _substep_counts(grid: np.ndarray, max_step: float) -> list:
         f"{max_step:.3g}; shorten tmax or weaken the Hamiltonian")
 
 
-def _bands(g0_op: LinearOperator, raising: LinearOperator) -> tuple:
-    """Fixed bands of a Hamiltonian w0 G0 + lam G+ + lam* G- and of its
-    commutators: diag(G0), the subdiagonal g of G+, diag([G+, G-]) =
-    g[k-1]^2 - g[k]^2 (zero outside the bands) and the subdiagonal
-    (g0[k+1] - g0[k]) g[k] of [G0, G+]."""
-    g0 = np.diagonal(g0_op.matrix).real
-    g = np.diagonal(raising.matrix, -1).real
+def _bands(g0: np.ndarray, g: np.ndarray) -> tuple:
+    """The three fixed bands of a Hamiltonian w0 G0 + lam G+ + lam* G- and of
+    its commutators, from a family's ``_generator_bands`` (g0, g): g0, g and
+    diag([G+, G-]) = g[k-1]^2 - g[k]^2 (zero outside the bands). [G0, G+] is
+    G+ itself, so it needs no band of its own."""
     q = np.zeros(g0.size + 1)
     q[1:-1] = g * g
-    return g0, g, q[:-1] - q[1:], (g0[1:] - g0[:-1]) * g
+    return g0, g, q[:-1] - q[1:]
+
+
+def _magnus_coefficients(coeffs: Callable[[float], tuple], t, dt) -> tuple:
+    """``(d0, d1, nu)`` of the exponent M = d0 G0 + d1 [G+, G-] + nu G+ + nu* G-
+    of a fourth-order Magnus substep from t to t + dt (floats or arrays) for
+    H(t) = w0(t) G0 + lam(t) G+ + lam(t)* G-, ``coeffs(t) = (w0, lam)``. With
+    H1, H2 at the Gauss-Legendre nodes, M = (dt/2)(H1 + H2) - i c [H2, H1],
+    c = (sqrt(3)/12) dt^2, and by [G0, G+-] = +-G+-, [H2, H1] =
+    2i Im(lam2 lam1*) [G+, G-] + (w2 lam1 - w1 lam2) G+ - h.c. For a static H
+    the commutator terms are exactly 0 and M is dt times H."""
+    w1, lam1 = coeffs(t + (0.5 - _GL_NODE) * dt)
+    w2, lam2 = coeffs(t + (0.5 + _GL_NODE) * dt)
+    c = _GL_COMMUTATOR * dt * dt
+    with np.errstate(all="ignore"):
+        return (0.5 * dt * (w1 + w2), 2.0 * c * (lam2 * lam1.conjugate()).imag,
+                (0.5 * dt) * (lam1 + lam2) - (1j * c) * (w2 * lam1 - w1 * lam2))
 
 
 def _magnus_exponent(coeffs: Callable[[float], tuple], bands: tuple, t: float,
@@ -317,29 +330,16 @@ def _magnus_exponent(coeffs: Callable[[float], tuple], bands: tuple, t: float,
     """Eigenpairs ``(x, w)``, M = x diag(w) x^H, of the exponent of one
     fourth-order Magnus substep from t to t + dt; its propagator is exp(-i M).
 
-    H(t) = w0(t) G0 + lam(t) G+ + lam(t)* G- with ``coeffs(t) = (w0, lam)``
-    over the ``_bands``. With H1, H2 at the Gauss-Legendre nodes,
-    M = (dt/2)(H1 + H2) - i c [H2, H1], c = (sqrt(3)/12) dt^2, and
-
-        [H2, H1] = 2i Im(lam2 lam1*) [G+, G-]
-                   + (w2 lam1 - w1 lam2) [G0, G+] - h.c.,
-
-    so M is Hermitian tridiagonal: its diagonal is
-    (dt/2)(w1 + w2) G0 + 2c Im(lam2 lam1*) [G+, G-] and its subdiagonal
-    (dt/2)(lam1 + lam2) G+ - i c (w2 lam1 - w1 lam2) [G0, G+]. The diagonal
-    phases D that make D* M D real and nonnegative below the diagonal reduce
-    M to a real symmetric tridiagonal V diag(w) V^T, which one tridiagonal
-    eigensolve factors; then x = D V. For a static H the commutator terms are
-    exactly 0 and M is dt times H.
-    """
-    g0, g, comm_diag, comm_sub = bands
-    w1, lam1 = coeffs(t + (0.5 - _GL_NODE) * dt)
-    w2, lam2 = coeffs(t + (0.5 + _GL_NODE) * dt)
-    c = _GL_COMMUTATOR * dt * dt
+    M is Hermitian tridiagonal over the three ``_bands``, with diagonal
+    d0 g0 + d1 diag([G+, G-]) and subdiagonal nu g (``_magnus_coefficients``).
+    The diagonal phases D that make D* M D real and nonnegative below the
+    diagonal reduce M to a real symmetric tridiagonal V diag(w) V^T, which one
+    tridiagonal eigensolve factors; then x = D V."""
+    g0, g, comm_diag = bands
+    d0, d1, nu = _magnus_coefficients(coeffs, t, dt)
     with np.errstate(all="ignore"):
-        diagonal = ((0.5 * dt * (w1 + w2)) * g0
-                    + (2.0 * c * (lam2 * lam1.conjugate()).imag) * comm_diag)
-        sub = (0.5 * dt * (lam1 + lam2)) * g - (1j * c * (w2 * lam1 - w1 * lam2)) * comm_sub
+        diagonal = d0 * g0 + d1 * comm_diag
+        sub = nu * g
     # checked here, so the eigensolve need not check again
     if not (np.isfinite(diagonal).all() and np.isfinite(sub).all()):
         raise NumericalError("the Magnus exponent leaves the float range")
@@ -401,17 +401,16 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
     if max_step is None:
         max_step = (2.0 * math.pi / max(drive.omega, abs(drive.frequency))) / STEPS_PER_PERIOD
     counts = _substep_counts(grid, max_step)
-    a, adag = fock.ladder_ops(cutoff)
-    n_op = fock.number_op(cutoff)
-    alpha0 = qcore.expectation(a, initial)
+    g0, g = fock._generator_bands(cutoff)
+    alpha0 = qcore._first_moments(initial.amps, g0, g)[1]
     reach = abs(alpha0) + _drive_reach(drive, grid, counts)
     fock.check_cutoff(reach, cutoff)
 
     states, alphas, raw_phases, fids = [], [], [], []
-    for psi in _stepped(lambda t: (drive.omega, drive.lam(t)), _bands(n_op, adag),
+    for psi in _stepped(lambda t: (drive.omega, drive.lam(t)), _bands(g0, g),
                         drive.is_static, initial.amps, grid, counts):
         state = StateVector(space, psi)
-        alpha = complex(np.vdot(psi, a.matrix @ psi))
+        alpha = complex(qcore._first_moments(psi, g0, g)[1])
         ov = cs_overlap(state, alpha)
         states.append(state)
         alphas.append(alpha)
@@ -441,12 +440,6 @@ class LinearSpinHamiltonian:
         object.__setattr__(self, "beta0", float(np.real(self.beta0)))
         object.__setattr__(self, "beta_plus", complex(self.beta_plus))
 
-    def operator(self, j) -> LinearOperator:
-        j0, jp, jm = spin.spin_ops(j)
-        mat = (self.beta0 * j0.matrix + self.beta_plus * jp.matrix
-               + np.conj(self.beta_plus) * jm.matrix)
-        return LinearOperator(j0.space, mat, hermitian=True)
-
     @property
     def strength(self) -> float:
         return math.hypot(self.beta0, 2.0 * abs(self.beta_plus))
@@ -461,10 +454,10 @@ def evolve_spin(hamiltonian: LinearSpinHamiltonian, j, t_grid,
     space = spin.spin_space(j)
     if initial.space != space:
         raise ValidationError("initial state must live on spin(j)")
-    j0, jp, _ = spin.spin_ops(j)
+    bands = _bands(*spin._generator_bands(space.factors[0].twice_j))
     coeffs = (hamiltonian.beta0, hamiltonian.beta_plus)
     states = [StateVector(space, psi)
-              for psi in _stepped(lambda t: coeffs, _bands(j0, jp), True, initial.amps,
+              for psi in _stepped(lambda t: coeffs, bands, True, initial.amps,
                                   grid, [1] * (grid.size - 1))]
     thetas, phis, zetas, fids = zip(*map(spin.mean_spin_label, states))
     return SpinTrajectory(

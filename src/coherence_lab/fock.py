@@ -2,6 +2,8 @@
 displacement, Glauber coherent states, and beamsplitter splitting. Coherent
 amplitudes and beamsplitter weights come from one log-domain closed form
 (``_coherent_logs``), so no power or factorial overflows at any cutoff.
+Its generators N and a+ ([G0, G+-] = +-G+-) live in one band form, n and
+sqrt(n + 1) (``_generator_bands``): every operator, moment and Magnus step reads it.
 
 Truncation policy: an amplitude alpha is admitted at cutoff N only when
 N >= |alpha|^2 + 12*sqrt(|alpha|^2 + 1), which keeps the neglected Poisson
@@ -95,20 +97,24 @@ def number_state(cutoff: int, n: int) -> StateVector:
     return StateVector.basis(fock_space(cutoff), n)
 
 
-def ladder_ops(cutoff: int):
-    """Annihilation and creation operators truncated at ``cutoff``."""
+def _generator_bands(cutoff: int) -> tuple:
+    """``(g0, g)``: g0 = n over n = 0..N and g = sqrt(n + 1), the subdiagonal
+    of a+, over n = 0..N-1."""
     if cutoff < 1:
         raise ValidationError("ladder operators need cutoff >= 1")
+    g0 = np.arange(cutoff + 1.0)
+    return g0, np.sqrt(g0[1:])
+
+
+def ladder_ops(cutoff: int):
+    """Annihilation and creation operators truncated at ``cutoff``."""
     space = fock_space(cutoff)
-    a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for n in range(1, cutoff + 1):
-        a[n - 1, n] = math.sqrt(n)
-    return LinearOperator(space, a), LinearOperator(space, a.conj().T)
+    _, g = _generator_bands(cutoff)
+    return LinearOperator(space, np.diag(g, 1)), LinearOperator(space, np.diag(g, -1))
 
 
 def number_op(cutoff: int) -> LinearOperator:
-    space = fock_space(cutoff)
-    return LinearOperator(space, np.diag(np.arange(cutoff + 1)).astype(complex),
+    return LinearOperator(fock_space(cutoff), np.diag(_generator_bands(cutoff)[0]),
                           hermitian=True)
 
 
@@ -186,7 +192,6 @@ def nearest_coherent_fit(state: StateVector):
     if not state.space.is_single("fock"):
         raise SpaceMismatch("nearest_coherent_fit needs a single Fock factor")
     cutoff = state.space.factors[0].cutoff
-    a, _ = ladder_ops(cutoff)
     max_abs = admissible_radius(cutoff)
 
     def clip(z: complex) -> complex:
@@ -197,6 +202,6 @@ def nearest_coherent_fit(state: StateVector):
         bra = np.exp(_coherent_logs(alpha, cutoff) - abs(alpha) ** 2 / 2.0)
         return abs(np.vdot(bra, state.amps)) / np.linalg.norm(bra)
 
-    start = clip(qcore.expectation(a, state))
+    start = clip(complex(qcore._first_moments(state.amps, *_generator_bands(cutoff))[1]))
     best, best_fid = qcore.polish_fit(fid, (start.real, start.imag), minimize)
     return clip(complex(*best)), best_fid

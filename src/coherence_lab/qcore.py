@@ -2,7 +2,10 @@
 
 States, operators, tensor products, the split kernel, Schmidt analysis,
 matrix exponentials, expectation values and the nearest-coherent fits'
-polish, shared by the oscillator and spin front ends.
+polish, shared by the oscillator and spin front ends. Both are generated by
+a diagonal G0 and a raising band G+ with [G0, G+-] = +-G+- (Perelomov,
+Commun. Math. Phys. 26, 222 (1972)), each kept as one band form ``(g0, g)``
+in ``fock`` and ``spin``; ``_first_moments`` reads first moments from it.
 
 Basis conventions (fixed for bit-exact I/O):
   * Fock levels ascend by photon number n = 0..N.
@@ -48,9 +51,9 @@ ISOMETRY_TOL = 1e-10
 PRODUCT_THRESHOLD_BITS = 1e-9
 #: Nelder-Mead options of every nearest-coherent fit's polish
 POLISH_OPTIONS = dict(xatol=1e-10, fatol=1e-15, maxiter=600)
-#: Largest factor parameter (Fock cutoff or 2j) accepted. A dense operator or
-#: a split grid on a bigger factor needs over 10^12 entries, so larger values
-#: are refused before any array is allocated.
+#: Largest factor parameter (Fock cutoff or 2j) accepted. A dense operator or a
+#: split grid at this limit still needs about 10^12 entries (16 TB); the CLI
+#: reports such a failed allocation (``MemoryError``) as a numerical failure.
 MAX_FACTOR_PARAM = 10 ** 6
 
 
@@ -367,6 +370,16 @@ def expectation(op: LinearOperator, state: StateVector) -> complex:
     if op.space != state.space:
         raise SpaceMismatch("operator and state live on different spaces")
     return complex(np.vdot(state.amps, op.matrix @ state.amps))
+
+
+def _first_moments(amps: np.ndarray, g0: np.ndarray, g: np.ndarray) -> tuple:
+    """``(<G0>, <G->)`` of each unit row of ``amps`` (last axis) from a band
+    form: ``g0`` = diag(G0), ``g`` the subdiagonal of G+ (<N>, <a> for a mode).
+    A stack's rows and the dense ``expectation`` of G- agree bit for bit."""
+    # at full length, as the dense product: a shorter sum rounds differently
+    lowered = np.zeros_like(amps)
+    lowered[..., :-1] = g * amps[..., 1:]
+    return np.vecdot(amps.real ** 2 + amps.imag ** 2, g0), np.vecdot(amps, lowered)
 
 
 def moments(op: LinearOperator, state: StateVector):

@@ -8,6 +8,8 @@ antipodal point, the highest-weight state) is reachable through the angle
 form only, never through an infinite zeta. The amplitudes come from one
 log-domain closed form at the sphere angles (``_cs_logs``), and the coupling
 weights from its log-binomial rows, so no binomial or power overflows.
+Its generators J0 and J+ ([G0, G+-] = +-G+-) live in one band form, m and
+sqrt((2j - k)(k + 1)) (``_generator_bands``): every operator, moment and step reads it.
 """
 
 from __future__ import annotations
@@ -39,20 +41,11 @@ def spin_space(j) -> SpaceDescriptor:
 
 def spin_ops(j):
     """J0, J+, J- as (2j+1)-dimensional matrices, basis m ascending."""
-    tj = as_twice_j(j)
-    if tj < 1:
-        raise ValidationError("spin operators need j >= 1/2")
-    dim = tj + 1
-    jv = tj / 2.0
-    m = -jv + np.arange(dim)
     space = spin_space(j)
-    j0 = np.diag(m).astype(complex)
-    jp = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim - 1):
-        jp[i + 1, i] = math.sqrt((jv - m[i]) * (jv + m[i] + 1.0))
-    return (LinearOperator(space, j0, hermitian=True),
-            LinearOperator(space, jp),
-            LinearOperator(space, jp.conj().T))
+    m, g = _generator_bands(space.factors[0].twice_j)
+    return (LinearOperator(space, np.diag(m), hermitian=True),
+            LinearOperator(space, np.diag(g, -1)),
+            LinearOperator(space, np.diag(g, 1)))
 
 
 def lowest_state(j) -> StateVector:
@@ -120,6 +113,15 @@ def _cs_rows(tj: int) -> tuple:
     for row in rows:
         row.setflags(write=False)
     return rows
+
+
+def _generator_bands(tj: int) -> tuple:
+    """``(m, g)`` of spin j = tj / 2: m = k - j over levels k = 0..2j and
+    g = sqrt((2j - k)(k + 1)), the subdiagonal of J+, over k = 0..2j-1."""
+    if tj < 1:
+        raise ValidationError("spin operators need j >= 1/2")
+    _, k, rest = _cs_rows(tj)
+    return k - tj / 2.0, np.sqrt(rest[:-1] * k[1:])
 
 
 def _cs_logs(rows, theta, phi) -> np.ndarray:
@@ -248,24 +250,13 @@ def _label(theta: float, phi: float) -> tuple:
 MEAN_SPIN_ROUNDING = 8 * np.finfo(float).eps
 
 
-def _mean_spin(amps: np.ndarray) -> tuple:
-    """``(<J0>, <J+>)`` of each unit row of ``amps`` over its last axis, the
-    2j + 1 levels m = -j..j."""
-    tj = amps.shape[-1] - 1
-    _, k, rest = _cs_rows(tj)
-    mean_j0 = np.vecdot(amps.real ** 2 + amps.imag ** 2, k - tj / 2.0)
-    # J+ raises level k to k + 1 with sqrt((2j - k)(k + 1))
-    mean_jp = np.vecdot(amps[..., 1:], np.sqrt(rest[:-1] * k[1:]) * amps[..., :-1])
-    return mean_j0, mean_jp
-
-
 def mean_spin_label(state: StateVector):
     """``(theta, phi, zeta, fidelity)`` read from the mean spin, with the
     overlap at that label as ``fidelity``.
 
     A coherent state has <J> = j n (Arecchi, Courtens, Gilmore & Thomas,
-    Phys. Rev. A 6, 2211 (1972)): here <J0> = -j cos(theta) and <J+> =
-    j sin(theta) exp(i (phi - pi)), so the label is exact on coherent states.
+    Phys. Rev. A 6, 2211 (1972)): here <J0> = -j cos(theta) and <J-> =
+    j sin(theta) exp(i (pi - phi)), so the label is exact on coherent states.
     When |<J>| is at most ``MEAN_SPIN_ROUNDING`` j (2j + 1), about the
     rounding of a sum of 2j + 1 terms of size j, the mean spin has no
     direction (as for |1, 0>), and the label is fixed at theta = 0, phi = 0,
@@ -274,15 +265,14 @@ def mean_spin_label(state: StateVector):
     if not state.space.is_single("spin"):
         raise SpaceMismatch("mean_spin_label needs a single spin factor")
     tj = state.space.factors[0].twice_j
-    rows = _cs_rows(tj)
     amps = state.amps
-    mean_j0, mean_jp = _mean_spin(amps)
-    if math.hypot(mean_j0, abs(mean_jp)) <= MEAN_SPIN_ROUNDING * tj / 2.0 * (tj + 1):
+    mean_j0, mean_jm = qcore._first_moments(amps, *_generator_bands(tj))
+    if math.hypot(mean_j0, abs(mean_jm)) <= MEAN_SPIN_ROUNDING * tj / 2.0 * (tj + 1):
         theta, phi, zeta = _label(0.0, 0.0)
     else:
-        theta, phi, zeta = _label(math.atan2(abs(mean_jp), -mean_j0),
-                                  math.pi + cmath.phase(mean_jp))
-    return theta, phi, zeta, abs(np.vdot(_angles_amps(rows, theta, phi), amps))
+        theta, phi, zeta = _label(math.atan2(abs(mean_jm), -mean_j0),
+                                  math.pi - cmath.phase(mean_jm))
+    return theta, phi, zeta, abs(np.vdot(_angles_amps(_cs_rows(tj), theta, phi), amps))
 
 
 def nearest_cs_fit(state: StateVector):

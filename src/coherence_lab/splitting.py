@@ -342,9 +342,9 @@ _FIDELITY_CEILING = 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
 
 def _spin_bound(amps: np.ndarray) -> np.ndarray:
     """Per unit spin row of ``amps``: a ceiling on its best coherent fidelity."""
-    mean_j0, mean_jp = spin._mean_spin(amps)
-    j = (amps.shape[-1] - 1) / 2.0
-    return np.sqrt((1.0 + np.hypot(mean_j0, np.abs(mean_jp)) / j) / 2.0)
+    tj = amps.shape[-1] - 1
+    mean_j0, mean_jm = qcore._first_moments(amps, *spin._generator_bands(tj))
+    return np.sqrt((1.0 + np.hypot(mean_j0, np.abs(mean_jm)) / (tj / 2.0)) / 2.0)
 
 
 def _fock_bound(amps: np.ndarray) -> np.ndarray:
@@ -355,10 +355,8 @@ def _fock_bound(amps: np.ndarray) -> np.ndarray:
     edge = np.exp(fock._coherent_logs(radius, cutoff).real - radius * radius / 2.0)
     g = edge[-1] / np.linalg.norm(edge)
     e, x_norm = radius * radius * g, (math.sqrt(cutoff) + radius) ** 2
-    n = np.arange(cutoff + 1.0)
-    mean_a = np.vecdot(amps[..., :-1], np.sqrt(n[1:]) * amps[..., 1:])
-    excess = np.maximum(np.vecdot(amps.real ** 2 + amps.imag ** 2, n)
-                        - np.abs(mean_a) ** 2 - e * g, 0.0)
+    mean_n, mean_a = qcore._first_moments(amps, *fock._generator_bands(cutoff))
+    excess = np.maximum(mean_n - np.abs(mean_a) ** 2 - e * g, 0.0)
     # the positive root of x_norm s^2 + 2 e s - excess
     s = (np.sqrt(e * e + x_norm * excess) - e) / x_norm
     return np.sqrt(1.0 - s * s)

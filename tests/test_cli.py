@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coherence_lab import fock, qcore, serialize, spin
+from coherence_lab import dynamics, fock, qcore, serialize, spin, splitting
 from coherence_lab.cli import main
 from coherence_lab.qcore import SpaceDescriptor, StateVector
 
@@ -162,6 +162,20 @@ def test_chsh_on_saved_split_coherent_state(tmp_path):
     assert read_json(a)["max_value"] <= 2 + 1e-8
     assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_readme_library_quick_start_runs():
+    # the README's "Library quick start" block, run as written, reaches the
+    # results its comments state
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["report"].entropy_bits < 1e-9
+    assert names["bell"].horodecki_max(names["pair"]) == pytest.approx(2 * math.sqrt(2),
+                                                                       abs=1e-12)
+    assert names["traj"].cs_fidelity.min() > 1 - 1e-6
 
 
 def test_chsh_reproducible_bytes(tmp_path):
@@ -358,6 +372,10 @@ def test_validation_error_exit_code(capsys):
      "--tmax", "1", "--samples", "3"],
     ["evolve", "--system", "spin", "--j", "1", "--beta0", "nan", "--zeta0", "0.5",
      "--tmax", "1", "--samples", "3"],
+    # the generator bands need two levels
+    ["evolve", "--N", "0", "--omega", "1", "--tmax", "1", "--samples", "2"],
+    ["evolve", "--system", "spin", "--j", "0", "--beta0", "1", "--zeta0", "0.5",
+     "--tmax", "1", "--samples", "2"],
 ])
 def test_malformed_values_exit_2_with_one_line(argv, capsys):
     assert run_cli(argv) == 2
@@ -405,6 +423,31 @@ def test_numerical_failures_exit_3_with_one_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("numerical error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("module,name,argv", [
+    (dynamics, "evolve_fock", ["evolve", "--N", "20", "--omega", "1", "--tmax", "1",
+                               "--samples", "2"]),
+    (dynamics, "evolve_spin", ["evolve", "--system", "spin", "--j", "1", "--beta0", "1",
+                               "--zeta0", "0.5", "--tmax", "1", "--samples", "3"]),
+    (fock, "split_fock", ["split", "--system", "fock", "--alpha", "1", "--N", "20"]),
+    (splitting, "uniqueness_scan", ["scan", "--system", "fock", "--N", "20",
+                                    "--n-samples", "1", "--seed", "1"]),
+], ids=["evolve-fock", "evolve-spin", "split", "scan"])
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 14.6 TiB for an array with shape (1000001, 1000001) and "
+    "data type complex128", ""], ids=["numpy", "bare"])
+def test_out_of_memory_exits_3_with_one_line(module, name, argv, message, monkeypatch,
+                                             capsys):
+    # a stand-in for a request too large to allocate: tier-1 never asks for one
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, name, too_large)
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical error: {message or 'out of memory'}\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coherence_lab.dynamics as dyn
-from coherence_lab import fock, qcore, spin
+from coherence_lab import fock, qcore, spin, splitting
 from coherence_lab.dynamics import (
     DriveSpec,
     LinearSpinHamiltonian,
@@ -393,9 +393,9 @@ def test_magnus_propagator_matches_dense_expm(system, w1, w2, lam1, lam2, dt, t)
     # lam = 0 leaves zero bands and a subnormal lam subnormal ones, which the
     # phase gauge must keep finite; at the truncation corner k = N the
     # commutator [G+, G-] is +N, not -1
-    ops = generator_ops(*system)
-    generators = [op.matrix for op in ops]
-    bands = dyn._bands(ops[0], ops[1])
+    generators = [op.matrix for op in generator_ops(*system)]
+    family = fock if system[0] == "fock" else spin
+    bands = dyn._bands(*family._generator_bands(system[1]))
     nodes = ((w1, complex(lam1)), (w2, complex(lam2)))
     x, w = dyn._magnus_exponent(two_nodes(t, dt, nodes), bands, t, dt)
     assert_unitary_match((x * np.exp(-1j * w)) @ x.conj().T,
@@ -404,6 +404,29 @@ def test_magnus_propagator_matches_dense_expm(system, w1, w2, lam1, lam2, dt, t)
     x, w = dyn._magnus_exponent(lambda s: nodes[1], bands, t, 1.0)
     assert_unitary_match((x * np.exp(-1j * dt * w)) @ x.conj().T,
                          dense_magnus_propagator(generators, (nodes[1], nodes[1]), dt))
+
+
+def test_command_paths_build_no_dense_generator(monkeypatch):
+    # evolve, the scan's bounds and the Fock fit read the generators as bands:
+    # building a dense (N+1)^2 generator, or a dense expectation, fails the test
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense generator was built")
+
+    for module, name in ((fock, "ladder_ops"), (fock, "number_op"), (spin, "spin_ops"),
+                         (qcore, "expectation")):
+        monkeypatch.setattr(module, name, dense)
+    traj = evolve_fock(DriveSpec.sinusoid(1.0, 0.2, 0.7), np.linspace(0.0, 3.0, 7), 24,
+                       initial=fock.glauber_cs(0.3 - 0.2j, 24))
+    assert traj.cs_fidelity.min() > 1 - 1e-9
+    traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 2, np.linspace(0.0, 3.0, 7),
+                       spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j)))
+    assert traj.cs_fidelity.min() > 1 - 1e-12
+    # a planted coherent sample is fitted, from <a>, and excluded
+    planted = fock.glauber_cs(0.5 + 0.3j, 16).amps
+    haar = splitting._haar_amps
+    monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim: (
+        planted if index == 5 else haar(seed, index, dim)))
+    assert splitting.uniqueness_scan(splitting.FockScanSystem(16), 12, 7).n_excluded == 1
 
 
 def test_steps_use_tridiagonal_eigensolves_not_expm(monkeypatch):
@@ -496,12 +519,6 @@ def test_evolve_spin_fidelity_of_a_non_coherent_state_is_at_most_the_fit():
                        spin.basis_state(1, 0))
     for state, fid in zip(traj.states, traj.cs_fidelity):
         assert fid <= spin.nearest_cs_fit(state)[3]
-
-
-def test_linear_spin_hamiltonian_hermitian():
-    ham = LinearSpinHamiltonian(0.7, 0.2 - 0.1j)
-    op = ham.operator(1.5)
-    assert np.abs(op.matrix - op.matrix.conj().T).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

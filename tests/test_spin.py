@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.stats import binom
 
-from coherence_lab import qcore, spin
+from coherence_lab import fock, qcore, spin
 from coherence_lab.dynamics import LinearSpinHamiltonian, evolve_spin
 from coherence_lab.errors import (
     AntipodalPoint,
@@ -341,14 +341,26 @@ def test_mean_spin_label_is_fixed_where_the_mean_spin_vanishes():
 
 @pytest.mark.parametrize("tj", [1, 2, 7, 40])
 def test_mean_spin_of_a_stack_is_its_rows_bit_for_bit(tj):
+    # the first moments of both families (spin 2j = tj and Fock cutoff tj):
+    # a stack gives its rows' values, and the mode's <a> is the dense
+    # operator's, bit for bit
     rng = np.random.default_rng(tj)
     stack = rng.normal(size=(2, 5, tj + 1)) + 1j * rng.normal(size=(2, 5, tj + 1))
     stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
-    mean_j0, mean_jp = spin._mean_spin(stack)
-    assert mean_j0.shape == mean_jp.shape == (2, 5)
-    for index in np.ndindex(2, 5):
-        row_j0, row_jp = spin._mean_spin(stack[index])
-        assert mean_j0[index] == row_j0 and mean_jp[index] == row_jp
+    a, _ = fock.ladder_ops(tj)
+    j0, _, jm = spin_ops(tj / 2)
+    for family in (spin, fock):
+        mean_g0, mean_gm = qcore._first_moments(stack, *family._generator_bands(tj))
+        assert mean_g0.shape == mean_gm.shape == (2, 5)
+        for index in np.ndindex(2, 5):
+            row = stack[index]
+            row_g0, row_gm = qcore._first_moments(row, *family._generator_bands(tj))
+            assert mean_g0[index] == row_g0 and mean_gm[index] == row_gm
+            if family is fock:
+                assert row_gm == np.vdot(row, a.matrix @ row)
+            else:
+                assert row_g0 == pytest.approx(np.vdot(row, j0.matrix @ row).real, abs=1e-13)
+                assert row_gm == pytest.approx(np.vdot(row, jm.matrix @ row), abs=1e-13)
 
 
 def test_nearest_cs_fit_refuses_an_unconverged_search(monkeypatch):
