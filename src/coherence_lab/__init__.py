@@ -4,7 +4,6 @@ their splitting into subsystems, CHSH analysis, and phase-space dynamics."""
 from . import bell, dynamics, fock, qcore, serialize, spin, splitting
 from .errors import CoherenceLabError, NumericalError, ValidationError
 from .qcore import (
-    LinearOperator,
     SchmidtReport,
     SpaceDescriptor,
     StateVector,
@@ -22,7 +21,6 @@ __all__ = [
     "CoherenceLabError",
     "NumericalError",
     "ValidationError",
-    "LinearOperator",
     "SchmidtReport",
     "SpaceDescriptor",
     "StateVector",

@@ -37,7 +37,7 @@ from .errors import (
     StrategyUnavailable,
     ValidationError,
 )
-from .qcore import LinearOperator, SpaceDescriptor, StateVector
+from .qcore import SpaceDescriptor, StateVector
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -46,25 +46,36 @@ PAULI_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 PAULI_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
+HERMITIAN_TOL = 1e-12
 _INVOLUTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DichotomicObservable:
-    """Hermitian operator with spectrum in {+1, -1}.
+    """Hermitian matrix with spectrum in {+1, -1}, acting on ``space``.
 
-    ``parameterization`` records how it was built: ``("direction", n)`` for
-    a Bloch direction on a two-level factor, or ``("unitary-signs", U, s)``
-    for U diag(s) U+ on a higher-dimensional one.
+    ``matrix`` is kept as a read-only complex (dim, dim) array, checked to
+    be Hermitian within ``HERMITIAN_TOL`` and to square to the identity
+    within ``_INVOLUTION_TOL``. ``direction`` is the unit Bloch vector n of
+    an observable n . sigma on a two-level factor, and None for any other.
     """
 
-    operator: LinearOperator
-    parameterization: tuple
+    space: SpaceDescriptor
+    matrix: np.ndarray
+    direction: Optional[tuple] = None
 
     def __post_init__(self):
-        mat = self.operator.matrix
-        if np.abs(mat @ mat - np.eye(mat.shape[0])).max() >= _INVOLUTION_TOL:
+        mat = np.array(self.matrix, dtype=complex)
+        d = self.space.dim
+        if mat.shape != (d, d):
+            raise ValidationError(f"matrix shape {mat.shape} does not match dim {d}")
+        # not (x < tol): a NaN entry fails both checks
+        if not np.abs(mat - mat.conj().T).max() < HERMITIAN_TOL:
+            raise ValidationError("observable must be Hermitian")
+        if not np.abs(mat @ mat - np.eye(d)).max() < _INVOLUTION_TOL:
             raise ValidationError("observable must square to the identity")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
 
 def qubit_observable(direction, space: Optional[SpaceDescriptor] = None
@@ -80,8 +91,7 @@ def qubit_observable(direction, space: Optional[SpaceDescriptor] = None
     if space.dim != 2 or space.nfactors != 1:
         raise ValidationError("qubit_observable needs a single two-level factor")
     mat = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    op = LinearOperator(space, mat, hermitian=True)
-    return DichotomicObservable(op, ("direction", tuple(n)))
+    return DichotomicObservable(space, mat, tuple(n))
 
 
 def observable_from_unitary(unitary, signs, space: SpaceDescriptor
@@ -96,9 +106,7 @@ def observable_from_unitary(unitary, signs, space: SpaceDescriptor
         raise ValidationError("signs must be +-1")
     if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-10:
         raise ValidationError("matrix is not unitary")
-    mat = (u * s) @ u.conj().T
-    op = LinearOperator(space, mat, hermitian=True)
-    return DichotomicObservable(op, ("unitary-signs", u, tuple(int(x) for x in s)))
+    return DichotomicObservable(space, (u * s) @ u.conj().T)
 
 
 @dataclass(frozen=True)
@@ -112,12 +120,13 @@ class ChshSettings:
     c_prime: DichotomicObservable
 
     def angle_lists(self):
-        """Bloch angles (theta, phi) per observable where available."""
+        """Bloch angles (theta, phi) per observable, or None unless every
+        observable has a Bloch direction."""
         out = []
         for obs in (self.b, self.b_prime, self.c, self.c_prime):
-            if obs.parameterization[0] != "direction":
+            if obs.direction is None:
                 return None
-            nx, ny, nz = obs.parameterization[1]
+            nx, ny, nz = obs.direction
             out.append([math.acos(max(-1.0, min(1.0, nz))), math.atan2(ny, nx)])
         return out
 
@@ -129,7 +138,7 @@ def _check_settings(state: StateVector, settings: ChshSettings):
     space_c = state.space.subspace(1, 2)
     for obs, space in ((settings.b, space_b), (settings.b_prime, space_b),
                        (settings.c, space_c), (settings.c_prime, space_c)):
-        if obs.operator.space != space:
+        if obs.space != space:
             raise SpaceMismatch("observable does not act on its own factor")
 
 
@@ -140,7 +149,7 @@ def chsh_value(state: StateVector, settings: ChshSettings) -> float:
 
     def corr(ob, oc):
         # <B (x) C> = Tr(M+ B M C^T) with M the amplitude matrix
-        return np.vdot(m, ob.operator.matrix @ m @ oc.operator.matrix.T)
+        return np.vdot(m, ob.matrix @ m @ oc.matrix.T)
 
     total = (corr(settings.b, settings.c) + corr(settings.b_prime, settings.c)
              + corr(settings.b, settings.c_prime)

@@ -1,9 +1,9 @@
-"""Truncated single-mode oscillator: ladder and quadrature operators,
-displacement, Glauber coherent states, and beamsplitter splitting. Coherent
-amplitudes and beamsplitter weights come from one log-domain closed form
+"""Truncated single-mode oscillator: Fock and Glauber coherent states,
+beamsplitter splitting and the nearest-coherent fit. Coherent amplitudes
+and beamsplitter weights come from one log-domain closed form
 (``_coherent_logs``), so no power or factorial overflows at any cutoff.
 Its generators N and a+ ([G0, G+-] = +-G+-) live in one band form, n and
-sqrt(n + 1) (``_generator_bands``): every operator, moment and Magnus step reads it.
+sqrt(n + 1) (``_generator_bands``), which every moment and Magnus step reads.
 
 Truncation policy: an amplitude alpha is admitted at cutoff N only when
 N >= |alpha|^2 + 12*sqrt(|alpha|^2 + 1), which keeps the neglected Poisson
@@ -21,9 +21,7 @@ from scipy.special import gammaln, xlogy
 
 from . import qcore
 from .errors import SpaceMismatch, TruncationTooSmall, ValidationError
-from .qcore import LinearOperator, SpaceDescriptor, StateVector
-
-TAIL_TOLERANCE = 1e-12
+from .qcore import SpaceDescriptor, StateVector
 
 
 def required_cutoff(alpha) -> int:
@@ -104,36 +102,6 @@ def _generator_bands(cutoff: int) -> tuple:
         raise ValidationError("ladder operators need cutoff >= 1")
     g0 = np.arange(cutoff + 1.0)
     return g0, np.sqrt(g0[1:])
-
-
-def ladder_ops(cutoff: int):
-    """Annihilation and creation operators truncated at ``cutoff``."""
-    space = fock_space(cutoff)
-    _, g = _generator_bands(cutoff)
-    return LinearOperator(space, np.diag(g, 1)), LinearOperator(space, np.diag(g, -1))
-
-
-def number_op(cutoff: int) -> LinearOperator:
-    return LinearOperator(fock_space(cutoff), np.diag(_generator_bands(cutoff)[0]),
-                          hermitian=True)
-
-
-def quadrature_ops(cutoff: int):
-    """Scaled position and momentum q = (a + a+)/sqrt2, p = (a - a+)/(i sqrt2)."""
-    a, adag = ladder_ops(cutoff)
-    space = a.space
-    q = (a.matrix + adag.matrix) / math.sqrt(2.0)
-    p = (a.matrix - adag.matrix) / (1j * math.sqrt(2.0))
-    return (LinearOperator(space, q, hermitian=True),
-            LinearOperator(space, p, hermitian=True))
-
-
-def displacement(alpha, cutoff: int) -> LinearOperator:
-    """exp(alpha a+ - alpha* a), unitary on the retained subspace."""
-    check_cutoff(alpha, cutoff)
-    a, adag = ladder_ops(cutoff)
-    gen = alpha * adag.matrix - np.conj(alpha) * a.matrix
-    return qcore.mat_exp(LinearOperator(a.space, gen))
 
 
 def _coherent_logs(alpha, cutoff: int) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Finite-dimensional complex Hilbert-space kernel.
 
-States, operators, tensor products, the split kernel, Schmidt analysis,
-matrix exponentials, expectation values and the nearest-coherent fits'
-polish, shared by the oscillator and spin front ends. Both are generated by
-a diagonal G0 and a raising band G+ with [G0, G+-] = +-G+- (Perelomov,
-Commun. Math. Phys. 26, 222 (1972)), each kept as one band form ``(g0, g)``
-in ``fock`` and ``spin``; ``_first_moments`` reads first moments from it.
+States, tensor products, the split kernel, Schmidt analysis, first moments
+and the nearest-coherent fits' polish, shared by the oscillator and spin
+front ends. Both are generated by a diagonal G0 and a raising band G+ with
+[G0, G+-] = +-G+- (Perelomov, Commun. Math. Phys. 26, 222 (1972)), each
+kept as one band form ``(g0, g)`` in ``fock`` and ``spin`` and never as a
+dense matrix; ``_first_moments`` reads first moments from it.
 
 Basis conventions (fixed for bit-exact I/O):
   * Fock levels ascend by photon number n = 0..N.
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InvalidWeight,
@@ -45,15 +44,14 @@ NORM_TOL = 1e-12
 #: amplitudes as given. One division by its norm lands within 3 eps of 1 at
 #: any dimension, so rebuilding a state never moves its amplitudes.
 NORM_ROUNDING = 4 * np.finfo(float).eps
-HERMITIAN_TOL = 1e-12
 ISOMETRY_TOL = 1e-10
 #: Schmidt entropy (in bits) below which a bipartite state counts as product.
 PRODUCT_THRESHOLD_BITS = 1e-9
 #: Nelder-Mead options of every nearest-coherent fit's polish
 POLISH_OPTIONS = dict(xatol=1e-10, fatol=1e-15, maxiter=600)
-#: Largest factor parameter (Fock cutoff or 2j) accepted. A dense operator or a
-#: split grid at this limit still needs about 10^12 entries (16 TB); the CLI
-#: reports such a failed allocation (``MemoryError``) as a numerical failure.
+#: Largest factor parameter (Fock cutoff or 2j) accepted. A split grid at this
+#: limit still needs about 10^12 entries (16 TB); the CLI reports such a
+#: failed allocation (``MemoryError``) as a numerical failure.
 MAX_FACTOR_PARAM = 10 ** 6
 
 
@@ -238,25 +236,6 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class LinearOperator:
-    """Dense operator on a descriptor'd space; ``hermitian`` is a checked hint."""
-
-    space: SpaceDescriptor
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        d = self.space.dim
-        if mat.shape != (d, d):
-            raise ValidationError(f"matrix shape {mat.shape} does not match dim {d}")
-        if self.hermitian and np.abs(mat - mat.conj().T).max() >= HERMITIAN_TOL:
-            raise ValidationError("operator flagged hermitian is not")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True)
 class SchmidtReport:
     """Schmidt spectrum of a bipartition.
 
@@ -348,61 +327,15 @@ def overlap(u: StateVector, v: StateVector) -> complex:
     return complex(np.vdot(u.amps, v.amps))
 
 
-def apply(op: LinearOperator, state: StateVector, normalize: bool = True):
-    """Apply ``op`` to ``state``.
-
-    Returns a ``StateVector`` when ``normalize`` is true (raising
-    ``ZeroVector`` if the image vanishes), otherwise the raw, possibly
-    unnormalized amplitude array.
-    """
-    if op.space != state.space:
-        raise SpaceMismatch("operator and state live on different spaces")
-    out = op.matrix @ state.amps
-    if not normalize:
-        return out
-    if np.linalg.norm(out) < 1e-14:
-        raise ZeroVector("operator annihilated the state")
-    return StateVector(state.space, out)
-
-
-def expectation(op: LinearOperator, state: StateVector) -> complex:
-    """<state|op|state>, complex in general."""
-    if op.space != state.space:
-        raise SpaceMismatch("operator and state live on different spaces")
-    return complex(np.vdot(state.amps, op.matrix @ state.amps))
-
-
 def _first_moments(amps: np.ndarray, g0: np.ndarray, g: np.ndarray) -> tuple:
     """``(<G0>, <G->)`` of each unit row of ``amps`` (last axis) from a band
     form: ``g0`` = diag(G0), ``g`` the subdiagonal of G+ (<N>, <a> for a mode).
-    A stack's rows and the dense ``expectation`` of G- agree bit for bit."""
+    A stack's rows, and for a mode the dense <a> of the test oracles, agree
+    bit for bit."""
     # at full length, as the dense product: a shorter sum rounds differently
     lowered = np.zeros_like(amps)
     lowered[..., :-1] = g * amps[..., 1:]
     return np.vecdot(amps.real ** 2 + amps.imag ** 2, g0), np.vecdot(amps, lowered)
-
-
-def moments(op: LinearOperator, state: StateVector):
-    """Mean and variance of ``op`` in ``state``.
-
-    For a Hermitian operator returns ``(real mean, variance)`` with
-    variance = <op^2> - <op>^2; for a non-Hermitian operator the variance
-    is undefined and ``(complex mean, None)`` is returned.
-    """
-    mean = expectation(op, state)
-    if not op.hermitian:
-        return mean, None
-    image = op.matrix @ state.amps
-    second = float(np.vdot(image, image).real)  # <op^2> for hermitian op
-    mean = float(mean.real)
-    return mean, second - mean * mean
-
-
-def mat_exp(op: LinearOperator) -> LinearOperator:
-    """Matrix exponential via scaling-and-squaring (Pade)."""
-    if not np.all(np.isfinite(op.matrix.view(float))):
-        raise NonFinite("matrix exponential of a non-finite matrix")
-    return LinearOperator(op.space, scipy.linalg.expm(op.matrix))
 
 
 def entropy_from_coefficients(coefficients):

@@ -67,17 +67,19 @@ def space_to_dict(space: SpaceDescriptor) -> dict:
 
 
 def space_from_dict(data: dict) -> SpaceDescriptor:
+    """The space a state file names. Each factor size must be a JSON integer:
+    a float, bool or string is refused rather than rounded into another space."""
     try:
         factors = []
         for f in data["factors"]:
-            if f["kind"] == "fock":
-                factors.append(Factor("fock", int(f["cutoff"])))
-            elif f["kind"] == "spin":
-                factors.append(Factor("spin", int(f["twice_j"])))
-            else:
+            key = {"fock": "cutoff", "spin": "twice_j"}.get(f["kind"])
+            if key is None:
                 raise ConfigError(f"unknown factor kind {f['kind']!r}")
+            if type(f[key]) is not int:  # bool is an int subclass
+                raise TypeError(f"{key} must be an integer, got {f[key]!r}")
+            factors.append(Factor(f["kind"], f[key]))
         return SpaceDescriptor(tuple(factors))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed space descriptor: {exc}") from exc
 
 

@@ -1,6 +1,6 @@
-"""Spin-j systems: su(2) operators, lowest-weight reference state, spin
-coherent states (closed form and coset exponential), and the stretched
-angular-momentum-addition embedding j_A = j_B + j_C.
+"""Spin-j systems: basis states, spin coherent states in closed form, the
+stretched angular-momentum-addition embedding j_A = j_B + j_C, and the
+mean-spin label and nearest-coherent fit of any state.
 
 A spin coherent state is parameterized by the stereographic coordinate
 zeta = -tan(theta/2) exp(-i phi) of a point on the sphere; theta = pi (the
@@ -9,7 +9,7 @@ form only, never through an infinite zeta. The amplitudes come from one
 log-domain closed form at the sphere angles (``_cs_logs``), and the coupling
 weights from its log-binomial rows, so no binomial or power overflows.
 Its generators J0 and J+ ([G0, G+-] = +-G+-) live in one band form, m and
-sqrt((2j - k)(k + 1)) (``_generator_bands``): every operator, moment and step reads it.
+sqrt((2j - k)(k + 1)) (``_generator_bands``), which every moment and step reads.
 """
 
 from __future__ import annotations
@@ -32,24 +32,11 @@ from .errors import (
     ValidationError,
     WeightConditionViolated,
 )
-from .qcore import LinearOperator, SpaceDescriptor, StateVector, as_twice_j
+from .qcore import SpaceDescriptor, StateVector, as_twice_j
 
 
 def spin_space(j) -> SpaceDescriptor:
     return SpaceDescriptor.single_spin(j)
-
-
-def spin_ops(j):
-    """J0, J+, J- as (2j+1)-dimensional matrices, basis m ascending."""
-    space = spin_space(j)
-    m, g = _generator_bands(space.factors[0].twice_j)
-    return (LinearOperator(space, np.diag(m), hermitian=True),
-            LinearOperator(space, np.diag(g, -1)),
-            LinearOperator(space, np.diag(g, 1)))
-
-
-def lowest_state(j) -> StateVector:
-    return StateVector.basis(spin_space(j), 0)
 
 
 def basis_state(j, m) -> StateVector:
@@ -93,7 +80,10 @@ class SpinCsParams:
         else:
             if not 0.0 <= self.theta <= math.pi:
                 raise ValidationError("theta must lie in [0, pi]")
-            object.__setattr__(self, "phi", float(self.phi or 0.0))
+            phi = float(self.phi or 0.0)
+            if not math.isfinite(phi):
+                raise ValidationError(f"phi must be finite, got {phi!r}")
+            object.__setattr__(self, "phi", phi)
 
     @classmethod
     def from_angles(cls, j, theta: float, phi: float = 0.0) -> "SpinCsParams":
@@ -151,20 +141,6 @@ def spin_cs(params: SpinCsParams) -> StateVector:
     theta, phi = ((params.theta, params.phi) if z is None
                   else (2.0 * math.atan(abs(z)), math.pi - math.atan2(z.imag, z.real)))
     return StateVector(spin_space(params.j), _angles_amps(_cs_rows(tj), theta, phi))
-
-
-def spin_cs_exp(j, xi: complex) -> StateVector:
-    """Coset-exponential route: exp(xi J+ - xi* J-) |j,-j>.
-
-    Equals the closed form at zeta = (xi/|xi|) tan|xi| up to a global phase.
-    """
-    tj = as_twice_j(j)
-    if tj == 0:
-        return lowest_state(j)
-    _, jp, jm = spin_ops(j)
-    gen = xi * jp.matrix - np.conj(xi) * jm.matrix
-    omega = qcore.mat_exp(LinearOperator(spin_space(j), gen))
-    return qcore.apply(omega, lowest_state(j))
 
 
 def coupling_weight(jB, jC) -> np.ndarray:

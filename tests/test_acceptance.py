@@ -18,6 +18,7 @@ from coherence_lab.qcore import (
     schmidt_cut,
     tensor_state,
 )
+from oracles import coset_state, generators, mean_variance, quadratures
 
 
 def _report(number: int, summary: str, t0: float, limit: float):
@@ -60,12 +61,13 @@ def test_c02_spin_cs_factorization():
         w = qcore.split_amplitudes(np.eye(dim_a), spin.coupling_weight(jb, jc))
         w = w.reshape(dim_a, -1).T
         dim_b, dim_c = int(2 * jb) + 1, int(2 * jc) + 1
-        for op_a, op_b, op_c in zip(spin.spin_ops(ja), spin.spin_ops(jb),
-                                    spin.spin_ops(jc)):
-            pair_op = (np.kron(op_b.matrix, np.eye(dim_c))
-                       + np.kron(np.eye(dim_b), op_c.matrix))
+        for op_a, op_b, op_c in zip(generators(spin, int(2 * ja)),
+                                    generators(spin, int(2 * jb)),
+                                    generators(spin, int(2 * jc))):
+            pair_op = (np.kron(op_b, np.eye(dim_c))
+                       + np.kron(np.eye(dim_b), op_c))
             worst_intertwine = max(worst_intertwine, np.abs(
-                w @ op_a.matrix - pair_op @ w).max())
+                w @ op_a - pair_op @ w).max())
         for zeta in zetas:
             out = spin.split_spin(spin.spin_cs(spin.SpinCsParams(j=ja, zeta=zeta)),
                                   jb, jc)
@@ -196,7 +198,7 @@ def test_c09_two_route_cs_agreement():
         r = rng.uniform(0.01, 1.399)
         ang = rng.uniform(0, 2 * math.pi)
         xi = r * np.exp(1j * ang)
-        via_exp = spin.spin_cs_exp(j, xi)
+        via_exp = coset_state(j, xi)
         zeta = xi / abs(xi) * math.tan(abs(xi))
         closed = spin.spin_cs(spin.SpinCsParams(j=j, zeta=zeta))
         worst = max(worst, 1 - abs(overlap(closed, via_exp)))
@@ -207,14 +209,14 @@ def test_c09_two_route_cs_agreement():
 
 def test_c10_minimum_uncertainty():
     t0 = time.time()
-    q, p = fock.quadrature_ops(40)
+    q, p = quadratures(40)
     target = 1 / math.sqrt(2)
     worst = 0.0
     for r in (0.0, 0.5, 1.0, 1.5):
         for ph in np.linspace(0, 2 * math.pi, 8, endpoint=False):
             s = fock.glauber_cs(r * np.exp(1j * ph), 40)
-            _, var_q = qcore.moments(q, s)
-            _, var_p = qcore.moments(p, s)
+            _, var_q = mean_variance(q, s)
+            _, var_p = mean_variance(p, s)
             worst = max(worst, abs(math.sqrt(var_q) - target),
                         abs(math.sqrt(var_p) - target))
             if r == 0.0:

@@ -23,7 +23,7 @@ from coherence_lab.errors import (
     StrategyUnavailable,
     ValidationError,
 )
-from coherence_lab.qcore import LinearOperator, SpaceDescriptor, StateVector, tensor_state
+from coherence_lab.qcore import SpaceDescriptor, StateVector, tensor_state
 
 TWO_QUBITS = SpaceDescriptor.single_spin(0.5).tensor(SpaceDescriptor.single_spin(0.5))
 
@@ -48,20 +48,38 @@ def settings_from_directions(nb, nbp, nc, ncp) -> ChshSettings:
 
 def test_qubit_observable_z():
     obs = qubit_observable([0, 0, 1])
-    np.testing.assert_allclose(obs.operator.matrix, np.diag([-1, 1]), atol=1e-15)
+    np.testing.assert_allclose(obs.matrix, np.diag([-1, 1]), atol=1e-15)
 
 
 def test_qubit_observable_x_is_involution():
     obs = qubit_observable([1, 0, 0])
-    evals = np.linalg.eigvalsh(obs.operator.matrix)
+    evals = np.linalg.eigvalsh(obs.matrix)
     np.testing.assert_allclose(evals, [-1, 1], atol=1e-14)
-    sq = obs.operator.matrix @ obs.operator.matrix
+    sq = obs.matrix @ obs.matrix
     np.testing.assert_allclose(sq, np.eye(2), atol=1e-14)
 
 
 def test_qubit_observable_rejects_nonunit():
     with pytest.raises(NotUnit):
         qubit_observable([0.5, 0, 0])
+
+
+def test_observable_checks_its_matrix():
+    # [[1, e], [0, -1]] squares to the identity for any e but is Hermitian
+    # only within HERMITIAN_TOL = 1e-12
+    space = SpaceDescriptor.single_spin(0.5)
+    obs = DichotomicObservable(space, [[1, 1e-13], [0, -1]])
+    assert obs.direction is None and not obs.matrix.flags.writeable
+    with pytest.raises(ValidationError, match="Hermitian"):
+        DichotomicObservable(space, [[1, 2e-12], [0, -1]])
+    with pytest.raises(ValidationError, match="square to the identity"):
+        DichotomicObservable(space, np.diag([1.0, 0.5]))
+    with pytest.raises(ValidationError, match="shape"):
+        DichotomicObservable(space, np.eye(3))
+    # a NaN direction slips past the unit-norm check; its NaN matrix must not
+    # slip past the observable's own checks
+    with pytest.raises(ValidationError):
+        qubit_observable([math.nan, 0.0, 0.0])
 
 
 def test_observable_from_unitary():
@@ -72,7 +90,7 @@ def test_observable_from_unitary():
     import scipy.linalg
     u = scipy.linalg.expm(1j * h)
     obs = observable_from_unitary(u, [1, -1, 1], space)
-    sq = obs.operator.matrix @ obs.operator.matrix
+    sq = obs.matrix @ obs.matrix
     np.testing.assert_allclose(sq, np.eye(3), atol=1e-12)
     with pytest.raises(ValidationError):
         observable_from_unitary(u, [1, -2, 1], space)
@@ -239,7 +257,7 @@ def test_maximize_balanced_split_photon_13x13():
 
 
 def _matrix_observable(mat, space) -> DichotomicObservable:
-    return DichotomicObservable(LinearOperator(space, mat, hermitian=True), ("matrix",))
+    return DichotomicObservable(space, mat)
 
 
 def gisin_peres_settings(state: StateVector) -> ChshSettings:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import shlex
 import tempfile
 import time
 from pathlib import Path
@@ -176,6 +177,37 @@ def test_readme_library_quick_start_runs():
     assert names["bell"].horodecki_max(names["pair"]) == pytest.approx(2 * math.sqrt(2),
                                                                        abs=1e-12)
     assert names["traj"].cs_fidelity.min() > 1 - 1e-6
+
+
+def readme_cli_commands():
+    """The argv lists of the README's CLI block, ``\\`` continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("coherence-lab ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # the README's commands, run in order where their relative paths
+    # (split.json, traj.csv) land: each exits 0 with nothing on stderr, and a
+    # second run of the block prints and writes the same bytes
+    commands = readme_cli_commands()
+    assert len(commands) == 8
+    runs = []
+    for name in ("first", "second"):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        printed = []
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+            assert (code, err.getvalue()) == (0, ""), argv
+            printed.append(out.getvalue())
+        runs.append((printed, {path.name: path.read_bytes() for path in workdir.iterdir()}))
+    assert sorted(runs[0][1]) == ["split.json", "traj.csv"]
+    assert runs[0] == runs[1]
 
 
 def test_chsh_reproducible_bytes(tmp_path):
@@ -376,6 +408,13 @@ def test_validation_error_exit_code(capsys):
     ["evolve", "--N", "0", "--omega", "1", "--tmax", "1", "--samples", "2"],
     ["evolve", "--system", "spin", "--j", "0", "--beta0", "1", "--zeta0", "0.5",
      "--tmax", "1", "--samples", "2"],
+    # a non-finite azimuth
+    ["split", "--system", "spin", "--jA", "1", "--jB", "0.5", "--jC", "0.5", "--theta", "1",
+     "--phi", "inf"],
+    ["split", "--system", "spin", "--jA", "1", "--jB", "0.5", "--jC", "0.5", "--theta", "1",
+     "--phi", "nan"],
+    ["evolve", "--system", "spin", "--j", "1", "--beta0", "1", "--theta0", "1", "--phi0",
+     "nan", "--tmax", "1", "--samples", "3"],
 ])
 def test_malformed_values_exit_2_with_one_line(argv, capsys):
     assert run_cli(argv) == 2
@@ -595,7 +634,8 @@ FLAGS = {
     },
     "chsh": {
         "state": ["split-spin1-m0", "split-spin1-lowest", "no-such-state", "",
-                  "@good", "@malformed", "@bad-amps", "@bad-space"],
+                  "@good", "@malformed", "@bad-amps", "@bad-space", "@float-size",
+                  "@bool-size", "@string-size"],
         "strategy": ["analytic-qubit", "multistart", "multistart-local-search", "bogus"],
         "n-starts": _small("1", "2", "4"), "seed": SEED,
         "tol": ["1e-7", "1e-3", "0", "-1", "nan", "inf", "1e300", "", "abc"],
@@ -620,6 +660,11 @@ FLAGS = {
     "series": {"order": _small("2", "3", "8", "12"), "mu": COMPLEX, "nu": COMPLEX},
 }
 
+def _two_by_two(first):
+    return {"space": {"factors": [first, {"kind": "spin", "twice_j": 1}]},
+            "amps": [[0, 0], [0.6, 0], [0.8, 0], [0, 0]]}
+
+
 STATE_FILES = {
     "@good": lambda: serialize.state_to_dict(spin.split_spin(spin.basis_state(1, 0), 0.5, 0.5)),
     "@malformed": lambda: {"space": {"factors": [{"kind": "fock"}]}, "amps": "x"},
@@ -627,6 +672,10 @@ STATE_FILES = {
                           "amps": [["a", 0]] * 4},
     "@bad-space": lambda: {"space": {"factors": [{"kind": "fock", "cutoff": "abc"}]},
                            "amps": [[1, 0]]},
+    # 2 x 2 files whose first factor size is not a JSON integer
+    "@float-size": lambda: _two_by_two({"kind": "fock", "cutoff": 1.5}),
+    "@bool-size": lambda: _two_by_two({"kind": "spin", "twice_j": True}),
+    "@string-size": lambda: _two_by_two({"kind": "spin", "twice_j": "1"}),
 }
 
 #: one valid call per command and system; examples change or drop flags of one
@@ -728,3 +777,14 @@ def test_generated_config_never_ends_in_traceback(case, data):
     argv = [command] + [f"--{flag}={value}" for flag, value in flags.items()
                         if flag not in in_file]
     _assert_clean_exit(*_guarded_run(argv, config))
+
+
+@pytest.mark.parametrize("name", ["@float-size", "@bool-size", "@string-size"])
+def test_state_file_factor_sizes_must_be_json_integers(name, tmp_path):
+    # int() would read "cutoff": 1.5 as 1, a space the file never named
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(STATE_FILES[name]()))
+    code, err = _exit_and_stderr(["chsh", "--state", str(path)])
+    assert code == 2
+    assert err.startswith("error: malformed space descriptor: ")
+    assert err.count("\n") == 1

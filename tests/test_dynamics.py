@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coherence_lab
 import coherence_lab.dynamics as dyn
 from coherence_lab import fock, qcore, spin, splitting
 from coherence_lab.dynamics import (
@@ -20,7 +21,7 @@ from coherence_lab.dynamics import (
     evolve_spin,
 )
 from coherence_lab.errors import NumericalError, StepSizeTooLarge, ValidationError
-from coherence_lab.qcore import expectation
+from oracles import expectation, generators, quadratures
 
 
 def constant_drive(lam=0.2, omega=1.0):
@@ -243,7 +244,7 @@ def test_evolve_phase_space_consistency():
     drive = constant_drive(0.3, 1.0)
     grid = np.linspace(0, 4.0, 9)
     traj = evolve_fock(drive, grid, 40)
-    q, p = fock.quadrature_ops(40)
+    q, p = quadratures(40)
     for state, alpha in zip(traj.states, traj.alpha_track):
         via_quadratures = (expectation(q, state) + 1j * expectation(p, state)) / math.sqrt(2)
         assert abs(via_quadratures - alpha) < 1e-10
@@ -345,18 +346,11 @@ def test_norm_drift_guard_raises(monkeypatch):
 # Magnus propagator
 # ---------------------------------------------------------------------------
 
-def generator_ops(system, size):
-    """G0, G+ and G-: Fock cutoff ``size`` or spin 2j = size."""
-    if system == "fock":
-        a, adag = fock.ladder_ops(size)
-        return fock.number_op(size), adag, a
-    return spin.spin_ops(size / 2)
-
-
-def dense_magnus_propagator(generators, nodes, dt):
+def dense_magnus_propagator(dense, nodes, dt):
     """The exponent of a fourth-order Magnus substep built from dense
-    Hamiltonians and their commutator, exponentiated by ``expm``."""
-    g0, gp, gm = generators
+    Hamiltonians and their commutator, exponentiated by ``expm``; ``dense``
+    holds the oracles' (G0, G+, G-)."""
+    g0, gp, gm = dense
     h1, h2 = (w * g0 + lam * gp + np.conj(lam) * gm for w, lam in nodes)
     omega = (-0.5j * dt) * (h1 + h2) - (math.sqrt(3.0) / 12.0 * dt * dt) * (h2 @ h1 - h1 @ h2)
     return scipy.linalg.expm(omega)
@@ -393,28 +387,35 @@ def test_magnus_propagator_matches_dense_expm(system, w1, w2, lam1, lam2, dt, t)
     # lam = 0 leaves zero bands and a subnormal lam subnormal ones, which the
     # phase gauge must keep finite; at the truncation corner k = N the
     # commutator [G+, G-] is +N, not -1
-    generators = [op.matrix for op in generator_ops(*system)]
     family = fock if system[0] == "fock" else spin
+    dense = generators(family, system[1])
     bands = dyn._bands(*family._generator_bands(system[1]))
     nodes = ((w1, complex(lam1)), (w2, complex(lam2)))
     x, w = dyn._magnus_exponent(two_nodes(t, dt, nodes), bands, t, dt)
     assert_unitary_match((x * np.exp(-1j * w)) @ x.conj().T,
-                         dense_magnus_propagator(generators, nodes, dt))
+                         dense_magnus_propagator(dense, nodes, dt))
     # a static H is factored once over a unit step and scaled by dt
     x, w = dyn._magnus_exponent(lambda s: nodes[1], bands, t, 1.0)
     assert_unitary_match((x * np.exp(-1j * dt * w)) @ x.conj().T,
-                         dense_magnus_propagator(generators, (nodes[1], nodes[1]), dt))
+                         dense_magnus_propagator(dense, (nodes[1], nodes[1]), dt))
+
+
+#: the dense operator layer the band forms replaced
+DENSE_OPERATOR_NAMES = ("LinearOperator", "apply", "expectation", "moments", "mat_exp",
+                        "ladder_ops", "number_op", "quadrature_ops", "displacement",
+                        "TAIL_TOLERANCE", "spin_ops", "spin_cs_exp", "lowest_state")
 
 
 def test_command_paths_build_no_dense_generator(monkeypatch):
-    # evolve, the scan's bounds and the Fock fit read the generators as bands:
-    # building a dense (N+1)^2 generator, or a dense expectation, fails the test
-    def dense(*args, **kwargs):
-        raise AssertionError("a dense generator was built")
+    # the library keeps each generator as its band form only, and evolve, the
+    # scan's bounds and the Fock fit never exponentiate a dense matrix
+    for module in (coherence_lab, qcore, fock, spin):
+        assert [name for name in DENSE_OPERATOR_NAMES if hasattr(module, name)] == []
 
-    for module, name in ((fock, "ladder_ops"), (fock, "number_op"), (spin, "spin_ops"),
-                         (qcore, "expectation")):
-        monkeypatch.setattr(module, name, dense)
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense matrix was exponentiated")
+
+    monkeypatch.setattr(scipy.linalg, "expm", dense)
     traj = evolve_fock(DriveSpec.sinusoid(1.0, 0.2, 0.7), np.linspace(0.0, 3.0, 7), 24,
                        initial=fock.glauber_cs(0.3 - 0.2j, 24))
     assert traj.cs_fidelity.min() > 1 - 1e-9
@@ -480,7 +481,7 @@ def test_evolve_spin_rabi_great_circle():
     # H = Omega (J+ + J-)/2 sweeps theta at unit rate through the poles
     ham = LinearSpinHamiltonian(0.0, 0.5)
     grid = np.linspace(0, math.pi, 21)
-    traj = evolve_spin(ham, 1.5, grid, spin.lowest_state(1.5))
+    traj = evolve_spin(ham, 1.5, grid, spin.basis_state(1.5, -1.5))
     assert traj.cs_fidelity.min() > 1 - 1e-8
     np.testing.assert_allclose(traj.theta_track, grid, atol=1e-7)
 

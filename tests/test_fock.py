@@ -15,32 +15,30 @@ from coherence_lab.errors import (
 from coherence_lab.fock import (
     SplitSpec,
     beamsplit_weight,
-    displacement,
+    fock_space,
     glauber_cs,
-    ladder_ops,
     nearest_coherent_fit,
-    number_op,
     number_state,
-    quadrature_ops,
     required_cutoff,
     split_fock,
     vacuum,
 )
-from coherence_lab.qcore import apply, moments, overlap, schmidt_cut, tensor_state
+from coherence_lab.qcore import StateVector, overlap, schmidt_cut, tensor_state
+from oracles import displacement, generators, mean_variance, quadratures
 
 
 def test_ladder_matrix_elements():
-    a, adag = ladder_ops(4)
-    out = apply(a, number_state(4, 1))
+    _, adag, a = generators(fock, 4)
+    out = StateVector(fock_space(4), a @ number_state(4, 1).amps)
     np.testing.assert_allclose(out.amps, vacuum(4).amps, atol=1e-15)
-    out = apply(adag, vacuum(4))
+    out = StateVector(fock_space(4), adag @ vacuum(4).amps)
     np.testing.assert_allclose(out.amps, number_state(4, 1).amps, atol=1e-15)
 
 
 def test_commutator_identity_below_cutoff():
     n_cut = 12
-    a, adag = ladder_ops(n_cut)
-    comm = a.matrix @ adag.matrix - adag.matrix @ a.matrix
+    _, adag, a = generators(fock, n_cut)
+    comm = a @ adag - adag @ a
     # truncated commutator is the identity except in the top level
     for n in range(n_cut):
         basis = np.zeros(n_cut + 1)
@@ -52,20 +50,20 @@ def test_commutator_identity_below_cutoff():
 
 
 def test_quadrature_vacuum_moments():
-    q, p = quadrature_ops(20)
-    mean, var = moments(q, vacuum(20))
+    q, p = quadratures(20)
+    mean, var = mean_variance(q, vacuum(20))
     assert abs(mean) < 1e-14
     assert var == pytest.approx(0.5, abs=1e-12)
-    _, var_p = moments(p, vacuum(20))
+    _, var_p = mean_variance(p, vacuum(20))
     assert var_p == pytest.approx(0.5, abs=1e-12)
 
 
 def test_quadrature_mean_tracks_alpha():
-    q, p = quadrature_ops(40)
+    q, p = quadratures(40)
     s = glauber_cs(0.5, 40)
-    mean_q, _ = moments(q, s)
+    mean_q, _ = mean_variance(q, s)
     assert mean_q == pytest.approx(math.sqrt(2) * 0.5, abs=1e-8)
-    mean_p, _ = moments(p, s)
+    mean_p, _ = mean_variance(p, s)
     assert mean_p == pytest.approx(0.0, abs=1e-8)
 
 
@@ -79,13 +77,13 @@ def test_required_cutoff_policy():
 
 def test_displacement_identity():
     d0 = displacement(0.0, 15)
-    np.testing.assert_allclose(d0.matrix, np.eye(16), atol=1e-13)
+    np.testing.assert_allclose(d0, np.eye(16), atol=1e-13)
 
 
 def test_displacement_generates_coherent_state():
     for alpha in (0.5, 1.0, 2.0, 1.0 + 1.0j):
         d = displacement(alpha, 40)
-        got = apply(d, vacuum(40))
+        got = StateVector(fock_space(40), d @ vacuum(40).amps)
         want = glauber_cs(alpha, 40)
         assert qcore.aligned_distance(want, got) < 1e-10
 
@@ -93,7 +91,7 @@ def test_displacement_generates_coherent_state():
 def test_displacement_inverse_on_low_levels():
     alpha = 1.2 - 0.4j
     n_cut = 40
-    prod = displacement(alpha, n_cut).matrix @ displacement(-alpha, n_cut).matrix
+    prod = displacement(alpha, n_cut) @ displacement(-alpha, n_cut)
     for n in range(n_cut // 2 + 1):
         basis = np.zeros(n_cut + 1)
         basis[n] = 1.0
@@ -101,9 +99,9 @@ def test_displacement_inverse_on_low_levels():
 
 
 def test_vacuum_is_lowest_weight():
-    a, _ = ladder_ops(15)
-    np.testing.assert_allclose(a.matrix @ vacuum(15).amps, 0.0, atol=1e-15)
-    np.testing.assert_allclose(number_op(15).matrix @ vacuum(15).amps, 0.0, atol=1e-15)
+    number, _, a = generators(fock, 15)
+    np.testing.assert_allclose(a @ vacuum(15).amps, 0.0, atol=1e-15)
+    np.testing.assert_allclose(number @ vacuum(15).amps, 0.0, atol=1e-15)
 
 
 def test_glauber_cs_zero_is_vacuum():
@@ -125,18 +123,18 @@ def test_glauber_cs_matches_poisson_far_out(radius):
 def test_glauber_cs_eigenstate_of_a():
     alpha = 1.0 + 0.5j
     s = glauber_cs(alpha, 40)
-    a, _ = ladder_ops(40)
-    raw = apply(a, s, normalize=False)
+    _, _, a = generators(fock, 40)
+    raw = a @ s.amps
     assert np.linalg.norm(raw - alpha * s.amps) < 1e-8
 
 
 def test_eigenstate_property_on_amplitude_grid():
-    a, _ = ladder_ops(40)
+    _, _, a = generators(fock, 40)
     for r in (0.5, 1.0, 1.5, 2.0):
         for ph in np.linspace(0, 2 * math.pi, 6, endpoint=False):
             alpha = r * np.exp(1j * ph)
             s = glauber_cs(alpha, 40)
-            raw = apply(a, s, normalize=False)
+            raw = a @ s.amps
             assert np.linalg.norm(raw - alpha * s.amps) < 1e-7
 
 
@@ -211,11 +209,11 @@ def test_split_fock_rejects_composite_input():
 
 
 def test_minimum_uncertainty_product():
-    q, p = quadrature_ops(40)
+    q, p = quadratures(40)
     for alpha in (0.0, 0.7, 1.5 * np.exp(0.9j)):
         s = glauber_cs(alpha, 40)
-        _, var_q = moments(q, s)
-        _, var_p = moments(p, s)
+        _, var_q = mean_variance(q, s)
+        _, var_p = mean_variance(p, s)
         assert math.sqrt(var_q) * math.sqrt(var_p) == pytest.approx(0.5, abs=1e-8)
 
 

@@ -5,27 +5,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coherence_lab import qcore
+from coherence_lab import fock, qcore, spin
 from coherence_lab.errors import (
     InvalidWeight,
     NonFinite,
     NotComposite,
-    SpaceMismatch,
-    ValidationError,
     ZeroVector,
 )
 from coherence_lab.qcore import (
-    LinearOperator,
     SpaceDescriptor,
     StateVector,
-    apply,
     as_twice_j,
-    mat_exp,
-    moments,
     overlap,
     schmidt_cut,
     tensor_state,
 )
+from oracles import coset_state, expectation, generators, mean_variance, quadratures
 
 QUBIT = SpaceDescriptor.single_spin(0.5)
 
@@ -79,12 +74,6 @@ def test_huge_amplitudes_normalize(big):
     assert abs(np.linalg.norm(StateVector(QUBIT, [3 * big, 4j * big]).amps) - 1.0) < 1e-15
 
 
-def test_hermitian_flag_checked():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValidationError):
-        LinearOperator(QUBIT, bad, hermitian=True)
-
-
 # ---------------------------------------------------------------------------
 # tensor_state
 # ---------------------------------------------------------------------------
@@ -116,37 +105,21 @@ def test_tensor_superposition_row_major():
 
 
 # ---------------------------------------------------------------------------
-# apply
+# generators applied to states
 # ---------------------------------------------------------------------------
 
-def test_apply_identity():
-    s = qubit_state(0.6, 0.8j)
-    ident = LinearOperator(QUBIT, np.eye(2), hermitian=True)
-    out = apply(ident, s)
-    np.testing.assert_allclose(out.amps, s.amps, atol=1e-15)
-
-
 def test_apply_annihilates_vacuum():
-    from coherence_lab.fock import ladder_ops, vacuum
-    a, _ = ladder_ops(4)
-    raw = apply(a, vacuum(4), normalize=False)
+    _, _, a = generators(fock, 4)
+    raw = a @ fock.vacuum(4).amps
     np.testing.assert_allclose(raw, 0.0, atol=1e-15)
     with pytest.raises(ZeroVector):
-        apply(a, vacuum(4))
+        StateVector(fock.fock_space(4), raw)
 
 
 def test_apply_raising_on_spin_half():
-    from coherence_lab.spin import basis_state, spin_ops
-    _, jp, _ = spin_ops(0.5)
-    out = apply(jp, basis_state(0.5, -0.5))
-    np.testing.assert_allclose(out.amps, basis_state(0.5, 0.5).amps, atol=1e-14)
-
-
-def test_apply_space_mismatch():
-    s = qubit_state(1, 0)
-    other = LinearOperator(SpaceDescriptor.single_fock(1), np.eye(2))
-    with pytest.raises(SpaceMismatch):
-        apply(other, s)
+    _, jp, _ = generators(spin, 1)
+    out = StateVector(spin.spin_space(0.5), jp @ spin.basis_state(0.5, -0.5).amps)
+    np.testing.assert_allclose(out.amps, spin.basis_state(0.5, 0.5).amps, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +127,10 @@ def test_apply_space_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_moments_quadratures_on_coherent_state():
-    from coherence_lab.fock import glauber_cs, quadrature_ops
-    q, p = quadrature_ops(40)
-    s = glauber_cs(1.0, 40)
-    mean_q, var_q = moments(q, s)
-    mean_p, var_p = moments(p, s)
+    q, p = quadratures(40)
+    s = fock.glauber_cs(1.0, 40)
+    mean_q, var_q = mean_variance(q, s)
+    mean_p, var_p = mean_variance(p, s)
     assert abs(mean_q - math.sqrt(2)) < 1e-8
     assert abs(var_q - 0.5) < 1e-8
     assert abs(mean_p) < 1e-8
@@ -166,79 +138,28 @@ def test_moments_quadratures_on_coherent_state():
 
 
 def test_moments_eigenstate_has_zero_variance():
-    from coherence_lab.spin import basis_state, spin_ops
-    j0, _, _ = spin_ops(0.5)
-    mean, var = moments(j0, basis_state(0.5, -0.5))
+    j0, _, _ = generators(spin, 1)
+    mean, var = mean_variance(j0, spin.basis_state(0.5, -0.5))
     assert abs(mean + 0.5) < 1e-14
     assert abs(var) < 1e-14
 
 
 def test_moments_non_hermitian_mean_only():
-    from coherence_lab.fock import glauber_cs, ladder_ops
-    a, _ = ladder_ops(30)
-    mean, var = moments(a, glauber_cs(0.5 + 0.25j, 30))
-    assert var is None
+    _, _, a = generators(fock, 30)
+    mean = expectation(a, fock.glauber_cs(0.5 + 0.25j, 30))
     assert abs(mean - (0.5 + 0.25j)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
-# mat_exp
+# the coset exponential
 # ---------------------------------------------------------------------------
-
-def test_exp_zero_is_identity():
-    space = SpaceDescriptor.single_fock(4)
-    z = LinearOperator(space, np.zeros((5, 5)))
-    np.testing.assert_allclose(mat_exp(z).matrix, np.eye(5), atol=1e-15)
-
-
-def test_exp_diagonal_spin_half():
-    from coherence_lab.spin import spin_ops
-    j0, _, _ = spin_ops(0.5)
-    e = mat_exp(LinearOperator(j0.space, 1j * math.pi * j0.matrix))
-    expected = np.diag([np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)])
-    np.testing.assert_allclose(e.matrix, expected, atol=1e-13)
-
 
 def test_exp_coset_matches_closed_form_cs():
     # xi = -pi/4 corresponds to theta = pi/2, phi = 0, i.e. zeta = -1
-    from coherence_lab.spin import SpinCsParams, spin_cs, spin_cs_exp
-    got = spin_cs_exp(0.5, -math.pi / 4)
-    want = spin_cs(SpinCsParams(j=0.5, zeta=-1.0))
+    got = coset_state(0.5, -math.pi / 4)
+    want = spin.spin_cs(spin.SpinCsParams(j=0.5, zeta=-1.0))
     aligned = qcore.phase_align(want.amps, got.amps)
     np.testing.assert_allclose(aligned, want.amps, atol=1e-12)
-
-
-def test_exp_accuracy_against_eigendecomposition():
-    # anti-Hermitian generators are normal: exp has an exact spectral form
-    rng = np.random.default_rng(11)
-    space = SpaceDescriptor.single_fock(7)
-    for _ in range(5):
-        h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        h = (h + h.conj().T) / 2
-        gen = LinearOperator(space, 1j * h)
-        vals, vecs = np.linalg.eigh(h)
-        exact = (vecs * np.exp(1j * vals)) @ vecs.conj().T
-        got = mat_exp(gen).matrix
-        rel = np.abs(got - exact).max() / np.abs(exact).max()
-        assert rel < 1e-12
-
-
-def test_exp_non_finite_rejected():
-    from coherence_lab.errors import NonFinite
-    space = SpaceDescriptor.single_fock(1)
-    bad = LinearOperator(space, np.array([[np.nan, 0], [0, 0]]))
-    with pytest.raises(NonFinite):
-        mat_exp(bad)
-
-
-def test_exp_inverse_property():
-    rng = np.random.default_rng(5)
-    space = SpaceDescriptor.single_fock(5)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    op = LinearOperator(space, m)
-    neg = LinearOperator(space, -m)
-    prod = mat_exp(op).matrix @ mat_exp(neg).matrix
-    np.testing.assert_allclose(prod, np.eye(6), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +245,9 @@ def test_overlap_vacuum_coherent():
 
 
 def test_overlap_lowest_weight_with_spin_cs():
-    from coherence_lab.spin import SpinCsParams, lowest_state, spin_cs
+    from coherence_lab.spin import SpinCsParams, basis_state, spin_cs
     zeta = 0.8 - 0.5j
-    got = overlap(lowest_state(0.5), spin_cs(SpinCsParams(j=0.5, zeta=zeta)))
+    got = overlap(basis_state(0.5, -0.5), spin_cs(SpinCsParams(j=0.5, zeta=zeta)))
     assert got == pytest.approx((1 + abs(zeta) ** 2) ** -0.5, abs=1e-12)
 
 
@@ -347,31 +268,6 @@ def test_tensor_norm_preserved(u_amps, v_amps):
     u = StateVector(SpaceDescriptor.single_spin(1), u_amps)
     v = StateVector(SpaceDescriptor.single_fock(3), v_amps)
     assert abs(np.linalg.norm(tensor_state(u, v).amps) - 1.0) < 1e-10
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_antihermitian_exp_preserves_norm(seed):
-    rng = np.random.default_rng(seed)
-    space = SpaceDescriptor.single_fock(4)
-    h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    gen = LinearOperator(space, h - h.conj().T)
-    u = mat_exp(gen)
-    amps = rng.normal(size=5) + 1j * rng.normal(size=5)
-    s = StateVector(space, amps)
-    assert abs(np.linalg.norm(u.matrix @ s.amps) - 1.0) < 1e-10
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_hermitian_variance_nonnegative(seed):
-    rng = np.random.default_rng(seed)
-    space = SpaceDescriptor.single_fock(5)
-    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    op = LinearOperator(space, (h + h.conj().T) / 2, hermitian=True)
-    s = StateVector(space, rng.normal(size=6) + 1j * rng.normal(size=6))
-    _, var = moments(op, s)
-    assert var >= -1e-12
 
 
 # the largest split state in use: N = 300 into two N = 300 modes

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import minimize
 from scipy.stats import binom
 
@@ -15,11 +16,8 @@ from coherence_lab.errors import (
     WeightConditionViolated,
 )
 from coherence_lab.qcore import (
-    LinearOperator,
     StateVector,
     aligned_distance,
-    apply,
-    mat_exp,
     overlap,
     schmidt_cut,
     tensor_state,
@@ -29,37 +27,34 @@ from coherence_lab.spin import (
     angle_to_zeta,
     basis_state,
     coupling_weight,
-    lowest_state,
     nearest_cs_fit,
     spin_cs,
-    spin_cs_exp,
-    spin_ops,
     spin_space,
     split_spin,
 )
+from oracles import coset_state, generators
 
 HALF_SPINS = [0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0]
 
 
 def test_j0_spin_half():
-    j0, _, _ = spin_ops(0.5)
-    np.testing.assert_allclose(j0.matrix, np.diag([-0.5, 0.5]), atol=1e-15)
+    j0, _, _ = generators(spin, 1)
+    np.testing.assert_allclose(j0, np.diag([-0.5, 0.5]), atol=1e-15)
 
 
 @pytest.mark.parametrize("j", HALF_SPINS)
 def test_su2_commutators(j):
-    j0, jp, jm = spin_ops(j)
-    comm_pm = jp.matrix @ jm.matrix - jm.matrix @ jp.matrix
-    np.testing.assert_allclose(comm_pm, 2 * j0.matrix, atol=1e-13)
-    comm_0p = j0.matrix @ jp.matrix - jp.matrix @ j0.matrix
-    np.testing.assert_allclose(comm_0p, jp.matrix, atol=1e-13)
+    j0, jp, jm = generators(spin, int(2 * j))
+    comm_pm = jp @ jm - jm @ jp
+    np.testing.assert_allclose(comm_pm, 2 * j0, atol=1e-13)
+    comm_0p = j0 @ jp - jp @ j0
+    np.testing.assert_allclose(comm_0p, jp, atol=1e-13)
 
 
 @pytest.mark.parametrize("j", HALF_SPINS)
 def test_casimir(j):
-    j0, jp, jm = spin_ops(j)
-    casimir = (j0.matrix @ j0.matrix
-               + (jp.matrix @ jm.matrix + jm.matrix @ jp.matrix) / 2)
+    j0, jp, jm = generators(spin, int(2 * j))
+    casimir = j0 @ j0 + (jp @ jm + jm @ jp) / 2
     np.testing.assert_allclose(casimir, j * (j + 1) * np.eye(int(2 * j) + 1),
                                atol=1e-12)
 
@@ -74,13 +69,13 @@ def test_basis_state_lowest_and_raised():
 
 def raised_lowest_state(j, k):
     """binom(2j, k)^(-1/2) (J+)^k / k! |j,-j>: the lowest weight state raised
-    k times with spin_ops' J+."""
+    k times with the oracles' J+."""
     tj = int(2 * j)
-    _, jp, _ = spin_ops(j)
+    _, jp, _ = generators(spin, int(2 * j))
     vec = np.zeros(tj + 1, dtype=complex)
     vec[0] = 1.0
     for _ in range(k):
-        vec = jp.matrix @ vec
+        vec = jp @ vec
     return vec / (math.factorial(k) * math.sqrt(math.comb(tj, k)))
 
 
@@ -104,7 +99,7 @@ def test_basis_state_invalid_weight():
 
 def test_spin_cs_at_zero_is_lowest():
     s = spin_cs(SpinCsParams(j=2, zeta=0.0))
-    np.testing.assert_allclose(s.amps, lowest_state(2).amps, atol=1e-15)
+    np.testing.assert_allclose(s.amps, basis_state(2, -2).amps, atol=1e-15)
 
 
 def test_spin_cs_half_explicit():
@@ -151,12 +146,12 @@ def test_angle_to_zeta_values():
 
 
 def test_spin_cs_exp_zero():
-    s = spin_cs_exp(1.5, 0.0)
-    np.testing.assert_allclose(s.amps, lowest_state(1.5).amps, atol=1e-15)
+    s = coset_state(1.5, 0.0)
+    np.testing.assert_allclose(s.amps, basis_state(1.5, -1.5).amps, atol=1e-15)
 
 
 def test_spin_cs_exp_matches_closed_form_spin_half():
-    got = spin_cs_exp(0.5, -math.pi / 4)
+    got = coset_state(0.5, -math.pi / 4)
     want = spin_cs(SpinCsParams(j=0.5, zeta=-1.0))
     assert aligned_distance(want, got) < 1e-12
 
@@ -168,7 +163,7 @@ def test_two_route_agreement(j):
         r = rng.uniform(0.05, 1.39)
         ang = rng.uniform(0, 2 * math.pi)
         xi = r * np.exp(1j * ang)
-        got = spin_cs_exp(j, xi)
+        got = coset_state(j, xi)
         zeta = xi / abs(xi) * math.tan(abs(xi))
         want = spin_cs(SpinCsParams(j=j, zeta=zeta))
         assert abs(overlap(want, got)) > 1 - 1e-10
@@ -177,19 +172,19 @@ def test_two_route_agreement(j):
 def test_isotropy_rotation_moves_zeta_forward():
     # exp(i delta J0)|j,zeta> = |j, zeta e^{i delta}> up to a global phase
     j, zeta, delta = 1.5, 0.6 - 0.2j, 0.8
-    j0, _, _ = spin_ops(j)
-    rot = mat_exp(LinearOperator(j0.space, 1j * delta * j0.matrix))
-    got = apply(rot, spin_cs(SpinCsParams(j=j, zeta=zeta)))
+    j0, _, _ = generators(spin, int(2 * j))
+    rot = scipy.linalg.expm(1j * delta * j0)
+    got = StateVector(spin_space(j), rot @ spin_cs(SpinCsParams(j=j, zeta=zeta)).amps)
     want = spin_cs(SpinCsParams(j=j, zeta=zeta * np.exp(1j * delta)))
     assert aligned_distance(want, got) < 1e-12
 
 
 def test_isotropy_leaves_reference_state_invariant():
     j = 1.0
-    j0, _, _ = spin_ops(j)
-    rot = mat_exp(LinearOperator(j0.space, 1j * 1.1 * j0.matrix))
-    got = apply(rot, lowest_state(j))
-    assert aligned_distance(lowest_state(j), got) < 1e-12
+    j0, _, _ = generators(spin, int(2 * j))
+    rot = scipy.linalg.expm(1j * 1.1 * j0)
+    got = StateVector(spin_space(j), rot @ basis_state(j, -j).amps)
+    assert aligned_distance(basis_state(j, -j), got) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +229,13 @@ def test_addition_isometry_is_isometry(jb, jc):
 def test_intertwining_relations(jb, jc):
     ja = jb + jc
     w = coupling_matrix(jb, jc)
-    ops_a = spin_ops(ja)
-    ops_b = spin_ops(jb)
-    ops_c = spin_ops(jc)
+    ops_a = generators(spin, int(2 * ja))
+    ops_b = generators(spin, int(2 * jb))
+    ops_c = generators(spin, int(2 * jc))
     dim_b, dim_c = int(2 * jb) + 1, int(2 * jc) + 1
     for op_a, op_b, op_c in zip(ops_a, ops_b, ops_c):
-        pair = (np.kron(op_b.matrix, np.eye(dim_c))
-                + np.kron(np.eye(dim_b), op_c.matrix))
-        residue = np.abs(w @ op_a.matrix - pair @ w).max()
+        pair = np.kron(op_b, np.eye(dim_c)) + np.kron(np.eye(dim_b), op_c)
+        residue = np.abs(w @ op_a - pair @ w).max()
         assert residue < 1e-11
 
 
@@ -260,8 +254,8 @@ def test_split_spin_m0_is_maximally_entangled():
 
 
 def test_split_spin_lowest_is_product_of_lowests():
-    got = split_spin(lowest_state(2), 0.5, 1.5)
-    want = tensor_state(lowest_state(0.5), lowest_state(1.5))
+    got = split_spin(basis_state(2, -2), 0.5, 1.5)
+    want = tensor_state(basis_state(0.5, -0.5), basis_state(1.5, -1.5))
     np.testing.assert_allclose(got.amps, want.amps, atol=1e-14)
 
 
@@ -343,12 +337,12 @@ def test_mean_spin_label_is_fixed_where_the_mean_spin_vanishes():
 def test_mean_spin_of_a_stack_is_its_rows_bit_for_bit(tj):
     # the first moments of both families (spin 2j = tj and Fock cutoff tj):
     # a stack gives its rows' values, and the mode's <a> is the dense
-    # operator's, bit for bit
+    # oracle's, bit for bit
     rng = np.random.default_rng(tj)
     stack = rng.normal(size=(2, 5, tj + 1)) + 1j * rng.normal(size=(2, 5, tj + 1))
     stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
-    a, _ = fock.ladder_ops(tj)
-    j0, _, jm = spin_ops(tj / 2)
+    _, _, a = generators(fock, tj)
+    j0, _, jm = generators(spin, tj)
     for family in (spin, fock):
         mean_g0, mean_gm = qcore._first_moments(stack, *family._generator_bands(tj))
         assert mean_g0.shape == mean_gm.shape == (2, 5)
@@ -357,10 +351,10 @@ def test_mean_spin_of_a_stack_is_its_rows_bit_for_bit(tj):
             row_g0, row_gm = qcore._first_moments(row, *family._generator_bands(tj))
             assert mean_g0[index] == row_g0 and mean_gm[index] == row_gm
             if family is fock:
-                assert row_gm == np.vdot(row, a.matrix @ row)
+                assert row_gm == np.vdot(row, a @ row)
             else:
-                assert row_g0 == pytest.approx(np.vdot(row, j0.matrix @ row).real, abs=1e-13)
-                assert row_gm == pytest.approx(np.vdot(row, jm.matrix @ row), abs=1e-13)
+                assert row_g0 == pytest.approx(np.vdot(row, j0 @ row).real, abs=1e-13)
+                assert row_gm == pytest.approx(np.vdot(row, jm @ row), abs=1e-13)
 
 
 def test_nearest_cs_fit_refuses_an_unconverged_search(monkeypatch):
@@ -389,7 +383,7 @@ def test_nearest_cs_fit_restarts_a_stalled_search():
 
 @pytest.mark.parametrize("j", HALF_SPINS)
 def test_lowest_state_is_lowest_weight(j):
-    j0, _, jm = spin_ops(j)
-    low = lowest_state(j).amps
-    np.testing.assert_allclose(jm.matrix @ low, 0.0, atol=1e-15)
-    np.testing.assert_allclose(j0.matrix @ low, -j * low, atol=1e-15)
+    j0, _, jm = generators(spin, int(2 * j))
+    low = basis_state(j, -j).amps
+    np.testing.assert_allclose(jm @ low, 0.0, atol=1e-15)
+    np.testing.assert_allclose(j0 @ low, -j * low, atol=1e-15)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from coherence_lab import fock, qcore, spin
 from coherence_lab.errors import ValidationError
 from coherence_lab.qcore import StateVector, overlap, schmidt_cut, tensor_state
+from oracles import generators
 
 TOL = 1e-13
 
@@ -36,16 +37,16 @@ def reference_coupling_matrix(jb, jc):
     """Climb from the product of lowest weights with J_B+ + J_C+, dividing
     by the J_A+ matrix element at each step."""
     ja = jb + jc
-    _, jp_b, _ = spin.spin_ops(jb)
-    _, jp_c, _ = spin.spin_ops(jc)
-    d_b, d_c = jp_b.matrix.shape[0], jp_c.matrix.shape[0]
+    _, jp_b, _ = generators(spin, int(2 * jb))
+    _, jp_c, _ = generators(spin, int(2 * jc))
+    d_b, d_c = jp_b.shape[0], jp_c.shape[0]
     d_a = d_b + d_c - 1
     grid = np.zeros((d_b, d_c), dtype=complex)
     grid[0, 0] = 1.0
     columns = [grid.reshape(-1)]
     for i in range(d_a - 1):
         m_a = -ja + i
-        grid = (jp_b.matrix @ grid + grid @ jp_c.matrix.T) / math.sqrt(
+        grid = (jp_b @ grid + grid @ jp_c.T) / math.sqrt(
             (ja - m_a) * (ja + m_a + 1.0))
         columns.append(grid.reshape(-1))
     return np.stack(columns, axis=1)
