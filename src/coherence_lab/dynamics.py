@@ -232,9 +232,9 @@ class Trajectory:
 class SpinTrajectory:
     """Sampled spin evolution, labelled by the mean spin's direction.
 
-    ``cs_fidelity`` is the overlap with the coherent state at that label:
-    1 to rounding on a coherent state, and at most the nearest-coherent
-    fidelity (``spin.nearest_cs_fit``) on any other.
+    ``cs_fidelity`` is the overlap with the coherent state at that label
+    (``spin.mean_spin_label``): 1 to rounding on a coherent state, and at
+    most the best fidelity with any coherent state on every other.
     """
 
     times: np.ndarray

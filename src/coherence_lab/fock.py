@@ -1,9 +1,9 @@
-"""Truncated single-mode oscillator: Fock and Glauber coherent states,
-beamsplitter splitting and the nearest-coherent fit. Coherent amplitudes
-and beamsplitter weights come from one log-domain closed form
-(``_coherent_logs``), so no power or factorial overflows at any cutoff.
-Its generators N and a+ ([G0, G+-] = +-G+-) live in one band form, n and
-sqrt(n + 1) (``_generator_bands``), which every moment and Magnus step reads.
+"""Truncated single-mode oscillator: Fock and Glauber coherent states and
+beamsplitter splitting. Coherent amplitudes and beamsplitter weights come
+from one log-domain closed form (``_coherent_logs``), so no power or
+factorial overflows at any cutoff. Its generators N and a+ ([G0, G+-] =
++-G+-) live in one band form, n and sqrt(n + 1) (``_generator_bands``),
+which every moment, Magnus step and first-moment label alpha = <a> reads.
 
 Truncation policy: an amplitude alpha is admitted at cutoff N only when
 N >= |alpha|^2 + 12*sqrt(|alpha|^2 + 1), which keeps the neglected Poisson
@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+# perfbench/spans.py wraps ``fock.minimize`` by name, so the binding stays
+from scipy.optimize import minimize  # noqa: F401
 from scipy.special import gammaln, xlogy
 
 from . import qcore
@@ -147,29 +148,3 @@ def split_fock(state: StateVector, spec: SplitSpec) -> StateVector:
     amps = qcore.split_amplitudes(state.amps, beamsplit_weight(spec, cutoff))
     out = fock_space(cutoff)
     return StateVector(out.tensor(out), amps.reshape(-1))
-
-
-def nearest_coherent_fit(state: StateVector):
-    """Maximize |<alpha|state>| over alpha; returns (alpha, fidelity).
-
-    Seeded at alpha = <a> (exact for true coherent states) and polished by
-    ``qcore.polish_fit`` in (Re alpha, Im alpha), inside the disk of
-    amplitudes the cutoff admits. Each evaluation exponentiates the
-    ``_coherent_logs`` row and divides by its norm.
-    """
-    if not state.space.is_single("fock"):
-        raise SpaceMismatch("nearest_coherent_fit needs a single Fock factor")
-    cutoff = state.space.factors[0].cutoff
-    max_abs = admissible_radius(cutoff)
-
-    def clip(z: complex) -> complex:
-        return z if abs(z) <= max_abs else z / abs(z) * max_abs
-
-    def fid(re, im):
-        alpha = clip(complex(re, im))
-        bra = np.exp(_coherent_logs(alpha, cutoff) - abs(alpha) ** 2 / 2.0)
-        return abs(np.vdot(bra, state.amps)) / np.linalg.norm(bra)
-
-    start = clip(complex(qcore._first_moments(state.amps, *_generator_bands(cutoff))[1]))
-    best, best_fid = qcore.polish_fit(fid, (start.real, start.imag), minimize)
-    return clip(complex(*best)), best_fid

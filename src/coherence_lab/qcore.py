@@ -1,11 +1,12 @@
 """Finite-dimensional complex Hilbert-space kernel.
 
-States, tensor products, the split kernel, Schmidt analysis, first moments
-and the nearest-coherent fits' polish, shared by the oscillator and spin
-front ends. Both are generated by a diagonal G0 and a raising band G+ with
-[G0, G+-] = +-G+- (Perelomov, Commun. Math. Phys. 26, 222 (1972)), each
-kept as one band form ``(g0, g)`` in ``fock`` and ``spin`` and never as a
-dense matrix; ``_first_moments`` reads first moments from it.
+States, tensor products, the split kernel, Schmidt analysis and first
+moments, shared by the oscillator and spin front ends. Both are generated
+by a diagonal G0 and a raising band G+ with [G0, G+-] = +-G+- (Perelomov,
+Commun. Math. Phys. 26, 222 (1972)), each kept as one band form
+``(g0, g)`` in ``fock`` and ``spin`` and never as a dense matrix;
+``_first_moments`` reads first moments from it, and a coherent state's
+first moments are its label.
 
 Basis conventions (fixed for bit-exact I/O):
   * Fock levels ascend by photon number n = 0..N.
@@ -31,7 +32,6 @@ from .errors import (
     InvalidWeight,
     NonFinite,
     NotComposite,
-    NumericalError,
     SpaceMismatch,
     ValidationError,
     ZeroVector,
@@ -47,8 +47,6 @@ NORM_ROUNDING = 4 * np.finfo(float).eps
 ISOMETRY_TOL = 1e-10
 #: Schmidt entropy (in bits) below which a bipartite state counts as product.
 PRODUCT_THRESHOLD_BITS = 1e-9
-#: Nelder-Mead options of every nearest-coherent fit's polish
-POLISH_OPTIONS = dict(xatol=1e-10, fatol=1e-15, maxiter=600)
 #: Largest factor parameter (Fock cutoff or 2j) accepted. A split grid at this
 #: limit still needs about 10^12 entries (16 TB); the CLI reports such a
 #: failed allocation (``MemoryError``) as a numerical failure.
@@ -398,28 +396,3 @@ def aligned_distance(u: StateVector, v: StateVector) -> float:
     if u.space != v.space:
         raise SpaceMismatch("aligned_distance requires equal spaces")
     return float(np.linalg.norm(u.amps - phase_align(u.amps, v.amps)))
-
-
-def polish_fit(fid, best, minimize):
-    """Polish a nearest-coherent fit's best candidate ``best`` (two
-    coordinates) by a simplex search on ``-fid``; returns ``(point, fidelity)``.
-
-    ``minimize`` is ``scipy.optimize.minimize`` as the front end binds it. A
-    search that stalls (a simplex tiny in one coordinate can) is restarted
-    once where it stopped, and a second failure raises ``NumericalError``.
-    The result is kept only when it beats ``best`` by more than 1e-14, so a
-    candidate exact to rounding (a true coherent state's) is never fuzzed.
-    """
-    def search(start):
-        return minimize(lambda x: -fid(*x), list(start), method="Nelder-Mead",
-                        options=POLISH_OPTIONS)
-
-    best_fid = fid(*best)
-    res = search(best)
-    if not res.success:
-        res = search(res.x)
-    if not res.success:
-        raise NumericalError(f"nearest-coherent fit did not converge: {res.message}")
-    if -res.fun > best_fid + 1e-14:
-        return (res.x[0], res.x[1]), -float(res.fun)
-    return best, best_fid

@@ -162,7 +162,9 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON and undecodable UTF-8, RecursionError
+    # an array nested too deep to parse
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read JSON file {path!r}: {exc}") from exc
 
 

@@ -1,6 +1,6 @@
 """Spin-j systems: basis states, spin coherent states in closed form, the
 stretched angular-momentum-addition embedding j_A = j_B + j_C, and the
-mean-spin label and nearest-coherent fit of any state.
+mean-spin label of any state.
 
 A spin coherent state is parameterized by the stereographic coordinate
 zeta = -tan(theta/2) exp(-i phi) of a point on the sphere; theta = pi (the
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+# perfbench/spans.py wraps ``spin.minimize`` by name, so the binding stays
+from scipy.optimize import minimize  # noqa: F401
 from scipy.special import gammaln, xlogy
 
 from . import qcore
@@ -177,35 +178,17 @@ def split_spin(state: StateVector, jB, jC) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# nearest-coherent-state fit
+# mean-spin label
 # ---------------------------------------------------------------------------
 
 def _angles_amps(rows, theta: float, phi: float) -> np.ndarray:
-    """Unit coherent amplitudes at any angles; ``rows`` from ``_cs_rows``."""
-    theta = theta % (2.0 * math.pi)
-    if theta > math.pi:  # fold back onto the sphere
-        theta = 2.0 * math.pi - theta
-        phi = phi + math.pi
+    """Unit coherent amplitudes at 0 <= theta <= pi; ``rows`` from ``_cs_rows``."""
     if abs(theta - math.pi) < 1e-15:
         vec = np.zeros(rows[0].size, dtype=complex)
         vec[-1] = 1.0
         return vec
     amps = np.exp(_cs_logs(rows, theta, phi))
     return amps / np.linalg.norm(amps)
-
-
-def _ratio_candidate(amps: np.ndarray, tj: int):
-    """Estimate (theta, phi) from consecutive amplitude ratios."""
-    prod = np.abs(amps[:-1] * amps[1:])
-    if prod.size == 0:
-        return None
-    k = int(np.argmax(prod))
-    if prod[k] < 1e-14:
-        return None
-    zeta = amps[k + 1] / amps[k] * math.sqrt((k + 1) / (tj - k))
-    theta = 2.0 * math.atan(abs(zeta))
-    phi = (math.pi - np.angle(zeta)) % (2.0 * math.pi) if abs(zeta) > 0 else 0.0
-    return theta, phi
 
 
 def _label(theta: float, phi: float) -> tuple:
@@ -249,38 +232,3 @@ def mean_spin_label(state: StateVector):
         theta, phi, zeta = _label(math.atan2(abs(mean_jm), -mean_j0),
                                   math.pi - cmath.phase(mean_jm))
     return theta, phi, zeta, abs(np.vdot(_angles_amps(_cs_rows(tj), theta, phi), amps))
-
-
-def nearest_cs_fit(state: StateVector):
-    """Maximize |<j,(theta,phi)|state>| over the sphere.
-
-    Returns ``(theta, phi, zeta, fidelity)``; at the antipodal pole
-    (theta = pi) zeta is reported as complex infinity, so callers that need
-    a finite label should use the angles. Candidates: a ratio-extraction
-    estimate (exact on true coherent states), the two poles, and a coarse
-    sphere grid; the best one is polished by ``qcore.polish_fit``. The
-    splitting scan calls it only for samples its moment bound cannot certify;
-    a trajectory's label is ``mean_spin_label``, for which this fit is the
-    test oracle.
-    """
-    if not state.space.is_single("spin"):
-        raise SpaceMismatch("nearest_cs_fit needs a single spin factor")
-    tj = state.space.factors[0].twice_j
-    amps = state.amps
-    rows = _cs_rows(tj)
-
-    def fid(theta, phi):
-        return abs(np.vdot(_angles_amps(rows, theta, phi), amps))
-
-    ratio = _ratio_candidate(amps, tj)
-    # pole states are missed by the ratio estimate
-    candidates = ([] if ratio is None else [ratio]) + [(0.0, 0.0), (math.pi, 0.0)]
-    fids = [fid(*c) for c in candidates]
-    # a coarse sphere grid, scored in one batch
-    th = np.repeat(np.linspace(0.35, math.pi - 0.35, 8), 8)
-    ph = np.tile(np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False), 8)
-    bras = np.exp(_cs_logs(rows, th[:, None], ph[:, None]))
-    fids += list(np.abs(bras.conj() @ amps) / np.linalg.norm(bras, axis=1))
-    candidates += list(zip(th, ph))
-    best, best_fid = qcore.polish_fit(fid, candidates[int(np.argmax(fids))], minimize)
-    return _label(*best) + (best_fid,)

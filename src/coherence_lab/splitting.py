@@ -6,13 +6,13 @@ order as a formal power series (the unique solutions are exponentials),
 and run seeded randomized scans demonstrating that only coherent states
 split into products.
 
-A scan excludes a sample from the non-coherent pool when it lies within
-``CS_DISTANCE_GUARD`` of a coherent state. A closed-form bound on the best
-coherent fidelity, read from each sample's first moments (the mean spin, or
-<N> and <a> of the mode), keeps most samples without a nearest-coherent fit;
-only a sample the bound cannot place outside the guard band is fitted. Each
-chunk of samples, and the coherent grid for ``cs_max_entropy``, is one
-stacked array: normalized as ``StateVector`` normalizes, split with one
+A scan excludes a sample from the non-coherent pool when the coherent state
+at its first-moment label (the mean spin's direction, or alpha = <a> of the
+mode) lies within ``CS_DISTANCE_GUARD``. A closed-form bound on the best
+coherent fidelity, read from the same moments, keeps most samples without
+building that state; only a sample the bound cannot place outside the guard
+band is labelled. Each chunk of samples, and the coherent grid for
+``cs_max_entropy``, is one stacked array: normalized as ``StateVector`` normalizes, split with one
 ``split_amplitudes`` call and reduced to Schmidt coefficients by one
 values-only stacked SVD, with no Schmidt vector and no per-row state. Its
 entropies are bit-identical to a ``schmidt_cut`` of each split sample.
@@ -292,31 +292,41 @@ def _haar_amps(seed: int, index: int, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _cs_distance(system, state: StateVector) -> float:
-    """Phase-aligned distance to the fitted nearest coherent state.
+def _cs_distance(state: StateVector) -> float:
+    """Phase-aligned distance to the coherent state at the first-moment label.
 
-    Always runs the fit (``spin.nearest_cs_fit`` or
-    ``fock.nearest_coherent_fit``); ``uniqueness_scan`` calls it only for
-    samples whose moment bound cannot place them outside the guard band.
+    A coherent state's first moments are its label: <J> = j n for a spin
+    (``spin.mean_spin_label``) and <a> = alpha for a mode (Perelomov, Commun.
+    Math. Phys. 26, 222 (1972)). A mode's alpha is pulled onto the
+    admissible disk |alpha| <= ``fock.admissible_radius``, and the state
+    there is the unit truncated |alpha>. ``uniqueness_scan`` calls this only
+    for samples whose moment bound cannot place them outside the guard band.
     """
-    if isinstance(system, SpinScanSystem):
-        _, _, _, fid = spin.nearest_cs_fit(state)
+    if state.space.is_single("spin"):
+        fid = spin.mean_spin_label(state)[3]
     else:
-        _, fid = fock.nearest_coherent_fit(state)
+        cutoff = state.space.factors[0].cutoff
+        alpha = complex(qcore._first_moments(state.amps, *fock._generator_bands(cutoff))[1])
+        radius = fock.admissible_radius(cutoff)
+        if abs(alpha) > radius:
+            alpha = alpha / abs(alpha) * radius
+        bra = np.exp(fock._coherent_logs(alpha, cutoff) - abs(alpha) ** 2 / 2.0)
+        fid = abs(np.vdot(bra, state.amps)) / np.linalg.norm(bra)
     return math.sqrt(max(0.0, 2.0 - 2.0 * fid))
 
 
-# The bounds below cap F* = max_g |<g|psi>| over the coherent family the fit
-# searches, from the first moments of a unit sample psi alone.
+# The bounds below cap F* = max_g |<g|psi>| over the admissible coherent
+# states g, from the first moments of a unit sample psi alone. The state at
+# the sample's label is one of them, so its fidelity is at most F* too.
 #
 # - Spin: a coherent state g is the top eigenvector of m.J for some unit m,
 #   with eigenvalue j, and every other eigenvalue is at most j - 1 (Arecchi,
 #   Courtens, Gilmore & Thomas, Phys. Rev. A 6, 2211 (1972); Perelomov,
 #   Commun. Math. Phys. 26, 222 (1972)). So |g><g| <= (m.J + j) / (2j), and
 #   F*^2 <= (1 + |<J>| / j) / 2.
-# - Fock: the fit searches the unit truncated |alpha> with |alpha| <= R =
-#   ``admissible_radius``. Let X = (a - alpha)^+ (a - alpha) on the truncated
-#   mode and V = <N> - |<a>|^2. Then <X> = V + |<a> - alpha|^2 >= V, and
+# - Fock: the admissible states are the unit truncated |alpha> with |alpha| <=
+#   R = ``admissible_radius``. Let X = (a - alpha)^+ (a - alpha) on the
+#   truncated mode and V = <N> - |<a>|^2. Then <X> = V + |<a> - alpha|^2 >= V, and
 #   X <= (sqrt(N) + R)^2 = L, since ||a|| = sqrt(N). The truncated a lowers
 #   every level of |alpha> but the top one exactly, so X|alpha> = |alpha|^2
 #   g_N e_N, with g_N the top amplitude of |alpha>; |g_N| grows with |alpha|,
@@ -324,19 +334,19 @@ def _cs_distance(system, state: StateVector) -> float:
 #   s chi with chi orthogonal to |alpha> and s^2 = 1 - F^2 gives
 #   V <= <X> <= e g + 2 s e + s^2 L, a floor on s and so a ceiling on F*.
 #
-# A sample whose bound plus SCREEN_MARGIN stays below 1 - guard^2/2 has every
-# fitted distance above the guard band, so it is kept without a fit. The
+# A sample whose bound plus SCREEN_MARGIN stays below 1 - guard^2/2 has its
+# label distance above the guard band, so it is kept without labelling. The
 # margin covers the rounding of the moments (each a sum of dim terms of size
 # at most j or N, divided by j or by L >= N, so the bound moves by about
-# dim * eps) and the fit's own rounding (a computed overlap of unit vectors
-# exceeds its exact value by at most about (2 dim + 10) eps).
+# dim * eps) and that of the label overlap (a computed overlap of unit
+# vectors exceeds its exact value by at most about (2 dim + 10) eps).
 
-#: allowance for rounding between a moment bound and a fitted fidelity
+#: allowance for rounding between a moment bound and a label fidelity
 SCREEN_MARGIN = 1e-9
 #: most amplitudes one stacked split holds (1 MiB), which keeps a scan's
 #: memory independent of its sample count
 CHUNK_AMPS = 2 ** 16
-#: best coherent fidelity below which every fitted distance is above the guard
+#: best coherent fidelity below which every label distance is above the guard
 _FIDELITY_CEILING = 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
 
 
@@ -402,18 +412,18 @@ def _split_entropies(weight: np.ndarray, amps: np.ndarray) -> list:
 def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
     """Split seeded Haar-random states and record their entanglement.
 
-    Samples whose distance to the fitted nearest coherent state falls
-    inside the guard band are excluded from the non-coherent pool. A bound
-    from each sample's first moments (``_spin_bound``, ``_fock_bound``; see
-    the proofs above them) proves most samples lie outside the band, and a
-    sample is fitted, as a ``StateVector``, only when it cannot. Samples go
-    in chunks of at most ``CHUNK_AMPS`` amplitudes, each normalized by
-    ``qcore._normalize_rows``, split with one ``split_amplitudes`` call and
-    cut by one values-only stacked SVD. A deterministic coherent-state
-    parameter grid is split the same way for ``cs_max_entropy``. Each sample
-    draws from its own counter-based stream, so the result does not depend
-    on the order samples are processed in, and every entropy is
-    bit-identical to a ``schmidt_cut`` of the split sample.
+    A sample is excluded from the non-coherent pool exactly when the
+    coherent state at its first-moment label lies inside the guard band
+    (``_cs_distance``). A bound from the same moments (``_spin_bound``,
+    ``_fock_bound``; see the proofs above them) proves most samples lie
+    outside the band, and a sample is labelled, as a ``StateVector``, only
+    when it cannot. Samples go in chunks of at most ``CHUNK_AMPS``
+    amplitudes, each normalized by ``qcore._normalize_rows``, split with one
+    ``split_amplitudes`` call and cut by one values-only stacked SVD. A
+    deterministic coherent-state parameter grid is split the same way for
+    ``cs_max_entropy``. Each sample draws from its own counter-based stream,
+    so the result does not depend on the order samples are processed in, and
+    every entropy is bit-identical to a ``schmidt_cut`` of the split sample.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
@@ -435,7 +445,7 @@ def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
         entropies = _split_entropies(weight, amps)
         certified = bound(amps) + SCREEN_MARGIN < _FIDELITY_CEILING
         for row, ent, sure in zip(amps, entropies, certified):
-            if sure or _cs_distance(system, StateVector(space, row)) > CS_DISTANCE_GUARD:
+            if sure or _cs_distance(StateVector(space, row)) > CS_DISTANCE_GUARD:
                 min_kept = ent if min_kept is None else min(min_kept, ent)
                 n_kept += 1
     grid = _cs_grid_states(system)

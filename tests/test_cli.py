@@ -415,6 +415,11 @@ def test_validation_error_exit_code(capsys):
      "--phi", "nan"],
     ["evolve", "--system", "spin", "--j", "1", "--beta0", "1", "--theta0", "1", "--phi0",
      "nan", "--tmax", "1", "--samples", "3"],
+    # an output path that cannot be written
+    ["series", "--out", "/nonexistent/x.json"],
+    ["series", "--out", "/"],
+    ["split", "--system", "fock", "--alpha", "1", "--N", "40", "--save-state",
+     "/nonexistent/s.json"],
 ])
 def test_malformed_values_exit_2_with_one_line(argv, capsys):
     assert run_cli(argv) == 2
@@ -788,3 +793,15 @@ def test_state_file_factor_sizes_must_be_json_integers(name, tmp_path):
     assert code == 2
     assert err.startswith("error: malformed space descriptor: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["chsh", "--state", "latin1"], ["--config", "latin1", "chsh"],
+                                  ["chsh", "--state", "deep"]],
+                         ids=["state-not-utf8", "config-not-utf8", "state-nested-too-deep"])
+def test_unreadable_input_files_exit_2_with_one_line(argv, tmp_path, monkeypatch):
+    (tmp_path / "latin1").write_bytes('{"space": "é"}'.encode("latin-1"))
+    (tmp_path / "deep").write_text("[" * 100_000)
+    monkeypatch.chdir(tmp_path)
+    code, err = _exit_and_stderr(argv)
+    assert code == 2
+    assert err.startswith("error: cannot read JSON file ") and err.count("\n") == 1

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coherence_lab
 import coherence_lab.dynamics as dyn
-from coherence_lab import fock, qcore, spin, splitting
+from coherence_lab import bell, fock, qcore, spin, splitting
 from coherence_lab.dynamics import (
     DriveSpec,
     LinearSpinHamiltonian,
@@ -21,7 +22,7 @@ from coherence_lab.dynamics import (
     evolve_spin,
 )
 from coherence_lab.errors import NumericalError, StepSizeTooLarge, ValidationError
-from oracles import expectation, generators, quadratures
+from oracles import expectation, generators, quadratures, spin_cs_fit
 
 
 def constant_drive(lam=0.2, omega=1.0):
@@ -400,34 +401,40 @@ def test_magnus_propagator_matches_dense_expm(system, w1, w2, lam1, lam2, dt, t)
                          dense_magnus_propagator(dense, (nodes[1], nodes[1]), dt))
 
 
-#: the dense operator layer the band forms replaced
-DENSE_OPERATOR_NAMES = ("LinearOperator", "apply", "expectation", "moments", "mat_exp",
-                        "ladder_ops", "number_op", "quadrature_ops", "displacement",
-                        "TAIL_TOLERANCE", "spin_ops", "spin_cs_exp", "lowest_state")
+#: the deleted dense operator layer and nearest-coherent fits
+DELETED_NAMES = ("LinearOperator", "apply", "expectation", "moments", "mat_exp",
+                 "ladder_ops", "number_op", "quadrature_ops", "displacement",
+                 "TAIL_TOLERANCE", "spin_ops", "spin_cs_exp", "lowest_state",
+                 "nearest_cs_fit", "_ratio_candidate", "nearest_coherent_fit", "polish_fit",
+                 "POLISH_OPTIONS")
 
 
 def test_command_paths_build_no_dense_generator(monkeypatch):
-    # the library keeps each generator as its band form only, and evolve, the
-    # scan's bounds and the Fock fit never exponentiate a dense matrix
+    # the library keeps each generator as its band form only, and evolve and
+    # the scan's bounds and labels never exponentiate a dense matrix or search
     for module in (coherence_lab, qcore, fock, spin):
-        assert [name for name in DENSE_OPERATOR_NAMES if hasattr(module, name)] == []
+        assert [name for name in DELETED_NAMES if hasattr(module, name)] == []
 
-    def dense(*args, **kwargs):
-        raise AssertionError("a dense matrix was exponentiated")
+    def fail(*args, **kwargs):
+        raise AssertionError("a dense matrix was exponentiated, or an optimizer ran")
 
-    monkeypatch.setattr(scipy.linalg, "expm", dense)
+    for module, name in ((scipy.linalg, "expm"), (fock, "minimize"), (spin, "minimize"),
+                         (bell, "minimize"), (scipy.optimize, "minimize")):
+        monkeypatch.setattr(module, name, fail)
     traj = evolve_fock(DriveSpec.sinusoid(1.0, 0.2, 0.7), np.linspace(0.0, 3.0, 7), 24,
                        initial=fock.glauber_cs(0.3 - 0.2j, 24))
     assert traj.cs_fidelity.min() > 1 - 1e-9
+    spin_cs = spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j))
     traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 2, np.linspace(0.0, 3.0, 7),
-                       spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j)))
+                       spin_cs)
     assert traj.cs_fidelity.min() > 1 - 1e-12
-    # a planted coherent sample is fitted, from <a>, and excluded
-    planted = fock.glauber_cs(0.5 + 0.3j, 16).amps
+    # a planted coherent sample is labelled, by <a> or the mean spin, and excluded
     haar = splitting._haar_amps
-    monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim: (
-        planted if index == 5 else haar(seed, index, dim)))
-    assert splitting.uniqueness_scan(splitting.FockScanSystem(16), 12, 7).n_excluded == 1
+    for system, planted in ((splitting.FockScanSystem(16), fock.glauber_cs(0.5 + 0.3j, 16)),
+                            (splitting.SpinScanSystem(2, 1, 1), spin_cs)):
+        monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim, p=planted.amps: (
+            p if index == 5 else haar(seed, index, dim)))
+        assert splitting.uniqueness_scan(system, 12, 7).n_excluded == 1
 
 
 def test_steps_use_tridiagonal_eigensolves_not_expm(monkeypatch):
@@ -508,7 +515,7 @@ def test_evolve_spin_labels_match_the_fit(tj, beta0, beta_plus, zeta0, t_max):
                        np.linspace(0.0, t_max, 5), initial)
     for state, theta, phi, fid in zip(traj.states, traj.theta_track, traj.phi_track,
                                       traj.cs_fidelity):
-        fit_theta, fit_phi, _, _ = spin.nearest_cs_fit(state)
+        fit_theta, fit_phi, _ = spin_cs_fit(state)
         assert abs(theta - fit_theta) < 1e-10
         if math.sin(theta) > 1e-3:
             assert abs((phi - fit_phi + math.pi) % (2 * math.pi) - math.pi) < 1e-10
@@ -519,7 +526,7 @@ def test_evolve_spin_fidelity_of_a_non_coherent_state_is_at_most_the_fit():
     traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 1, np.linspace(0.0, 3.0, 7),
                        spin.basis_state(1, 0))
     for state, fid in zip(traj.states, traj.cs_fidelity):
-        assert fid <= spin.nearest_cs_fit(state)[3]
+        assert fid <= spin_cs_fit(state)[2]
 
 
 # ---------------------------------------------------------------------------

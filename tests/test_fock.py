@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 from scipy.stats import poisson
 
 from coherence_lab import fock, qcore
 from coherence_lab.errors import (
-    NumericalError,
     SpaceMismatch,
     TruncationTooSmall,
     ValidationError,
@@ -17,7 +15,6 @@ from coherence_lab.fock import (
     beamsplit_weight,
     fock_space,
     glauber_cs,
-    nearest_coherent_fit,
     number_state,
     required_cutoff,
     split_fock,
@@ -215,38 +212,3 @@ def test_minimum_uncertainty_product():
         _, var_q = mean_variance(q, s)
         _, var_p = mean_variance(p, s)
         assert math.sqrt(var_q) * math.sqrt(var_p) == pytest.approx(0.5, abs=1e-8)
-
-
-def test_nearest_coherent_fit_recovers_alpha():
-    alpha = 0.8 - 0.35j
-    state = glauber_cs(alpha, 30)
-    fitted, fid = nearest_coherent_fit(state)
-    assert abs(fitted - alpha) < 1e-7
-    assert fid > 1 - 1e-12
-
-
-def test_nearest_coherent_fit_refuses_an_unconverged_search(monkeypatch):
-    def starved(*args, options, **kwargs):
-        return minimize(*args, options=dict(options, maxiter=3), **kwargs)
-
-    monkeypatch.setattr(fock, "minimize", starved)
-    with pytest.raises(NumericalError):
-        nearest_coherent_fit(glauber_cs(0.8 - 0.35j, 30))
-
-
-def test_nearest_coherent_fit_restarts_a_stalled_search(monkeypatch):
-    # only the first search is starved: the restart where it stopped converges
-    calls = []
-
-    def starved_once(*args, options, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            options = dict(options, maxiter=3)
-        return minimize(*args, options=options, **kwargs)
-
-    monkeypatch.setattr(fock, "minimize", starved_once)
-    alpha = 0.8 - 0.35j
-    fitted, fid = nearest_coherent_fit(glauber_cs(alpha, 30))
-    assert len(calls) == 2
-    assert abs(fitted - alpha) < 1e-7
-    assert fid > 1 - 1e-12

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.optimize import minimize
 from scipy.stats import binom
 
 from coherence_lab import fock, qcore, spin
@@ -11,7 +10,6 @@ from coherence_lab.dynamics import LinearSpinHamiltonian, evolve_spin
 from coherence_lab.errors import (
     AntipodalPoint,
     InvalidWeight,
-    NumericalError,
     ValidationError,
     WeightConditionViolated,
 )
@@ -27,7 +25,6 @@ from coherence_lab.spin import (
     angle_to_zeta,
     basis_state,
     coupling_weight,
-    nearest_cs_fit,
     spin_cs,
     spin_space,
     split_spin,
@@ -278,45 +275,8 @@ def test_cs_factorization_random_zeta_all_pairs():
 
 
 # ---------------------------------------------------------------------------
-# fits and the lowest-weight state
+# mean-spin labels and the lowest-weight state
 # ---------------------------------------------------------------------------
-
-def test_nearest_cs_fit_roundtrip():
-    params = SpinCsParams.from_angles(1.5, 1.1, 2.3)
-    theta, phi, zeta, fid = nearest_cs_fit(spin_cs(params))
-    assert fid > 1 - 1e-12
-    assert theta == pytest.approx(1.1, abs=1e-7)
-    assert phi == pytest.approx(2.3, abs=1e-7)
-    assert abs(zeta - angle_to_zeta(1.1, 2.3)) < 1e-7
-
-
-def test_nearest_cs_fit_pole():
-    state = StateVector(spin_space(1), [0, 0, 1])
-    theta, phi, zeta, fid = nearest_cs_fit(state)
-    assert fid > 1 - 1e-12
-    assert theta == pytest.approx(math.pi, abs=1e-7)
-    assert np.isinf(abs(zeta))
-
-
-def test_polish_runs_only_when_it_can_improve(monkeypatch):
-    calls = []
-    real = spin.minimize
-    monkeypatch.setattr(spin, "minimize", lambda *a, **k: calls.append(1) or real(*a, **k))
-    # the polish keeps only a strict improvement: on a true coherent state the
-    # machine-exact ratio candidate survives the simplex
-    for j, zeta in ((0.5, 0.3), (2, 0.4 - 0.7j), (5, 1.2j)):
-        assert nearest_cs_fit(spin_cs(SpinCsParams(j=j, zeta=zeta)))[3] > 1 - 1e-15
-    calls.clear()
-    # a trajectory reads its labels from the mean spin: no fit at all
-    initial = spin_cs(SpinCsParams(j=3, zeta=0.8 - 0.2j))
-    traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 3,
-                       np.linspace(0.0, 3.0, 9), initial)
-    assert traj.cs_fidelity.min() > 1 - 1e-12
-    assert calls == []
-    # |<cs|1,0>| <= 1/sqrt(2): the polish runs once
-    assert nearest_cs_fit(basis_state(1, 0))[3] < 1 - 1e-6
-    assert len(calls) == 1
-
 
 def test_mean_spin_label_is_fixed_where_the_mean_spin_vanishes():
     # |1, 0> keeps <J> = 0 under a linear Hamiltonian; the computed mean spin
@@ -355,30 +315,6 @@ def test_mean_spin_of_a_stack_is_its_rows_bit_for_bit(tj):
             else:
                 assert row_g0 == pytest.approx(np.vdot(row, j0 @ row).real, abs=1e-13)
                 assert row_gm == pytest.approx(np.vdot(row, jm @ row), abs=1e-13)
-
-
-def test_nearest_cs_fit_refuses_an_unconverged_search(monkeypatch):
-    def starved(*args, options, **kwargs):
-        return minimize(*args, options=dict(options, maxiter=3), **kwargs)
-
-    monkeypatch.setattr(spin, "minimize", starved)
-    with pytest.raises(NumericalError):
-        nearest_cs_fit(basis_state(1, 0))
-
-
-def test_nearest_cs_fit_restarts_a_stalled_search():
-    # the 2520th spin-1 state drawn as normal(3) + 1j normal(3) from
-    # default_rng(102): the first search stalls at phi near -0.074 after
-    # 600 iterations with fidelity 0.884
-    state = StateVector(spin_space(1), [-0.5598415435034929 - 1.9466217084334736j,
-                                        -0.445209926251902 + 0.8860333593009062j,
-                                        0.3935533965643226 - 1.5264526758559385j])
-    fid = nearest_cs_fit(state)[3]
-    rows = spin._cs_rows(2)
-    grid = max(abs(np.vdot(spin._angles_amps(rows, theta, phi), state.amps))
-               for theta in np.linspace(0.0, math.pi, 61)
-               for phi in np.linspace(0.0, 2.0 * math.pi, 120, endpoint=False))
-    assert grid <= fid == pytest.approx(0.9029083194057773, abs=1e-12)
 
 
 @pytest.mark.parametrize("j", HALF_SPINS)

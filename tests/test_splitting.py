@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from coherence_lab.splitting import (
     functional_residuals,
     uniqueness_scan,
 )
+from oracles import cs_fit_distance, fock_cs_fit, spin_cs_fit
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +239,7 @@ def test_negative_control_non_stretched_coupling_rejected():
 def test_guard_band_excludes_planted_cs():
     # plant an exact coherent state among the samples via the guard check
     state = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.7))
-    assert _cs_distance(SpinScanSystem(1, 0.5, 0.5), state) < CS_DISTANCE_GUARD
+    assert _cs_distance(state) < CS_DISTANCE_GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -248,29 +250,35 @@ def _certified(bound, amps):
     return bound(amps) + SCREEN_MARGIN < 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
 
 
-def _bound_case(kind, size, seed, eps):
-    """A moment bound, a state and its fitted fidelity. ``eps`` None draws a
-    Haar state; otherwise a random coherent state is perturbed by ``eps``."""
-    rng = np.random.default_rng(seed)
+def _random_coherent(kind, size, rng):
+    """A random spin coherent state at 2j = 1 + size % 40, or an admissible
+    Glauber state at cutoff 12 + size % 49."""
     if kind == "spin":
         tj = 1 + size % 40
-        bound, space = _spin_bound, spin.spin_space(tj / 2)
-        coherent = spin.spin_cs(spin.SpinCsParams.from_angles(
+        return spin.spin_cs(spin.SpinCsParams.from_angles(
             tj / 2, rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)))
-    else:
-        cutoff = 12 + size % 49
-        bound, space = _fock_bound, fock.fock_space(cutoff)
-        radius = fock.admissible_radius(cutoff) * math.sqrt(rng.uniform())
-        coherent = fock.glauber_cs(radius * np.exp(2j * math.pi * rng.uniform()),
-                                   cutoff)
-    noise = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    cutoff = 12 + size % 49
+    radius = fock.admissible_radius(cutoff) * math.sqrt(rng.uniform())
+    return fock.glauber_cs(radius * np.exp(2j * math.pi * rng.uniform()), cutoff)
+
+
+def _near_coherent(coherent, eps, seed):
+    """``coherent`` plus ``eps`` times a seeded unit noise vector, normalized,
+    or the noise alone, a Haar state, when ``eps`` is None. ``seed`` may be
+    a generator, which the noise draws from."""
+    rng, dim = np.random.default_rng(seed), coherent.space.dim
+    noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     noise /= np.linalg.norm(noise)
-    state = StateVector(space, noise if eps is None else coherent.amps + eps * noise)
-    if kind == "spin":
-        fid = spin.nearest_cs_fit(state)[3]
-    else:
-        fid = fock.nearest_coherent_fit(state)[1]
-    return bound, state, fid
+    return StateVector(coherent.space, noise if eps is None else coherent.amps + eps * noise)
+
+
+def _bound_case(kind, size, seed, eps):
+    """A moment bound, a state and its fitted fidelity: a Haar state if ``eps``
+    is None, else a random coherent state perturbed by ``eps``."""
+    rng = np.random.default_rng(seed)
+    state = _near_coherent(_random_coherent(kind, size, rng), eps, rng)
+    fid = (spin_cs_fit(state) if kind == "spin" else fock_cs_fit(state))[-1]
+    return (_spin_bound if kind == "spin" else _fock_bound), state, fid
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,46 +313,74 @@ def test_moment_bound_never_certifies_large_coherent_states():
     assert not _certified(_fock_bound, row)[0]
 
 
-def _count_calls(monkeypatch, module, name, calls):
-    fit = getattr(module, name)
+def _count_labels(monkeypatch):
+    """The samples ``uniqueness_scan`` labels, with every optimizer raising."""
+    calls, label = [], splitting._cs_distance
+    monkeypatch.setattr(splitting, "_cs_distance",
+                        lambda state: calls.append(state) or label(state))
+    for module in (fock, spin, scipy.optimize):
+        monkeypatch.setattr(module, "minimize", _no_search)
+    return calls
 
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return fit(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+def _no_search(*args, **kwargs):
+    raise AssertionError("an optimizer ran")
 
 
 def test_screen_leaves_few_fits(monkeypatch):
-    calls = []
-    _count_calls(monkeypatch, spin, "nearest_cs_fit", calls)
-    _count_calls(monkeypatch, fock, "nearest_coherent_fit", calls)
+    calls = _count_labels(monkeypatch)
     uniqueness_scan(FockScanSystem(24), 30, 1)
     uniqueness_scan(SpinScanSystem(3, 1.5, 1.5), 50, 1)
     uniqueness_scan(SpinScanSystem(1, 0.5, 0.5), 60, 3)
     assert calls == []
 
 
-@pytest.mark.parametrize("system,planted", [
-    (SpinScanSystem(2, 1, 1), spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j))),
-    (FockScanSystem(16), fock.glauber_cs(0.5 + 0.3j, 16)),
-], ids=["spin", "fock"])
-def test_scan_fits_and_excludes_a_planted_coherent_sample(monkeypatch, system, planted):
-    # sample 5 is an exact coherent state: the bound cannot certify it, so the
-    # scan fits it, and the fit puts it inside the guard band
+SPIN_CS = spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j))
+FOCK_CS = fock.glauber_cs(0.5 + 0.3j, 16)
+
+
+@pytest.mark.parametrize("system,planted,eps,excluded", [
+    (SpinScanSystem(2, 1, 1), SPIN_CS, 0.0, 1),
+    (FockScanSystem(16), FOCK_CS, 0.0, 1),
+    (SpinScanSystem(2, 1, 1), SPIN_CS, 9e-7, 1),
+    (SpinScanSystem(2, 1, 1), SPIN_CS, 3.6e-6, 0),
+    (FockScanSystem(16), FOCK_CS, 5.2e-7, 1),
+    (FockScanSystem(16), FOCK_CS, 2.1e-6, 0),
+], ids=["spin", "fock", "spin-at-5e-7", "spin-at-2e-6", "fock-at-5e-7", "fock-at-2e-6"])
+def test_scan_fits_and_excludes_a_planted_coherent_sample(monkeypatch, system, planted,
+                                                          eps, excluded):
+    # sample 5 is a coherent state, exact or with noise that puts it about
+    # 5e-7 (inside the guard band) or 2e-6 (outside) from the nearest one: the
+    # bound cannot certify it, so the scan labels it, with no search, and the
+    # coherent state at its label decides
+    state = _near_coherent(planted, eps, 4)
+    if eps:
+        assert cs_fit_distance(state) == pytest.approx(5e-7 if excluded else 2e-6, rel=0.1)
     haar = splitting._haar_amps
     monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim: (
-        planted.amps if index == 5 else haar(seed, index, dim)))
-    calls = []
-    _count_calls(monkeypatch, spin, "nearest_cs_fit", calls)
-    _count_calls(monkeypatch, fock, "nearest_coherent_fit", calls)
-    assert uniqueness_scan(system, 12, 7).n_excluded == 1
+        state.amps if index == 5 else haar(seed, index, dim)))
+    calls = _count_labels(monkeypatch)
+    assert uniqueness_scan(system, 12, 7).n_excluded == excluded
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["spin", "fock"])
+def test_label_distance_is_the_fitted_distance_near_a_coherent_state(kind):
+    # seeded coherent states (spin 2j = 2..40, Fock N = 13..51) plus noise
+    # that puts them 1e-6 to 1e-3 from the nearest one: the label's distance
+    # is within 1% of the fitted one
+    rng = np.random.default_rng(17)
+    for case in range(20):
+        coherent = _random_coherent(kind, int(rng.integers(1, 40)), rng)
+        state = _near_coherent(coherent, 10.0 ** rng.uniform(-5.7, -3.0), case)
+        fitted = cs_fit_distance(state)
+        assert 1e-6 <= fitted <= 1e-3
+        assert abs(_cs_distance(state) / fitted - 1.0) <= 0.01
 
 
 def per_sample_scan(system, n_samples, seed):
     """The scan one state at a time, without screen or batching: every
-    sample is fitted, and every sample and grid state is split by
+    sample is labelled, and every sample and grid state is split by
     ``split_spin``/``split_fock`` and cut by ``schmidt_cut``. The grid is
     built point by point with ``spin_cs``/``glauber_cs``."""
     if isinstance(system, SpinScanSystem):
@@ -371,7 +407,7 @@ def per_sample_scan(system, n_samples, seed):
     kept = []
     for index in range(n_samples):
         state = StateVector(space, _haar_amps(seed, index, system.dim))
-        if _cs_distance(system, state) > CS_DISTANCE_GUARD:
+        if _cs_distance(state) > CS_DISTANCE_GUARD:
             kept.append(schmidt_cut(split(state), 1).entropy_bits)
     return ScanStats(system=system.label, n_samples=n_samples, seed=seed,
                      min_entropy_non_cs=min(kept) if kept else None,
