@@ -330,8 +330,9 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
     ``multistart-local-search`` needs an explicit seed and works for any
     subsystem dimensions: it runs the see-saw from ``n_starts`` seeded
     random starts, each until the gain still to come, extrapolated from the
-    last sweeps, is at most ``tol``. Two-level factors get traceless
-    observables, so ``settings.angle_lists()`` gives their Bloch angles.
+    last sweeps, is at most ``tol`` (positive and finite). Two-level factors
+    get traceless observables, so ``settings.angle_lists()`` gives their Bloch
+    angles.
     ``max_value`` is the ``chsh_value`` of the returned settings, and
     ``converged`` is False when the best start hit the sweep cap
     ``SEESAW_MAX_SWEEPS`` first.
@@ -348,7 +349,7 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
             raise ValidationError("the numerical strategy requires an explicit seed")
         if n_starts < 1:
             raise ValidationError("n_starts must be >= 1")
-        if not tol > 0.0:
-            raise ValidationError("tol must be positive")
+        if not 0.0 < tol < math.inf:
+            raise ValidationError("tol must be positive and finite")
         return _maximize_seesaw(state, n_starts, seed, tol)
     raise StrategyUnavailable(f"unknown strategy {strategy!r}")

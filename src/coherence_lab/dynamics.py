@@ -10,9 +10,10 @@ and a global phase whose -omega*t/2 piece depends on whether the vacuum
 energy omega/2 is included in H; ``eta_convention_report`` measures which
 convention reproduces the textbook phase formula instead of assuming one.
 
-Spin: H = beta0 J0 + beta+ J+ + beta+* J-. Each sample is labelled, with
-no fit, by its own mean generator: alpha = <a>, or the mean spin's direction
-(``spin.mean_spin_label``), both exact on coherent states. Both Hamiltonians are
+Spin: H = beta0 J0 + beta+ J+ + beta+* J-. Each stored sample is labelled,
+with no fit, by the label the scan's guard reads: ``fock.mean_mode_label``
+(alpha = <a>) or ``spin.mean_spin_label`` (the mean spin's direction), both
+exact on coherent states. Both Hamiltonians are
 w0(t) G0 + lam(t) G+ + lam(t)* G-, with G0 diagonal, G+ a fixed subdiagonal
 and [G0, G+-] = +-G+- (Perelomov, Commun. Math. Phys. 26, 222 (1972)), read
 from the bands ``_generator_bands`` of ``fock`` or ``spin``, and both
@@ -198,27 +199,14 @@ def alpha_eta_of_t(drive: DriveSpec, t: float):
     return alpha, -drive.omega * t / 2.0 - corr
 
 
-def cs_overlap(state: StateVector, alpha_ref: complex) -> complex:
-    """Phase-including overlap <alpha_ref|state> on the state's cutoff."""
-    if not state.space.is_single("fock"):
-        raise ValidationError("cs_overlap needs a single Fock factor")
-    cutoff = state.space.factors[0].cutoff
-    return qcore.overlap(fock.glauber_cs(alpha_ref, cutoff), state)
-
-
-def cs_fidelity(state: StateVector, alpha_ref: complex) -> float:
-    """|<alpha_ref|state>|."""
-    return abs(cs_overlap(state, alpha_ref))
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled oscillator evolution.
+    """Sampled oscillator evolution, each stored sample labelled by
+    ``fock.mean_mode_label``.
 
-    ``alpha_track`` is <a>; ``eta_track`` the unwrapped phase of
-    <alpha_track(t)|state(t)>; ``cs_fidelity`` the overlap magnitude with
-    the coherent state at alpha_track (the exact nearest coherent state
-    whenever the state is coherent).
+    ``alpha_track`` is <a>; ``eta_track`` the unwrapped phase of the label's
+    overlap <alpha_track(t)|state(t)>; ``cs_fidelity`` its magnitude (with
+    the exact nearest coherent state whenever the state is coherent).
     """
 
     times: np.ndarray
@@ -406,22 +394,16 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
     reach = abs(alpha0) + _drive_reach(drive, grid, counts)
     fock.check_cutoff(reach, cutoff)
 
-    states, alphas, raw_phases, fids = [], [], [], []
-    for psi in _stepped(lambda t: (drive.omega, drive.lam(t)), _bands(g0, g),
-                        drive.is_static, initial.amps, grid, counts):
-        state = StateVector(space, psi)
-        alpha = complex(qcore._first_moments(psi, g0, g)[1])
-        ov = cs_overlap(state, alpha)
-        states.append(state)
-        alphas.append(alpha)
-        raw_phases.append(np.angle(ov))
-        fids.append(abs(ov))
+    states = [StateVector(space, psi)
+              for psi in _stepped(lambda t: (drive.omega, drive.lam(t)), _bands(g0, g),
+                                  drive.is_static, initial.amps, grid, counts)]
+    alphas, overlaps = zip(*map(fock.mean_mode_label, states))
     return Trajectory(
         times=grid,
         states=tuple(states),
         alpha_track=np.array(alphas),
-        eta_track=np.unwrap(np.array(raw_phases)),
-        cs_fidelity=np.array(fids),
+        eta_track=np.unwrap(np.angle(overlaps)),
+        cs_fidelity=np.array([abs(ov) for ov in overlaps]),
     )
 
 

@@ -42,10 +42,6 @@ class WeightConditionViolated(ValidationError):
     """Subsystem spins do not add up to the system spin."""
 
 
-class AntipodalPoint(ValidationError):
-    """theta = pi has no finite stereographic coordinate."""
-
-
 class TruncationTooSmall(ValidationError):
     """Fock cutoff too small for the requested coherent amplitude."""
 

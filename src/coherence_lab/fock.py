@@ -4,6 +4,9 @@ from one log-domain closed form (``_coherent_logs``), so no power or
 factorial overflows at any cutoff. Its generators N and a+ ([G0, G+-] =
 +-G+-) live in one band form, n and sqrt(n + 1) (``_generator_bands``),
 which every moment, Magnus step and first-moment label alpha = <a> reads.
+A coherent state's amplitudes come from ``_glauber_amps`` alone (behind
+``glauber_cs`` and the scan's grid), and it is labelled by
+``mean_mode_label`` alone, the twin of ``spin.mean_spin_label``.
 
 Truncation policy: an amplitude alpha is admitted at cutoff N only when
 N >= |alpha|^2 + 12*sqrt(|alpha|^2 + 1), which keeps the neglected Poisson
@@ -114,11 +117,17 @@ def _coherent_logs(alpha, cutoff: int) -> np.ndarray:
     return xlogy(n, np.abs(alpha)) - gammaln(n + 1.0) / 2.0 + n * (1j * np.angle(alpha))
 
 
+def _glauber_amps(alpha, cutoff: int) -> np.ndarray:
+    """exp(-|alpha|^2/2) alpha^n / sqrt(n!), n = 0..cutoff, on a new last axis
+    of an array of alpha: the amplitudes of ``glauber_cs``."""
+    return np.exp(_coherent_logs(alpha, cutoff) - (np.abs(alpha) ** 2 / 2.0)[..., None])
+
+
 def glauber_cs(alpha, cutoff: int) -> StateVector:
     """Coherent state amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!)."""
     check_cutoff(alpha, cutoff)
     space = fock_space(cutoff)  # refuses a cutoff too large to allocate
-    return StateVector(space, np.exp(_coherent_logs(alpha, cutoff) - np.abs(alpha) ** 2 / 2.0))
+    return StateVector(space, _glauber_amps(alpha, cutoff))
 
 
 def beamsplit_weight(spec: SplitSpec, cutoff: int) -> np.ndarray:
@@ -148,3 +157,17 @@ def split_fock(state: StateVector, spec: SplitSpec) -> StateVector:
     amps = qcore.split_amplitudes(state.amps, beamsplit_weight(spec, cutoff))
     out = fock_space(cutoff)
     return StateVector(out.tensor(out), amps.reshape(-1))
+
+
+def mean_mode_label(state: StateVector):
+    """``(alpha, overlap)``: alpha = <a>, exact on a coherent state (Perelomov,
+    Commun. Math. Phys. 26, 222 (1972)), and <alpha'|state> with the
+    ``glauber_cs`` at alpha pulled onto the disk |alpha'| <= ``admissible_radius``.
+    """
+    if not state.space.is_single("fock"):
+        raise SpaceMismatch("mean_mode_label needs a single Fock factor")
+    cutoff = state.space.factors[0].cutoff
+    alpha = complex(qcore._first_moments(state.amps, *_generator_bands(cutoff))[1])
+    radius = admissible_radius(cutoff)
+    ref = alpha if abs(alpha) <= radius else alpha / abs(alpha) * radius
+    return alpha, qcore.overlap(glauber_cs(ref, cutoff), state)

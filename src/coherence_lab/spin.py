@@ -3,11 +3,11 @@ stretched angular-momentum-addition embedding j_A = j_B + j_C, and the
 mean-spin label of any state.
 
 A spin coherent state is parameterized by the stereographic coordinate
-zeta = -tan(theta/2) exp(-i phi) of a point on the sphere; theta = pi (the
-antipodal point, the highest-weight state) is reachable through the angle
-form only, never through an infinite zeta. The amplitudes come from one
-log-domain closed form at the sphere angles (``_cs_logs``), and the coupling
-weights from its log-binomial rows, so no binomial or power overflows.
+zeta = -tan(theta/2) exp(-i phi) of a point on the sphere, or by its angles.
+It is built by ``_angles_amps`` (behind ``spin_cs`` and the scan's grid) from
+one log-domain closed form (``_cs_logs``) and labelled by
+``mean_spin_label``, under one pole rule (``POLE_TOL``). The
+coupling weights come from its log-binomial rows, so nothing overflows.
 Its generators J0 and J+ ([G0, G+-] = +-G+-) live in one band form, m and
 sqrt((2j - k)(k + 1)) (``_generator_bands``), which every moment and step reads.
 """
@@ -27,7 +27,6 @@ from scipy.special import gammaln, xlogy
 
 from . import qcore
 from .errors import (
-    AntipodalPoint,
     InvalidWeight,
     SpaceMismatch,
     ValidationError,
@@ -49,13 +48,8 @@ def basis_state(j, m) -> StateVector:
     return StateVector.basis(spin_space(j), (tj + tm) // 2)
 
 
-def angle_to_zeta(theta: float, phi: float) -> complex:
-    """Stereographic coordinate zeta = -tan(theta/2) exp(-i phi)."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValidationError(f"theta must lie in [0, pi], got {theta!r}")
-    if abs(theta - math.pi) < 1e-12:
-        raise AntipodalPoint("theta = pi: use the highest-weight state directly")
-    return -math.tan(theta / 2.0) * np.exp(-1j * phi)
+#: within this of theta = pi a state is the highest-weight one, with zeta = inf
+POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,10 +83,6 @@ class SpinCsParams:
     @classmethod
     def from_angles(cls, j, theta: float, phi: float = 0.0) -> "SpinCsParams":
         return cls(j=j, theta=theta, phi=phi)
-
-    @property
-    def antipodal(self) -> bool:
-        return self.theta is not None and abs(self.theta - math.pi) < 1e-12
 
 
 @functools.lru_cache(maxsize=16)
@@ -132,16 +122,14 @@ def spin_cs(params: SpinCsParams) -> StateVector:
     """(1+|zeta|^2)^(-j) exp(zeta J+) |j,-j>, normalized.
 
     Amplitudes are sqrt(binom(2j,k)) zeta^k over m = -j+k, from ``_cs_logs``
-    at theta = 2 atan|zeta|, phi = pi - arg zeta. Under exp(i delta J0) the
-    state maps to zeta -> zeta exp(i delta) up to a global phase.
+    at theta = 2 atan|zeta|, phi = pi - arg zeta (``_angles_amps``). Under
+    exp(i delta J0) the state maps to zeta -> zeta exp(i delta) up to a phase.
     """
     tj = as_twice_j(params.j)
-    if params.antipodal:
-        return StateVector.basis(spin_space(params.j), tj)
     z = params.zeta
     theta, phi = ((params.theta, params.phi) if z is None
                   else (2.0 * math.atan(abs(z)), math.pi - math.atan2(z.imag, z.real)))
-    return StateVector(spin_space(params.j), _angles_amps(_cs_rows(tj), theta, phi))
+    return StateVector(spin_space(params.j), _angles_amps(tj, theta, phi))
 
 
 def coupling_weight(jB, jC) -> np.ndarray:
@@ -181,28 +169,30 @@ def split_spin(state: StateVector, jB, jC) -> StateVector:
 # mean-spin label
 # ---------------------------------------------------------------------------
 
-def _angles_amps(rows, theta: float, phi: float) -> np.ndarray:
-    """Unit coherent amplitudes at 0 <= theta <= pi; ``rows`` from ``_cs_rows``."""
-    if abs(theta - math.pi) < 1e-15:
-        vec = np.zeros(rows[0].size, dtype=complex)
+def _angles_amps(tj: int, theta: float, phi: float) -> np.ndarray:
+    """Unit coherent amplitudes of spin j = tj / 2 at 0 <= theta <= pi, exact
+    within ``POLE_TOL`` of the pole."""
+    if abs(theta - math.pi) < POLE_TOL:
+        vec = np.zeros(tj + 1, dtype=complex)
         vec[-1] = 1.0
         return vec
-    amps = np.exp(_cs_logs(rows, theta, phi))
+    amps = np.exp(_cs_logs(_cs_rows(tj), theta, phi))
     return amps / np.linalg.norm(amps)
 
 
 def _label(theta: float, phi: float) -> tuple:
     """Fold any angles onto the sphere: ``(theta, phi, zeta)`` with theta in
     [0, pi], phi in [0, 2 pi) and zeta complex infinity at the antipodal
-    pole (theta = pi), where only the angles name the state."""
+    pole (within ``POLE_TOL`` of theta = pi), where only the angles name the
+    state, and -tan(theta/2) exp(-i phi) elsewhere."""
     theta = theta % (2.0 * math.pi)
     phi = phi % (2.0 * math.pi)
     if theta > math.pi:
         theta = 2.0 * math.pi - theta
         phi = (phi + math.pi) % (2.0 * math.pi)
-    if abs(theta - math.pi) < 1e-12:
+    if abs(theta - math.pi) < POLE_TOL:
         return theta, phi, complex(np.inf)
-    return theta, phi, angle_to_zeta(theta, phi)
+    return theta, phi, -math.tan(theta / 2.0) * np.exp(-1j * phi)
 
 
 #: a mean spin |<J>| at most this times j (2j + 1) is rounding, not a direction
@@ -231,4 +221,4 @@ def mean_spin_label(state: StateVector):
     else:
         theta, phi, zeta = _label(math.atan2(abs(mean_jm), -mean_j0),
                                   math.pi - cmath.phase(mean_jm))
-    return theta, phi, zeta, abs(np.vdot(_angles_amps(_cs_rows(tj), theta, phi), amps))
+    return theta, phi, zeta, abs(np.vdot(_angles_amps(tj, theta, phi), amps))

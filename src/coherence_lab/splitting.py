@@ -7,15 +7,17 @@ and run seeded randomized scans demonstrating that only coherent states
 split into products.
 
 A scan excludes a sample from the non-coherent pool when the coherent state
-at its first-moment label (the mean spin's direction, or alpha = <a> of the
-mode) lies within ``CS_DISTANCE_GUARD``. A closed-form bound on the best
-coherent fidelity, read from the same moments, keeps most samples without
-building that state; only a sample the bound cannot place outside the guard
-band is labelled. Each chunk of samples, and the coherent grid for
-``cs_max_entropy``, is one stacked array: normalized as ``StateVector`` normalizes, split with one
-``split_amplitudes`` call and reduced to Schmidt coefficients by one
-values-only stacked SVD, with no Schmidt vector and no per-row state. Its
-entropies are bit-identical to a ``schmidt_cut`` of each split sample.
+at its first-moment label (``spin.mean_spin_label``, ``fock.mean_mode_label``)
+lies within ``CS_DISTANCE_GUARD``. A closed-form bound on the best coherent
+fidelity, read from the same moments, keeps most samples without building
+that state; only a sample the bound cannot place outside the guard band is
+labelled. Each chunk of samples, and the grid of coherent amplitudes for
+``cs_max_entropy`` (from the amplitude functions behind ``spin_cs`` and
+``glauber_cs``), is one stacked array: normalized as ``StateVector``
+normalizes, split with one ``split_amplitudes`` call and reduced to Schmidt
+coefficients by one values-only stacked SVD, with no Schmidt vector and no
+per-row state. Its entropies are bit-identical to a ``schmidt_cut`` of each
+split sample.
 """
 
 from __future__ import annotations
@@ -296,22 +298,13 @@ def _cs_distance(state: StateVector) -> float:
     """Phase-aligned distance to the coherent state at the first-moment label.
 
     A coherent state's first moments are its label: <J> = j n for a spin
-    (``spin.mean_spin_label``) and <a> = alpha for a mode (Perelomov, Commun.
-    Math. Phys. 26, 222 (1972)). A mode's alpha is pulled onto the
-    admissible disk |alpha| <= ``fock.admissible_radius``, and the state
-    there is the unit truncated |alpha>. ``uniqueness_scan`` calls this only
-    for samples whose moment bound cannot place them outside the guard band.
+    (``spin.mean_spin_label``) and <a> = alpha for a mode
+    (``fock.mean_mode_label``, on the admissible disk; Perelomov, Commun.
+    Math. Phys. 26, 222 (1972)). ``uniqueness_scan`` calls this only for
+    samples whose moment bound cannot place them outside the guard band.
     """
-    if state.space.is_single("spin"):
-        fid = spin.mean_spin_label(state)[3]
-    else:
-        cutoff = state.space.factors[0].cutoff
-        alpha = complex(qcore._first_moments(state.amps, *fock._generator_bands(cutoff))[1])
-        radius = fock.admissible_radius(cutoff)
-        if abs(alpha) > radius:
-            alpha = alpha / abs(alpha) * radius
-        bra = np.exp(fock._coherent_logs(alpha, cutoff) - abs(alpha) ** 2 / 2.0)
-        fid = abs(np.vdot(bra, state.amps)) / np.linalg.norm(bra)
+    label = spin.mean_spin_label if state.space.is_single("spin") else fock.mean_mode_label
+    fid = abs(label(state)[-1])
     return math.sqrt(max(0.0, 2.0 - 2.0 * fid))
 
 
@@ -373,24 +366,22 @@ def _fock_bound(amps: np.ndarray) -> np.ndarray:
 
 
 def _cs_grid_states(system) -> np.ndarray:
-    """Stacked unit amplitudes of the coherent states for ``cs_max_entropy``,
-    bit for bit those of ``spin_cs``/``glauber_cs`` at the same labels."""
+    """Stacked unit amplitudes of ``spin_cs``/``glauber_cs``, from their own
+    amplitude functions, for ``cs_max_entropy``: 7 polar angles by 8 azimuths
+    plus each pole once (its azimuth is a global phase), or alpha = 0 plus 4
+    rings of 8 out to min(1.5, admissible radius)."""
+    ring = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     if isinstance(system, SpinScanSystem):
         tj = qcore.as_twice_j(system.j_a)
-        # a pole's azimuth only sets a global phase, so each pole once; the
-        # antipodal one is the exact highest-weight state, as spin_cs gives it
-        theta = np.append(0.0, np.repeat(np.linspace(0.0, math.pi, 9)[1:-1], 8))
-        phi = np.append(0.0, np.tile(np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False), 7))
-        amps = np.exp(spin._cs_logs(spin._cs_rows(tj), theta[:, None], phi[:, None]))
-        # row by row, as spin_cs divides each state by np.linalg.norm
-        amps /= np.array([np.linalg.norm(row) for row in amps])[:, None]
-        amps = np.vstack([amps, np.eye(1, tj + 1, tj)])
+        amps = np.stack([spin._angles_amps(tj, theta, phi)
+                         for theta in np.linspace(0.0, math.pi, 9)
+                         for phi in (ring if 0.0 < theta < math.pi else ring[:1])])
     else:
         radius = min(1.5, fock.admissible_radius(system.cutoff))
-        ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
-        alpha = np.append(0.0, np.linspace(radius / 4.0, radius, 4)[:, None] * ring)
-        amps = np.exp(fock._coherent_logs(alpha, system.cutoff)
-                      - (np.abs(alpha) ** 2 / 2.0)[:, None])
+        alpha = np.append(0.0, np.linspace(radius / 4.0, radius, 4)[:, None]
+                          * np.exp(1j * ring))
+        amps = fock._glauber_amps(alpha, system.cutoff)
+    # as StateVector normalizes each state
     return qcore._normalize_rows(amps)
 
 
@@ -419,11 +410,12 @@ def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
     outside the band, and a sample is labelled, as a ``StateVector``, only
     when it cannot. Samples go in chunks of at most ``CHUNK_AMPS``
     amplitudes, each normalized by ``qcore._normalize_rows``, split with one
-    ``split_amplitudes`` call and cut by one values-only stacked SVD. A
-    deterministic coherent-state parameter grid is split the same way for
-    ``cs_max_entropy``. Each sample draws from its own counter-based stream,
-    so the result does not depend on the order samples are processed in, and
-    every entropy is bit-identical to a ``schmidt_cut`` of the split sample.
+    ``split_amplitudes`` call and cut by one values-only stacked SVD.
+    ``cs_max_entropy`` splits a deterministic grid of ``spin_cs``/``glauber_cs``
+    amplitudes (``_cs_grid_states``) the same way on every call.
+    Each sample draws from its own counter-based stream, so the result does
+    not depend on the order samples are processed in, and every entropy is
+    bit-identical to a ``schmidt_cut`` of the split sample.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")

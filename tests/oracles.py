@@ -87,7 +87,7 @@ def spin_cs_fit(state):
     tj = amps.size - 1
 
     def fid(theta, phi):
-        return abs(np.vdot(spin._angles_amps(spin._cs_rows(tj), *spin._label(theta, phi)[:2]),
+        return abs(np.vdot(spin._angles_amps(tj, *spin._label(theta, phi)[:2]),
                            amps))
 
     candidates = [(0.0, 0.0), (math.pi, 0.0)] + [

@@ -420,6 +420,9 @@ def test_validation_error_exit_code(capsys):
     ["series", "--out", "/"],
     ["split", "--system", "fock", "--alpha", "1", "--N", "40", "--save-state",
      "/nonexistent/s.json"],
+    # an infinite tolerance, which once leaked a numpy RuntimeWarning
+    ["chsh", "--state", "split-spin1-m0", "--strategy", "multistart", "--seed", "1",
+     "--tol", "inf"],
 ])
 def test_malformed_values_exit_2_with_one_line(argv, capsys):
     assert run_cli(argv) == 2

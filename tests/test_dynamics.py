@@ -15,8 +15,6 @@ from coherence_lab.dynamics import (
     LinearSpinHamiltonian,
     alpha_eta_of_t,
     alpha_of_t,
-    cs_fidelity,
-    cs_overlap,
     eta_convention_report,
     evolve_fock,
     evolve_spin,
@@ -183,32 +181,36 @@ def test_default_step_resolves_a_fast_drive():
 
 
 # ---------------------------------------------------------------------------
-# cs_fidelity
+# the mode label fock.mean_mode_label
 # ---------------------------------------------------------------------------
 
 def test_cs_fidelity_exact_match():
-    s = fock.glauber_cs(0.7 + 0.1j, 40)
-    assert cs_fidelity(s, 0.7 + 0.1j) == pytest.approx(1.0, abs=1e-10)
+    alpha, ov = fock.mean_mode_label(fock.glauber_cs(0.7 + 0.1j, 40))
+    assert alpha == pytest.approx(0.7 + 0.1j, abs=1e-10)
+    assert abs(ov) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_cs_fidelity_displaced_reference():
     # |<alpha|beta>| = exp(-|alpha-beta|^2 / 2); frozen: exp(-0.005)
-    s = fock.glauber_cs(0.6, 40)
-    assert cs_fidelity(s, 0.5) == pytest.approx(math.exp(-0.005), abs=1e-9)
-    assert cs_fidelity(s, 0.5) == pytest.approx(0.9950124791926823, abs=1e-9)
+    fid = abs(qcore.overlap(fock.glauber_cs(0.5, 40), fock.glauber_cs(0.6, 40)))
+    assert fid == pytest.approx(math.exp(-0.005), abs=1e-9)
+    assert fid == pytest.approx(0.9950124791926823, abs=1e-9)
 
 
 def test_cs_fidelity_fock_one_vs_vacuum_reference():
-    assert cs_fidelity(fock.number_state(20, 1), 0.0) == pytest.approx(0.0,
-                                                                       abs=1e-14)
+    # |1> has <a> = 0, so its label is the vacuum, orthogonal to it
+    alpha, ov = fock.mean_mode_label(fock.number_state(20, 1))
+    assert alpha == 0.0
+    assert abs(ov) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cs_overlap_phase():
-    import numpy as np
-    from coherence_lab.qcore import StateVector
     base = fock.glauber_cs(0.4, 30)
-    rotated = StateVector(base.space, base.amps * np.exp(0.3j))
-    assert np.angle(cs_overlap(rotated, 0.4)) == pytest.approx(0.3, abs=1e-10)
+    rotated = qcore.StateVector(base.space, base.amps * np.exp(0.3j))
+    alpha, ov = fock.mean_mode_label(rotated)
+    # a global phase leaves <a>, and so the label, in place
+    assert alpha == pytest.approx(0.4, abs=1e-10)
+    assert np.angle(ov) == pytest.approx(0.3, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +416,11 @@ def test_command_paths_build_no_dense_generator(monkeypatch):
     # the scan's bounds and labels never exponentiate a dense matrix or search
     for module in (coherence_lab, qcore, fock, spin):
         assert [name for name in DELETED_NAMES if hasattr(module, name)] == []
+    # one Fock label and one pole rule: the copies beside them are gone
+    for module, name in ((dyn, "cs_overlap"), (dyn, "cs_fidelity"), (spin, "angle_to_zeta"),
+                         (coherence_lab.errors, "AntipodalPoint"),
+                         (spin.SpinCsParams, "antipodal")):
+        assert not hasattr(module, name)
 
     def fail(*args, **kwargs):
         raise AssertionError("a dense matrix was exponentiated, or an optimizer ran")
@@ -527,6 +534,21 @@ def test_evolve_spin_fidelity_of_a_non_coherent_state_is_at_most_the_fit():
                        spin.basis_state(1, 0))
     for state, fid in zip(traj.states, traj.cs_fidelity):
         assert fid <= spin_cs_fit(state)[2]
+
+
+def test_each_sample_is_labelled_by_its_family_label_of_the_stored_state():
+    # one label rule for both families, the scan guard's: every sample's label
+    # is, bit for bit, the label function applied to the stored state
+    traj = evolve_fock(DriveSpec.sinusoid(1.0, 0.3 - 0.1j, 0.7), np.linspace(0.0, 4.0, 9), 30,
+                       initial=fock.glauber_cs(0.2 + 0.4j, 30))
+    alphas, overlaps = zip(*map(fock.mean_mode_label, traj.states))
+    assert traj.alpha_track.tolist() == list(alphas)
+    assert traj.cs_fidelity.tolist() == [abs(ov) for ov in overlaps]
+    assert traj.eta_track.tolist() == np.unwrap(np.angle(overlaps)).tolist()
+    traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 1.5, np.linspace(0.0, 3.0, 7),
+                       spin.spin_cs(spin.SpinCsParams(j=1.5, zeta=0.4 - 0.9j)))
+    got = zip(traj.theta_track, traj.phi_track, traj.zeta_track, traj.cs_fidelity)
+    assert list(got) == [spin.mean_spin_label(state) for state in traj.states]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from scipy.stats import binom
 from coherence_lab import fock, qcore, spin
 from coherence_lab.dynamics import LinearSpinHamiltonian, evolve_spin
 from coherence_lab.errors import (
-    AntipodalPoint,
     InvalidWeight,
     ValidationError,
     WeightConditionViolated,
@@ -22,7 +21,6 @@ from coherence_lab.qcore import (
 )
 from coherence_lab.spin import (
     SpinCsParams,
-    angle_to_zeta,
     basis_state,
     coupling_weight,
     spin_cs,
@@ -123,8 +121,18 @@ def test_spin_cs_matches_binomial_far_out(tj):
 
 
 def test_spin_cs_antipodal_via_angles():
-    s = spin_cs(SpinCsParams.from_angles(1, math.pi, 0.7))
-    np.testing.assert_allclose(s.amps, [0, 0, 1], atol=1e-15)
+    # one pole rule (spin.POLE_TOL): a point at or next to theta = pi, by
+    # angle or by a huge zeta, is the exact highest-weight vector, and its
+    # label is theta = pi, zeta = inf with fidelity 1
+    for tj in (1, 2, 15):
+        top = np.eye(1, tj + 1, tj)[0]
+        for params in (SpinCsParams.from_angles(tj / 2, math.pi, 0.7),
+                       SpinCsParams.from_angles(tj / 2, math.pi - 1e-13, 0.7),
+                       SpinCsParams(j=tj / 2, zeta=1e13)):
+            s = spin_cs(params)
+            assert np.array_equal(s.amps, top)
+            theta, _, zeta, fid = spin.mean_spin_label(s)
+            assert (theta, zeta, fid) == (math.pi, complex(np.inf), 1.0)
 
 
 def test_spin_cs_rejects_nonfinite_zeta():
@@ -133,13 +141,14 @@ def test_spin_cs_rejects_nonfinite_zeta():
 
 
 def test_angle_to_zeta_values():
-    assert angle_to_zeta(0.0, 0.3) == 0.0
-    assert angle_to_zeta(math.pi / 2, 0.0) == pytest.approx(-1.0, abs=1e-14)
+    # the label's stereographic coordinate zeta = -tan(theta/2) exp(-i phi)
+    assert spin._label(0.0, 0.3)[2] == 0.0
+    assert spin._label(math.pi / 2, 0.0)[2] == pytest.approx(-1.0, abs=1e-14)
     # frozen by direct evaluation of -tan(theta/2) exp(-i phi)
-    got = angle_to_zeta(math.pi / 2, math.pi / 2)
+    got = spin._label(math.pi / 2, math.pi / 2)[2]
     assert got == pytest.approx(1j, abs=1e-14)
-    with pytest.raises(AntipodalPoint):
-        angle_to_zeta(math.pi, 0.0)
+    # the pole has no finite coordinate: only the angles name the state
+    assert spin._label(math.pi, 0.0) == (math.pi, 0.0, complex(np.inf))
 
 
 def test_spin_cs_exp_zero():
