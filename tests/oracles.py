@@ -1,4 +1,5 @@
-"""Oracles: dense band-form generators, and nearest coherent states by search.
+"""Oracles: dense band-form generators, nearest coherent states by search,
+and the CHSH see-saw one start at a time.
 
 The library keeps each family's generators only as the band form
 ``(g0, g)`` of ``_generator_bands``. The tests check it against the dense
@@ -9,6 +10,10 @@ and the coset exponential, through ``scipy.linalg.expm`` directly.
 The library labels a state by its first moments; ``spin_cs_fit`` and
 ``fock_cs_fit`` search, so the tests can hold those labels and the scan's
 moment bounds against the best coherent fidelity.
+
+The library advances all see-saw starts together as one stack;
+``seesaw_one_start_at_a_time`` runs them one after another, so the tests
+can hold the stacked search to it bit for bit.
 """
 
 import math
@@ -17,7 +22,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import minimize
 
-from coherence_lab import fock, spin
+from coherence_lab import bell, fock, spin
 from coherence_lab.qcore import StateVector
 
 
@@ -126,3 +131,45 @@ def cs_fit_distance(state):
     """Phase-aligned distance to the nearest admissible coherent state."""
     fit = spin_cs_fit if state.space.is_single("spin") else fock_cs_fit
     return math.sqrt(max(0.0, 2.0 - 2.0 * fit(state)[-1]))
+
+
+def seesaw_one_start_at_a_time(state, n_starts, seed, tol):
+    """``(result, sweeps)``: the ``multistart-local-search`` CHSH result of
+    the see-saw run start after start from the same seeded draws, and each
+    start's sweep count."""
+    d_b, d_c = state.space.factor_dims
+    m = state.amps.reshape(d_b, d_c)
+    rng = np.random.default_rng(seed)
+
+    def side_update(m, x):
+        y = x[0] + np.array([1.0, -1.0])[:, None, None] * x[1]
+        h = m @ np.swapaxes(y, 1, 2) @ m.conj().T
+        o = bell._best_responses(h)
+        return o, np.vdot(o, h).real
+
+    best_value, best, sweeps = -math.inf, None, []
+    for _ in range(n_starts):
+        g = rng.normal(size=(2, d_c, d_c)) + 1j * rng.normal(size=(2, d_c, d_c))
+        c = bell._best_responses(g + np.swapaxes(g.conj(), 1, 2))
+        value, last_gain, converged = -math.inf, math.inf, False
+        for sweep in range(1, bell.SEESAW_MAX_SWEEPS + 1):
+            b, _ = side_update(m, c)
+            c, new_value = side_update(m.T, b)
+            gain, value = new_value - value, new_value
+            if gain <= 0.0 or (last_gain < math.inf
+                               and gain * gain <= tol * (last_gain - gain)):
+                converged = True
+                break
+            last_gain = gain
+        sweeps.append(sweep)
+        if value > best_value:
+            best_value, best = value, (b, c, converged)
+    b, c, converged = best
+    space_b = state.space.subspace(0, 1)
+    space_c = state.space.subspace(1, 2)
+    settings = bell.ChshSettings(
+        bell._observable(b[0], space_b), bell._observable(b[1], space_b),
+        bell._observable(c[0], space_c), bell._observable(c[1], space_c))
+    result = bell.ChshResult(bell.chsh_value(state, settings), settings,
+                             "multistart-local-search", n_starts, seed, tol, converged)
+    return result, sweeps

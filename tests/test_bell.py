@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from coherence_lab import spin
+from coherence_lab import bell, fock, spin
 from coherence_lab.bell import (
     TSIRELSON,
     ChshSettings,
@@ -24,6 +24,7 @@ from coherence_lab.errors import (
     ValidationError,
 )
 from coherence_lab.qcore import SpaceDescriptor, StateVector, tensor_state
+from oracles import seesaw_one_start_at_a_time
 
 TWO_QUBITS = SpaceDescriptor.single_spin(0.5).tensor(SpaceDescriptor.single_spin(0.5))
 
@@ -330,3 +331,95 @@ def test_split_non_cs_spin1_states_violate():
             continue
         found += 1
         assert horodecki_max(out) > 2.0
+
+
+# ---------------------------------------------------------------------------
+# the stacked see-saw against one start at a time
+# ---------------------------------------------------------------------------
+
+def _seesaw_state(dims) -> StateVector:
+    if dims == "photon-13x13":
+        return fock.split_fock(fock.number_state(12, 1), fock.SplitSpec.balanced())
+    d_b, d_c = dims
+    space = SpaceDescriptor.single_spin((d_b - 1) / 2).tensor(
+        SpaceDescriptor.single_spin((d_c - 1) / 2))
+    rng = np.random.default_rng(10 * d_b + d_c)
+    return StateVector(space, rng.normal(size=d_b * d_c) + 1j * rng.normal(size=d_b * d_c))
+
+
+def _recording_stacks(monkeypatch) -> list:
+    """Patch ``bell._seesaw_starts`` to record each stack's sweep counts."""
+    stack_sweeps = []
+    stacked = bell._seesaw_starts
+
+    def recording(*args):
+        out = stacked(*args)
+        stack_sweeps.append(out[-1])
+        return out
+
+    monkeypatch.setattr(bell, "_seesaw_starts", recording)
+    return stack_sweeps
+
+
+def _assert_matches_one_start_at_a_time(state, n_starts, tol, stack_sweeps):
+    stack_sweeps.clear()
+    res = chsh_maximize(state, "multistart-local-search", n_starts=n_starts,
+                        seed=n_starts, tol=tol)
+    ref, sweeps = seesaw_one_start_at_a_time(state, n_starts, n_starts, tol)
+    assert res.max_value == ref.max_value
+    assert res.converged == ref.converged
+    for name in ("b", "b_prime", "c", "c_prime"):
+        assert np.array_equal(getattr(res.settings, name).matrix,
+                              getattr(ref.settings, name).matrix)
+    assert sum(stack_sweeps, []) == sweeps
+    return res
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4), (3, 5), "photon-13x13"],
+                         ids=lambda d: d if isinstance(d, str) else "%dx%d" % d)
+@pytest.mark.parametrize("per_stack", [None, 1, 3], ids=lambda k: f"stack-{k}")
+def test_stacked_seesaw_is_bit_identical_to_one_start_at_a_time(dims, per_stack,
+                                                                 monkeypatch):
+    state = _seesaw_state(dims)
+    d_b, d_c = state.space.factor_dims
+    if per_stack is not None:
+        # SEESAW_STACK_AMPS holds per_stack starts' observable entries
+        monkeypatch.setattr(bell, "SEESAW_STACK_AMPS",
+                            per_stack * 2 * (d_b * d_b + d_c * d_c))
+    stack_sweeps = _recording_stacks(monkeypatch)
+    for tol in (1e-7, 1e-10):
+        for n_starts in (1, 8, 33):
+            _assert_matches_one_start_at_a_time(state, n_starts, tol, stack_sweeps)
+            if per_stack is not None:
+                assert all(len(s) == per_stack for s in stack_sweeps[:-1])
+
+
+@pytest.mark.parametrize("max_sweeps", [3, 4, 6])
+def test_stacked_seesaw_at_the_sweep_cap_matches_one_start_at_a_time(max_sweeps,
+                                                                      monkeypatch):
+    # starts that stop on the cap's own sweep leave the stack converged,
+    # the rest end unconverged with it
+    monkeypatch.setattr(bell, "SEESAW_MAX_SWEEPS", max_sweeps)
+    stack_sweeps = _recording_stacks(monkeypatch)
+    results = [_assert_matches_one_start_at_a_time(_seesaw_state(dims), 33, 1e-10,
+                                                   stack_sweeps)
+               for dims in ((2, 3), (4, 4))]
+    assert not all(res.converged for res in results)
+
+
+def test_stacked_seesaw_eigensolves_once_per_side_per_sweep(monkeypatch):
+    # eight starts on a 3x3 state share every eigendecomposition: one for the
+    # starting c-side pairs, then one per side per sweep of the slowest start
+    state = _seesaw_state((3, 3))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    *_, sweeps = bell._seesaw_starts(state.amps.reshape(3, 3),
+                                     np.random.default_rng(2), 8, 1e-7)
+    assert min(sweeps) < max(sweeps) < bell.SEESAW_MAX_SWEEPS
+    assert len(calls) == 1 + 2 * max(sweeps)
