@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drive", choices=["constant", "sinusoid", "exponential"],
                    default="constant")
     p.add_argument("--lambda", dest="lam", default="0",
-                   help="drive amplitude a+bi on the creation operator")
-    p.add_argument("--omega", type=float, help="oscillator frequency")
+                   help="drive amplitude a+bi on the creation operator (fock)")
+    p.add_argument("--omega", type=float, help="oscillator frequency, positive (fock)")
     p.add_argument("--drive-frequency", dest="drive_frequency", type=float,
                    default=0.0)
     p.add_argument("--drive-phase", dest="drive_phase", type=float, default=0.0)
@@ -102,9 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-alpha", dest="initial_alpha",
                    help="start from this coherent state (fock; default vacuum)")
     p.add_argument("--j", type=float, help="spin magnitude (spin)")
-    p.add_argument("--beta0", type=float, help="J0 coefficient (spin)")
+    p.add_argument("--beta0", type=float, help="J0 coefficient, any real (spin)")
     p.add_argument("--beta-plus", dest="beta_plus", default="0",
-                   help="J+ coefficient a+bi (spin)")
+                   help="drive amplitude a+bi on J+ (spin), shaped like --lambda")
     p.add_argument("--zeta0", help="initial spin coherent state a+bi")
     p.add_argument("--theta0", type=float, help="initial polar angle (spin)")
     p.add_argument("--phi0", type=float, default=0.0)
@@ -279,27 +279,26 @@ def cmd_evolve(args) -> int:
     grid = np.linspace(0.0, args.tmax, args.samples)
     if args.system == "fock":
         _require(args, ["omega", "N"])
-        lam = parse_complex(args.lam)
-        if args.drive == "constant":
-            drive = dynamics.DriveSpec.constant(args.omega, lam)
-        elif args.drive == "sinusoid":
-            drive = dynamics.DriveSpec.sinusoid(args.omega, lam,
-                                                args.drive_frequency,
-                                                args.drive_phase)
-        else:
-            drive = dynamics.DriveSpec.exponential(args.omega, lam,
-                                                   args.drive_frequency)
+        w0, amplitude = args.omega, parse_complex(args.lam)
+    else:
+        _require(args, ["j", "beta0"])
+        w0, amplitude = args.beta0, parse_complex(args.beta_plus)
+    if args.drive == "constant":
+        drive = dynamics.DriveSpec.constant(w0, amplitude)
+    elif args.drive == "sinusoid":
+        drive = dynamics.DriveSpec.sinusoid(w0, amplitude, args.drive_frequency,
+                                            args.drive_phase)
+    else:
+        drive = dynamics.DriveSpec.exponential(w0, amplitude, args.drive_frequency)
+    if args.system == "fock":
         initial = None
         if args.initial_alpha is not None:
             initial = fock.glauber_cs(parse_complex(args.initial_alpha), args.N)
         traj = dynamics.evolve_fock(drive, grid, args.N, initial=initial)
         _emit(serialize.trajectory_csv(traj), args.out)
     else:
-        _require(args, ["j", "beta0"])
-        ham = dynamics.LinearSpinHamiltonian(args.beta0,
-                                             parse_complex(args.beta_plus))
         cs = _spin_cs_params(args.j, args.zeta0, args.theta0, args.phi0)
-        traj = dynamics.evolve_spin(ham, args.j, grid, spin.spin_cs(cs))
+        traj = dynamics.evolve_spin(drive, args.j, grid, spin.spin_cs(cs))
         _emit(serialize.spin_trajectory_csv(traj), args.out)
     return 0
 

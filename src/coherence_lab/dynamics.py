@@ -10,30 +10,29 @@ and a global phase whose -omega*t/2 piece depends on whether the vacuum
 energy omega/2 is included in H; ``eta_convention_report`` measures which
 convention reproduces the textbook phase formula instead of assuming one.
 
-Spin: H = beta0 J0 + beta+ J+ + beta+* J-. Each stored sample is labelled,
-with no fit, by the label the scan's guard reads: ``fock.mean_mode_label``
-(alpha = <a>) or ``spin.mean_spin_label`` (the mean spin's direction), both
-exact on coherent states. Both Hamiltonians are
-w0(t) G0 + lam(t) G+ + lam(t)* G-, with G0 diagonal, G+ a fixed subdiagonal
-and [G0, G+-] = +-G+- (Perelomov, Commun. Math. Phys. 26, 222 (1972)), read
-from the bands ``_generator_bands`` of ``fock`` or ``spin``, and both
-integrators take fourth-order Magnus steps (two-point Gauss-Legendre;
-Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); Blanes, Casas,
-Oteo & Ros, Phys. Rep. 470, 151 (2009)), unitary per step. A step's exponent
-is built from the generator coefficients (w0, lam) at the two nodes and the
-closed-form commutator [H2, H1], which lies in the span of [G+, G-]
-(diagonal) and [G0, G+-] = +-G+- (off-diagonal). The exponent is therefore
-Hermitian tridiagonal over three bands, and one symmetric tridiagonal eigensolve
-(``scipy.linalg.eigh_tridiagonal``) exponentiates it. It is never built
-from the closed-form solution, so the integrator stays an independent
-check of it. A static Hamiltonian (a constant drive, every spin
-Hamiltonian) takes one exact step per grid interval, at any strength; an
+Spin: H = beta0 J0 + lam(t) J+ + lam(t)* J-, the same ``DriveSpec`` with
+omega = beta0. Each stored sample is labelled, with no fit, by the label the
+scan's guard reads: ``fock.mean_mode_label`` (alpha = <a>) or
+``spin.mean_spin_label`` (the mean spin's direction), both exact on coherent
+states. Both Hamiltonians are w0 G0 + lam(t) G+ + lam(t)* G-, with G0
+diagonal, G+ a fixed subdiagonal and [G0, G+-] = +-G+- (Perelomov, Commun.
+Math. Phys. 26, 222 (1972)), read from the bands ``_generator_bands`` of
+``fock`` or ``spin``, and one integrator, ``_evolve``, takes fourth-order
+Magnus steps (two-point Gauss-Legendre; Iserles & Norsett, Phil. Trans. R.
+Soc. A 357, 983 (1999); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+(2009)), unitary per step. A step's exponent is built from the generator
+coefficients (w0, lam) at the two nodes and the closed-form commutator
+[H2, H1], in the span of [G+, G-] (diagonal) and [G0, G+-] = +-G+-
+(off-diagonal). The exponent is therefore Hermitian tridiagonal over three
+bands, and one symmetric tridiagonal eigensolve
+(``scipy.linalg.eigh_tridiagonal``) exponentiates it. It is never built from
+the closed-form solution, so the integrator stays an independent check of it.
+A constant drive takes one exact step per grid interval, at any strength; an
 exponent or step phases beyond the float range raise ``NumericalError``.
 
-For the oscillator the substep grid is the only time discretization: the
-cutoff check runs the substeps' exact map of a coherent amplitude. One that
-would need more than ``MAX_SUBSTEPS`` substeps raises ``NumericalError``
-before the first step.
+A driven trajectory, and every oscillator one (its cutoff check runs the
+substeps' exact map of a coherent amplitude), takes substeps; one that would
+need more than ``MAX_SUBSTEPS`` raises ``NumericalError`` before the first.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -58,9 +58,9 @@ from .errors import (
 )
 from .qcore import StateVector
 
-#: default substep: 1/50 of a drive period
+#: default substep: 1/50 of the shortest period (``_default_step``)
 STEPS_PER_PERIOD = 50
-#: most substeps an oscillator trajectory may take (25 by default over half a period)
+#: most substeps a trajectory may take (25 by default over half a period)
 MAX_SUBSTEPS = 10 ** 5
 #: Gauss-Legendre nodes sit at 1/2 -+ sqrt(3)/6 of a substep; the commutator
 #: term of the Magnus exponent carries sqrt(3)/12
@@ -71,7 +71,9 @@ _NORM_DRIFT_LIMIT = 1e-8
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Oscillator frequency plus the drive amplitude lam(t) on a+.
+    """The coefficients (w0, lam(t)) of w0 G0 + lam(t) G+ + h.c.: omega and
+    the amplitude on a+ of an oscillator (``evolve_fock`` needs omega > 0),
+    or beta0 and the J+ coefficient of a spin.
 
     Closed forms: ``constant`` (lam = amplitude), ``sinusoid``
     (amplitude * cos(frequency t + phase)) and ``exponential``
@@ -88,8 +90,8 @@ class DriveSpec:
     values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not 0.0 < self.omega < math.inf:
-            raise ValidationError("omega must be positive and finite")
+        if not math.isfinite(self.omega):
+            raise ValidationError("omega (a spin's beta0) must be finite")
         if not all(map(cmath.isfinite, (self.amplitude, self.frequency, self.phase))):
             raise ValidationError("drive amplitude, frequency and phase must be finite")
         if self.kind not in ("constant", "sinusoid", "exponential", "table"):
@@ -112,10 +114,6 @@ class DriveSpec:
     @classmethod
     def constant(cls, omega: float, value: complex) -> "DriveSpec":
         return cls(omega=omega, kind="constant", amplitude=value)
-
-    @classmethod
-    def zero(cls, omega: float) -> "DriveSpec":
-        return cls(omega=omega, kind="constant", amplitude=0.0)
 
     @classmethod
     def sinusoid(cls, omega: float, amplitude: complex, frequency: float,
@@ -267,6 +265,13 @@ def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
     return 1.02 * max(map(abs, alphas))
 
 
+def _default_step(*rates: float) -> float:
+    """1/``STEPS_PER_PERIOD`` of the shortest period 2 pi/|rate| (a rate
+    beyond the float range counts as the largest float); inf if all are 0."""
+    fastest = min(max(map(abs, rates)), sys.float_info.max)
+    return 2.0 * math.pi / fastest / STEPS_PER_PERIOD if fastest else math.inf
+
+
 def _substep_counts(grid: np.ndarray, max_step: float) -> list:
     """Substeps for each grid interval, at most ``max_step`` long.
 
@@ -339,28 +344,28 @@ def _magnus_exponent(coeffs: Callable[[float], tuple], bands: tuple, t: float,
     return np.cumprod(phase)[:, None] * v, w
 
 
-def _stepped(coeffs: Callable[[float], tuple], bands: tuple, static: bool,
-             psi0: np.ndarray, grid: np.ndarray, counts: list):
-    """Fourth-order Magnus stepping with ``counts[i]`` equal substeps over
-    grid interval i; yields the state at every grid time.
-
-    A step applies exp(-i M) = x exp(-i w) x^H in factored form. A
-    time-dependent Hamiltonian is factored once per substep. A static one is
-    factored once, as the exponent of a unit step: its exponent over any
-    span is the span times H, so each grid interval takes one exact step.
-    """
-    psi = psi0.astype(complex)
-    if static:
+def _evolve(drive: DriveSpec, generator_bands: tuple, initial: StateVector,
+            grid: np.ndarray, counts: list) -> list:
+    """The states at every grid time under ``drive`` over a family's
+    ``_generator_bands``, with ``counts[i]`` fourth-order Magnus substeps over
+    grid interval i, each applying exp(-i M) = x exp(-i w) x^H in factored
+    form. A static drive is factored once, as the exponent of a unit step:
+    its exponent over any span is the span times H, so each grid interval
+    takes one exact step."""
+    coeffs = lambda t: (drive.omega, drive.lam(t))  # noqa: E731
+    bands = _bands(*generator_bands)
+    psi = initial.amps.astype(complex)
+    if drive.is_static:
         x, w = _magnus_exponent(coeffs, bands, grid[0], 1.0)
         with np.errstate(over="ignore"):
             phases = np.multiply.outer(np.diff(grid), w)
         if not np.isfinite(phases).all():
             raise NumericalError("the step phases leave the float range")
-    yield psi
+    states = [StateVector(initial.space, psi)]
     t = grid[0]
     for i, (t_next, n_sub) in enumerate(zip(grid[1:], counts)):
         dt = (t_next - t) / n_sub
-        steps = ([(x, phases[i])] if static else
+        steps = ([(x, phases[i])] if drive.is_static else
                  (_magnus_exponent(coeffs, bands, t + k * dt, dt) for k in range(n_sub)))
         for x_k, w_k in steps:
             psi = x_k @ (np.exp(-1j * w_k) * (x_k.conj().T @ psi))
@@ -368,7 +373,8 @@ def _stepped(coeffs: Callable[[float], tuple], bands: tuple, static: bool,
         if drift > _NORM_DRIFT_LIMIT:
             raise StepSizeTooLarge(f"norm drift {drift:.2e} at t={t_next}")
         t = t_next
-        yield psi
+        states.append(StateVector(initial.space, psi))
+    return states
 
 
 def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
@@ -380,6 +386,8 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
     reaches over the substeps. The default substep resolves the oscillator's
     period and the drive's, whichever is shorter.
     """
+    if not drive.omega > 0:
+        raise ValidationError("omega must be positive and finite")
     grid = _validate_grid(t_grid)
     space = fock.fock_space(cutoff)
     if initial is None:
@@ -387,16 +395,14 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
     if initial.space != space:
         raise ValidationError("initial state must live on fock(cutoff)")
     if max_step is None:
-        max_step = (2.0 * math.pi / max(drive.omega, abs(drive.frequency))) / STEPS_PER_PERIOD
+        max_step = _default_step(drive.omega, drive.frequency)
     counts = _substep_counts(grid, max_step)
     g0, g = fock._generator_bands(cutoff)
     alpha0 = qcore._first_moments(initial.amps, g0, g)[1]
     reach = abs(alpha0) + _drive_reach(drive, grid, counts)
     fock.check_cutoff(reach, cutoff)
 
-    states = [StateVector(space, psi)
-              for psi in _stepped(lambda t: (drive.omega, drive.lam(t)), _bands(g0, g),
-                                  drive.is_static, initial.amps, grid, counts)]
+    states = _evolve(drive, (g0, g), initial, grid, counts)
     alphas, overlaps = zip(*map(fock.mean_mode_label, states))
     return Trajectory(
         times=grid,
@@ -407,40 +413,34 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
     )
 
 
-@dataclass(frozen=True)
-class LinearSpinHamiltonian:
-    """H = beta0 J0 + beta_plus J+ + conj(beta_plus) J-."""
+class LinearSpinHamiltonian(DriveSpec):
+    """The constant drive beta0 J0 + beta_plus J+ + h.c., by its former name."""
 
-    beta0: float
-    beta_plus: complex = 0.0
-
-    def __post_init__(self):
-        if not (cmath.isfinite(self.beta0) and cmath.isfinite(self.beta_plus)):
-            raise ValidationError("beta0 and beta_plus must be finite")
-        if isinstance(self.beta0, complex) and abs(self.beta0.imag) > 1e-12:
-            raise ValidationError("beta0 must be real for a Hermitian Hamiltonian")
-        object.__setattr__(self, "beta0", float(np.real(self.beta0)))
-        object.__setattr__(self, "beta_plus", complex(self.beta_plus))
+    def __init__(self, beta0: float, beta_plus: complex = 0.0):
+        super().__init__(beta0, amplitude=beta_plus)
 
     @property
     def strength(self) -> float:
-        return math.hypot(self.beta0, 2.0 * abs(self.beta_plus))
+        return math.hypot(self.omega, 2.0 * abs(self.amplitude))
 
 
-def evolve_spin(hamiltonian: LinearSpinHamiltonian, j, t_grid,
-                initial: StateVector) -> SpinTrajectory:
-    """Evolve a spin-j state along the given time grid: one exact step per
-    interval, at any strength, and each sample labelled by
-    ``spin.mean_spin_label`` (exact while the state is coherent), not fitted."""
+def evolve_spin(drive: DriveSpec, j, t_grid, initial: StateVector) -> SpinTrajectory:
+    """Evolve a spin-j state under beta0 J0 + lam(t) J+ + h.c., with (beta0,
+    lam) the (omega, lam) of ``drive``, each sample labelled by
+    ``spin.mean_spin_label`` (exact while the state is coherent), not fitted.
+    A constant drive takes one exact step per interval, at any strength. A
+    driven one takes Magnus substeps (``MAX_SUBSTEPS``) that resolve beta0,
+    the drive frequency and the Rabi rate 2 peak|lam|: su(2) is compact, so
+    a strong drive's nested commutators do not vanish as the oscillator's do."""
     grid = _validate_grid(t_grid)
     space = spin.spin_space(j)
     if initial.space != space:
         raise ValidationError("initial state must live on spin(j)")
-    bands = _bands(*spin._generator_bands(space.factors[0].twice_j))
-    coeffs = (hamiltonian.beta0, hamiltonian.beta_plus)
-    states = [StateVector(space, psi)
-              for psi in _stepped(lambda t: coeffs, bands, True, initial.amps,
-                                  grid, [1] * (grid.size - 1))]
+    peak = float(np.abs(drive.values).max()) if drive.kind == "table" else abs(drive.amplitude)
+    step = _default_step(drive.omega, drive.frequency, 2.0 * peak)
+    counts = [1] * (grid.size - 1) if drive.is_static else _substep_counts(grid, step)
+    states = _evolve(drive, spin._generator_bands(space.factors[0].twice_j), initial,
+                     grid, counts)
     thetas, phis, zetas, fids = zip(*map(spin.mean_spin_label, states))
     return SpinTrajectory(
         times=grid,

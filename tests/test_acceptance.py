@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from coherence_lab import bell, dynamics, fock, qcore, spin, splitting
 from coherence_lab.qcore import (
@@ -18,7 +19,7 @@ from coherence_lab.qcore import (
     schmidt_cut,
     tensor_state,
 )
-from oracles import coset_state, generators, mean_variance, quadratures
+from oracles import coset_state, expectation, generators, mean_variance, quadratures
 
 
 def _report(number: int, summary: str, t0: float, limit: float):
@@ -177,7 +178,7 @@ def test_c07_classical_trajectory():
 def test_c08_spin_precession():
     t0 = time.time()
     omega = 1.0
-    ham = dynamics.LinearSpinHamiltonian(omega)
+    ham = dynamics.DriveSpec.constant(omega, 0)
     grid = np.linspace(0.0, 2 * math.pi / omega, 49)
     for j in (0.5, 1.0, 2.0):
         initial = spin.spin_cs(spin.SpinCsParams(j=j, zeta=0.5))
@@ -224,3 +225,54 @@ def test_c10_minimum_uncertainty():
     assert worst < 1e-8
     _report(10, f"quadrature spreads equal 1/sqrt(2) within {worst:.2e} "
                 f"across the amplitude disk", t0, 2.0)
+
+
+def _unit_mean_spin(state, twice_j):
+    """<J>/|<J>| from the dense generators: (Re <J+>, Im <J+>, <J0>) normalized."""
+    j0, jp, _ = generators(spin, twice_j)
+    mean_plus = expectation(jp, state)
+    v = np.array([mean_plus.real, mean_plus.imag, expectation(j0, state).real])
+    return v / np.linalg.norm(v)
+
+
+def _bloch_orbit(drive, n0, grid):
+    """The classical orbit dn/dt = b(t) x n of H = b(t) . J, with
+    b = (2 Re lam, -2 Im lam, beta0), integrated adaptively at rtol 1e-12."""
+    def rhs(t, n):
+        lam = drive.lam(t)
+        return np.cross([2.0 * lam.real, -2.0 * lam.imag, drive.omega], n)
+
+    sol = scipy.integrate.solve_ivp(rhs, (grid[0], grid[-1]), n0, method="DOP853",
+                                    t_eval=grid, rtol=1e-12, atol=1e-12)
+    assert sol.success
+    return sol.y.T
+
+
+def test_c11_driven_spin_follows_the_bloch_orbit():
+    t0 = time.time()
+    rng = np.random.default_rng(1111)
+    worst_gap, worst_deficit, cases = 0.0, 0.0, 0
+    for j in (0.5, 1.0, 1.5, 4.0, 10.5, 20.0):
+        for kind in ("sinusoid", "exponential"):
+            for _ in range(4):
+                beta0, nu = rng.uniform(-1.5, 1.5), rng.uniform(0.3, 3.0)
+                amplitude = rng.uniform(0.1, 2.0) * np.exp(2j * math.pi * rng.uniform())
+                drive = (dynamics.DriveSpec.sinusoid(beta0, amplitude, nu,
+                                                     rng.uniform(0, 2 * math.pi))
+                         if kind == "sinusoid" else
+                         dynamics.DriveSpec.exponential(beta0, amplitude, nu))
+                # one Rabi period of the field's peak strength
+                grid = np.linspace(0.0, 2 * math.pi / math.hypot(beta0, 2 * abs(amplitude)), 9)
+                zeta = 2.0 * rng.uniform() * np.exp(2j * math.pi * rng.uniform())
+                initial = spin.spin_cs(spin.SpinCsParams(j=j, zeta=zeta))
+                traj = dynamics.evolve_spin(drive, j, grid, initial)
+                got = np.array([_unit_mean_spin(s, int(2 * j)) for s in traj.states])
+                want = _bloch_orbit(drive, got[0], grid)
+                worst_gap = max(worst_gap, float(np.abs(got - want).max()))
+                worst_deficit = max(worst_deficit, 1.0 - float(traj.cs_fidelity.min()))
+                cases += 1
+    assert worst_gap < 1e-5
+    assert worst_deficit < 1e-10
+    _report(11, f"{cases} driven spins, j = 1/2 to 20, follow the Bloch orbit within "
+                f"{worst_gap:.2e} and stay coherent (1 - fid <= {worst_deficit:.1e})",
+            t0, 20.0)

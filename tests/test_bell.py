@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -405,6 +406,22 @@ def test_stacked_seesaw_at_the_sweep_cap_matches_one_start_at_a_time(max_sweeps,
                                                    stack_sweeps)
                for dims in ((2, 3), (4, 4))]
     assert not all(res.converged for res in results)
+
+
+@pytest.mark.parametrize("dims,value,settings_digest", [
+    ((2, 2), "0x1.514f07af4f2cep+1", "2da886d59159df64"),
+    ((3, 3), "0x1.3bb280949e5fap+1", "4d01a85ad6cf7f47"),
+], ids=["2x2", "3x3"])
+def test_multistart_seesaw_keeps_its_recorded_bits(dims, value, settings_digest):
+    # the one-start-at-a-time oracle shares _best_responses with the library,
+    # so only recorded bits see a trailing-bit move in its arithmetic: at this
+    # seed, math.hypot -> np.hypot on the two-level path moves the 2x2 value's
+    # last bit
+    res = chsh_maximize(_seesaw_state(dims), "multistart-local-search", n_starts=8, seed=0)
+    digest = hashlib.sha256()
+    for name in ("b", "b_prime", "c", "c_prime"):
+        digest.update(getattr(res.settings, name).matrix.astype("<c16").tobytes())
+    assert (res.max_value.hex(), digest.hexdigest()[:16]) == (value, settings_digest)
 
 
 def test_stacked_seesaw_eigensolves_once_per_side_per_sweep(monkeypatch):

@@ -192,7 +192,7 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     # (split.json, traj.csv) land: each exits 0 with nothing on stderr, and a
     # second run of the block prints and writes the same bytes
     commands = readme_cli_commands()
-    assert len(commands) == 8
+    assert len(commands) == 9
     runs = []
     for name in ("first", "second"):
         workdir = tmp_path / name
@@ -269,6 +269,24 @@ def test_strong_static_spin_hamiltonian_runs(tmp_path):
     assert abs(complex(re_zeta, im_zeta) - 0.5 * np.exp(-1e9j * t)) < 1e-9
     assert abs(qcore.overlap(want, got)) > 1 - 1e-12
     assert fid > 1 - 1e-12
+
+
+DRIVEN_SPIN = ["evolve", "--system", "spin", "--j", "1", "--beta0", "1", "--beta-plus", "0.3",
+               "--zeta0", "0.5", "--tmax", "1", "--samples", "3"]
+
+
+def test_driven_spin_csv_is_the_library_trajectory(tmp_path):
+    # --drive shapes --beta-plus as it shapes --lambda, with --beta0 for omega
+    driven, constant = tmp_path / "driven.csv", tmp_path / "constant.csv"
+    assert run_cli(DRIVEN_SPIN + ["--drive", "sinusoid", "--drive-frequency", "3",
+                                  "--out", str(driven)]) == 0
+    assert run_cli(DRIVEN_SPIN + ["--drive", "constant", "--drive-frequency", "3",
+                                  "--out", str(constant)]) == 0
+    traj = dynamics.evolve_spin(dynamics.DriveSpec.sinusoid(1.0, 0.3, 3.0), 1,
+                                np.linspace(0.0, 1.0, 3),
+                                spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.5)))
+    assert driven.read_text() == serialize.spin_trajectory_csv(traj)
+    assert driven.read_text() != constant.read_text()
 
 
 def test_evolve_csv_reproducible(tmp_path):
@@ -423,6 +441,9 @@ def test_validation_error_exit_code(capsys):
     # an infinite tolerance, which once leaked a numpy RuntimeWarning
     ["chsh", "--state", "split-spin1-m0", "--strategy", "multistart", "--seed", "1",
      "--tol", "inf"],
+    # the oscillator needs omega > 0, though a spin's beta0 may be any real
+    ["evolve", "--omega", "0", "--tmax", "1", "--N", "20", "--samples", "2"],
+    ["evolve", "--omega", "-1", "--tmax", "1", "--N", "20", "--samples", "2"],
 ])
 def test_malformed_values_exit_2_with_one_line(argv, capsys):
     assert run_cli(argv) == 2
@@ -460,6 +481,12 @@ def test_config_values_parse_like_flags(command, config, code, tmp_path):
     # a spin Hamiltonian whose Magnus exponent leaves the float range
     ["evolve", "--system", "spin", "--j", "1", "--beta0", "1e300", "--beta-plus", "1e300",
      "--zeta0", "0.5", "--tmax", "1"],
+    # a driven spin obeys the substep budget: 8e6 substeps
+    ["evolve", "--system", "spin", "--j", "1", "--beta0", "1e6", "--zeta0", "0.5",
+     "--drive", "sinusoid", "--drive-frequency", "1", "--tmax", "1"],
+    # ... also where its Rabi rate 2 |beta-plus| overflows to inf
+    ["evolve", "--system", "spin", "--j", "1", "--beta0", "1", "--beta-plus", "1e308",
+     "--zeta0", "0.5", "--drive", "sinusoid", "--tmax", "1"],
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_failures_exit_3_with_one_line(argv, capsys):
@@ -616,10 +643,10 @@ def test_weight_condition_exit_code(capsys):
 # ---------------------------------------------------------------------------
 
 # value vocabularies: valid, malformed, non-finite, negative, huge and empty.
-# tmax and the Hamiltonian strengths take huge values too: the oscillator's
-# substep budget, or a spin exponent or step phase beyond the float range,
-# ends such a run with exit 3, and a spin run takes one step per sample at
-# any strength. Sample counts stay small, so no example runs long.
+# tmax and the Hamiltonian strengths take huge values too: the substep
+# budget of an oscillator or a driven spin, or a spin exponent or step phase
+# beyond the float range, ends such a run with exit 3, and a constant-drive
+# spin run takes one step per sample at any strength. Sample counts stay small, so no example runs long.
 REAL = ["0", "1", "0.5", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "", "abc", "1+2i"]
 COMPLEX = ["0", "1+0i", "0.5-0.3i", "-2i", "nan", "inf", "1e200", "1e-200", "-1e300",
            "", "abc", "1+nani"]

@@ -12,7 +12,6 @@ import coherence_lab.dynamics as dyn
 from coherence_lab import bell, fock, qcore, spin, splitting
 from coherence_lab.dynamics import (
     DriveSpec,
-    LinearSpinHamiltonian,
     alpha_eta_of_t,
     alpha_of_t,
     eta_convention_report,
@@ -32,7 +31,7 @@ def constant_drive(lam=0.2, omega=1.0):
 # ---------------------------------------------------------------------------
 
 def test_alpha_eta_zero_drive():
-    drive = DriveSpec.zero(2.0)
+    drive = DriveSpec.constant(2.0, 0)
     alpha, eta = alpha_eta_of_t(drive, 1.3)
     assert alpha == pytest.approx(0.0, abs=1e-14)
     assert eta == pytest.approx(-2.0 * 1.3 / 2.0, abs=1e-12)
@@ -218,7 +217,7 @@ def test_cs_overlap_phase():
 # ---------------------------------------------------------------------------
 
 def test_evolve_vacuum_no_drive():
-    traj = evolve_fock(DriveSpec.zero(1.0), np.linspace(0, 2, 9), 20)
+    traj = evolve_fock(DriveSpec.constant(1.0, 0), np.linspace(0, 2, 9), 20)
     assert np.allclose(traj.alpha_track, 0.0, atol=1e-12)
     assert np.all(traj.cs_fidelity > 1 - 1e-12)
 
@@ -237,7 +236,7 @@ def test_evolve_free_coherent_state_orbit():
     omega = 1.0
     grid = np.linspace(0, 2 * math.pi, 17)
     initial = fock.glauber_cs(0.5, 40)
-    traj = evolve_fock(DriveSpec.zero(omega), grid, 40, initial=initial)
+    traj = evolve_fock(DriveSpec.constant(omega, 0), grid, 40, initial=initial)
     want = 0.5 * np.exp(-1j * omega * grid)
     assert np.abs(traj.alpha_track - want).max() < 1e-9
     assert traj.cs_fidelity.min() > 1 - 1e-9
@@ -304,27 +303,27 @@ def test_substep_budget(monkeypatch):
     import coherence_lab.dynamics as dyn
     # 8e6 substeps at the default step
     with pytest.raises(NumericalError):
-        evolve_fock(DriveSpec.zero(1e6), np.array([0.0, 1.0]), 20)
+        evolve_fock(DriveSpec.constant(1e6, 0), np.array([0.0, 1.0]), 20)
     # a static spin Hamiltonian takes one exact step per interval at any
     # strength: zeta(t) = zeta(0) exp(-i beta0 t)
     initial = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.5))
-    traj = evolve_spin(LinearSpinHamiltonian(1e9), 1, np.array([0.0, 1.0]), initial)
+    traj = evolve_spin(DriveSpec.constant(1e9, 0), 1, np.array([0.0, 1.0]), initial)
     want = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.5 * np.exp(-1e9j)))
     assert abs(qcore.overlap(want, traj.states[-1])) > 1 - 1e-12
     assert abs(traj.zeta_track[-1] - 0.5 * np.exp(-1e9j)) < 1e-9
     # an exponent beyond the float range is refused
     with pytest.raises(NumericalError):
-        evolve_spin(LinearSpinHamiltonian(1e300, 1e300), 1, np.array([0.0, 1.0]), initial)
+        evolve_spin(DriveSpec.constant(1e300, 1e300), 1, np.array([0.0, 1.0]), initial)
     # span / max_step overflows to inf
     with pytest.raises(NumericalError):
-        evolve_fock(DriveSpec.zero(1.0), np.array([0.0, 1.0]), 20, max_step=1e-320)
+        evolve_fock(DriveSpec.constant(1.0, 0), np.array([0.0, 1.0]), 20, max_step=1e-320)
     with pytest.raises(ValidationError):
-        evolve_fock(DriveSpec.zero(1.0), np.array([0.0, 1.0]), 20, max_step=0.0)
+        evolve_fock(DriveSpec.constant(1.0, 0), np.array([0.0, 1.0]), 20, max_step=0.0)
     # the budget counts the substeps of the whole trajectory
     monkeypatch.setattr(dyn, "MAX_SUBSTEPS", 10)
-    evolve_fock(DriveSpec.zero(1.0), np.array([0.0, 1.0]), 20, max_step=0.1)
+    evolve_fock(DriveSpec.constant(1.0, 0), np.array([0.0, 1.0]), 20, max_step=0.1)
     with pytest.raises(NumericalError):
-        evolve_fock(DriveSpec.zero(1.0), np.array([0.0, 0.5, 1.0]), 20, max_step=0.09)
+        evolve_fock(DriveSpec.constant(1.0, 0), np.array([0.0, 0.5, 1.0]), 20, max_step=0.09)
 
 
 def test_evolve_truncation_guard():
@@ -432,7 +431,7 @@ def test_command_paths_build_no_dense_generator(monkeypatch):
                        initial=fock.glauber_cs(0.3 - 0.2j, 24))
     assert traj.cs_fidelity.min() > 1 - 1e-9
     spin_cs = spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j))
-    traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 2, np.linspace(0.0, 3.0, 7),
+    traj = evolve_spin(DriveSpec.constant(0.9, 0.3 + 0.1j), 2, np.linspace(0.0, 3.0, 7),
                        spin_cs)
     assert traj.cs_fidelity.min() > 1 - 1e-12
     # a planted coherent sample is labelled, by <a> or the mean spin, and excluded
@@ -456,11 +455,20 @@ def test_steps_use_tridiagonal_eigensolves_not_expm(monkeypatch):
     assert calls == {"expm": 0, "eigh_tridiagonal": 8 * 4}
     # a static spin Hamiltonian is factored once for all its interval lengths
     calls.update(expm=0, eigh_tridiagonal=0)
-    ham = LinearSpinHamiltonian(1.0, 0.3)
-    grid = np.array([0.0, 0.1, 0.35, 0.4, 1.3, 3.0]) / ham.strength
+    ham = DriveSpec.constant(1.0, 0.3)
+    grid = np.array([0.0, 0.1, 0.35, 0.4, 1.3, 3.0]) / math.hypot(1.0, 0.6)
     assert len(set(np.diff(grid).tolist())) == 5
     evolve_spin(ham, 2, grid, spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.5)))
     assert calls == {"expm": 0, "eigh_tridiagonal": 1}
+    # a driven spin takes substeps of 1/50 of its fastest period: 4 intervals
+    # of pi/6 at the drive frequency 3, or at the Rabi rate 2 peak|lam| = 3 of
+    # a table drive, are 12.5, so 13 substeps each
+    grid = np.linspace(0.0, 2 * math.pi / 3, 5)
+    for drive in (DriveSpec.sinusoid(1.0, 0.3, 3.0),
+                  DriveSpec.from_table(0.0, [0.0, 10.0], [0.0, 1.5j])):
+        calls.update(expm=0, eigh_tridiagonal=0)
+        evolve_spin(drive, 2, grid, spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.5)))
+        assert calls == {"expm": 0, "eigh_tridiagonal": 4 * 13}
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +477,7 @@ def test_steps_use_tridiagonal_eigensolves_not_expm(monkeypatch):
 
 def test_evolve_spin_precession_circle():
     omega = 1.0
-    ham = LinearSpinHamiltonian(omega)
+    ham = DriveSpec.constant(omega, 0)
     grid = np.linspace(0, 2 * math.pi, 33)
     for j in (0.5, 1.0, 2.0):
         initial = spin.spin_cs(spin.SpinCsParams(j=j, zeta=0.5))
@@ -484,7 +492,7 @@ def test_evolve_spin_precession_circle():
 
 
 def test_evolve_spin_constant_hamiltonian_zero():
-    ham = LinearSpinHamiltonian(0.0, 0.0)
+    ham = DriveSpec.constant(0.0, 0.0)
     initial = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.3 + 0.2j))
     traj = evolve_spin(ham, 1, np.linspace(0, 3, 7), initial)
     for state in traj.states:
@@ -493,7 +501,7 @@ def test_evolve_spin_constant_hamiltonian_zero():
 
 def test_evolve_spin_rabi_great_circle():
     # H = Omega (J+ + J-)/2 sweeps theta at unit rate through the poles
-    ham = LinearSpinHamiltonian(0.0, 0.5)
+    ham = DriveSpec.constant(0.0, 0.5)
     grid = np.linspace(0, math.pi, 21)
     traj = evolve_spin(ham, 1.5, grid, spin.basis_state(1.5, -1.5))
     assert traj.cs_fidelity.min() > 1 - 1e-8
@@ -506,7 +514,7 @@ def test_evolve_spin_coherence_for_generic_linear_hamiltonian():
     for j in (0.5, 1.5, 3.0):
         beta0 = rng.uniform(-1, 1)
         beta_plus = rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5)
-        ham = LinearSpinHamiltonian(beta0, beta_plus)
+        ham = DriveSpec.constant(beta0, beta_plus)
         initial = spin.spin_cs(spin.SpinCsParams(j=j, zeta=0.4 - 0.6j))
         traj = evolve_spin(ham, j, grid, initial)
         assert traj.cs_fidelity.min() > 1 - 1e-7
@@ -518,7 +526,7 @@ def test_evolve_spin_coherence_for_generic_linear_hamiltonian():
 def test_evolve_spin_labels_match_the_fit(tj, beta0, beta_plus, zeta0, t_max):
     # the fit is the oracle of the mean-spin label on every coherent sample
     initial = spin.spin_cs(spin.SpinCsParams(j=tj / 2, zeta=zeta0))
-    traj = evolve_spin(LinearSpinHamiltonian(beta0, beta_plus), tj / 2,
+    traj = evolve_spin(DriveSpec.constant(beta0, beta_plus), tj / 2,
                        np.linspace(0.0, t_max, 5), initial)
     for state, theta, phi, fid in zip(traj.states, traj.theta_track, traj.phi_track,
                                       traj.cs_fidelity):
@@ -529,8 +537,54 @@ def test_evolve_spin_labels_match_the_fit(tj, beta0, beta_plus, zeta0, t_max):
         assert fid > 1 - 1e-12
 
 
+def test_exponential_drive_is_static_in_the_rotating_frame():
+    # H(t) = beta0 J0 + beta+ exp(-i nu t) J+ + h.c. = R(t) H' R(t)+ with
+    # R(t) = exp(-i nu t J0) and the static H' = (beta0 - nu) J0 + beta+ J+ + h.c.,
+    # so psi(t) = R(t) exp(-i t H') psi(0) for any initial state (Rabi, Phys.
+    # Rev. 51, 652 (1937))
+    rng = np.random.default_rng(37)
+    grid = np.linspace(0.0, 4.0, 9)
+    for tj in (1, 2, 5, 12, 40):
+        beta0, nu = rng.uniform(-1.5, 1.5), rng.uniform(0.3, 3.0)
+        beta_plus = rng.uniform(0.2, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        initial = qcore.StateVector(spin.spin_space(tj / 2), rng.normal(size=tj + 1)
+                                    + 1j * rng.normal(size=tj + 1))
+        driven = evolve_spin(DriveSpec.exponential(beta0, beta_plus, nu), tj / 2, grid,
+                             initial)
+        frame = evolve_spin(DriveSpec.constant(beta0 - nu, beta_plus), tj / 2, grid, initial)
+        m = np.arange(tj + 1) - tj / 2
+        for t, got, want in zip(grid, driven.states, frame.states):
+            assert np.abs(got.amps - np.exp(-1j * nu * t * m) * want.amps).max() < 1e-5
+
+
+def test_linear_spin_hamiltonian_is_the_constant_drive():
+    # the former spelling, which perfbench's workloads still use, is a constant
+    # DriveSpec and gives the same trajectory bit for bit
+    initial = spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j))
+    grid = np.linspace(0.0, 3.0, 7)
+    old = dyn.LinearSpinHamiltonian(0.9, 0.3 + 0.1j)
+    assert old.strength == math.hypot(0.9, 2.0 * abs(0.3 + 0.1j))
+    got = evolve_spin(old, 2, grid, initial)
+    want = evolve_spin(DriveSpec.constant(0.9, 0.3 + 0.1j), 2, grid, initial)
+    for name in ("zeta_track", "theta_track", "phi_track", "cs_fidelity"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert all(np.array_equal(a.amps, b.amps) for a, b in zip(got.states, want.states))
+
+
+def test_drive_omega_is_any_real_but_the_oscillator_needs_it_positive():
+    initial = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.5))
+    traj = evolve_spin(DriveSpec.constant(-1.0, 0), 1, np.array([0.0, 1.0]), initial)
+    assert abs(traj.zeta_track[-1] - 0.5 * np.exp(1j)) < 1e-12
+    for omega in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="omega must be positive"):
+            evolve_fock(DriveSpec.constant(omega, 0.1), np.array([0.0, 1.0]), 20)
+    for omega in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match=r"omega \(a spin.s beta0\) must be finite"):
+            DriveSpec.constant(omega, 0)
+
+
 def test_evolve_spin_fidelity_of_a_non_coherent_state_is_at_most_the_fit():
-    traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 1, np.linspace(0.0, 3.0, 7),
+    traj = evolve_spin(DriveSpec.constant(0.9, 0.3 + 0.1j), 1, np.linspace(0.0, 3.0, 7),
                        spin.basis_state(1, 0))
     for state, fid in zip(traj.states, traj.cs_fidelity):
         assert fid <= spin_cs_fit(state)[2]
@@ -545,7 +599,7 @@ def test_each_sample_is_labelled_by_its_family_label_of_the_stored_state():
     assert traj.alpha_track.tolist() == list(alphas)
     assert traj.cs_fidelity.tolist() == [abs(ov) for ov in overlaps]
     assert traj.eta_track.tolist() == np.unwrap(np.angle(overlaps)).tolist()
-    traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 1.5, np.linspace(0.0, 3.0, 7),
+    traj = evolve_spin(DriveSpec.constant(0.9, 0.3 + 0.1j), 1.5, np.linspace(0.0, 3.0, 7),
                        spin.spin_cs(spin.SpinCsParams(j=1.5, zeta=0.4 - 0.9j)))
     got = zip(traj.theta_track, traj.phi_track, traj.zeta_track, traj.cs_fidelity)
     assert list(got) == [spin.mean_spin_label(state) for state in traj.states]

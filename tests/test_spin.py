@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.stats import binom
 
 from coherence_lab import fock, qcore, spin
-from coherence_lab.dynamics import LinearSpinHamiltonian, evolve_spin
+from coherence_lab.dynamics import DriveSpec, evolve_spin
 from coherence_lab.errors import (
     InvalidWeight,
     ValidationError,
@@ -291,7 +291,7 @@ def test_mean_spin_label_is_fixed_where_the_mean_spin_vanishes():
     # |1, 0> keeps <J> = 0 under a linear Hamiltonian; the computed mean spin
     # is rounding noise of up to about 1.1e-15, which once gave labels from
     # theta = pi to 2.0
-    traj = evolve_spin(LinearSpinHamiltonian(0.9, 0.3 + 0.1j), 1,
+    traj = evolve_spin(DriveSpec.constant(0.9, 0.3 + 0.1j), 1,
                        np.linspace(0.0, 3.0, 7), basis_state(1, 0))
     assert (traj.theta_track == 0.0).all() and (traj.phi_track == 0.0).all()
     assert (traj.zeta_track == 0.0).all()
