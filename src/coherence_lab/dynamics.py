@@ -7,8 +7,8 @@ stays coherent with
     alpha(t) = -i exp(-i omega t) * integral_0^t lam(tau) exp(i omega tau) dtau
 
 and a global phase whose -omega*t/2 piece depends on whether the vacuum
-energy omega/2 is included in H; ``eta_convention_report`` measures which
-convention reproduces the textbook phase formula instead of assuming one.
+energy omega/2 is included in H; the tests measure which convention
+reproduces the textbook phase formula instead of assuming one.
 
 Spin: H = beta0 J0 + lam(t) J+ + lam(t)* J-, the same ``DriveSpec`` with
 omega = beta0. Each stored sample is labelled, with no fit, by the label the
@@ -179,24 +179,6 @@ def alpha_of_t(drive: DriveSpec, t: float) -> complex:
     return -1j * np.exp(-1j * drive.omega * t) * integral
 
 
-def alpha_eta_of_t(drive: DriveSpec, t: float):
-    """Amplitude and textbook global phase at time t.
-
-    eta(t) = -omega t / 2 - integral_0^t Re[conj(lam(tau)) alpha(tau)] dtau,
-    the convention that includes the oscillator's vacuum energy (see
-    ``eta_convention_report``).
-    """
-    alpha = alpha_of_t(drive, t)
-    if t == 0:
-        return alpha, 0.0
-    corr, corr_err = scipy.integrate.quad(
-        lambda tau: (np.conj(drive.lam(tau)) * alpha_of_t(drive, tau)).real,
-        0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200)
-    if corr_err > 1e-9:
-        raise QuadratureFailure(f"phase quadrature error {corr_err:.2e}")
-    return alpha, -drive.omega * t / 2.0 - corr
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled oscillator evolution, each stored sample labelled by
@@ -250,17 +232,25 @@ def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
     nu from ``_magnus_coefficients``. It maps a coherent amplitude exactly to
     alpha <- r alpha + (r - 1) nu / (omega dt), r = exp(-i omega dt), which is
     stable at any step: this is the amplitude the untruncated integrator
-    carries from the vacuum.
+    carries from the vacuum. With theta = omega dt, (r - 1) / theta is
+    -(theta/2) sinc(theta/2pi)^2 - i sinc(theta/pi), in numpy's normalized
+    sinc, so no division by an underflowing omega dt.
     """
     if not counts:
         return 0.0
     dt = np.repeat(np.diff(grid) / counts, counts)
     k = np.arange(dt.size) - np.repeat(np.cumsum(counts) - counts, counts)
     t = np.repeat(grid[:-1], counts) + k * dt
-    _, _, nu = _magnus_coefficients(lambda s: (drive.omega, drive.lam(s)), t, dt)
-    phase = -1j * drive.omega * dt
-    forcing = np.expm1(phase) * nu / (drive.omega * dt)
-    alphas = itertools.accumulate(zip(np.exp(phase).tolist(), forcing.tolist()),
+    # a peak beyond the float range is inf (max passes over a nan), which no
+    # cutoff admits; a static drive's nu is lam dt, as its commutator terms are
+    # 0 even where dt^2 overflows and 0 * inf would make them nan
+    with np.errstate(all="ignore"):
+        nu = (drive.amplitude * dt if drive.is_static else
+              _magnus_coefficients(lambda s: (drive.omega, drive.lam(s)), t, dt)[2])
+        theta = drive.omega * dt
+        forcing = nu * (-0.5 * theta * np.sinc(theta / (2.0 * math.pi)) ** 2
+                        - 1j * np.sinc(theta / math.pi))
+    alphas = itertools.accumulate(zip(np.exp(-1j * theta).tolist(), forcing.tolist()),
                                   lambda a, rf: rf[0] * a + rf[1], initial=0j)
     return 1.02 * max(map(abs, alphas))
 
@@ -312,8 +302,8 @@ def _magnus_coefficients(coeffs: Callable[[float], tuple], t, dt) -> tuple:
     the commutator terms are exactly 0 and M is dt times H."""
     w1, lam1 = coeffs(t + (0.5 - _GL_NODE) * dt)
     w2, lam2 = coeffs(t + (0.5 + _GL_NODE) * dt)
-    c = _GL_COMMUTATOR * dt * dt
     with np.errstate(all="ignore"):
+        c = _GL_COMMUTATOR * dt * dt
         return (0.5 * dt * (w1 + w2), 2.0 * c * (lam2 * lam1.conjugate()).imag,
                 (0.5 * dt) * (lam1 + lam2) - (1j * c) * (w2 * lam1 - w1 * lam2))
 
@@ -451,32 +441,3 @@ def evolve_spin(drive: DriveSpec, j, t_grid, initial: StateVector) -> SpinTrajec
         cs_fidelity=np.array(fids),
     )
 
-
-def eta_convention_report(drive: DriveSpec, t_grid, cutoff: int) -> dict:
-    """Measure which vacuum-energy convention reproduces the phase formula.
-
-    Evolves the vacuum with H = omega a+a, measures the global phase, and
-    compares against the formula carrying the -omega t/2 term. The fitted
-    rate offset decides between H = omega a+a and H = omega (a+a + 1/2);
-    the residual after removing the fitted offset is reported too.
-    """
-    grid = _validate_grid(t_grid)
-    traj = evolve_fock(drive, grid, cutoff)
-    formula = np.array([alpha_eta_of_t(drive, t)[1] for t in grid])
-    diff = traj.eta_track - formula
-    # least-squares slope through the origin
-    denom = float(np.dot(grid, grid))
-    slope = float(np.dot(grid, diff) / denom) if denom > 0 else 0.0
-    half = drive.omega / 2.0
-    if abs(slope - half) < 0.05 * drive.omega:
-        convention = "omega*(n+1/2)"
-    elif abs(slope) < 0.05 * drive.omega:
-        convention = "omega*n"
-    else:
-        convention = "unresolved"
-    residual = float(np.abs(diff - slope * grid).max())
-    return {
-        "offset_rate": slope,
-        "matched_convention": convention,
-        "max_residual": residual,
-    }

@@ -63,19 +63,20 @@ def as_twice_j(j) -> int:
     return tj
 
 
+#: each factor kind and the state-file key of its size: Fock cutoff N or 2j
+FACTOR_KINDS = {"fock": "cutoff", "spin": "twice_j"}
+
+
 @dataclass(frozen=True)
 class Factor:
-    """One tensor factor: a truncated Fock mode or a single spin.
-
-    ``param`` is the Fock cutoff N (levels 0..N) for kind ``"fock"`` and
-    the integer 2j for kind ``"spin"``; in both cases dim = param + 1.
-    """
+    """One tensor factor of a kind in ``FACTOR_KINDS``, of size ``param``
+    (a Fock mode's levels 0..N or a spin's 2j) and dim = param + 1."""
 
     kind: str
     param: int
 
     def __post_init__(self):
-        if self.kind not in ("fock", "spin"):
+        if self.kind not in FACTOR_KINDS:
             raise ValidationError(f"unknown factor kind {self.kind!r}")
         if not isinstance(self.param, int) or self.param < 0:
             raise ValidationError(f"factor parameter must be a nonnegative int, got {self.param!r}")
@@ -180,7 +181,9 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     flat = rows.view(float)
     if not np.all(np.isfinite(flat)):
         raise NonFinite("state amplitudes must be finite")
-    for i, squares in enumerate(np.square(flat).tolist()):
+    with np.errstate(over="ignore"):  # an overflowed row is rescaled below
+        squares_rows = np.square(flat).tolist()
+    for i, squares in enumerate(squares_rows):
         sum_sq = _fsum(squares)
         if sum_sq == math.inf:
             rows[i] /= np.abs(flat[i]).max()
@@ -373,26 +376,3 @@ def schmidt_cut(state: StateVector, cut: int) -> SchmidtReport:
         matrix=matrix,
     )
 
-
-def phase_align(reference: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Rotate ``amps`` by a global phase to match ``reference``.
-
-    The phase is fixed at the largest-magnitude entry of ``reference``;
-    if ``amps`` vanishes there, the overall overlap phase is used instead.
-    """
-    ref = np.asarray(reference)
-    vec = np.asarray(amps)
-    k = int(np.argmax(np.abs(ref)))
-    if abs(vec[k]) > 1e-14:
-        phase = np.angle(ref[k]) - np.angle(vec[k])
-    else:
-        ov = np.vdot(vec, ref)
-        phase = 0.0 if abs(ov) < 1e-14 else np.angle(ov)
-    return vec * np.exp(1j * phase)
-
-
-def aligned_distance(u: StateVector, v: StateVector) -> float:
-    """Norm distance between rays: ||u - e^{i phi} v|| after phase alignment."""
-    if u.space != v.space:
-        raise SpaceMismatch("aligned_distance requires equal spaces")
-    return float(np.linalg.norm(u.amps - phase_align(u.amps, v.amps)))

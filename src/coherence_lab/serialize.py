@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import SpinTrajectory, Trajectory
 from .errors import ConfigError, NumericalError
-from .qcore import Factor, SpaceDescriptor, StateVector
+from .qcore import FACTOR_KINDS, Factor, SpaceDescriptor, StateVector
 
 SCHEMA_VERSION = 1
 
@@ -57,13 +57,8 @@ def pair_to_complex(pair) -> complex:
 
 
 def space_to_dict(space: SpaceDescriptor) -> dict:
-    factors = []
-    for f in space.factors:
-        if f.kind == "fock":
-            factors.append({"kind": "fock", "cutoff": f.cutoff})
-        else:
-            factors.append({"kind": "spin", "twice_j": f.twice_j})
-    return {"factors": factors}
+    return {"factors": [{"kind": f.kind, FACTOR_KINDS[f.kind]: f.param}
+                        for f in space.factors]}
 
 
 def space_from_dict(data: dict) -> SpaceDescriptor:
@@ -72,7 +67,7 @@ def space_from_dict(data: dict) -> SpaceDescriptor:
     try:
         factors = []
         for f in data["factors"]:
-            key = {"fock": "cutoff", "spin": "twice_j"}.get(f["kind"])
+            key = FACTOR_KINDS.get(f["kind"])
             if key is None:
                 raise ConfigError(f"unknown factor kind {f['kind']!r}")
             if type(f[key]) is not int:  # bool is an int subclass

@@ -10,6 +10,7 @@ one log-domain closed form (``_cs_logs``) and labelled by
 coupling weights come from its log-binomial rows, so nothing overflows.
 Its generators J0 and J+ ([G0, G+-] = +-G+-) live in one band form, m and
 sqrt((2j - k)(k + 1)) (``_generator_bands``), which every moment and step reads.
+Its scan pieces are ``_scan_weight``, ``_scan_grid`` and ``_scan_bound``.
 """
 
 from __future__ import annotations
@@ -222,3 +223,27 @@ def mean_spin_label(state: StateVector):
         theta, phi, zeta = _label(math.atan2(abs(mean_jm), -mean_j0),
                                   math.pi - cmath.phase(mean_jm))
     return theta, phi, zeta, abs(np.vdot(_angles_amps(tj, theta, phi), amps))
+
+
+_scan_weight = coupling_weight  # the scan's split weight, from a ScanSystem's split
+
+
+def _scan_grid(tj: int) -> np.ndarray:
+    """``_angles_amps`` rows at 7 polar angles by 8 azimuths plus each pole
+    once (its azimuth is a global phase)."""
+    ring = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    return np.stack([_angles_amps(tj, theta, phi)
+                     for theta in np.linspace(0.0, math.pi, 9)
+                     for phi in (ring if 0.0 < theta < math.pi else ring[:1])])
+
+
+# A coherent state g is the top eigenvector of m.J for some unit m, with
+# eigenvalue j, and every other eigenvalue is at most j - 1 (Arecchi,
+# Courtens, Gilmore & Thomas, Phys. Rev. A 6, 2211 (1972); Perelomov,
+# Commun. Math. Phys. 26, 222 (1972)). So |g><g| <= (m.J + j) / (2j), and
+# F*^2 = max_g |<g|psi>|^2 <= (1 + |<J>| / j) / 2 for a unit psi.
+def _scan_bound(amps: np.ndarray) -> np.ndarray:
+    """Per unit spin row of ``amps``: a ceiling on its best coherent fidelity."""
+    tj = amps.shape[-1] - 1
+    mean_j0, mean_jm = qcore._first_moments(amps, *_generator_bands(tj))
+    return np.sqrt((1.0 + np.hypot(mean_j0, np.abs(mean_jm)) / (tj / 2.0)) / 2.0)

@@ -6,31 +6,34 @@ order as a formal power series (the unique solutions are exponentials),
 and run seeded randomized scans demonstrating that only coherent states
 split into products.
 
-A scan excludes a sample from the non-coherent pool when the coherent state
-at its first-moment label (``spin.mean_spin_label``, ``fock.mean_mode_label``)
-lies within ``CS_DISTANCE_GUARD``. A closed-form bound on the best coherent
-fidelity, read from the same moments, keeps most samples without building
-that state; only a sample the bound cannot place outside the guard band is
-labelled. Each chunk of samples, and the grid of coherent amplitudes for
-``cs_max_entropy`` (from the amplitude functions behind ``spin_cs`` and
-``glauber_cs``), is one stacked array: normalized as ``StateVector``
-normalizes, split with one ``split_amplitudes`` call and reduced to Schmidt
-coefficients by one values-only stacked SVD, with no Schmidt vector and no
-per-row state. Its entropies are bit-identical to a ``schmidt_cut`` of each
-split sample.
+A scan takes one ``ScanSystem`` record; its family module (``spin`` or
+``fock``) owns the split weight, the moment bound with its proof and the
+coherent grid. A scan excludes a sample from the non-coherent pool when the
+coherent state at its first-moment label (``spin.mean_spin_label``,
+``fock.mean_mode_label``) lies within ``CS_DISTANCE_GUARD``. The bound on
+the best coherent fidelity, read from the same moments, keeps most samples
+without building that state; only a sample the bound cannot place outside
+the guard band is labelled. Each chunk of samples, and the grid of coherent
+amplitudes for ``cs_max_entropy`` (from the amplitude functions behind
+``spin_cs`` and ``glauber_cs``), is one stacked array: normalized as
+``StateVector`` normalizes, split with one ``split_amplitudes`` call and
+reduced to Schmidt coefficients by one values-only stacked SVD, with no
+Schmidt vector and no per-row state. Its entropies are bit-identical to a
+``schmidt_cut`` of each split sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Optional
 
 import numpy as np
 
 from . import fock, qcore, spin
 from .errors import NotComposite, NumericalError, ValidationError
-from .qcore import StateVector
+from .qcore import SpaceDescriptor, StateVector
 
 #: phase-aligned distance below which a sample counts as a coherent state
 CS_DISTANCE_GUARD = 1e-6
@@ -102,11 +105,6 @@ class SeriesPoly:
         return cls(np.array([f0 * tau ** k / math.factorial(k)
                              for k in range(order + 1)], dtype=complex))
 
-    def perturbed(self, k: int, delta: complex) -> "SeriesPoly":
-        arr = np.array(self.coeffs)
-        arr[k] += delta
-        return SeriesPoly(arr)
-
     @property
     def order(self) -> int:
         return self.coeffs.size - 1
@@ -164,12 +162,6 @@ class AflpSolution:
                 SeriesPoly.exponential(tau_b, f0_b, self.order),
                 SeriesPoly.exponential(tau_c, f0_c, self.order))
 
-    def first_failing_order(self, f_a: SeriesPoly, f_b: SeriesPoly,
-                            f_c: SeriesPoly, tol: float = 1e-12) -> Optional[int]:
-        res = functional_residuals(f_a, f_b, f_c, self.mu, self.nu)
-        bad = np.nonzero(res > tol)[0]
-        return int(bad[0]) if bad.size else None
-
 
 def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0) -> AflpSolution:
     """Solve the splitting functional equation order by order.
@@ -222,47 +214,32 @@ def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0) -> AflpS
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SpinScanSystem:
+class ScanSystem:
+    """What a scan splits: a ``label``, the input ``space`` and the ``family``
+    module (``spin`` or ``fock``) whose scan pieces it reads:
+    ``_scan_weight(*split)``, ``_scan_grid(size)`` with size N or 2j, and
+    ``_scan_bound(amps)``."""
+
+    label: str
+    space: SpaceDescriptor
+    family: ModuleType
+    split: tuple
+
+
+def SpinScanSystem(j_a, j_b, j_c) -> ScanSystem:  # noqa: N802 (a constructor)
     """Spin j_a split into the stretched pair (j_b, j_c)."""
-
-    j_a: float
-    j_b: float
-    j_c: float
-
-    def __post_init__(self):
-        tja = qcore.as_twice_j(self.j_a)
-        if qcore.as_twice_j(self.j_b) + qcore.as_twice_j(self.j_c) != tja:
-            raise ValidationError("scan requires j_a = j_b + j_c")
-
-    @property
-    def label(self) -> str:
-        return f"spin({self.j_a:g},{self.j_b:g},{self.j_c:g})"
-
-    @property
-    def dim(self) -> int:
-        return qcore.as_twice_j(self.j_a) + 1
+    if qcore.as_twice_j(j_a) != qcore.as_twice_j(j_b) + qcore.as_twice_j(j_c):
+        raise ValidationError("scan requires j_a = j_b + j_c")
+    return ScanSystem(f"spin({j_a:g},{j_b:g},{j_c:g})", spin.spin_space(j_a), spin,
+                      (j_b, j_c))
 
 
-@dataclass(frozen=True)
-class FockScanSystem:
+def FockScanSystem(cutoff: int, split: Optional[fock.SplitSpec] = None) -> ScanSystem:  # noqa: N802
     """Truncated Fock mode split by a beamsplitter (balanced by default)."""
-
-    cutoff: int
-    split: Optional[fock.SplitSpec] = None
-
-    def __post_init__(self):
-        if self.cutoff < 12:
-            raise ValidationError("scan needs cutoff >= 12 to admit a coherent grid")
-        if self.split is None:
-            object.__setattr__(self, "split", fock.SplitSpec.balanced())
-
-    @property
-    def label(self) -> str:
-        return f"fock({self.cutoff})"
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff + 1
+    if cutoff < 12:
+        raise ValidationError("scan needs cutoff >= 12 to admit a coherent grid")
+    return ScanSystem(f"fock({cutoff})", fock.fock_space(cutoff), fock,
+                      (split or fock.SplitSpec.balanced(), cutoff))
 
 
 @dataclass(frozen=True)
@@ -308,24 +285,10 @@ def _cs_distance(state: StateVector) -> float:
     return math.sqrt(max(0.0, 2.0 - 2.0 * fid))
 
 
-# The bounds below cap F* = max_g |<g|psi>| over the admissible coherent
-# states g, from the first moments of a unit sample psi alone. The state at
-# the sample's label is one of them, so its fidelity is at most F* too.
-#
-# - Spin: a coherent state g is the top eigenvector of m.J for some unit m,
-#   with eigenvalue j, and every other eigenvalue is at most j - 1 (Arecchi,
-#   Courtens, Gilmore & Thomas, Phys. Rev. A 6, 2211 (1972); Perelomov,
-#   Commun. Math. Phys. 26, 222 (1972)). So |g><g| <= (m.J + j) / (2j), and
-#   F*^2 <= (1 + |<J>| / j) / 2.
-# - Fock: the admissible states are the unit truncated |alpha> with |alpha| <=
-#   R = ``admissible_radius``. Let X = (a - alpha)^+ (a - alpha) on the
-#   truncated mode and V = <N> - |<a>|^2. Then <X> = V + |<a> - alpha|^2 >= V, and
-#   X <= (sqrt(N) + R)^2 = L, since ||a|| = sqrt(N). The truncated a lowers
-#   every level of |alpha> but the top one exactly, so X|alpha> = |alpha|^2
-#   g_N e_N, with g_N the top amplitude of |alpha>; |g_N| grows with |alpha|,
-#   so take g = |g_N| at |alpha| = R and e = R^2 g. Writing psi = F|alpha> +
-#   s chi with chi orthogonal to |alpha> and s^2 = 1 - F^2 gives
-#   V <= <X> <= e g + 2 s e + s^2 L, a floor on s and so a ceiling on F*.
+# Each family's ``_scan_bound`` (its proof is the comment above it) caps
+# F* = max_g |<g|psi>| over the admissible coherent states g, from the first
+# moments of a unit sample psi alone; the state at the sample's label is one
+# of them.
 #
 # A sample whose bound plus SCREEN_MARGIN stays below 1 - guard^2/2 has its
 # label distance above the guard band, so it is kept without labelling. The
@@ -343,48 +306,6 @@ CHUNK_AMPS = 2 ** 16
 _FIDELITY_CEILING = 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
 
 
-def _spin_bound(amps: np.ndarray) -> np.ndarray:
-    """Per unit spin row of ``amps``: a ceiling on its best coherent fidelity."""
-    tj = amps.shape[-1] - 1
-    mean_j0, mean_jm = qcore._first_moments(amps, *spin._generator_bands(tj))
-    return np.sqrt((1.0 + np.hypot(mean_j0, np.abs(mean_jm)) / (tj / 2.0)) / 2.0)
-
-
-def _fock_bound(amps: np.ndarray) -> np.ndarray:
-    """Per unit Fock row of ``amps``: a ceiling on its best fidelity with an
-    admissible truncated coherent state."""
-    cutoff = amps.shape[-1] - 1
-    radius = fock.admissible_radius(cutoff)
-    edge = np.exp(fock._coherent_logs(radius, cutoff).real - radius * radius / 2.0)
-    g = edge[-1] / np.linalg.norm(edge)
-    e, x_norm = radius * radius * g, (math.sqrt(cutoff) + radius) ** 2
-    mean_n, mean_a = qcore._first_moments(amps, *fock._generator_bands(cutoff))
-    excess = np.maximum(mean_n - np.abs(mean_a) ** 2 - e * g, 0.0)
-    # the positive root of x_norm s^2 + 2 e s - excess
-    s = (np.sqrt(e * e + x_norm * excess) - e) / x_norm
-    return np.sqrt(1.0 - s * s)
-
-
-def _cs_grid_states(system) -> np.ndarray:
-    """Stacked unit amplitudes of ``spin_cs``/``glauber_cs``, from their own
-    amplitude functions, for ``cs_max_entropy``: 7 polar angles by 8 azimuths
-    plus each pole once (its azimuth is a global phase), or alpha = 0 plus 4
-    rings of 8 out to min(1.5, admissible radius)."""
-    ring = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    if isinstance(system, SpinScanSystem):
-        tj = qcore.as_twice_j(system.j_a)
-        amps = np.stack([spin._angles_amps(tj, theta, phi)
-                         for theta in np.linspace(0.0, math.pi, 9)
-                         for phi in (ring if 0.0 < theta < math.pi else ring[:1])])
-    else:
-        radius = min(1.5, fock.admissible_radius(system.cutoff))
-        alpha = np.append(0.0, np.linspace(radius / 4.0, radius, 4)[:, None]
-                          * np.exp(1j * ring))
-        amps = fock._glauber_amps(alpha, system.cutoff)
-    # as StateVector normalizes each state
-    return qcore._normalize_rows(amps)
-
-
 def _split_entropies(weight: np.ndarray, amps: np.ndarray) -> list:
     """Schmidt entropy of each split row of ``amps``, bit for bit as
     ``schmidt_cut`` of ``split_spin``/``split_fock``.
@@ -400,47 +321,43 @@ def _split_entropies(weight: np.ndarray, amps: np.ndarray) -> list:
     return qcore.entropy_from_coefficients(coeffs).tolist()
 
 
-def uniqueness_scan(system, n_samples: int, seed: int) -> ScanStats:
+def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
     """Split seeded Haar-random states and record their entanglement.
 
+    One path for every family: ``system.family`` gives the split weight
+    (``_scan_weight``, built on every call), the moment bound
+    (``_scan_bound``, with its proof) and the coherent grid (``_scan_grid``).
     A sample is excluded from the non-coherent pool exactly when the
     coherent state at its first-moment label lies inside the guard band
-    (``_cs_distance``). A bound from the same moments (``_spin_bound``,
-    ``_fock_bound``; see the proofs above them) proves most samples lie
-    outside the band, and a sample is labelled, as a ``StateVector``, only
-    when it cannot. Samples go in chunks of at most ``CHUNK_AMPS``
-    amplitudes, each normalized by ``qcore._normalize_rows``, split with one
+    (``_cs_distance``). The bound proves most samples lie outside the band,
+    and a sample is labelled, as a ``StateVector``, only when it cannot.
+    Samples go in chunks of at most ``CHUNK_AMPS`` amplitudes, each
+    normalized by ``qcore._normalize_rows``, split with one
     ``split_amplitudes`` call and cut by one values-only stacked SVD.
-    ``cs_max_entropy`` splits a deterministic grid of ``spin_cs``/``glauber_cs``
-    amplitudes (``_cs_grid_states``) the same way on every call.
+    ``cs_max_entropy`` splits the grid the same way on every call.
     Each sample draws from its own counter-based stream, so the result does
     not depend on the order samples are processed in, and every entropy is
     bit-identical to a ``schmidt_cut`` of the split sample.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    if isinstance(system, SpinScanSystem):
-        space = spin.spin_space(system.j_a)
-        weight = spin.coupling_weight(system.j_b, system.j_c)
-        bound = _spin_bound
-    else:
-        space = fock.fock_space(system.cutoff)
-        weight = fock.beamsplit_weight(system.split, system.cutoff)
-        bound = _fock_bound
+    family, space = system.family, system.space
+    weight = family._scan_weight(*system.split)
     chunk = max(1, CHUNK_AMPS // weight.size)
 
     min_kept, n_kept = None, 0
     for start in range(0, n_samples, chunk):
         amps = qcore._normalize_rows(np.stack([
-            _haar_amps(seed, i, system.dim)
+            _haar_amps(seed, i, space.dim)
             for i in range(start, min(start + chunk, n_samples))]))
         entropies = _split_entropies(weight, amps)
-        certified = bound(amps) + SCREEN_MARGIN < _FIDELITY_CEILING
+        certified = family._scan_bound(amps) + SCREEN_MARGIN < _FIDELITY_CEILING
         for row, ent, sure in zip(amps, entropies, certified):
             if sure or _cs_distance(StateVector(space, row)) > CS_DISTANCE_GUARD:
                 min_kept = ent if min_kept is None else min(min_kept, ent)
                 n_kept += 1
-    grid = _cs_grid_states(system)
+    # as StateVector normalizes each state
+    grid = qcore._normalize_rows(family._scan_grid(space.factors[0].param))
     cs_max = max(max(_split_entropies(weight, grid[i:i + chunk]))
                  for i in range(0, len(grid), chunk))
     return ScanStats(

@@ -14,15 +14,22 @@ moment bounds against the best coherent fidelity.
 The library advances all see-saw starts together as one stack;
 ``seesaw_one_start_at_a_time`` runs them one after another, so the tests
 can hold the stacked search to it bit for bit.
+
+The rest serve only the tests: phase-aligned distances between rays, a
+perturbed power series and the first order it fails at, and the textbook
+global phase of the driven oscillator by quadrature, with the measurement of
+which vacuum-energy convention reproduces it.
 """
 
 import math
 
 import numpy as np
+import scipy.integrate
 import scipy.linalg
 from scipy.optimize import minimize
 
-from coherence_lab import bell, fock, spin
+from coherence_lab import bell, dynamics, fock, spin, splitting
+from coherence_lab.errors import QuadratureFailure
 from coherence_lab.qcore import StateVector
 
 
@@ -173,3 +180,89 @@ def seesaw_one_start_at_a_time(state, n_starts, seed, tol):
     result = bell.ChshResult(bell.chsh_value(state, settings), settings,
                              "multistart-local-search", n_starts, seed, tol, converged)
     return result, sweeps
+
+
+def phase_align(reference, amps):
+    """Rotate ``amps`` by a global phase to match ``reference``.
+
+    The phase is fixed at the largest-magnitude entry of ``reference``;
+    if ``amps`` vanishes there, the overall overlap phase is used instead.
+    """
+    ref = np.asarray(reference)
+    vec = np.asarray(amps)
+    k = int(np.argmax(np.abs(ref)))
+    if abs(vec[k]) > 1e-14:
+        phase = np.angle(ref[k]) - np.angle(vec[k])
+    else:
+        ov = np.vdot(vec, ref)
+        phase = 0.0 if abs(ov) < 1e-14 else np.angle(ov)
+    return vec * np.exp(1j * phase)
+
+
+def aligned_distance(u, v):
+    """Norm distance between rays: ||u - e^{i phi} v|| after phase alignment."""
+    assert u.space == v.space
+    return float(np.linalg.norm(u.amps - phase_align(u.amps, v.amps)))
+
+
+def perturbed(series, k, delta):
+    """``series`` with ``delta`` added to its order-k coefficient."""
+    arr = np.array(series.coeffs)
+    arr[k] += delta
+    return splitting.SeriesPoly(arr)
+
+
+def first_failing_order(solution, f_a, f_b, f_c, tol=1e-12):
+    """The lowest order at which (f_A, f_B, f_C) misses the splitting
+    equation of ``solution``'s (mu, nu) by more than ``tol``, or None."""
+    res = splitting.functional_residuals(f_a, f_b, f_c, solution.mu, solution.nu)
+    bad = np.nonzero(res > tol)[0]
+    return int(bad[0]) if bad.size else None
+
+
+def alpha_eta_of_t(drive, t):
+    """Amplitude and textbook global phase at time t.
+
+    eta(t) = -omega t / 2 - integral_0^t Re[conj(lam(tau)) alpha(tau)] dtau,
+    the convention that includes the oscillator's vacuum energy (see
+    ``eta_convention_report``).
+    """
+    alpha = dynamics.alpha_of_t(drive, t)
+    if t == 0:
+        return alpha, 0.0
+    corr, corr_err = scipy.integrate.quad(
+        lambda tau: (np.conj(drive.lam(tau)) * dynamics.alpha_of_t(drive, tau)).real,
+        0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200)
+    if corr_err > 1e-9:
+        raise QuadratureFailure(f"phase quadrature error {corr_err:.2e}")
+    return alpha, -drive.omega * t / 2.0 - corr
+
+
+def eta_convention_report(drive, t_grid, cutoff):
+    """Measure which vacuum-energy convention reproduces the phase formula.
+
+    Evolves the vacuum with H = omega a+a, measures the global phase, and
+    compares against the formula carrying the -omega t/2 term. The fitted
+    rate offset decides between H = omega a+a and H = omega (a+a + 1/2);
+    the residual after removing the fitted offset is reported too.
+    """
+    grid = np.array(t_grid, dtype=float)
+    traj = dynamics.evolve_fock(drive, grid, cutoff)
+    formula = np.array([alpha_eta_of_t(drive, t)[1] for t in grid])
+    diff = traj.eta_track - formula
+    # least-squares slope through the origin
+    denom = float(np.dot(grid, grid))
+    slope = float(np.dot(grid, diff) / denom) if denom > 0 else 0.0
+    half = drive.omega / 2.0
+    if abs(slope - half) < 0.05 * drive.omega:
+        convention = "omega*(n+1/2)"
+    elif abs(slope) < 0.05 * drive.omega:
+        convention = "omega*n"
+    else:
+        convention = "unresolved"
+    residual = float(np.abs(diff - slope * grid).max())
+    return {
+        "offset_rate": slope,
+        "matched_convention": convention,
+        "max_residual": residual,
+    }

@@ -19,7 +19,14 @@ from coherence_lab.qcore import (
     schmidt_cut,
     tensor_state,
 )
-from oracles import coset_state, expectation, generators, mean_variance, quadratures
+from oracles import (
+    coset_state,
+    expectation,
+    generators,
+    mean_variance,
+    perturbed,
+    quadratures,
+)
 
 
 def _report(number: int, summary: str, t0: float, limit: float):
@@ -150,7 +157,7 @@ def test_c06_series_solver():
             for which in range(3):
                 for k in range(order + 1):
                     series = list(triple)
-                    series[which] = series[which].perturbed(k, 1e-4)
+                    series[which] = perturbed(series[which], k, 1e-4)
                     assert splitting.functional_residuals(
                         *series, mu=mu, nu=nu)[k] > 0.0
     _report(6, "exponential family solves to order 8; every single-coefficient "

@@ -550,6 +550,29 @@ def test_unreachable_cutoff_exits_2_with_one_line(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("omega,tmax,message", [
+    # omega dt underflows to 0 or a subnormal: the reach is still the drive's
+    ("5e-324", "1", "cutoff 20 too small for |alpha|=102 (need >= 11629)"),
+    ("1e-310", "1", "cutoff 20 too small for |alpha|=102 (need >= 11629)"),
+    ("1e-300", "1", "cutoff 20 too small for |alpha|=102 (need >= 11629)"),
+    # one substep per interval, whose dt^2 overflows
+    ("5e-324", "1e200", "|alpha|=1.02e+202 needs a cutoff beyond the float range"),
+], ids=["5e-324", "1e-310", "1e-300", "5e-324-long-substep"])
+@pytest.mark.filterwarnings("error")
+def test_vanishing_omega_reach_exits_2_with_one_line(omega, tmax, message, capsys):
+    assert run_cli(["evolve", "--omega", omega, "--lambda", "100", "--N", "20",
+                    "--tmax", tmax, "--samples", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_amplitude_state_file_runs_without_warning(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(STATE_FILES["@huge-amps"]()))
+    assert run_cli(["chsh", "--state", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_json_text_refuses_non_finite_values():
     from coherence_lab.errors import NumericalError
     assert serialize.json_text({"x": 1e308, "y": [0.1, -0.0]}) == (
@@ -670,7 +693,7 @@ FLAGS = {
     "chsh": {
         "state": ["split-spin1-m0", "split-spin1-lowest", "no-such-state", "",
                   "@good", "@malformed", "@bad-amps", "@bad-space", "@float-size",
-                  "@bool-size", "@string-size"],
+                  "@bool-size", "@string-size", "@huge-amps"],
         "strategy": ["analytic-qubit", "multistart", "multistart-local-search", "bogus"],
         "n-starts": _small("1", "2", "4"), "seed": SEED,
         "tol": ["1e-7", "1e-3", "0", "-1", "nan", "inf", "1e300", "", "abc"],
@@ -678,7 +701,8 @@ FLAGS = {
     "evolve": {
         "system": ["fock", "spin", "bogus"], "drive": ["constant", "sinusoid", "exponential"],
         "lambda": COMPLEX,
-        "omega": ["1", "0.5", "0", "-1", "nan", "inf", "1e6", "1e300", "", "abc"],
+        "omega": ["1", "0.5", "0", "-1", "nan", "inf", "1e6", "1e300", "5e-324", "1e-310",
+                  "", "abc"],
         "drive-frequency": REAL, "drive-phase": REAL, "N": CUTOFF,
         "initial-alpha": COMPLEX, "j": SPIN,
         "beta0": ["0", "1", "-0.5", "nan", "inf", "1e6", "1e300", "", "abc"],
@@ -711,6 +735,9 @@ STATE_FILES = {
     "@float-size": lambda: _two_by_two({"kind": "fock", "cutoff": 1.5}),
     "@bool-size": lambda: _two_by_two({"kind": "spin", "twice_j": True}),
     "@string-size": lambda: _two_by_two({"kind": "spin", "twice_j": "1"}),
+    # a two-qubit file whose squared amplitudes overflow
+    "@huge-amps": lambda: {"space": {"factors": [{"kind": "spin", "twice_j": 1}] * 2},
+                           "amps": [[1e308, 1e308]] * 4},
 }
 
 #: one valid call per command and system; examples change or drop flags of one

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 import coherence_lab
 import coherence_lab.dynamics as dyn
+import oracles
 from coherence_lab import bell, fock, qcore, spin, splitting
-from coherence_lab.dynamics import (
-    DriveSpec,
-    alpha_eta_of_t,
-    alpha_of_t,
-    eta_convention_report,
-    evolve_fock,
-    evolve_spin,
-)
+from coherence_lab.dynamics import DriveSpec, alpha_of_t, evolve_fock, evolve_spin
 from coherence_lab.errors import NumericalError, StepSizeTooLarge, ValidationError
-from oracles import expectation, generators, quadratures, spin_cs_fit
+from oracles import (
+    alpha_eta_of_t,
+    eta_convention_report,
+    expectation,
+    generators,
+    quadratures,
+    spin_cs_fit,
+)
 
 
 def constant_drive(lam=0.2, omega=1.0):
@@ -441,6 +442,30 @@ def test_command_paths_build_no_dense_generator(monkeypatch):
         monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim, p=planted.amps: (
             p if index == 5 else haar(seed, index, dim)))
         assert splitting.uniqueness_scan(system, 12, 7).n_excluded == 1
+
+
+#: names that left the library, by the place they left: the scan's pieces now
+#: live in ``spin`` and ``fock``, and the test-only checks in ``oracles``
+MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound")),
+               (qcore, ("phase_align", "aligned_distance")),
+               (splitting.SeriesPoly, ("perturbed",)),
+               (splitting.AflpSolution, ("first_failing_order",)),
+               (dyn, ("alpha_eta_of_t", "eta_convention_report")))
+
+
+def test_moved_names_stay_in_their_new_home():
+    for module, names in MOVED_NAMES:
+        assert [name for name in names if hasattr(module, name)] == []
+    for home, names in ((spin, ("_scan_weight", "_scan_grid", "_scan_bound")),
+                        (fock, ("_scan_weight", "_scan_grid", "_scan_bound")),
+                        (oracles, ("phase_align", "aligned_distance", "perturbed",
+                                   "first_failing_order", "alpha_eta_of_t",
+                                   "eta_convention_report"))):
+        assert all(hasattr(home, name) for name in names)
+    # one scan-system record, whose two constructors are functions
+    for make in (splitting.SpinScanSystem, splitting.FockScanSystem):
+        assert not isinstance(make, type)
+    assert isinstance(splitting.FockScanSystem(16), splitting.ScanSystem)
 
 
 def test_steps_use_tridiagonal_eigensolves_not_expm(monkeypatch):

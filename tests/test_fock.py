@@ -21,7 +21,7 @@ from coherence_lab.fock import (
     vacuum,
 )
 from coherence_lab.qcore import StateVector, overlap, schmidt_cut, tensor_state
-from oracles import displacement, generators, mean_variance, quadratures
+from oracles import aligned_distance, displacement, generators, mean_variance, quadratures
 
 
 def test_ladder_matrix_elements():
@@ -82,7 +82,7 @@ def test_displacement_generates_coherent_state():
         d = displacement(alpha, 40)
         got = StateVector(fock_space(40), d @ vacuum(40).amps)
         want = glauber_cs(alpha, 40)
-        assert qcore.aligned_distance(want, got) < 1e-10
+        assert aligned_distance(want, got) < 1e-10
 
 
 def test_displacement_inverse_on_low_levels():

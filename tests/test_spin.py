@@ -12,13 +12,7 @@ from coherence_lab.errors import (
     ValidationError,
     WeightConditionViolated,
 )
-from coherence_lab.qcore import (
-    StateVector,
-    aligned_distance,
-    overlap,
-    schmidt_cut,
-    tensor_state,
-)
+from coherence_lab.qcore import StateVector, overlap, schmidt_cut, tensor_state
 from coherence_lab.spin import (
     SpinCsParams,
     basis_state,
@@ -27,7 +21,7 @@ from coherence_lab.spin import (
     spin_space,
     split_spin,
 )
-from oracles import coset_state, generators
+from oracles import aligned_distance, coset_state, generators
 
 HALF_SPINS = [0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0]
 

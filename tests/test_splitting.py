@@ -18,16 +18,19 @@ from coherence_lab.splitting import (
     SeriesPoly,
     SpinScanSystem,
     _cs_distance,
-    _cs_grid_states,
-    _fock_bound,
     _haar_amps,
-    _spin_bound,
     aflp_series_solve,
     factorization_report,
     functional_residuals,
     uniqueness_scan,
 )
-from oracles import cs_fit_distance, fock_cs_fit, spin_cs_fit
+from oracles import (
+    cs_fit_distance,
+    first_failing_order,
+    fock_cs_fit,
+    perturbed,
+    spin_cs_fit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +135,10 @@ def test_perturbed_coefficient_residual():
     sol = aflp_series_solve(5)
     f_a, f_b, f_c = sol.split_triple(1.0)
     delta = 1e-3
-    res = functional_residuals(f_a, f_b.perturbed(2, delta), f_c)
+    res = functional_residuals(f_a, perturbed(f_b, 2, delta), f_c)
     assert res[2] == pytest.approx(delta, rel=1e-12)
     assert res[0] == 0.0 and res[1] == 0.0
-    assert sol.first_failing_order(f_a, f_b.perturbed(2, delta), f_c) == 2
+    assert first_failing_order(sol, f_a, perturbed(f_b, 2, delta), f_c) == 2
 
 
 def test_every_single_coefficient_perturbation_detected():
@@ -145,7 +148,7 @@ def test_every_single_coefficient_perturbation_detected():
     for which in range(3):
         for k in range(order + 1):
             series = [f_a, f_b, f_c]
-            series[which] = series[which].perturbed(k, 1e-4)
+            series[which] = perturbed(series[which], k, 1e-4)
             res = functional_residuals(*series)
             assert res[k] > 1e-6, f"series {which}, order {k}"
 
@@ -164,6 +167,14 @@ def test_solver_validates_parameters():
 def test_spin_scan_system_validation():
     with pytest.raises(ValidationError):
         SpinScanSystem(1, 0.5, 1.0)
+
+
+def test_scan_systems_equal_exactly_when_they_split_alike():
+    assert SpinScanSystem(2, 1, 1) == SpinScanSystem(2, 1, 1)
+    assert SpinScanSystem(2, 1, 1) != SpinScanSystem(2, 0.5, 1.5)
+    assert FockScanSystem(16) == FockScanSystem(16, fock.SplitSpec.balanced())
+    assert FockScanSystem(16) != FockScanSystem(16, fock.SplitSpec.from_angles(0.4, 1.1))
+    assert FockScanSystem(16) != FockScanSystem(17)
 
 
 def test_scan_spin_entropy_separation():
@@ -223,7 +234,7 @@ def test_scan_cs_grid_includes_reference_state():
 
 def test_spin_cs_grid_holds_each_pole_once():
     # 7 interior polar angles x 8 azimuths, plus the two poles
-    amps = _cs_grid_states(SpinScanSystem(2, 1, 1))
+    amps = spin._scan_grid(4)
     assert amps.shape == (58, 5)
     # every row is its own state: only the diagonal overlaps reach 1
     assert np.sum(np.abs(amps.conj() @ amps.T) > 1 - 1e-12) == 58
@@ -278,7 +289,7 @@ def _bound_case(kind, size, seed, eps):
     rng = np.random.default_rng(seed)
     state = _near_coherent(_random_coherent(kind, size, rng), eps, rng)
     fid = (spin_cs_fit(state) if kind == "spin" else fock_cs_fit(state))[-1]
-    return (_spin_bound if kind == "spin" else _fock_bound), state, fid
+    return (spin if kind == "spin" else fock)._scan_bound, state, fid
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,16 +312,16 @@ def test_moment_bound_certifies_every_spin1_sample_of_seed_3():
     # the largest spin-1 bound of seed 3 is close to 1, but below the guard
     amps = np.stack([StateVector(spin.spin_space(1), _haar_amps(3, i, 3)).amps
                      for i in range(60)])
-    assert _certified(_spin_bound, amps).all()
+    assert _certified(spin._scan_bound, amps).all()
 
 
 def test_moment_bound_never_certifies_large_coherent_states():
     # j = 200 and N = 150, where rounding in the moments is largest
     row = spin.spin_cs(spin.SpinCsParams.from_angles(200, 1.0, 2.0)).amps[None, :]
-    assert not _certified(_spin_bound, row)[0]
+    assert not _certified(spin._scan_bound, row)[0]
     alpha = 0.9 * fock.admissible_radius(150) * np.exp(0.7j)
     row = fock.glauber_cs(alpha, 150).amps[None, :]
-    assert not _certified(_fock_bound, row)[0]
+    assert not _certified(fock._scan_bound, row)[0]
 
 
 def _count_labels(monkeypatch):
@@ -382,31 +393,29 @@ def per_sample_scan(system, n_samples, seed):
     """The scan one state at a time, without screen or batching: every
     sample is labelled, and every sample and grid state is split by
     ``split_spin``/``split_fock`` and cut by ``schmidt_cut``. The grid is
-    built point by point with ``spin_cs``/``glauber_cs``."""
-    if isinstance(system, SpinScanSystem):
-        space = spin.spin_space(system.j_a)
-
+    built point by point with ``spin_cs``/``glauber_cs``; the record gives
+    only the space and the split parameters (jB, jC) or (spec, cutoff)."""
+    space, size = system.space, system.space.factors[0].param
+    if system.family is spin:
         def split(state):
-            return spin.split_spin(state, system.j_b, system.j_c)
+            return spin.split_spin(state, *system.split)
 
-        grid = [spin.spin_cs(spin.SpinCsParams.from_angles(system.j_a, th, ph))
+        grid = [spin.spin_cs(spin.SpinCsParams.from_angles(size / 2, th, ph))
                 for th in np.linspace(0.0, math.pi, 9)
                 for ph in np.linspace(0.0, 2.0 * math.pi,
                                       1 if th in (0.0, math.pi) else 8, endpoint=False)]
     else:
-        space = fock.fock_space(system.cutoff)
-
         def split(state):
-            return fock.split_fock(state, system.split)
+            return fock.split_fock(state, system.split[0])
 
-        radius = min(1.5, fock.admissible_radius(system.cutoff))
-        grid = [fock.glauber_cs(0.0, system.cutoff)] + [
-            fock.glauber_cs(r * np.exp(1j * ph), system.cutoff)
+        radius = min(1.5, fock.admissible_radius(size))
+        grid = [fock.glauber_cs(0.0, size)] + [
+            fock.glauber_cs(r * np.exp(1j * ph), size)
             for r in np.linspace(radius / 4.0, radius, 4)
             for ph in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
     kept = []
     for index in range(n_samples):
-        state = StateVector(space, _haar_amps(seed, index, system.dim))
+        state = StateVector(space, _haar_amps(seed, index, space.dim))
         if _cs_distance(state) > CS_DISTANCE_GUARD:
             kept.append(schmidt_cut(split(state), 1).entropy_bits)
     return ScanStats(system=system.label, n_samples=n_samples, seed=seed,
