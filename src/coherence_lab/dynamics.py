@@ -241,9 +241,9 @@ def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
     dt = np.repeat(np.diff(grid) / counts, counts)
     k = np.arange(dt.size) - np.repeat(np.cumsum(counts) - counts, counts)
     t = np.repeat(grid[:-1], counts) + k * dt
-    # a peak beyond the float range is inf (max passes over a nan), which no
-    # cutoff admits; a static drive's nu is lam dt, as its commutator terms are
-    # 0 even where dt^2 overflows and 0 * inf would make them nan
+    # a peak beyond the float range is inf, which no cutoff admits; a static
+    # drive's nu is lam dt, as its commutator terms are 0 even where dt^2
+    # overflows and 0 * inf would make them nan
     with np.errstate(all="ignore"):
         nu = (drive.amplitude * dt if drive.is_static else
               _magnus_coefficients(lambda s: (drive.omega, drive.lam(s)), t, dt)[2])
@@ -252,7 +252,10 @@ def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
                         - 1j * np.sinc(theta / math.pi))
     alphas = itertools.accumulate(zip(np.exp(-1j * theta).tolist(), forcing.tolist()),
                                   lambda a, rf: rf[0] * a + rf[1], initial=0j)
-    return 1.02 * max(map(abs, alphas))
+    peaks = [abs(a) for a in alphas]
+    # a nan amplitude (0 * inf in a drive that is constant but not static)
+    # is refused like inf; max alone would pass over it
+    return math.inf if any(map(math.isnan, peaks)) else 1.02 * max(peaks)
 
 
 def _default_step(*rates: float) -> float:

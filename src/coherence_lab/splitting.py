@@ -18,7 +18,10 @@ amplitudes for ``cs_max_entropy`` (from the amplitude functions behind
 ``spin_cs`` and ``glauber_cs``), is one stacked array: normalized as
 ``StateVector`` normalizes, split with one ``split_amplitudes`` call and
 reduced to Schmidt coefficients by one values-only stacked SVD, with no
-Schmidt vector and no per-row state. Its entropies are bit-identical to a
+Schmidt vector and no per-row state. The norms are each row's correctly
+rounded sum of squares (``math.fsum``'s bits), summed over the whole stack
+at once and certified row by row, with ``math.fsum`` only for a row the
+certificate cannot place. Its entropies are bit-identical to a
 ``schmidt_cut`` of each split sample.
 """
 

@@ -15,6 +15,11 @@ The library advances all see-saw starts together as one stack;
 ``seesaw_one_start_at_a_time`` runs them one after another, so the tests
 can hold the stacked search to it bit for bit.
 
+The library sums a large stack's squares vectorized and certifies each
+row's rounding; ``fsum_squares`` and ``normalize_rows_by_fsum`` take one
+``math.fsum`` per row, so the tests can hold the sums and the normalized
+bytes to it bit for bit.
+
 The rest serve only the tests: phase-aligned distances between rays, a
 perturbed power series and the first order it fails at, and the textbook
 global phase of the driven oscillator by quadrature, with the measurement of
@@ -29,8 +34,8 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from coherence_lab import bell, dynamics, fock, spin, splitting
-from coherence_lab.errors import QuadratureFailure
-from coherence_lab.qcore import StateVector
+from coherence_lab.errors import NonFinite, QuadratureFailure, ZeroVector
+from coherence_lab.qcore import NORM_ROUNDING, StateVector
 
 
 def generators(family, size):
@@ -180,6 +185,39 @@ def seesaw_one_start_at_a_time(state, n_starts, seed, tol):
     result = bell.ChshResult(bell.chsh_value(state, settings), settings,
                              "multistart-local-search", n_starts, seed, tol, converged)
     return result, sweeps
+
+
+def fsum_squares(flat):
+    """``math.fsum`` of each row's rounded squares, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        rows = np.square(flat).tolist()
+    sums = []
+    for squares in rows:
+        try:
+            sums.append(math.fsum(squares))
+        except OverflowError:  # finite squares whose sum overflows
+            sums.append(math.inf)
+    return sums
+
+
+def normalize_rows_by_fsum(rows):
+    """``StateVector``'s normalization of each row of a 2-d complex stack, in
+    place, with one ``math.fsum`` per row: a row whose squares overflow is
+    first divided by its largest component; a row within ``NORM_ROUNDING`` of
+    unit norm is kept, any other divided by its norm."""
+    flat = rows.view(float)
+    if not np.all(np.isfinite(flat)):
+        raise NonFinite("state amplitudes must be finite")
+    for i, sum_sq in enumerate(fsum_squares(flat)):
+        if sum_sq == math.inf:
+            rows[i] /= np.abs(flat[i]).max()
+            sum_sq = fsum_squares(flat[i:i + 1])[0]
+        norm = math.sqrt(sum_sq)
+        if norm < 1e-14:
+            raise ZeroVector("cannot normalize a null vector")
+        if abs(norm - 1.0) > NORM_ROUNDING:
+            rows[i] /= norm
+    return rows
 
 
 def phase_align(reference, amps):

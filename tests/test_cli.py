@@ -565,6 +565,20 @@ def test_vanishing_omega_reach_exits_2_with_one_line(omega, tmax, message, capsy
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("drive,message", [
+    ("constant", "|alpha|=1.02e+299 needs a cutoff beyond the float range"),
+    # constant in time but not static: its commutator terms are 0 * inf = nan
+    ("sinusoid", "|alpha|=inf needs a cutoff beyond the float range"),
+], ids=["constant", "sinusoid"])
+@pytest.mark.filterwarnings("error")
+def test_constant_drive_with_overflowing_substep_exits_2_with_one_line(drive, message,
+                                                                       capsys):
+    assert run_cli(["evolve", "--omega", "5e-324", "--drive", drive, "--drive-frequency",
+                    "0", "--lambda", "0.1", "--tmax", "1e300", "--N", "20",
+                    "--samples", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.filterwarnings("error")
 def test_huge_amplitude_state_file_runs_without_warning(tmp_path, capsys):
     path = tmp_path / "state.json"

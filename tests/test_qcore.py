@@ -23,8 +23,10 @@ from coherence_lab.qcore import (
 from oracles import (
     coset_state,
     expectation,
+    fsum_squares,
     generators,
     mean_variance,
+    normalize_rows_by_fsum,
     phase_align,
     quadratures,
 )
@@ -353,4 +355,79 @@ def test_stacked_normalization_checks_the_whole_stack():
         qcore._normalize_rows(rows)
     rows[2] = 0.0
     with pytest.raises(ZeroVector):
+        qcore._normalize_rows(rows)
+
+
+def normalized_or_error(normalize, rows):
+    """The normalized bytes, or the error type ``normalize`` raises."""
+    try:
+        return normalize(rows.copy()).tobytes()
+    except (NonFinite, ZeroVector) as exc:
+        return type(exc)
+
+
+#: complex entries of a stack just above the vectorized sum's crossover
+ABOVE_CROSSOVER = qcore._VECTOR_SUM_MIN // 2 + 1
+
+
+@st.composite
+def large_stacks(draw):
+    """1-4 shaped rows of at least ``_VECTOR_SUM_MIN`` floats in all, each
+    scaled by its own 10^x, x uniform in [-150, 150]."""
+    n_rows = draw(st.integers(min_value=1, max_value=4))
+    dim = draw(st.integers(min_value=ABOVE_CROSSOVER, max_value=4096))
+    shape = draw(st.sampled_from(AMP_SHAPES))
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    scales = 10.0 ** np.random.default_rng(seed).uniform(-150, 150, size=(n_rows, 1))
+    return scales * np.stack([shaped_amps(shape, dim, seed + i) for i in range(n_rows)])
+
+
+# the squares sum to 3 + 2^-52 + 2^-200, just above the midpoint 3 + 2^-52
+# between 3 and the next float; the float sum drops 2^-200 and lands on the
+# midpoint itself, which rounds to 3, so only the fallback gives fsum's bits
+TIE = np.zeros((1, ABOVE_CROSSOVER), dtype=complex)
+TIE[0, :3] = 1 + 1j, 1 + 2.0 ** -26 * 1j, 2.0 ** -100
+# most squares subnormal (1e-320) beside a few normal ones
+SUBNORMAL_HEAVY = np.full((2, 600), 1e-160 + 3e-161j)
+SUBNORMAL_HEAVY[:, :3] = 2e-154
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_stacks())
+@example(TIE)
+@example(SUBNORMAL_HEAVY)
+@example(np.full((1, LARGEST_SPLIT_DIM), 0.3 - 0.7j))
+def test_vectorized_sums_are_fsum_bits(stack):
+    assert stack.size * 2 >= qcore._VECTOR_SUM_MIN
+    flat = stack.view(float)
+    assert qcore._sum_squares(flat) == fsum_squares(flat)
+    assert (normalized_or_error(qcore._normalize_rows, stack)
+            == normalized_or_error(normalize_rows_by_fsum, stack))
+
+
+def test_tie_takes_the_fsum_fallback(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qcore, "_fsum", lambda squares: calls.append(squares) or 1.0)
+    qcore._sum_squares(TIE.view(float))
+    assert len(calls) == 1
+
+
+def test_large_stack_rescales_overflow_and_refuses_null_and_nan():
+    # 1026 floats a row, summed vectorized: the 1e200 row's squares overflow,
+    # and the 1.3e154 row's finite squares give sigma = 2^(k + e) beyond the
+    # float range; both must stay quiet, since RuntimeWarnings are errors here
+    space = SpaceDescriptor.single_fock(ABOVE_CROSSOVER - 1)
+    state = StateVector(space, np.full(ABOVE_CROSSOVER, 1e200 - 1e200j))
+    np.testing.assert_allclose(np.abs(state.amps), 1 / math.sqrt(ABOVE_CROSSOVER),
+                               rtol=0, atol=1e-16)
+    assert StateVector(space, state.amps).amps.tobytes() == state.amps.tobytes()
+    rows = np.stack([np.full(ABOVE_CROSSOVER, 1e200 - 1e200j),
+                     np.full(ABOVE_CROSSOVER, 1.3e154 + 0j),
+                     shaped_amps("gaussian", ABOVE_CROSSOVER, 4)])
+    assert (qcore._normalize_rows(rows.copy()).tobytes()
+            == normalize_rows_by_fsum(rows.copy()).tobytes())
+    with pytest.raises(ZeroVector):
+        StateVector(space, np.full(ABOVE_CROSSOVER, 1e-170 + 1e-170j))
+    rows[2, 7] = np.nan
+    with pytest.raises(NonFinite):
         qcore._normalize_rows(rows)
