@@ -23,10 +23,10 @@ Soc. A 357, 983 (1999); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
 (2009)), unitary per step. A step's exponent is built from the generator
 coefficients (w0, lam) at the two nodes and the closed-form commutator
 [H2, H1], in the span of [G+, G-] (diagonal) and [G0, G+-] = +-G+-
-(off-diagonal). The exponent is therefore Hermitian tridiagonal over three
-bands, and one symmetric tridiagonal eigensolve
-(``scipy.linalg.eigh_tridiagonal``) exponentiates it. It is never built from
-the closed-form solution, so the integrator stays an independent check of it.
+(off-diagonal), so it is Hermitian tridiagonal over three bands. Exponents
+are stacked over at most dim substeps at a time, each factored by one direct
+tridiagonal eigensolve (LAPACK ``?stevd``); none is built from the closed-form
+solution, so the integrator stays an independent check of it.
 A constant drive takes one exact step per grid interval, at any strength; an
 exponent or step phases beyond the float range raise ``NumericalError``.
 
@@ -47,15 +47,10 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
+import scipy.linalg.lapack
 
 from . import fock, qcore, spin
-from .errors import (
-    NumericalError,
-    QuadratureFailure,
-    StepSizeTooLarge,
-    ValidationError,
-)
+from .errors import NumericalError, QuadratureFailure, StepSizeTooLarge, ValidationError
 from .qcore import StateVector
 
 #: default substep: 1/50 of the shortest period (``_default_step``)
@@ -143,7 +138,11 @@ class DriveSpec:
         elif self.kind == "sinusoid":
             out = self.amplitude * np.cos(self.frequency * t + self.phase)
         elif self.kind == "exponential":
-            out = self.amplitude * np.exp(-1j * self.frequency * t)
+            # parts rounded apart, as in lam(float): numpy's array product fuses
+            rot, a = np.exp(-1j * self.frequency * t), self.amplitude
+            out = np.empty(t.shape, dtype=complex)
+            out.real = a.real * rot.real - a.imag * rot.imag
+            out.imag = a.real * rot.imag + a.imag * rot.real
         else:
             lo, hi = t.min(), t.max()
             if not (self.times[0] <= lo and hi <= self.times[-1]):
@@ -224,6 +223,14 @@ def _validate_grid(t_grid) -> np.ndarray:
     return grid
 
 
+def _substep_times(grid: np.ndarray, counts: list) -> tuple:
+    """Start times and lengths of the substeps, ``counts[i]`` per grid interval i."""
+    counts = np.asarray(counts, dtype=int)
+    dt = np.repeat(np.diff(grid) / counts, counts)
+    k = np.arange(dt.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(grid[:-1], counts) + k * dt, dt
+
+
 def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
     """1.02 times the peak |alpha| the drive alone reaches over the
     trajectory's Magnus substeps (``counts[i]`` over grid interval i).
@@ -238,9 +245,7 @@ def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
     """
     if not counts:
         return 0.0
-    dt = np.repeat(np.diff(grid) / counts, counts)
-    k = np.arange(dt.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    t = np.repeat(grid[:-1], counts) + k * dt
+    t, dt = _substep_times(grid, counts)
     # a peak beyond the float range is inf, which no cutoff admits; a static
     # drive's nu is lam dt, as its commutator terms are 0 even where dt^2
     # overflows and 0 * inf would make them nan
@@ -285,16 +290,6 @@ def _substep_counts(grid: np.ndarray, max_step: float) -> list:
         f"{max_step:.3g}; shorten tmax or weaken the Hamiltonian")
 
 
-def _bands(g0: np.ndarray, g: np.ndarray) -> tuple:
-    """The three fixed bands of a Hamiltonian w0 G0 + lam G+ + lam* G- and of
-    its commutators, from a family's ``_generator_bands`` (g0, g): g0, g and
-    diag([G+, G-]) = g[k-1]^2 - g[k]^2 (zero outside the bands). [G0, G+] is
-    G+ itself, so it needs no band of its own."""
-    q = np.zeros(g0.size + 1)
-    q[1:-1] = g * g
-    return g0, g, q[:-1] - q[1:]
-
-
 def _magnus_coefficients(coeffs: Callable[[float], tuple], t, dt) -> tuple:
     """``(d0, d1, nu)`` of the exponent M = d0 G0 + d1 [G+, G-] + nu G+ + nu* G-
     of a fourth-order Magnus substep from t to t + dt (floats or arrays) for
@@ -302,70 +297,83 @@ def _magnus_coefficients(coeffs: Callable[[float], tuple], t, dt) -> tuple:
     H1, H2 at the Gauss-Legendre nodes, M = (dt/2)(H1 + H2) - i c [H2, H1],
     c = (sqrt(3)/12) dt^2, and by [G0, G+-] = +-G+-, [H2, H1] =
     2i Im(lam2 lam1*) [G+, G-] + (w2 lam1 - w1 lam2) G+ - h.c. For a static H
-    the commutator terms are exactly 0 and M is dt times H."""
+    the commutator terms are exactly 0 and M is dt times H; callers set errstate."""
     w1, lam1 = coeffs(t + (0.5 - _GL_NODE) * dt)
     w2, lam2 = coeffs(t + (0.5 + _GL_NODE) * dt)
-    with np.errstate(all="ignore"):
-        c = _GL_COMMUTATOR * dt * dt
-        return (0.5 * dt * (w1 + w2), 2.0 * c * (lam2 * lam1.conjugate()).imag,
-                (0.5 * dt) * (lam1 + lam2) - (1j * c) * (w2 * lam1 - w1 * lam2))
+    c = _GL_COMMUTATOR * dt * dt
+    # Im(lam2 lam1*) with each product rounded, as a scalar product is
+    im = lam2.imag * lam1.real - lam2.real * lam1.imag
+    return (0.5 * dt * (w1 + w2), 2.0 * c * im,
+            (0.5 * dt) * (lam1 + lam2) - (1j * c) * (w2 * lam1 - w1 * lam2))
 
 
-def _magnus_exponent(coeffs: Callable[[float], tuple], bands: tuple, t: float,
-                     dt: float):
-    """Eigenpairs ``(x, w)``, M = x diag(w) x^H, of the exponent of one
-    fourth-order Magnus substep from t to t + dt; its propagator is exp(-i M).
-
-    M is Hermitian tridiagonal over the three ``_bands``, with diagonal
-    d0 g0 + d1 diag([G+, G-]) and subdiagonal nu g (``_magnus_coefficients``).
-    The diagonal phases D that make D* M D real and nonnegative below the
-    diagonal reduce M to a real symmetric tridiagonal V diag(w) V^T, which one
-    tridiagonal eigensolve factors; then x = D V."""
-    g0, g, comm_diag = bands
-    d0, d1, nu = _magnus_coefficients(coeffs, t, dt)
-    with np.errstate(all="ignore"):
-        diagonal = d0 * g0 + d1 * comm_diag
-        sub = nu * g
-    # checked here, so the eigensolve need not check again
-    if not (np.isfinite(diagonal).all() and np.isfinite(sub).all()):
-        raise NumericalError("the Magnus exponent leaves the float range")
-    phase = np.ones(g0.size, dtype=complex)
-    # from the angle, not sub / |sub|: a zero band keeps phase 1 and a
-    # subnormal one does not overflow
-    phase[1:] = np.exp(1j * np.angle(sub))
-    w, v = scipy.linalg.eigh_tridiagonal(diagonal, np.abs(sub), check_finite=False)
-    return np.cumprod(phase)[:, None] * v, w
+def _magnus_factors(coeffs: Callable, generator_bands: tuple, t, dt):
+    """Yield, in order, the eigenpairs ``(x, w)``, M = x diag(w) x^H, of the
+    exponent of each fourth-order Magnus substep from t[k] to t[k] + dt[k]
+    over a family's ``_generator_bands`` (g0, g). M is Hermitian tridiagonal,
+    diagonal d0 g0 + d1 (g[k-1]^2 - g[k]^2) and subdiagonal nu g; phases D
+    making D* M D real and nonnegative below the diagonal leave V diag(w) V^T,
+    x = D V. Bands and phases are stacked over at most dim substeps at a time;
+    each substep is factored by one ``?stevd``, or raises, when reached."""
+    g0, g = generator_bands
+    q = np.concatenate(([0.0], g * g, [0.0]))
+    comm_diag = q[:-1] - q[1:]
+    for lo in range(0, t.size, g0.size):
+        span = slice(lo, lo + g0.size)
+        try:
+            with np.errstate(all="ignore"):
+                d0, d1, nu = _magnus_coefficients(coeffs, t[span], dt[span])
+                diagonal = d0[:, None] * g0 + d1[:, None] * comm_diag
+                sub = nu[:, None] * g
+                finite = np.isfinite(diagonal).all(axis=1) & np.isfinite(sub).all(axis=1)
+                # from the angle, not sub / |sub|: a zero band keeps phase 1
+                # and a subnormal one does not overflow
+                phase = np.ones(diagonal.shape, dtype=complex)
+                phase[:, 1:] = np.exp(1j * np.angle(sub))
+                gauge, magnitude = np.cumprod(phase, axis=1), np.abs(sub)
+        except ValidationError:  # a table ends here: fail as its substep would alone
+            if t.size > 1:
+                for k in range(lo, lo + t[span].size):
+                    yield from _magnus_factors(coeffs, generator_bands, t[k:k + 1], dt[k:k + 1])
+            raise
+        for k in range(d0.size):
+            if not finite[k]:
+                raise NumericalError("the Magnus exponent leaves the float range")
+            w, v, info = scipy.linalg.lapack.dstevd(diagonal[k], magnitude[k],
+                                                   overwrite_d=1, overwrite_e=1)
+            if info:
+                raise np.linalg.LinAlgError(f"dstevd did not converge (info={info})")
+            yield gauge[k][:, None] * v, w
 
 
 def _evolve(drive: DriveSpec, generator_bands: tuple, initial: StateVector,
             grid: np.ndarray, counts: list) -> list:
     """The states at every grid time under ``drive`` over a family's
-    ``_generator_bands``, with ``counts[i]`` fourth-order Magnus substeps over
-    grid interval i, each applying exp(-i M) = x exp(-i w) x^H in factored
-    form. A static drive is factored once, as the exponent of a unit step:
-    its exponent over any span is the span times H, so each grid interval
-    takes one exact step."""
+    ``_generator_bands``, ``counts[i]`` Magnus substeps per grid interval i:
+    exponents stacked at most dim substeps at a time, each factored by one
+    direct ``?stevd`` (``_magnus_factors``) and applied as x (exp(-i w)
+    (psi^H x)^*), with no conjugate copy of x. A static drive has one factor,
+    for a unit step, whose phases each span scales: one exact step each."""
     coeffs = lambda t: (drive.omega, drive.lam(t))  # noqa: E731
-    bands = _bands(*generator_bands)
     psi = initial.amps.astype(complex)
     if drive.is_static:
-        x, w = _magnus_exponent(coeffs, bands, grid[0], 1.0)
+        x, w = next(_magnus_factors(coeffs, generator_bands, grid[:1], np.ones(1)))
         with np.errstate(over="ignore"):
             phases = np.multiply.outer(np.diff(grid), w)
         if not np.isfinite(phases).all():
             raise NumericalError("the step phases leave the float range")
+        rotations = np.exp(-1j * phases)
+    else:
+        factors = _magnus_factors(coeffs, generator_bands, *_substep_times(grid, counts))
     states = [StateVector(initial.space, psi)]
-    t = grid[0]
     for i, (t_next, n_sub) in enumerate(zip(grid[1:], counts)):
-        dt = (t_next - t) / n_sub
-        steps = ([(x, phases[i])] if drive.is_static else
-                 (_magnus_exponent(coeffs, bands, t + k * dt, dt) for k in range(n_sub)))
-        for x_k, w_k in steps:
-            psi = x_k @ (np.exp(-1j * w_k) * (x_k.conj().T @ psi))
+        steps = ([(x, rotations[i])] if drive.is_static else
+                 ((x_k, np.exp(-1j * w_k)) for x_k, w_k in itertools.islice(factors, n_sub)))
+        for x_k, rotation in steps:
+            psi = x_k @ (rotation * (psi.conj() @ x_k).conj())
         drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
         if drift > _NORM_DRIFT_LIMIT:
             raise StepSizeTooLarge(f"norm drift {drift:.2e} at t={t_next}")
-        t = t_next
         states.append(StateVector(initial.space, psi))
     return states
 
@@ -397,13 +405,9 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
 
     states = _evolve(drive, (g0, g), initial, grid, counts)
     alphas, overlaps = zip(*map(fock.mean_mode_label, states))
-    return Trajectory(
-        times=grid,
-        states=tuple(states),
-        alpha_track=np.array(alphas),
-        eta_track=np.unwrap(np.angle(overlaps)),
-        cs_fidelity=np.array([abs(ov) for ov in overlaps]),
-    )
+    return Trajectory(times=grid, states=tuple(states), alpha_track=np.array(alphas),
+                      eta_track=np.unwrap(np.angle(overlaps)),
+                      cs_fidelity=np.array([abs(ov) for ov in overlaps]))
 
 
 class LinearSpinHamiltonian(DriveSpec):
@@ -435,12 +439,8 @@ def evolve_spin(drive: DriveSpec, j, t_grid, initial: StateVector) -> SpinTrajec
     states = _evolve(drive, spin._generator_bands(space.factors[0].twice_j), initial,
                      grid, counts)
     thetas, phis, zetas, fids = zip(*map(spin.mean_spin_label, states))
-    return SpinTrajectory(
-        times=grid,
-        states=tuple(states),
-        zeta_track=np.array(zetas, dtype=complex),
-        theta_track=np.array(thetas),
-        phi_track=np.array(phis),
-        cs_fidelity=np.array(fids),
-    )
+    return SpinTrajectory(times=grid, states=tuple(states),
+                          zeta_track=np.array(zetas, dtype=complex),
+                          theta_track=np.array(thetas), phi_track=np.array(phis),
+                          cs_fidelity=np.array(fids))
 

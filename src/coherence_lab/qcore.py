@@ -239,12 +239,13 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     product drifts by over 2000 ulps on a uniform superposition of 90 601
     entries. A row whose squares overflow (amplitudes above about 1e154) is
     first divided by its largest component, which keeps every square <= 1.
-    A row within ``NORM_ROUNDING`` of unit norm is kept as given; any other
-    is divided by its norm, and a null row raises ``ZeroVector``.
+    A null row raises ``ZeroVector``; a row within ``NORM_ROUNDING`` of unit
+    norm is kept as given, and all others are divided by their norms at once.
     """
     flat = rows.view(float)
     if not np.all(np.isfinite(flat)):
         raise NonFinite("state amplitudes must be finite")
+    idx, norms = [], []
     for i, sum_sq in enumerate(_sum_squares(flat)):
         if sum_sq == math.inf:
             rows[i] /= np.abs(flat[i]).max()
@@ -255,7 +256,14 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
         if abs(norm - 1.0) > NORM_TOL:
             log.debug("renormalizing state, norm deficit %.3e", abs(norm - 1.0))
         if abs(norm - 1.0) > NORM_ROUNDING:
-            rows[i] /= norm
+            idx.append(i)
+            norms.append(norm)
+    # one stacked complex division by the float norms has each row's own bits
+    # (dividing the float view would not); a whole stack needs no gather
+    if len(idx) == len(rows):
+        rows /= np.array(norms)[:, None]
+    elif idx:
+        rows[idx] /= np.array(norms)[:, None]
     return rows
 
 

@@ -20,6 +20,12 @@ row's rounding; ``fsum_squares`` and ``normalize_rows_by_fsum`` take one
 ``math.fsum`` per row, so the tests can hold the sums and the normalized
 bytes to it bit for bit.
 
+The library stacks a trajectory's Magnus exponents and factors each by a
+direct LAPACK call; ``evolve_one_substep_at_a_time`` builds each substep's
+exponent from scalar coefficients and factors it by ``eigh_tridiagonal``, so
+the tests can hold the stacked states, and the order of the errors, to it
+bit for bit.
+
 The rest serve only the tests: phase-aligned distances between rays, a
 perturbed power series and the first order it fails at, and the textbook
 global phase of the driven oscillator by quadrature, with the measurement of
@@ -34,7 +40,8 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from coherence_lab import bell, dynamics, fock, spin, splitting
-from coherence_lab.errors import NonFinite, QuadratureFailure, ZeroVector
+from coherence_lab.errors import (NonFinite, NumericalError, QuadratureFailure,
+                                  StepSizeTooLarge, ZeroVector)
 from coherence_lab.qcore import NORM_ROUNDING, StateVector
 
 
@@ -218,6 +225,63 @@ def normalize_rows_by_fsum(rows):
         if abs(norm - 1.0) > NORM_ROUNDING:
             rows[i] /= norm
     return rows
+
+
+def magnus_exponent_one_substep(coeffs, generator_bands, t, dt):
+    """``(x, w)``, M = x diag(w) x^H, of the exponent of one fourth-order
+    Magnus substep from t to t + dt: ``dynamics._magnus_coefficients``'
+    formula in scalar arithmetic (Im(lam2 lam1*) as a complex product), the
+    phase gauge and one ``eigh_tridiagonal`` call."""
+    g0, g = generator_bands
+    q = np.zeros(g0.size + 1)
+    q[1:-1] = g * g
+    w1, lam1 = coeffs(t + (0.5 - dynamics._GL_NODE) * dt)
+    w2, lam2 = coeffs(t + (0.5 + dynamics._GL_NODE) * dt)
+    with np.errstate(all="ignore"):
+        c = dynamics._GL_COMMUTATOR * dt * dt
+        d0, d1 = 0.5 * dt * (w1 + w2), 2.0 * c * (lam2 * lam1.conjugate()).imag
+        nu = (0.5 * dt) * (lam1 + lam2) - (1j * c) * (w2 * lam1 - w1 * lam2)
+        diagonal = d0 * g0 + d1 * (q[:-1] - q[1:])
+        sub = nu * g
+    if not (np.isfinite(diagonal).all() and np.isfinite(sub).all()):
+        raise NumericalError("the Magnus exponent leaves the float range")
+    phase = np.ones(g0.size, dtype=complex)
+    phase[1:] = np.exp(1j * np.angle(sub))
+    w, v = scipy.linalg.eigh_tridiagonal(diagonal, np.abs(sub), check_finite=False)
+    return np.cumprod(phase)[:, None] * v, w
+
+
+def evolve_one_substep_at_a_time(drive, generator_bands, initial, grid, counts):
+    """The states of ``dynamics._evolve``, with each substep's exponent built
+    when it is reached (``magnus_exponent_one_substep``), lam taken at one
+    time as a scalar product, and each step applied through x^H."""
+    def coeffs(t):
+        if drive.kind == "exponential":
+            return drive.omega, complex(drive.amplitude * np.exp(-1j * drive.frequency * t))
+        return drive.omega, drive.lam(t)
+
+    psi = initial.amps.astype(complex)
+    if drive.is_static:
+        x, w = magnus_exponent_one_substep(coeffs, generator_bands, grid[0], 1.0)
+        with np.errstate(over="ignore"):
+            phases = np.multiply.outer(np.diff(grid), w)
+        if not np.isfinite(phases).all():
+            raise NumericalError("the step phases leave the float range")
+    states = [StateVector(initial.space, psi)]
+    t = grid[0]
+    for i, (t_next, n_sub) in enumerate(zip(grid[1:], counts)):
+        dt = (t_next - t) / n_sub
+        steps = ([(x, phases[i])] if drive.is_static else
+                 (magnus_exponent_one_substep(coeffs, generator_bands, t + k * dt, dt)
+                  for k in range(n_sub)))
+        for x_k, w_k in steps:
+            psi = x_k @ (np.exp(-1j * w_k) * (x_k.conj().T @ psi))
+        drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
+        if drift > dynamics._NORM_DRIFT_LIMIT:
+            raise StepSizeTooLarge(f"norm drift {drift:.2e} at t={t_next}")
+        t = t_next
+        states.append(StateVector(initial.space, psi))
+    return states
 
 
 def phase_align(reference, amps):

@@ -392,15 +392,103 @@ def test_magnus_propagator_matches_dense_expm(system, w1, w2, lam1, lam2, dt, t)
     # commutator [G+, G-] is +N, not -1
     family = fock if system[0] == "fock" else spin
     dense = generators(family, system[1])
-    bands = dyn._bands(*family._generator_bands(system[1]))
+    bands = family._generator_bands(system[1])
     nodes = ((w1, complex(lam1)), (w2, complex(lam2)))
-    x, w = dyn._magnus_exponent(two_nodes(t, dt, nodes), bands, t, dt)
+    [(x, w)] = dyn._magnus_factors(two_nodes(t, dt, nodes), bands, np.array([t]),
+                                   np.array([dt]))
     assert_unitary_match((x * np.exp(-1j * w)) @ x.conj().T,
                          dense_magnus_propagator(dense, nodes, dt))
     # a static H is factored once over a unit step and scaled by dt
-    x, w = dyn._magnus_exponent(lambda s: nodes[1], bands, t, 1.0)
+    [(x, w)] = dyn._magnus_factors(lambda s: nodes[1], bands, np.array([t]), np.ones(1))
     assert_unitary_match((x * np.exp(-1j * dt * w)) @ x.conj().T,
                          dense_magnus_propagator(dense, (nodes[1], nodes[1]), dt))
+
+
+@st.composite
+def magnus_cases(draw):
+    """A family with its bands at dim 2..90, a drive of each kind, a random
+    initial state and substep counts over up to four grid intervals."""
+    family = draw(st.sampled_from([fock, spin]))
+    size = draw(st.integers(1, 89))
+    space = fock.fock_space(size) if family is fock else spin.spin_space(size / 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amplitude = complex(*rng.uniform(-1.0, 1.0, 2))
+    omega, frequency = rng.uniform(-2.0, 2.0, 2)
+    drive = draw(st.sampled_from([
+        DriveSpec.constant(omega, amplitude),
+        DriveSpec.sinusoid(omega, amplitude, frequency, rng.uniform(0.0, 6.0)),
+        DriveSpec.exponential(omega, amplitude, frequency),
+        DriveSpec.from_table(omega, TABLE_TIMES, amplitude * rng.normal(size=(40, 2)) @ [1, 1j]),
+    ]))
+    initial = qcore.StateVector(space, rng.normal(size=(space.dim, 2)) @ [1, 1j])
+    counts = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    grid = np.linspace(0.0, draw(st.floats(0.05, 25.0)), len(counts) + 1)
+    return drive, family._generator_bands(size), initial, grid, counts
+
+
+def states_or_error(evolve, drive, bands, initial, grid, counts):
+    """Each state's bytes, or the type and message of the error raised."""
+    try:
+        return [state.amps.tobytes() for state in evolve(drive, bands, initial, grid, counts)]
+    except (NumericalError, StepSizeTooLarge, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(magnus_cases())
+@example((DriveSpec.sinusoid(1.0, 0.3j, 0.7), fock._generator_bands(4),
+          fock.number_state(4, 1), np.linspace(0.0, 4.0, 5), [10] * 4))
+@example((DriveSpec.exponential(0.4, 0.2 - 0.3j, 1.3), spin._generator_bands(89),
+          spin.spin_cs(spin.SpinCsParams(j=89 / 2, zeta=0.3)), np.linspace(0.0, 9.0, 4),
+          [30, 30, 31]))
+def test_stacked_magnus_factors_match_the_per_substep_loop_bit_for_bit(case):
+    # the stacked exponents, at most dim substeps at a time (cutoff 4 with 40
+    # substeps spans 8 stacks), give the per-substep loop's states bit for bit
+    drive, bands, initial, grid, counts = case
+    assert (states_or_error(dyn._evolve, *case)
+            == states_or_error(oracles.evolve_one_substep_at_a_time, *case))
+    # lam on an array is lam at each of its times, bit for bit
+    assert drive.lam(grid).tobytes() == np.array([drive.lam(t) for t in grid]).tobytes()
+
+
+def count_calls(monkeypatch, targets):
+    """Patch each ``(module, name)`` to count its calls in the returned dict."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+#: tables that go wrong at substep 6 of 4 intervals of 2 with 4 substeps each:
+#: lam jumps from 1 to 1e308 (a non-finite exponent), or the table ends; both
+#: are in the second interval, in the first stack of 9 substeps
+BAD_TABLES = {"jump": (DriveSpec.from_table(0.5, [0.0, 2.9, 3.0, 9.0], [1.0, 1.0, 1e308, 1e308]),
+                       NumericalError),
+              "end": (DriveSpec.from_table(0.5, [0.0, 2.9], [1.0, 1.0]), ValidationError)}
+
+
+@pytest.mark.parametrize("family", [fock, spin], ids=["fock", "spin"])
+@pytest.mark.parametrize("bad", BAD_TABLES, ids=str)
+def test_stacked_magnus_factors_fail_at_the_per_substep_loops_substep(monkeypatch, family, bad):
+    drive, error = BAD_TABLES[bad]
+    space = fock.fock_space(8) if family is fock else spin.spin_space(4)
+    case = (drive, family._generator_bands(8), qcore.StateVector.basis(space, 3),
+            np.linspace(0.0, 8.0, 5), [4] * 4)
+    calls = count_calls(monkeypatch, ((scipy.linalg.lapack, "dstevd"),
+                                      (scipy.linalg, "eigh_tridiagonal")))
+    got = states_or_error(dyn._evolve, *case)
+    assert got[0] is error
+    assert got == states_or_error(oracles.evolve_one_substep_at_a_time, *case)
+    # substeps 0-5 are factored by each, and neither factors substep 6
+    assert calls == {"dstevd": 6, "eigh_tridiagonal": 6}
+    # the first interval's drift check still comes before the bad substep
+    monkeypatch.setattr(dyn, "_NORM_DRIFT_LIMIT", -1.0)
+    got = states_or_error(dyn._evolve, *case)
+    assert got[0] is StepSizeTooLarge and got[1].endswith("at t=2.0")
+    assert got == states_or_error(oracles.evolve_one_substep_at_a_time, *case)
 
 
 #: the deleted dense operator layer and nearest-coherent fits
@@ -469,31 +557,29 @@ def test_moved_names_stay_in_their_new_home():
 
 
 def test_steps_use_tridiagonal_eigensolves_not_expm(monkeypatch):
-    calls = {"expm": 0, "eigh_tridiagonal": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(scipy.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(scipy.linalg, name, counted)
+    # each substep is one direct call of the LAPACK binding dynamics uses,
+    # with no expm and no eigh_tridiagonal around it
+    calls = count_calls(monkeypatch, ((scipy.linalg, "expm"), (scipy.linalg, "eigh_tridiagonal"),
+                                      (scipy.linalg.lapack, "dstevd")))
     # half a period on 9 samples: 8 intervals of 4 substeps at 50 per period
     evolve_fock(DriveSpec.sinusoid(1.0, 0.2, 0.7), np.linspace(0.0, math.pi, 9), 24)
-    assert calls == {"expm": 0, "eigh_tridiagonal": 8 * 4}
+    assert calls == {"expm": 0, "eigh_tridiagonal": 0, "dstevd": 8 * 4}
     # a static spin Hamiltonian is factored once for all its interval lengths
-    calls.update(expm=0, eigh_tridiagonal=0)
+    calls.update(dstevd=0)
     ham = DriveSpec.constant(1.0, 0.3)
     grid = np.array([0.0, 0.1, 0.35, 0.4, 1.3, 3.0]) / math.hypot(1.0, 0.6)
     assert len(set(np.diff(grid).tolist())) == 5
     evolve_spin(ham, 2, grid, spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.5)))
-    assert calls == {"expm": 0, "eigh_tridiagonal": 1}
+    assert calls == {"expm": 0, "eigh_tridiagonal": 0, "dstevd": 1}
     # a driven spin takes substeps of 1/50 of its fastest period: 4 intervals
     # of pi/6 at the drive frequency 3, or at the Rabi rate 2 peak|lam| = 3 of
     # a table drive, are 12.5, so 13 substeps each
     grid = np.linspace(0.0, 2 * math.pi / 3, 5)
     for drive in (DriveSpec.sinusoid(1.0, 0.3, 3.0),
                   DriveSpec.from_table(0.0, [0.0, 10.0], [0.0, 1.5j])):
-        calls.update(expm=0, eigh_tridiagonal=0)
+        calls.update(dstevd=0)
         evolve_spin(drive, 2, grid, spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.5)))
-        assert calls == {"expm": 0, "eigh_tridiagonal": 4 * 13}
+        assert calls == {"expm": 0, "eigh_tridiagonal": 0, "dstevd": 4 * 13}
 
 
 # ---------------------------------------------------------------------------
