@@ -90,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("evolve", "integrate a trajectory and emit CSV")
     p.add_argument("--system", choices=["fock", "spin"], default="fock")
-    p.add_argument("--drive", choices=["constant", "sinusoid", "exponential"],
-                   default="constant")
+    p.add_argument("--drive", choices=dynamics.DRIVE_KINDS, default="constant")
     p.add_argument("--lambda", dest="lam", default="0",
                    help="drive amplitude a+bi on the creation operator (fock)")
     p.add_argument("--omega", type=float, help="oscillator frequency, positive (fock)")
@@ -255,6 +254,11 @@ def cmd_chsh(args) -> int:
         seed = _seed_value(args.seed)
     result = bell.chsh_maximize(state, strategy=strategy,
                                 n_starts=args.n_starts, seed=seed, tol=args.tol)
+    # a search stopped by its sweep cap has found no maximum to report
+    if not result.converged:
+        raise NumericalError(
+            f"the see-saw search reached its cap of {bell.SEESAW_MAX_SWEEPS} sweeps "
+            "before converging; no maximum is reported")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "chsh",

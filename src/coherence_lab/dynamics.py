@@ -62,6 +62,8 @@ MAX_SUBSTEPS = 10 ** 5
 _GL_NODE = math.sqrt(3.0) / 6.0
 _GL_COMMUTATOR = math.sqrt(3.0) / 12.0
 _NORM_DRIFT_LIMIT = 1e-8
+#: the closed-form drive kinds, in the order of the CLI's ``--drive`` choices
+DRIVE_KINDS = ("constant", "sinusoid", "exponential")
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,9 @@ class DriveSpec:
     the amplitude on a+ of an oscillator (``evolve_fock`` needs omega > 0),
     or beta0 and the J+ coefficient of a spin.
 
-    Closed forms: ``constant`` (lam = amplitude), ``sinusoid``
-    (amplitude * cos(frequency t + phase)) and ``exponential``
-    (amplitude * exp(-i frequency t)); ``table`` interpolates samples
-    linearly.
+    One of the closed forms ``DRIVE_KINDS``: ``constant`` (lam = amplitude),
+    ``sinusoid`` (amplitude * cos(frequency t + phase)) and ``exponential``
+    (amplitude * exp(-i frequency t)), so |lam| never exceeds |amplitude|.
     """
 
     omega: float
@@ -81,30 +82,15 @@ class DriveSpec:
     amplitude: complex = 0.0
     frequency: float = 0.0
     phase: float = 0.0
-    times: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not math.isfinite(self.omega):
             raise ValidationError("omega (a spin's beta0) must be finite")
         if not all(map(cmath.isfinite, (self.amplitude, self.frequency, self.phase))):
             raise ValidationError("drive amplitude, frequency and phase must be finite")
-        if self.kind not in ("constant", "sinusoid", "exponential", "table"):
+        if self.kind not in DRIVE_KINDS:
             raise ValidationError(f"unknown drive kind {self.kind!r}")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if self.kind == "table":
-            t = np.array(self.times, dtype=float)
-            v = np.array(self.values, dtype=complex)
-            if t.ndim != 1 or t.size < 2 or v.shape != t.shape:
-                raise ValidationError("table drive needs matching 1-d times/values")
-            if not np.all(np.diff(t) > 0):
-                raise ValidationError("table times must ascend")
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v.view(float)))):
-                raise ValidationError("table samples must be finite")
-            t.setflags(write=False)
-            v.setflags(write=False)
-            object.__setattr__(self, "times", t)
-            object.__setattr__(self, "values", v)
 
     @classmethod
     def constant(cls, omega: float, value: complex) -> "DriveSpec":
@@ -122,10 +108,6 @@ class DriveSpec:
         return cls(omega=omega, kind="exponential", amplitude=amplitude,
                    frequency=frequency)
 
-    @classmethod
-    def from_table(cls, omega: float, times, values) -> "DriveSpec":
-        return cls(omega=omega, kind="table", times=times, values=values)
-
     @property
     def is_static(self) -> bool:
         return self.kind == "constant"
@@ -137,18 +119,12 @@ class DriveSpec:
             out = np.full(t.shape, self.amplitude)
         elif self.kind == "sinusoid":
             out = self.amplitude * np.cos(self.frequency * t + self.phase)
-        elif self.kind == "exponential":
+        else:
             # parts rounded apart, as in lam(float): numpy's array product fuses
             rot, a = np.exp(-1j * self.frequency * t), self.amplitude
             out = np.empty(t.shape, dtype=complex)
             out.real = a.real * rot.real - a.imag * rot.imag
             out.imag = a.real * rot.imag + a.imag * rot.real
-        else:
-            lo, hi = t.min(), t.max()
-            if not (self.times[0] <= lo and hi <= self.times[-1]):
-                bad = lo if not self.times[0] <= lo else hi
-                raise ValidationError(f"t={bad} outside the drive table")
-            out = np.interp(t, self.times, self.values)
         return out if np.ndim(out) else complex(out)
 
 
@@ -270,16 +246,14 @@ def _default_step(*rates: float) -> float:
     return 2.0 * math.pi / fastest / STEPS_PER_PERIOD if fastest else math.inf
 
 
-def _substep_counts(grid: np.ndarray, max_step: float) -> list:
-    """Substeps for each grid interval, at most ``max_step`` long.
+def _substep_counts(grid: np.ndarray, step: float) -> list:
+    """Substeps for each grid interval, at most ``step`` long.
 
     Raises ``NumericalError`` when the whole trajectory would take more than
     ``MAX_SUBSTEPS``, so a runaway request ends before any work is done.
     """
-    if not max_step > 0:
-        raise ValidationError("max_step must be positive")
     # Python floats overflow to inf without numpy's RuntimeWarning
-    ratios = [float(span) / max_step for span in np.diff(grid)]
+    ratios = [float(span) / step for span in np.diff(grid)]
     # checked before math.ceil, which raises OverflowError on inf
     if all(r <= MAX_SUBSTEPS for r in ratios):
         counts = [max(1, math.ceil(r)) for r in ratios]
@@ -287,7 +261,7 @@ def _substep_counts(grid: np.ndarray, max_step: float) -> list:
             return counts
     raise NumericalError(
         f"the trajectory needs more than {MAX_SUBSTEPS} substeps of at most "
-        f"{max_step:.3g}; shorten tmax or weaken the Hamiltonian")
+        f"{step:.3g}; shorten tmax or weaken the Hamiltonian")
 
 
 def _magnus_coefficients(coeffs: Callable[[float], tuple], t, dt) -> tuple:
@@ -314,28 +288,23 @@ def _magnus_factors(coeffs: Callable, generator_bands: tuple, t, dt):
     diagonal d0 g0 + d1 (g[k-1]^2 - g[k]^2) and subdiagonal nu g; phases D
     making D* M D real and nonnegative below the diagonal leave V diag(w) V^T,
     x = D V. Bands and phases are stacked over at most dim substeps at a time;
-    each substep is factored by one ``?stevd``, or raises, when reached."""
+    each substep is factored by one ``?stevd``, or raises ``NumericalError``
+    (an exponent beyond the float range), when reached."""
     g0, g = generator_bands
     q = np.concatenate(([0.0], g * g, [0.0]))
     comm_diag = q[:-1] - q[1:]
     for lo in range(0, t.size, g0.size):
         span = slice(lo, lo + g0.size)
-        try:
-            with np.errstate(all="ignore"):
-                d0, d1, nu = _magnus_coefficients(coeffs, t[span], dt[span])
-                diagonal = d0[:, None] * g0 + d1[:, None] * comm_diag
-                sub = nu[:, None] * g
-                finite = np.isfinite(diagonal).all(axis=1) & np.isfinite(sub).all(axis=1)
-                # from the angle, not sub / |sub|: a zero band keeps phase 1
-                # and a subnormal one does not overflow
-                phase = np.ones(diagonal.shape, dtype=complex)
-                phase[:, 1:] = np.exp(1j * np.angle(sub))
-                gauge, magnitude = np.cumprod(phase, axis=1), np.abs(sub)
-        except ValidationError:  # a table ends here: fail as its substep would alone
-            if t.size > 1:
-                for k in range(lo, lo + t[span].size):
-                    yield from _magnus_factors(coeffs, generator_bands, t[k:k + 1], dt[k:k + 1])
-            raise
+        with np.errstate(all="ignore"):
+            d0, d1, nu = _magnus_coefficients(coeffs, t[span], dt[span])
+            diagonal = d0[:, None] * g0 + d1[:, None] * comm_diag
+            sub = nu[:, None] * g
+            finite = np.isfinite(diagonal).all(axis=1) & np.isfinite(sub).all(axis=1)
+            # from the angle, not sub / |sub|: a zero band keeps phase 1
+            # and a subnormal one does not overflow
+            phase = np.ones(diagonal.shape, dtype=complex)
+            phase[:, 1:] = np.exp(1j * np.angle(sub))
+            gauge, magnitude = np.cumprod(phase, axis=1), np.abs(sub)
         for k in range(d0.size):
             if not finite[k]:
                 raise NumericalError("the Magnus exponent leaves the float range")
@@ -379,13 +348,12 @@ def _evolve(drive: DriveSpec, generator_bands: tuple, initial: StateVector,
 
 
 def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
-                initial: Optional[StateVector] = None,
-                max_step: Optional[float] = None) -> Trajectory:
+                initial: Optional[StateVector] = None) -> Trajectory:
     """Drive a truncated oscillator mode along the given time grid.
 
     The cutoff must admit |alpha(0)| plus the peak amplitude the drive
-    reaches over the substeps. The default substep resolves the oscillator's
-    period and the drive's, whichever is shorter.
+    reaches over the substeps, each ``_default_step`` long: it resolves the
+    oscillator's period and the drive's, whichever is shorter.
     """
     if not drive.omega > 0:
         raise ValidationError("omega must be positive and finite")
@@ -395,9 +363,7 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
         initial = fock.vacuum(cutoff)
     if initial.space != space:
         raise ValidationError("initial state must live on fock(cutoff)")
-    if max_step is None:
-        max_step = _default_step(drive.omega, drive.frequency)
-    counts = _substep_counts(grid, max_step)
+    counts = _substep_counts(grid, _default_step(drive.omega, drive.frequency))
     g0, g = fock._generator_bands(cutoff)
     alpha0 = qcore._first_moments(initial.amps, g0, g)[1]
     reach = abs(alpha0) + _drive_reach(drive, grid, counts)
@@ -433,8 +399,7 @@ def evolve_spin(drive: DriveSpec, j, t_grid, initial: StateVector) -> SpinTrajec
     space = spin.spin_space(j)
     if initial.space != space:
         raise ValidationError("initial state must live on spin(j)")
-    peak = float(np.abs(drive.values).max()) if drive.kind == "table" else abs(drive.amplitude)
-    step = _default_step(drive.omega, drive.frequency, 2.0 * peak)
+    step = _default_step(drive.omega, drive.frequency, 2.0 * abs(drive.amplitude))
     counts = [1] * (grid.size - 1) if drive.is_static else _substep_counts(grid, step)
     states = _evolve(drive, spin._generator_bands(space.factors[0].twice_j), initial,
                      grid, counts)

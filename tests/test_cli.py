@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coherence_lab import dynamics, fock, qcore, serialize, spin, splitting
+from coherence_lab import bell, dynamics, fock, qcore, serialize, spin, splitting
 from coherence_lab.cli import main
 from coherence_lab.qcore import SpaceDescriptor, StateVector
 
@@ -148,6 +148,25 @@ def test_chsh_multistart_requires_seed(capsys):
                     "multistart"])
     assert code == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_chsh_search_stopped_by_the_sweep_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # a 4 x 4 Haar state converges at the real cap; at a cap of 3 sweeps the
+    # search stops early, and its value is not reported as a maximum
+    space = spin.spin_space(1.5).tensor(spin.spin_space(1.5))
+    state = StateVector(space, np.random.default_rng(5).normal(size=(16, 2)) @ [1, 1j])
+    state_file = tmp_path / "haar.json"
+    state_file.write_text(serialize.json_text(serialize.state_to_dict(state)))
+    argv = ["chsh", "--state", str(state_file), "--strategy", "multistart",
+            "--n-starts", "2", "--seed", "1"]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(bell, "SEESAW_MAX_SWEEPS", 3)
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical error: the see-saw search reached its cap of 3 sweeps "
+                            "before converging; no maximum is reported\n")
 
 
 def test_chsh_on_saved_split_coherent_state(tmp_path):

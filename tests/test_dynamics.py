@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import coherence_lab
 import coherence_lab.dynamics as dyn
 import oracles
-from coherence_lab import bell, fock, qcore, spin, splitting
+from coherence_lab import bell, cli, fock, qcore, spin, splitting
 from coherence_lab.dynamics import DriveSpec, alpha_of_t, evolve_fock, evolve_spin
 from coherence_lab.errors import NumericalError, StepSizeTooLarge, ValidationError
 from oracles import (
@@ -78,50 +80,39 @@ def test_quadrature_failure_on_hopeless_integrand():
         alpha_of_t(drive, 60.0)
 
 
-def test_table_drive_matches_closed_form():
-    # a linearly interpolated constant is exactly constant
-    times = np.linspace(0.0, 7.0, 15)
-    drive = DriveSpec.from_table(1.0, times, np.full(15, 0.2 + 0.0j))
-    want = constant_drive(0.2, 1.0)
-    for t in (1.0, 3.5, 6.2):
-        assert drive.lam(t) == pytest.approx(0.2, abs=1e-14)
-        assert alpha_of_t(drive, t) == pytest.approx(alpha_of_t(want, t),
-                                                     abs=1e-9)
-    with pytest.raises(ValidationError):
-        drive.lam(8.0)
-    with pytest.raises(ValidationError):
-        DriveSpec.from_table(1.0, [0.0, 1.0], [1.0, np.nan])
+#: one drive of each kind, and an exponential one at resonance, whose
+#: amplitude grows without bound
+DRIVES = {
+    "constant": DriveSpec.constant(1.0, 0.2 - 0.1j),
+    "sinusoid": DriveSpec.sinusoid(1.3, 0.2 * np.exp(0.4j), 0.7, 1.1),
+    "exponential": DriveSpec.exponential(0.8, 0.15 + 0.05j, 1.9),
+    "resonant": DriveSpec.exponential(1.0, 0.1 - 0.05j, 1.0),
+}
 
 
-TABLE_TIMES = np.linspace(0.0, 25.0, 40)
-DRIVE_KINDS = [
-    DriveSpec.constant(1.0, 0.2 - 0.1j),
-    DriveSpec.sinusoid(1.3, 0.2 * np.exp(0.4j), 0.7, 1.1),
-    DriveSpec.exponential(0.8, 0.15 + 0.05j, 1.9),
-    DriveSpec.from_table(1.0, TABLE_TIMES,
-                         0.3 * np.cos(TABLE_TIMES) + 0.1j * np.sin(2 * TABLE_TIMES)),
-]
+def fock_alphas(drive, grid, cutoff, step):
+    """<a> at each grid time from the vacuum, by ``dynamics._evolve`` with
+    substeps of at most ``step``."""
+    states = dyn._evolve(drive, fock._generator_bands(cutoff), fock.vacuum(cutoff), grid,
+                         dyn._substep_counts(grid, step))
+    return np.array([fock.mean_mode_label(state)[0] for state in states])
 
 
-@pytest.mark.parametrize("drive", DRIVE_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("drive", DRIVES.values(), ids=list(DRIVES))
 def test_lam_takes_arrays(drive):
     t = np.linspace(0.0, 20.0, 41)
     got = drive.lam(t)
     assert got.shape == t.shape and got.dtype == complex
     np.testing.assert_allclose(got, [drive.lam(float(x)) for x in t], rtol=0, atol=1e-15)
     assert type(drive.lam(1.5)) is complex
-    if drive.kind == "table":
-        with pytest.raises(ValidationError, match=r"t=26\.0 outside"):
-            drive.lam(np.array([1.0, 26.0]))
 
 
-@pytest.mark.parametrize("drive", DRIVE_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("drive", DRIVES.values(), ids=list(DRIVES))
 def test_drive_reach_is_the_amplitude_the_integrator_follows(drive):
     # one substep per interval: the states at the grid times are every
     # point of the reach recurrence
     grid = np.linspace(0.0, 20.0, 161)
-    traj = evolve_fock(drive, grid, 60, max_step=1.0001 * (grid[1] - grid[0]))
-    peak = np.abs(traj.alpha_track).max()
+    peak = np.abs(fock_alphas(drive, grid, 60, 1.0001 * (grid[1] - grid[0]))).max()
     assert dyn._drive_reach(drive, grid, [1] * 160) / 1.02 == pytest.approx(peak, rel=1e-12)
 
 
@@ -165,7 +156,7 @@ def test_drive_reach_is_stable_at_long_steps():
 
 
 def test_one_point_grid_has_no_reach():
-    assert dyn._drive_reach(DRIVE_KINDS[3], np.array([0.0]), []) == 0.0
+    assert dyn._drive_reach(DRIVES["resonant"], np.array([0.0]), []) == 0.0
     traj = evolve_fock(constant_drive(), np.array([0.0]), 20)
     assert traj.alpha_track.tolist() == [0]
 
@@ -266,10 +257,7 @@ def test_evolve_convergence_order():
     drive = DriveSpec.sinusoid(1.0, 0.3, 2.0)
     grid = np.array([0.0, 2.0])
     exact = alpha_of_t(drive, 2.0)
-    errs = []
-    for dt in (0.05, 0.025):
-        traj = evolve_fock(drive, grid, 30, max_step=dt)
-        errs.append(abs(traj.alpha_track[-1] - exact))
+    errs = [abs(fock_alphas(drive, grid, 30, dt)[-1] - exact) for dt in (0.05, 0.025)]
     assert errs[0] / errs[1] >= 3.5
 
 
@@ -278,10 +266,7 @@ def test_evolve_fourth_order():
     drive = DriveSpec.sinusoid(1.0, 0.3, 2.0)
     grid = np.array([0.0, 2.0])
     exact = alpha_of_t(drive, 2.0)
-    errs = []
-    for dt in (0.2, 0.1):
-        traj = evolve_fock(drive, grid, 30, max_step=dt)
-        errs.append(abs(traj.alpha_track[-1] - exact))
+    errs = [abs(fock_alphas(drive, grid, 30, dt)[-1] - exact) for dt in (0.2, 0.1)]
     assert errs[0] / errs[1] >= 12.0
 
 
@@ -315,16 +300,14 @@ def test_substep_budget(monkeypatch):
     # an exponent beyond the float range is refused
     with pytest.raises(NumericalError):
         evolve_spin(DriveSpec.constant(1e300, 1e300), 1, np.array([0.0, 1.0]), initial)
-    # span / max_step overflows to inf
+    # span / step overflows to inf: the default step of omega = 1.7e308 is subnormal
     with pytest.raises(NumericalError):
-        evolve_fock(DriveSpec.constant(1.0, 0), np.array([0.0, 1.0]), 20, max_step=1e-320)
-    with pytest.raises(ValidationError):
-        evolve_fock(DriveSpec.constant(1.0, 0), np.array([0.0, 1.0]), 20, max_step=0.0)
+        evolve_fock(DriveSpec.constant(1.7e308, 0), np.array([0.0, 1.0]), 20)
     # the budget counts the substeps of the whole trajectory
     monkeypatch.setattr(dyn, "MAX_SUBSTEPS", 10)
-    evolve_fock(DriveSpec.constant(1.0, 0), np.array([0.0, 1.0]), 20, max_step=0.1)
+    assert dyn._substep_counts(np.array([0.0, 1.0]), 0.1) == [10]
     with pytest.raises(NumericalError):
-        evolve_fock(DriveSpec.constant(1.0, 0), np.array([0.0, 0.5, 1.0]), 20, max_step=0.09)
+        dyn._substep_counts(np.array([0.0, 0.5, 1.0]), 0.09)
 
 
 def test_evolve_truncation_guard():
@@ -406,8 +389,9 @@ def test_magnus_propagator_matches_dense_expm(system, w1, w2, lam1, lam2, dt, t)
 
 @st.composite
 def magnus_cases(draw):
-    """A family with its bands at dim 2..90, a drive of each kind, a random
-    initial state and substep counts over up to four grid intervals."""
+    """A family with its bands at dim 2..90, a drive of each kind or a constant
+    one that takes substeps, a random initial state and substep counts over up
+    to four grid intervals."""
     family = draw(st.sampled_from([fock, spin]))
     size = draw(st.integers(1, 89))
     space = fock.fock_space(size) if family is fock else spin.spin_space(size / 2)
@@ -418,7 +402,7 @@ def magnus_cases(draw):
         DriveSpec.constant(omega, amplitude),
         DriveSpec.sinusoid(omega, amplitude, frequency, rng.uniform(0.0, 6.0)),
         DriveSpec.exponential(omega, amplitude, frequency),
-        DriveSpec.from_table(omega, TABLE_TIMES, amplitude * rng.normal(size=(40, 2)) @ [1, 1j]),
+        DriveSpec.sinusoid(omega, amplitude, 0.0, rng.uniform(0.0, 6.0)),
     ]))
     initial = qcore.StateVector(space, rng.normal(size=(space.dim, 2)) @ [1, 1j])
     counts = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
@@ -462,28 +446,25 @@ def count_calls(monkeypatch, targets):
     return calls
 
 
-#: tables that go wrong at substep 6 of 4 intervals of 2 with 4 substeps each:
-#: lam jumps from 1 to 1e308 (a non-finite exponent), or the table ends; both
-#: are in the second interval, in the first stack of 9 substeps
-BAD_TABLES = {"jump": (DriveSpec.from_table(0.5, [0.0, 2.9, 3.0, 9.0], [1.0, 1.0, 1e308, 1e308]),
-                       NumericalError),
-              "end": (DriveSpec.from_table(0.5, [0.0, 2.9], [1.0, 1.0]), ValidationError)}
+#: grids on which a drive's exponent leaves the float range at substep 4 of 4
+#: intervals with 4 substeps each: the second interval's dt^2 overflows (a
+#: jump from 2 to 1e160), in the first stack of 9 substeps
+BAD_GRIDS = {"jump": [0.0, 2.0, 1e160, 2e160, 3e160]}
 
 
 @pytest.mark.parametrize("family", [fock, spin], ids=["fock", "spin"])
-@pytest.mark.parametrize("bad", BAD_TABLES, ids=str)
+@pytest.mark.parametrize("bad", BAD_GRIDS, ids=str)
 def test_stacked_magnus_factors_fail_at_the_per_substep_loops_substep(monkeypatch, family, bad):
-    drive, error = BAD_TABLES[bad]
     space = fock.fock_space(8) if family is fock else spin.spin_space(4)
-    case = (drive, family._generator_bands(8), qcore.StateVector.basis(space, 3),
-            np.linspace(0.0, 8.0, 5), [4] * 4)
+    case = (DriveSpec.sinusoid(0.5, 1.0, 0.7), family._generator_bands(8),
+            qcore.StateVector.basis(space, 3), np.array(BAD_GRIDS[bad]), [4] * 4)
     calls = count_calls(monkeypatch, ((scipy.linalg.lapack, "dstevd"),
                                       (scipy.linalg, "eigh_tridiagonal")))
     got = states_or_error(dyn._evolve, *case)
-    assert got[0] is error
+    assert got[0] is NumericalError
     assert got == states_or_error(oracles.evolve_one_substep_at_a_time, *case)
-    # substeps 0-5 are factored by each, and neither factors substep 6
-    assert calls == {"dstevd": 6, "eigh_tridiagonal": 6}
+    # substeps 0-3 are factored by each, and neither factors substep 4
+    assert calls == {"dstevd": 4, "eigh_tridiagonal": 4}
     # the first interval's drift check still comes before the bad substep
     monkeypatch.setattr(dyn, "_NORM_DRIFT_LIMIT", -1.0)
     got = states_or_error(dyn._evolve, *case)
@@ -532,6 +513,21 @@ def test_command_paths_build_no_dense_generator(monkeypatch):
         assert splitting.uniqueness_scan(system, 12, 7).n_excluded == 1
 
 
+def test_drives_are_the_closed_forms_only():
+    # no interpolated table kind, and no step knob on evolve_fock
+    assert dyn.DRIVE_KINDS == ("constant", "sinusoid", "exponential")
+    assert [f.name for f in dataclasses.fields(DriveSpec)] == [
+        "omega", "kind", "amplitude", "frequency", "phase"]
+    assert not hasattr(DriveSpec, "from_table")
+    assert "max_step" not in inspect.signature(evolve_fock).parameters
+    with pytest.raises(ValidationError, match="unknown drive kind 'table'"):
+        DriveSpec(1.0, kind="table")
+    # the CLI offers the same kinds, in the same order
+    [drive] = [action for action in cli.build_parser().commands["evolve"].actions
+               if action.dest == "drive"]
+    assert drive.choices is dyn.DRIVE_KINDS
+
+
 #: names that left the library, by the place they left: the scan's pieces now
 #: live in ``spin`` and ``fock``, and the test-only checks in ``oracles``
 MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound")),
@@ -572,11 +568,10 @@ def test_steps_use_tridiagonal_eigensolves_not_expm(monkeypatch):
     evolve_spin(ham, 2, grid, spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.5)))
     assert calls == {"expm": 0, "eigh_tridiagonal": 0, "dstevd": 1}
     # a driven spin takes substeps of 1/50 of its fastest period: 4 intervals
-    # of pi/6 at the drive frequency 3, or at the Rabi rate 2 peak|lam| = 3 of
-    # a table drive, are 12.5, so 13 substeps each
+    # of pi/6 at the drive frequency 3, or at the Rabi rate 2 |lam| = 3 of a
+    # constant drive that is not static, are 12.5, so 13 substeps each
     grid = np.linspace(0.0, 2 * math.pi / 3, 5)
-    for drive in (DriveSpec.sinusoid(1.0, 0.3, 3.0),
-                  DriveSpec.from_table(0.0, [0.0, 10.0], [0.0, 1.5j])):
+    for drive in (DriveSpec.sinusoid(1.0, 0.3, 3.0), DriveSpec.exponential(0.0, 1.5j, 0.0)):
         calls.update(dstevd=0)
         evolve_spin(drive, 2, grid, spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.5)))
         assert calls == {"expm": 0, "eigh_tridiagonal": 0, "dstevd": 4 * 13}
