@@ -11,10 +11,7 @@ energy omega/2 is included in H; the tests measure which convention
 reproduces the textbook phase formula instead of assuming one.
 
 Spin: H = beta0 J0 + lam(t) J+ + lam(t)* J-, the same ``DriveSpec`` with
-omega = beta0. Each stored sample is labelled, with no fit, by the label the
-scan's guard reads: ``fock.mean_mode_label`` (alpha = <a>) or
-``spin.mean_spin_label`` (the mean spin's direction), both exact on coherent
-states. Both Hamiltonians are w0 G0 + lam(t) G+ + lam(t)* G-, with G0
+omega = beta0. Both Hamiltonians are w0 G0 + lam(t) G+ + lam(t)* G-, with G0
 diagonal, G+ a fixed subdiagonal and [G0, G+-] = +-G+- (Perelomov, Commun.
 Math. Phys. 26, 222 (1972)), read from the bands ``_generator_bands`` of
 ``fock`` or ``spin``, and one integrator, ``_evolve``, takes fourth-order
@@ -33,6 +30,15 @@ exponent or step phases beyond the float range raise ``NumericalError``.
 A driven trajectory, and every oscillator one (its cutoff check runs the
 substeps' exact map of a coherent amplitude), takes substeps; one that would
 need more than ``MAX_SUBSTEPS`` raises ``NumericalError`` before the first.
+
+A trajectory's samples are one stack from the integrator to the report:
+``_evolve`` writes them into one (samples, dim) array, which
+``StateVector._stack`` normalizes once, and the family's stacked label
+(``fock._mean_mode_labels`` or ``spin._mean_spin_labels``) labels them all
+at once, with no fit. Its rule is the one the scan's guard reads one state
+at a time, ``fock.mean_mode_label`` (alpha = <a>) or
+``spin.mean_spin_label`` (the mean spin's direction), each the one-row case
+of its stacked label and exact on coherent states.
 """
 
 from __future__ import annotations
@@ -156,8 +162,10 @@ def alpha_of_t(drive: DriveSpec, t: float) -> complex:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled oscillator evolution, each stored sample labelled by
-    ``fock.mean_mode_label``.
+    """Sampled oscillator evolution, all stored samples labelled at once by
+    ``fock._mean_mode_labels``: each sample's label is, bit for bit,
+    ``fock.mean_mode_label`` of it. The states are the rows of one read-only
+    stack.
 
     ``alpha_track`` is <a>; ``eta_track`` the unwrapped phase of the label's
     overlap <alpha_track(t)|state(t)>; ``cs_fidelity`` its magnitude (with
@@ -173,11 +181,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SpinTrajectory:
-    """Sampled spin evolution, labelled by the mean spin's direction.
+    """Sampled spin evolution, labelled by the mean spin's direction, all
+    samples at once by ``spin._mean_spin_labels``: each sample's label is,
+    bit for bit, ``spin.mean_spin_label`` of it. The states are the rows of
+    one read-only stack.
 
-    ``cs_fidelity`` is the overlap with the coherent state at that label
-    (``spin.mean_spin_label``): 1 to rounding on a coherent state, and at
-    most the best fidelity with any coherent state on every other.
+    ``cs_fidelity`` is the overlap with the coherent state at that label:
+    1 to rounding on a coherent state, and at most the best fidelity with
+    any coherent state on every other.
     """
 
     times: np.ndarray
@@ -316,15 +327,17 @@ def _magnus_factors(coeffs: Callable, generator_bands: tuple, t, dt):
 
 
 def _evolve(drive: DriveSpec, generator_bands: tuple, initial: StateVector,
-            grid: np.ndarray, counts: list) -> list:
-    """The states at every grid time under ``drive`` over a family's
-    ``_generator_bands``, ``counts[i]`` Magnus substeps per grid interval i:
-    exponents stacked at most dim substeps at a time, each factored by one
-    direct ``?stevd`` (``_magnus_factors``) and applied as x (exp(-i w)
+            grid: np.ndarray, counts: list) -> tuple:
+    """``(rows, states)``: the states at every grid time under ``drive`` over
+    a family's ``_generator_bands``, ``counts[i]`` Magnus substeps per grid
+    interval i, as one unit, read-only ``(samples, dim)`` stack and its rows
+    as states (``StateVector._stack``, one normalization for the stack).
+    Exponents are stacked at most dim substeps at a time, each factored by
+    one direct ``?stevd`` (``_magnus_factors``) and applied as x (exp(-i w)
     (psi^H x)^*), with no conjugate copy of x. A static drive has one factor,
     for a unit step, whose phases each span scales: one exact step each."""
     coeffs = lambda t: (drive.omega, drive.lam(t))  # noqa: E731
-    psi = initial.amps.astype(complex)
+    psi = initial.amps
     if drive.is_static:
         x, w = next(_magnus_factors(coeffs, generator_bands, grid[:1], np.ones(1)))
         with np.errstate(over="ignore"):
@@ -334,7 +347,8 @@ def _evolve(drive: DriveSpec, generator_bands: tuple, initial: StateVector,
         rotations = np.exp(-1j * phases)
     else:
         factors = _magnus_factors(coeffs, generator_bands, *_substep_times(grid, counts))
-    states = [StateVector(initial.space, psi)]
+    rows = np.empty((grid.size, psi.size), dtype=complex)
+    rows[0] = psi
     for i, (t_next, n_sub) in enumerate(zip(grid[1:], counts)):
         steps = ([(x, rotations[i])] if drive.is_static else
                  ((x_k, np.exp(-1j * w_k)) for x_k, w_k in itertools.islice(factors, n_sub)))
@@ -343,8 +357,8 @@ def _evolve(drive: DriveSpec, generator_bands: tuple, initial: StateVector,
         drift = abs(math.sqrt(np.vdot(psi, psi).real) - 1.0)
         if drift > _NORM_DRIFT_LIMIT:
             raise StepSizeTooLarge(f"norm drift {drift:.2e} at t={t_next}")
-        states.append(StateVector(initial.space, psi))
-    return states
+        rows[i + 1] = psi
+    return rows, StateVector._stack(initial.space, rows)
 
 
 def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
@@ -369,9 +383,9 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
     reach = abs(alpha0) + _drive_reach(drive, grid, counts)
     fock.check_cutoff(reach, cutoff)
 
-    states = _evolve(drive, (g0, g), initial, grid, counts)
-    alphas, overlaps = zip(*map(fock.mean_mode_label, states))
-    return Trajectory(times=grid, states=tuple(states), alpha_track=np.array(alphas),
+    rows, states = _evolve(drive, (g0, g), initial, grid, counts)
+    alphas, overlaps = fock._mean_mode_labels(rows)
+    return Trajectory(times=grid, states=states, alpha_track=np.array(alphas),
                       eta_track=np.unwrap(np.angle(overlaps)),
                       cs_fidelity=np.array([abs(ov) for ov in overlaps]))
 
@@ -389,8 +403,8 @@ class LinearSpinHamiltonian(DriveSpec):
 
 def evolve_spin(drive: DriveSpec, j, t_grid, initial: StateVector) -> SpinTrajectory:
     """Evolve a spin-j state under beta0 J0 + lam(t) J+ + h.c., with (beta0,
-    lam) the (omega, lam) of ``drive``, each sample labelled by
-    ``spin.mean_spin_label`` (exact while the state is coherent), not fitted.
+    lam) the (omega, lam) of ``drive``, the samples labelled at once by
+    ``spin._mean_spin_labels`` (exact while the state is coherent), not fitted.
     A constant drive takes one exact step per interval, at any strength. A
     driven one takes Magnus substeps (``MAX_SUBSTEPS``) that resolve beta0,
     the drive frequency and the Rabi rate 2 peak|lam|: su(2) is compact, so
@@ -401,10 +415,10 @@ def evolve_spin(drive: DriveSpec, j, t_grid, initial: StateVector) -> SpinTrajec
         raise ValidationError("initial state must live on spin(j)")
     step = _default_step(drive.omega, drive.frequency, 2.0 * abs(drive.amplitude))
     counts = [1] * (grid.size - 1) if drive.is_static else _substep_counts(grid, step)
-    states = _evolve(drive, spin._generator_bands(space.factors[0].twice_j), initial,
-                     grid, counts)
-    thetas, phis, zetas, fids = zip(*map(spin.mean_spin_label, states))
-    return SpinTrajectory(times=grid, states=tuple(states),
+    rows, states = _evolve(drive, spin._generator_bands(space.factors[0].twice_j), initial,
+                           grid, counts)
+    thetas, phis, zetas, fids = spin._mean_spin_labels(rows)
+    return SpinTrajectory(times=grid, states=states,
                           zeta_track=np.array(zetas, dtype=complex),
                           theta_track=np.array(thetas), phi_track=np.array(phis),
                           cs_fidelity=np.array(fids))

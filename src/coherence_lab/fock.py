@@ -5,9 +5,11 @@ factorial overflows at any cutoff. Its generators N and a+ ([G0, G+-] =
 +-G+-) live in one band form, n and sqrt(n + 1) (``_generator_bands``),
 which every moment, Magnus step and first-moment label alpha = <a> reads.
 A coherent state's amplitudes come from ``_glauber_amps`` alone (behind
-``glauber_cs`` and the scan's grid), and it is labelled by
-``mean_mode_label`` alone, the twin of ``spin.mean_spin_label``. Its scan
-pieces are ``_scan_weight``, ``_scan_grid`` and ``_scan_bound``.
+``glauber_cs``, the label's reference rows and the scan's grid), a row per
+alpha in one call. A stack of states is labelled at once by
+``_mean_mode_labels``, whose one-row case is ``mean_mode_label``, the twin
+of ``spin.mean_spin_label``. Its scan pieces are ``_scan_weight``,
+``_scan_grid`` and ``_scan_bound``.
 
 Truncation policy: an amplitude alpha is admitted at cutoff N only when
 N >= |alpha|^2 + 12*sqrt(|alpha|^2 + 1), which keeps the neglected Poisson
@@ -120,8 +122,13 @@ def _coherent_logs(alpha, cutoff: int) -> np.ndarray:
 
 def _glauber_amps(alpha, cutoff: int) -> np.ndarray:
     """exp(-|alpha|^2/2) alpha^n / sqrt(n!), n = 0..cutoff, on a new last axis
-    of an array of alpha: the amplitudes of ``glauber_cs``."""
-    return np.exp(_coherent_logs(alpha, cutoff) - (np.abs(alpha) ** 2 / 2.0)[..., None])
+    of an array of alpha: the amplitudes of ``glauber_cs``, each row bit for
+    bit the call at its alpha alone."""
+    r = np.abs(alpha)
+    # |alpha|^2 by float power, as a scalar is squared: numpy squares an
+    # array by a product, which rounds differently about once in 1000
+    r2 = np.reshape([x ** 2 for x in np.ravel(r).tolist()], np.shape(r))
+    return np.exp(_coherent_logs(alpha, cutoff) - (r2 / 2.0)[..., None])
 
 
 def glauber_cs(alpha, cutoff: int) -> StateVector:
@@ -163,15 +170,29 @@ def split_fock(state: StateVector, spec: SplitSpec) -> StateVector:
 def mean_mode_label(state: StateVector):
     """``(alpha, overlap)``: alpha = <a>, exact on a coherent state (Perelomov,
     Commun. Math. Phys. 26, 222 (1972)), and <alpha'|state> with the
-    ``glauber_cs`` at alpha pulled onto the disk |alpha'| <= ``admissible_radius``.
+    ``glauber_cs`` at alpha pulled onto the disk |alpha'| <= ``admissible_radius``:
+    the one-row case of ``_mean_mode_labels``.
     """
     if not state.space.is_single("fock"):
         raise SpaceMismatch("mean_mode_label needs a single Fock factor")
-    cutoff = state.space.factors[0].cutoff
-    alpha = complex(qcore._first_moments(state.amps, *_generator_bands(cutoff))[1])
+    return next(zip(*_mean_mode_labels(state.amps[None, :])))
+
+
+def _mean_mode_labels(amps: np.ndarray) -> tuple:
+    """``(alphas, overlaps)``, one entry per unit Fock row of the 2-d stack
+    ``amps``, by ``mean_mode_label``'s rule: <a> of the stack at once, each
+    row's pull onto the disk and ``check_cutoff`` in Python floats, and the
+    ``glauber_cs`` rows from one ``_glauber_amps`` and one
+    ``qcore._normalize_rows`` call."""
+    cutoff = amps.shape[-1] - 1
+    alphas = qcore._first_moments(amps, *_generator_bands(cutoff))[1].tolist()
     radius = admissible_radius(cutoff)
-    ref = alpha if abs(alpha) <= radius else alpha / abs(alpha) * radius
-    return alpha, qcore.overlap(glauber_cs(ref, cutoff), state)
+    refs = [alpha if abs(alpha) <= radius else alpha / abs(alpha) * radius
+            for alpha in alphas]
+    for ref in refs:
+        check_cutoff(ref, cutoff)
+    ref_rows = qcore._normalize_rows(_glauber_amps(np.array(refs), cutoff))
+    return tuple(alphas), tuple(np.vecdot(ref_rows, amps).tolist())
 
 
 _scan_weight = beamsplit_weight  # the scan's split weight, from a ScanSystem's split

@@ -280,7 +280,8 @@ class StateVector:
     that bound at any dimension. So construction is idempotent:
     ``StateVector(s.space, s.amps)`` has bit-identical amplitudes, and saved
     states round-trip exactly. Amplitudes too large to square (above about
-    1e154) are first divided by the largest one.
+    1e154) are first divided by the largest one. A trajectory's samples are
+    built at once, as the rows of one normalized stack (``_stack``).
     """
 
     __slots__ = ("space", "amps")
@@ -300,6 +301,25 @@ class StateVector:
 
     def __repr__(self):
         return f"StateVector(dim={self.space.dim}, factors={self.space.factor_dims})"
+
+    @classmethod
+    def _stack(cls, space: SpaceDescriptor, rows: np.ndarray) -> tuple:
+        """The state of each row of a ``(samples, space.dim)`` complex stack,
+        each bit for bit ``StateVector(space, row)``: one ``_normalize_rows``
+        call normalizes the stack in place, which is then frozen, and each
+        state reads its row of it."""
+        if rows.ndim != 2 or rows.shape[1] != space.dim:
+            raise ValidationError(
+                f"amplitude rows of shape {rows.shape} do not match space dim {space.dim}")
+        _normalize_rows(rows)
+        rows.setflags(write=False)
+        states = []
+        for row in rows:
+            state = object.__new__(cls)
+            object.__setattr__(state, "space", space)
+            object.__setattr__(state, "amps", row)
+            states.append(state)
+        return tuple(states)
 
     @classmethod
     def basis(cls, space: SpaceDescriptor, index: int) -> "StateVector":

@@ -4,10 +4,12 @@ mean-spin label of any state.
 
 A spin coherent state is parameterized by the stereographic coordinate
 zeta = -tan(theta/2) exp(-i phi) of a point on the sphere, or by its angles.
-It is built by ``_angles_amps`` (behind ``spin_cs`` and the scan's grid) from
-one log-domain closed form (``_cs_logs``) and labelled by
-``mean_spin_label``, under one pole rule (``POLE_TOL``). The
-coupling weights come from its log-binomial rows, so nothing overflows.
+It is built by ``_angles_amps`` (behind ``spin_cs``, the label's reference
+rows and the scan's grid) from one log-domain closed form (``_cs_logs``), a
+row per angle pair in one call. A stack of states is labelled at once by
+``_mean_spin_labels``, whose one-row case is ``mean_spin_label``, under one
+pole rule (``POLE_TOL``). The coupling weights come from its log-binomial
+rows, so nothing overflows.
 Its generators J0 and J+ ([G0, G+-] = +-G+-) live in one band form, m and
 sqrt((2j - k)(k + 1)) (``_generator_bands``), which every moment and step reads.
 Its scan pieces are ``_scan_weight``, ``_scan_grid`` and ``_scan_bound``.
@@ -170,15 +172,20 @@ def split_spin(state: StateVector, jB, jC) -> StateVector:
 # mean-spin label
 # ---------------------------------------------------------------------------
 
-def _angles_amps(tj: int, theta: float, phi: float) -> np.ndarray:
+def _angles_amps(tj: int, theta, phi) -> np.ndarray:
     """Unit coherent amplitudes of spin j = tj / 2 at 0 <= theta <= pi, exact
-    within ``POLE_TOL`` of the pole."""
-    if abs(theta - math.pi) < POLE_TOL:
-        vec = np.zeros(tj + 1, dtype=complex)
-        vec[-1] = 1.0
-        return vec
-    amps = np.exp(_cs_logs(_cs_rows(tj), theta, phi))
-    return amps / np.linalg.norm(amps)
+    within ``POLE_TOL`` of the pole: one row for float angles, a row per
+    angle on a new last axis for arrays. Each row is divided by its
+    ``np.linalg.norm``, sqrt(re.re + im.im), so a stack's rows are the
+    per-angle rows bit for bit."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    amps = np.exp(_cs_logs(_cs_rows(tj), theta[..., None], phi[..., None]))
+    re, im = amps.real, amps.imag
+    amps /= np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
+    pole = np.abs(theta - math.pi) < POLE_TOL
+    if pole.any():
+        amps[pole] = np.arange(tj + 1) == tj  # the highest-weight row
+    return amps
 
 
 def _label(theta: float, phi: float) -> tuple:
@@ -202,7 +209,8 @@ MEAN_SPIN_ROUNDING = 8 * np.finfo(float).eps
 
 def mean_spin_label(state: StateVector):
     """``(theta, phi, zeta, fidelity)`` read from the mean spin, with the
-    overlap at that label as ``fidelity``.
+    overlap at that label as ``fidelity``: the one-row case of
+    ``_mean_spin_labels``.
 
     A coherent state has <J> = j n (Arecchi, Courtens, Gilmore & Thomas,
     Phys. Rev. A 6, 2211 (1972)): here <J0> = -j cos(theta) and <J-> =
@@ -214,15 +222,23 @@ def mean_spin_label(state: StateVector):
     """
     if not state.space.is_single("spin"):
         raise SpaceMismatch("mean_spin_label needs a single spin factor")
-    tj = state.space.factors[0].twice_j
-    amps = state.amps
+    return next(zip(*_mean_spin_labels(state.amps[None, :])))
+
+
+def _mean_spin_labels(amps: np.ndarray) -> tuple:
+    """``(thetas, phis, zetas, fidelities)``, one entry per unit spin row of
+    the 2-d stack ``amps``, by ``mean_spin_label``'s rule: the moments of
+    the stack at once, each row's fold in Python floats, and the reference
+    rows from one ``_angles_amps`` call."""
+    tj = amps.shape[-1] - 1
     mean_j0, mean_jm = qcore._first_moments(amps, *_generator_bands(tj))
-    if math.hypot(mean_j0, abs(mean_jm)) <= MEAN_SPIN_ROUNDING * tj / 2.0 * (tj + 1):
-        theta, phi, zeta = _label(0.0, 0.0)
-    else:
-        theta, phi, zeta = _label(math.atan2(abs(mean_jm), -mean_j0),
-                                  math.pi - cmath.phase(mean_jm))
-    return theta, phi, zeta, abs(np.vdot(_angles_amps(tj, theta, phi), amps))
+    rounding = MEAN_SPIN_ROUNDING * tj / 2.0 * (tj + 1)
+    labels = [_label(0.0, 0.0) if math.hypot(j0, abs(jm)) <= rounding else
+              _label(math.atan2(abs(jm), -j0), math.pi - cmath.phase(jm))
+              for j0, jm in zip(mean_j0.tolist(), mean_jm.tolist())]
+    thetas, phis, zetas = zip(*labels)
+    overlaps = np.vecdot(_angles_amps(tj, thetas, phis), amps).tolist()
+    return thetas, phis, zetas, tuple(abs(ov) for ov in overlaps)
 
 
 _scan_weight = coupling_weight  # the scan's split weight, from a ScanSystem's split
@@ -230,11 +246,11 @@ _scan_weight = coupling_weight  # the scan's split weight, from a ScanSystem's s
 
 def _scan_grid(tj: int) -> np.ndarray:
     """``_angles_amps`` rows at 7 polar angles by 8 azimuths plus each pole
-    once (its azimuth is a global phase)."""
+    once (its azimuth is a global phase), from one call."""
     ring = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    return np.stack([_angles_amps(tj, theta, phi)
-                     for theta in np.linspace(0.0, math.pi, 9)
-                     for phi in (ring if 0.0 < theta < math.pi else ring[:1])])
+    theta = np.linspace(0.0, math.pi, 9)
+    return _angles_amps(tj, np.concatenate(([0.0], np.repeat(theta[1:-1], 8), [math.pi])),
+                        np.concatenate(([0.0], np.tile(ring, 7), [0.0])))
 
 
 # A coherent state g is the top eigenvector of m.J for some unit m, with

@@ -26,12 +26,20 @@ exponent from scalar coefficients and factors it by ``eigh_tridiagonal``, so
 the tests can hold the stacked states, and the order of the errors, to it
 bit for bit.
 
+The library builds a stack of spin coherent rows from one array-valued
+``spin._angles_amps`` call and labels all of a trajectory's samples at once;
+``angles_amps_one_angle``, ``spin_scan_grid_one_angle_at_a_time`` and the
+one-state labels ``mean_spin_label_one_state`` and
+``mean_mode_label_one_state`` take one angle or one state per call, so the
+tests can hold the stacked rows and labels to them bit for bit.
+
 The rest serve only the tests: phase-aligned distances between rays, a
 perturbed power series and the first order it fails at, and the textbook
 global phase of the driven oscillator by quadrature, with the measurement of
 which vacuum-energy convention reproduces it.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -39,7 +47,7 @@ import scipy.integrate
 import scipy.linalg
 from scipy.optimize import minimize
 
-from coherence_lab import bell, dynamics, fock, spin, splitting
+from coherence_lab import bell, dynamics, fock, qcore, spin, splitting
 from coherence_lab.errors import (NonFinite, NumericalError, QuadratureFailure,
                                   StepSizeTooLarge, ZeroVector)
 from coherence_lab.qcore import NORM_ROUNDING, StateVector
@@ -282,6 +290,47 @@ def evolve_one_substep_at_a_time(drive, generator_bands, initial, grid, counts):
         t = t_next
         states.append(StateVector(initial.space, psi))
     return states
+
+
+def angles_amps_one_angle(tj, theta, phi):
+    """Unit spin coherent amplitudes at one angle pair, divided by
+    ``np.linalg.norm``, with the pole row within ``spin.POLE_TOL`` of pi."""
+    if abs(theta - math.pi) < spin.POLE_TOL:
+        vec = np.zeros(tj + 1, dtype=complex)
+        vec[-1] = 1.0
+        return vec
+    amps = np.exp(spin._cs_logs(spin._cs_rows(tj), theta, phi))
+    return amps / np.linalg.norm(amps)
+
+
+def spin_scan_grid_one_angle_at_a_time(tj):
+    """``spin._scan_grid`` built one angle pair at a time."""
+    ring = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    return np.stack([angles_amps_one_angle(tj, theta, phi)
+                     for theta in np.linspace(0.0, math.pi, 9)
+                     for phi in (ring if 0.0 < theta < math.pi else ring[:1])])
+
+
+def mean_spin_label_one_state(state):
+    """``spin.mean_spin_label``'s rule on one state, with numpy scalars."""
+    tj = state.space.factors[0].twice_j
+    amps = state.amps
+    mean_j0, mean_jm = qcore._first_moments(amps, *spin._generator_bands(tj))
+    if math.hypot(mean_j0, abs(mean_jm)) <= spin.MEAN_SPIN_ROUNDING * tj / 2.0 * (tj + 1):
+        theta, phi, zeta = spin._label(0.0, 0.0)
+    else:
+        theta, phi, zeta = spin._label(math.atan2(abs(mean_jm), -mean_j0),
+                                       math.pi - cmath.phase(mean_jm))
+    return theta, phi, zeta, abs(np.vdot(angles_amps_one_angle(tj, theta, phi), amps))
+
+
+def mean_mode_label_one_state(state):
+    """``fock.mean_mode_label``'s rule on one state, through ``glauber_cs``."""
+    cutoff = state.space.factors[0].cutoff
+    alpha = complex(qcore._first_moments(state.amps, *fock._generator_bands(cutoff))[1])
+    radius = fock.admissible_radius(cutoff)
+    ref = alpha if abs(alpha) <= radius else alpha / abs(alpha) * radius
+    return alpha, qcore.overlap(fock.glauber_cs(ref, cutoff), state)
 
 
 def phase_align(reference, amps):

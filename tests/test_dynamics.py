@@ -92,10 +92,10 @@ DRIVES = {
 
 def fock_alphas(drive, grid, cutoff, step):
     """<a> at each grid time from the vacuum, by ``dynamics._evolve`` with
-    substeps of at most ``step``."""
-    states = dyn._evolve(drive, fock._generator_bands(cutoff), fock.vacuum(cutoff), grid,
-                         dyn._substep_counts(grid, step))
-    return np.array([fock.mean_mode_label(state)[0] for state in states])
+    substeps of at most ``step``, labelled as one stack."""
+    rows, _ = dyn._evolve(drive, fock._generator_bands(cutoff), fock.vacuum(cutoff), grid,
+                          dyn._substep_counts(grid, step))
+    return np.array(fock._mean_mode_labels(rows)[0])
 
 
 @pytest.mark.parametrize("drive", DRIVES.values(), ids=list(DRIVES))
@@ -410,6 +410,16 @@ def magnus_cases(draw):
     return drive, family._generator_bands(size), initial, grid, counts
 
 
+def stacked_states(drive, bands, initial, grid, counts):
+    """The states of ``dynamics._evolve``, each checked to read its row of
+    the returned read-only stack."""
+    rows, states = dyn._evolve(drive, bands, initial, grid, counts)
+    assert not rows.flags.writeable and len(states) == len(rows) == grid.size
+    assert all(state.amps.base is rows and state.space == initial.space for state in states)
+    assert [state.amps.tobytes() for state in states] == [row.tobytes() for row in rows]
+    return states
+
+
 def states_or_error(evolve, drive, bands, initial, grid, counts):
     """Each state's bytes, or the type and message of the error raised."""
     try:
@@ -429,7 +439,7 @@ def test_stacked_magnus_factors_match_the_per_substep_loop_bit_for_bit(case):
     # the stacked exponents, at most dim substeps at a time (cutoff 4 with 40
     # substeps spans 8 stacks), give the per-substep loop's states bit for bit
     drive, bands, initial, grid, counts = case
-    assert (states_or_error(dyn._evolve, *case)
+    assert (states_or_error(stacked_states, *case)
             == states_or_error(oracles.evolve_one_substep_at_a_time, *case))
     # lam on an array is lam at each of its times, bit for bit
     assert drive.lam(grid).tobytes() == np.array([drive.lam(t) for t in grid]).tobytes()
@@ -444,6 +454,25 @@ def count_calls(monkeypatch, targets):
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_a_trajectory_normalizes_a_fixed_number_of_stacks(monkeypatch):
+    # the samples are normalized as one stack and, for the mode, labelled
+    # against one stack of coherent rows, whatever the sample count
+    initial_fock = fock.glauber_cs(0.3 - 0.2j, 24)
+    initial_spin = spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j))
+    calls = count_calls(monkeypatch, ((qcore, "_normalize_rows"),))
+    counts = []
+    for samples in (1, 2, 9, 40):
+        grid = np.linspace(0.0, 3.0, samples)
+        calls["_normalize_rows"] = 0
+        evolve_fock(DriveSpec.sinusoid(1.0, 0.2, 0.7), grid, 24, initial=initial_fock)
+        counts.append(calls["_normalize_rows"])
+        for drive in (DriveSpec.constant(0.9, 0.3 + 0.1j), DriveSpec.exponential(0.9, 0.3, 0.5)):
+            calls["_normalize_rows"] = 0
+            evolve_spin(drive, 2, grid, initial_spin)
+            counts.append(calls["_normalize_rows"])
+    assert counts == [2, 1, 1] * 4
 
 
 #: grids on which a drive's exponent leaves the float range at substep 4 of 4

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from coherence_lab import fock, qcore
@@ -21,6 +23,7 @@ from coherence_lab.fock import (
     vacuum,
 )
 from coherence_lab.qcore import StateVector, overlap, schmidt_cut, tensor_state
+import oracles
 from oracles import aligned_distance, displacement, generators, mean_variance, quadratures
 
 
@@ -212,3 +215,54 @@ def test_minimum_uncertainty_product():
         _, var_q = mean_variance(q, s)
         _, var_p = mean_variance(p, s)
         assert math.sqrt(var_q) * math.sqrt(var_p) == pytest.approx(0.5, abs=1e-8)
+
+
+def test_stacked_glauber_amps_are_the_per_alpha_rows_bit_for_bit():
+    # each row of an array call is the call at its alpha alone, and the
+    # scalar formula, whose |alpha|^2 is a float power, not a product
+    rng = np.random.default_rng(7)
+    alpha = np.concatenate(([0.0, 1.5, -2.0j], rng.normal(size=3000) + 1j * rng.normal(size=3000)))
+    for cutoff in (1, 6, 24):
+        stack = fock._glauber_amps(alpha, cutoff)
+        assert stack.shape == (alpha.size, cutoff + 1)
+        for a, row in zip(alpha.tolist(), stack):
+            one = fock._glauber_amps(a, cutoff)
+            scalar = np.exp(fock._coherent_logs(a, cutoff) - (np.abs(a) ** 2 / 2.0)[..., None])
+            assert row.tobytes() == one.tobytes() == scalar.tobytes()
+
+
+def fock_label_rows(cutoff, seed, n_random):
+    """Unit rows of a mode at ``cutoff``: random rows, truncated coherent
+    rows inside and beyond ``admissible_radius``, and the uniform row over
+    the top four levels, whose <a> (about 3 sqrt(cutoff) / 4) lies beyond it
+    at cutoffs 12 to 90."""
+    rng = np.random.default_rng(seed)
+    radius = fock.admissible_radius(cutoff)
+    alpha = rng.uniform(0.0, 2.0 * radius + 1.0, 4) * np.exp(1j * rng.uniform(0.0, 7.0, 4))
+    top = np.zeros((1, cutoff + 1), dtype=complex)
+    top[0, -4:] = 1.0
+    stack = np.concatenate((rng.normal(size=(n_random, cutoff + 1))
+                            + 1j * rng.normal(size=(n_random, cutoff + 1)),
+                            fock._glauber_amps(alpha, cutoff), top))
+    return qcore._normalize_rows(stack[rng.permutation(len(stack))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(12, 90), st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+@example(12, 0, 0)
+@example(40, 3, 2)
+def test_stacked_mode_labels_are_each_rows_label_bit_for_bit(cutoff, seed, n_random):
+    # the stacked label of every row is its one-state label and that of
+    # glauber_cs at the pulled alpha, bit for bit, fidelity included; from
+    # cutoff 12 up, where the admissible disk (radius 0 at 12) holds alpha 0
+    rows = fock_label_rows(cutoff, seed, n_random)
+    alphas, overlaps = fock._mean_mode_labels(rows)
+    assert len(alphas) == len(overlaps) == len(rows)
+    radius = fock.admissible_radius(cutoff)
+    assert max(map(abs, alphas)) > radius
+    for row, alpha, ov in zip(rows, alphas, overlaps):
+        state = StateVector(fock_space(cutoff), row)
+        for label in (fock.mean_mode_label, oracles.mean_mode_label_one_state):
+            one_alpha, one_ov = label(state)
+            assert np.array([alpha, ov]).tobytes() == np.array([one_alpha, one_ov]).tobytes()
+            assert np.float64(abs(ov)).tobytes() == np.float64(abs(one_ov)).tobytes()

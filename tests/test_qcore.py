@@ -10,6 +10,7 @@ from coherence_lab.errors import (
     InvalidWeight,
     NonFinite,
     NotComposite,
+    ValidationError,
     ZeroVector,
 )
 from coherence_lab.qcore import (
@@ -346,6 +347,12 @@ def test_stacked_normalization_matches_state_vector_bytes():
     assert got[1].tobytes() != rows[1].tobytes()
     for row, given in zip(got, rows):
         assert row.tobytes() == StateVector(space, given).amps.tobytes()
+    # the states of a stack read its normalized rows, frozen
+    states = StateVector._stack(space, rows.copy())
+    assert [state.amps.tobytes() for state in states] == [row.tobytes() for row in got]
+    assert all(state.space == space and not state.amps.flags.writeable for state in states)
+    with pytest.raises(ValidationError, match="do not match space dim 28"):
+        StateVector._stack(space, rows[:, :-1].copy())
 
 
 def test_stacked_normalization_checks_the_whole_stack():
@@ -402,6 +409,10 @@ def test_vectorized_sums_are_fsum_bits(stack):
     flat = stack.view(float)
     assert qcore._sum_squares(flat) == fsum_squares(flat)
     assert (normalized_or_error(qcore._normalize_rows, stack)
+            == normalized_or_error(normalize_rows_by_fsum, stack))
+    space = SpaceDescriptor.single_fock(stack.shape[1] - 1)
+    assert (normalized_or_error(lambda rows: np.stack(
+                [state.amps for state in StateVector._stack(space, rows)]), stack)
             == normalized_or_error(normalize_rows_by_fsum, stack))
 
 

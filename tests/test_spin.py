@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from coherence_lab import fock, qcore, spin
@@ -21,6 +23,7 @@ from coherence_lab.spin import (
     spin_space,
     split_spin,
 )
+import oracles
 from oracles import aligned_distance, coset_state, generators
 
 HALF_SPINS = [0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0]
@@ -318,6 +321,79 @@ def test_mean_spin_of_a_stack_is_its_rows_bit_for_bit(tj):
             else:
                 assert row_g0 == pytest.approx(np.vdot(row, j0 @ row).real, abs=1e-13)
                 assert row_gm == pytest.approx(np.vdot(row, jm @ row), abs=1e-13)
+
+
+def bits(values):
+    """The bytes of a sequence of floats or complexes, as complexes."""
+    return np.array(values, dtype=complex).tobytes()
+
+
+def spin_label_rows(tj, seed, n_random):
+    """Unit rows of spin 2j = tj: Haar-like rows, coherent rows at random
+    angles, the highest-weight row (theta = pi), the closed-form row at
+    theta = pi - POLE_TOL / 2 (its label lies within POLE_TOL of the pole),
+    and for integer j the row |j, 0>, whose mean spin vanishes."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.normal(size=(n_random, tj + 1)) + 1j * rng.normal(size=(n_random, tj + 1)),
+            spin._angles_amps(tj, rng.uniform(0.0, math.pi, 3), rng.uniform(0.0, 7.0, 3)),
+            np.exp(spin._cs_logs(spin._cs_rows(tj), math.pi - spin.POLE_TOL / 2, 1.0))[None],
+            np.eye(1, tj + 1, tj)]
+    if tj % 2 == 0:
+        rows.append(np.eye(1, tj + 1, tj // 2))
+    stack = np.concatenate(rows).astype(complex)
+    return qcore._normalize_rows(stack[rng.permutation(len(stack))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+@example(2, 0, 0)
+@example(5000, 1, 2)
+def test_stacked_spin_labels_are_each_rows_label_bit_for_bit(tj, seed, n_random):
+    # the stacked label of every row is its one-state label, and the
+    # per-state rule of numpy scalars and one-angle rows, bit for bit
+    rows = spin_label_rows(tj, seed, n_random)
+    stacked = list(zip(*spin._mean_spin_labels(rows)))
+    assert len(stacked) == len(rows)
+    for row, got in zip(rows, stacked):
+        state = StateVector(spin_space(tj / 2), row)
+        assert bits(got) == bits(spin.mean_spin_label(state))
+        assert bits(got) == bits(oracles.mean_spin_label_one_state(state))
+    thetas, _, zetas, fids = zip(*stacked)
+    # the edge rows reach the pole and the fixed label at a vanishing spin
+    assert sum(zeta == complex(np.inf) for zeta in zetas) >= 2
+    assert (tj % 2 == 1) or (0.0, 0.0) in zip(thetas, zetas)
+    assert max(fids) <= 1.0 + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+@example(1, 0)
+@example(5000, 1)
+def test_stacked_angles_amps_are_the_per_angle_rows_bit_for_bit(tj, seed):
+    # poles included: at pi, within POLE_TOL of it, and just outside
+    rng = np.random.default_rng(seed)
+    near_pole = [math.pi - spin.POLE_TOL / 2, math.pi - 2 * spin.POLE_TOL]
+    theta = np.concatenate((rng.uniform(0.0, math.pi, 12), [0.0, math.pi], near_pole))
+    phi = rng.uniform(0.0, 2.0 * math.pi, theta.size)
+    stack = spin._angles_amps(tj, theta, phi)
+    assert stack.shape == (theta.size, tj + 1)
+    for t, p, row in zip(theta.tolist(), phi.tolist(), stack):
+        one = spin._angles_amps(tj, t, p)
+        assert one.shape == (tj + 1,)
+        assert row.tobytes() == one.tobytes() == oracles.angles_amps_one_angle(tj, t, p).tobytes()
+    pole = np.eye(1, tj + 1, tj, dtype=complex)[0]
+    assert stack[13].tobytes() == stack[14].tobytes() == pole.tobytes() != stack[15].tobytes()
+
+
+def test_scan_grid_is_one_angles_amps_call_with_the_per_angle_bytes(monkeypatch):
+    for tj in range(1, 65):
+        assert (spin._scan_grid(tj).tobytes()
+                == oracles.spin_scan_grid_one_angle_at_a_time(tj).tobytes())
+    calls = []
+    angles_amps = spin._angles_amps
+    monkeypatch.setattr(spin, "_angles_amps",
+                        lambda *args: calls.append(args) or angles_amps(*args))
+    assert spin._scan_grid(6).shape == (58, 7) and len(calls) == 1
 
 
 @pytest.mark.parametrize("j", HALF_SPINS)
