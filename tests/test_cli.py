@@ -1,14 +1,19 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
+import platform
 import shlex
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -206,27 +211,61 @@ def readme_cli_commands():
     return [shlex.split(line)[1:] for line in lines if line.startswith("coherence-lab ")]
 
 
+#: SHA-256 of each README CLI output, with the versions it was recorded under
+GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_cli.json"
+
+
+def environment() -> dict:
+    """The Python, numpy, scipy and BLAS versions an output's bits may depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def readme_cli_digests() -> dict:
+    """Run the README's CLI block in the working directory, where its relative
+    paths (split.json, traj.csv) land, and return the SHA-256 of what each
+    command prints, keyed by its command line, and of each file it writes,
+    keyed by its name. Each command must exit 0 with nothing on stderr."""
+    printed = {}
+    for argv in readme_cli_commands():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        assert (code, err.getvalue()) == (0, ""), argv
+        printed[shlex.join(["coherence-lab"] + argv)] = sha256_hex(out.getvalue().encode())
+    files = {path.name: sha256_hex(path.read_bytes()) for path in Path.cwd().iterdir()}
+    return {"printed": printed, "files": files}
+
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
-    # the README's commands, run in order where their relative paths
-    # (split.json, traj.csv) land: each exits 0 with nothing on stderr, and a
-    # second run of the block prints and writes the same bytes
-    commands = readme_cli_commands()
-    assert len(commands) == 9
+    # the README's commands print and write the bytes recorded in GOLDEN, and
+    # a second run of the block gives the same bytes again
+    assert len(readme_cli_commands()) == 9
     runs = []
     for name in ("first", "second"):
         workdir = tmp_path / name
         workdir.mkdir()
         monkeypatch.chdir(workdir)
-        printed = []
-        for argv in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run_cli(argv)
-            assert (code, err.getvalue()) == (0, ""), argv
-            printed.append(out.getvalue())
-        runs.append((printed, {path.name: path.read_bytes() for path in workdir.iterdir()}))
-    assert sorted(runs[0][1]) == ["split.json", "traj.csv"]
+        runs.append(readme_cli_digests())
+    assert sorted(runs[0]["files"]) == ["split.json", "traj.csv"]
     assert runs[0] == runs[1]
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    moved = [f"{group} {key}" for group in ("printed", "files")
+             for key in sorted(golden[group].keys() | runs[0][group].keys())
+             if golden[group].get(key) != runs[0][group].get(key)]
+    env = environment()
+    changed = [f"{key} {golden['environment'].get(key)} -> {env[key]}"
+               for key in env if golden["environment"].get(key) != env[key]]
+    assert not moved, (
+        f"README CLI outputs differ from {GOLDEN.name}: {moved}; "
+        + (f"the environment differs from the record's: {changed}" if changed else
+           "the environment is the record's, so the program's bits moved; "
+           "re-record with `python tests/test_cli.py` if that is intended"))
 
 
 def test_chsh_reproducible_bytes(tmp_path):
@@ -895,3 +934,15 @@ def test_unreadable_input_files_exit_2_with_one_line(argv, tmp_path, monkeypatch
     code, err = _exit_and_stderr(argv)
     assert code == 2
     assert err.startswith("error: cannot read JSON file ") and err.count("\n") == 1
+
+
+if __name__ == "__main__":
+    # re-record GOLDEN from this tree:
+    #   OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_cli.py
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        sys.exit("set OPENBLAS_NUM_THREADS=1, as tests/conftest.py does")
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        record = {"environment": environment(), **readme_cli_digests()}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
