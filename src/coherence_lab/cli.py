@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Optional
@@ -194,6 +195,9 @@ def cmd_split(args) -> int:
         spec = _split_spec(args)
         state = fock.glauber_cs(alpha, args.N)
         out_state = fock.split_fock(state, spec)
+        # claim 1's factors |mu alpha> and |nu alpha>, at the same cutoff
+        factors = [StateVector(fock.fock_space(args.N), fock._glauber_amps(x * alpha, args.N))
+                   for x in (spec.mu, spec.nu)]
         params = {
             "alpha": serialize.complex_pair(alpha),
             "cutoff": args.N,
@@ -204,12 +208,15 @@ def cmd_split(args) -> int:
         _require(args, ["jA", "jB", "jC"])
         cs = _spin_cs_params(args.jA, args.zeta, args.theta, args.phi)
         out_state = spin.split_spin(spin.spin_cs(cs), args.jB, args.jC)
+        # claim 1's factors |jB, zeta> and |jC, zeta>
+        factors = [spin.spin_cs(dataclasses.replace(cs, j=j)) for j in (args.jB, args.jC)]
         params = {"jA": args.jA, "jB": args.jB, "jC": args.jC}
         if cs.zeta is not None:
             params["zeta"] = serialize.complex_pair(cs.zeta)
         else:
             params.update(theta=cs.theta, phi=cs.phi)
     report = splitting.factorization_report(out_state)
+    residual = np.linalg.norm(out_state.amps - np.kron(factors[0].amps, factors[1].amps))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "split",
@@ -217,7 +224,7 @@ def cmd_split(args) -> int:
         "params": params,
         "entropy_bits": report.entropy_bits,
         "is_product": report.is_product,
-        "residual": report.residual,
+        "residual": float(residual),
     }
     if args.save_state:
         _emit(serialize.json_text(serialize.state_to_dict(out_state)), args.save_state)

@@ -21,10 +21,9 @@ function.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -332,32 +331,15 @@ class StateVector:
 class SchmidtReport:
     """Schmidt spectrum of a bipartition.
 
-    ``coefficients`` descend and come from a values-only SVD of ``matrix``,
-    the state's amplitudes as a (left dim, right dim) matrix; ``entropy_bits``
-    uses log2 with 0*log0 = 0. ``left_vectors``/``right_vectors`` hold the
-    Schmidt vectors as columns / rows, so the state is
-    sum_k c_k L[:,k] (x) R[k,:] to rounding. They take a second SVD with
-    vectors, run on first read and cached, so a caller that reads only the
-    spectrum never pays for them.
+    ``coefficients`` descend and come from a values-only SVD of the state's
+    amplitudes as a (left dim, right dim) matrix; ``entropy_bits`` uses log2
+    with 0*log0 = 0, and ``is_product`` compares it with
+    ``PRODUCT_THRESHOLD_BITS``. The report holds no Schmidt vector.
     """
 
     coefficients: np.ndarray
     entropy_bits: float
     is_product: bool
-    matrix: np.ndarray = field(repr=False)
-
-    @functools.cached_property
-    def _vectors(self) -> tuple:
-        left, _, right = np.linalg.svd(self.matrix, full_matrices=False)
-        return left, right
-
-    @property
-    def left_vectors(self) -> np.ndarray:
-        return self._vectors[0]
-
-    @property
-    def right_vectors(self) -> np.ndarray:
-        return self._vectors[1]
 
 
 def hankel_weight(log_b, log_c, log_a) -> np.ndarray:
@@ -447,8 +429,7 @@ def schmidt_cut(state: StateVector, cut: int) -> SchmidtReport:
 
     ``cut`` must split the factor list into two nonempty groups. The
     coefficients are ``np.linalg.svd(..., compute_uv=False)`` of the
-    amplitude matrix; the Schmidt vectors wait until the report's
-    ``left_vectors`` or ``right_vectors`` is read.
+    amplitude matrix; no Schmidt vector is computed.
     """
     nf = state.space.nfactors
     if nf < 2:
@@ -458,13 +439,11 @@ def schmidt_cut(state: StateVector, cut: int) -> SchmidtReport:
     dims = state.space.factor_dims
     d_left = math.prod(dims[:cut])
     d_right = math.prod(dims[cut:])
-    matrix = state.amps.reshape(d_left, d_right)
-    coeffs = np.linalg.svd(matrix, compute_uv=False)
+    coeffs = np.linalg.svd(state.amps.reshape(d_left, d_right), compute_uv=False)
     ent = entropy_from_coefficients(coeffs)
     return SchmidtReport(
         coefficients=coeffs,
         entropy_bits=ent,
         is_product=ent < PRODUCT_THRESHOLD_BITS,
-        matrix=matrix,
     )
 

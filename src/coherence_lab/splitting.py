@@ -1,10 +1,10 @@
 """Factorization analysis and uniqueness checks.
 
-Three pieces: classify split states as product vs entangled, solve the
-splitting functional equation f_A(mu x + nu y) = f_B(x) f_C(y) order by
-order as a formal power series (the unique solutions are exponentials),
-and run seeded randomized scans demonstrating that only coherent states
-split into products.
+Three pieces: classify split states as product vs entangled from a
+values-only Schmidt report, solve the splitting functional equation
+f_A(mu x + nu y) = f_B(x) f_C(y) order by order as a formal power series
+(the unique solutions are exponentials), and run seeded randomized scans
+demonstrating that only coherent states split into products.
 
 A scan takes one ``ScanSystem`` record; its family module (``spin`` or
 ``fock``) owns the split weight, the moment bound with its proof and the
@@ -40,48 +40,18 @@ from .qcore import SpaceDescriptor, StateVector
 
 #: phase-aligned distance below which a sample counts as a coherent state
 CS_DISTANCE_GUARD = 1e-6
-#: leading Schmidt coefficient above which product factors are extracted
-FACTOR_COEFF_THRESHOLD = 1.0 - 1e-10
 #: generic values of the series solve's free parameters tau, f_B(0), f_C(0)
 SERIES_TAU, SERIES_B0, SERIES_C0 = 0.7 + 0.4j, 1.1 - 0.3j, 0.8 + 0.5j
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    """Product-vs-entangled classification of a two-factor state.
-
-    ``factor_b``/``factor_c`` and ``residual`` (the reconstruction error
-    ||state - factor_b (x) factor_c||) are populated only when the leading
-    Schmidt coefficient certifies a product.
-    """
-
-    entropy_bits: float
-    is_product: bool
-    factor_b: Optional[StateVector]
-    factor_c: Optional[StateVector]
-    residual: Optional[float]
-
-
-def factorization_report(state: StateVector) -> FactorizationReport:
-    """Schmidt analysis of a state on exactly two factors."""
+def factorization_report(state: StateVector) -> qcore.SchmidtReport:
+    """``qcore.schmidt_cut`` of a state on exactly two factors, values only:
+    ``is_product`` alone decides "product". That a split coherent state is
+    the product of the paper's coherent factors is measured against their
+    closed forms, as the ``split`` command's ``residual``."""
     if state.space.nfactors != 2:
         raise NotComposite("factorization_report needs a two-factor state")
-    report = qcore.schmidt_cut(state, 1)
-    factor_b = factor_c = residual = None
-    if report.coefficients[0] >= FACTOR_COEFF_THRESHOLD:
-        space_b = state.space.subspace(0, 1)
-        space_c = state.space.subspace(1, 2)
-        factor_b = StateVector(space_b, report.left_vectors[:, 0])
-        factor_c = StateVector(space_c, report.right_vectors[0, :])
-        product = np.kron(factor_b.amps, factor_c.amps)
-        residual = float(np.linalg.norm(state.amps - product))
-    return FactorizationReport(
-        entropy_bits=report.entropy_bits,
-        is_product=report.is_product,
-        factor_b=factor_b,
-        factor_c=factor_c,
-        residual=residual,
-    )
+    return qcore.schmidt_cut(state, 1)
 
 
 # ---------------------------------------------------------------------------

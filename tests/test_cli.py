@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -118,6 +119,50 @@ def test_split_reproducible_bytes(tmp_path):
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_split_residual_is_the_distance_to_the_coherent_product(tmp_path):
+    # claim 1: |alpha> splits into |mu alpha> (x) |nu alpha>, and |jA, zeta>
+    # into |jB, zeta> (x) |jC, zeta>. The reported residual is the distance to
+    # that product, never null; on a mode it carries the truncation at N, so
+    # the neglected Poisson tail bounds it, up to rounding.
+    out = tmp_path / "report.json"
+
+    def residual(argv, split, factor_b, factor_c):
+        assert run_cli(["split"] + argv + ["--out", str(out)]) == 0
+        got = read_json(out)["residual"]
+        assert isinstance(got, float)
+        want = np.linalg.norm(split.amps - np.kron(factor_b.amps, factor_c.amps))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-18)
+        return got
+
+    text = serialize.format_complex
+    specs = [fock.SplitSpec.balanced(), fock.SplitSpec(0.6, 0.8j),
+             fock.SplitSpec(1, 0), fock.SplitSpec.from_angles(1.2, 2.0)]
+    for alpha in (0.3, 1 + 1j, 5, 8j):
+        need = fock.required_cutoff(alpha)
+        for n in (need, 2 * need):
+            tail = 2 * math.sqrt(scipy.stats.poisson.sf(n, abs(alpha) ** 2))
+            for spec in specs:
+                got = residual(
+                    ["--system", "fock", f"--alpha={text(alpha)}", "--N", str(n),
+                     f"--mu={text(spec.mu)}", f"--nu={text(spec.nu)}"],
+                    fock.split_fock(fock.glauber_cs(alpha, n), spec),
+                    fock.glauber_cs(spec.mu * alpha, n), fock.glauber_cs(spec.nu * alpha, n))
+                assert got <= tail + 1e-15 * (n + 1), (alpha, n, spec)
+    for j_b, cs in ((0.5, spin.SpinCsParams(1, zeta=1)),
+                    (1, spin.SpinCsParams(2.5, zeta=0.3 - 2j)),
+                    (2, spin.SpinCsParams.from_angles(3, math.pi, 0.7)),
+                    (250, spin.SpinCsParams(600, zeta=0.4 + 0.9j)),
+                    (300, spin.SpinCsParams.from_angles(600, 2.0, 1.0))):
+        j_c = cs.j - j_b
+        label = ([f"--zeta={text(cs.zeta)}"] if cs.zeta is not None
+                 else ["--theta", repr(cs.theta), "--phi", repr(cs.phi)])
+        got = residual(
+            ["--system", "spin", "--jA", str(cs.j), "--jB", str(j_b), "--jC", str(j_c)] + label,
+            spin.split_spin(spin.spin_cs(cs), j_b, j_c),
+            *(spin.spin_cs(spin.SpinCsParams(j, cs.zeta, cs.theta, cs.phi)) for j in (j_b, j_c)))
+        assert got <= 1e-15 * (2 * cs.j + 1), cs
 
 
 # ---------------------------------------------------------------------------

@@ -211,9 +211,11 @@ def test_schmidt_reconstruction():
     s = StateVector(space, amps)
     rep = schmidt_cut(s, 1)
     assert abs((rep.coefficients ** 2).sum() - 1.0) < 1e-10
+    # the report's coefficients with the Schmidt vectors of the same matrix
+    left, _, right = np.linalg.svd(s.amps.reshape(4, 3), full_matrices=False)
     rebuilt = np.zeros(12, dtype=complex)
     for k, c in enumerate(rep.coefficients):
-        rebuilt += c * np.kron(rep.left_vectors[:, k], rep.right_vectors[k, :])
+        rebuilt += c * np.kron(left[:, k], right[k, :])
     np.testing.assert_allclose(rebuilt, s.amps, atol=1e-10)
 
 
@@ -224,10 +226,9 @@ def test_schmidt_coefficients_are_values_only_svd():
     rep = schmidt_cut(s, 1)
     want = np.linalg.svd(s.amps.reshape(5, 4), compute_uv=False)
     assert rep.coefficients.tobytes() == want.tobytes()
-    # the Schmidt vectors are computed on first read only
-    assert "_vectors" not in vars(rep)
-    assert rep.left_vectors.shape == (5, 4) and rep.right_vectors.shape == (4, 4)
-    assert "_vectors" in vars(rep)
+    # the report holds the spectrum only: no amplitude matrix, no Schmidt vector
+    assert sorted(vars(rep)) == ["coefficients", "entropy_bits", "is_product"]
+    assert not any(hasattr(rep, name) for name in ("matrix", "left_vectors", "right_vectors"))
 
 
 def test_entropy_of_a_stack_matches_each_spectrum():
