@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -278,13 +277,11 @@ def readme_cli_digests() -> dict:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_cli(argv)
         assert (code, err.getvalue()) == (0, ""), argv
-        printed[shlex.join(["coherence-lab"] + argv)] = sha256_hex(out.getvalue().encode())
-    files = {path.name: sha256_hex(path.read_bytes()) for path in Path.cwd().iterdir()}
+        printed[shlex.join(["coherence-lab"] + argv)] = hashlib.sha256(
+            out.getvalue().encode()).hexdigest()
+    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in Path.cwd().iterdir()}
     return {"printed": printed, "files": files}
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
@@ -310,7 +307,8 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
         f"README CLI outputs differ from {GOLDEN.name}: {moved}; "
         + (f"the environment differs from the record's: {changed}" if changed else
            "the environment is the record's, so the program's bits moved; "
-           "re-record with `python tests/test_cli.py` if that is intended"))
+           "re-record with `OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python "
+           "tests/test_cli.py` if that is intended"))
 
 
 def test_chsh_reproducible_bytes(tmp_path):
