@@ -404,20 +404,12 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         _validate_choices(parser, args)
         return DISPATCH[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, MemoryError) as exc:
         print(f"numerical error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-
-
-def run(argv) -> int:
-    """Programmatic entry point; same contract as the console script."""
-    return main(list(argv))
 
 
 def entry() -> None:

@@ -9,7 +9,7 @@ A coherent state's amplitudes come from ``_glauber_amps`` alone (behind
 alpha in one call. A stack of states is labelled at once by
 ``_mean_mode_labels``, whose one-row case is ``mean_mode_label``, the twin
 of ``spin.mean_spin_label``. Its scan pieces are ``_scan_weight``,
-``_scan_grid`` and ``_scan_bound``.
+``_scan_grid`` and ``_scan_label``.
 
 Truncation policy: an amplitude alpha is admitted at cutoff N only when
 N >= |alpha|^2 + 12*sqrt(|alpha|^2 + 1), which keeps the neglected Poisson
@@ -196,6 +196,7 @@ def _mean_mode_labels(amps: np.ndarray) -> tuple:
 
 
 _scan_weight = beamsplit_weight  # the scan's split weight, from a ScanSystem's split
+_scan_label = _mean_mode_labels  # the scan's stacked first-moment label
 
 
 def _scan_grid(cutoff: int) -> np.ndarray:
@@ -205,28 +206,3 @@ def _scan_grid(cutoff: int) -> np.ndarray:
     radius = min(1.5, admissible_radius(cutoff))
     alpha = np.append(0.0, np.linspace(radius / 4.0, radius, 4)[:, None] * ring)
     return _glauber_amps(alpha, cutoff)
-
-
-# The admissible states are the unit truncated |alpha> with |alpha| <= R =
-# ``admissible_radius``. Let X = (a - alpha)^+ (a - alpha) on the truncated
-# mode and V = <N> - |<a>|^2. Then <X> = V + |<a> - alpha|^2 >= V, and
-# X <= (sqrt(N) + R)^2 = L, since ||a|| = sqrt(N). The truncated a lowers
-# every level of |alpha> but the top one exactly, so X|alpha> = |alpha|^2
-# g_N e_N, with g_N the top amplitude of |alpha>; |g_N| grows with |alpha|,
-# so take g = |g_N| at |alpha| = R and e = R^2 g. Writing psi = F|alpha> +
-# s chi with chi orthogonal to |alpha> and s^2 = 1 - F^2 gives
-# V <= <X> <= e g + 2 s e + s^2 L, a floor on s and so a ceiling on
-# F* = max |<alpha|psi>|.
-def _scan_bound(amps: np.ndarray) -> np.ndarray:
-    """Per unit Fock row of ``amps``: a ceiling on its best fidelity with an
-    admissible truncated coherent state."""
-    cutoff = amps.shape[-1] - 1
-    radius = admissible_radius(cutoff)
-    edge = np.exp(_coherent_logs(radius, cutoff).real - radius * radius / 2.0)
-    g = edge[-1] / np.linalg.norm(edge)
-    e, x_norm = radius * radius * g, (math.sqrt(cutoff) + radius) ** 2
-    mean_n, mean_a = qcore._first_moments(amps, *_generator_bands(cutoff))
-    excess = np.maximum(mean_n - np.abs(mean_a) ** 2 - e * g, 0.0)
-    # the positive root of x_norm s^2 + 2 e s - excess
-    s = (np.sqrt(e * e + x_norm * excess) - e) / x_norm
-    return np.sqrt(1.0 - s * s)

@@ -104,14 +104,6 @@ class Factor:
         return self.twice_j / 2.0
 
 
-def fock_factor(cutoff: int) -> Factor:
-    return Factor("fock", int(cutoff))
-
-
-def spin_factor(j) -> Factor:
-    return Factor("spin", as_twice_j(j))
-
-
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """Ordered tensor product of Fock and spin factors."""
@@ -128,11 +120,11 @@ class SpaceDescriptor:
 
     @classmethod
     def single_fock(cls, cutoff: int) -> "SpaceDescriptor":
-        return cls((fock_factor(cutoff),))
+        return cls((Factor("fock", int(cutoff)),))
 
     @classmethod
     def single_spin(cls, j) -> "SpaceDescriptor":
-        return cls((spin_factor(j),))
+        return cls((Factor("spin", as_twice_j(j)),))
 
     @property
     def dim(self) -> int:

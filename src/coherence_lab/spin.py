@@ -12,7 +12,7 @@ pole rule (``POLE_TOL``). The coupling weights come from its log-binomial
 rows, so nothing overflows.
 Its generators J0 and J+ ([G0, G+-] = +-G+-) live in one band form, m and
 sqrt((2j - k)(k + 1)) (``_generator_bands``), which every moment and step reads.
-Its scan pieces are ``_scan_weight``, ``_scan_grid`` and ``_scan_bound``.
+Its scan pieces are ``_scan_weight``, ``_scan_grid`` and ``_scan_label``.
 """
 
 from __future__ import annotations
@@ -242,6 +242,7 @@ def _mean_spin_labels(amps: np.ndarray) -> tuple:
 
 
 _scan_weight = coupling_weight  # the scan's split weight, from a ScanSystem's split
+_scan_label = _mean_spin_labels  # the scan's stacked first-moment label
 
 
 def _scan_grid(tj: int) -> np.ndarray:
@@ -251,15 +252,3 @@ def _scan_grid(tj: int) -> np.ndarray:
     theta = np.linspace(0.0, math.pi, 9)
     return _angles_amps(tj, np.concatenate(([0.0], np.repeat(theta[1:-1], 8), [math.pi])),
                         np.concatenate(([0.0], np.tile(ring, 7), [0.0])))
-
-
-# A coherent state g is the top eigenvector of m.J for some unit m, with
-# eigenvalue j, and every other eigenvalue is at most j - 1 (Arecchi,
-# Courtens, Gilmore & Thomas, Phys. Rev. A 6, 2211 (1972); Perelomov,
-# Commun. Math. Phys. 26, 222 (1972)). So |g><g| <= (m.J + j) / (2j), and
-# F*^2 = max_g |<g|psi>|^2 <= (1 + |<J>| / j) / 2 for a unit psi.
-def _scan_bound(amps: np.ndarray) -> np.ndarray:
-    """Per unit spin row of ``amps``: a ceiling on its best coherent fidelity."""
-    tj = amps.shape[-1] - 1
-    mean_j0, mean_jm = qcore._first_moments(amps, *_generator_bands(tj))
-    return np.sqrt((1.0 + np.hypot(mean_j0, np.abs(mean_jm)) / (tj / 2.0)) / 2.0)

@@ -7,21 +7,19 @@ f_A(mu x + nu y) = f_B(x) f_C(y) order by order as a formal power series
 demonstrating that only coherent states split into products.
 
 A scan takes one ``ScanSystem`` record; its family module (``spin`` or
-``fock``) owns the split weight, the moment bound with its proof and the
-coherent grid. A scan excludes a sample from the non-coherent pool when the
-coherent state at its first-moment label (``spin.mean_spin_label``,
-``fock.mean_mode_label``) lies within ``CS_DISTANCE_GUARD``. The bound on
-the best coherent fidelity, read from the same moments, keeps most samples
-without building that state; only a sample the bound cannot place outside
-the guard band is labelled. Each chunk of samples, and the grid of coherent
-amplitudes for ``cs_max_entropy`` (from the amplitude functions behind
-``spin_cs`` and ``glauber_cs``), is one stacked array: normalized as
-``StateVector`` normalizes, split with one ``split_amplitudes`` call and
-reduced to Schmidt coefficients by one values-only stacked SVD, with no
-Schmidt vector and no per-row state. The norms are each row's correctly
-rounded sum of squares (``math.fsum``'s bits), summed over the whole stack
-at once and certified row by row, with ``math.fsum`` only for a row the
-certificate cannot place. Its entropies are bit-identical to a
+``fock``) owns the split weight, the stacked first-moment label and the
+coherent grid. A scan labels every sample and excludes it from the
+non-coherent pool when the coherent state at its label (``spin.mean_spin_label``,
+``fock.mean_mode_label``) lies within ``CS_DISTANCE_GUARD``. Each chunk of
+samples, and the grid of coherent amplitudes for ``cs_max_entropy`` (from
+the amplitude functions behind ``spin_cs`` and ``glauber_cs``), is one
+stacked array: normalized as ``StateVector`` normalizes, split with one
+``split_amplitudes`` call and reduced to Schmidt coefficients by one
+values-only stacked SVD, with no Schmidt vector and no per-row state; a
+chunk is labelled by one stacked label call too. The norms are each row's
+correctly rounded sum of squares (``math.fsum``'s bits), summed over the
+whole stack at once and certified row by row, with ``math.fsum`` only for
+a row the certificate cannot place. Its entropies are bit-identical to a
 ``schmidt_cut`` of each split sample.
 """
 
@@ -191,7 +189,7 @@ class ScanSystem:
     """What a scan splits: a ``label``, the input ``space`` and the ``family``
     module (``spin`` or ``fock``) whose scan pieces it reads:
     ``_scan_weight(*split)``, ``_scan_grid(size)`` with size N or 2j, and
-    ``_scan_bound(amps)``."""
+    ``_scan_label(amps)``, the family's stacked first-moment label."""
 
     label: str
     space: SpaceDescriptor
@@ -244,39 +242,22 @@ def _haar_amps(seed: int, index: int, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _cs_distance(state: StateVector) -> float:
-    """Phase-aligned distance to the coherent state at the first-moment label.
+def _cs_distances(family: ModuleType, amps: np.ndarray) -> list:
+    """Phase-aligned distance of each unit row of ``amps`` to the coherent
+    state at its first-moment label, from one ``family._scan_label`` call.
 
     A coherent state's first moments are its label: <J> = j n for a spin
     (``spin.mean_spin_label``) and <a> = alpha for a mode
     (``fock.mean_mode_label``, on the admissible disk; Perelomov, Commun.
-    Math. Phys. 26, 222 (1972)). ``uniqueness_scan`` calls this only for
-    samples whose moment bound cannot place them outside the guard band.
+    Math. Phys. 26, 222 (1972)).
     """
-    label = spin.mean_spin_label if state.space.is_single("spin") else fock.mean_mode_label
-    fid = abs(label(state)[-1])
-    return math.sqrt(max(0.0, 2.0 - 2.0 * fid))
+    return [math.sqrt(max(0.0, 2.0 - 2.0 * abs(overlap)))
+            for overlap in family._scan_label(amps)[-1]]
 
 
-# Each family's ``_scan_bound`` (its proof is the comment above it) caps
-# F* = max_g |<g|psi>| over the admissible coherent states g, from the first
-# moments of a unit sample psi alone; the state at the sample's label is one
-# of them.
-#
-# A sample whose bound plus SCREEN_MARGIN stays below 1 - guard^2/2 has its
-# label distance above the guard band, so it is kept without labelling. The
-# margin covers the rounding of the moments (each a sum of dim terms of size
-# at most j or N, divided by j or by L >= N, so the bound moves by about
-# dim * eps) and that of the label overlap (a computed overlap of unit
-# vectors exceeds its exact value by at most about (2 dim + 10) eps).
-
-#: allowance for rounding between a moment bound and a label fidelity
-SCREEN_MARGIN = 1e-9
 #: most amplitudes one stacked split holds (1 MiB), which keeps a scan's
 #: memory independent of its sample count
 CHUNK_AMPS = 2 ** 16
-#: best coherent fidelity below which every label distance is above the guard
-_FIDELITY_CEILING = 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
 
 
 def _split_entropies(weight: np.ndarray, amps: np.ndarray) -> list:
@@ -298,15 +279,14 @@ def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
     """Split seeded Haar-random states and record their entanglement.
 
     One path for every family: ``system.family`` gives the split weight
-    (``_scan_weight``, built on every call), the moment bound
-    (``_scan_bound``, with its proof) and the coherent grid (``_scan_grid``).
-    A sample is excluded from the non-coherent pool exactly when the
-    coherent state at its first-moment label lies inside the guard band
-    (``_cs_distance``). The bound proves most samples lie outside the band,
-    and a sample is labelled, as a ``StateVector``, only when it cannot.
+    (``_scan_weight``, built on every call), the stacked label
+    (``_scan_label``) and the coherent grid (``_scan_grid``). A sample is
+    excluded from the non-coherent pool exactly when the coherent state at
+    its first-moment label lies inside the guard band (``_cs_distances``).
     Samples go in chunks of at most ``CHUNK_AMPS`` amplitudes, each
-    normalized by ``qcore._normalize_rows``, split with one
-    ``split_amplitudes`` call and cut by one values-only stacked SVD.
+    normalized by ``qcore._normalize_rows``, labelled by one
+    ``_cs_distances`` call, split with one ``split_amplitudes`` call and
+    cut by one values-only stacked SVD.
     ``cs_max_entropy`` splits the grid the same way on every call.
     Each sample draws from its own counter-based stream, so the result does
     not depend on the order samples are processed in, and every entropy is
@@ -323,10 +303,8 @@ def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
         amps = qcore._normalize_rows(np.stack([
             _haar_amps(seed, i, space.dim)
             for i in range(start, min(start + chunk, n_samples))]))
-        entropies = _split_entropies(weight, amps)
-        certified = family._scan_bound(amps) + SCREEN_MARGIN < _FIDELITY_CEILING
-        for row, ent, sure in zip(amps, entropies, certified):
-            if sure or _cs_distance(StateVector(space, row)) > CS_DISTANCE_GUARD:
+        for ent, dist in zip(_split_entropies(weight, amps), _cs_distances(family, amps)):
+            if dist > CS_DISTANCE_GUARD:
                 min_kept = ent if min_kept is None else min(min_kept, ent)
                 n_kept += 1
     # as StateVector normalizes each state

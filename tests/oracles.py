@@ -9,7 +9,7 @@ and the coset exponential, through ``scipy.linalg.expm`` directly.
 
 The library labels a state by its first moments; ``spin_cs_fit`` and
 ``fock_cs_fit`` search, so the tests can hold those labels and the scan's
-moment bounds against the best coherent fidelity.
+label distances against the best coherent fidelity.
 
 The library advances all see-saw starts together as one stack;
 ``seesaw_one_start_at_a_time`` runs them one after another, so the tests

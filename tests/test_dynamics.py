@@ -558,8 +558,12 @@ def test_drives_are_the_closed_forms_only():
 
 
 #: names that left the library, by the place they left: the scan's pieces now
-#: live in ``spin`` and ``fock``, and the test-only checks in ``oracles``
-MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound")),
+#: live in ``spin`` and ``fock``, the test-only checks in ``oracles``, and the
+#: moment-bound screen and the per-state label distance are gone
+MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound",
+                            "SCREEN_MARGIN", "_FIDELITY_CEILING", "_cs_distance")),
+               (spin, ("_scan_bound",)),
+               (fock, ("_scan_bound",)),
                (qcore, ("phase_align", "aligned_distance")),
                (splitting.SeriesPoly, ("perturbed",)),
                (splitting.AflpSolution, ("first_failing_order",)),
@@ -569,8 +573,8 @@ MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound")),
 def test_moved_names_stay_in_their_new_home():
     for module, names in MOVED_NAMES:
         assert [name for name in names if hasattr(module, name)] == []
-    for home, names in ((spin, ("_scan_weight", "_scan_grid", "_scan_bound")),
-                        (fock, ("_scan_weight", "_scan_grid", "_scan_bound")),
+    for home, names in ((spin, ("_scan_weight", "_scan_grid", "_scan_label")),
+                        (fock, ("_scan_weight", "_scan_grid", "_scan_label")),
                         (oracles, ("phase_align", "aligned_distance", "perturbed",
                                    "first_failing_order", "alpha_eta_of_t",
                                    "eta_convention_report"))):

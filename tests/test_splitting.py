@@ -4,21 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coherence_lab import fock, spin, splitting
 from coherence_lab.errors import NotComposite, ValidationError
 from coherence_lab.qcore import StateVector, schmidt_cut, tensor_state
 from coherence_lab.splitting import (
     CS_DISTANCE_GUARD,
-    SCREEN_MARGIN,
     FockScanSystem,
     ScanStats,
     SeriesPoly,
     SpinScanSystem,
-    _cs_distance,
-    _haar_amps,
+    _cs_distances,
     aflp_series_solve,
     factorization_report,
     functional_residuals,
@@ -27,9 +23,7 @@ from coherence_lab.splitting import (
 from oracles import (
     cs_fit_distance,
     first_failing_order,
-    fock_cs_fit,
     perturbed,
-    spin_cs_fit,
 )
 
 
@@ -246,16 +240,12 @@ def test_negative_control_non_stretched_coupling_rejected():
 def test_guard_band_excludes_planted_cs():
     # plant an exact coherent state among the samples via the guard check
     state = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.7))
-    assert _cs_distance(state) < CS_DISTANCE_GUARD
+    assert _cs_distances(spin, state.amps[None, :])[0] < CS_DISTANCE_GUARD
 
 
 # ---------------------------------------------------------------------------
-# the scan's moment bounds and batching
+# the scan's labels and batching
 # ---------------------------------------------------------------------------
-
-def _certified(bound, amps):
-    return bound(amps) + SCREEN_MARGIN < 1.0 - CS_DISTANCE_GUARD ** 2 / 2.0
-
 
 def _random_coherent(kind, size, rng):
     """A random spin coherent state at 2j = 1 + size % 40, or an admissible
@@ -270,61 +260,19 @@ def _random_coherent(kind, size, rng):
 
 
 def _near_coherent(coherent, eps, seed):
-    """``coherent`` plus ``eps`` times a seeded unit noise vector, normalized,
-    or the noise alone, a Haar state, when ``eps`` is None. ``seed`` may be
-    a generator, which the noise draws from."""
+    """``coherent`` plus ``eps`` times a seeded unit noise vector, normalized."""
     rng, dim = np.random.default_rng(seed), coherent.space.dim
     noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     noise /= np.linalg.norm(noise)
-    return StateVector(coherent.space, noise if eps is None else coherent.amps + eps * noise)
-
-
-def _bound_case(kind, size, seed, eps):
-    """A moment bound, a state and its fitted fidelity: a Haar state if ``eps``
-    is None, else a random coherent state perturbed by ``eps``."""
-    rng = np.random.default_rng(seed)
-    state = _near_coherent(_random_coherent(kind, size, rng), eps, rng)
-    fid = (spin_cs_fit(state) if kind == "spin" else fock_cs_fit(state))[-1]
-    return (spin if kind == "spin" else fock)._scan_bound, state, fid
-
-
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["spin", "fock"]),
-       size=st.integers(0, 1000),
-       seed=st.integers(0, 2 ** 32 - 1),
-       eps=st.one_of(st.none(), st.just(0.0),
-                     st.floats(-8.0, math.log10(0.3)).map(lambda x: 10.0 ** x)))
-def test_screen_bound_covers_fitted_fidelity(kind, size, seed, eps):
-    # spin 2j <= 40 and Fock N = 12..60: Haar states and coherent states
-    # perturbed by 1e-8 to 0.3 never fit above the moment bound
-    bound, state, fid = _bound_case(kind, size, seed, eps)
-    row = state.amps[None, :]
-    assert bound(row)[0] >= fid - 1e-12
-    if eps == 0.0:  # a planted coherent state is never certified
-        assert not _certified(bound, row)[0]
-
-
-def test_moment_bound_certifies_every_spin1_sample_of_seed_3():
-    # the largest spin-1 bound of seed 3 is close to 1, but below the guard
-    amps = np.stack([StateVector(spin.spin_space(1), _haar_amps(3, i, 3)).amps
-                     for i in range(60)])
-    assert _certified(spin._scan_bound, amps).all()
-
-
-def test_moment_bound_never_certifies_large_coherent_states():
-    # j = 200 and N = 150, where rounding in the moments is largest
-    row = spin.spin_cs(spin.SpinCsParams.from_angles(200, 1.0, 2.0)).amps[None, :]
-    assert not _certified(spin._scan_bound, row)[0]
-    alpha = 0.9 * fock.admissible_radius(150) * np.exp(0.7j)
-    row = fock.glauber_cs(alpha, 150).amps[None, :]
-    assert not _certified(fock._scan_bound, row)[0]
+    return StateVector(coherent.space, coherent.amps + eps * noise)
 
 
 def _count_labels(monkeypatch):
-    """The samples ``uniqueness_scan`` labels, with every optimizer raising."""
-    calls, label = [], splitting._cs_distance
-    monkeypatch.setattr(splitting, "_cs_distance",
-                        lambda state: calls.append(state) or label(state))
+    """The size of each stack ``uniqueness_scan`` labels, with every
+    optimizer raising."""
+    calls, label = [], splitting._cs_distances
+    monkeypatch.setattr(splitting, "_cs_distances",
+                        lambda family, amps: calls.append(len(amps)) or label(family, amps))
     for module in (fock, spin, scipy.optimize):
         monkeypatch.setattr(module, "minimize", _no_search)
     return calls
@@ -339,36 +287,46 @@ def test_screen_leaves_few_fits(monkeypatch):
     uniqueness_scan(FockScanSystem(24), 30, 1)
     uniqueness_scan(SpinScanSystem(3, 1.5, 1.5), 50, 1)
     uniqueness_scan(SpinScanSystem(1, 0.5, 0.5), 60, 3)
-    assert calls == []
+    # one label call per chunk, and each scan is one chunk
+    assert calls == [30, 50, 60]
 
 
 SPIN_CS = spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j))
 FOCK_CS = fock.glauber_cs(0.5 + 0.3j, 16)
+FOCK60_CS = fock.glauber_cs(1.2 - 0.8j, 60)
 
 
-@pytest.mark.parametrize("system,planted,eps,excluded", [
-    (SpinScanSystem(2, 1, 1), SPIN_CS, 0.0, 1),
-    (FockScanSystem(16), FOCK_CS, 0.0, 1),
-    (SpinScanSystem(2, 1, 1), SPIN_CS, 9e-7, 1),
-    (SpinScanSystem(2, 1, 1), SPIN_CS, 3.6e-6, 0),
-    (FockScanSystem(16), FOCK_CS, 5.2e-7, 1),
-    (FockScanSystem(16), FOCK_CS, 2.1e-6, 0),
-], ids=["spin", "fock", "spin-at-5e-7", "spin-at-2e-6", "fock-at-5e-7", "fock-at-2e-6"])
-def test_scan_fits_and_excludes_a_planted_coherent_sample(monkeypatch, system, planted,
-                                                          eps, excluded):
-    # sample 5 is a coherent state, exact or with noise that puts it about
-    # 5e-7 (inside the guard band) or 2e-6 (outside) from the nearest one: the
-    # bound cannot certify it, so the scan labels it, with no search, and the
-    # coherent state at its label decides
-    state = _near_coherent(planted, eps, 4)
-    if eps:
-        assert cs_fit_distance(state) == pytest.approx(5e-7 if excluded else 2e-6, rel=0.1)
+@pytest.mark.parametrize("system,chunks,plants,excluded", [
+    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 0.0)}, 1),
+    (FockScanSystem(16), [12], {5: (FOCK_CS, 0.0)}, 1),
+    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 9e-7)}, 1),
+    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 3.6e-6)}, 0),
+    (FockScanSystem(16), [12], {5: (FOCK_CS, 5.2e-7)}, 1),
+    (FockScanSystem(16), [12], {5: (FOCK_CS, 2.1e-6)}, 0),
+    (FockScanSystem(60), [17, 17, 6], {22: (FOCK60_CS, 5e-7), 36: (FOCK60_CS, 2e-6)}, 1),
+], ids=["spin", "fock", "spin-at-5e-7", "spin-at-2e-6", "fock-at-5e-7", "fock-at-2e-6",
+        "fock60-in-chunks-2-and-3"])
+def test_scan_fits_and_excludes_a_planted_coherent_sample(monkeypatch, system, chunks,
+                                                          plants, excluded):
+    # each planted sample is a coherent state, exact or with noise that puts
+    # it about 5e-7 (eps below 1e-6, inside the guard band) or 2e-6 (outside)
+    # from the nearest one: the scan labels it, with no search, and the
+    # coherent state at its label decides. A Fock-60 chunk holds 17 rows, so
+    # its two plants are labelled in the second and the third chunk.
+    states = {index: _near_coherent(planted, eps, 4)
+              for index, (planted, eps) in plants.items()}
+    for index, (_, eps) in plants.items():
+        if eps:
+            assert cs_fit_distance(states[index]) == pytest.approx(
+                5e-7 if eps < 1e-6 else 2e-6, rel=0.1)
     haar = splitting._haar_amps
     monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim: (
-        state.amps if index == 5 else haar(seed, index, dim)))
+        states[index].amps if index in states else haar(seed, index, dim)))
     calls = _count_labels(monkeypatch)
-    assert uniqueness_scan(system, 12, 7).n_excluded == excluded
-    assert len(calls) == 1
+    stats = uniqueness_scan(system, sum(chunks), 7)
+    assert stats.n_excluded == excluded
+    assert calls == chunks
+    assert stats == per_sample_scan(system, sum(chunks), 7)
 
 
 @pytest.mark.parametrize("kind", ["spin", "fock"])
@@ -382,12 +340,13 @@ def test_label_distance_is_the_fitted_distance_near_a_coherent_state(kind):
         state = _near_coherent(coherent, 10.0 ** rng.uniform(-5.7, -3.0), case)
         fitted = cs_fit_distance(state)
         assert 1e-6 <= fitted <= 1e-3
-        assert abs(_cs_distance(state) / fitted - 1.0) <= 0.01
+        family = spin if kind == "spin" else fock
+        assert abs(_cs_distances(family, state.amps[None, :])[0] / fitted - 1.0) <= 0.01
 
 
 def per_sample_scan(system, n_samples, seed):
-    """The scan one state at a time, without screen or batching: every
-    sample is labelled, and every sample and grid state is split by
+    """The scan one state at a time, without batching: every sample is
+    labelled as a one-row stack, and every sample and grid state is split by
     ``split_spin``/``split_fock`` and cut by ``schmidt_cut``. The grid is
     built point by point with ``spin_cs``/``glauber_cs``; the record gives
     only the space and the split parameters (jB, jC) or (spec, cutoff)."""
@@ -411,8 +370,8 @@ def per_sample_scan(system, n_samples, seed):
             for ph in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
     kept = []
     for index in range(n_samples):
-        state = StateVector(space, _haar_amps(seed, index, space.dim))
-        if _cs_distance(state) > CS_DISTANCE_GUARD:
+        state = StateVector(space, splitting._haar_amps(seed, index, space.dim))
+        if _cs_distances(system.family, state.amps[None, :])[0] > CS_DISTANCE_GUARD:
             kept.append(schmidt_cut(split(state), 1).entropy_bits)
     return ScanStats(system=system.label, n_samples=n_samples, seed=seed,
                      min_entropy_non_cs=min(kept) if kept else None,
