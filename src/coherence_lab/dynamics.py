@@ -6,9 +6,10 @@ stays coherent with
 
     alpha(t) = -i exp(-i omega t) * integral_0^t lam(tau) exp(i omega tau) dtau
 
-and a global phase whose -omega*t/2 piece depends on whether the vacuum
-energy omega/2 is included in H; the tests measure which convention
-reproduces the textbook phase formula instead of assuming one.
+(in closed form, ``alpha_of_t``) and a global phase whose -omega*t/2 piece
+depends on whether the vacuum energy omega/2 is included in H; the tests
+measure which convention reproduces the textbook phase formula instead of
+assuming one.
 
 Spin: H = beta0 J0 + lam(t) J+ + lam(t)* J-, the same ``DriveSpec`` with
 omega = beta0. Both Hamiltonians are w0 G0 + lam(t) G+ + lam(t)* G-, with G0
@@ -24,12 +25,12 @@ coefficients (w0, lam) at the two nodes and the closed-form commutator
 are stacked over at most dim substeps at a time, each factored by one direct
 tridiagonal eigensolve (LAPACK ``?stevd``); none is built from the closed-form
 solution, so the integrator stays an independent check of it.
-A constant drive takes one exact step per grid interval, at any strength; an
-exponent or step phases beyond the float range raise ``NumericalError``.
-
-A driven trajectory, and every oscillator one (its cutoff check runs the
-substeps' exact map of a coherent amplitude), takes substeps; one that would
-need more than ``MAX_SUBSTEPS`` raises ``NumericalError`` before the first.
+A constant drive takes one exact step per grid interval, in both families,
+at any strength and span; an exponent or step phases beyond the float range
+raise ``NumericalError``. A driven trajectory takes substeps (for the
+oscillator, its cutoff check runs the substeps' exact map of a coherent
+amplitude); one that would need more than ``MAX_SUBSTEPS`` raises
+``NumericalError`` before the first.
 
 A trajectory's samples are one stack from the integrator to the report:
 ``_evolve`` writes them into one (samples, dim) array, which
@@ -47,16 +48,14 @@ import cmath
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg.lapack
 
 from . import fock, qcore, spin
-from .errors import NumericalError, QuadratureFailure, StepSizeTooLarge, ValidationError
+from .errors import NumericalError, StepSizeTooLarge, ValidationError
 from .qcore import StateVector
 
 #: default substep: 1/50 of the shortest period (``_default_step``)
@@ -134,30 +133,26 @@ class DriveSpec:
         return out if np.ndim(out) else complex(out)
 
 
-def _quad_complex(func: Callable[[float], complex], a: float, b: float,
-                  tol: float = 1e-10) -> complex:
-    if b == a:
-        return 0.0
-    with warnings.catch_warnings():
-        # accuracy is judged from the returned error estimate below
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        re, re_err = scipy.integrate.quad(lambda t: func(t).real, a, b,
-                                          epsabs=tol / 4, epsrel=1e-12, limit=400)
-        im, im_err = scipy.integrate.quad(lambda t: func(t).imag, a, b,
-                                          epsabs=tol / 4, epsrel=1e-12, limit=400)
-    if re_err + im_err > tol:
-        raise QuadratureFailure(
-            f"quadrature error {re_err + im_err:.2e} above tolerance {tol:.0e}")
-    return complex(re, im)
-
-
 def alpha_of_t(drive: DriveSpec, t: float) -> complex:
-    """Coherent amplitude reached at time t, by adaptive quadrature."""
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    integral = _quad_complex(lambda tau: drive.lam(tau) * np.exp(1j * drive.omega * tau),
-                             0.0, t)
-    return -1j * np.exp(-1j * drive.omega * t) * integral
+    """Coherent amplitude the drive alone reaches at time t, in closed form.
+
+    lam is a sum of terms c exp(-i s tau): (A, 0) for a constant drive, (A, nu)
+    for an exponential one and (A/2 e^{i phase}, -nu), (A/2 e^{-i phase}, nu)
+    for a sinusoid. Each integrates to c t e^{iy/2} sinc(y/2pi), y = (omega - s) t,
+    in numpy's normalized sinc: exact at resonance and with no cancellation.
+    """
+    if not 0.0 <= t < math.inf:
+        raise ValidationError("t must be finite and >= 0")
+    a, nu = drive.amplitude, drive.frequency
+    if drive.kind == "sinusoid":
+        c, s = 0.5 * a * np.exp([1j * drive.phase, -1j * drive.phase]), np.array([-nu, nu])
+    else:
+        c, s = np.array([a]), np.array([nu if drive.kind == "exponential" else 0.0])
+    y = (drive.omega - s) * t
+    # an amplitude beyond the float range is inf, which no cutoff admits
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = c * t * np.exp(0.5j * y) * np.sinc(y / (2.0 * math.pi))
+        return complex(-1j * np.exp(-1j * drive.omega * t) * terms.sum())
 
 
 @dataclass(frozen=True)
@@ -219,8 +214,8 @@ def _substep_times(grid: np.ndarray, counts: list) -> tuple:
 
 
 def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
-    """1.02 times the peak |alpha| the drive alone reaches over the
-    trajectory's Magnus substeps (``counts[i]`` over grid interval i).
+    """1.02 times the peak |alpha| a driven (not static) drive alone reaches
+    over the trajectory's Magnus substeps (``counts[i]`` over grid interval i).
 
     A substep's exponent is omega dt N + nu a+ + nu* a plus a constant, with
     nu from ``_magnus_coefficients``. It maps a coherent amplitude exactly to
@@ -233,12 +228,9 @@ def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
     if not counts:
         return 0.0
     t, dt = _substep_times(grid, counts)
-    # a peak beyond the float range is inf, which no cutoff admits; a static
-    # drive's nu is lam dt, as its commutator terms are 0 even where dt^2
-    # overflows and 0 * inf would make them nan
+    # a peak beyond the float range is inf, which no cutoff admits
     with np.errstate(all="ignore"):
-        nu = (drive.amplitude * dt if drive.is_static else
-              _magnus_coefficients(lambda s: (drive.omega, drive.lam(s)), t, dt)[2])
+        nu = _magnus_coefficients(lambda s: (drive.omega, drive.lam(s)), t, dt)[2]
         theta = drive.omega * dt
         forcing = nu * (-0.5 * theta * np.sinc(theta / (2.0 * math.pi)) ** 2
                         - 1j * np.sinc(theta / math.pi))
@@ -255,6 +247,12 @@ def _default_step(*rates: float) -> float:
     beyond the float range counts as the largest float); inf if all are 0."""
     fastest = min(max(map(abs, rates)), sys.float_info.max)
     return 2.0 * math.pi / fastest / STEPS_PER_PERIOD if fastest else math.inf
+
+
+def _step_counts(drive: DriveSpec, grid: np.ndarray, step: float) -> list:
+    """Substeps for each grid interval: one for a static drive, which
+    ``_evolve`` steps exactly at any span, else ``_substep_counts``."""
+    return [1] * (grid.size - 1) if drive.is_static else _substep_counts(grid, step)
 
 
 def _substep_counts(grid: np.ndarray, step: float) -> list:
@@ -366,8 +364,9 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
     """Drive a truncated oscillator mode along the given time grid.
 
     The cutoff must admit |alpha(0)| plus the peak amplitude the drive
-    reaches over the substeps, each ``_default_step`` long: it resolves the
-    oscillator's period and the drive's, whichever is shorter.
+    reaches: a constant one's from ``alpha_of_t``, a driven one's over its
+    substeps, each ``_default_step`` long: it resolves the oscillator's
+    period and the drive's, whichever is shorter.
     """
     if not drive.omega > 0:
         raise ValidationError("omega must be positive and finite")
@@ -377,10 +376,14 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
         initial = fock.vacuum(cutoff)
     if initial.space != space:
         raise ValidationError("initial state must live on fock(cutoff)")
-    counts = _substep_counts(grid, _default_step(drive.omega, drive.frequency))
+    counts = _step_counts(drive, grid, _default_step(drive.omega, drive.frequency))
     g0, g = fock._generator_bands(cutoff)
     alpha0 = qcore._first_moments(initial.amps, g0, g)[1]
-    reach = abs(alpha0) + _drive_reach(drive, grid, counts)
+    # a static drive's |alpha| = 2 |lam| |sin(omega t / 2)| / omega peaks at
+    # t = pi / omega, or at the grid's end if that comes first
+    reach = abs(alpha0) + (
+        1.02 * abs(alpha_of_t(drive, min(grid[-1], math.pi / drive.omega)))
+        if drive.is_static else _drive_reach(drive, grid, counts))
     fock.check_cutoff(reach, cutoff)
 
     rows, states = _evolve(drive, (g0, g), initial, grid, counts)
@@ -414,7 +417,7 @@ def evolve_spin(drive: DriveSpec, j, t_grid, initial: StateVector) -> SpinTrajec
     if initial.space != space:
         raise ValidationError("initial state must live on spin(j)")
     step = _default_step(drive.omega, drive.frequency, 2.0 * abs(drive.amplitude))
-    counts = [1] * (grid.size - 1) if drive.is_static else _substep_counts(grid, step)
+    counts = _step_counts(drive, grid, step)
     rows, states = _evolve(drive, spin._generator_bands(space.factors[0].twice_j), initial,
                            grid, counts)
     thetas, phis, zetas, fids = spin._mean_spin_labels(rows)

@@ -62,9 +62,5 @@ class NonFinite(NumericalError):
     """Matrix or vector contains NaN or infinity."""
 
 
-class QuadratureFailure(NumericalError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class StepSizeTooLarge(NumericalError):
     """Time stepping drifted off the unit sphere."""

@@ -33,6 +33,10 @@ one-state labels ``mean_spin_label_one_state`` and
 ``mean_mode_label_one_state`` take one angle or one state per call, so the
 tests can hold the stacked rows and labels to them bit for bit.
 
+The library reads the driven oscillator's amplitude from its closed form;
+``alpha_by_quadrature`` integrates the drive by adaptive quadrature
+(``quad_complex``), so the tests can hold the closed form to it.
+
 The rest serve only the tests: phase-aligned distances between rays, a
 perturbed power series and the first order it fails at, and the textbook
 global phase of the driven oscillator by quadrature, with the measurement of
@@ -41,6 +45,7 @@ which vacuum-energy convention reproduces it.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import scipy.integrate
@@ -48,8 +53,7 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from coherence_lab import bell, dynamics, fock, qcore, spin, splitting
-from coherence_lab.errors import (NonFinite, NumericalError, QuadratureFailure,
-                                  StepSizeTooLarge, ZeroVector)
+from coherence_lab.errors import NonFinite, NumericalError, StepSizeTooLarge, ZeroVector
 from coherence_lab.qcore import NORM_ROUNDING, StateVector
 
 
@@ -371,6 +375,38 @@ def first_failing_order(solution, f_a, f_b, f_c, tol=1e-12):
     return int(bad[0]) if bad.size else None
 
 
+class QuadratureFailure(NumericalError):
+    """Adaptive quadrature did not reach the requested tolerance."""
+
+
+def quad_complex(func, a, b, tol=1e-10):
+    """integral_a^b func(t) dt of a complex ``func``, its real and imaginary
+    parts each by ``scipy.integrate.quad``; ``QuadratureFailure`` when their
+    error estimates add up beyond ``tol``."""
+    if b == a:
+        return 0.0
+    with warnings.catch_warnings():
+        # accuracy is judged from the returned error estimate below
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        re, re_err = scipy.integrate.quad(lambda t: func(t).real, a, b,
+                                          epsabs=tol / 4, epsrel=1e-12, limit=400)
+        im, im_err = scipy.integrate.quad(lambda t: func(t).imag, a, b,
+                                          epsabs=tol / 4, epsrel=1e-12, limit=400)
+    if re_err + im_err > tol:
+        raise QuadratureFailure(
+            f"quadrature error {re_err + im_err:.2e} above tolerance {tol:.0e}")
+    return complex(re, im)
+
+
+def alpha_by_quadrature(drive, t):
+    """Coherent amplitude reached at time t,
+    -i exp(-i omega t) integral_0^t lam(tau) exp(i omega tau) dtau, by
+    adaptive quadrature: the oracle of ``dynamics.alpha_of_t``."""
+    integral = quad_complex(lambda tau: drive.lam(tau) * np.exp(1j * drive.omega * tau),
+                            0.0, t)
+    return -1j * np.exp(-1j * drive.omega * t) * integral
+
+
 def alpha_eta_of_t(drive, t):
     """Amplitude and textbook global phase at time t.
 
@@ -378,11 +414,11 @@ def alpha_eta_of_t(drive, t):
     the convention that includes the oscillator's vacuum energy (see
     ``eta_convention_report``).
     """
-    alpha = dynamics.alpha_of_t(drive, t)
+    alpha = alpha_by_quadrature(drive, t)
     if t == 0:
         return alpha, 0.0
     corr, corr_err = scipy.integrate.quad(
-        lambda tau: (np.conj(drive.lam(tau)) * dynamics.alpha_of_t(drive, tau)).real,
+        lambda tau: (np.conj(drive.lam(tau)) * alpha_by_quadrature(drive, tau)).real,
         0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200)
     if corr_err > 1e-9:
         raise QuadratureFailure(f"phase quadrature error {corr_err:.2e}")

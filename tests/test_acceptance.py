@@ -20,6 +20,7 @@ from coherence_lab.qcore import (
     tensor_state,
 )
 from oracles import (
+    alpha_by_quadrature,
     coset_state,
     expectation,
     generators,
@@ -173,7 +174,7 @@ def test_c07_classical_trajectory():
     assert traj.cs_fidelity.min() > 1 - 1e-6
     worst = 0.0
     for i, t in enumerate(grid):
-        worst = max(worst, abs(traj.alpha_track[i] - dynamics.alpha_of_t(drive, t)))
+        worst = max(worst, abs(traj.alpha_track[i] - alpha_by_quadrature(drive, t)))
     assert worst < 1e-6
     idx_pi = 20
     assert grid[idx_pi] == pytest.approx(math.pi, abs=1e-12)

@@ -6,6 +6,7 @@ import math
 import os
 import platform
 import shlex
+import subprocess
 import sys
 import tempfile
 import time
@@ -407,13 +408,36 @@ def test_evolve_rejects_json_format(capsys):
 
 
 def test_evolve_long_weak_drive_passes_the_cutoff_check(tmp_path):
-    # 31 831 substeps with omega dt up to 4000: |alpha| <= 2 |lambda| / omega
+    # a constant drive takes one exact step per interval, here omega dt = 2000:
+    # |alpha| <= 2 |lambda| / omega
     out = tmp_path / "traj.csv"
     assert run_cli(["evolve", "--omega", "1", "--lambda", "0.01", "--tmax", "4000",
                     "--N", "40", "--samples", "3", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
     assert len(rows) == 3
     assert max(abs(complex(float(r[1]), float(r[2]))) for r in rows) <= 0.02
+
+
+def test_constant_fock_drive_runs_at_any_span(tmp_path):
+    # one exact step per interval, as for a spin: no substep budget applies
+    out = tmp_path / "traj.csv"
+    assert run_cli(["evolve", "--omega", "1", "--lambda", "0.1", "--N", "20",
+                    "--tmax", "1e5", "--samples", "3", "--out", str(out)]) == 0
+    last = out.read_text().strip().split("\n")[-1].split(",")
+    want = dynamics.alpha_of_t(dynamics.DriveSpec.constant(1.0, 0.1), 1e5)
+    assert float(last[0]) == 1e5
+    assert abs(complex(float(last[1]), float(last[2])) - want) < 1e-9
+
+
+def test_cli_import_leaves_out_the_quadrature():
+    # the library's adaptive quadrature is test code now (``oracles.quad_complex``)
+    code = "import sys, coherence_lab.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(dynamics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +600,9 @@ def test_config_values_parse_like_flags(command, config, code, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["series", "--order", "8", "--mu", "1e200", "--nu", "1e200"],
     ["series", "--order", "3", "--mu", "1e-200", "--nu", "1e-200"],
-    # beyond the oscillator's substep budget: 8e6 substeps
-    ["evolve", "--omega", "1e6", "--lambda", "0", "--tmax", "1", "--N", "20",
-     "--samples", "2"],
+    # a driven oscillator beyond the substep budget: 8e6 substeps
+    ["evolve", "--omega", "1e6", "--lambda", "0", "--drive", "sinusoid", "--tmax", "1",
+     "--N", "20", "--samples", "2"],
     # a spin Hamiltonian whose Magnus exponent leaves the float range
     ["evolve", "--system", "spin", "--j", "1", "--beta0", "1e300", "--beta-plus", "1e300",
      "--zeta0", "0.5", "--tmax", "1"],

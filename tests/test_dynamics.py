@@ -16,6 +16,8 @@ from coherence_lab import bell, cli, fock, qcore, spin, splitting
 from coherence_lab.dynamics import DriveSpec, alpha_of_t, evolve_fock, evolve_spin
 from coherence_lab.errors import NumericalError, StepSizeTooLarge, ValidationError
 from oracles import (
+    QuadratureFailure,
+    alpha_by_quadrature,
     alpha_eta_of_t,
     eta_convention_report,
     expectation,
@@ -73,11 +75,38 @@ def test_alpha_requires_nonnegative_time():
         alpha_of_t(constant_drive(), -0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -5e-324], ids=str)
+def test_alpha_refuses_a_non_finite_or_negative_time(t):
+    for drive in (constant_drive(), DriveSpec.sinusoid(1.0, 0.3, 2.0)):
+        with pytest.raises(ValidationError, match="t must be finite and >= 0"):
+            alpha_of_t(drive, t)
+
+
 def test_quadrature_failure_on_hopeless_integrand():
-    from coherence_lab.errors import QuadratureFailure
+    # the oracle's quadrature gives up on 50000 / (2 pi) drive periods, while
+    # the closed form keeps within the bound of its two off-resonant terms
     drive = DriveSpec.sinusoid(1.0, 0.3, 50000.0)
     with pytest.raises(QuadratureFailure):
-        alpha_of_t(drive, 60.0)
+        alpha_by_quadrature(drive, 60.0)
+    assert abs(alpha_of_t(drive, 60.0)) <= 0.3 * (1 / 50001.0 + 1 / 49999.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(dyn.DRIVE_KINDS), omega=st.floats(-3.0, 3.0),
+       detuning=st.sampled_from([0.0, 1e-9, -1e-6, 1e-3]) | st.floats(-2.0, 2.0),
+       sign=st.sampled_from([1.0, -1.0]), amplitude=st.complex_numbers(max_magnitude=1.0),
+       phase=st.floats(0.0, 2 * math.pi), t=st.floats(0.0, 30.0))
+@example(kind="constant", omega=0.0, detuning=0.0, sign=1.0, amplitude=0.2, phase=0.0, t=30.0)
+@example(kind="exponential", omega=1.0, detuning=0.0, sign=1.0, amplitude=0.1j, phase=0.0,
+         t=30.0)
+@example(kind="sinusoid", omega=1.3, detuning=0.0, sign=-1.0, amplitude=0.5, phase=1.0,
+         t=30.0)
+def test_closed_form_alpha_matches_quadrature(kind, omega, detuning, sign, amplitude, phase,
+                                              t):
+    # at and near resonance: the drive frequency is +-(omega + detuning), so
+    # the sinusoid's either term, or the exponential, meets omega
+    drive = DriveSpec(omega, kind, amplitude, sign * (omega + detuning), phase)
+    assert abs(alpha_of_t(drive, t) - alpha_by_quadrature(drive, t)) <= 1e-10
 
 
 #: one drive of each kind, and an exponential one at resonance, whose
@@ -219,7 +248,7 @@ def test_evolve_constant_drive_tracks_quadrature_alpha():
     grid = np.linspace(0, 2 * math.pi, 33)
     traj = evolve_fock(drive, grid, 40)
     for i, t in enumerate(grid):
-        want = alpha_of_t(drive, t)
+        want = alpha_by_quadrature(drive, t)
         assert abs(traj.alpha_track[i] - want) < 1e-6
     assert traj.cs_fidelity.min() > 1 - 1e-6
 
@@ -287,11 +316,15 @@ def test_evolve_moderate_sinusoid_drives_meet_amplitude_bound():
 
 def test_substep_budget(monkeypatch):
     import coherence_lab.dynamics as dyn
-    # 8e6 substeps at the default step
+    # a driven oscillator needs 8e6 substeps at the default step
     with pytest.raises(NumericalError):
-        evolve_fock(DriveSpec.constant(1e6, 0), np.array([0.0, 1.0]), 20)
-    # a static spin Hamiltonian takes one exact step per interval at any
-    # strength: zeta(t) = zeta(0) exp(-i beta0 t)
+        evolve_fock(DriveSpec.sinusoid(1e6, 0, 1.0), np.array([0.0, 1.0]), 20)
+    # a static one takes one exact step per interval at any strength:
+    # alpha(t) = alpha(0) exp(-i omega t)
+    traj = evolve_fock(DriveSpec.constant(1e6, 0), np.array([0.0, 1.0]), 20,
+                       initial=fock.glauber_cs(0.5, 20))
+    assert abs(traj.alpha_track[-1] - 0.5 * np.exp(-1e6j)) < 1e-9
+    # and so does a static spin Hamiltonian: zeta(t) = zeta(0) exp(-i beta0 t)
     initial = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.5))
     traj = evolve_spin(DriveSpec.constant(1e9, 0), 1, np.array([0.0, 1.0]), initial)
     want = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.5 * np.exp(-1e9j)))
@@ -301,8 +334,8 @@ def test_substep_budget(monkeypatch):
     with pytest.raises(NumericalError):
         evolve_spin(DriveSpec.constant(1e300, 1e300), 1, np.array([0.0, 1.0]), initial)
     # span / step overflows to inf: the default step of omega = 1.7e308 is subnormal
-    with pytest.raises(NumericalError):
-        evolve_fock(DriveSpec.constant(1.7e308, 0), np.array([0.0, 1.0]), 20)
+    with pytest.raises(NumericalError, match="substeps"):
+        evolve_fock(DriveSpec.sinusoid(1.7e308, 0, 0.0), np.array([0.0, 1.0]), 20)
     # the budget counts the substeps of the whole trajectory
     monkeypatch.setattr(dyn, "MAX_SUBSTEPS", 10)
     assert dyn._substep_counts(np.array([0.0, 1.0]), 0.1) == [10]
@@ -558,8 +591,9 @@ def test_drives_are_the_closed_forms_only():
 
 
 #: names that left the library, by the place they left: the scan's pieces now
-#: live in ``spin`` and ``fock``, the test-only checks in ``oracles``, and the
-#: moment-bound screen and the per-state label distance are gone
+#: live in ``spin`` and ``fock``, the test-only checks and the quadrature of
+#: the driven oscillator in ``oracles``, and the moment-bound screen and the
+#: per-state label distance are gone
 MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound",
                             "SCREEN_MARGIN", "_FIDELITY_CEILING", "_cs_distance")),
                (spin, ("_scan_bound",)),
@@ -567,7 +601,8 @@ MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound",
                (qcore, ("phase_align", "aligned_distance")),
                (splitting.SeriesPoly, ("perturbed",)),
                (splitting.AflpSolution, ("first_failing_order",)),
-               (dyn, ("alpha_eta_of_t", "eta_convention_report")))
+               (dyn, ("alpha_eta_of_t", "eta_convention_report", "_quad_complex")),
+               (coherence_lab.errors, ("QuadratureFailure",)))
 
 
 def test_moved_names_stay_in_their_new_home():
@@ -577,7 +612,8 @@ def test_moved_names_stay_in_their_new_home():
                         (fock, ("_scan_weight", "_scan_grid", "_scan_label")),
                         (oracles, ("phase_align", "aligned_distance", "perturbed",
                                    "first_failing_order", "alpha_eta_of_t",
-                                   "eta_convention_report"))):
+                                   "eta_convention_report", "quad_complex",
+                                   "alpha_by_quadrature", "QuadratureFailure"))):
         assert all(hasattr(home, name) for name in names)
     # one scan-system record, whose two constructors are functions
     for make in (splitting.SpinScanSystem, splitting.FockScanSystem):

@@ -282,7 +282,7 @@ def _no_search(*args, **kwargs):
     raise AssertionError("an optimizer ran")
 
 
-def test_screen_leaves_few_fits(monkeypatch):
+def test_scan_labels_each_chunk_in_one_call(monkeypatch):
     calls = _count_labels(monkeypatch)
     uniqueness_scan(FockScanSystem(24), 30, 1)
     uniqueness_scan(SpinScanSystem(3, 1.5, 1.5), 50, 1)
@@ -306,8 +306,8 @@ FOCK60_CS = fock.glauber_cs(1.2 - 0.8j, 60)
     (FockScanSystem(60), [17, 17, 6], {22: (FOCK60_CS, 5e-7), 36: (FOCK60_CS, 2e-6)}, 1),
 ], ids=["spin", "fock", "spin-at-5e-7", "spin-at-2e-6", "fock-at-5e-7", "fock-at-2e-6",
         "fock60-in-chunks-2-and-3"])
-def test_scan_fits_and_excludes_a_planted_coherent_sample(monkeypatch, system, chunks,
-                                                          plants, excluded):
+def test_scan_excludes_a_planted_coherent_sample(monkeypatch, system, chunks, plants,
+                                                 excluded):
     # each planted sample is a coherent state, exact or with noise that puts
     # it about 5e-7 (eps below 1e-6, inside the guard band) or 2e-6 (outside)
     # from the nearest one: the scan labels it, with no search, and the
