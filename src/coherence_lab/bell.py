@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-# perfbench/spans.py wraps ``bell.minimize`` by name, so the binding stays
-from scipy.optimize import minimize  # noqa: F401
 
 from . import qcore
 from .errors import (
@@ -40,6 +38,10 @@ from .errors import (
     ValidationError,
 )
 from .qcore import SpaceDescriptor, StateVector
+
+# perfbench/spans.py's MINIMIZE_USERS loop looks this up; ROADMAP item 1 deletes both
+minimize = None
+
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -375,8 +377,9 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
     subsystem dimensions: it runs the see-saw from ``n_starts`` seeded
     random starts, advanced together in stacks of at most
     ``SEESAW_STACK_AMPS`` observable entries, each until the gain still to
-    come, extrapolated from its last sweeps, is at most ``tol`` (positive
-    and finite). The first start with the highest value wins. Two-level factors
+    come, extrapolated from its last sweeps, is at most ``tol``. The first
+    start with the highest value wins. Under either strategy ``n_starts`` must
+    be at least 1 and ``tol`` positive and finite. Two-level factors
     get traceless observables, so ``settings.angle_lists()`` gives their Bloch
     angles.
     ``max_value`` is the ``chsh_value`` of the returned settings, and
@@ -385,6 +388,10 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
     """
     if state.space.nfactors != 2:
         raise SpaceMismatch("CHSH maximization needs a two-factor state")
+    if n_starts < 1:
+        raise ValidationError("n_starts must be >= 1")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError("tol must be positive and finite")
     if strategy == "analytic-qubit":
         if state.space.factor_dims != (2, 2):
             raise StrategyUnavailable("analytic strategy needs two two-level factors")
@@ -393,9 +400,5 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
     if strategy == "multistart-local-search":
         if seed is None:
             raise ValidationError("the numerical strategy requires an explicit seed")
-        if n_starts < 1:
-            raise ValidationError("n_starts must be >= 1")
-        if not 0.0 < tol < math.inf:
-            raise ValidationError("tol must be positive and finite")
         return _maximize_seesaw(state, n_starts, seed, tol)
     raise StrategyUnavailable(f"unknown strategy {strategy!r}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from itertools import chain, repeat
 
 import numpy as np
@@ -50,10 +51,24 @@ def complex_pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _json_number(x) -> float:
+    """``x`` as a float if it is a finite JSON number: an int other than a
+    bool, or a finite float. A string, a bool, a NaN, an infinity or an int
+    past float range is refused rather than converted."""
+    if type(x) is int:  # bool is an int subclass
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    elif type(x) is float and math.isfinite(x):
+        return x
+    raise TypeError(f"amplitude parts must be finite numbers, got {x!r}")
+
+
 def pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ConfigError(f"complex values are [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+        raise TypeError(f"complex values are [re, im] pairs, got {pair!r}")
+    return complex(_json_number(pair[0]), _json_number(pair[1]))
 
 
 def space_to_dict(space: SpaceDescriptor) -> dict:

@@ -429,15 +429,40 @@ def test_constant_fock_drive_runs_at_any_span(tmp_path):
     assert abs(complex(float(last[1]), float(last[2])) - want) < 1e-9
 
 
-def test_cli_import_leaves_out_the_quadrature():
-    # the library's adaptive quadrature is test code now (``oracles.quad_complex``)
-    code = "import sys, coherence_lab.cli; print('scipy.integrate' in sys.modules)"
+#: one call per command path, as the README runs them but smaller
+COMMAND_PATHS = [
+    ["split", "--system", "fock", "--alpha", "1+0i", "--N", "40", "--save-state", "split.json"],
+    ["split", "--system", "spin", "--jA", "1", "--jB", "0.5", "--jC", "0.5", "--zeta", "1+0i"],
+    ["chsh", "--state", "split-spin1-m0", "--strategy", "analytic-qubit"],
+    ["chsh", "--state", "split.json", "--strategy", "multistart", "--n-starts", "4",
+     "--seed", "7"],
+    ["evolve", "--drive", "sinusoid", "--lambda", "0.2", "--omega", "1",
+     "--drive-frequency", "1.3", "--tmax", "1", "--N", "20", "--samples", "3"],
+    ["evolve", "--system", "spin", "--j", "1", "--beta0", "1", "--beta-plus", "0.3",
+     "--zeta0", "0.5", "--drive", "sinusoid", "--drive-frequency", "3", "--tmax", "1",
+     "--samples", "3"],
+    ["scan", "--system", "fock", "--N", "14", "--n-samples", "4", "--seed", "3"],
+    ["scan", "--system", "spin", "--jA", "1", "--jB", "0.5", "--jC", "0.5", "--n-samples", "4",
+     "--seed", "7"],
+    ["series", "--order", "4", "--mu", "0.6", "--nu", "0.8"],
+]
+
+
+def test_command_paths_load_no_optimizer_or_quadrature(tmp_path):
+    # the claims need only scipy.special and scipy.linalg.lapack: no command
+    # loads scipy.optimize, or the quadrature that now lives in ``oracles``
+    code = ("import contextlib, io, json, sys\n"
+            "from coherence_lab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, [m for m in ('scipy.optimize', 'scipy.integrate')\n"
+            "              if m in sys.modules])\n")
     src = str(Path(dynamics.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
         src, os.environ.get("PYTHONPATH")))))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True)
-    assert result.stdout == "False\n"
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(COMMAND_PATHS)],
+                            capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+    assert result.stdout == f"{[0] * len(COMMAND_PATHS)} []\n", result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +594,9 @@ def test_validation_error_exit_code(capsys):
     # the oscillator needs omega > 0, though a spin's beta0 may be any real
     ["evolve", "--omega", "0", "--tmax", "1", "--N", "20", "--samples", "2"],
     ["evolve", "--omega", "-1", "--tmax", "1", "--N", "20", "--samples", "2"],
+    # --tol and --n-starts are checked under the analytic strategy too
+    *(["chsh", "--state", "split-spin1-m0", "--tol", tol] for tol in ("nan", "-1", "0", "inf")),
+    ["chsh", "--state", "split-spin1-m0", "--n-starts", "0"],
 ])
 def test_malformed_values_exit_2_with_one_line(argv, capsys):
     assert run_cli(argv) == 2
@@ -832,7 +860,8 @@ FLAGS = {
     "chsh": {
         "state": ["split-spin1-m0", "split-spin1-lowest", "no-such-state", "",
                   "@good", "@malformed", "@bad-amps", "@bad-space", "@float-size",
-                  "@bool-size", "@string-size", "@huge-amps"],
+                  "@bool-size", "@string-size", "@huge-amps", "@string-amps", "@bool-amps",
+                  "@nan-amps", "@huge-int-amps", "@scalar-amps"],
         "strategy": ["analytic-qubit", "multistart", "multistart-local-search", "bogus"],
         "n-starts": _small("1", "2", "4"), "seed": SEED,
         "tol": ["1e-7", "1e-3", "0", "-1", "nan", "inf", "1e300", "", "abc"],
@@ -863,6 +892,11 @@ def _two_by_two(first):
             "amps": [[0, 0], [0.6, 0], [0.8, 0], [0, 0]]}
 
 
+def _two_qubit_amps(first):
+    return {"space": {"factors": [{"kind": "spin", "twice_j": 1}] * 2},
+            "amps": [first, [0, 0], [0, 0], [0, 0]]}
+
+
 STATE_FILES = {
     "@good": lambda: serialize.state_to_dict(spin.split_spin(spin.basis_state(1, 0), 0.5, 0.5)),
     "@malformed": lambda: {"space": {"factors": [{"kind": "fock"}]}, "amps": "x"},
@@ -877,6 +911,12 @@ STATE_FILES = {
     # a two-qubit file whose squared amplitudes overflow
     "@huge-amps": lambda: {"space": {"factors": [{"kind": "spin", "twice_j": 1}] * 2},
                            "amps": [[1e308, 1e308]] * 4},
+    # two-qubit files with an amplitude part that is not a finite JSON number
+    "@string-amps": lambda: _two_qubit_amps(["1", 0]),
+    "@bool-amps": lambda: _two_qubit_amps([True, 0]),
+    "@nan-amps": lambda: _two_qubit_amps([math.nan, 0]),
+    "@huge-int-amps": lambda: _two_qubit_amps([10 ** 400, 0]),
+    "@scalar-amps": lambda: _two_qubit_amps(1),
 }
 
 #: one valid call per command and system; examples change or drop flags of one
@@ -988,6 +1028,19 @@ def test_state_file_factor_sizes_must_be_json_integers(name, tmp_path):
     code, err = _exit_and_stderr(["chsh", "--state", str(path)])
     assert code == 2
     assert err.startswith("error: malformed space descriptor: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["@string-amps", "@bool-amps", "@nan-amps",
+                                  "@huge-int-amps", "@scalar-amps"])
+def test_state_file_amplitudes_must_be_pairs_of_finite_json_numbers(name, tmp_path):
+    # float() would read "1" or true as 1.0; a NaN token ended in exit 3, and
+    # an integer past float range in a traceback
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(STATE_FILES[name]()))  # NaN as json.load reads it
+    code, err = _exit_and_stderr(["chsh", "--state", str(path)])
+    assert code == 2
+    assert err.startswith("error: malformed state file: ")
     assert err.count("\n") == 1
 
 
