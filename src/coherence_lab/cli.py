@@ -294,13 +294,7 @@ def cmd_evolve(args) -> int:
     else:
         _require(args, ["j", "beta0"])
         w0, amplitude = args.beta0, parse_complex(args.beta_plus)
-    if args.drive == "constant":
-        drive = dynamics.DriveSpec.constant(w0, amplitude)
-    elif args.drive == "sinusoid":
-        drive = dynamics.DriveSpec.sinusoid(w0, amplitude, args.drive_frequency,
-                                            args.drive_phase)
-    else:
-        drive = dynamics.DriveSpec.exponential(w0, amplitude, args.drive_frequency)
+    drive = dynamics.DriveSpec(w0, args.drive, amplitude, args.drive_frequency, args.drive_phase)
     if args.system == "fock":
         initial = None
         if args.initial_alpha is not None:

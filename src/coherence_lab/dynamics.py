@@ -28,9 +28,9 @@ solution, so the integrator stays an independent check of it.
 A constant drive takes one exact step per grid interval, in both families,
 at any strength and span; an exponent or step phases beyond the float range
 raise ``NumericalError``. A driven trajectory takes substeps (for the
-oscillator, its cutoff check runs the substeps' exact map of a coherent
-amplitude); one that would need more than ``MAX_SUBSTEPS`` raises
-``NumericalError`` before the first.
+oscillator, its cutoff check reads ``alpha_of_t`` at every substep's end);
+one that would need more than ``MAX_SUBSTEPS`` raises ``NumericalError``
+before the first.
 
 A trajectory's samples are one stack from the integrator to the report:
 ``_evolve`` writes them into one (samples, dim) array, which
@@ -133,26 +133,29 @@ class DriveSpec:
         return out if np.ndim(out) else complex(out)
 
 
-def alpha_of_t(drive: DriveSpec, t: float) -> complex:
-    """Coherent amplitude the drive alone reaches at time t, in closed form.
+def alpha_of_t(drive: DriveSpec, t):
+    """Coherent amplitude the drive alone reaches at time t, in closed form: a
+    complex for a float t, an array for an array t.
 
     lam is a sum of terms c exp(-i s tau): (A, 0) for a constant drive, (A, nu)
     for an exponential one and (A/2 e^{i phase}, -nu), (A/2 e^{-i phase}, nu)
     for a sinusoid. Each integrates to c t e^{iy/2} sinc(y/2pi), y = (omega - s) t,
     in numpy's normalized sinc: exact at resonance and with no cancellation.
     """
-    if not 0.0 <= t < math.inf:
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t < math.inf)):
         raise ValidationError("t must be finite and >= 0")
     a, nu = drive.amplitude, drive.frequency
     if drive.kind == "sinusoid":
         c, s = 0.5 * a * np.exp([1j * drive.phase, -1j * drive.phase]), np.array([-nu, nu])
     else:
         c, s = np.array([a]), np.array([nu if drive.kind == "exponential" else 0.0])
-    y = (drive.omega - s) * t
+    y = (drive.omega - s) * t[..., None]
     # an amplitude beyond the float range is inf, which no cutoff admits
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = c * t * np.exp(0.5j * y) * np.sinc(y / (2.0 * math.pi))
-        return complex(-1j * np.exp(-1j * drive.omega * t) * terms.sum())
+        terms = c * t[..., None] * np.exp(0.5j * y) * np.sinc(y / (2.0 * math.pi))
+        out = -1j * np.exp(-1j * drive.omega * t) * terms.sum(axis=-1)
+    return out if np.ndim(out) else complex(out)
 
 
 @dataclass(frozen=True)
@@ -215,31 +218,20 @@ def _substep_times(grid: np.ndarray, counts: list) -> tuple:
 
 def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
     """1.02 times the peak |alpha| a driven (not static) drive alone reaches
-    over the trajectory's Magnus substeps (``counts[i]`` over grid interval i).
-
-    A substep's exponent is omega dt N + nu a+ + nu* a plus a constant, with
-    nu from ``_magnus_coefficients``. It maps a coherent amplitude exactly to
-    alpha <- r alpha + (r - 1) nu / (omega dt), r = exp(-i omega dt), which is
-    stable at any step: this is the amplitude the untruncated integrator
-    carries from the vacuum. With theta = omega dt, (r - 1) / theta is
-    -(theta/2) sinc(theta/2pi)^2 - i sinc(theta/pi), in numpy's normalized
-    sinc, so no division by an underflowing omega dt.
-    """
+    at the ends of the trajectory's Magnus substeps (``counts[i]`` over grid
+    interval i), on the orbit the untruncated integrator follows from the
+    vacuum at t0 = grid[0]: ``alpha_of_t(t)`` less the free rotation
+    exp(-i omega (t - t0)) of ``alpha_of_t(t0)``."""
     if not counts:
         return 0.0
-    t, dt = _substep_times(grid, counts)
-    # a peak beyond the float range is inf, which no cutoff admits
-    with np.errstate(all="ignore"):
-        nu = _magnus_coefficients(lambda s: (drive.omega, drive.lam(s)), t, dt)[2]
-        theta = drive.omega * dt
-        forcing = nu * (-0.5 * theta * np.sinc(theta / (2.0 * math.pi)) ** 2
-                        - 1j * np.sinc(theta / math.pi))
-    alphas = itertools.accumulate(zip(np.exp(-1j * theta).tolist(), forcing.tolist()),
-                                  lambda a, rf: rf[0] * a + rf[1], initial=0j)
-    peaks = [abs(a) for a in alphas]
-    # a nan amplitude (0 * inf in a drive that is constant but not static)
-    # is refused like inf; max alone would pass over it
-    return math.inf if any(map(math.isnan, peaks)) else 1.02 * max(peaks)
+    # t0 and every substep's end
+    times = np.append(_substep_times(grid, counts)[0], grid[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        alphas = alpha_of_t(drive, times)
+        orbit = alphas - np.exp(-1j * drive.omega * (times - times[0])) * alphas[0]
+        peak = float(np.abs(orbit).max())
+    # a nan amplitude (inf - inf in a sinusoid's two terms) is refused like inf
+    return math.inf if math.isnan(peak) else 1.02 * peak
 
 
 def _default_step(*rates: float) -> float:
@@ -363,10 +355,11 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
                 initial: Optional[StateVector] = None) -> Trajectory:
     """Drive a truncated oscillator mode along the given time grid.
 
-    The cutoff must admit |alpha(0)| plus the peak amplitude the drive
-    reaches: a constant one's from ``alpha_of_t``, a driven one's over its
-    substeps, each ``_default_step`` long: it resolves the oscillator's
-    period and the drive's, whichever is shorter.
+    The cutoff must admit |alpha(0)| plus 1.02 times the peak of
+    ``alpha_of_t``: a constant drive's at its one peak time, a driven one's
+    over the ends of its substeps (``_drive_reach``), each ``_default_step``
+    long: it resolves the oscillator's period and the drive's, whichever is
+    shorter.
     """
     if not drive.omega > 0:
         raise ValidationError("omega must be positive and finite")

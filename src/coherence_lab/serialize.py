@@ -19,7 +19,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .dynamics import SpinTrajectory, Trajectory
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, ZeroVector
 from .qcore import FACTOR_KINDS, Factor, SpaceDescriptor, StateVector
 
 SCHEMA_VERSION = 1
@@ -109,7 +109,10 @@ def state_from_dict(data: dict) -> StateVector:
         amps = np.array([pair_to_complex(p) for p in data["amps"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed state file: {exc}") from exc
-    return StateVector(space, amps)
+    try:
+        return StateVector(space, amps)
+    except ZeroVector as exc:  # null amplitudes name no state
+        raise ConfigError(f"malformed state file: {exc}") from exc
 
 
 #: compact settings, under which json runs its C encoder; any indent sends

@@ -597,6 +597,11 @@ def test_validation_error_exit_code(capsys):
     # --tol and --n-starts are checked under the analytic strategy too
     *(["chsh", "--state", "split-spin1-m0", "--tol", tol] for tol in ("nan", "-1", "0", "inf")),
     ["chsh", "--state", "split-spin1-m0", "--n-starts", "0"],
+    # a non-finite flag that the chosen drive kind ignores
+    ["evolve", "--drive", "constant", "--drive-frequency", "nan", "--omega", "1", "--tmax", "1",
+     "--N", "20", "--samples", "2"],
+    ["evolve", "--drive", "exponential", "--drive-phase", "inf", "--omega", "1", "--tmax",
+     "1", "--N", "20", "--samples", "2"],
 ])
 def test_malformed_values_exit_2_with_one_line(argv, capsys):
     assert run_cli(argv) == 2
@@ -720,8 +725,7 @@ def test_vanishing_omega_reach_exits_2_with_one_line(omega, tmax, message, capsy
 
 @pytest.mark.parametrize("drive,message", [
     ("constant", "|alpha|=1.02e+299 needs a cutoff beyond the float range"),
-    # constant in time but not static: its commutator terms are 0 * inf = nan
-    ("sinusoid", "|alpha|=inf needs a cutoff beyond the float range"),
+    ("sinusoid", "|alpha|=1.02e+299 needs a cutoff beyond the float range"),
 ], ids=["constant", "sinusoid"])
 @pytest.mark.filterwarnings("error")
 def test_constant_drive_with_overflowing_substep_exits_2_with_one_line(drive, message,
@@ -861,7 +865,7 @@ FLAGS = {
         "state": ["split-spin1-m0", "split-spin1-lowest", "no-such-state", "",
                   "@good", "@malformed", "@bad-amps", "@bad-space", "@float-size",
                   "@bool-size", "@string-size", "@huge-amps", "@string-amps", "@bool-amps",
-                  "@nan-amps", "@huge-int-amps", "@scalar-amps"],
+                  "@nan-amps", "@huge-int-amps", "@scalar-amps", "@zero-amps", "@tiny-amps"],
         "strategy": ["analytic-qubit", "multistart", "multistart-local-search", "bogus"],
         "n-starts": _small("1", "2", "4"), "seed": SEED,
         "tol": ["1e-7", "1e-3", "0", "-1", "nan", "inf", "1e300", "", "abc"],
@@ -917,6 +921,9 @@ STATE_FILES = {
     "@nan-amps": lambda: _two_qubit_amps([math.nan, 0]),
     "@huge-int-amps": lambda: _two_qubit_amps([10 ** 400, 0]),
     "@scalar-amps": lambda: _two_qubit_amps(1),
+    # two-qubit files with no state: all amplitudes zero, or too small to normalize
+    "@zero-amps": lambda: _two_qubit_amps([0, 0]),
+    "@tiny-amps": lambda: _two_qubit_amps([1e-320, 0]),
 }
 
 #: one valid call per command and system; examples change or drop flags of one
@@ -1038,6 +1045,17 @@ def test_state_file_amplitudes_must_be_pairs_of_finite_json_numbers(name, tmp_pa
     # an integer past float range in a traceback
     path = tmp_path / "state.json"
     path.write_text(json.dumps(STATE_FILES[name]()))  # NaN as json.load reads it
+    code, err = _exit_and_stderr(["chsh", "--state", str(path)])
+    assert code == 2
+    assert err.startswith("error: malformed state file: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["@zero-amps", "@tiny-amps"])
+def test_null_state_file_exits_2_with_one_line(name, tmp_path):
+    # it names no state: invalid input, not a numerical failure (exit 3)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(STATE_FILES[name]()))
     code, err = _exit_and_stderr(["chsh", "--state", str(path)])
     assert code == 2
     assert err.startswith("error: malformed state file: ")

@@ -78,8 +78,9 @@ def test_alpha_requires_nonnegative_time():
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -5e-324], ids=str)
 def test_alpha_refuses_a_non_finite_or_negative_time(t):
     for drive in (constant_drive(), DriveSpec.sinusoid(1.0, 0.3, 2.0)):
-        with pytest.raises(ValidationError, match="t must be finite and >= 0"):
-            alpha_of_t(drive, t)
+        for times in (t, np.array([0.0, t, 1.0])):
+            with pytest.raises(ValidationError, match="t must be finite and >= 0"):
+                alpha_of_t(drive, times)
 
 
 def test_quadrature_failure_on_hopeless_integrand():
@@ -134,45 +135,37 @@ def test_lam_takes_arrays(drive):
     assert got.shape == t.shape and got.dtype == complex
     np.testing.assert_allclose(got, [drive.lam(float(x)) for x in t], rtol=0, atol=1e-15)
     assert type(drive.lam(1.5)) is complex
+    got = alpha_of_t(drive, t)
+    assert got.shape == t.shape and got.dtype == complex
+    np.testing.assert_allclose(got, [alpha_of_t(drive, float(x)) for x in t], rtol=0,
+                               atol=1e-15)
+    assert type(alpha_of_t(drive, 1.5)) is complex
 
 
 @pytest.mark.parametrize("drive", DRIVES.values(), ids=list(DRIVES))
 def test_drive_reach_is_the_amplitude_the_integrator_follows(drive):
-    # one substep per interval: the states at the grid times are every
-    # point of the reach recurrence
+    # the reach reads the closed-form orbit at every substep end, and at the
+    # default step the integrator's <a> there is that orbit
     grid = np.linspace(0.0, 20.0, 161)
-    peak = np.abs(fock_alphas(drive, grid, 60, 1.0001 * (grid[1] - grid[0]))).max()
-    assert dyn._drive_reach(drive, grid, [1] * 160) / 1.02 == pytest.approx(peak, rel=1e-12)
+    counts = dyn._substep_counts(grid, dyn._default_step(drive.omega, drive.frequency))
+    times = np.append(dyn._substep_times(grid, counts)[0], grid[-1])
+    reach = dyn._drive_reach(drive, grid, counts) / 1.02
+    assert reach == pytest.approx(max(abs(alpha_of_t(drive, float(t))) for t in times[1:]),
+                                  rel=1e-12)
+    # one substep per interval of the grid of substep bounds: the same substeps
+    peak = np.abs(fock_alphas(drive, times, 60, math.inf)).max()
+    assert reach == pytest.approx(peak, rel=1e-6)
 
 
-def loop_drive_reach(drive, grid, counts):
-    """The cutoff check's substep recurrence as a loop: the reference for
-    ``_drive_reach``, which runs it on arrays."""
-    alpha, peak = 0j, 0.0
-    for start, end, n in zip(grid, grid[1:], counts):
-        dt = (end - start) / n
-        r = np.exp(-1j * drive.omega * dt)
-        for k in range(n):
-            t = start + k * dt
-            lam1 = drive.lam(t + (0.5 - math.sqrt(3) / 6) * dt)
-            lam2 = drive.lam(t + (0.5 + math.sqrt(3) / 6) * dt)
-            nu = dt / 2 * (lam1 + lam2) - 1j * math.sqrt(3) / 12 * drive.omega * dt ** 2 * (
-                lam1 - lam2)
-            alpha = r * alpha - (1 - r) * nu / (drive.omega * dt)
-            peak = max(peak, abs(alpha))
-    return 1.02 * peak
-
-
-def test_drive_reach_follows_every_substep():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        drive = DriveSpec.sinusoid(rng.uniform(0.2, 3.0),
-                                   rng.uniform(0.01, 1.0) * np.exp(1j * rng.uniform(0, 7)),
-                                   rng.uniform(0.0, 3.0), rng.uniform(0, 7))
-        grid = np.cumsum(rng.uniform(0.5, 6.0, 6))
-        counts = rng.integers(1, 9, 5).tolist()
-        assert dyn._drive_reach(drive, grid, counts) == pytest.approx(
-            loop_drive_reach(drive, grid, counts), rel=1e-12)
+@pytest.mark.parametrize("drive", DRIVES.values(), ids=list(DRIVES))
+def test_drive_reach_starts_from_the_vacuum_at_the_first_grid_time(drive):
+    # from the vacuum at t0 > 0 the orbit is alpha(t) less the free rotation
+    # of alpha(t0), which |alpha(t)| alone misses by up to |alpha(t0)|
+    grid = np.linspace(0.5, 20.5, 161)
+    counts = dyn._substep_counts(grid, dyn._default_step(drive.omega, drive.frequency))
+    times = np.append(dyn._substep_times(grid, counts)[0], grid[-1])
+    peak = np.abs(fock_alphas(drive, times, 60, math.inf)).max()
+    assert dyn._drive_reach(drive, grid, counts) / 1.02 == pytest.approx(peak, rel=1e-6)
 
 
 def test_drive_reach_is_stable_at_long_steps():
