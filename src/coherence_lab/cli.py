@@ -407,7 +407,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: ``main``, then a flush of stdout. A reader that
+    closes the pipe early (``| head``) ends the run with exit 2 and one line,
+    as an unwritable ``--out`` does; stdout then points at ``os.devnull``, so
+    the interpreter's own flush at exit does not fail again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write stdout: the reader closed the pipe", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg.lapack
 
 from . import fock, qcore, spin
 from .errors import NumericalError, StepSizeTooLarge, ValidationError
@@ -290,7 +289,11 @@ def _magnus_factors(coeffs: Callable, generator_bands: tuple, t, dt):
     making D* M D real and nonnegative below the diagonal leave V diag(w) V^T,
     x = D V. Bands and phases are stacked over at most dim substeps at a time;
     each substep is factored by one ``?stevd``, or raises ``NumericalError``
-    (an exponent beyond the float range), when reached."""
+    (an exponent beyond the float range), when reached. ``dstevd`` is
+    imported here, on the first substep, so that only a trajectory loads
+    ``scipy.linalg``: no other command needs scipy."""
+    from scipy.linalg.lapack import dstevd
+
     g0, g = generator_bands
     q = np.concatenate(([0.0], g * g, [0.0]))
     comm_diag = q[:-1] - q[1:]
@@ -309,8 +312,7 @@ def _magnus_factors(coeffs: Callable, generator_bands: tuple, t, dt):
         for k in range(d0.size):
             if not finite[k]:
                 raise NumericalError("the Magnus exponent leaves the float range")
-            w, v, info = scipy.linalg.lapack.dstevd(diagonal[k], magnitude[k],
-                                                   overwrite_d=1, overwrite_e=1)
+            w, v, info = dstevd(diagonal[k], magnitude[k], overwrite_d=1, overwrite_e=1)
             if info:
                 raise np.linalg.LinAlgError(f"dstevd did not converge (info={info})")
             yield gauge[k][:, None] * v, w

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import qcore
 from .errors import SpaceMismatch, TruncationTooSmall, ValidationError
@@ -115,10 +114,13 @@ def _generator_bands(cutoff: int) -> tuple:
 def _coherent_logs(alpha, cutoff: int) -> np.ndarray:
     """Complex logs of alpha^n / sqrt(n!), n = 0..cutoff, on a new last axis
     of an array of alpha; a zero alpha gives -inf, exactly 0 once
-    exponentiated, above n = 0."""
+    exponentiated, above n = 0. ln n! is the cached row
+    ``qcore._log_factorials`` and n ln|alpha| is ``qcore._xlogy``, one libm
+    log per alpha: both are ``scipy.special``'s gammaln and xlogy bit for bit."""
     alpha = np.asarray(alpha, dtype=complex)[..., None]
     n = np.arange(cutoff + 1)
-    return xlogy(n, np.abs(alpha)) - gammaln(n + 1.0) / 2.0 + n * (1j * np.angle(alpha))
+    return (qcore._xlogy(n, np.abs(alpha)) - qcore._log_factorials(cutoff) / 2.0
+            + n * (1j * np.angle(alpha)))
 
 
 def _glauber_amps(alpha, cutoff: int) -> np.ndarray:

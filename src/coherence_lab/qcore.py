@@ -6,7 +6,9 @@ by a diagonal G0 and a raising band G+ with [G0, G+-] = +-G+- (Perelomov,
 Commun. Math. Phys. 26, 222 (1972)), each kept as one band form
 ``(g0, g)`` in ``fock`` and ``spin`` and never as a dense matrix;
 ``_first_moments`` reads first moments from it, and a coherent state's
-first moments are its label.
+first moments are its label. The coherent states' log-domain closed forms
+read ln n! and k ln y from here (``_log_factorials``, ``_xlogy``), computed
+as ``scipy.special`` computes them, so no command but ``evolve`` loads scipy.
 
 Basis conventions (fixed for bit-exact I/O):
   * Fock levels ascend by photon number n = 0..N.
@@ -21,6 +23,7 @@ function.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -332,6 +335,54 @@ class SchmidtReport:
     coefficients: np.ndarray
     entropy_bits: float
     is_product: bool
+
+
+#: Cephes ``lgam``'s coefficients of the 1/x^2 tail of Stirling's series below
+#: x = 1000 (by Horner's rule, highest power first) and ln sqrt(2 pi)
+_STIRLING_TAIL = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                  8.33333333333331927722e-2)
+_LN_SQRT_2PI = 0.91893853320467274178
+
+
+@functools.lru_cache(maxsize=16)
+def _log_factorials(n_max: int) -> np.ndarray:
+    """Read-only row ln n!, n = 0..n_max, built as Cephes ``lgam`` builds
+    ln Gamma(x) at x = n + 1, so each entry is ``scipy.special.gammaln``'s
+    bit for bit: below x = 13 the log of the exact factorial, from 13 up
+    Stirling's (x - 1/2) ln x - x + ln sqrt(2 pi) plus its 1/x^2 tail (five
+    terms below x = 1000, three above). Every log is libm's (``math.log``):
+    numpy's own log may differ from it in the last bit."""
+    head = [math.log(math.factorial(n)) for n in range(min(n_max, 11) + 1)]
+    x = np.arange(13.0, n_max + 2.0)
+    p = 1.0 / (x * x)
+    tail = np.full_like(x, _STIRLING_TAIL[0])
+    for coefficient in _STIRLING_TAIL[1:]:
+        tail = tail * p + coefficient
+    far = x >= 1000.0
+    tail[far] = ((7.9365079365079365079365e-4 * p[far] - 2.7777777777777777777778e-3)
+                 * p[far] + 0.0833333333333333333333)
+    ln_x = np.array([math.log(v) for v in x.tolist()])
+    row = np.concatenate((head, (x - 0.5) * ln_x - x + _LN_SQRT_2PI + tail / x))
+    row.setflags(write=False)
+    return row
+
+
+def _xlogy(k, y) -> np.ndarray:
+    """k ln y, with 0 where k = 0 and y is not NaN, as ``scipy.special.xlogy``
+    gives it for real y: one libm log (``math.log``) per element of y,
+    broadcast against k."""
+    y = np.asarray(y, dtype=float)
+    # ln 0 = -inf and NaN below 0, where math.log raises
+    logs = [math.log(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan
+            for v in y.ravel().tolist()]
+    ln_y = np.array(logs).reshape(y.shape)
+    if math.isfinite(sum(logs)):  # no log of a float exceeds 745 in size
+        out = k * ln_y
+        out += 0.0  # turns k = 0's -0.0 into xlogy's 0.0
+        return out
+    with np.errstate(invalid="ignore"):  # 0 times an infinite log
+        return np.where((k == 0) & ~np.isnan(y), 0.0, k * ln_y)
 
 
 def hankel_weight(log_b, log_c, log_a) -> np.ndarray:

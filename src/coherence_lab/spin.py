@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import qcore
 from .errors import (
@@ -92,9 +91,12 @@ class SpinCsParams:
 @functools.lru_cache(maxsize=16)
 def _cs_rows(tj: int) -> tuple:
     """Read-only rows log sqrt(C(2j, k)), k and 2j - k over k = 0..2j: the
-    per-size part of ``_cs_logs``, built once per size."""
+    per-size part of ``_cs_logs``, built once per size. The log-binomial is
+    (ln 2j! - ln k! - ln (2j - k)!) / 2 from the row ``qcore._log_factorials``,
+    ``scipy.special.gammaln``'s bits without loading scipy."""
+    log_factorial = qcore._log_factorials(tj)
     k = np.arange(tj + 1.0)
-    rows = (0.5 * (gammaln(tj + 1) - gammaln(k + 1) - gammaln(tj + 1 - k)), k, tj - k)
+    rows = (0.5 * (log_factorial[tj] - log_factorial - log_factorial[::-1]), k, tj - k)
     for row in rows:
         row.setflags(write=False)
     return rows
@@ -118,7 +120,7 @@ def _cs_logs(rows, theta, phi) -> np.ndarray:
     log_binom, k, rest = rows
     half = theta / 2.0
     # the real part on theta's shape, then one complex sum with the phases
-    magnitudes = log_binom + xlogy(k, np.sin(half)) + rest * np.log(np.cos(half))
+    magnitudes = log_binom + qcore._xlogy(k, np.sin(half)) + rest * np.log(np.cos(half))
     return magnitudes + k * (1j * (math.pi - phi))
 
 

@@ -448,21 +448,56 @@ COMMAND_PATHS = [
 ]
 
 
+def subprocess_env() -> dict:
+    """The environment with this tree's ``src`` first on PYTHONPATH."""
+    src = str(Path(dynamics.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        src, os.environ.get("PYTHONPATH")))))
+
+
 def test_command_paths_load_no_optimizer_or_quadrature(tmp_path):
-    # the claims need only scipy.special and scipy.linalg.lapack: no command
-    # loads scipy.optimize, or the quadrature that now lives in ``oracles``
+    # only a trajectory loads scipy, for its tridiagonal eigensolver
+    # (scipy.linalg.lapack): no command loads scipy.special, scipy.optimize or
+    # the quadrature that lives in ``oracles``. The other commands run first,
+    # in one process, so each is seen to load no scipy module at all.
     code = ("import contextlib, io, json, sys\n"
             "from coherence_lab import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(codes, [m for m in ('scipy.optimize', 'scipy.integrate')\n"
-            "              if m in sys.modules])\n")
-    src = str(Path(dynamics.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
-        src, os.environ.get("PYTHONPATH")))))
-    result = subprocess.run([sys.executable, "-c", code, json.dumps(COMMAND_PATHS)],
-                            capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
-    assert result.stdout == f"{[0] * len(COMMAND_PATHS)} []\n", result.stderr
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    loaded.append((argv[0], code, sorted(m for m in sys.modules\n"
+            "                                         if m.startswith('scipy'))))\n"
+            "print(json.dumps(loaded))\n")
+    paths = sorted(COMMAND_PATHS, key=lambda argv: argv[0] == "evolve")
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(paths)],
+                            capture_output=True, text=True, env=subprocess_env(),
+                            cwd=tmp_path, check=True)
+    loaded = json.loads(result.stdout)
+    assert [code for _, code, _ in loaded] == [0] * len(COMMAND_PATHS), result.stderr
+    others = [(command, modules) for command, _, modules in loaded if command != "evolve"]
+    assert {command for command, _ in others} == {"split", "chsh", "scan", "series"}
+    assert others == [(command, []) for command, _ in others]
+    evolve_modules = loaded[-1][2]
+    assert "scipy.linalg.lapack" in evolve_modules
+    assert not [m for m in evolve_modules if m.split(".")[:2] in (
+        ["scipy", "special"], ["scipy", "optimize"], ["scipy", "integrate"])]
+
+
+def test_a_reader_that_closes_early_exits_2_with_one_line(tmp_path):
+    # the pipe has no reader from the start, so the report's write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "coherence_lab.cli", "split", "--system", "fock",
+             "--alpha", "1", "--N", "20"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=subprocess_env(),
+            cwd=tmp_path)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write stdout: the reader closed the pipe\n"
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,9 @@ def test_glauber_cs_zero_is_vacuum():
 @pytest.mark.parametrize("radius", [40.0, 100.0, 300.0])
 def test_glauber_cs_matches_poisson_far_out(radius):
     # sqrt(poisson.pmf) carries the magnitudes; no power or factorial of the
-    # closed form leaves the float range up to cutoff 93 601
+    # closed form leaves the float range up to cutoff 93 601. poisson.pmf
+    # rounds ln n! as the closed form does, so this cannot see a drift of
+    # that row: tests/test_qcore.py holds it to mpmath's loggamma instead
     alpha = radius * np.exp(0.3j)
     cutoff = required_cutoff(alpha)
     n = np.arange(cutoff + 1)
