@@ -114,7 +114,7 @@ def _generator_bands(cutoff: int) -> tuple:
 def _coherent_logs(alpha, cutoff: int) -> np.ndarray:
     """Complex logs of alpha^n / sqrt(n!), n = 0..cutoff, on a new last axis
     of an array of alpha; a zero alpha gives -inf, exactly 0 once
-    exponentiated, above n = 0. ln n! is the cached row
+    exponentiated, above n = 0. ln n! is a prefix of the shared row
     ``qcore._log_factorials`` and n ln|alpha| is ``qcore._xlogy``, one libm
     log per alpha: both are ``scipy.special``'s gammaln and xlogy bit for bit."""
     alpha = np.asarray(alpha, dtype=complex)[..., None]

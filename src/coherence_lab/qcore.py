@@ -23,7 +23,6 @@ function.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -345,16 +344,15 @@ _STIRLING_TAIL = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
 _LN_SQRT_2PI = 0.91893853320467274178
 
 
-@functools.lru_cache(maxsize=16)
-def _log_factorials(n_max: int) -> np.ndarray:
-    """Read-only row ln n!, n = 0..n_max, built as Cephes ``lgam`` builds
+def _log_factorial_span(start: int, stop: int) -> np.ndarray:
+    """ln n! over start <= n < stop, built as Cephes ``lgam`` builds
     ln Gamma(x) at x = n + 1, so each entry is ``scipy.special.gammaln``'s
     bit for bit: below x = 13 the log of the exact factorial, from 13 up
     Stirling's (x - 1/2) ln x - x + ln sqrt(2 pi) plus its 1/x^2 tail (five
     terms below x = 1000, three above). Every log is libm's (``math.log``):
     numpy's own log may differ from it in the last bit."""
-    head = [math.log(math.factorial(n)) for n in range(min(n_max, 11) + 1)]
-    x = np.arange(13.0, n_max + 2.0)
+    head = [math.log(math.factorial(n)) for n in range(start, min(stop, 12))]
+    x = np.arange(max(start, 12) + 1.0, stop + 1.0)
     p = 1.0 / (x * x)
     tail = np.full_like(x, _STIRLING_TAIL[0])
     for coefficient in _STIRLING_TAIL[1:]:
@@ -363,9 +361,26 @@ def _log_factorials(n_max: int) -> np.ndarray:
     tail[far] = ((7.9365079365079365079365e-4 * p[far] - 2.7777777777777777777778e-3)
                  * p[far] + 0.0833333333333333333333)
     ln_x = np.array([math.log(v) for v in x.tolist()])
-    row = np.concatenate((head, (x - 0.5) * ln_x - x + _LN_SQRT_2PI + tail / x))
-    row.setflags(write=False)
-    return row
+    return np.concatenate((head, (x - 0.5) * ln_x - x + _LN_SQRT_2PI + tail / x))
+
+
+#: ln n! over n = 0.. as far as any caller has read, read-only; no entry
+#: depends on the row's length, so every size reads a prefix of this one
+_LOG_FACTORIALS = np.zeros(0)
+_LOG_FACTORIALS.setflags(write=False)
+
+
+def _log_factorials(n_max: int) -> np.ndarray:
+    """Read-only row ln n!, n = 0..n_max: a view of the one shared row,
+    which grows by its missing tail (``_log_factorial_span``) when n_max
+    passes its end."""
+    global _LOG_FACTORIALS
+    row = _LOG_FACTORIALS
+    if n_max >= len(row):
+        row = np.concatenate((row, _log_factorial_span(len(row), n_max + 1)))
+        row.setflags(write=False)
+        _LOG_FACTORIALS = row
+    return row[:n_max + 1]
 
 
 def _xlogy(k, y) -> np.ndarray:
@@ -374,13 +389,8 @@ def _xlogy(k, y) -> np.ndarray:
     broadcast against k."""
     y = np.asarray(y, dtype=float)
     # ln 0 = -inf and NaN below 0, where math.log raises
-    logs = [math.log(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan
-            for v in y.ravel().tolist()]
-    ln_y = np.array(logs).reshape(y.shape)
-    if math.isfinite(sum(logs)):  # no log of a float exceeds 745 in size
-        out = k * ln_y
-        out += 0.0  # turns k = 0's -0.0 into xlogy's 0.0
-        return out
+    ln_y = np.array([math.log(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan
+                     for v in y.ravel().tolist()]).reshape(y.shape)
     with np.errstate(invalid="ignore"):  # 0 times an infinite log
         return np.where((k == 0) & ~np.isnan(y), 0.0, k * ln_y)
 

@@ -465,10 +465,24 @@ def test_log_factorials_are_gammaln_bits_at_the_cephes_branch_edges(n_max):
     assert not row.flags.writeable
 
 
+def test_the_shared_log_factorial_row_grows_by_its_tail(monkeypatch):
+    # each size reads a prefix of one row, extended past the Cephes branch
+    # edges piece by piece; a smaller size after a larger one builds nothing
+    empty = np.zeros(0)
+    empty.setflags(write=False)
+    monkeypatch.setattr(qcore, "_LOG_FACTORIALS", empty)
+    for n_max in (3, 11, 12, 13, 998, 999, 2500, 40):
+        row = qcore._log_factorials(n_max)
+        assert row.tobytes() == scipy.special.gammaln(np.arange(n_max + 1) + 1.0).tobytes()
+        assert not row.flags.writeable
+    assert len(qcore._LOG_FACTORIALS) == 2501
+    assert np.shares_memory(row, qcore._LOG_FACTORIALS)
+
+
 @pytest.fixture(scope="module")
 def largest_log_factorials():
-    # uncached, so the 16 MB row is not kept past this module
-    return qcore._log_factorials.__wrapped__(LARGEST_LOG_FACTORIAL)
+    # built outside the shared row, so the 16 MB row is not kept past this module
+    return qcore._log_factorial_span(0, LARGEST_LOG_FACTORIAL + 1)
 
 
 def test_the_largest_log_factorial_row_is_gammaln_bits(largest_log_factorials):
