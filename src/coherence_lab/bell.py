@@ -14,8 +14,9 @@ fixed, the other side's best pair is exact (the sign of a Hermitian
 matrix, one eigendecomposition each), so alternating the two sides never
 lowers the value. Its seeded starts advance together in stacks of bounded
 size, each start leaving its stack at its own stopping sweep, with the
-same results as running them one after another. It has no dimension cap;
-each result says whether the search converged.
+same results as running them one after another; a sweep costs a fixed
+handful of array calls however many starts its stack holds. It has no
+dimension cap; each result says whether the search converged.
 
 Pauli convention: sigma_k = 2 J_k for the spin-1/2 generators, components
 ordered (x, y, z), basis m ascending, so sigma_z = diag(-1, +1).
@@ -49,6 +50,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 PAULI_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# sigma_k (x) sigma_l at row 3k + l; every entry is 0, +-1 or +-i
+_PAULI_PAIRS = np.array([np.kron(p, q) for p in PAULIS for q in PAULIS])
 
 HERMITIAN_TOL = 1e-12
 _INVOLUTION_TOL = 1e-10
@@ -168,11 +171,7 @@ def correlation_matrix(state: StateVector) -> np.ndarray:
     if state.space.nfactors != 2 or state.space.factor_dims != (2, 2):
         raise NotTwoQubit("correlation matrix needs two two-level factors")
     psi = state.amps
-    T = np.empty((3, 3))
-    for k in range(3):
-        for l in range(3):
-            T[k, l] = np.vdot(psi, np.kron(PAULIS[k], PAULIS[l]) @ psi).real
-    return T
+    return np.vecdot(psi, _PAULI_PAIRS @ psi).real.reshape(3, 3)
 
 
 def horodecki_max(state: StateVector) -> float:
@@ -237,7 +236,7 @@ SEESAW_MAX_SWEEPS = 5000
 SEESAW_STACK_AMPS = 2 ** 12
 
 _PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
-_PAULI_Z_ROWS = PAULI_Z.tolist()
+_PAULI_Z_FLAT = PAULI_Z.ravel()
 
 
 def _best_responses(h: np.ndarray) -> np.ndarray:
@@ -250,37 +249,44 @@ def _best_responses(h: np.ndarray) -> np.ndarray:
     factor O = sign(h), from one eigendecomposition of the whole stack.
     """
     if h.shape[-1] == 2:
-        # scalar on purpose: on 200 000 random Hermitian inputs, np.abs
-        # differs from complex abs in the last bit on 35% of them, np.hypot
-        # from math.hypot on 0.6%, and the two together on 24%; either would
-        # move the results' bits
-        rows = []
-        for (a, w), (_, d) in h.reshape(-1, 2, 2).tolist():
-            # the traceless part [[-z, w], [w*, z]] of h over its spectral norm
-            z = 0.5 * (d - a).real
-            norm = math.hypot(z, abs(w))
-            # a vanishing traceless part gives every direction the value 0
-            rows.append(_PAULI_Z_ROWS if norm <= 1e-12 else
-                        ((-z / norm, w / norm), (w.conjugate() / norm, z / norm)))
-        return np.array(rows, dtype=complex).reshape(h.shape)
+        # the traceless part [[-z, w], [w*, z]] of each h over its spectral norm
+        flat = h.reshape(-1, 4)
+        w = flat[:, 1]
+        z = 0.5 * (flat[:, 3].real - flat[:, 0].real)
+        norm = np.hypot(z, np.abs(w))
+        o = np.empty(flat.shape, dtype=complex)
+        o[:, 0] = -z
+        o[:, 1] = w
+        o[:, 2] = w.conj()
+        o[:, 3] = z
+        # a vanishing traceless part gives every direction the value 0
+        small = norm <= 1e-12
+        o /= np.where(small, 1.0, norm)[:, None]
+        o[small] = _PAULI_Z_FLAT
+        return o.reshape(h.shape)
     vals, vecs = np.linalg.eigh(h)
     signs = np.where(vals >= 0.0, 1.0, -1.0)[..., None, :]
     return (vecs * signs) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def _side_update(m: np.ndarray, m_h: np.ndarray, x: np.ndarray):
+def _side_update(m_t: np.ndarray, m_h: np.ndarray, x: np.ndarray):
     """Best responses of one side to each of the other side's pairs
     x[s] = (X, X') in the stack ``x`` of shape (starts, 2, d, d).
 
-    With M the amplitude matrix seen from the updated side and ``m_h`` its
-    adjoint, <O (x) X> = Tr(O M X^T M+), so the pair answering X + X' and
-    X - X' maximizes the CHSH value for fixed (X, X'). Returns those pairs
-    as a stack and the value each reaches.
+    With M the amplitude matrix seen from the updated side, ``m_t`` its
+    transpose and ``m_h`` its adjoint, <O (x) X> = Tr(O M X^T M+), so the
+    pair answering Y = X + X' and X - X' maximizes the CHSH value for fixed
+    (X, X'). H = M Y^T M+ comes from two 2-D products over the whole stack,
+    W = Y M^T on its rows and H = W^T M+, not one product per matrix.
+    Returns those pairs as a stack and the value each reaches.
     """
+    n, _, d_x, _ = x.shape
+    d_o = m_t.shape[1]
     y = x[:, :1] + _PLUS_MINUS * x[:, 1:]
-    h = m @ np.swapaxes(y, -1, -2) @ m_h
+    w = (y.reshape(-1, d_x) @ m_t).reshape(-1, d_x, d_o)
+    h = (np.swapaxes(w, 1, 2).reshape(-1, d_x) @ m_h).reshape(n, 2, d_o, d_o)
     o = _best_responses(h)
-    return o, np.vecdot(o.reshape(len(o), -1), h.reshape(len(h), -1)).real
+    return o, np.vecdot(o.reshape(n, -1), h.reshape(n, -1)).real
 
 
 def _observable(mat: np.ndarray, space: SpaceDescriptor) -> DichotomicObservable:
@@ -308,7 +314,8 @@ def _seesaw_starts(m: np.ndarray, rng: np.random.Generator, n: int, tol: float):
     draw = rng.normal(size=(n, 2, 2, d_c, d_c))
     g = draw[:, 0] + 1j * draw[:, 1]
     c = _best_responses(g + np.swapaxes(g.conj(), -1, -2))
-    b_side, c_side = (m, m.conj().T), (m.T, m.conj())
+    # (M^T, M+) with M seen from the b side, then from the c side
+    b_side, c_side = (m.T, m.conj().T), (m, m.conj())
     live, value = np.arange(n), np.full(n, -math.inf)
     sweeps = [0] * n
     best_value, best_start, best = -math.inf, n, None

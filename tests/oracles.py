@@ -12,8 +12,11 @@ The library labels a state by its first moments; ``spin_cs_fit`` and
 label distances against the best coherent fidelity.
 
 The library advances all see-saw starts together as one stack;
-``seesaw_one_start_at_a_time`` runs them one after another, so the tests
-can hold the stacked search to it bit for bit.
+``seesaw_one_start_at_a_time`` runs them one after another, through the
+library's own ``_side_update`` and ``_best_responses`` on one-start stacks,
+so the tests can hold the stacked search to it bit for bit. It checks only
+that stacking moves no bit; the tests hold those two kernels to the
+per-matrix product and to ``np.linalg.eigh`` themselves.
 
 The library sums a large stack's squares vectorized and certifies each
 row's rounding; ``fsum_squares`` and ``normalize_rows_by_fsum`` take one
@@ -173,10 +176,8 @@ def seesaw_one_start_at_a_time(state, n_starts, seed, tol):
     rng = np.random.default_rng(seed)
 
     def side_update(m, x):
-        y = x[0] + np.array([1.0, -1.0])[:, None, None] * x[1]
-        h = m @ np.swapaxes(y, 1, 2) @ m.conj().T
-        o = bell._best_responses(h)
-        return o, np.vdot(o, h).real
+        o, value = bell._side_update(m.T, m.conj().T, x[None])
+        return o[0], value[0]
 
     best_value, best, sweeps = -math.inf, None, []
     for _ in range(n_starts):

@@ -147,6 +147,17 @@ def test_horodecki_triplet():
     assert horodecki_max(psi_plus()) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
 
+def test_correlation_matrix_keeps_the_kron_formula_bits():
+    # the nine sigma_k (x) sigma_l are built once; each entry is 0, +-1 or
+    # +-i, so their products are exact and T keeps the per-entry kron bits
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        state = haar_two_qubit(rng)
+        want = np.array([[np.vdot(state.amps, np.kron(p, q) @ state.amps).real
+                          for q in bell.PAULIS] for p in bell.PAULIS])
+        assert np.array_equal(correlation_matrix(state), want)
+
+
 def test_horodecki_split_spin_cs_never_violates():
     for zeta in (0.0, 1.0, -0.4 + 2.2j, 5.0):
         out = spin.split_spin(spin.spin_cs(spin.SpinCsParams(j=1, zeta=zeta)),
@@ -338,6 +349,66 @@ def test_split_non_cs_spin1_states_violate():
 # the stacked see-saw against one start at a time
 # ---------------------------------------------------------------------------
 
+def _hermitian_stack(rng, shape, d) -> np.ndarray:
+    g = rng.normal(size=(*shape, d, d)) + 1j * rng.normal(size=(*shape, d, d))
+    return g + np.swapaxes(g.conj(), -1, -2)
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 2), (3, 4, 2)], ids=str)
+def test_two_level_best_response_is_the_sign_of_the_traceless_part(shape):
+    # the oracle: sign(h - Tr(h)/2), from np.linalg.eigh one matrix at a time;
+    # rows whose traceless part has norm <= 1e-12 come back as PAULI_Z
+    rng = np.random.default_rng(len(shape))
+    h = _hermitian_stack(rng, shape, 2)
+    flat = h.reshape(-1, 2, 2)
+    flat[0] = 0.0
+    flat[1] = 2.5 * np.eye(2) + 1e-13 * bell.PAULI_X
+    flat[-1] = -0.75 * np.eye(2) + 4e-13 * bell.PAULI_Y
+    small = np.zeros(len(flat), dtype=bool)
+    small[[0, 1, -1]] = True
+    o = bell._best_responses(h)
+    assert o.shape == h.shape
+    for mat, got, vanishes in zip(flat, o.reshape(-1, 2, 2), small):
+        if vanishes:
+            assert np.array_equal(got, bell.PAULI_Z)
+            continue
+        vals, vecs = np.linalg.eigh(mat - 0.5 * np.trace(mat) * np.eye(2))
+        want = (vecs * np.sign(vals)) @ vecs.conj().T
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        assert np.array_equal(got, got.conj().T) and got[0, 0] == -got[1, 1]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 5), (13, 13)],
+                         ids=lambda d: "%dx%d" % d)
+@pytest.mark.parametrize("n_starts", [1, 5])
+def test_side_update_forms_h_as_the_per_matrix_product(dims, n_starts, monkeypatch):
+    # H = M Y^T M+ from two stacked 2-D products, against one product chain
+    # per matrix, on both sides of the cut
+    d_b, d_c = dims
+    rng = np.random.default_rng(100 * d_b + d_c + n_starts)
+    m = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    seen = []
+    best_responses = bell._best_responses
+
+    def recording(h):
+        seen.append(h)
+        return best_responses(h)
+
+    monkeypatch.setattr(bell, "_best_responses", recording)
+    for mat, d_x in ((m, d_c), (m.T, d_b)):
+        x = _hermitian_stack(rng, (n_starts, 2), d_x)
+        o, value = bell._side_update(mat.T, mat.conj().T, x)
+        h = seen.pop()
+        want = np.array([[mat @ (x[s, 0] + sign * x[s, 1]).T @ mat.conj().T
+                          for sign in (1.0, -1.0)] for s in range(n_starts)])
+        assert h.shape == want.shape
+        assert np.abs(h - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(o, best_responses(h))
+        np.testing.assert_allclose(
+            value, [np.vdot(o[s], want[s]).real for s in range(n_starts)],
+            rtol=1e-13)
+
+
 def _seesaw_state(dims) -> StateVector:
     if dims == "photon-13x13":
         return fock.split_fock(fock.number_state(12, 1), fock.SplitSpec.balanced())
@@ -409,14 +480,13 @@ def test_stacked_seesaw_at_the_sweep_cap_matches_one_start_at_a_time(max_sweeps,
 
 
 @pytest.mark.parametrize("dims,value,settings_digest", [
-    ((2, 2), "0x1.514f07af4f2cep+1", "2da886d59159df64"),
-    ((3, 3), "0x1.3bb280949e5fap+1", "4d01a85ad6cf7f47"),
+    ((2, 2), "0x1.514f07af4f2cep+1", "1f30b01843fe4b28"),
+    ((3, 3), "0x1.3bb28094d469fp+1", "3f28786067a2424c"),
 ], ids=["2x2", "3x3"])
 def test_multistart_seesaw_keeps_its_recorded_bits(dims, value, settings_digest):
-    # the one-start-at-a-time oracle shares _best_responses with the library,
-    # so only recorded bits see a trailing-bit move in its arithmetic: at this
-    # seed, math.hypot -> np.hypot on the two-level path moves the 2x2 value's
-    # last bit
+    # the one-start-at-a-time oracle shares _side_update and _best_responses
+    # with the library, so only recorded bits see a trailing-bit move in
+    # their arithmetic
     res = chsh_maximize(_seesaw_state(dims), "multistart-local-search", n_starts=8, seed=0)
     digest = hashlib.sha256()
     for name in ("b", "b_prime", "c", "c_prime"):

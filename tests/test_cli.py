@@ -234,6 +234,28 @@ def test_chsh_on_saved_split_coherent_state(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_chsh_multistart_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the see-saw's stacked products and eigensolves give the same bytes with
+    # one BLAS thread or two, on the README's 41 x 41 split state and on a
+    # seeded 13 x 13 Haar state
+    split_file, haar_file = tmp_path / "split.json", tmp_path / "haar.json"
+    assert run_cli(["split", "--system", "fock", "--alpha", "1+0i", "--N", "40",
+                    "--save-state", str(split_file), "--out", str(tmp_path / "r.json")]) == 0
+    space = spin.spin_space(6).tensor(spin.spin_space(6))
+    haar = StateVector(space, np.random.default_rng(13).normal(size=(169, 2)) @ [1, 1j])
+    haar_file.write_text(serialize.json_text(serialize.state_to_dict(haar)))
+    # the Haar state's starts take thousands of sweeps each, so it gets two
+    for state_file, n_starts in ((split_file, "32"), (haar_file, "2")):
+        argv = [sys.executable, "-m", "coherence_lab.cli", "chsh", "--state", str(state_file),
+                "--strategy", "multistart", "--n-starts", n_starts, "--seed", "7"]
+        outputs = [subprocess.run(argv, capture_output=True, check=True, cwd=tmp_path,
+                                  env=dict(subprocess_env(), OPENBLAS_NUM_THREADS=threads)
+                                  ).stdout
+                   for threads in ("1", "2")]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["n_starts"] == int(n_starts)
+
+
 def test_readme_library_quick_start_runs():
     # the README's "Library quick start" block, run as written, reaches the
     # results its comments state
