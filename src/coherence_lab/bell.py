@@ -278,15 +278,14 @@ def _side_update(m_t: np.ndarray, m_h: np.ndarray, x: np.ndarray):
     pair answering Y = X + X' and X - X' maximizes the CHSH value for fixed
     (X, X'). H = M Y^T M+ comes from two 2-D products over the whole stack,
     W = Y M^T on its rows and H = W^T M+, not one product per matrix.
-    Returns those pairs as a stack and the value each reaches.
+    Returns those pairs as a stack and H; Re vecdot(pairs, H) is each start's value.
     """
     n, _, d_x, _ = x.shape
     d_o = m_t.shape[1]
     y = x[:, :1] + _PLUS_MINUS * x[:, 1:]
     w = (y.reshape(-1, d_x) @ m_t).reshape(-1, d_x, d_o)
     h = (np.swapaxes(w, 1, 2).reshape(-1, d_x) @ m_h).reshape(n, 2, d_o, d_o)
-    o = _best_responses(h)
-    return o, np.vecdot(o.reshape(n, -1), h.reshape(n, -1)).real
+    return _best_responses(h), h
 
 
 def _observable(mat: np.ndarray, space: SpaceDescriptor) -> DichotomicObservable:
@@ -320,8 +319,10 @@ def _seesaw_starts(m: np.ndarray, rng: np.random.Generator, n: int, tol: float):
     sweeps = [0] * n
     best_value, best_start, best = -math.inf, n, None
     for sweep in range(1, SEESAW_MAX_SWEEPS + 1):
-        b, _ = _side_update(*b_side, c)
-        c, new_value = _side_update(*c_side, b)
+        b = _side_update(*b_side, c)[0]
+        c, h = _side_update(*c_side, b)
+        # only the c side's values: its update ends each sweep
+        new_value = np.vecdot(c.reshape(len(c), -1), h.reshape(len(h), -1)).real
         gain, value = new_value - value, new_value
         stop = gain <= 0.0
         # gains shrink geometrically, by r = gain / last_gain per sweep, so

@@ -196,8 +196,7 @@ def cmd_split(args) -> int:
         state = fock.glauber_cs(alpha, args.N)
         out_state = fock.split_fock(state, spec)
         # claim 1's factors |mu alpha> and |nu alpha>, at the same cutoff
-        factors = [StateVector(fock.fock_space(args.N), fock._glauber_amps(x * alpha, args.N))
-                   for x in (spec.mu, spec.nu)]
+        factors = [fock.glauber_cs(x * alpha, args.N) for x in (spec.mu, spec.nu)]
         params = {
             "alpha": serialize.complex_pair(alpha),
             "cutoff": args.N,

@@ -14,8 +14,9 @@ assuming one.
 Spin: H = beta0 J0 + lam(t) J+ + lam(t)* J-, the same ``DriveSpec`` with
 omega = beta0. Both Hamiltonians are w0 G0 + lam(t) G+ + lam(t)* G-, with G0
 diagonal, G+ a fixed subdiagonal and [G0, G+-] = +-G+- (Perelomov, Commun.
-Math. Phys. 26, 222 (1972)), read from the bands ``_generator_bands`` of
-``fock`` or ``spin``, and one integrator, ``_evolve``, takes fourth-order
+Math. Phys. 26, 222 (1972)), read from the bands of the family's
+``qcore.Family`` record (``fock.FAMILY`` or ``spin.FAMILY``), and one
+integrator, ``_evolve``, takes fourth-order
 Magnus steps (two-point Gauss-Legendre; Iserles & Norsett, Phil. Trans. R.
 Soc. A 357, 983 (1999); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
 (2009)), unitary per step. A step's exponent is built from the generator
@@ -27,19 +28,19 @@ tridiagonal eigensolve (LAPACK ``?stevd``); none is built from the closed-form
 solution, so the integrator stays an independent check of it.
 A constant drive takes one exact step per grid interval, in both families,
 at any strength and span; an exponent or step phases beyond the float range
-raise ``NumericalError``. A driven trajectory takes substeps (for the
-oscillator, its cutoff check reads ``alpha_of_t`` at every substep's end);
-one that would need more than ``MAX_SUBSTEPS`` raises ``NumericalError``
-before the first.
+raise ``NumericalError``. A driven trajectory takes substeps; one that
+would need more than ``MAX_SUBSTEPS`` raises ``NumericalError`` before the
+first. The oscillator's cutoff check reads ``alpha_of_t`` at every step's
+end, and a constant drive's at its peak time too, by one rule for every
+drive (``_drive_reach``).
 
 A trajectory's samples are one stack from the integrator to the report:
 ``_evolve`` writes them into one (samples, dim) array, which
 ``StateVector._stack`` normalizes once, and the family's stacked label
-(``fock._mean_mode_labels`` or ``spin._mean_spin_labels``) labels them all
-at once, with no fit. Its rule is the one the scan's guard reads one state
-at a time, ``fock.mean_mode_label`` (alpha = <a>) or
-``spin.mean_spin_label`` (the mean spin's direction), each the one-row case
-of its stacked label and exact on coherent states.
+(``Family.labels``) labels them all at once, with no fit. Its rule is the
+one the scan's guard reads, and its one-row case is ``fock.mean_mode_label``
+(alpha = <a>) or ``spin.mean_spin_label`` (the mean spin's direction),
+exact on coherent states.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def alpha_of_t(drive: DriveSpec, t):
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled oscillator evolution, all stored samples labelled at once by
-    ``fock._mean_mode_labels``: each sample's label is, bit for bit,
+    ``fock.FAMILY.labels``: each sample's label is, bit for bit,
     ``fock.mean_mode_label`` of it. The states are the rows of one read-only
     stack.
 
@@ -179,7 +180,7 @@ class Trajectory:
 @dataclass(frozen=True)
 class SpinTrajectory:
     """Sampled spin evolution, labelled by the mean spin's direction, all
-    samples at once by ``spin._mean_spin_labels``: each sample's label is,
+    samples at once by ``spin.FAMILY.labels``: each sample's label is,
     bit for bit, ``spin.mean_spin_label`` of it. The states are the rows of
     one read-only stack.
 
@@ -216,15 +217,19 @@ def _substep_times(grid: np.ndarray, counts: list) -> tuple:
 
 
 def _drive_reach(drive: DriveSpec, grid: np.ndarray, counts: list) -> float:
-    """1.02 times the peak |alpha| a driven (not static) drive alone reaches
-    at the ends of the trajectory's Magnus substeps (``counts[i]`` over grid
-    interval i), on the orbit the untruncated integrator follows from the
-    vacuum at t0 = grid[0]: ``alpha_of_t(t)`` less the free rotation
-    exp(-i omega (t - t0)) of ``alpha_of_t(t0)``."""
+    """1.02 times the peak |alpha| the drive alone reaches at the ends of the
+    trajectory's Magnus substeps (``counts[i]`` over grid interval i), on the
+    orbit the untruncated integrator follows from the vacuum at t0 = grid[0]:
+    ``alpha_of_t(t)`` less the free rotation exp(-i omega (t - t0)) of
+    ``alpha_of_t(t0)``. A static drive's orbit, of modulus
+    2 |lam| |sin(omega (t - t0) / 2)| / omega, is read at its peak
+    t0 + min(T - t0, pi / omega) too, T = grid[-1]."""
     if not counts:
         return 0.0
     # t0 and every substep's end
     times = np.append(_substep_times(grid, counts)[0], grid[-1])
+    if drive.is_static:
+        times = np.append(times, grid[0] + min(grid[-1] - grid[0], math.pi / drive.omega))
     with np.errstate(over="ignore", invalid="ignore"):
         alphas = alpha_of_t(drive, times)
         orbit = alphas - np.exp(-1j * drive.omega * (times - times[0])) * alphas[0]
@@ -284,7 +289,7 @@ def _magnus_coefficients(coeffs: Callable[[float], tuple], t, dt) -> tuple:
 def _magnus_factors(coeffs: Callable, generator_bands: tuple, t, dt):
     """Yield, in order, the eigenpairs ``(x, w)``, M = x diag(w) x^H, of the
     exponent of each fourth-order Magnus substep from t[k] to t[k] + dt[k]
-    over a family's ``_generator_bands`` (g0, g). M is Hermitian tridiagonal,
+    over a family's ``Family.bands`` (g0, g). M is Hermitian tridiagonal,
     diagonal d0 g0 + d1 (g[k-1]^2 - g[k]^2) and subdiagonal nu g; phases D
     making D* M D real and nonnegative below the diagonal leave V diag(w) V^T,
     x = D V. Bands and phases are stacked over at most dim substeps at a time;
@@ -318,17 +323,19 @@ def _magnus_factors(coeffs: Callable, generator_bands: tuple, t, dt):
             yield gauge[k][:, None] * v, w
 
 
-def _evolve(drive: DriveSpec, generator_bands: tuple, initial: StateVector,
+def _evolve(drive: DriveSpec, family: qcore.Family, initial: StateVector,
             grid: np.ndarray, counts: list) -> tuple:
-    """``(rows, states)``: the states at every grid time under ``drive`` over
-    a family's ``_generator_bands``, ``counts[i]`` Magnus substeps per grid
-    interval i, as one unit, read-only ``(samples, dim)`` stack and its rows
-    as states (``StateVector._stack``, one normalization for the stack).
+    """``(states, labels)``: the states at every grid time under ``drive``
+    over the ``family.bands`` of the initial state's size, ``counts[i]``
+    Magnus substeps per grid interval i, as the rows of one unit, read-only
+    ``(samples, dim)`` stack (``StateVector._stack``, one normalization for
+    the stack), and ``family.labels`` of that stack.
     Exponents are stacked at most dim substeps at a time, each factored by
     one direct ``?stevd`` (``_magnus_factors``) and applied as x (exp(-i w)
     (psi^H x)^*), with no conjugate copy of x. A static drive has one factor,
     for a unit step, whose phases each span scales: one exact step each."""
     coeffs = lambda t: (drive.omega, drive.lam(t))  # noqa: E731
+    generator_bands = family.bands(family.size(initial))
     psi = initial.amps
     if drive.is_static:
         x, w = next(_magnus_factors(coeffs, generator_bands, grid[:1], np.ones(1)))
@@ -350,18 +357,19 @@ def _evolve(drive: DriveSpec, generator_bands: tuple, initial: StateVector,
         if drift > _NORM_DRIFT_LIMIT:
             raise StepSizeTooLarge(f"norm drift {drift:.2e} at t={t_next}")
         rows[i + 1] = psi
-    return rows, StateVector._stack(initial.space, rows)
+    states = StateVector._stack(initial.space, rows)
+    return states, family.labels(rows)
 
 
 def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
                 initial: Optional[StateVector] = None) -> Trajectory:
     """Drive a truncated oscillator mode along the given time grid.
 
-    The cutoff must admit |alpha(0)| plus 1.02 times the peak of
-    ``alpha_of_t``: a constant drive's at its one peak time, a driven one's
-    over the ends of its substeps (``_drive_reach``), each ``_default_step``
-    long: it resolves the oscillator's period and the drive's, whichever is
-    shorter.
+    The cutoff must admit |alpha(0)| plus 1.02 times the peak of the orbit
+    from the vacuum at the first grid time (``_drive_reach``): over the ends
+    of its substeps, each ``_default_step`` long (it resolves the
+    oscillator's period and the drive's, whichever is shorter), and, for a
+    constant drive, at its peak time too.
     """
     if not drive.omega > 0:
         raise ValidationError("omega must be positive and finite")
@@ -372,17 +380,10 @@ def evolve_fock(drive: DriveSpec, t_grid, cutoff: int,
     if initial.space != space:
         raise ValidationError("initial state must live on fock(cutoff)")
     counts = _step_counts(drive, grid, _default_step(drive.omega, drive.frequency))
-    g0, g = fock._generator_bands(cutoff)
-    alpha0 = qcore._first_moments(initial.amps, g0, g)[1]
-    # a static drive's |alpha| = 2 |lam| |sin(omega t / 2)| / omega peaks at
-    # t = pi / omega, or at the grid's end if that comes first
-    reach = abs(alpha0) + (
-        1.02 * abs(alpha_of_t(drive, min(grid[-1], math.pi / drive.omega)))
-        if drive.is_static else _drive_reach(drive, grid, counts))
-    fock.check_cutoff(reach, cutoff)
+    alpha0 = qcore._first_moments(initial.amps, *fock.FAMILY.bands(cutoff))[1]
+    fock.check_cutoff(abs(alpha0) + _drive_reach(drive, grid, counts), cutoff)
 
-    rows, states = _evolve(drive, (g0, g), initial, grid, counts)
-    alphas, overlaps = fock._mean_mode_labels(rows)
+    states, (alphas, overlaps) = _evolve(drive, fock.FAMILY, initial, grid, counts)
     return Trajectory(times=grid, states=states, alpha_track=np.array(alphas),
                       eta_track=np.unwrap(np.angle(overlaps)),
                       cs_fidelity=np.array([abs(ov) for ov in overlaps]))
@@ -402,7 +403,7 @@ class LinearSpinHamiltonian(DriveSpec):
 def evolve_spin(drive: DriveSpec, j, t_grid, initial: StateVector) -> SpinTrajectory:
     """Evolve a spin-j state under beta0 J0 + lam(t) J+ + h.c., with (beta0,
     lam) the (omega, lam) of ``drive``, the samples labelled at once by
-    ``spin._mean_spin_labels`` (exact while the state is coherent), not fitted.
+    ``spin.FAMILY.labels`` (exact while the state is coherent), not fitted.
     A constant drive takes one exact step per interval, at any strength. A
     driven one takes Magnus substeps (``MAX_SUBSTEPS``) that resolve beta0,
     the drive frequency and the Rabi rate 2 peak|lam|: su(2) is compact, so
@@ -413,9 +414,7 @@ def evolve_spin(drive: DriveSpec, j, t_grid, initial: StateVector) -> SpinTrajec
         raise ValidationError("initial state must live on spin(j)")
     step = _default_step(drive.omega, drive.frequency, 2.0 * abs(drive.amplitude))
     counts = _step_counts(drive, grid, step)
-    rows, states = _evolve(drive, spin._generator_bands(space.factors[0].twice_j), initial,
-                           grid, counts)
-    thetas, phis, zetas, fids = spin._mean_spin_labels(rows)
+    states, (thetas, phis, zetas, fids) = _evolve(drive, spin.FAMILY, initial, grid, counts)
     return SpinTrajectory(times=grid, states=states,
                           zeta_track=np.array(zetas, dtype=complex),
                           theta_track=np.array(thetas), phi_track=np.array(phis),

@@ -7,9 +7,11 @@ which every moment, Magnus step and first-moment label alpha = <a> reads.
 A coherent state's amplitudes come from ``_glauber_amps`` alone (behind
 ``glauber_cs``, the label's reference rows and the scan's grid), a row per
 alpha in one call. A stack of states is labelled at once by
-``_mean_mode_labels``, whose one-row case is ``mean_mode_label``, the twin
-of ``spin.mean_spin_label``. Its scan pieces are ``_scan_weight``,
-``_scan_grid`` and ``_scan_label``.
+``_mean_mode_labels``. The module's ``qcore.Family`` record ``FAMILY``
+holds the bands, that stacked label and the scan's grid (``_scan_grid``);
+``mean_mode_label`` is its one-row ``label``, the twin of
+``spin.mean_spin_label``, and ``split_fock`` takes its cutoff from
+``FAMILY.size``.
 
 Truncation policy: an amplitude alpha is admitted at cutoff N only when
 N >= |alpha|^2 + 12*sqrt(|alpha|^2 + 1), which keeps the neglected Poisson
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import SpaceMismatch, TruncationTooSmall, ValidationError
+from .errors import TruncationTooSmall, ValidationError
 from .qcore import SpaceDescriptor, StateVector
 
 # perfbench/spans.py's MINIMIZE_USERS loop looks this up; ROADMAP item 1 deletes both
@@ -162,31 +164,20 @@ def split_fock(state: StateVector, spec: SplitSpec) -> StateVector:
     through ``qcore.split_amplitudes``): O(N^2) time and memory, with the
     unit norm of every column checked on the way.
     """
-    if not state.space.is_single("fock"):
-        raise SpaceMismatch("split_fock needs a state on a single Fock factor")
-    cutoff = state.space.factors[0].cutoff
+    cutoff = FAMILY.size(state)
     amps = qcore.split_amplitudes(state.amps, beamsplit_weight(spec, cutoff))
     out = fock_space(cutoff)
     return StateVector(out.tensor(out), amps.reshape(-1))
 
 
-def mean_mode_label(state: StateVector):
-    """``(alpha, overlap)``: alpha = <a>, exact on a coherent state (Perelomov,
-    Commun. Math. Phys. 26, 222 (1972)), and <alpha'|state> with the
-    ``glauber_cs`` at alpha pulled onto the disk |alpha'| <= ``admissible_radius``:
-    the one-row case of ``_mean_mode_labels``.
-    """
-    if not state.space.is_single("fock"):
-        raise SpaceMismatch("mean_mode_label needs a single Fock factor")
-    return next(zip(*_mean_mode_labels(state.amps[None, :])))
-
-
 def _mean_mode_labels(amps: np.ndarray) -> tuple:
     """``(alphas, overlaps)``, one entry per unit Fock row of the 2-d stack
-    ``amps``, by ``mean_mode_label``'s rule: <a> of the stack at once, each
-    row's pull onto the disk and ``check_cutoff`` in Python floats, and the
-    ``glauber_cs`` rows from one ``_glauber_amps`` and one
-    ``qcore._normalize_rows`` call."""
+    ``amps``: alpha = <a>, exact on a coherent state (Perelomov, Commun.
+    Math. Phys. 26, 222 (1972)), and <alpha'|row> with the ``glauber_cs``
+    at alpha pulled onto the disk |alpha'| <= ``admissible_radius``. <a> of
+    the stack at once, each row's pull onto the disk and ``check_cutoff`` in
+    Python floats, and the ``glauber_cs`` rows from one ``_glauber_amps``
+    and one ``qcore._normalize_rows`` call."""
     cutoff = amps.shape[-1] - 1
     alphas = qcore._first_moments(amps, *_generator_bands(cutoff))[1].tolist()
     radius = admissible_radius(cutoff)
@@ -198,10 +189,6 @@ def _mean_mode_labels(amps: np.ndarray) -> tuple:
     return tuple(alphas), tuple(np.vecdot(ref_rows, amps).tolist())
 
 
-_scan_weight = beamsplit_weight  # the scan's split weight, from a ScanSystem's split
-_scan_label = _mean_mode_labels  # the scan's stacked first-moment label
-
-
 def _scan_grid(cutoff: int) -> np.ndarray:
     """``_glauber_amps`` rows at alpha = 0 plus 4 rings of 8 out to
     min(1.5, ``admissible_radius``)."""
@@ -209,3 +196,8 @@ def _scan_grid(cutoff: int) -> np.ndarray:
     radius = min(1.5, admissible_radius(cutoff))
     alpha = np.append(0.0, np.linspace(radius / 4.0, radius, 4)[:, None] * ring)
     return _glauber_amps(alpha, cutoff)
+
+
+FAMILY = qcore.Family("fock", _generator_bands, _mean_mode_labels, _scan_grid)
+#: ``(alpha, overlap)`` of one single-mode state, by ``_mean_mode_labels``
+mean_mode_label = FAMILY.label

@@ -4,7 +4,8 @@ States, tensor products, the split kernel, Schmidt analysis and first
 moments, shared by the oscillator and spin front ends. Both are generated
 by a diagonal G0 and a raising band G+ with [G0, G+-] = +-G+- (Perelomov,
 Commun. Math. Phys. 26, 222 (1972)), each kept as one band form
-``(g0, g)`` in ``fock`` and ``spin`` and never as a dense matrix;
+``(g0, g)``, never as a dense matrix, in its ``Family`` record
+(``fock.FAMILY``, ``spin.FAMILY``) beside its stacked label and scan grid;
 ``_first_moments`` reads first moments from it, and a coherent state's
 first moments are its label. The coherent states' log-domain closed forms
 read ln n! and k ln y from here (``_log_factorials``, ``_xlogy``), computed
@@ -26,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,20 +92,10 @@ class Factor:
         return self.param + 1
 
     @property
-    def cutoff(self) -> int:
-        if self.kind != "fock":
-            raise ValidationError("cutoff only defined for Fock factors")
-        return self.param
-
-    @property
-    def twice_j(self) -> int:
-        if self.kind != "spin":
-            raise ValidationError("twice_j only defined for spin factors")
-        return self.param
-
-    @property
     def j(self) -> float:
-        return self.twice_j / 2.0
+        if self.kind != "spin":
+            raise ValidationError("j only defined for spin factors")
+        return self.param / 2.0
 
 
 @dataclass(frozen=True)
@@ -319,6 +311,30 @@ class StateVector:
         vec = np.zeros(space.dim, dtype=complex)
         vec[index] = 1.0
         return cls(space, vec)
+
+
+@dataclass(frozen=True)
+class Family:
+    """A coherent-state family on one factor ``kind``, by size N or 2j:
+    ``bands(size)``, its generators' band form ``(g0, g)``; ``labels(amps)``,
+    the first-moment labels of a 2-d unit stack's rows as per-row sequences,
+    the overlaps at those labels last; and ``grid(size)``, the scan's rows."""
+
+    kind: str
+    bands: Callable
+    labels: Callable
+    grid: Callable
+
+    def size(self, state: StateVector) -> int:
+        """N or 2j of a state on one factor of this kind, else ``SpaceMismatch``."""
+        if not state.space.is_single(self.kind):
+            raise SpaceMismatch(f"needs a state on a single {self.kind} factor")
+        return state.space.factors[0].param
+
+    def label(self, state: StateVector) -> tuple:
+        """The label of one state: the one-row case of ``labels``."""
+        self.size(state)
+        return next(zip(*self.labels(state.amps[None, :])))
 
 
 @dataclass(frozen=True)

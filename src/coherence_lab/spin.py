@@ -7,12 +7,13 @@ zeta = -tan(theta/2) exp(-i phi) of a point on the sphere, or by its angles.
 It is built by ``_angles_amps`` (behind ``spin_cs``, the label's reference
 rows and the scan's grid) from one log-domain closed form (``_cs_logs``), a
 row per angle pair in one call. A stack of states is labelled at once by
-``_mean_spin_labels``, whose one-row case is ``mean_spin_label``, under one
-pole rule (``POLE_TOL``). The coupling weights come from its log-binomial
-rows, so nothing overflows.
+``_mean_spin_labels``, under one pole rule (``POLE_TOL``). The coupling
+weights come from its log-binomial rows, so nothing overflows.
 Its generators J0 and J+ ([G0, G+-] = +-G+-) live in one band form, m and
 sqrt((2j - k)(k + 1)) (``_generator_bands``), which every moment and step reads.
-Its scan pieces are ``_scan_weight``, ``_scan_grid`` and ``_scan_label``.
+The module's ``qcore.Family`` record ``FAMILY`` holds the bands, the
+stacked label and the scan's grid (``_scan_grid``); ``mean_spin_label`` is
+its one-row ``label``, and ``split_spin`` takes 2j from ``FAMILY.size``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from . import qcore
 from .errors import (
     InvalidWeight,
-    SpaceMismatch,
     ValidationError,
     WeightConditionViolated,
 )
@@ -161,9 +161,7 @@ def split_spin(state: StateVector, jB, jC) -> StateVector:
     ``coupling_weight`` (through ``qcore.split_amplitudes``): O(dim_B dim_C)
     time and memory, with the unit norm of every column checked on the way.
     """
-    if not state.space.is_single("spin"):
-        raise SpaceMismatch("split_spin needs a state on a single spin factor")
-    tjA = state.space.factors[0].twice_j
+    tjA = FAMILY.size(state)
     if as_twice_j(jB) + as_twice_j(jC) != tjA:
         raise WeightConditionViolated(
             f"need jB + jC = {tjA / 2}, got {jB} + {jC}")
@@ -210,10 +208,10 @@ def _label(theta: float, phi: float) -> tuple:
 MEAN_SPIN_ROUNDING = 8 * np.finfo(float).eps
 
 
-def mean_spin_label(state: StateVector):
-    """``(theta, phi, zeta, fidelity)`` read from the mean spin, with the
-    overlap at that label as ``fidelity``: the one-row case of
-    ``_mean_spin_labels``.
+def _mean_spin_labels(amps: np.ndarray) -> tuple:
+    """``(thetas, phis, zetas, fidelities)``, one entry per unit spin row of
+    the 2-d stack ``amps``, read from the mean spin, with the overlap at
+    that label as the fidelity.
 
     A coherent state has <J> = j n (Arecchi, Courtens, Gilmore & Thomas,
     Phys. Rev. A 6, 2211 (1972)): here <J0> = -j cos(theta) and <J-> =
@@ -221,18 +219,10 @@ def mean_spin_label(state: StateVector):
     When |<J>| is at most ``MEAN_SPIN_ROUNDING`` j (2j + 1), about the
     rounding of a sum of 2j + 1 terms of size j, the mean spin has no
     direction (as for |1, 0>), and the label is fixed at theta = 0, phi = 0,
-    the lowest-weight state.
+    the lowest-weight state. The moments of the stack come at once, each
+    row's fold in Python floats, and the reference rows from one
+    ``_angles_amps`` call.
     """
-    if not state.space.is_single("spin"):
-        raise SpaceMismatch("mean_spin_label needs a single spin factor")
-    return next(zip(*_mean_spin_labels(state.amps[None, :])))
-
-
-def _mean_spin_labels(amps: np.ndarray) -> tuple:
-    """``(thetas, phis, zetas, fidelities)``, one entry per unit spin row of
-    the 2-d stack ``amps``, by ``mean_spin_label``'s rule: the moments of
-    the stack at once, each row's fold in Python floats, and the reference
-    rows from one ``_angles_amps`` call."""
     tj = amps.shape[-1] - 1
     mean_j0, mean_jm = qcore._first_moments(amps, *_generator_bands(tj))
     rounding = MEAN_SPIN_ROUNDING * tj / 2.0 * (tj + 1)
@@ -244,10 +234,6 @@ def _mean_spin_labels(amps: np.ndarray) -> tuple:
     return thetas, phis, zetas, tuple(abs(ov) for ov in overlaps)
 
 
-_scan_weight = coupling_weight  # the scan's split weight, from a ScanSystem's split
-_scan_label = _mean_spin_labels  # the scan's stacked first-moment label
-
-
 def _scan_grid(tj: int) -> np.ndarray:
     """``_angles_amps`` rows at 7 polar angles by 8 azimuths plus each pole
     once (its azimuth is a global phase), from one call."""
@@ -255,3 +241,8 @@ def _scan_grid(tj: int) -> np.ndarray:
     theta = np.linspace(0.0, math.pi, 9)
     return _angles_amps(tj, np.concatenate(([0.0], np.repeat(theta[1:-1], 8), [math.pi])),
                         np.concatenate(([0.0], np.tile(ring, 7), [0.0])))
+
+
+FAMILY = qcore.Family("spin", _generator_bands, _mean_spin_labels, _scan_grid)
+#: ``(theta, phi, zeta, fidelity)`` of one single-spin state, by ``_mean_spin_labels``
+mean_spin_label = FAMILY.label

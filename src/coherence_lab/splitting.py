@@ -6,11 +6,11 @@ f_A(mu x + nu y) = f_B(x) f_C(y) order by order as a formal power series
 (the unique solutions are exponentials), and run seeded randomized scans
 demonstrating that only coherent states split into products.
 
-A scan takes one ``ScanSystem`` record; its family module (``spin`` or
-``fock``) owns the split weight, the stacked first-moment label and the
-coherent grid. A scan labels every sample and excludes it from the
-non-coherent pool when the coherent state at its label (``spin.mean_spin_label``,
-``fock.mean_mode_label``) lies within ``CS_DISTANCE_GUARD``. Each chunk of
+A scan takes one ``ScanSystem`` record: a split ``weight`` and a family
+record (``spin.FAMILY`` or ``fock.FAMILY``) with the stacked first-moment
+label and the coherent grid. A scan labels every sample and excludes it
+from the non-coherent pool when the coherent state at its label lies within
+``CS_DISTANCE_GUARD``. Each chunk of
 samples, and the grid of coherent amplitudes for ``cs_max_entropy`` (from
 the amplitude functions behind ``spin_cs`` and ``glauber_cs``), is one
 stacked array: normalized as ``StateVector`` normalizes, split with one
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import ModuleType
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -186,14 +185,15 @@ def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0) -> AflpS
 
 @dataclass(frozen=True)
 class ScanSystem:
-    """What a scan splits: a ``label``, the input ``space`` and the ``family``
-    module (``spin`` or ``fock``) whose scan pieces it reads:
-    ``_scan_weight(*split)``, ``_scan_grid(size)`` with size N or 2j, and
-    ``_scan_label(amps)``, the family's stacked first-moment label."""
+    """What a scan splits: a ``label``, the input ``space``, the ``family``
+    record whose label and grid it reads, and the split ``weight(*split)``,
+    which the constructors look up when called, not at import, so that a
+    rebinding of it (as a tracer makes) reaches the scan."""
 
     label: str
     space: SpaceDescriptor
-    family: ModuleType
+    family: qcore.Family
+    weight: Callable
     split: tuple
 
 
@@ -201,16 +201,16 @@ def SpinScanSystem(j_a, j_b, j_c) -> ScanSystem:  # noqa: N802 (a constructor)
     """Spin j_a split into the stretched pair (j_b, j_c)."""
     if qcore.as_twice_j(j_a) != qcore.as_twice_j(j_b) + qcore.as_twice_j(j_c):
         raise ValidationError("scan requires j_a = j_b + j_c")
-    return ScanSystem(f"spin({j_a:g},{j_b:g},{j_c:g})", spin.spin_space(j_a), spin,
-                      (j_b, j_c))
+    return ScanSystem(f"spin({j_a:g},{j_b:g},{j_c:g})", spin.spin_space(j_a), spin.FAMILY,
+                      spin.coupling_weight, (j_b, j_c))
 
 
 def FockScanSystem(cutoff: int, split: Optional[fock.SplitSpec] = None) -> ScanSystem:  # noqa: N802
     """Truncated Fock mode split by a beamsplitter (balanced by default)."""
     if cutoff < 12:
         raise ValidationError("scan needs cutoff >= 12 to admit a coherent grid")
-    return ScanSystem(f"fock({cutoff})", fock.fock_space(cutoff), fock,
-                      (split or fock.SplitSpec.balanced(), cutoff))
+    return ScanSystem(f"fock({cutoff})", fock.fock_space(cutoff), fock.FAMILY,
+                      fock.beamsplit_weight, (split or fock.SplitSpec.balanced(), cutoff))
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,9 @@ def _haar_amps(seed: int, index: int, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _cs_distances(family: ModuleType, amps: np.ndarray) -> list:
+def _cs_distances(family: qcore.Family, amps: np.ndarray) -> list:
     """Phase-aligned distance of each unit row of ``amps`` to the coherent
-    state at its first-moment label, from one ``family._scan_label`` call.
+    state at its first-moment label, from one ``family.labels`` call.
 
     A coherent state's first moments are its label: <J> = j n for a spin
     (``spin.mean_spin_label``) and <a> = alpha for a mode
@@ -252,7 +252,7 @@ def _cs_distances(family: ModuleType, amps: np.ndarray) -> list:
     Math. Phys. 26, 222 (1972)).
     """
     return [math.sqrt(max(0.0, 2.0 - 2.0 * abs(overlap)))
-            for overlap in family._scan_label(amps)[-1]]
+            for overlap in family.labels(amps)[-1]]
 
 
 #: most amplitudes one stacked split holds (1 MiB), which keeps a scan's
@@ -278,9 +278,9 @@ def _split_entropies(weight: np.ndarray, amps: np.ndarray) -> list:
 def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
     """Split seeded Haar-random states and record their entanglement.
 
-    One path for every family: ``system.family`` gives the split weight
-    (``_scan_weight``, built on every call), the stacked label
-    (``_scan_label``) and the coherent grid (``_scan_grid``). A sample is
+    One path for every family: ``system.weight`` gives the split weight,
+    built on every call, and ``system.family`` the stacked label
+    (``labels``) and the coherent grid (``grid``). A sample is
     excluded from the non-coherent pool exactly when the coherent state at
     its first-moment label lies inside the guard band (``_cs_distances``).
     Samples go in chunks of at most ``CHUNK_AMPS`` amplitudes, each
@@ -295,7 +295,7 @@ def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     family, space = system.family, system.space
-    weight = family._scan_weight(*system.split)
+    weight = system.weight(*system.split)
     chunk = max(1, CHUNK_AMPS // weight.size)
 
     min_kept, n_kept = None, 0
@@ -308,7 +308,7 @@ def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
                 min_kept = ent if min_kept is None else min(min_kept, ent)
                 n_kept += 1
     # as StateVector normalizes each state
-    grid = qcore._normalize_rows(family._scan_grid(space.factors[0].param))
+    grid = qcore._normalize_rows(family.grid(space.factors[0].param))
     cs_max = max(max(_split_entropies(weight, grid[i:i + chunk]))
                  for i in range(0, len(grid), chunk))
     return ScanStats(

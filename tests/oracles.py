@@ -2,7 +2,7 @@
 and the CHSH see-saw one start at a time.
 
 The library keeps each family's generators only as the band form
-``(g0, g)`` of ``_generator_bands``. The tests check it against the dense
+``(g0, g)`` of its ``FAMILY.bands``. The tests check it against the dense
 matrices built here from those same bands, as plain complex arrays, and
 against the north star's two exponential routes: the displacement operator
 and the coset exponential, through ``scipy.linalg.expm`` directly.
@@ -63,7 +63,7 @@ from coherence_lab.qcore import NORM_ROUNDING, StateVector
 def generators(family, size):
     """Dense (G0, G+, G-) of ``family``: (N, a+, a) of ``fock`` at cutoff
     ``size``, or (J0, J+, J-) of ``spin`` at 2j = ``size``."""
-    g0, g = family._generator_bands(size)
+    g0, g = family.FAMILY.bands(size)
     g = g.astype(complex)
     return np.diag(g0.astype(complex)), np.diag(g, -1), np.diag(g, 1)
 
@@ -145,7 +145,7 @@ def fock_cs_fit(state):
     """``(alpha, fidelity)`` of the unit truncated |alpha> nearest ``state``
     over the admissible disk |alpha| <= ``fock.admissible_radius``, seeded
     at the dense <a> and polished in (Re alpha, Im alpha)."""
-    cutoff = state.space.factors[0].cutoff
+    cutoff = fock.FAMILY.size(state)
     radius = fock.admissible_radius(cutoff)
 
     def clip(z):
@@ -176,8 +176,8 @@ def seesaw_one_start_at_a_time(state, n_starts, seed, tol):
     rng = np.random.default_rng(seed)
 
     def side_update(m, x):
-        o, value = bell._side_update(m.T, m.conj().T, x[None])
-        return o[0], value[0]
+        o, h = bell._side_update(m.T, m.conj().T, x[None])
+        return o[0], np.vecdot(o.reshape(1, -1), h.reshape(1, -1)).real[0]
 
     best_value, best, sweeps = -math.inf, None, []
     for _ in range(n_starts):
@@ -264,10 +264,12 @@ def magnus_exponent_one_substep(coeffs, generator_bands, t, dt):
     return np.cumprod(phase)[:, None] * v, w
 
 
-def evolve_one_substep_at_a_time(drive, generator_bands, initial, grid, counts):
-    """The states of ``dynamics._evolve``, with each substep's exponent built
-    when it is reached (``magnus_exponent_one_substep``), lam taken at one
-    time as a scalar product, and each step applied through x^H."""
+def evolve_one_substep_at_a_time(drive, family, initial, grid, counts):
+    """The states of ``dynamics._evolve`` over ``family``'s bands, with each
+    substep's exponent built when it is reached
+    (``magnus_exponent_one_substep``), lam taken at one time as a scalar
+    product, and each step applied through x^H."""
+    generator_bands = family.bands(family.size(initial))
     def coeffs(t):
         if drive.kind == "exponential":
             return drive.omega, complex(drive.amplitude * np.exp(-1j * drive.frequency * t))
@@ -309,7 +311,7 @@ def angles_amps_one_angle(tj, theta, phi):
 
 
 def spin_scan_grid_one_angle_at_a_time(tj):
-    """``spin._scan_grid`` built one angle pair at a time."""
+    """``spin.FAMILY.grid`` built one angle pair at a time."""
     ring = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     return np.stack([angles_amps_one_angle(tj, theta, phi)
                      for theta in np.linspace(0.0, math.pi, 9)
@@ -318,9 +320,9 @@ def spin_scan_grid_one_angle_at_a_time(tj):
 
 def mean_spin_label_one_state(state):
     """``spin.mean_spin_label``'s rule on one state, with numpy scalars."""
-    tj = state.space.factors[0].twice_j
+    tj = spin.FAMILY.size(state)
     amps = state.amps
-    mean_j0, mean_jm = qcore._first_moments(amps, *spin._generator_bands(tj))
+    mean_j0, mean_jm = qcore._first_moments(amps, *spin.FAMILY.bands(tj))
     if math.hypot(mean_j0, abs(mean_jm)) <= spin.MEAN_SPIN_ROUNDING * tj / 2.0 * (tj + 1):
         theta, phi, zeta = spin._label(0.0, 0.0)
     else:
@@ -331,8 +333,8 @@ def mean_spin_label_one_state(state):
 
 def mean_mode_label_one_state(state):
     """``fock.mean_mode_label``'s rule on one state, through ``glauber_cs``."""
-    cutoff = state.space.factors[0].cutoff
-    alpha = complex(qcore._first_moments(state.amps, *fock._generator_bands(cutoff))[1])
+    cutoff = fock.FAMILY.size(state)
+    alpha = complex(qcore._first_moments(state.amps, *fock.FAMILY.bands(cutoff))[1])
     radius = fock.admissible_radius(cutoff)
     ref = alpha if abs(alpha) <= radius else alpha / abs(alpha) * radius
     return alpha, qcore.overlap(fock.glauber_cs(ref, cutoff), state)

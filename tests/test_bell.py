@@ -397,13 +397,15 @@ def test_side_update_forms_h_as_the_per_matrix_product(dims, n_starts, monkeypat
     monkeypatch.setattr(bell, "_best_responses", recording)
     for mat, d_x in ((m, d_c), (m.T, d_b)):
         x = _hermitian_stack(rng, (n_starts, 2), d_x)
-        o, value = bell._side_update(mat.T, mat.conj().T, x)
-        h = seen.pop()
+        o, h = bell._side_update(mat.T, mat.conj().T, x)
+        assert h is seen.pop()
         want = np.array([[mat @ (x[s, 0] + sign * x[s, 1]).T @ mat.conj().T
                           for sign in (1.0, -1.0)] for s in range(n_starts)])
         assert h.shape == want.shape
         assert np.abs(h - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(o, best_responses(h))
+        # the see-saw's value, formed by the caller from the returned H
+        value = np.vecdot(o.reshape(n_starts, -1), h.reshape(n_starts, -1)).real
         np.testing.assert_allclose(
             value, [np.vdot(o[s], want[s]).real for s in range(n_starts)],
             rtol=1e-13)

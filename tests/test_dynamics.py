@@ -123,9 +123,19 @@ DRIVES = {
 def fock_alphas(drive, grid, cutoff, step):
     """<a> at each grid time from the vacuum, by ``dynamics._evolve`` with
     substeps of at most ``step``, labelled as one stack."""
-    rows, _ = dyn._evolve(drive, fock._generator_bands(cutoff), fock.vacuum(cutoff), grid,
-                          dyn._substep_counts(grid, step))
-    return np.array(fock._mean_mode_labels(rows)[0])
+    _, (alphas, _) = dyn._evolve(drive, fock.FAMILY, fock.vacuum(cutoff), grid,
+                                 dyn._substep_counts(grid, step))
+    return np.array(alphas)
+
+
+def reach_times(drive, grid, counts):
+    """The times ``dynamics._drive_reach`` reads, ascending: every substep's
+    end and, for a static drive, the peak of its orbit from grid[0]."""
+    times = np.append(dyn._substep_times(grid, counts)[0], grid[-1])
+    if drive.is_static:
+        peak = grid[0] + min(grid[-1] - grid[0], math.pi / drive.omega)
+        times = np.sort(np.append(times, peak))
+    return times
 
 
 @pytest.mark.parametrize("drive", DRIVES.values(), ids=list(DRIVES))
@@ -148,7 +158,7 @@ def test_drive_reach_is_the_amplitude_the_integrator_follows(drive):
     # default step the integrator's <a> there is that orbit
     grid = np.linspace(0.0, 20.0, 161)
     counts = dyn._substep_counts(grid, dyn._default_step(drive.omega, drive.frequency))
-    times = np.append(dyn._substep_times(grid, counts)[0], grid[-1])
+    times = reach_times(drive, grid, counts)
     reach = dyn._drive_reach(drive, grid, counts) / 1.02
     assert reach == pytest.approx(max(abs(alpha_of_t(drive, float(t))) for t in times[1:]),
                                   rel=1e-12)
@@ -163,18 +173,29 @@ def test_drive_reach_starts_from_the_vacuum_at_the_first_grid_time(drive):
     # of alpha(t0), which |alpha(t)| alone misses by up to |alpha(t0)|
     grid = np.linspace(0.5, 20.5, 161)
     counts = dyn._substep_counts(grid, dyn._default_step(drive.omega, drive.frequency))
-    times = np.append(dyn._substep_times(grid, counts)[0], grid[-1])
+    times = reach_times(drive, grid, counts)
     peak = np.abs(fock_alphas(drive, times, 60, math.inf)).max()
     assert dyn._drive_reach(drive, grid, counts) / 1.02 == pytest.approx(peak, rel=1e-6)
 
 
 def test_drive_reach_is_stable_at_long_steps():
     # omega dt = 4 per substep is beyond RK4's stability limit (2.83);
-    # the exact substep map keeps |alpha| <= 2 |lam| / omega
+    # the exact substep map keeps |alpha| <= 2 |lam| / omega, reached at
+    # t = pi / omega, which the reach reads
     drive = DriveSpec.constant(1.0, 0.01)
     grid = np.array([0.0, 2000.0, 4000.0])
     reach = dyn._drive_reach(drive, grid, [500, 500])
-    assert 0.0 < reach <= 1.02 * 0.02
+    assert reach == 1.02 * abs(alpha_of_t(drive, math.pi))
+
+
+def test_a_constant_drive_is_admitted_as_its_sinusoid_twin():
+    # from the vacuum at t0 = 3 the orbit stays within |alpha| <= 0.2, so
+    # cutoff 20 admits the constant drive as it admits the same Hamiltonian
+    # written as a sinusoid of frequency 0
+    grid = [3.0, 3.1]
+    got = evolve_fock(DriveSpec.constant(1.0, 2.0), grid, 20).alpha_track
+    twin = evolve_fock(DriveSpec.sinusoid(1.0, 2.0, 0.0), grid, 20).alpha_track
+    assert np.abs(got - twin).max() <= 1e-15 and np.abs(got).max() <= 0.2
 
 
 def test_one_point_grid_has_no_reach():
@@ -401,7 +422,7 @@ def test_magnus_propagator_matches_dense_expm(system, w1, w2, lam1, lam2, dt, t)
     # commutator [G+, G-] is +N, not -1
     family = fock if system[0] == "fock" else spin
     dense = generators(family, system[1])
-    bands = family._generator_bands(system[1])
+    bands = family.FAMILY.bands(system[1])
     nodes = ((w1, complex(lam1)), (w2, complex(lam2)))
     [(x, w)] = dyn._magnus_factors(two_nodes(t, dt, nodes), bands, np.array([t]),
                                    np.array([dt]))
@@ -415,9 +436,9 @@ def test_magnus_propagator_matches_dense_expm(system, w1, w2, lam1, lam2, dt, t)
 
 @st.composite
 def magnus_cases(draw):
-    """A family with its bands at dim 2..90, a drive of each kind or a constant
-    one that takes substeps, a random initial state and substep counts over up
-    to four grid intervals."""
+    """A family record with a random initial state at dim 2..90, a drive of
+    each kind or a constant one that takes substeps, and substep counts over
+    up to four grid intervals."""
     family = draw(st.sampled_from([fock, spin]))
     size = draw(st.integers(1, 89))
     space = fock.fock_space(size) if family is fock else spin.spin_space(size / 2)
@@ -433,32 +454,34 @@ def magnus_cases(draw):
     initial = qcore.StateVector(space, rng.normal(size=(space.dim, 2)) @ [1, 1j])
     counts = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
     grid = np.linspace(0.0, draw(st.floats(0.05, 25.0)), len(counts) + 1)
-    return drive, family._generator_bands(size), initial, grid, counts
+    return drive, family.FAMILY, initial, grid, counts
 
 
-def stacked_states(drive, bands, initial, grid, counts):
+def stacked_states(drive, family, initial, grid, counts):
     """The states of ``dynamics._evolve``, each checked to read its row of
-    the returned read-only stack."""
-    rows, states = dyn._evolve(drive, bands, initial, grid, counts)
+    the read-only stack, which the family's label hands back here: a Fock
+    label needs cutoff >= 12, and the integrator runs at any size."""
+    stack_family = dataclasses.replace(family, labels=lambda rows: rows)
+    states, rows = dyn._evolve(drive, stack_family, initial, grid, counts)
     assert not rows.flags.writeable and len(states) == len(rows) == grid.size
     assert all(state.amps.base is rows and state.space == initial.space for state in states)
     assert [state.amps.tobytes() for state in states] == [row.tobytes() for row in rows]
     return states
 
 
-def states_or_error(evolve, drive, bands, initial, grid, counts):
+def states_or_error(evolve, drive, family, initial, grid, counts):
     """Each state's bytes, or the type and message of the error raised."""
     try:
-        return [state.amps.tobytes() for state in evolve(drive, bands, initial, grid, counts)]
+        return [state.amps.tobytes() for state in evolve(drive, family, initial, grid, counts)]
     except (NumericalError, StepSizeTooLarge, ValidationError) as exc:
         return type(exc), str(exc)
 
 
 @settings(max_examples=60, deadline=None)
 @given(magnus_cases())
-@example((DriveSpec.sinusoid(1.0, 0.3j, 0.7), fock._generator_bands(4),
+@example((DriveSpec.sinusoid(1.0, 0.3j, 0.7), fock.FAMILY,
           fock.number_state(4, 1), np.linspace(0.0, 4.0, 5), [10] * 4))
-@example((DriveSpec.exponential(0.4, 0.2 - 0.3j, 1.3), spin._generator_bands(89),
+@example((DriveSpec.exponential(0.4, 0.2 - 0.3j, 1.3), spin.FAMILY,
           spin.spin_cs(spin.SpinCsParams(j=89 / 2, zeta=0.3)), np.linspace(0.0, 9.0, 4),
           [30, 30, 31]))
 def test_stacked_magnus_factors_match_the_per_substep_loop_bit_for_bit(case):
@@ -511,18 +534,18 @@ BAD_GRIDS = {"jump": [0.0, 2.0, 1e160, 2e160, 3e160]}
 @pytest.mark.parametrize("bad", BAD_GRIDS, ids=str)
 def test_stacked_magnus_factors_fail_at_the_per_substep_loops_substep(monkeypatch, family, bad):
     space = fock.fock_space(8) if family is fock else spin.spin_space(4)
-    case = (DriveSpec.sinusoid(0.5, 1.0, 0.7), family._generator_bands(8),
+    case = (DriveSpec.sinusoid(0.5, 1.0, 0.7), family.FAMILY,
             qcore.StateVector.basis(space, 3), np.array(BAD_GRIDS[bad]), [4] * 4)
     calls = count_calls(monkeypatch, ((scipy.linalg.lapack, "dstevd"),
                                       (scipy.linalg, "eigh_tridiagonal")))
-    got = states_or_error(dyn._evolve, *case)
+    got = states_or_error(stacked_states, *case)
     assert got[0] is NumericalError
     assert got == states_or_error(oracles.evolve_one_substep_at_a_time, *case)
     # substeps 0-3 are factored by each, and neither factors substep 4
     assert calls == {"dstevd": 4, "eigh_tridiagonal": 4}
     # the first interval's drift check still comes before the bad substep
     monkeypatch.setattr(dyn, "_NORM_DRIFT_LIMIT", -1.0)
-    got = states_or_error(dyn._evolve, *case)
+    got = states_or_error(stacked_states, *case)
     assert got[0] is StepSizeTooLarge and got[1].endswith("at t=2.0")
     assert got == states_or_error(oracles.evolve_one_substep_at_a_time, *case)
 
@@ -583,13 +606,15 @@ def test_drives_are_the_closed_forms_only():
 
 
 #: names that left the library, by the place they left: the scan's pieces now
-#: live in ``spin`` and ``fock``, the test-only checks and the quadrature of
-#: the driven oscillator in ``oracles``, and the moment-bound screen and the
-#: per-state label distance are gone
+#: live in each family's ``FAMILY`` record and its ``ScanSystem``, the
+#: test-only checks and the quadrature of the driven oscillator in
+#: ``oracles``, and the moment-bound screen, the per-state label distance,
+#: the scan aliases and the per-kind factor sizes are gone
 MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound",
                             "SCREEN_MARGIN", "_FIDELITY_CEILING", "_cs_distance")),
-               (spin, ("_scan_bound",)),
-               (fock, ("_scan_bound",)),
+               (spin, ("_scan_bound", "_scan_weight", "_scan_label")),
+               (fock, ("_scan_bound", "_scan_weight", "_scan_label")),
+               (qcore.Factor, ("cutoff", "twice_j")),
                (qcore, ("phase_align", "aligned_distance")),
                (splitting.SeriesPoly, ("perturbed",)),
                (splitting.AflpSolution, ("first_failing_order",)),
@@ -600,13 +625,18 @@ MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound",
 def test_moved_names_stay_in_their_new_home():
     for module, names in MOVED_NAMES:
         assert [name for name in names if hasattr(module, name)] == []
-    for home, names in ((spin, ("_scan_weight", "_scan_grid", "_scan_label")),
-                        (fock, ("_scan_weight", "_scan_grid", "_scan_label")),
-                        (oracles, ("phase_align", "aligned_distance", "perturbed",
-                                   "first_failing_order", "alpha_eta_of_t",
-                                   "eta_convention_report", "quad_complex",
-                                   "alpha_by_quadrature", "QuadratureFailure"))):
-        assert all(hasattr(home, name) for name in names)
+    assert all(hasattr(oracles, name) for name in (
+        "phase_align", "aligned_distance", "perturbed", "first_failing_order",
+        "alpha_eta_of_t", "eta_convention_report", "quad_complex", "alpha_by_quadrature",
+        "QuadratureFailure"))
+    # one family record per group, which a scan system carries beside the
+    # weight its constructor looked up
+    for family, label, system, weight in (
+            (spin.FAMILY, spin.mean_spin_label, splitting.SpinScanSystem(2, 1, 1),
+             spin.coupling_weight),
+            (fock.FAMILY, fock.mean_mode_label, splitting.FockScanSystem(16),
+             fock.beamsplit_weight)):
+        assert label == family.label and (system.family, system.weight) == (family, weight)
     # one scan-system record, whose two constructors are functions
     for make in (splitting.SpinScanSystem, splitting.FockScanSystem):
         assert not isinstance(make, type)

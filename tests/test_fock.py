@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from coherence_lab import fock, qcore
+from coherence_lab import fock, qcore, spin
 from coherence_lab.errors import (
     SpaceMismatch,
     TruncationTooSmall,
@@ -205,9 +205,17 @@ def test_number_states_split_entangled():
 
 
 def test_split_fock_rejects_composite_input():
-    s = tensor_state(vacuum(3), vacuum(3))
-    with pytest.raises(SpaceMismatch):
-        split_fock(s, SplitSpec.balanced())
+    # each family's size is its one kind check, behind its label and split:
+    # a two-factor state and a state of the other kind are both refused
+    mode, spin_half = vacuum(3), spin.basis_state(0.5, -0.5)
+    for family, other, split in (
+            (fock.FAMILY, spin_half, lambda s: split_fock(s, SplitSpec.balanced())),
+            (spin.FAMILY, mode, lambda s: spin.split_spin(s, 0.5, 1.0))):
+        for state in (tensor_state(mode, mode), tensor_state(spin_half, spin_half), other):
+            for call in (family.size, family.label, split):
+                with pytest.raises(SpaceMismatch):
+                    call(state)
+    assert (fock.FAMILY.size(mode), spin.FAMILY.size(spin_half)) == (3, 1)
 
 
 def test_minimum_uncertainty_product():

@@ -310,11 +310,11 @@ def test_mean_spin_of_a_stack_is_its_rows_bit_for_bit(tj):
     _, _, a = generators(fock, tj)
     j0, _, jm = generators(spin, tj)
     for family in (spin, fock):
-        mean_g0, mean_gm = qcore._first_moments(stack, *family._generator_bands(tj))
+        mean_g0, mean_gm = qcore._first_moments(stack, *family.FAMILY.bands(tj))
         assert mean_g0.shape == mean_gm.shape == (2, 5)
         for index in np.ndindex(2, 5):
             row = stack[index]
-            row_g0, row_gm = qcore._first_moments(row, *family._generator_bands(tj))
+            row_g0, row_gm = qcore._first_moments(row, *family.FAMILY.bands(tj))
             assert mean_g0[index] == row_g0 and mean_gm[index] == row_gm
             if family is fock:
                 assert row_gm == np.vdot(row, a @ row)
@@ -387,13 +387,13 @@ def test_stacked_angles_amps_are_the_per_angle_rows_bit_for_bit(tj, seed):
 
 def test_scan_grid_is_one_angles_amps_call_with_the_per_angle_bytes(monkeypatch):
     for tj in range(1, 65):
-        assert (spin._scan_grid(tj).tobytes()
+        assert (spin.FAMILY.grid(tj).tobytes()
                 == oracles.spin_scan_grid_one_angle_at_a_time(tj).tobytes())
     calls = []
     angles_amps = spin._angles_amps
     monkeypatch.setattr(spin, "_angles_amps",
                         lambda *args: calls.append(args) or angles_amps(*args))
-    assert spin._scan_grid(6).shape == (58, 7) and len(calls) == 1
+    assert spin.FAMILY.grid(6).shape == (58, 7) and len(calls) == 1
 
 
 @pytest.mark.parametrize("j", HALF_SPINS)

@@ -224,7 +224,7 @@ def test_scan_cs_grid_includes_reference_state():
 
 def test_spin_cs_grid_holds_each_pole_once():
     # 7 interior polar angles x 8 azimuths, plus the two poles
-    amps = spin._scan_grid(4)
+    amps = spin.FAMILY.grid(4)
     assert amps.shape == (58, 5)
     # every row is its own state: only the diagonal overlaps reach 1
     assert np.sum(np.abs(amps.conj() @ amps.T) > 1 - 1e-12) == 58
@@ -240,7 +240,7 @@ def test_negative_control_non_stretched_coupling_rejected():
 def test_guard_band_excludes_planted_cs():
     # plant an exact coherent state among the samples via the guard check
     state = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.7))
-    assert _cs_distances(spin, state.amps[None, :])[0] < CS_DISTANCE_GUARD
+    assert _cs_distances(spin.FAMILY, state.amps[None, :])[0] < CS_DISTANCE_GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ def test_label_distance_is_the_fitted_distance_near_a_coherent_state(kind):
         state = _near_coherent(coherent, 10.0 ** rng.uniform(-5.7, -3.0), case)
         fitted = cs_fit_distance(state)
         assert 1e-6 <= fitted <= 1e-3
-        family = spin if kind == "spin" else fock
+        family = spin.FAMILY if kind == "spin" else fock.FAMILY
         assert abs(_cs_distances(family, state.amps[None, :])[0] / fitted - 1.0) <= 0.01
 
 
@@ -350,7 +350,7 @@ def per_sample_scan(system, n_samples, seed):
     built point by point with ``spin_cs``/``glauber_cs``; the record gives
     only the space and the split parameters (jB, jC) or (spec, cutoff)."""
     space, size = system.space, system.space.factors[0].param
-    if system.family is spin:
+    if system.family is spin.FAMILY:
         def split(state):
             return spin.split_spin(state, *system.split)
 
