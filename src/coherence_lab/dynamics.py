@@ -37,10 +37,9 @@ drive (``_drive_reach``).
 A trajectory's samples are one stack from the integrator to the report:
 ``_evolve`` writes them into one (samples, dim) array, which
 ``StateVector._stack`` normalizes once, and the family's stacked label
-(``Family.labels``) labels them all at once, with no fit. Its rule is the
-one the scan's guard reads, and its one-row case is ``fock.mean_mode_label``
-(alpha = <a>) or ``spin.mean_spin_label`` (the mean spin's direction),
-exact on coherent states.
+(``Family.labels``) labels them all at once, with no fit. Its one-row case
+is ``fock.mean_mode_label`` (alpha = <a>) or ``spin.mean_spin_label`` (the
+mean spin's direction), exact on coherent states.
 """
 
 from __future__ import annotations

@@ -174,17 +174,16 @@ def _mean_mode_labels(amps: np.ndarray) -> tuple:
     """``(alphas, overlaps)``, one entry per unit Fock row of the 2-d stack
     ``amps``: alpha = <a>, exact on a coherent state (Perelomov, Commun.
     Math. Phys. 26, 222 (1972)), and <alpha'|row> with the ``glauber_cs``
-    at alpha pulled onto the disk |alpha'| <= ``admissible_radius``. <a> of
-    the stack at once, each row's pull onto the disk and ``check_cutoff`` in
-    Python floats, and the ``glauber_cs`` rows from one ``_glauber_amps``
-    and one ``qcore._normalize_rows`` call."""
+    at alpha pulled onto the disk |alpha'| <= ``admissible_radius``, which
+    is 0 below cutoff 12, so there every reference is the vacuum. <a> of the
+    stack at once, each row's pull onto the disk in Python floats, and the
+    ``glauber_cs`` rows from one ``_glauber_amps`` and one
+    ``qcore._normalize_rows`` call."""
     cutoff = amps.shape[-1] - 1
     alphas = qcore._first_moments(amps, *_generator_bands(cutoff))[1].tolist()
     radius = admissible_radius(cutoff)
     refs = [alpha if abs(alpha) <= radius else alpha / abs(alpha) * radius
             for alpha in alphas]
-    for ref in refs:
-        check_cutoff(ref, cutoff)
     ref_rows = qcore._normalize_rows(_glauber_amps(np.array(refs), cutoff))
     return tuple(alphas), tuple(np.vecdot(ref_rows, amps).tolist())
 

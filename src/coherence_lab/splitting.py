@@ -7,20 +7,19 @@ f_A(mu x + nu y) = f_B(x) f_C(y) order by order as a formal power series
 demonstrating that only coherent states split into products.
 
 A scan takes one ``ScanSystem`` record: a split ``weight`` and a family
-record (``spin.FAMILY`` or ``fock.FAMILY``) with the stacked first-moment
-label and the coherent grid. A scan labels every sample and excludes it
-from the non-coherent pool when the coherent state at its label lies within
-``CS_DISTANCE_GUARD``. Each chunk of
-samples, and the grid of coherent amplitudes for ``cs_max_entropy`` (from
-the amplitude functions behind ``spin_cs`` and ``glauber_cs``), is one
-stacked array: normalized as ``StateVector`` normalizes, split with one
+record (``spin.FAMILY`` or ``fock.FAMILY``) whose coherent grid it reads.
+Every Haar sample counts towards ``min_entropy_non_cs``: a Haar state is
+non-coherent with probability 1, and ``qcore.PRODUCT_THRESHOLD_BITS`` is
+the one threshold for "product". Each chunk of samples, and each chunk of
+the grid of coherent amplitudes for ``cs_max_entropy`` (from the amplitude
+functions behind ``spin_cs`` and ``glauber_cs``), is one stacked array:
+normalized as ``StateVector`` normalizes, split with one
 ``split_amplitudes`` call and reduced to Schmidt coefficients by one
-values-only stacked SVD, with no Schmidt vector and no per-row state; a
-chunk is labelled by one stacked label call too. The norms are each row's
-correctly rounded sum of squares (``math.fsum``'s bits), summed over the
-whole stack at once and certified row by row, with ``math.fsum`` only for
-a row the certificate cannot place. Its entropies are bit-identical to a
-``schmidt_cut`` of each split sample.
+values-only stacked SVD, with no Schmidt vector and no per-row state. The
+norms are each row's correctly rounded sum of squares (``math.fsum``'s
+bits), summed over the whole stack at once and certified row by row, with
+``math.fsum`` only for a row the certificate cannot place. Its entropies
+are bit-identical to a ``schmidt_cut`` of each split sample.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from . import fock, qcore, spin
 from .errors import NotComposite, NumericalError, ValidationError
 from .qcore import SpaceDescriptor, StateVector
 
-#: phase-aligned distance below which a sample counts as a coherent state
-CS_DISTANCE_GUARD = 1e-6
 #: generic values of the series solve's free parameters tau, f_B(0), f_C(0)
 SERIES_TAU, SERIES_B0, SERIES_C0 = 0.7 + 0.4j, 1.1 - 0.3j, 0.8 + 0.5j
 
@@ -118,9 +115,6 @@ class AflpSolution:
     consistency_residual: float
     exponential_rule_residual: float
 
-    def coefficients(self, tau: complex, f0: complex = 1.0) -> np.ndarray:
-        return SeriesPoly.exponential(tau, f0, self.order).coeffs
-
     def subsystem_taus(self, tau: complex) -> tuple:
         return self.mu * tau, self.nu * tau
 
@@ -186,7 +180,7 @@ def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0) -> AflpS
 @dataclass(frozen=True)
 class ScanSystem:
     """What a scan splits: a ``label``, the input ``space``, the ``family``
-    record whose label and grid it reads, and the split ``weight(*split)``,
+    record whose grid it reads, and the split ``weight(*split)``,
     which the constructors look up when called, not at import, so that a
     rebinding of it (as a tracer makes) reaches the scan."""
 
@@ -215,13 +209,17 @@ def FockScanSystem(cutoff: int, split: Optional[fock.SplitSpec] = None) -> ScanS
 
 @dataclass(frozen=True)
 class ScanStats:
-    """Aggregated scan result; deterministic given (system, n_samples, seed)."""
+    """Aggregated scan result; deterministic given (system, n_samples, seed).
+
+    ``min_entropy_non_cs`` is the smallest split entropy over all samples,
+    and ``cs_max_entropy`` the largest over the coherent grid."""
 
     system: str
     n_samples: int
     seed: int
-    min_entropy_non_cs: Optional[float]
+    min_entropy_non_cs: float
     cs_max_entropy: float
+    # nothing sets it, as every sample counts; perfbench reads it (ROADMAP item 1)
     n_excluded: int = 0
 
     def to_json_dict(self) -> dict:
@@ -240,19 +238,6 @@ def _haar_amps(seed: int, index: int, dim: int) -> np.ndarray:
                                                             dtype=np.uint64)))
     vec = gen.normal(size=dim) + 1j * gen.normal(size=dim)
     return vec / np.linalg.norm(vec)
-
-
-def _cs_distances(family: qcore.Family, amps: np.ndarray) -> list:
-    """Phase-aligned distance of each unit row of ``amps`` to the coherent
-    state at its first-moment label, from one ``family.labels`` call.
-
-    A coherent state's first moments are its label: <J> = j n for a spin
-    (``spin.mean_spin_label``) and <a> = alpha for a mode
-    (``fock.mean_mode_label``, on the admissible disk; Perelomov, Commun.
-    Math. Phys. 26, 222 (1972)).
-    """
-    return [math.sqrt(max(0.0, 2.0 - 2.0 * abs(overlap)))
-            for overlap in family.labels(amps)[-1]]
 
 
 #: most amplitudes one stacked split holds (1 MiB), which keeps a scan's
@@ -275,19 +260,30 @@ def _split_entropies(weight: np.ndarray, amps: np.ndarray) -> list:
     return qcore.entropy_from_coefficients(coeffs).tolist()
 
 
+def _extreme_entropy(extreme: Callable, weight: np.ndarray, n_rows: int,
+                     rows: Callable) -> float:
+    """``extreme`` (``min`` or ``max``) of the split entropies of the stack
+    ``rows(0, n_rows)``, built, normalized by ``qcore._normalize_rows`` (as
+    ``StateVector`` normalizes each state) and split in chunks
+    ``rows(start, stop)`` of at most ``CHUNK_AMPS`` split amplitudes."""
+    chunk = max(1, CHUNK_AMPS // weight.size)
+    found = []
+    for start in range(0, n_rows, chunk):
+        stack = qcore._normalize_rows(rows(start, min(start + chunk, n_rows)))
+        found.append(extreme(_split_entropies(weight, stack)))
+    return extreme(found)
+
+
 def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
     """Split seeded Haar-random states and record their entanglement.
 
     One path for every family: ``system.weight`` gives the split weight,
-    built on every call, and ``system.family`` the stacked label
-    (``labels``) and the coherent grid (``grid``). A sample is
-    excluded from the non-coherent pool exactly when the coherent state at
-    its first-moment label lies inside the guard band (``_cs_distances``).
-    Samples go in chunks of at most ``CHUNK_AMPS`` amplitudes, each
-    normalized by ``qcore._normalize_rows``, labelled by one
-    ``_cs_distances`` call, split with one ``split_amplitudes`` call and
-    cut by one values-only stacked SVD.
-    ``cs_max_entropy`` splits the grid the same way on every call.
+    built on every call, and ``system.family`` the coherent grid (``grid``).
+    Every sample counts: ``min_entropy_non_cs`` is the smallest entropy of
+    all the split samples, and ``cs_max_entropy`` the largest of the split
+    grid, each found by ``_extreme_entropy`` in chunks of at most
+    ``CHUNK_AMPS`` amplitudes, split with one ``split_amplitudes`` call and
+    cut by one values-only stacked SVD per chunk.
     Each sample draws from its own counter-based stream, so the result does
     not depend on the order samples are processed in, and every entropy is
     bit-identical to a ``schmidt_cut`` of the split sample.
@@ -296,26 +292,16 @@ def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
         raise ValidationError("n_samples must be >= 1")
     family, space = system.family, system.space
     weight = system.weight(*system.split)
-    chunk = max(1, CHUNK_AMPS // weight.size)
 
-    min_kept, n_kept = None, 0
-    for start in range(0, n_samples, chunk):
-        amps = qcore._normalize_rows(np.stack([
-            _haar_amps(seed, i, space.dim)
-            for i in range(start, min(start + chunk, n_samples))]))
-        for ent, dist in zip(_split_entropies(weight, amps), _cs_distances(family, amps)):
-            if dist > CS_DISTANCE_GUARD:
-                min_kept = ent if min_kept is None else min(min_kept, ent)
-                n_kept += 1
-    # as StateVector normalizes each state
-    grid = qcore._normalize_rows(family.grid(space.factors[0].param))
-    cs_max = max(max(_split_entropies(weight, grid[i:i + chunk]))
-                 for i in range(0, len(grid), chunk))
+    def samples(start, stop):
+        return np.stack([_haar_amps(seed, i, space.dim) for i in range(start, stop)])
+
+    grid = family.grid(space.factors[0].param)
     return ScanStats(
         system=system.label,
         n_samples=n_samples,
         seed=seed,
-        min_entropy_non_cs=min_kept,
-        cs_max_entropy=cs_max,
-        n_excluded=n_samples - n_kept,
+        min_entropy_non_cs=_extreme_entropy(min, weight, n_samples, samples),
+        cs_max_entropy=_extreme_entropy(max, weight, len(grid),
+                                        lambda start, stop: grid[start:stop]),
     )

@@ -289,6 +289,13 @@ def environment() -> dict:
             "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
+def environment_changes(recorded: dict) -> list:
+    """Each ``environment()`` version that differs from ``recorded``'s, as
+    "name recorded -> now"."""
+    return [f"{key} {recorded.get(key)} -> {value}"
+            for key, value in environment().items() if recorded.get(key) != value]
+
+
 def readme_cli_digests() -> dict:
     """Run the README's CLI block in the working directory, where its relative
     paths (split.json, traj.csv) land, and return the SHA-256 of what each
@@ -323,9 +330,7 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     moved = [f"{group} {key}" for group in ("printed", "files")
              for key in sorted(golden[group].keys() | runs[0][group].keys())
              if golden[group].get(key) != runs[0][group].get(key)]
-    env = environment()
-    changed = [f"{key} {golden['environment'].get(key)} -> {env[key]}"
-               for key in env if golden["environment"].get(key) != env[key]]
+    changed = environment_changes(golden["environment"])
     assert not moved, (
         f"README CLI outputs differ from {GOLDEN.name}: {moved}; "
         + (f"the environment differs from the record's: {changed}" if changed else

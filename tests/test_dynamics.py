@@ -459,8 +459,7 @@ def magnus_cases(draw):
 
 def stacked_states(drive, family, initial, grid, counts):
     """The states of ``dynamics._evolve``, each checked to read its row of
-    the read-only stack, which the family's label hands back here: a Fock
-    label needs cutoff >= 12, and the integrator runs at any size."""
+    the read-only stack, which the family's label hands back here."""
     stack_family = dataclasses.replace(family, labels=lambda rows: rows)
     states, rows = dyn._evolve(drive, stack_family, initial, grid, counts)
     assert not rows.flags.writeable and len(states) == len(rows) == grid.size
@@ -560,7 +559,7 @@ DELETED_NAMES = ("LinearOperator", "apply", "expectation", "moments", "mat_exp",
 
 def test_command_paths_build_no_dense_generator(monkeypatch):
     # the library keeps each generator as its band form only, and evolve and
-    # the scan's bounds and labels never exponentiate a dense matrix or search
+    # the scan never exponentiate a dense matrix or search
     for module in (coherence_lab, qcore, fock, spin):
         assert [name for name in DELETED_NAMES if hasattr(module, name)] == []
     # one Fock label and one pole rule: the copies beside them are gone
@@ -581,13 +580,15 @@ def test_command_paths_build_no_dense_generator(monkeypatch):
     traj = evolve_spin(DriveSpec.constant(0.9, 0.3 + 0.1j), 2, np.linspace(0.0, 3.0, 7),
                        spin_cs)
     assert traj.cs_fidelity.min() > 1 - 1e-12
-    # a planted coherent sample is labelled, by <a> or the mean spin, and excluded
+    # a planted coherent sample is counted, and its split is a product
     haar = splitting._haar_amps
     for system, planted in ((splitting.FockScanSystem(16), fock.glauber_cs(0.5 + 0.3j, 16)),
                             (splitting.SpinScanSystem(2, 1, 1), spin_cs)):
         monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim, p=planted.amps: (
             p if index == 5 else haar(seed, index, dim)))
-        assert splitting.uniqueness_scan(system, 12, 7).n_excluded == 1
+        stats = splitting.uniqueness_scan(system, 12, 7)
+        assert stats.n_excluded == 0
+        assert stats.min_entropy_non_cs < qcore.PRODUCT_THRESHOLD_BITS
 
 
 def test_drives_are_the_closed_forms_only():
@@ -788,8 +789,8 @@ def test_evolve_spin_fidelity_of_a_non_coherent_state_is_at_most_the_fit():
 
 
 def test_each_sample_is_labelled_by_its_family_label_of_the_stored_state():
-    # one label rule for both families, the scan guard's: every sample's label
-    # is, bit for bit, the label function applied to the stored state
+    # one label rule for both families: every sample's label is, bit for bit,
+    # the label function applied to the stored state
     traj = evolve_fock(DriveSpec.sinusoid(1.0, 0.3 - 0.1j, 0.7), np.linspace(0.0, 4.0, 9), 30,
                        initial=fock.glauber_cs(0.2 + 0.4j, 30))
     alphas, overlaps = zip(*map(fock.mean_mode_label, traj.states))

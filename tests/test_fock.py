@@ -276,3 +276,10 @@ def test_stacked_mode_labels_are_each_rows_label_bit_for_bit(cutoff, seed, n_ran
             one_alpha, one_ov = label(state)
             assert np.array([alpha, ov]).tobytes() == np.array([one_alpha, one_ov]).tobytes()
             assert np.float64(abs(ov)).tobytes() == np.float64(abs(one_ov)).tobytes()
+
+
+@pytest.mark.parametrize("cutoff", range(1, 12))
+def test_vacuum_is_labelled_below_cutoff_12(cutoff):
+    # the admissible disk has radius 0 below cutoff 12; the vacuum's label
+    # alpha = 0 lies on it, and its overlap with itself is 1
+    assert fock.mean_mode_label(fock.vacuum(cutoff)) == (0j, (1 + 0j))

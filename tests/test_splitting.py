@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,14 +8,12 @@ import scipy.optimize
 
 from coherence_lab import fock, spin, splitting
 from coherence_lab.errors import NotComposite, ValidationError
-from coherence_lab.qcore import StateVector, schmidt_cut, tensor_state
+from coherence_lab.qcore import PRODUCT_THRESHOLD_BITS, StateVector, schmidt_cut, tensor_state
 from coherence_lab.splitting import (
-    CS_DISTANCE_GUARD,
     FockScanSystem,
     ScanStats,
     SeriesPoly,
     SpinScanSystem,
-    _cs_distances,
     aflp_series_solve,
     factorization_report,
     functional_residuals,
@@ -88,7 +87,7 @@ def test_series_poly_guards():
 
 def test_exponential_solution_small_order():
     sol = aflp_series_solve(3)
-    got = sol.coefficients(1.0, 1.0)
+    got = SeriesPoly.exponential(1.0, 1.0, sol.order).coeffs
     np.testing.assert_allclose(got, [1.0, 1.0, 0.5, 1 / 6], atol=1e-15)
 
 
@@ -237,14 +236,8 @@ def test_negative_control_non_stretched_coupling_rejected():
         spin.split_spin(cs, 1.0, 1.0)  # jB + jC = 2 > 1
 
 
-def test_guard_band_excludes_planted_cs():
-    # plant an exact coherent state among the samples via the guard check
-    state = spin.spin_cs(spin.SpinCsParams(j=1, zeta=0.7))
-    assert _cs_distances(spin.FAMILY, state.amps[None, :])[0] < CS_DISTANCE_GUARD
-
-
 # ---------------------------------------------------------------------------
-# the scan's labels and batching
+# the scan's batching, and the label evolve reads
 # ---------------------------------------------------------------------------
 
 def _random_coherent(kind, size, rng):
@@ -267,12 +260,12 @@ def _near_coherent(coherent, eps, seed):
     return StateVector(coherent.space, coherent.amps + eps * noise)
 
 
-def _count_labels(monkeypatch):
-    """The size of each stack ``uniqueness_scan`` labels, with every
+def _count_splits(monkeypatch):
+    """The size of each stack ``uniqueness_scan`` splits, with every
     optimizer raising."""
-    calls, label = [], splitting._cs_distances
-    monkeypatch.setattr(splitting, "_cs_distances",
-                        lambda family, amps: calls.append(len(amps)) or label(family, amps))
+    calls, split = [], splitting._split_entropies
+    monkeypatch.setattr(splitting, "_split_entropies",
+                        lambda weight, amps: calls.append(len(amps)) or split(weight, amps))
     monkeypatch.setattr(scipy.optimize, "minimize", _no_search)
     return calls
 
@@ -281,13 +274,21 @@ def _no_search(*args, **kwargs):
     raise AssertionError("an optimizer ran")
 
 
-def test_scan_labels_each_chunk_in_one_call(monkeypatch):
-    calls = _count_labels(monkeypatch)
-    uniqueness_scan(FockScanSystem(24), 30, 1)
-    uniqueness_scan(SpinScanSystem(3, 1.5, 1.5), 50, 1)
-    uniqueness_scan(SpinScanSystem(1, 0.5, 0.5), 60, 3)
-    # one label call per chunk, and each scan is one chunk
-    assert calls == [30, 50, 60]
+def _no_label(amps):
+    raise AssertionError("the scan labelled a stack")
+
+
+def test_scan_never_labels(monkeypatch):
+    systems = [(FockScanSystem(24), 30, 1), (SpinScanSystem(3, 1.5, 1.5), 50, 1),
+               (SpinScanSystem(1, 0.5, 0.5), 60, 3)]
+    expected = [uniqueness_scan(*args) for args in systems]
+    calls = _count_splits(monkeypatch)
+    for (system, n_samples, seed), stats in zip(systems, expected):
+        unlabelled = dataclasses.replace(
+            system, family=dataclasses.replace(system.family, labels=_no_label))
+        assert uniqueness_scan(unlabelled, n_samples, seed) == stats
+    # one split per chunk, and each scan's samples and grid are one chunk each
+    assert calls == [30, 33, 50, 58, 60, 58]
 
 
 SPIN_CS = spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j))
@@ -295,23 +296,22 @@ FOCK_CS = fock.glauber_cs(0.5 + 0.3j, 16)
 FOCK60_CS = fock.glauber_cs(1.2 - 0.8j, 60)
 
 
-@pytest.mark.parametrize("system,chunks,plants,excluded", [
-    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 0.0)}, 1),
-    (FockScanSystem(16), [12], {5: (FOCK_CS, 0.0)}, 1),
-    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 9e-7)}, 1),
-    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 3.6e-6)}, 0),
-    (FockScanSystem(16), [12], {5: (FOCK_CS, 5.2e-7)}, 1),
-    (FockScanSystem(16), [12], {5: (FOCK_CS, 2.1e-6)}, 0),
-    (FockScanSystem(60), [17, 17, 6], {22: (FOCK60_CS, 5e-7), 36: (FOCK60_CS, 2e-6)}, 1),
+@pytest.mark.parametrize("system,chunks,plants", [
+    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 0.0)}),
+    (FockScanSystem(16), [12], {5: (FOCK_CS, 0.0)}),
+    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 9e-7)}),
+    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 3.6e-6)}),
+    (FockScanSystem(16), [12], {5: (FOCK_CS, 5.2e-7)}),
+    (FockScanSystem(16), [12], {5: (FOCK_CS, 2.1e-6)}),
+    (FockScanSystem(60), [17, 17, 6], {22: (FOCK60_CS, 5e-7), 36: (FOCK60_CS, 2e-6)}),
 ], ids=["spin", "fock", "spin-at-5e-7", "spin-at-2e-6", "fock-at-5e-7", "fock-at-2e-6",
         "fock60-in-chunks-2-and-3"])
-def test_scan_excludes_a_planted_coherent_sample(monkeypatch, system, chunks, plants,
-                                                 excluded):
+def test_scan_counts_a_planted_coherent_sample(monkeypatch, system, chunks, plants):
     # each planted sample is a coherent state, exact or with noise that puts
-    # it about 5e-7 (eps below 1e-6, inside the guard band) or 2e-6 (outside)
-    # from the nearest one: the scan labels it, with no search, and the
-    # coherent state at its label decides. A Fock-60 chunk holds 17 rows, so
-    # its two plants are labelled in the second and the third chunk.
+    # it about 5e-7 or 2e-6 from the nearest one: the scan counts it like any
+    # other sample, with no label and no search, and its split is a product,
+    # so it sets min_entropy_non_cs. A Fock-60 chunk holds 17 rows, so its two
+    # plants are split in the second and the third chunk.
     states = {index: _near_coherent(planted, eps, 4)
               for index, (planted, eps) in plants.items()}
     for index, (_, eps) in plants.items():
@@ -321,18 +321,20 @@ def test_scan_excludes_a_planted_coherent_sample(monkeypatch, system, chunks, pl
     haar = splitting._haar_amps
     monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim: (
         states[index].amps if index in states else haar(seed, index, dim)))
-    calls = _count_labels(monkeypatch)
+    calls = _count_splits(monkeypatch)
     stats = uniqueness_scan(system, sum(chunks), 7)
-    assert stats.n_excluded == excluded
-    assert calls == chunks
+    assert stats.n_excluded == 0
+    assert stats.min_entropy_non_cs < PRODUCT_THRESHOLD_BITS
+    assert calls[:len(chunks)] == chunks
     assert stats == per_sample_scan(system, sum(chunks), 7)
 
 
 @pytest.mark.parametrize("kind", ["spin", "fock"])
 def test_label_distance_is_the_fitted_distance_near_a_coherent_state(kind):
     # seeded coherent states (spin 2j = 2..40, Fock N = 13..51) plus noise
-    # that puts them 1e-6 to 1e-3 from the nearest one: the label's distance
-    # is within 1% of the fitted one
+    # that puts them 1e-6 to 1e-3 from the nearest one: the distance to the
+    # coherent state at the label, which evolve's fidelity column reads, is
+    # within 1% of the fitted one
     rng = np.random.default_rng(17)
     for case in range(20):
         coherent = _random_coherent(kind, int(rng.integers(1, 40)), rng)
@@ -340,13 +342,13 @@ def test_label_distance_is_the_fitted_distance_near_a_coherent_state(kind):
         fitted = cs_fit_distance(state)
         assert 1e-6 <= fitted <= 1e-3
         family = spin.FAMILY if kind == "spin" else fock.FAMILY
-        assert abs(_cs_distances(family, state.amps[None, :])[0] / fitted - 1.0) <= 0.01
+        overlap = family.labels(state.amps[None, :])[-1][0]
+        assert abs(math.sqrt(max(0.0, 2.0 - 2.0 * abs(overlap))) / fitted - 1.0) <= 0.01
 
 
 def per_sample_scan(system, n_samples, seed):
-    """The scan one state at a time, without batching: every sample is
-    labelled as a one-row stack, and every sample and grid state is split by
-    ``split_spin``/``split_fock`` and cut by ``schmidt_cut``. The grid is
+    """The scan one state at a time, without batching: every sample and grid
+    state is split by ``split_spin``/``split_fock`` and cut by ``schmidt_cut``. The grid is
     built point by point with ``spin_cs``/``glauber_cs``; the record gives
     only the space and the split parameters (jB, jC) or (spec, cutoff)."""
     space, size = system.space, system.space.factors[0].param
@@ -367,15 +369,12 @@ def per_sample_scan(system, n_samples, seed):
             fock.glauber_cs(r * np.exp(1j * ph), size)
             for r in np.linspace(radius / 4.0, radius, 4)
             for ph in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
-    kept = []
-    for index in range(n_samples):
-        state = StateVector(space, splitting._haar_amps(seed, index, space.dim))
-        if _cs_distances(system.family, state.amps[None, :])[0] > CS_DISTANCE_GUARD:
-            kept.append(schmidt_cut(split(state), 1).entropy_bits)
+    samples = [StateVector(space, splitting._haar_amps(seed, index, space.dim))
+               for index in range(n_samples)]
     return ScanStats(system=system.label, n_samples=n_samples, seed=seed,
-                     min_entropy_non_cs=min(kept) if kept else None,
-                     cs_max_entropy=max(schmidt_cut(split(s), 1).entropy_bits for s in grid),
-                     n_excluded=n_samples - len(kept))
+                     min_entropy_non_cs=min(schmidt_cut(split(s), 1).entropy_bits
+                                            for s in samples),
+                     cs_max_entropy=max(schmidt_cut(split(s), 1).entropy_bits for s in grid))
 
 
 def _recorded(system, n_samples, seed, min_entropy, cs_max):
