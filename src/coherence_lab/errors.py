@@ -55,7 +55,7 @@ class ConfigError(ValidationError):
 
 
 class ZeroVector(NumericalError):
-    """Normalization of an (almost) null vector was requested."""
+    """Normalization of an all-zero vector was requested."""
 
 
 class NonFinite(NumericalError):

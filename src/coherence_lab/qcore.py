@@ -24,7 +24,6 @@ function.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,9 +39,6 @@ from .errors import (
     ZeroVector,
 )
 
-log = logging.getLogger(__name__)
-
-NORM_TOL = 1e-12
 #: Largest |norm - 1| that ``StateVector`` takes for rounding: it keeps such
 #: amplitudes as given. One division by its norm lands within 3 eps of 1 at
 #: any dimension, so rebuilding a state never moves its amplitudes.
@@ -222,24 +218,25 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     or more, ``math.fsum`` on smaller ones and on rows the certificate cannot
     place. That keeps a norm within 2 ulps at any dimension, where a BLAS dot
     product drifts by over 2000 ulps on a uniform superposition of 90 601
-    entries. A row whose squares overflow (amplitudes above about 1e154) is
-    first divided by its largest component, which keeps every square <= 1.
-    A null row raises ``ZeroVector``; a row within ``NORM_ROUNDING`` of unit
-    norm is kept as given, and all others are divided by their norms at once.
+    entries. A row is a ray, loaded at any scale: one whose norm is not in
+    [1e-14, inf) first has its float parts truly divided by the largest
+    |part|, which becomes exactly +-1 (numpy would divide a complex row by
+    that part's reciprocal, inf below about 1e-308). Only an all-zero row
+    raises ``ZeroVector``. A row within ``NORM_ROUNDING`` of unit norm is
+    kept as given, and all others are divided by their norms at once.
     """
     flat = rows.view(float)
     if not np.all(np.isfinite(flat)):
         raise NonFinite("state amplitudes must be finite")
     idx, norms = [], []
     for i, sum_sq in enumerate(_sum_squares(flat)):
-        if sum_sq == math.inf:
-            rows[i] /= np.abs(flat[i]).max()
-            sum_sq = _sum_squares(flat[i:i + 1])[0]
         norm = math.sqrt(sum_sq)
-        if norm < 1e-14:
-            raise ZeroVector("cannot normalize a null vector")
-        if abs(norm - 1.0) > NORM_TOL:
-            log.debug("renormalizing state, norm deficit %.3e", abs(norm - 1.0))
+        if not 1e-14 <= norm < math.inf:
+            peak = np.abs(flat[i]).max()
+            if peak == 0.0:
+                raise ZeroVector("cannot normalize a null vector")
+            flat[i] /= peak
+            norm = math.sqrt(_sum_squares(flat[i:i + 1])[0])
         if abs(norm - 1.0) > NORM_ROUNDING:
             idx.append(i)
             norms.append(norm)
@@ -256,17 +253,18 @@ class StateVector:
     """Normalized complex amplitude vector over a labeled basis.
 
     Construction normalizes the amplitudes by ``_normalize_rows`` (raising
-    ``ZeroVector`` for a null input) and freezes them; instances are safe to
-    share. The norm is the square root of the correctly rounded sum of
+    ``ZeroVector`` for an all-zero input) and freezes them; instances are
+    safe to share. The norm is the square root of the correctly rounded sum of
     squares, ``math.fsum``'s bits: summed vectorized and certified from 1024
     floats (512 amplitudes) up, by ``math.fsum`` below that. When the norm
     is within ``NORM_ROUNDING`` (4 eps, about 8.9e-16) of 1 the amplitudes
     are kept as given; otherwise they are divided by it, which lands within
     that bound at any dimension. So construction is idempotent:
     ``StateVector(s.space, s.amps)`` has bit-identical amplitudes, and saved
-    states round-trip exactly. Amplitudes too large to square (above about
-    1e154) are first divided by the largest one. A trajectory's samples are
-    built at once, as the rows of one normalized stack (``_stack``).
+    states round-trip exactly. Any nonzero finite ray loads at any scale:
+    amplitudes whose norm is below 1e-14 or overflows are first divided by
+    the largest part. A trajectory's samples are built at once, as the rows
+    of one normalized stack (``_stack``).
     """
 
     __slots__ = ("space", "amps")

@@ -111,7 +111,7 @@ def state_from_dict(data: dict) -> StateVector:
         raise ConfigError(f"malformed state file: {exc}") from exc
     try:
         return StateVector(space, amps)
-    except ZeroVector as exc:  # null amplitudes name no state
+    except ZeroVector as exc:  # all-zero amplitudes name no state
         raise ConfigError(f"malformed state file: {exc}") from exc
 
 

@@ -40,6 +40,11 @@ The library reads the driven oscillator's amplitude from its closed form;
 ``alpha_by_quadrature`` integrates the drive by adaptive quadrature
 (``quad_complex``), so the tests can hold the closed form to it.
 
+The library solves the splitting functional equation order by order in
+floats; ``series_solve_exact`` repeats the solve over Gaussian rationals
+(``Fraction`` pairs), so the tests can check claim 3's redundant equations
+and exponential rule with no rounding at all.
+
 The rest serve only the tests: phase-aligned distances between rays, a
 perturbed power series and the first order it fails at, and the textbook
 global phase of the driven oscillator by quadrature, with the measurement of
@@ -49,6 +54,7 @@ which vacuum-energy convention reproduces it.
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import scipy.integrate
@@ -222,19 +228,21 @@ def fsum_squares(flat):
 
 def normalize_rows_by_fsum(rows):
     """``StateVector``'s normalization of each row of a 2-d complex stack, in
-    place, with one ``math.fsum`` per row: a row whose squares overflow is
-    first divided by its largest component; a row within ``NORM_ROUNDING`` of
-    unit norm is kept, any other divided by its norm."""
+    place, with one ``math.fsum`` per row: a row whose norm is not in
+    [1e-14, inf) first has its float parts divided by its largest |part|, and
+    only an all-zero row is refused; a row within ``NORM_ROUNDING`` of unit
+    norm is kept, any other divided by its norm."""
     flat = rows.view(float)
     if not np.all(np.isfinite(flat)):
         raise NonFinite("state amplitudes must be finite")
     for i, sum_sq in enumerate(fsum_squares(flat)):
-        if sum_sq == math.inf:
-            rows[i] /= np.abs(flat[i]).max()
-            sum_sq = fsum_squares(flat[i:i + 1])[0]
         norm = math.sqrt(sum_sq)
-        if norm < 1e-14:
-            raise ZeroVector("cannot normalize a null vector")
+        if not 1e-14 <= norm < math.inf:
+            peak = np.abs(flat[i]).max()
+            if peak == 0.0:
+                raise ZeroVector("cannot normalize a null vector")
+            flat[i] /= peak
+            norm = math.sqrt(fsum_squares(flat[i:i + 1])[0])
         if abs(norm - 1.0) > NORM_ROUNDING:
             rows[i] /= norm
     return rows
@@ -376,6 +384,55 @@ def first_failing_order(solution, f_a, f_b, f_c, tol=1e-12):
     res = splitting.functional_residuals(f_a, f_b, f_c, solution.mu, solution.nu)
     bad = np.nonzero(res > tol)[0]
     return int(bad[0]) if bad.size else None
+
+
+def gaussian_rational(z):
+    """The exact value of a float or complex, or a pair of exact parts, as a
+    Gaussian rational: a pair of ``Fraction`` (real, imaginary)."""
+    if isinstance(z, tuple):
+        return Fraction(z[0]), Fraction(z[1])
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _gaussian_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gaussian_div(x, y):
+    scale = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / scale, (x[1] * y[0] - x[0] * y[1]) / scale)
+
+
+def series_solve_exact(order, mu, nu):
+    """``splitting.aflp_series_solve`` over Gaussian rationals, from the exact
+    values of ``SERIES_TAU``, ``SERIES_B0``, ``SERIES_C0``, mu and nu (each
+    a number or a pair of exact parts): ``(a, values)``, where ``a`` holds
+    f_A's solved coefficients and ``values[n]`` the set of the a_n that the
+    order-n equations k = 1..n-1, b_k c_(n-k) = C(n, k) mu^k nu^(n-k) a_n,
+    give (empty below n = 2). Each a_n is the k = 1 value, as in the float
+    solve; exact arithmetic leaves no rounding to hide a disagreement."""
+    tau, b0, c0 = map(gaussian_rational, (splitting.SERIES_TAU, splitting.SERIES_B0,
+                                          splitting.SERIES_C0))
+    mu, nu = gaussian_rational(mu), gaussian_rational(nu)
+    mu_pow, nu_pow = [(Fraction(1), Fraction(0))], [(Fraction(1), Fraction(0))]
+    for _ in range(order):
+        mu_pow.append(_gaussian_mul(mu_pow[-1], mu))
+        nu_pow.append(_gaussian_mul(nu_pow[-1], nu))
+    a = [_gaussian_mul(b0, c0)]
+    a.append(_gaussian_mul(tau, a[0]))
+    b = [b0, _gaussian_div(_gaussian_mul(a[1], mu), c0)]
+    c = [c0, _gaussian_div(_gaussian_mul(a[1], nu), b0)]
+    values = [set(), set()]
+    for n in range(2, order + 1):
+        found = [_gaussian_div(_gaussian_mul(b[k], c[n - k]), _gaussian_mul(
+                     (math.comb(n, k), 0), _gaussian_mul(mu_pow[k], nu_pow[n - k])))
+                 for k in range(1, n)]
+        a.append(found[0])
+        values.append(set(found))
+        b.append(_gaussian_div(_gaussian_mul(a[n], mu_pow[n]), c0))
+        c.append(_gaussian_div(_gaussian_mul(a[n], nu_pow[n]), b0))
+    return a, values
 
 
 class QuadratureFailure(NumericalError):

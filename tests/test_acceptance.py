@@ -166,6 +166,15 @@ def test_c06_series_solver():
 
 
 def test_c07_classical_trajectory():
+    """A driven oscillator's vacuum stays coherent on the classical orbit.
+
+    Each Magnus step is a group element, which maps a coherent state to a
+    coherent state whatever the step, so the fidelity assert checks the
+    representation; the orbit asserts (alpha against quadrature, and at pi)
+    are the ones a step error can fail. This constant drive takes the exact
+    static step only; driven cases, which run the Magnus substeps, wait for
+    ROADMAP item 10's step rule.
+    """
     t0 = time.time()
     omega, lam = 1.0, 0.2
     drive = dynamics.DriveSpec.constant(omega, lam)
@@ -257,6 +266,13 @@ def _bloch_orbit(drive, n0, grid):
 
 
 def test_c11_driven_spin_follows_the_bloch_orbit():
+    """Driven spin coherent states stay coherent on the Bloch orbit.
+
+    Each Magnus step is a group element, which maps a coherent state to a
+    coherent state whatever the step, so the fidelity assert checks the
+    representation; the Bloch-vector assert is the one a step error can
+    fail.
+    """
     t0 = time.time()
     rng = np.random.default_rng(1111)
     worst_gap, worst_deficit, cases = 0.0, 0.0, 0

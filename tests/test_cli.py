@@ -913,6 +913,16 @@ SEED = ["0", "7", "-1", "1.5", "", "abc", str(2 ** 64), "1e300"]
 THETA = ["0", "1.2", "3.141592653589793", "-1", "4", "nan", "inf", "1e300", "", "abc"]
 
 
+def _scaled_pair(scale):
+    """The two-qubit ray |01> + |10> with both amplitudes ``scale``."""
+    return {"space": {"factors": [{"kind": "spin", "twice_j": 1}] * 2},
+            "amps": [[0, 0], [scale, 0], [scale, 0], [0, 0]]}
+
+
+#: the ray |01> + |10> at scales from the smallest subnormal to near overflow
+SCALED_PAIRS = {f"@pair-{scale!r}": scale for scale in (5e-324, 1e-160, 1e-15, 1.7e308)}
+
+
 def _small(*valid):
     return list(valid) + ["0", "-1", "1.5", "", "abc"]
 
@@ -927,7 +937,8 @@ FLAGS = {
         "state": ["split-spin1-m0", "split-spin1-lowest", "no-such-state", "",
                   "@good", "@malformed", "@bad-amps", "@bad-space", "@float-size",
                   "@bool-size", "@string-size", "@huge-amps", "@string-amps", "@bool-amps",
-                  "@nan-amps", "@huge-int-amps", "@scalar-amps", "@zero-amps", "@tiny-amps"],
+                  "@nan-amps", "@huge-int-amps", "@scalar-amps", "@zero-amps", "@tiny-amps",
+                  *SCALED_PAIRS],
         "strategy": ["analytic-qubit", "multistart", "multistart-local-search", "bogus"],
         "n-starts": _small("1", "2", "4"), "seed": SEED,
         "tol": ["1e-7", "1e-3", "0", "-1", "nan", "inf", "1e300", "", "abc"],
@@ -983,9 +994,11 @@ STATE_FILES = {
     "@nan-amps": lambda: _two_qubit_amps([math.nan, 0]),
     "@huge-int-amps": lambda: _two_qubit_amps([10 ** 400, 0]),
     "@scalar-amps": lambda: _two_qubit_amps(1),
-    # two-qubit files with no state: all amplitudes zero, or too small to normalize
+    # a two-qubit file with no state: all amplitudes zero
     "@zero-amps": lambda: _two_qubit_amps([0, 0]),
+    # two-qubit rays far below unit scale, or far above it
     "@tiny-amps": lambda: _two_qubit_amps([1e-320, 0]),
+    **{name: lambda scale=scale: _scaled_pair(scale) for name, scale in SCALED_PAIRS.items()},
 }
 
 #: one valid call per command and system; examples change or drop flags of one
@@ -1113,15 +1126,33 @@ def test_state_file_amplitudes_must_be_pairs_of_finite_json_numbers(name, tmp_pa
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("name", ["@zero-amps", "@tiny-amps"])
+@pytest.mark.parametrize("name", ["@zero-amps"])
 def test_null_state_file_exits_2_with_one_line(name, tmp_path):
     # it names no state: invalid input, not a numerical failure (exit 3)
     path = tmp_path / "state.json"
     path.write_text(json.dumps(STATE_FILES[name]()))
     code, err = _exit_and_stderr(["chsh", "--state", str(path)])
     assert code == 2
-    assert err.startswith("error: malformed state file: ")
-    assert err.count("\n") == 1
+    assert err == "error: malformed state file: cannot normalize a null vector\n"
+
+
+def _chsh_stdout(state, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_cli(["chsh", "--state", str(path)]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name,unit", [
+    ("@tiny-amps", _two_qubit_amps([1, 0])),
+    *((name, _scaled_pair(1.0)) for name in SCALED_PAIRS),
+], ids=["@tiny-amps", *SCALED_PAIRS])
+def test_a_state_file_at_any_scale_gives_the_unit_scale_report(name, unit, tmp_path):
+    # a ray's scale never decides whether it loads: each of these rows is
+    # divided by its largest part, which is exactly the unit-scale row
+    assert _chsh_stdout(STATE_FILES[name](), tmp_path) == _chsh_stdout(unit, tmp_path)
 
 
 @pytest.mark.parametrize("argv", [["chsh", "--state", "latin1"], ["--config", "latin1", "chsh"],

@@ -328,6 +328,40 @@ def test_evolve_moderate_sinusoid_drives_meet_amplitude_bound():
             assert np.abs(traj.alpha_track - want).max() < 1e-6
 
 
+def _off_manifold_drives():
+    """Four drives of each kind at omega = 1, |lambda| <= 0.3, by a seeded rule."""
+    rng = np.random.default_rng(16)
+    drives = []
+    for kind in dyn.DRIVE_KINDS:
+        for _ in range(4):
+            lam = 0.3 * rng.uniform(0.2, 1.0) * np.exp(2j * math.pi * rng.uniform())
+            nu, phase = rng.uniform(0.3, 3.0), rng.uniform(0, 2 * math.pi)
+            drives.append(DriveSpec.constant(1.0, lam) if kind == "constant" else
+                          DriveSpec.sinusoid(1.0, lam, nu, phase) if kind == "sinusoid" else
+                          DriveSpec.exponential(1.0, lam, nu))
+    return drives
+
+
+def test_the_first_moment_of_any_state_follows_the_drive_orbit():
+    # claim 4 off the coherent manifold: under a linear drive <a>(t) of any
+    # state is the free rotation of <a>(t0) plus the vacuum's orbit. Every
+    # state takes the same group element per Magnus step, so the step error
+    # cancels in the difference from the vacuum's track
+    cutoff, grid = 40, np.linspace(0.0, math.pi, 9)
+    haar = np.zeros(cutoff + 1, dtype=complex)
+    rng = np.random.default_rng(8)
+    haar[:8] = rng.normal(size=8) + 1j * rng.normal(size=8)
+    rotation = np.exp(-1j * (grid - grid[0]))
+    for drive in _off_manifold_drives():
+        vacuum_track = evolve_fock(drive, grid, cutoff).alpha_track
+        for initial in (fock.number_state(cutoff, 3),
+                        qcore.StateVector(fock.fock_space(cutoff), haar)):
+            track = evolve_fock(drive, grid, cutoff, initial=initial).alpha_track
+            assert np.abs(track - vacuum_track - rotation * track[0]).max() < 1e-12
+            orbit = rotation * track[0] + alpha_of_t(drive, grid)
+            assert np.abs(track - orbit).max() < 1e-6
+
+
 def test_substep_budget(monkeypatch):
     import coherence_lab.dynamics as dyn
     # a driven oscillator needs 8e6 substeps at the default step

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coherence_lab import fock, qcore, spin
@@ -336,7 +336,7 @@ def test_norm_off_by_more_than_rounding_is_normalized(dim, shape, seed, log_offs
     space = SpaceDescriptor.single_fock(dim - 1)
     unit = StateVector(space, shaped_amps(shape, dim, seed)).amps
     state = StateVector(space, unit * (1.0 + sign * 10.0 ** log_offset))
-    assert abs(np.linalg.norm(state.amps) - 1.0) < qcore.NORM_TOL
+    assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
 
 
 def test_stacked_normalization_matches_state_vector_bytes():
@@ -440,11 +440,51 @@ def test_large_stack_rescales_overflow_and_refuses_null_and_nan():
                      shaped_amps("gaussian", ABOVE_CROSSOVER, 4)])
     assert (qcore._normalize_rows(rows.copy()).tobytes()
             == normalize_rows_by_fsum(rows.copy()).tobytes())
+    # a norm below 1e-14 is a scale like any other: the row of 1e-170 is
+    # divided by its largest part, so it is the row of ones bit for bit
+    tiny = StateVector(space, np.full(ABOVE_CROSSOVER, 1e-170 + 1e-170j))
+    ones = StateVector(space, np.full(ABOVE_CROSSOVER, 1 + 1j))
+    assert tiny.amps.tobytes() == ones.amps.tobytes()
     with pytest.raises(ZeroVector):
-        StateVector(space, np.full(ABOVE_CROSSOVER, 1e-170 + 1e-170j))
+        StateVector(space, np.zeros(ABOVE_CROSSOVER))
     rows[2, 7] = np.nan
     with pytest.raises(NonFinite):
         qcore._normalize_rows(rows)
+
+
+#: finite complex parts, subnormal ones included, at most 1e200 in size
+RAY_PARTS = st.floats(min_value=-1e200, max_value=1e200)
+
+
+@st.composite
+def rays(draw):
+    """A finite ray of 1-6 amplitudes, or a uniform one above the vectorized
+    sum's crossover."""
+    if draw(st.booleans()):
+        return np.full(ABOVE_CROSSOVER, complex(draw(RAY_PARTS), draw(RAY_PARTS)))
+    return np.array(draw(st.lists(st.builds(complex, RAY_PARTS, RAY_PARTS),
+                                  min_size=1, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rays(), st.floats(min_value=0.0, max_value=1.0))
+@example(np.array([1e-320 + 0j, 0j]), 0.0)
+@example(np.array([5e-324 + 0j, 5e-324j]), 0.5)
+@example(np.array([0.6 + 0j, 0.8j]), 0.0)
+@example(np.array([0.6 + 0j, 0.8j]), 1.0)
+@example(np.full(ABOVE_CROSSOVER, 3.0 - 4.0j), 0.0)
+def test_a_ray_gives_one_state_at_every_scale(ray, where):
+    # ray * 2^k, for every k at which each nonzero part stays finite and
+    # normal (so the scaling is exact), is the ray's state to rounding
+    flat = ray.view(float)
+    assume(np.any(flat != 0.0))
+    exponents = np.frexp(flat[flat != 0.0])[1]
+    low, high = -1021 - int(exponents.min()), 1024 - int(exponents.max())
+    k = low + round(where * (high - low))
+    scaled = np.ldexp(flat, k).view(complex)
+    space = SpaceDescriptor.single_fock(ray.size - 1)
+    want = StateVector(space, ray).amps
+    assert np.abs(StateVector(space, scaled).amps - want).max() <= qcore.NORM_ROUNDING
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from coherence_lab.splitting import (
 from oracles import (
     cs_fit_distance,
     first_failing_order,
+    gaussian_rational,
     perturbed,
+    series_solve_exact,
 )
 
 
@@ -97,6 +100,29 @@ def test_solver_consistency_and_rule():
         sol = aflp_series_solve(8, mu, nu)
         assert sol.consistency_residual < 1e-12
         assert sol.exponential_rule_residual < 1e-12
+
+
+#: the README's beamsplitter, mu = nu = 0.70710678118654752, as a float
+HALF_SQRT2 = 0.70710678118654752
+
+
+@pytest.mark.parametrize("order,mu,nu", [
+    (8, HALF_SQRT2, HALF_SQRT2),
+    (20, HALF_SQRT2, HALF_SQRT2),
+    (40, HALF_SQRT2, HALF_SQRT2),
+    (20, (Fraction(3, 5), 0), (0, Fraction(4, 5))),
+], ids=["8-readme", "20-readme", "40-readme", "20-pythagorean"])
+def test_series_solve_is_exact_over_gaussian_rationals(order, mu, nu):
+    # claim 3 with no rounding: every redundant order-n equation gives the
+    # same a_n, and a_n = a_0 tau^n / n! exactly (order 40 is about 0.5 s)
+    a, values = series_solve_exact(order, mu, nu)
+    assert all(found == {a[n]} for n, found in enumerate(values) if n >= 2)
+    tau_re, tau_im = gaussian_rational(splitting.SERIES_TAU)
+    rule = [a[0]]  # a_0 tau^n / n!, one factor tau / n at a time
+    for n in range(1, order + 1):
+        re, im = rule[-1]
+        rule.append(((re * tau_re - im * tau_im) / n, (re * tau_im + im * tau_re) / n))
+    assert a == rule
 
 
 def test_exponential_family_satisfies_equation():
