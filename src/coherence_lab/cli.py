@@ -385,14 +385,28 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
         sub.set_defaults(**config)
 
 
+#: the parser of every call without ``--config``, built on the first call;
+#: parsing leaves it as it was, so calls cannot see each other's arguments
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    The parser is built once per process. A ``--config`` run sets its file's
+    values as defaults on a parser of its own, built for that call, so no
+    config reaches a later call."""
+    global _PARSER
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
         # argparse finds --config in every spelling it accepts (--config FILE,
         # --config=FILE); parsing again lets flags override the file's values
         if args.config is not None:
+            parser = build_parser()
             _apply_config_defaults(parser, args.config)
             args = parser.parse_args(argv)
         _validate_choices(parser, args)

@@ -179,14 +179,17 @@ def _sum_squares(flat: np.ndarray) -> list:
     #   = bound of sum r (n u <= 1/2).
     # - With c = fl(Q + R) and d its exact error (TwoSum, Knuth), the exact
     #   sum is c + d + delta with |delta| <= bound.
-    # - The float next below c is the smaller gap away, and every real
-    #   strictly within half that gap of c rounds to c, so
-    #   |d| + bound < gap / 2 proves fsum(s) == c. Rounding is monotone and
-    #   gap / 2 is a power of two, so the test in floats implies the test in
-    #   reals.
-    # - bound is kept >= 2^-1074, and a gap / 2 that underflows reads 0, so
-    #   a zero or subnormal sum is never accepted; a non-finite sigma or
-    #   sum makes the test false (nan compares false).
+    # - c is the rounding of every real in (c - below / 2, c + above / 2),
+    #   where below and above are the gaps to c's float neighbours; at a
+    #   power of two such as 1.0, above is twice below. The exact sum lies
+    #   within bound of c + d, so d + bound < above / 2 and
+    #   bound - d < below / 2 prove fsum(s) == c. Rounding is monotone and
+    #   each half gap is a power of two, so the test in floats implies the
+    #   test in reals.
+    # - bound is kept >= 2^-1074. At a zero or subnormal sum both half gaps
+    #   underflow to 0, and the test would need d < -bound < bound < d, so
+    #   such a sum is never accepted; a non-finite sigma or sum makes the
+    #   test false (nan compares false).
     n = squares.shape[1]
     k = (n + 1).bit_length()
     e = np.frexp(squares.max(axis=1))[1]
@@ -201,7 +204,8 @@ def _sum_squares(flat: np.ndarray) -> list:
         small_part = c - big
         d = (big - (c - small_part)) + (small - small_part)
         bound = np.ldexp(1.0, np.maximum(3 * k + e - 105, -1074))
-        certified = np.abs(d) + bound < 0.5 * (c - np.nextafter(c, 0.0))
+        certified = ((d + bound < 0.5 * np.spacing(c))
+                     & (bound - d < 0.5 * (c - np.nextafter(c, 0.0))))
     sums = c.tolist()
     for i in np.flatnonzero(~certified).tolist():
         sums[i] = _fsum(squares[i].tolist())

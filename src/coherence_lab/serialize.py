@@ -6,7 +6,11 @@ amplitude pairs and round-trip exactly. JSON text is what
 ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` writes, byte
 for byte: sorted keys, a two-space indent and floats as ``float.__repr__``,
 which is shortest-round-trip in Python 3; a NaN or infinity raises
-``NumericalError``. CSV floats use 17 significant digits.
+``NumericalError``. Rows of floats, such as a saved state's amplitude pairs,
+are written through one ``%`` template per row length, filled in one call
+with the floats' reprs; any other value goes through the general path, which
+lays out containers itself and leaves keys and scalars to json's C encoder.
+CSV floats use 17 significant digits.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ def state_to_dict(state: StateVector) -> dict:
         "schema_version": SCHEMA_VERSION,
         "space": space_to_dict(state.space),
         # the same [re, im] Python floats as complex_pair, in one call
-        "amps": np.column_stack((amps.real, amps.imag)).tolist(),
+        "amps": amps.view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -115,9 +119,9 @@ def state_from_dict(data: dict) -> StateVector:
         raise ConfigError(f"malformed state file: {exc}") from exc
 
 
-#: compact settings, under which json runs its C encoder; any indent sends
-#: json.dumps to the pure-Python one
-_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
+#: json's C encoder, which writes keys and scalars; containers are laid out
+#: by ``_indented`` (any indent sends json.dumps to its pure-Python encoder)
+_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def _key(key) -> str:
@@ -128,13 +132,39 @@ def _key(key) -> str:
     return _ENCODER.encode(key)
 
 
+def _float_rows(rows, inner: str):
+    """The body of a list of non-empty rows, laid out as json lays it out
+    under ``inner``, or None if an item of a row is not a float.
+
+    The layout is one ``%`` template per row length, filled in one call with
+    ``float.__repr__`` of every item, which is what json writes for a float
+    or a float subclass such as ``np.float64`` (``%r`` would print
+    ``np.float64(...)``). ``float.__repr__`` raises ``TypeError`` on an int,
+    a bool or anything else, which stands in for a check of each item. A
+    finite repr has no letter n, so one search finds a NaN or an infinity.
+    """
+    try:
+        reprs = tuple(map(float.__repr__, chain.from_iterable(rows)))
+    except TypeError:
+        return None
+    item = "\n" + inner + "  "
+    templates = {n: "[" + item + ("," + item).join(repeat("%s", n)) + "\n" + inner + "]"
+                 for n in set(map(len, rows))}
+    text = (",\n" + inner).join(map(templates.__getitem__, map(len, rows))) % reprs
+    if "n" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
 def _indented(obj, indent: str) -> str:
     """``obj`` in json's ``indent=2``, ``sort_keys`` layout, its first line
     unindented and its later lines under ``indent``.
 
-    A list of non-empty lists of floats (state amplitudes) is encoded in
-    one call to the C encoder; commas are then the only separators in its
-    compact text, so string replacements lay it out.
+    A list of non-empty lists or tuples (state amplitudes) is written as
+    float rows (``_float_rows``: one template, one repr per float). If an
+    item is not a float, or ``obj`` is any other container, the general path
+    writes each item by recursion and each key or scalar by json's C
+    encoder.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -147,14 +177,10 @@ def _indented(obj, indent: str) -> str:
         return _ENCODER.encode(obj)
     if not obj:
         return "[]"
-    if (all(map(isinstance, obj, repeat((list, tuple)))) and all(obj)
-          and all(map(isinstance, chain.from_iterable(obj), repeat(float)))):
-        row = inner + "  "
-        body = ("[\n" + row + _ENCODER.encode(obj)[2:-2]
-                .replace(",", ",\n" + row)
-                .replace("],\n" + row + "[", "\n" + inner + "],\n" + inner + "[\n" + row)
-                + "\n" + inner + "]")
-    else:
+    body = None
+    if all(map(isinstance, obj, repeat((list, tuple)))) and all(obj):
+        body = _float_rows(obj, inner)
+    if body is None:
         body = (",\n" + inner).join(_indented(v, inner) for v in obj)
     return "[\n" + inner + body + "\n" + indent + "]"
 

@@ -615,6 +615,44 @@ def test_config_equals_form(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def _exit_and_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:  # --help, or argparse rejects the argument list
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_parser_is_built_once_and_keeps_no_call_state(tmp_path, monkeypatch):
+    from coherence_lab import cli
+    monkeypatch.setattr(cli, "_PARSER", None)
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    argvs = [["--help"], *([name, "--help"] for name in cli.DISPATCH),
+             ["chsh", "--state", "split-spin1-m0", "--strategy", "bogus"]]
+    first = [_exit_and_output(argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0] * (len(argvs) - 1) + [2]
+    assert "invalid choice: 'bogus'" in first[-1][2]
+    assert len(builds) == 1
+    # a config run's values, for its own command and another, reach no later call
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"order": 3, "mu": "2", "strategy": "multistart",
+                                  "n_starts": 4}))
+    out = tmp_path / "r.json"
+    assert run_cli(["--config", str(config), "series", "--out", str(out)]) == 0
+    assert read_json(out)["order"] == 3 and read_json(out)["mu"] == [2.0, 0.0]
+    assert len(builds) == 2
+    assert run_cli(["series", "--out", str(out)]) == 0
+    assert read_json(out)["order"] == 8 and read_json(out)["mu"] == [1.0, 0.0]
+    assert run_cli(["chsh", "--state", "split-spin1-m0", "--out", str(out)]) == 0
+    assert read_json(out)["strategy"] == "analytic-qubit"
+    assert [_exit_and_output(argv) for argv in argvs] == first
+    assert len(builds) == 2
+
+
 def test_validation_error_exit_code(capsys):
     code = run_cli(["split", "--system", "fock", "--alpha", "3+0i", "--N", "10"])
     assert code == 2
@@ -812,7 +850,8 @@ def test_json_text_refuses_non_finite_values():
         '{\n  "x": 1e+308,\n  "y": [\n    0.1,\n    -0.0\n  ]\n}\n')
     for bad in (math.nan, math.inf, -math.inf):
         for obj in ({"x": [bad]}, {"x": bad}, [[0.5, bad], [1.0, 2.0]],
-                    [[1.0, 2.0], [np.float64(bad), 0.0]], [0.5, np.float64(bad)]):
+                    [[1.0, 2.0], [np.float64(bad), 0.0]], [0.5, np.float64(bad)],
+                    [[0.5, 1.0], [2.0, bad]]):
             with pytest.raises(NumericalError):
                 serialize.json_text(obj)
 
@@ -850,6 +889,13 @@ JSON_DOCS = st.recursive(
 @given(JSON_DOCS)
 @example([[1.0, 2], [3.0]])
 @example([[1.0], []])
+# an int or a bool after floats sends float rows to the general path
+@example([[1.0, True]])
+@example([[0.5], [2, 1.0]])
+@example(((0.5, -0.0), (1e308, 5e-324)))
+@example([(0.1,), [0.2, 0.3, 0.4], (0.5,)])
+@example([[0.1], [0.2, 0.3, 0.4], [0.5], [1e-120, 2.0, 3.0]])
+@example([[np.float64(-0.0), np.float64(5e-324)], [np.float64(5e-324), np.float64(-0.0)]])
 @example({"amps": [[0.6, -0.0], [5e-324, -2.2250738585072014e-308]],
           "params": {"alpha": [1e308, 1e-120]}, "settings": [[[0.5, 1.0]], []]})
 def test_json_text_matches_the_stdlib_encoder(obj):
@@ -1060,13 +1106,8 @@ def _guarded_run(argv, config=None):
 
 
 def _exit_and_stderr(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = run_cli(argv)
-        except SystemExit as exc:  # argparse rejects the argument list
-            code = exc.code
-    return code, err.getvalue()
+    code, _, err = _exit_and_output(argv)
+    return code, err
 
 
 def _with_state_paths(text, workdir):

@@ -426,6 +426,18 @@ def test_tie_takes_the_fsum_fallback(monkeypatch):
     assert len(calls) == 1
 
 
+def test_unit_rows_take_no_fsum_fallback(monkeypatch):
+    # a unit row's vectorized sum lands next to 1.0, where the gap above is
+    # twice the gap below; the certificate must use the gap on d's side
+    rows = np.random.default_rng(0).standard_normal((2000, 1250))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    calls = []
+    fsum = qcore._fsum
+    monkeypatch.setattr(qcore, "_fsum", lambda squares: calls.append(1) or fsum(squares))
+    assert qcore._sum_squares(rows) == fsum_squares(rows)
+    assert calls == []
+
+
 def test_large_stack_rescales_overflow_and_refuses_null_and_nan():
     # 1026 floats a row, summed vectorized: the 1e200 row's squares overflow,
     # and the 1.3e154 row's finite squares give sigma = 2^(k + e) beyond the
