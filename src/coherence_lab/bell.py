@@ -387,7 +387,8 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
     ``SEESAW_STACK_AMPS`` observable entries, each until the gain still to
     come, extrapolated from its last sweeps, is at most ``tol``. The first
     start with the highest value wins. Under either strategy ``n_starts`` must
-    be at least 1 and ``tol`` positive and finite. Two-level factors
+    be at least 1, ``tol`` positive and finite, and a given ``seed`` an
+    integer in [0, 2**64) (``qcore.as_seed``). Two-level factors
     get traceless observables, so ``settings.angle_lists()`` gives their Bloch
     angles.
     ``max_value`` is the ``chsh_value`` of the returned settings, and
@@ -400,6 +401,8 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
         raise ValidationError("n_starts must be >= 1")
     if not 0.0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
+    if seed is not None:
+        seed = qcore.as_seed(seed)
     if strategy == "analytic-qubit":
         if state.space.factor_dims != (2, 2):
             raise StrategyUnavailable("analytic strategy needs two two-level factors")

@@ -62,6 +62,17 @@ def as_twice_j(j) -> int:
     return tj
 
 
+def as_seed(seed) -> int:
+    """Validate a generator seed, an integer in [0, 2**64) (one unsigned
+    64-bit key, the range the CLI's ``--seed`` takes; ``bool`` is refused),
+    and return it as an int."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ValidationError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+    return int(seed)
+
+
 #: each factor kind and the state-file key of its size: Fock cutoff N or 2j
 FACTOR_KINDS = {"fock": "cutoff", "spin": "twice_j"}
 

@@ -10,16 +10,18 @@ A scan takes one ``ScanSystem`` record: a split ``weight`` and a family
 record (``spin.FAMILY`` or ``fock.FAMILY``) whose coherent grid it reads.
 Every Haar sample counts towards ``min_entropy_non_cs``: a Haar state is
 non-coherent with probability 1, and ``qcore.PRODUCT_THRESHOLD_BITS`` is
-the one threshold for "product". Each chunk of samples, and each chunk of
-the grid of coherent amplitudes for ``cs_max_entropy`` (from the amplitude
-functions behind ``spin_cs`` and ``glauber_cs``), is one stacked array:
-normalized as ``StateVector`` normalizes, split with one
-``split_amplitudes`` call and reduced to Schmidt coefficients by one
-values-only stacked SVD, with no Schmidt vector and no per-row state. The
-norms are each row's correctly rounded sum of squares (``math.fsum``'s
-bits), summed over the whole stack at once and certified row by row, with
-``math.fsum`` only for a row the certificate cannot place. Its entropies
-are bit-identical to a ``schmidt_cut`` of each split sample.
+the one threshold for "product". The samples come from one generator per
+scan, drawn in sample order. A scan walks the rows of the grid of coherent
+amplitudes for ``cs_max_entropy`` (from the amplitude functions behind
+``spin_cs`` and ``glauber_cs``) and then the samples in chunks, one stack
+per chunk holding grid rows and samples: normalized as ``StateVector``
+normalizes, split with one ``split_amplitudes`` call and reduced to Schmidt
+coefficients by one values-only stacked SVD, with no Schmidt vector and no
+per-row state. The norms are each row's correctly rounded sum of squares
+(``math.fsum``'s bits), summed over the whole stack at once and certified
+row by row, with ``math.fsum`` only for a row the certificate cannot
+place. Its entropies are bit-identical to a ``schmidt_cut`` of each split
+state.
 """
 
 from __future__ import annotations
@@ -232,46 +234,33 @@ class ScanStats:
         }
 
 
-def _haar_amps(seed: int, index: int, dim: int) -> np.ndarray:
-    """Counter-based per-sample stream: order-independent and reproducible."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index],
-                                                            dtype=np.uint64)))
-    vec = gen.normal(size=dim) + 1j * gen.normal(size=dim)
-    return vec / np.linalg.norm(vec)
-
-
 #: most amplitudes one stacked split holds (1 MiB), which keeps a scan's
 #: memory independent of its sample count
 CHUNK_AMPS = 2 ** 16
 
 
-def _split_entropies(weight: np.ndarray, amps: np.ndarray) -> list:
-    """Schmidt entropy of each split row of ``amps``, bit for bit as
-    ``schmidt_cut`` of ``split_spin``/``split_fock``.
+def _haar_rows(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """The next ``count`` samples of the scan's stream ``gen``, unnormalized:
+    each is ``2 * dim`` normals, its real parts then its imaginary parts, so
+    sample i depends only on (seed, dim, i), not on how the draws are cut."""
+    draws = gen.normal(size=(count, 2, dim))
+    return draws[:, 0] + 1j * draws[:, 1]
 
-    One ``split_amplitudes`` call splits the stack, ``qcore._normalize_rows``
-    normalizes each split row as ``StateVector`` does, and one stacked
-    values-only SVD (``compute_uv=False``, the route of ``schmidt_cut``)
-    gives the coefficients; no Schmidt vector is computed.
+
+def _split_entropies(weight: np.ndarray, amps: np.ndarray) -> list:
+    """Schmidt entropy of each row of ``amps``, split, bit for bit as
+    ``schmidt_cut`` of ``split_spin``/``split_fock`` of its ``StateVector``.
+
+    ``qcore._normalize_rows`` normalizes each row as ``StateVector`` does,
+    one ``split_amplitudes`` call splits the stack, ``_normalize_rows``
+    normalizes each split row, and one stacked values-only SVD
+    (``compute_uv=False``, the route of ``schmidt_cut``) gives the
+    coefficients; no Schmidt vector is computed.
     """
-    split = qcore.split_amplitudes(amps, weight)
+    split = qcore.split_amplitudes(qcore._normalize_rows(amps), weight)
     rows = qcore._normalize_rows(split.reshape(len(amps), -1))
     coeffs = np.linalg.svd(rows.reshape(split.shape), compute_uv=False)
     return qcore.entropy_from_coefficients(coeffs).tolist()
-
-
-def _extreme_entropy(extreme: Callable, weight: np.ndarray, n_rows: int,
-                     rows: Callable) -> float:
-    """``extreme`` (``min`` or ``max``) of the split entropies of the stack
-    ``rows(0, n_rows)``, built, normalized by ``qcore._normalize_rows`` (as
-    ``StateVector`` normalizes each state) and split in chunks
-    ``rows(start, stop)`` of at most ``CHUNK_AMPS`` split amplitudes."""
-    chunk = max(1, CHUNK_AMPS // weight.size)
-    found = []
-    for start in range(0, n_rows, chunk):
-        stack = qcore._normalize_rows(rows(start, min(start + chunk, n_rows)))
-        found.append(extreme(_split_entropies(weight, stack)))
-    return extreme(found)
 
 
 def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
@@ -279,29 +268,34 @@ def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
 
     One path for every family: ``system.weight`` gives the split weight,
     built on every call, and ``system.family`` the coherent grid (``grid``).
-    Every sample counts: ``min_entropy_non_cs`` is the smallest entropy of
-    all the split samples, and ``cs_max_entropy`` the largest of the split
-    grid, each found by ``_extreme_entropy`` in chunks of at most
-    ``CHUNK_AMPS`` amplitudes, split with one ``split_amplitudes`` call and
-    cut by one values-only stacked SVD per chunk.
-    Each sample draws from its own counter-based stream, so the result does
-    not depend on the order samples are processed in, and every entropy is
-    bit-identical to a ``schmidt_cut`` of the split sample.
+    The rows to split are the grid's, then the ``n_samples`` samples, which
+    one generator per scan, keyed by ``seed``, draws in sample order. They
+    are walked in chunks of at most ``CHUNK_AMPS`` split amplitudes, and
+    each chunk is one stack holding grid rows and samples, split by one
+    ``_split_entropies`` call. Every sample counts: ``min_entropy_non_cs``
+    is the smallest entropy of the split samples, and ``cs_max_entropy``
+    the largest of the split grid. The result does not depend on the chunk
+    size, and every entropy is bit-identical to a ``schmidt_cut`` of the
+    split state. ``seed`` must be an integer in [0, 2**64) and
+    ``n_samples`` an integer >= 1 (``bool`` is neither).
     """
+    seed = qcore.as_seed(seed)
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise ValidationError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    family, space = system.family, system.space
+    n_samples = int(n_samples)
     weight = system.weight(*system.split)
-
-    def samples(start, stop):
-        return np.stack([_haar_amps(seed, i, space.dim) for i in range(start, stop)])
-
-    grid = family.grid(space.factors[0].param)
-    return ScanStats(
-        system=system.label,
-        n_samples=n_samples,
-        seed=seed,
-        min_entropy_non_cs=_extreme_entropy(min, weight, n_samples, samples),
-        cs_max_entropy=_extreme_entropy(max, weight, len(grid),
-                                        lambda start, stop: grid[start:stop]),
-    )
+    grid = system.family.grid(system.space.factors[0].param)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    n_rows, chunk = len(grid) + n_samples, max(1, CHUNK_AMPS // weight.size)
+    cs_max, non_cs_min = -math.inf, math.inf
+    for start in range(0, n_rows, chunk):
+        stop = min(start + chunk, n_rows)
+        cs_rows = grid[start:stop]
+        draws = _haar_rows(gen, stop - start - len(cs_rows), system.space.dim)
+        found = _split_entropies(weight, np.concatenate([cs_rows, draws]))
+        cs_max = max([cs_max] + found[:len(cs_rows)])
+        non_cs_min = min([non_cs_min] + found[len(cs_rows):])
+    return ScanStats(system=system.label, n_samples=n_samples, seed=seed,
+                     min_entropy_non_cs=non_cs_min, cs_max_entropy=cs_max)

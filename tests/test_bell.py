@@ -255,6 +255,14 @@ def test_maximize_strategy_guards():
         chsh_maximize(StateVector(space, amps), "analytic-qubit")
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64, True, "3"])
+@pytest.mark.parametrize("strategy", ["analytic-qubit", "multistart-local-search"])
+def test_maximize_refuses_a_seed_that_is_no_integer_in_range(strategy, seed):
+    # the scan's seed rule: an integer in [0, 2**64), bool refused
+    with pytest.raises(ValidationError, match="seed"):
+        chsh_maximize(psi_plus(), strategy, n_starts=2, seed=seed)
+
+
 def test_maximize_balanced_split_photon_13x13():
     # a single photon split at cutoff 12 has 13-dim subsystems; the see-saw
     # has no dimension cap and reaches the quantum ceiling quickly

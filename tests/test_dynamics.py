@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import math
 
@@ -614,12 +615,19 @@ def test_command_paths_build_no_dense_generator(monkeypatch):
     traj = evolve_spin(DriveSpec.constant(0.9, 0.3 + 0.1j), 2, np.linspace(0.0, 3.0, 7),
                        spin_cs)
     assert traj.cs_fidelity.min() > 1 - 1e-12
-    # a planted coherent sample is counted, and its split is a product
-    haar = splitting._haar_amps
+    # a planted coherent sample is counted, and its split is a product; each
+    # scan draws its 12 samples in one chunk, so row 5 of the draw is sample 5
+    haar = splitting._haar_rows
+
+    def planted_rows(gen, count, dim, p):
+        rows = haar(gen, count, dim)
+        rows[5] = p
+        return rows
+
     for system, planted in ((splitting.FockScanSystem(16), fock.glauber_cs(0.5 + 0.3j, 16)),
                             (splitting.SpinScanSystem(2, 1, 1), spin_cs)):
-        monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim, p=planted.amps: (
-            p if index == 5 else haar(seed, index, dim)))
+        monkeypatch.setattr(splitting, "_haar_rows", functools.partial(planted_rows,
+                                                                       p=planted.amps))
         stats = splitting.uniqueness_scan(system, 12, 7)
         assert stats.n_excluded == 0
         assert stats.min_entropy_non_cs < qcore.PRODUCT_THRESHOLD_BITS
@@ -644,9 +652,11 @@ def test_drives_are_the_closed_forms_only():
 #: live in each family's ``FAMILY`` record and its ``ScanSystem``, the
 #: test-only checks and the quadrature of the driven oscillator in
 #: ``oracles``, and the moment-bound screen, the per-state label distance,
-#: the scan aliases and the per-kind factor sizes are gone
+#: the scan aliases, the per-kind factor sizes, the per-sample generators and
+#: the scan's second pass are gone
 MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound",
-                            "SCREEN_MARGIN", "_FIDELITY_CEILING", "_cs_distance")),
+                            "SCREEN_MARGIN", "_FIDELITY_CEILING", "_cs_distance",
+                            "_haar_amps", "_extreme_entropy")),
                (spin, ("_scan_bound", "_scan_weight", "_scan_label")),
                (fock, ("_scan_bound", "_scan_weight", "_scan_label")),
                (qcore.Factor, ("cutoff", "twice_j")),

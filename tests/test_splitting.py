@@ -207,6 +207,23 @@ def test_scan_determinism_bit_for_bit():
     assert c.min_entropy_non_cs != a.min_entropy_non_cs
 
 
+@pytest.mark.parametrize("n_samples,seed", [
+    (4, 1.5), (4, -1), (4, 2 ** 64), (4, True), (4, "3"), (4, None),
+    (2.5, 1), (0, 1), (-3, 1), (True, 1), (np.float64(4.0), 1),
+])
+def test_scan_refuses_a_seed_or_sample_count_that_is_no_integer_in_range(n_samples, seed):
+    # seeds are integers in [0, 2**64), as the CLI's, and sample counts
+    # integers >= 1; bool is neither
+    with pytest.raises(ValidationError):
+        uniqueness_scan(SpinScanSystem(1, 0.5, 0.5), n_samples, seed)
+
+
+def test_scan_takes_numpy_integers_and_the_top_seed():
+    stats = uniqueness_scan(SpinScanSystem(1, 0.5, 0.5), np.int64(3), np.uint64(2 ** 64 - 1))
+    assert (type(stats.n_samples), type(stats.seed)) == (int, int)
+    assert stats == uniqueness_scan(SpinScanSystem(1, 0.5, 0.5), 3, 2 ** 64 - 1)
+
+
 def test_scan_fock_two_level_states_entangle():
     # closed form: V(c0|0> + c1|1>) has Schmidt matrix [[c0, c1 nu], [c1 mu, 0]]
     spec = fock.SplitSpec.balanced()
@@ -286,12 +303,12 @@ def _near_coherent(coherent, eps, seed):
     return StateVector(coherent.space, coherent.amps + eps * noise)
 
 
-def _count_splits(monkeypatch):
-    """The size of each stack ``uniqueness_scan`` splits, with every
-    optimizer raising."""
+def _record_splits(monkeypatch):
+    """The split entropies of each stack ``uniqueness_scan`` splits, one list
+    a stack, with every optimizer raising."""
     calls, split = [], splitting._split_entropies
     monkeypatch.setattr(splitting, "_split_entropies",
-                        lambda weight, amps: calls.append(len(amps)) or split(weight, amps))
+                        lambda weight, amps: calls.append(split(weight, amps)) or calls[-1])
     monkeypatch.setattr(scipy.optimize, "minimize", _no_search)
     return calls
 
@@ -308,13 +325,30 @@ def test_scan_never_labels(monkeypatch):
     systems = [(FockScanSystem(24), 30, 1), (SpinScanSystem(3, 1.5, 1.5), 50, 1),
                (SpinScanSystem(1, 0.5, 0.5), 60, 3)]
     expected = [uniqueness_scan(*args) for args in systems]
-    calls = _count_splits(monkeypatch)
+    calls = _record_splits(monkeypatch)
     for (system, n_samples, seed), stats in zip(systems, expected):
         unlabelled = dataclasses.replace(
             system, family=dataclasses.replace(system.family, labels=_no_label))
         assert uniqueness_scan(unlabelled, n_samples, seed) == stats
-    # one split per chunk, and each scan's samples and grid are one chunk each
-    assert calls == [30, 33, 50, 58, 60, 58]
+    # one split per chunk, and each scan's grid and samples are one chunk
+    assert [len(call) for call in calls] == [33 + 30, 58 + 50, 58 + 60]
+
+
+@pytest.mark.parametrize("system,n_samples", [(FockScanSystem(16), 20),
+                                              (SpinScanSystem(3, 1.5, 1.5), 30)],
+                         ids=lambda value: getattr(value, "label", str(value)))
+def test_scan_stats_do_not_depend_on_the_chunk_size(monkeypatch, system, n_samples):
+    # sample i depends only on (seed, dim, i): chunks of 10 rows, which cut
+    # the grid, a chunk of grid rows and samples, and the samples, split
+    # every row to the one-chunk scan's entropy, bit for bit
+    calls = _record_splits(monkeypatch)
+    whole = uniqueness_scan(system, n_samples, 5)
+    monkeypatch.setattr(splitting, "CHUNK_AMPS", 10 * system.weight(*system.split).size)
+    assert uniqueness_scan(system, n_samples, 5) == whole
+    entropies, *chunks = calls
+    assert [len(chunk) for chunk in chunks[:-1]] == [10] * (len(chunks) - 1)
+    assert len(chunks) >= 3
+    assert sum(chunks, []) == entropies
 
 
 SPIN_CS = spin.spin_cs(spin.SpinCsParams(j=2, zeta=0.4 - 0.9j))
@@ -322,37 +356,56 @@ FOCK_CS = fock.glauber_cs(0.5 + 0.3j, 16)
 FOCK60_CS = fock.glauber_cs(1.2 - 0.8j, 60)
 
 
-@pytest.mark.parametrize("system,chunks,plants", [
-    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 0.0)}),
-    (FockScanSystem(16), [12], {5: (FOCK_CS, 0.0)}),
-    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 9e-7)}),
-    (SpinScanSystem(2, 1, 1), [12], {5: (SPIN_CS, 3.6e-6)}),
-    (FockScanSystem(16), [12], {5: (FOCK_CS, 5.2e-7)}),
-    (FockScanSystem(16), [12], {5: (FOCK_CS, 2.1e-6)}),
-    (FockScanSystem(60), [17, 17, 6], {22: (FOCK60_CS, 5e-7), 36: (FOCK60_CS, 2e-6)}),
+def _plant(monkeypatch, states):
+    """Make sample ``index`` of every scan stream ``states[index]``: each
+    generator's draws are counted, so the plant lands at that sample
+    however the draws are cut."""
+    haar, drawn = splitting._haar_rows, {}
+
+    def rows(gen, count, dim):
+        start = drawn.setdefault(gen, 0)
+        drawn[gen] += count
+        out = haar(gen, count, dim)
+        for index, state in states.items():
+            if start <= index < start + count:
+                out[index - start] = state.amps
+        return out
+
+    monkeypatch.setattr(splitting, "_haar_rows", rows)
+
+
+@pytest.mark.parametrize("system,n_samples,splits,plants", [
+    (SpinScanSystem(2, 1, 1), 12, [70], {5: (SPIN_CS, 0.0)}),
+    (FockScanSystem(16), 12, [45], {5: (FOCK_CS, 0.0)}),
+    (SpinScanSystem(2, 1, 1), 12, [70], {5: (SPIN_CS, 9e-7)}),
+    (SpinScanSystem(2, 1, 1), 12, [70], {5: (SPIN_CS, 3.6e-6)}),
+    (FockScanSystem(16), 12, [45], {5: (FOCK_CS, 5.2e-7)}),
+    (FockScanSystem(16), 12, [45], {5: (FOCK_CS, 2.1e-6)}),
+    (FockScanSystem(60), 40, [17, 17, 17, 17, 5],
+     {0: (FOCK60_CS, 5e-7), 10: (FOCK60_CS, 2e-6)}),
 ], ids=["spin", "fock", "spin-at-5e-7", "spin-at-2e-6", "fock-at-5e-7", "fock-at-2e-6",
         "fock60-in-chunks-2-and-3"])
-def test_scan_counts_a_planted_coherent_sample(monkeypatch, system, chunks, plants):
+def test_scan_counts_a_planted_coherent_sample(monkeypatch, system, n_samples, splits,
+                                               plants):
     # each planted sample is a coherent state, exact or with noise that puts
     # it about 5e-7 or 2e-6 from the nearest one: the scan counts it like any
     # other sample, with no label and no search, and its split is a product,
-    # so it sets min_entropy_non_cs. A Fock-60 chunk holds 17 rows, so its two
-    # plants are split in the second and the third chunk.
+    # so it sets min_entropy_non_cs. A Fock-60 chunk holds 17 rows and its
+    # grid 33, so sample 0 (row 33) is split in the second chunk, beside
+    # grid rows, and sample 10 (row 43) in the third.
     states = {index: _near_coherent(planted, eps, 4)
               for index, (planted, eps) in plants.items()}
     for index, (_, eps) in plants.items():
         if eps:
             assert cs_fit_distance(states[index]) == pytest.approx(
                 5e-7 if eps < 1e-6 else 2e-6, rel=0.1)
-    haar = splitting._haar_amps
-    monkeypatch.setattr(splitting, "_haar_amps", lambda seed, index, dim: (
-        states[index].amps if index in states else haar(seed, index, dim)))
-    calls = _count_splits(monkeypatch)
-    stats = uniqueness_scan(system, sum(chunks), 7)
+    _plant(monkeypatch, states)
+    calls = _record_splits(monkeypatch)
+    stats = uniqueness_scan(system, n_samples, 7)
     assert stats.n_excluded == 0
     assert stats.min_entropy_non_cs < PRODUCT_THRESHOLD_BITS
-    assert calls[:len(chunks)] == chunks
-    assert stats == per_sample_scan(system, sum(chunks), 7)
+    assert [len(call) for call in calls] == splits
+    assert stats == per_sample_scan(system, n_samples, 7)
 
 
 @pytest.mark.parametrize("kind", ["spin", "fock"])
@@ -373,8 +426,9 @@ def test_label_distance_is_the_fitted_distance_near_a_coherent_state(kind):
 
 
 def per_sample_scan(system, n_samples, seed):
-    """The scan one state at a time, without batching: every sample and grid
-    state is split by ``split_spin``/``split_fock`` and cut by ``schmidt_cut``. The grid is
+    """The scan one state at a time, without batching: every sample, drawn
+    one at a time from the scan's generator, and every grid state is split
+    by ``split_spin``/``split_fock`` and cut by ``schmidt_cut``. The grid is
     built point by point with ``spin_cs``/``glauber_cs``; the record gives
     only the space and the split parameters (jB, jC) or (spec, cutoff)."""
     space, size = system.space, system.space.factors[0].param
@@ -395,8 +449,9 @@ def per_sample_scan(system, n_samples, seed):
             fock.glauber_cs(r * np.exp(1j * ph), size)
             for r in np.linspace(radius / 4.0, radius, 4)
             for ph in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
-    samples = [StateVector(space, splitting._haar_amps(seed, index, space.dim))
-               for index in range(n_samples)]
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    samples = [StateVector(space, splitting._haar_rows(gen, 1, space.dim)[0])
+               for _ in range(n_samples)]
     return ScanStats(system=system.label, n_samples=n_samples, seed=seed,
                      min_entropy_non_cs=min(schmidt_cut(split(s), 1).entropy_bits
                                             for s in samples),
@@ -410,15 +465,15 @@ def _recorded(system, n_samples, seed, min_entropy, cs_max):
 
 @pytest.mark.parametrize("system,n_samples,seed,min_entropy,cs_max", [
     _recorded(SpinScanSystem(1, 0.5, 0.5), 60, 11,
-              0.04567368410454714, 2.1920692939028035e-30),
+              0.04842054859363083, 2.1920692939028035e-30),
     _recorded(SpinScanSystem(2.5, 1, 1.5), 40, 5,
-              0.426936852877323, 3.2034265038149467e-16),
+              0.7084190356381553, 3.2034265038149467e-16),
     _recorded(SpinScanSystem(3, 1.5, 1.5), 30, 2,
-              1.1214387669185872, 9.610279511444778e-16),
+              1.034831341592825, 9.610279511444778e-16),
     _recorded(FockScanSystem(16), 20, 4,
-              2.2585072392406698, 3.2034691608323937e-16),
+              2.3460486880536853, 3.2034691608323937e-16),
     _recorded(FockScanSystem(20, fock.SplitSpec.from_angles(0.4, 1.1)), 15, 9,
-              1.9070057740797075, 3.4624576543523505e-16),
+              1.9382580895200123, 3.4624576543523505e-16),
 ])
 def test_scan_stats_bit_identical_to_per_sample_scan(system, n_samples, seed,
                                                      min_entropy, cs_max):
