@@ -18,6 +18,10 @@ same results as running them one after another; a sweep costs a fixed
 handful of array calls however many starts its stack holds. It has no
 dimension cap; each result says whether the search converged.
 
+An observable is its matrix: the see-saw's settings are its own best
+responses, checked once as observables, and the Bloch angles of a
+two-level setting are read from the entries of its traceless 2 x 2 matrix.
+
 Pauli convention: sigma_k = 2 J_k for the spin-1/2 generators, components
 ordered (x, y, z), basis m ascending, so sigma_z = diag(-1, +1).
 """
@@ -61,15 +65,16 @@ _INVOLUTION_TOL = 1e-10
 class DichotomicObservable:
     """Hermitian matrix with spectrum in {+1, -1}, acting on ``space``.
 
-    ``matrix`` is kept as a read-only complex (dim, dim) array, checked to
-    be Hermitian within ``HERMITIAN_TOL`` and to square to the identity
-    within ``_INVOLUTION_TOL``. ``direction`` is the unit Bloch vector n of
-    an observable n . sigma on a two-level factor, and None for any other.
+    ``matrix`` is the observable's only representation, kept as a read-only
+    complex (dim, dim) array, checked to be Hermitian within
+    ``HERMITIAN_TOL`` and to square to the identity within
+    ``_INVOLUTION_TOL``. On a two-level factor an exactly traceless matrix
+    is n . sigma = [[-nz, nx + i ny], [nx - i ny, nz]], whose Bloch angles
+    ``ChshSettings.angle_lists`` reads from its entries.
     """
 
     space: SpaceDescriptor
     matrix: np.ndarray
-    direction: Optional[tuple] = None
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -97,23 +102,7 @@ def qubit_observable(direction, space: Optional[SpaceDescriptor] = None
         space = SpaceDescriptor.single_spin(0.5)
     if space.dim != 2 or space.nfactors != 1:
         raise ValidationError("qubit_observable needs a single two-level factor")
-    mat = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    return DichotomicObservable(space, mat, tuple(n))
-
-
-def observable_from_unitary(unitary, signs, space: SpaceDescriptor
-                            ) -> DichotomicObservable:
-    """U diag(signs) U+ with a +-1 sign pattern; the general realization."""
-    u = np.asarray(unitary, dtype=complex)
-    s = np.asarray(signs, dtype=float)
-    d = space.dim
-    if u.shape != (d, d) or s.shape != (d,):
-        raise ValidationError("unitary/sign shapes do not match the space")
-    if not np.all(np.abs(s) == 1.0):
-        raise ValidationError("signs must be +-1")
-    if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-10:
-        raise ValidationError("matrix is not unitary")
-    return DichotomicObservable(space, (u * s) @ u.conj().T)
+    return DichotomicObservable(space, n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
 @dataclass(frozen=True)
@@ -127,18 +116,24 @@ class ChshSettings:
     c_prime: DichotomicObservable
 
     def angle_lists(self):
-        """Bloch angles (theta, phi) per observable, or None unless every
-        observable has a Bloch direction."""
+        """Bloch angles (theta, phi) per observable, read from its matrix, or
+        None unless every matrix is an exactly traceless 2 x 2.
+
+        Such a matrix is [[-nz, nx + i ny], [nx - i ny, nz]], so theta =
+        acos(Re m11), clipped to [-1, 1], and phi = atan2(Im m01, Re m01).
+        """
         out = []
         for obs in (self.b, self.b_prime, self.c, self.c_prime):
-            if obs.direction is None:
+            m = obs.matrix
+            if m.shape != (2, 2) or m[0, 0] != -m[1, 1]:
                 return None
-            nx, ny, nz = obs.direction
-            out.append([math.acos(max(-1.0, min(1.0, nz))), math.atan2(ny, nx)])
+            out.append([math.acos(max(-1.0, min(1.0, m[1, 1].real))),
+                        math.atan2(m[0, 1].imag, m[0, 1].real)])
         return out
 
 
-def _check_settings(state: StateVector, settings: ChshSettings):
+def chsh_value(state: StateVector, settings: ChshSettings) -> float:
+    """E(b,c) + E(b',c) + E(b,c') - E(b',c') on the given state."""
     if state.space.nfactors != 2:
         raise SpaceMismatch("CHSH needs a state on exactly two factors")
     space_b = state.space.subspace(0, 1)
@@ -147,11 +142,6 @@ def _check_settings(state: StateVector, settings: ChshSettings):
                        (settings.c, space_c), (settings.c_prime, space_c)):
         if obs.space != space:
             raise SpaceMismatch("observable does not act on its own factor")
-
-
-def chsh_value(state: StateVector, settings: ChshSettings) -> float:
-    """E(b,c) + E(b',c) + E(b,c') - E(b',c') on the given state."""
-    _check_settings(state, settings)
     m = state.amps.reshape(state.space.factor_dims)
 
     def corr(ob, oc):
@@ -180,17 +170,6 @@ def horodecki_max(state: StateVector) -> float:
     return 2.0 * math.sqrt(t[0] ** 2 + t[1] ** 2)
 
 
-def _settings_from_directions(state, nb, nbp, nc, ncp) -> ChshSettings:
-    space_b = state.space.subspace(0, 1)
-    space_c = state.space.subspace(1, 2)
-    return ChshSettings(
-        b=qubit_observable(nb, space_b),
-        b_prime=qubit_observable(nbp, space_b),
-        c=qubit_observable(nc, space_c),
-        c_prime=qubit_observable(ncp, space_c),
-    )
-
-
 def analytic_qubit_settings(state: StateVector) -> ChshSettings:
     """Optimal directions from the SVD of the correlation matrix.
 
@@ -208,7 +187,10 @@ def analytic_qubit_settings(state: StateVector) -> ChshSettings:
         n = np.linalg.norm(v)
         return v / n if n > 1e-14 else np.array([0.0, 0.0, 1.0])
 
-    return _settings_from_directions(state, unit(nb), unit(nbp), vt[0, :], vt[1, :])
+    space_b = state.space.subspace(0, 1)
+    space_c = state.space.subspace(1, 2)
+    return ChshSettings(qubit_observable(unit(nb), space_b), qubit_observable(unit(nbp), space_b),
+                        qubit_observable(vt[0, :], space_c), qubit_observable(vt[1, :], space_c))
 
 
 @dataclass(frozen=True)
@@ -288,15 +270,6 @@ def _side_update(m_t: np.ndarray, m_h: np.ndarray, x: np.ndarray):
     return _best_responses(h), h
 
 
-def _observable(mat: np.ndarray, space: SpaceDescriptor) -> DichotomicObservable:
-    """A see-saw observable matrix as a checked observable on ``space``."""
-    if mat.shape[0] == 2:
-        n = np.array([np.vdot(p, mat).real for p in PAULIS])
-        return qubit_observable(n / np.linalg.norm(n), space)
-    vals, vecs = np.linalg.eigh(mat)
-    return observable_from_unitary(vecs, np.where(vals >= 0.0, 1.0, -1.0), space)
-
-
 def _seesaw_starts(m: np.ndarray, rng: np.random.Generator, n: int, tol: float):
     """The see-saw on the amplitude matrix ``m`` from ``n`` starts drawn from
     ``rng``, all advanced together as one stack.
@@ -353,8 +326,9 @@ def _maximize_seesaw(state, n_starts, seed, tol) -> ChshResult:
 
     The starts advance together, in stacks of at most ``SEESAW_STACK_AMPS``
     observable entries, each start with its own stopping sweep (see
-    ``_seesaw_starts``). The first best start's settings are returned with
-    their ``chsh_value``.
+    ``_seesaw_starts``). The first best start's best responses are
+    returned as they are, each checked once as an observable, with their
+    ``chsh_value``.
     """
     d_b, d_c = state.space.factor_dims
     m = state.amps.reshape(d_b, d_c)
@@ -369,8 +343,10 @@ def _maximize_seesaw(state, n_starts, seed, tol) -> ChshResult:
     b, c, converged = best
     space_b = state.space.subspace(0, 1)
     space_c = state.space.subspace(1, 2)
-    settings = ChshSettings(_observable(b[0], space_b), _observable(b[1], space_b),
-                            _observable(c[0], space_c), _observable(c[1], space_c))
+    settings = ChshSettings(DichotomicObservable(space_b, b[0]),
+                            DichotomicObservable(space_b, b[1]),
+                            DichotomicObservable(space_c, c[0]),
+                            DichotomicObservable(space_c, c[1]))
     return ChshResult(chsh_value(state, settings), settings,
                       "multistart-local-search", n_starts, seed, tol, converged)
 
@@ -386,19 +362,19 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
     random starts, advanced together in stacks of at most
     ``SEESAW_STACK_AMPS`` observable entries, each until the gain still to
     come, extrapolated from its last sweeps, is at most ``tol``. The first
-    start with the highest value wins. Under either strategy ``n_starts`` must
-    be at least 1, ``tol`` positive and finite, and a given ``seed`` an
-    integer in [0, 2**64) (``qcore.as_seed``). Two-level factors
-    get traceless observables, so ``settings.angle_lists()`` gives their Bloch
-    angles.
+    start with the highest value wins, and its settings are its own best
+    responses. Under either strategy ``n_starts`` must be an integer >= 1
+    (``qcore.as_count``), ``tol`` positive and finite, and a given ``seed``
+    an integer in [0, 2**64) (``qcore.as_seed``). On two-level factors both
+    strategies give exactly traceless matrices, so ``settings.angle_lists()``
+    reads their Bloch angles from the matrix entries.
     ``max_value`` is the ``chsh_value`` of the returned settings, and
     ``converged`` is False when the best start hit the sweep cap
     ``SEESAW_MAX_SWEEPS`` first.
     """
     if state.space.nfactors != 2:
         raise SpaceMismatch("CHSH maximization needs a two-factor state")
-    if n_starts < 1:
-        raise ValidationError("n_starts must be >= 1")
+    n_starts = qcore.as_count(n_starts, "n_starts")
     if not 0.0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
     if seed is not None:

@@ -25,13 +25,12 @@ from .serialize import SCHEMA_VERSION, parse_complex
 
 
 def _seed_value(raw) -> int:
+    """``--seed`` parsed as an integer; the library (``qcore.as_seed``) checks
+    its range."""
     try:
-        seed = int(raw)
+        return int(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"seed must be an integer, got {raw!r}") from exc
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError("seed must fit in 64 unsigned bits")
-    return seed
 
 
 class _Parser(argparse.ArgumentParser):

@@ -73,6 +73,16 @@ def as_seed(seed) -> int:
     return int(seed)
 
 
+def as_count(count, name: str) -> int:
+    """Validate a count ``name`` (a sample or start count), an integer >= 1
+    (``bool`` is refused), and return it as an int."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {count!r}")
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1")
+    return int(count)
+
+
 #: each factor kind and the state-file key of its size: Fock cutoff N or 2j
 FACTOR_KINDS = {"fock": "cutoff", "spin": "twice_j"}
 

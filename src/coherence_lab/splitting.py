@@ -276,15 +276,12 @@ def uniqueness_scan(system: ScanSystem, n_samples: int, seed: int) -> ScanStats:
     is the smallest entropy of the split samples, and ``cs_max_entropy``
     the largest of the split grid. The result does not depend on the chunk
     size, and every entropy is bit-identical to a ``schmidt_cut`` of the
-    split state. ``seed`` must be an integer in [0, 2**64) and
-    ``n_samples`` an integer >= 1 (``bool`` is neither).
+    split state. ``seed`` must be an integer in [0, 2**64)
+    (``qcore.as_seed``) and ``n_samples`` an integer >= 1
+    (``qcore.as_count``); ``bool`` is neither.
     """
     seed = qcore.as_seed(seed)
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
-        raise ValidationError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
-    n_samples = int(n_samples)
+    n_samples = qcore.as_count(n_samples, "n_samples")
     weight = system.weight(*system.split)
     grid = system.family.grid(system.space.factors[0].param)
     gen = np.random.Generator(np.random.Philox(key=seed))

@@ -206,8 +206,8 @@ def seesaw_one_start_at_a_time(state, n_starts, seed, tol):
     space_b = state.space.subspace(0, 1)
     space_c = state.space.subspace(1, 2)
     settings = bell.ChshSettings(
-        bell._observable(b[0], space_b), bell._observable(b[1], space_b),
-        bell._observable(c[0], space_c), bell._observable(c[1], space_c))
+        bell.DichotomicObservable(space_b, b[0]), bell.DichotomicObservable(space_b, b[1]),
+        bell.DichotomicObservable(space_c, c[0]), bell.DichotomicObservable(space_c, c[1]))
     result = bell.ChshResult(bell.chsh_value(state, settings), settings,
                              "multistart-local-search", n_starts, seed, tol, converged)
     return result, sweeps

@@ -15,7 +15,6 @@ from coherence_lab.bell import (
     chsh_value,
     correlation_matrix,
     horodecki_max,
-    observable_from_unitary,
     qubit_observable,
 )
 from coherence_lab.errors import (
@@ -71,7 +70,7 @@ def test_observable_checks_its_matrix():
     # only within HERMITIAN_TOL = 1e-12
     space = SpaceDescriptor.single_spin(0.5)
     obs = DichotomicObservable(space, [[1, 1e-13], [0, -1]])
-    assert obs.direction is None and not obs.matrix.flags.writeable
+    assert not obs.matrix.flags.writeable
     with pytest.raises(ValidationError, match="Hermitian"):
         DichotomicObservable(space, [[1, 2e-12], [0, -1]])
     with pytest.raises(ValidationError, match="square to the identity"):
@@ -84,18 +83,25 @@ def test_observable_checks_its_matrix():
         qubit_observable([math.nan, 0.0, 0.0])
 
 
-def test_observable_from_unitary():
-    space = SpaceDescriptor.single_spin(1)
-    rng = np.random.default_rng(1)
-    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    h = h + h.conj().T
-    import scipy.linalg
-    u = scipy.linalg.expm(1j * h)
-    obs = observable_from_unitary(u, [1, -1, 1], space)
-    sq = obs.matrix @ obs.matrix
-    np.testing.assert_allclose(sq, np.eye(3), atol=1e-12)
-    with pytest.raises(ValidationError):
-        observable_from_unitary(u, [1, -2, 1], space)
+def test_angle_lists_are_the_angles_of_the_input_directions():
+    # n . sigma = [[-nz, nx + i ny], [nx - i ny, nz]] keeps the bits of every
+    # nonzero component, so the angles read from the matrix are the inputs'
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        dirs = rng.normal(size=(4, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        angles = settings_from_directions(*dirs).angle_lists()
+        assert angles == [[math.acos(nz), math.atan2(ny, nx)] for nx, ny, nz in dirs.tolist()]
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_angle_lists_is_none_unless_every_matrix_is_a_traceless_two_by_two(position):
+    # the identity on a qubit is dichotomic but has no Bloch direction
+    dirs = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, -0.6, 0.8]]
+    observables = [qubit_observable(n) for n in dirs]
+    assert ChshSettings(*observables).angle_lists() is not None
+    observables[position] = DichotomicObservable(SpaceDescriptor.single_spin(0.5), np.eye(2))
+    assert ChshSettings(*observables).angle_lists() is None
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +267,35 @@ def test_maximize_refuses_a_seed_that_is_no_integer_in_range(strategy, seed):
     # the scan's seed rule: an integer in [0, 2**64), bool refused
     with pytest.raises(ValidationError, match="seed"):
         chsh_maximize(psi_plus(), strategy, n_starts=2, seed=seed)
+
+
+@pytest.mark.parametrize("n_starts", [0, -1, 2.5, True, "3", None, np.float64(2.0)])
+@pytest.mark.parametrize("strategy", ["analytic-qubit", "multistart-local-search"])
+def test_maximize_refuses_a_start_count_that_is_no_integer_from_one(strategy, n_starts):
+    # the scan's sample-count rule (qcore.as_count): an integer >= 1, bool refused
+    with pytest.raises(ValidationError, match="n_starts"):
+        chsh_maximize(psi_plus(), strategy, n_starts=n_starts, seed=1)
+
+
+def test_maximize_takes_a_numpy_integer_start_count():
+    res = chsh_maximize(psi_plus(), "multistart-local-search", n_starts=np.int64(3), seed=1)
+    ref = chsh_maximize(psi_plus(), "multistart-local-search", n_starts=3, seed=1)
+    assert type(res.n_starts) is int
+    assert (res.n_starts, res.max_value, res.settings.angle_lists()) == (
+        ref.n_starts, ref.max_value, ref.settings.angle_lists())
+
+
+def test_multistart_qubit_settings_are_traceless_with_readable_angles():
+    # the see-saw's own best responses are returned; on qubits they are
+    # n . sigma, which the angles rebuild to rounding
+    res = chsh_maximize(haar_two_qubit(np.random.default_rng(8)), "multistart-local-search",
+                        n_starts=4, seed=2)
+    angles = res.settings.angle_lists()
+    for obs, (theta, phi) in zip((res.settings.b, res.settings.b_prime, res.settings.c,
+                                  res.settings.c_prime), angles):
+        n = [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+        np.testing.assert_allclose(qubit_observable(n, obs.space).matrix, obs.matrix,
+                                   rtol=0, atol=1e-15)
 
 
 def test_maximize_balanced_split_photon_13x13():
@@ -490,8 +525,8 @@ def test_stacked_seesaw_at_the_sweep_cap_matches_one_start_at_a_time(max_sweeps,
 
 
 @pytest.mark.parametrize("dims,value,settings_digest", [
-    ((2, 2), "0x1.514f07af4f2cep+1", "1f30b01843fe4b28"),
-    ((3, 3), "0x1.3bb28094d469fp+1", "3f28786067a2424c"),
+    ((2, 2), "0x1.514f07af4f2cfp+1", "8870877ac1e438ab"),
+    ((3, 3), "0x1.3bb28094d469cp+1", "dafa5628416b2200"),
 ], ids=["2x2", "3x3"])
 def test_multistart_seesaw_keeps_its_recorded_bits(dims, value, settings_digest):
     # the one-start-at-a-time oracle shares _side_update and _best_responses

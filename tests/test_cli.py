@@ -551,6 +551,18 @@ def test_scan_requires_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "1.5", "abc"])
+@pytest.mark.parametrize("command", [
+    ["chsh", "--state", "split-spin1-m0", "--strategy", "multistart", "--n-starts", "2"],
+    ["scan", "--system", "spin", "--jA", "1", "--jB", "0.5", "--jC", "0.5", "--n-samples", "2"],
+], ids=["chsh", "scan"])
+def test_a_seed_out_of_range_or_no_integer_exits_2_with_one_line(command, seed):
+    # the CLI parses --seed; qcore.as_seed checks its range, as for library callers
+    code, err = _exit_and_stderr(command + ["--seed", seed])
+    assert code == 2
+    assert err.startswith("error: seed must ") and err.count("\n") == 1
+
+
 def test_scan_reproducible_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["scan", "--system", "fock", "--N", "14", "--n-samples", "8",

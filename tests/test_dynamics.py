@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import coherence_lab
 import coherence_lab.dynamics as dyn
 import oracles
-from coherence_lab import cli, fock, qcore, spin, splitting
+from coherence_lab import bell, cli, fock, qcore, spin, splitting
 from coherence_lab.dynamics import DriveSpec, alpha_of_t, evolve_fock, evolve_spin
 from coherence_lab.errors import NumericalError, StepSizeTooLarge, ValidationError
 from oracles import (
@@ -664,7 +664,11 @@ MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound",
                (splitting.SeriesPoly, ("perturbed",)),
                (splitting.AflpSolution, ("first_failing_order",)),
                (dyn, ("alpha_eta_of_t", "eta_convention_report", "_quad_complex")),
-               (coherence_lab.errors, ("QuadratureFailure",)))
+               (coherence_lab.errors, ("QuadratureFailure",)),
+               # an observable is its matrix: no Bloch direction beside it
+               (bell, ("_observable", "observable_from_unitary", "_settings_from_directions",
+                       "_check_settings")),
+               (bell.DichotomicObservable, ("direction",)))
 
 
 def test_moved_names_stay_in_their_new_home():
