@@ -364,7 +364,8 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
     come, extrapolated from its last sweeps, is at most ``tol``. The first
     start with the highest value wins, and its settings are its own best
     responses. Under either strategy ``n_starts`` must be an integer >= 1
-    (``qcore.as_count``), ``tol`` positive and finite, and a given ``seed``
+    (``qcore.as_count``), ``tol`` a positive finite real number (an int or
+    float, numpy's too; ``bool`` is refused), and a given ``seed``
     an integer in [0, 2**64) (``qcore.as_seed``). On two-level factors both
     strategies give exactly traceless matrices, so ``settings.angle_lists()``
     reads their Bloch angles from the matrix entries.
@@ -375,6 +376,13 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
     if state.space.nfactors != 2:
         raise SpaceMismatch("CHSH maximization needs a two-factor state")
     n_starts = qcore.as_count(n_starts, "n_starts")
+    # a bool, a complex or a string compares wrongly or raises TypeError below
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"tol must be a real number, got {tol!r}")
+    try:
+        tol = float(tol)
+    except OverflowError:  # an int past the float range
+        tol = math.inf
     if not 0.0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
     if seed is not None:

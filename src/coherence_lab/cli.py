@@ -5,6 +5,11 @@ or from a JSON config file (``--config``; flags override file values, keys
 use the flag names with underscores). Randomized commands require an
 explicit ``--seed``; outputs are byte-identical for identical config+seed.
 
+Each command computes its report and ``main`` writes it: ``evolve`` emits
+CSV, every other command a JSON object that carries ``schema_version`` and
+``command`` beside the command's own keys (all keys sorted). ``--format`` accepts only the command's own format (``json``,
+or ``csv`` for ``evolve``); any other value is a config error.
+
 Exit codes: 0 success, 2 validation/config error, 3 numerical failure.
 """
 
@@ -160,20 +165,12 @@ def _validate_choices(parser: argparse.ArgumentParser, args) -> None:
                               f"choose from {sorted(action.choices)}")
 
 
-def _check_format(args, expected: str) -> None:
-    if args.format is not None and args.format != expected:
-        raise ConfigError(f"command {args.command!r} emits {expected} reports")
-
-
 def _split_spec(args) -> fock.SplitSpec:
     if (args.mu is None) != (args.nu is None):
         raise ConfigError("give both --mu and --nu or neither")
     if args.mu is None:
         return fock.SplitSpec.balanced()
-    try:
-        return fock.SplitSpec(parse_complex(args.mu), parse_complex(args.nu))
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    return fock.SplitSpec(parse_complex(args.mu), parse_complex(args.nu))
 
 
 def _spin_cs_params(j, zeta, theta, phi) -> spin.SpinCsParams:
@@ -184,8 +181,7 @@ def _spin_cs_params(j, zeta, theta, phi) -> spin.SpinCsParams:
     return spin.SpinCsParams.from_angles(j, theta, phi)
 
 
-def cmd_split(args) -> int:
-    _check_format(args, "json")
+def cmd_split(args) -> dict:
     _require(args, ["system"])
     params: dict = {}
     if args.system == "fock":
@@ -216,8 +212,6 @@ def cmd_split(args) -> int:
     report = splitting.factorization_report(out_state)
     residual = np.linalg.norm(out_state.amps - np.kron(factors[0].amps, factors[1].amps))
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "split",
         "system": args.system,
         "params": params,
         "entropy_bits": report.entropy_bits,
@@ -226,8 +220,7 @@ def cmd_split(args) -> int:
     }
     if args.save_state:
         _emit(serialize.json_text(serialize.state_to_dict(out_state)), args.save_state)
-    _emit(serialize.json_text(doc), args.out)
-    return 0
+    return doc
 
 
 NAMED_STATES = {
@@ -245,8 +238,7 @@ def _load_state(name: str) -> StateVector:
     raise ConfigError(f"unknown state {name!r} (not a named state or a file)")
 
 
-def cmd_chsh(args) -> int:
-    _check_format(args, "json")
+def cmd_chsh(args) -> dict:
     _require(args, ["state"])
     state = _load_state(args.state)
     strategy = args.strategy
@@ -264,9 +256,7 @@ def cmd_chsh(args) -> int:
         raise NumericalError(
             f"the see-saw search reached its cap of {bell.SEESAW_MAX_SWEEPS} sweeps "
             "before converging; no maximum is reported")
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "chsh",
+    return {
         "state_id": args.state,
         "strategy": result.strategy,
         "max_value": result.max_value,
@@ -274,12 +264,9 @@ def cmd_chsh(args) -> int:
         "n_starts": result.n_starts,
         "seed": result.seed,
     }
-    _emit(serialize.json_text(doc), args.out)
-    return 0
 
 
-def cmd_evolve(args) -> int:
-    _check_format(args, "csv")
+def cmd_evolve(args) -> str:
     _require(args, ["system", "tmax"])
     if not 0 < args.tmax < np.inf:
         raise ConfigError("tmax must be positive and finite")
@@ -298,16 +285,13 @@ def cmd_evolve(args) -> int:
         if args.initial_alpha is not None:
             initial = fock.glauber_cs(parse_complex(args.initial_alpha), args.N)
         traj = dynamics.evolve_fock(drive, grid, args.N, initial=initial)
-        _emit(serialize.trajectory_csv(traj), args.out)
-    else:
-        cs = _spin_cs_params(args.j, args.zeta0, args.theta0, args.phi0)
-        traj = dynamics.evolve_spin(drive, args.j, grid, spin.spin_cs(cs))
-        _emit(serialize.spin_trajectory_csv(traj), args.out)
-    return 0
+        return serialize.trajectory_csv(traj)
+    cs = _spin_cs_params(args.j, args.zeta0, args.theta0, args.phi0)
+    traj = dynamics.evolve_spin(drive, args.j, grid, spin.spin_cs(cs))
+    return serialize.spin_trajectory_csv(traj)
 
 
-def cmd_scan(args) -> int:
-    _check_format(args, "json")
+def cmd_scan(args) -> dict:
     _require(args, ["system", "n_samples", "seed"])
     seed = _seed_value(args.seed)
     if args.system == "fock":
@@ -316,15 +300,10 @@ def cmd_scan(args) -> int:
     else:
         _require(args, ["jA", "jB", "jC"])
         system = splitting.SpinScanSystem(args.jA, args.jB, args.jC)
-    stats = splitting.uniqueness_scan(system, args.n_samples, seed)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "scan"}
-    doc.update(stats.to_json_dict())
-    _emit(serialize.json_text(doc), args.out)
-    return 0
+    return splitting.uniqueness_scan(system, args.n_samples, seed).to_json_dict()
 
 
-def cmd_series(args) -> int:
-    _check_format(args, "json")
+def cmd_series(args) -> dict:
     mu = parse_complex(args.mu)
     nu = parse_complex(args.nu)
     solution = splitting.aflp_series_solve(args.order, mu, nu)
@@ -334,9 +313,7 @@ def cmd_series(args) -> int:
         triple = solution.split_triple(tau)
         worst = max(worst, float(splitting.functional_residuals(
             *triple, mu=mu, nu=nu).max()))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "series",
+    return {
         "order": solution.order,
         "mu": serialize.complex_pair(mu),
         "nu": serialize.complex_pair(nu),
@@ -349,16 +326,15 @@ def cmd_series(args) -> int:
         "exponential_rule_residual": solution.exponential_rule_residual,
         "exponential_family_max_residual": worst,
     }
-    _emit(serialize.json_text(doc), args.out)
-    return 0
 
 
+#: each command's function and the one report format it emits
 DISPATCH = {
-    "split": cmd_split,
-    "chsh": cmd_chsh,
-    "evolve": cmd_evolve,
-    "scan": cmd_scan,
-    "series": cmd_series,
+    "split": (cmd_split, "json"),
+    "chsh": (cmd_chsh, "json"),
+    "evolve": (cmd_evolve, "csv"),
+    "scan": (cmd_scan, "json"),
+    "series": (cmd_series, "json"),
 }
 
 
@@ -392,6 +368,12 @@ _PARSER: Optional[argparse.ArgumentParser] = None
 def main(argv=None) -> int:
     """Run one command line and return its exit code.
 
+    Checks run in order: argparse, a config file's choices, then the
+    command's format (``--format`` other than the command's own in
+    ``DISPATCH`` exits 2), then the command's own. A JSON report gets
+    ``schema_version`` and ``command`` added; CSV text is written as the
+    command returns it.
+
     The parser is built once per process. A ``--config`` run sets its file's
     values as defaults on a parser of its own, built for that call, so no
     config reaches a later call."""
@@ -409,7 +391,15 @@ def main(argv=None) -> int:
             _apply_config_defaults(parser, args.config)
             args = parser.parse_args(argv)
         _validate_choices(parser, args)
-        return DISPATCH[args.command](args)
+        command, fmt = DISPATCH[args.command]
+        if args.format not in (None, fmt):
+            raise ConfigError(f"command {args.command!r} emits {fmt} reports")
+        report = command(args)
+        if fmt == "json":
+            report = serialize.json_text({"schema_version": SCHEMA_VERSION,
+                                          "command": args.command, **report})
+        _emit(report, args.out)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

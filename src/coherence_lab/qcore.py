@@ -73,13 +73,13 @@ def as_seed(seed) -> int:
     return int(seed)
 
 
-def as_count(count, name: str) -> int:
-    """Validate a count ``name`` (a sample or start count), an integer >= 1
-    (``bool`` is refused), and return it as an int."""
+def as_count(count, name: str, least: int = 1) -> int:
+    """Validate a count ``name`` (a sample or start count, a series order),
+    an integer >= ``least`` (``bool`` is refused), and return it as an int."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {count!r}")
-    if count < 1:
-        raise ValidationError(f"{name} must be >= 1")
+    if count < least:
+        raise ValidationError(f"{name} must be >= {least}")
     return int(count)
 
 
@@ -341,7 +341,35 @@ class Family:
     """A coherent-state family on one factor ``kind``, by size N or 2j:
     ``bands(size)``, its generators' band form ``(g0, g)``; ``labels(amps)``,
     the first-moment labels of a 2-d unit stack's rows as per-row sequences,
-    the overlaps at those labels last; and ``grid(size)``, the scan's rows."""
+    the overlaps at those labels last; and ``grid(size)``, the scan's rows.
+
+    Minimum uncertainty. The first moments ``_first_moments`` reads give a
+    state psi a defect delta >= 0, zero exactly on the coherent states:
+    delta = <N> - |<a>|^2 = ||(a - <a>) psi||^2 for a mode, and
+    delta = j - |<J>| for a spin. It bounds two distances from above.
+
+    - Infidelity at the label: 1 - |<ref|psi>|^2 <= delta, with ref the
+      coherent state at psi's label, whose overlap ``labels`` returns.
+      Mode: D(alpha)^+ (a - alpha) D(alpha) = a and N >= 1 - |0><0|, so
+      delta >= 1 - |<alpha|psi>|^2 at alpha = <a>; the truncated a acts on
+      psi as the full one does, and the renormalized truncated reference
+      only raises the overlap. This holds wherever |alpha| <=
+      ``fock.admissible_radius``; beyond it the reference is pulled onto
+      the disk. Spin: with n along <J>, j - n.J has eigenvalues 0, 1, ..,
+      2j and the coherent state at n as its kernel, so
+      delta = <j - n.J> >= 1 - |<n|psi>|^2 (where |<J>| is rounding the
+      label is fixed, and the bound holds to that rounding).
+    - Entanglement of the split: 1 - sigma_1^2 <= min(|mu|^2, |nu|^2) delta
+      for the beamsplitter and <= (min(j_B, j_C) / j_A) delta for the
+      stretched coupling, sigma_1 the top Schmidt coefficient. The split
+      intertwines the moments: <b> = mu <a> and <b^+ b> = |mu|^2 <N>, so
+      delta_B = |mu|^2 delta, and <J_B> = (j_B / j_A) <J_A> on the
+      stretched irrep, so delta_B = (j_B / j_A) delta. Then
+      1 - sigma_1^2 <= 1 - <beta|rho_B|beta> <= delta_B by the first bound
+      applied to the reduced state rho_B, and the same for C.
+
+    Both are equalities on the first excited level, |1> or |j, -j + 1>,
+    where delta = 1."""
 
     kind: str
     bands: Callable

@@ -141,10 +141,10 @@ def aflp_series_solve(order: int, mu: complex = 1.0, nu: complex = 1.0) -> AflpS
     beamsplitter supplies |mu|^2 + |nu|^2 = 1. A coefficient beyond the
     float range (huge mu or nu, or an order above 170), or a power of a tiny
     mu or nu that underflows to 0 and is divided by, raises
-    ``NumericalError``.
+    ``NumericalError``. ``order`` must be an integer >= 2
+    (``qcore.as_count``).
     """
-    if order < 2:
-        raise ValidationError("order must be >= 2")
+    order = qcore.as_count(order, "order", least=2)
     if mu == 0 or nu == 0:
         raise ValidationError("mu and nu must be nonzero")
     a = np.zeros(order + 1, dtype=complex)

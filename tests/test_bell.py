@@ -277,6 +277,31 @@ def test_maximize_refuses_a_start_count_that_is_no_integer_from_one(strategy, n_
         chsh_maximize(psi_plus(), strategy, n_starts=n_starts, seed=1)
 
 
+@pytest.mark.parametrize("tol", [True, np.True_, None, "1e-7", 1e-7 + 0j, [1e-7]])
+@pytest.mark.parametrize("strategy", ["analytic-qubit", "multistart-local-search"])
+def test_maximize_refuses_a_tolerance_that_is_no_real_number(strategy, tol):
+    with pytest.raises(ValidationError, match="tol must be a real number"):
+        chsh_maximize(psi_plus(), strategy, n_starts=2, seed=1, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, -1e-7, math.inf, math.nan, np.float32(math.inf),
+                                 10 ** 400])
+@pytest.mark.parametrize("strategy", ["analytic-qubit", "multistart-local-search"])
+def test_maximize_refuses_a_tolerance_out_of_range(strategy, tol):
+    with pytest.raises(ValidationError, match="^tol must be positive and finite$"):
+        chsh_maximize(psi_plus(), strategy, n_starts=2, seed=1, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.float64(1e-7), np.float32(1e-7), np.int64(1), 1])
+def test_maximize_takes_a_numpy_or_integer_tolerance_as_its_float(tol):
+    res = chsh_maximize(psi_plus(), "multistart-local-search", n_starts=3, seed=1, tol=tol)
+    ref = chsh_maximize(psi_plus(), "multistart-local-search", n_starts=3, seed=1,
+                        tol=float(tol))
+    assert type(res.tol) is float and res.tol == float(tol)
+    assert (res.max_value, res.settings.angle_lists()) == (
+        ref.max_value, ref.settings.angle_lists())
+
+
 def test_maximize_takes_a_numpy_integer_start_count():
     res = chsh_maximize(psi_plus(), "multistart-local-search", n_starts=np.int64(3), seed=1)
     ref = chsh_maximize(psi_plus(), "multistart-local-search", n_starts=3, seed=1)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from coherence_lab import bell, dynamics, fock, qcore, serialize, spin, splitting
 from coherence_lab.cli import main
 from coherence_lab.qcore import SpaceDescriptor, StateVector
+from coherence_lab.serialize import SCHEMA_VERSION
 
 
 def run_cli(args):
@@ -427,11 +428,40 @@ def test_evolve_csv_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_evolve_rejects_json_format(capsys):
-    code = run_cli(["evolve", "--drive", "constant", "--lambda", "0.1",
-                    "--omega", "1", "--tmax", "1.0", "--N", "20",
-                    "--format", "json"])
-    assert code == 2
+#: one quick command line per command, each of which writes its report
+QUICK_ARGVS = {
+    "split": ["split", "--system", "fock", "--alpha", "0.5", "--N", "20"],
+    "chsh": ["chsh", "--state", "split-spin1-m0"],
+    "evolve": ["evolve", "--drive", "constant", "--lambda", "0.1",
+               "--omega", "1", "--tmax", "1.0", "--N", "20"],
+    "scan": ["scan", "--system", "spin", "--jA", "1", "--jB", "0.5", "--jC", "0.5",
+             "--n-samples", "4", "--seed", "1"],
+    "series": ["series", "--order", "3"],
+}
+
+
+def test_dispatch_holds_every_subcommand():
+    from coherence_lab import cli
+    assert list(cli.DISPATCH) == list(cli.build_parser().commands) == list(QUICK_ARGVS)
+
+
+def test_evolve_rejects_json_format(tmp_path, capsys):
+    # every command emits one format and refuses the other with one line,
+    # before its own checks, writing no file; a JSON report carries the header
+    from coherence_lab import cli
+    for name, (_, fmt) in cli.DISPATCH.items():
+        other = {"json": "csv", "csv": "json"}[fmt]
+        out, state = tmp_path / f"{name}.out", tmp_path / f"{name}.state.json"
+        argv = [*QUICK_ARGVS[name], "--out", str(out)]
+        if name == "split":
+            argv += ["--save-state", str(state)]
+        assert run_cli([*argv, "--format", other]) == 2
+        assert capsys.readouterr() == ("", f"error: command '{name}' emits {fmt} reports\n")
+        assert not out.exists() and not state.exists()
+        assert run_cli([*argv, "--format", fmt]) == 0
+        if fmt == "json":
+            report = read_json(out)
+            assert (report["schema_version"], report["command"]) == (SCHEMA_VERSION, name)
 
 
 def test_evolve_long_weak_drive_passes_the_cutoff_check(tmp_path):

@@ -668,7 +668,9 @@ MOVED_NAMES = ((splitting, ("_cs_grid_states", "_spin_bound", "_fock_bound",
                # an observable is its matrix: no Bloch direction beside it
                (bell, ("_observable", "observable_from_unitary", "_settings_from_directions",
                        "_check_settings")),
-               (bell.DichotomicObservable, ("direction",)))
+               (bell.DichotomicObservable, ("direction",)),
+               # main checks every command's format against DISPATCH
+               (cli, ("_check_format",)))
 
 
 def test_moved_names_stay_in_their_new_home():

@@ -575,3 +575,93 @@ def test_xlogy_is_scipy_bits(k):
     # about once in 2500 inputs
     y = (np.random.default_rng(1).random(20_000)[:, None] * [1e-3, 1.0, 1e3])[..., None]
     assert qcore._xlogy(k, y).tobytes() == scipy.special.xlogy(k, y).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# minimum uncertainty: the defect delta bounds two distances from coherence
+# ---------------------------------------------------------------------------
+
+DEFECT_STATE_KINDS = ("near-coherent", "haar", "number")
+#: (j_A, j_B, j_C) of the stretched couplings the defect bounds are checked on
+DEFECT_SPINS = ((2, 1, 1), (3, 2, 1), (10, 7, 3), (10, 5, 5), (1.5, 1, 0.5))
+
+
+def _defect(family, amps) -> float:
+    """delta of one unit row from ``qcore._first_moments``: <N> - |<a>|^2 for
+    a mode, j - |<J>| for a spin."""
+    size = amps.shape[-1] - 1
+    mean_g0, mean_lowered = (complex(x[0]) for x in
+                             qcore._first_moments(amps[None, :], *family.bands(size)))
+    if family.kind == "fock":
+        return mean_g0.real - abs(mean_lowered) ** 2
+    return size / 2.0 - math.hypot(mean_g0.real, abs(mean_lowered))
+
+
+def _defect_amps(rng, kind: str, coherent: np.ndarray) -> np.ndarray:
+    """A row of ``kind`` beside the coherent row: that row plus eps times an
+    orthogonal Haar part, eps log-uniform in [1e-7, 2]; a Haar row; or a
+    basis row."""
+    dim = len(coherent)
+    if kind == "number":
+        return np.eye(dim, dtype=complex)[rng.integers(dim)]
+    haar = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if kind == "haar":
+        return haar
+    haar -= np.vdot(coherent, haar) * coherent
+    eps = 10.0 ** rng.uniform(-7.0, math.log10(2.0))
+    return coherent + eps * haar / np.linalg.norm(haar)
+
+
+def _assert_defect_bounds(family, state, split, weight):
+    """1 - F at the label <= delta, and 1 - sigma_1^2 of ``split`` <= weight
+    delta, each up to rounding of the state's dimension times eps; a mode's
+    first bound only where its label is admissible."""
+    delta = _defect(family, state.amps)
+    rounding = 4 * state.space.dim * np.finfo(float).eps
+    *labels, overlaps = family.labels(state.amps[None, :])
+    if family.kind == "spin" or abs(labels[0][0]) <= fock.admissible_radius(state.space.dim - 1):
+        assert 1.0 - abs(overlaps[0]) ** 2 <= delta + rounding
+    sigma = schmidt_cut(split, 1).coefficients[0]
+    assert 1.0 - sigma ** 2 <= weight * delta + rounding
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((24, 40, 60)), st.sampled_from((math.sqrt(0.5), 0.6, 0.95)),
+       st.sampled_from(DEFECT_STATE_KINDS), st.integers(min_value=0, max_value=10 ** 6))
+def test_mode_defect_bounds_the_infidelity_and_the_split(cutoff, mu, kind, seed):
+    rng = np.random.default_rng(seed)
+    alpha = (fock.admissible_radius(cutoff) * math.sqrt(rng.uniform())
+             * np.exp(2j * math.pi * rng.uniform()))
+    state = StateVector(fock.fock_space(cutoff),
+                        _defect_amps(rng, kind, fock.glauber_cs(alpha, cutoff).amps))
+    spec = fock.SplitSpec(mu, math.sqrt(1.0 - mu * mu) * np.exp(2j * math.pi * rng.uniform()))
+    _assert_defect_bounds(fock.FAMILY, state, fock.split_fock(state, spec),
+                          min(abs(spec.mu), abs(spec.nu)) ** 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DEFECT_SPINS), st.sampled_from(DEFECT_STATE_KINDS),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_spin_defect_bounds_the_infidelity_and_the_split(spins, kind, seed):
+    rng = np.random.default_rng(seed)
+    j_a, j_b, j_c = spins
+    theta, phi = math.acos(rng.uniform(-1.0, 1.0)), 2.0 * math.pi * rng.uniform()
+    coherent = spin.spin_cs(spin.SpinCsParams.from_angles(j_a, theta, phi))
+    state = StateVector(spin.spin_space(j_a), _defect_amps(rng, kind, coherent.amps))
+    _assert_defect_bounds(spin.FAMILY, state, spin.split_spin(state, j_b, j_c),
+                          min(j_b, j_c) / j_a)
+
+
+def test_defect_bounds_are_equalities_on_the_first_excited_level():
+    # |1> and |j, -j + 1>: delta = 1, the label's reference is orthogonal, and
+    # the split keeps the smaller weight off its top Schmidt term
+    mode = fock.number_state(24, 1)
+    split = fock.split_fock(mode, fock.SplitSpec(0.6, 0.8j))
+    assert _defect(fock.FAMILY, mode.amps) == 1.0
+    assert fock.mean_mode_label(mode) == (0j, 0j)
+    assert 1.0 - schmidt_cut(split, 1).coefficients[0] ** 2 == pytest.approx(0.36, abs=1e-15)
+    level = spin.basis_state(3, -2)
+    split = spin.split_spin(level, 2, 1)
+    assert _defect(spin.FAMILY, level.amps) == 1.0
+    assert spin.mean_spin_label(level)[3] == 0.0
+    assert 1.0 - schmidt_cut(split, 1).coefficients[0] ** 2 == pytest.approx(1 / 3, abs=1e-15)

@@ -175,6 +175,23 @@ def test_solver_validates_parameters():
         aflp_series_solve(4, mu=0.0, nu=1.0)
 
 
+@pytest.mark.parametrize("order", [5.0, 2.5, "5", True, None, np.float64(5.0), 5 + 0j])
+def test_solver_refuses_an_order_that_is_no_integer(order):
+    with pytest.raises(ValidationError, match="order must be an integer"):
+        aflp_series_solve(order)
+
+
+@pytest.mark.parametrize("order", [1, 0, -3, np.int64(1)])
+def test_solver_refuses_an_order_below_two_with_its_message(order):
+    with pytest.raises(ValidationError, match="^order must be >= 2$"):
+        aflp_series_solve(order)
+
+
+def test_solver_takes_a_numpy_integer_order():
+    res, ref = aflp_series_solve(np.int64(5), 0.6, 0.8), aflp_series_solve(5, 0.6, 0.8)
+    assert type(res.order) is int and res == ref
+
+
 # ---------------------------------------------------------------------------
 # uniqueness scans
 # ---------------------------------------------------------------------------
