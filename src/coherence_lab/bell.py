@@ -18,9 +18,14 @@ same results as running them one after another; a sweep costs a fixed
 handful of array calls however many starts its stack holds. It has no
 dimension cap; each result says whether the search converged.
 
-An observable is its matrix: the see-saw's settings are its own best
-responses, checked once as observables, and the Bloch angles of a
-two-level setting are read from the entries of its traceless 2 x 2 matrix.
+Both strategies build their settings from the see-saw's best responses
+(``_side_update``). The analytic b pair is the best response to a
+closed-form c pair, n . sigma along T's top two right singular vectors.
+The see-saw's b pair is its best response to the c pair of the sweep
+before, and its c pair is its own last best response, to that b pair. An
+observable is its matrix, checked once as an observable, and the Bloch
+angles of a two-level setting are read from the entries of its traceless
+2 x 2 matrix.
 
 Pauli convention: sigma_k = 2 J_k for the spin-1/2 generators, components
 ordered (x, y, z), basis m ascending, so sigma_z = diag(-1, +1).
@@ -170,27 +175,29 @@ def horodecki_max(state: StateVector) -> float:
     return 2.0 * math.sqrt(t[0] ** 2 + t[1] ** 2)
 
 
-def analytic_qubit_settings(state: StateVector) -> ChshSettings:
-    """Optimal directions from the SVD of the correlation matrix.
-
-    With T = U diag(t) V^T, the c-side measures along the top two right
-    singular vectors and the b-side along cos(chi) u1 +- sin(chi) u2 with
-    tan(chi) = t2/t1, which attains 2 sqrt(t1^2 + t2^2).
-    """
-    T = correlation_matrix(state)
-    u, t, vt = np.linalg.svd(T)
-    chi = math.atan2(t[1], t[0])
-    nb = math.cos(chi) * u[:, 0] + math.sin(chi) * u[:, 1]
-    nbp = math.cos(chi) * u[:, 0] - math.sin(chi) * u[:, 1]
-
-    def unit(v):
-        n = np.linalg.norm(v)
-        return v / n if n > 1e-14 else np.array([0.0, 0.0, 1.0])
-
+def _settings(state: StateVector, b, c) -> ChshSettings:
+    """The settings with b-side pair ``b`` and c-side pair ``c``, each a
+    pair of matrices checked once as observables on its own factor."""
     space_b = state.space.subspace(0, 1)
     space_c = state.space.subspace(1, 2)
-    return ChshSettings(qubit_observable(unit(nb), space_b), qubit_observable(unit(nbp), space_b),
-                        qubit_observable(vt[0, :], space_c), qubit_observable(vt[1, :], space_c))
+    return ChshSettings(DichotomicObservable(space_b, b[0]), DichotomicObservable(space_b, b[1]),
+                        DichotomicObservable(space_c, c[0]), DichotomicObservable(space_c, c[1]))
+
+
+def analytic_qubit_settings(state: StateVector) -> ChshSettings:
+    """Optimal settings from the SVD of the correlation matrix.
+
+    With T = U diag(t) V^T, the c pair is n . sigma along T's top two right
+    singular vectors v1, v2, and the b pair is the see-saw's best response
+    to it (``_side_update``), the directions T(v1 +- v2) / |T(v1 +- v2)|
+    (Horodecki, Horodecki & Horodecki 1995), which attain
+    2 sqrt(t1^2 + t2^2). Every matrix is exactly traceless, so
+    ``ChshSettings.angle_lists`` reads its Bloch angles.
+    """
+    vt = np.linalg.svd(correlation_matrix(state))[2]
+    c = np.tensordot(vt[:2], PAULIS, 1)
+    m = state.amps.reshape(2, 2)
+    return _settings(state, _side_update(m.T, m.conj().T, c[None])[0][0], c)
 
 
 @dataclass(frozen=True)
@@ -341,12 +348,7 @@ def _maximize_seesaw(state, n_starts, seed, tol) -> ChshResult:
         if value > best_value:
             best_value, best = value, pairs
     b, c, converged = best
-    space_b = state.space.subspace(0, 1)
-    space_c = state.space.subspace(1, 2)
-    settings = ChshSettings(DichotomicObservable(space_b, b[0]),
-                            DichotomicObservable(space_b, b[1]),
-                            DichotomicObservable(space_c, c[0]),
-                            DichotomicObservable(space_c, c[1]))
+    settings = _settings(state, b, c)
     return ChshResult(chsh_value(state, settings), settings,
                       "multistart-local-search", n_starts, seed, tol, converged)
 
@@ -356,14 +358,17 @@ def chsh_maximize(state: StateVector, strategy: str = "analytic-qubit",
                   tol: float = 1e-7) -> ChshResult:
     """Maximize the CHSH quantity over dichotomic observable settings.
 
-    ``analytic-qubit`` requires two two-level factors and is exact.
+    Under both strategies the settings are best responses.
+    ``analytic-qubit`` requires two two-level factors and is exact: its c
+    pair is n . sigma along the correlation matrix's top two right
+    singular vectors, and its b pair the best response to that c pair.
     ``multistart-local-search`` needs an explicit seed and works for any
     subsystem dimensions: it runs the see-saw from ``n_starts`` seeded
     random starts, advanced together in stacks of at most
     ``SEESAW_STACK_AMPS`` observable entries, each until the gain still to
     come, extrapolated from its last sweeps, is at most ``tol``. The first
-    start with the highest value wins, and its settings are its own best
-    responses. Under either strategy ``n_starts`` must be an integer >= 1
+    start with the highest value wins, and its c pair is its own last best
+    response. Under either strategy ``n_starts`` must be an integer >= 1
     (``qcore.as_count``), ``tol`` a positive finite real number (an int or
     float, numpy's too; ``bool`` is refused), and a given ``seed``
     an integer in [0, 2**64) (``qcore.as_seed``). On two-level factors both

@@ -244,11 +244,10 @@ def cmd_chsh(args) -> dict:
     strategy = args.strategy
     if strategy == "multistart":
         strategy = "multistart-local-search"
-    seed = None
-    if strategy == "multistart-local-search":
-        if args.seed is None:
-            raise ConfigError("--seed is required for the multistart strategy")
-        seed = _seed_value(args.seed)
+    if args.seed is None and strategy == "multistart-local-search":
+        raise ConfigError("--seed is required for the multistart strategy")
+    # a given seed is checked under either strategy; the analytic one reports none
+    seed = None if args.seed is None else _seed_value(args.seed)
     result = bell.chsh_maximize(state, strategy=strategy,
                                 n_starts=args.n_starts, seed=seed, tol=args.tol)
     # a search stopped by its sweep cap has found no maximum to report

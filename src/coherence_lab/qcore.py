@@ -341,7 +341,9 @@ class Family:
     """A coherent-state family on one factor ``kind``, by size N or 2j:
     ``bands(size)``, its generators' band form ``(g0, g)``; ``labels(amps)``,
     the first-moment labels of a 2-d unit stack's rows as per-row sequences,
-    the overlaps at those labels last; and ``grid(size)``, the scan's rows.
+    with each row's overlap with the coherent state at its label last (the
+    complex <ref|row> for ``fock.FAMILY``, its modulus |<ref|row>| for
+    ``spin.FAMILY``); and ``grid(size)``, the scan's rows.
 
     Minimum uncertainty. The first moments ``_first_moments`` reads give a
     state psi a defect delta >= 0, zero exactly on the coherent states:

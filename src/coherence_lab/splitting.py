@@ -22,6 +22,31 @@ per-row state. The norms are each row's correctly rounded sum of squares
 row by row, with ``math.fsum`` only for a row the certificate cannot
 place. Its entropies are bit-identical to a ``schmidt_cut`` of each split
 state.
+
+Claim 3 in quantitative form: how fast the split entangles a state as it
+leaves the coherent manifold. At a coherent state psi the split amplitude
+matrix M(psi) has rank 1. Linearize h -> Q_L M(h) Q_R, with Q_L and Q_R
+the projectors off M(psi)'s top left and right singular vectors; it
+vanishes on the tangent space span{psi, dpsi} (dpsi = a+ psi for a mode,
+J+ psi for a spin), and its smallest singular value kappa on the normal
+space gives 1 - sigma_1^2 >= kappa^2 dist^2 + O(dist^3). In closed form,
+at every label,
+
+    kappa = sqrt(2) |mu| |nu|                        (beamsplitter),
+    kappa = sqrt(2 j_B j_C / (j_A (j_A - 1/2)))      (stretched coupling).
+
+Proof sketch. Group covariance: the displacement or rotation that carries
+the vacuum (the lowest weight) to psi factorizes through the split into
+local unitaries on B and C, so kappa is the same at every label and can
+be read at the vacuum. There the tangent space holds levels 0 and 1, and
+the normal directions start at level 2. A level-n state splits with
+weight 1 - |mu|^(2n) - |nu|^(2n) off the product (for the spin,
+1 - (C(2j_B, n) + C(2j_C, n)) / C(2j_A, n)); distinct levels split onto
+orthogonal subspaces, and the weight grows with n, so kappa^2 is the
+weight at n = 2: 2 |mu|^2 |nu|^2 and 2 j_B j_C / (j_A (j_A - 1/2)).
+``tests/oracles.py::rigidity_constant`` computes kappa as a dense
+linearization, and the tests hold it to both forms at random labels and
+splits.
 """
 
 from __future__ import annotations

@@ -43,7 +43,9 @@ The library reads the driven oscillator's amplitude from its closed form;
 The library solves the splitting functional equation order by order in
 floats; ``series_solve_exact`` repeats the solve over Gaussian rationals
 (``Fraction`` pairs), so the tests can check claim 3's redundant equations
-and exponential rule with no rounding at all.
+and exponential rule with no rounding at all. ``rigidity_constant``
+linearizes the split at a coherent state as a dense map, so the tests can
+hold claim 3's closed-form rigidity constant to it.
 
 The rest serve only the tests: phase-aligned distances between rays, a
 perturbed power series and the first order it fails at, and the textbook
@@ -433,6 +435,25 @@ def series_solve_exact(order, mu, nu):
         b.append(_gaussian_div(_gaussian_mul(a[n], mu_pow[n]), c0))
         c.append(_gaussian_div(_gaussian_mul(a[n], nu_pow[n]), b0))
     return a, values
+
+
+def rigidity_constant(weight, psi, dpsi):
+    """The smallest singular value of the split linearized at the coherent
+    amplitudes ``psi``, on the orthogonal complement of span{psi, dpsi}.
+
+    The map is h -> Q_L M(h) Q_R, with M the ``qcore.split_amplitudes`` of
+    ``weight`` and Q_L, Q_R the projectors off the top left and right
+    singular vectors of M(psi). ``dpsi`` is the family's tangent at psi,
+    a+ psi for a mode or J+ psi for a spin, so the map vanishes on
+    span{psi, dpsi}. Dense: one split per normal direction and one SVD."""
+    psi = np.asarray(psi, dtype=complex)
+    u, _, vh = np.linalg.svd(qcore.split_amplitudes(psi, weight))
+    q_l = np.eye(len(u)) - np.outer(u[:, 0], u[:, 0].conj())
+    q_r = np.eye(len(vh)) - np.outer(vh[0].conj(), vh[0])
+    # an orthonormal basis of the normal space, one direction per row
+    normal = np.linalg.svd(np.column_stack([psi, dpsi]))[0][:, 2:].T
+    images = q_l @ qcore.split_amplitudes(normal, weight) @ q_r
+    return float(np.linalg.svd(images.reshape(len(normal), -1), compute_uv=False)[-1])
 
 
 class QuadratureFailure(NumericalError):

@@ -189,6 +189,24 @@ def test_maximize_analytic_matches_oracle():
         assert res.max_value <= TSIRELSON + 1e-6
 
 
+def test_analytic_settings_are_the_best_response_to_the_singular_vector_pair():
+    # the b pair is the see-saw's own best response to the c pair, so the
+    # settings are exactly traceless, and one more sweep gains nothing
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        state = haar_two_qubit(rng)
+        res = chsh_maximize(state)
+        assert abs(res.max_value - horodecki_max(state)) <= 1e-14
+        mats = [getattr(res.settings, name).matrix
+                for name in ("b", "b_prime", "c", "c_prime")]
+        assert all(m[0, 0] + m[1, 1] == 0 for m in mats)
+        assert res.settings.angle_lists() is not None
+        m = state.amps.reshape(2, 2)
+        b = bell._side_update(m.T, m.conj().T, np.array([mats[2:]]))[0]
+        c, h = bell._side_update(m, m.conj(), b)
+        assert np.vdot(h[0], c[0]).real - res.max_value <= 1e-14
+
+
 def test_maximize_numerical_product_state():
     u = StateVector(SpaceDescriptor.single_spin(0.5), [1 / math.sqrt(2), 1j / math.sqrt(2)])
     state = tensor_state(u, u)
@@ -397,6 +415,32 @@ def test_maximize_meets_gisin_peres_bound(d):
     assert res.max_value <= TSIRELSON + 1e-9
     assert chsh_value(state, res.settings) == res.max_value
     assert res.settings.angle_lists() is None
+
+
+def gisin_peres_value(coeffs) -> float:
+    """2 sum_k sqrt((c_2k^2 + c_2k+1^2)^2 + 4 c_2k^2 c_2k+1^2), plus 2 c_d^2
+    for an odd Schmidt rank d, over the descending Schmidt coefficients."""
+    sq = np.asarray(coeffs) ** 2
+    pairs = [math.sqrt((sq[i] + sq[i + 1]) ** 2 + 4 * sq[i] * sq[i + 1])
+             for i in range(0, len(sq) - 1, 2)]
+    return 2 * math.fsum(pairs) + (2 * sq[-1] if len(sq) % 2 else 0.0)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_seesaw_never_exceeds_the_gisin_peres_value(d):
+    # the falsification run for a closed-form CHSH maximum of pure states:
+    # a converged see-saw from many starts stays at or below S
+    rng = np.random.default_rng(2000 + d)
+    space = SpaceDescriptor.single_spin((d - 1) / 2)
+    space = space.tensor(space)
+    for k in range(4):
+        state = StateVector(space, rng.normal(size=d * d) + 1j * rng.normal(size=d * d))
+        bound = gisin_peres_value(np.linalg.svd(state.amps.reshape(d, d), compute_uv=False))
+        assert chsh_value(state, gisin_peres_settings(state)) == pytest.approx(bound, abs=1e-13)
+        res = chsh_maximize(state, "multistart-local-search", n_starts=24, seed=k,
+                            tol=1e-10)
+        assert res.converged
+        assert res.max_value <= bound + 1e-12
 
 
 def test_split_non_cs_spin1_states_violate():

@@ -201,6 +201,17 @@ def test_chsh_multistart_requires_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_chsh_analytic_checks_a_valid_seed_and_reports_none(tmp_path):
+    # the seed is checked, but the analytic strategy draws nothing, so the
+    # report's bytes are those of a run without one
+    plain, seeded = tmp_path / "plain.json", tmp_path / "seeded.json"
+    argv = ["chsh", "--state", "split-spin1-m0", "--out"]
+    assert run_cli([*argv, str(plain)]) == 0
+    assert run_cli([*argv, str(seeded), "--seed", "7"]) == 0
+    assert seeded.read_bytes() == plain.read_bytes()
+    assert read_json(seeded)["seed"] is None
+
+
 def test_chsh_search_stopped_by_the_sweep_cap_exits_3(tmp_path, monkeypatch, capsys):
     # a 4 x 4 Haar state converges at the real cap; at a cap of 3 sweeps the
     # search stops early, and its value is not reported as a maximum
@@ -739,6 +750,8 @@ def test_validation_error_exit_code(capsys):
     # --tol and --n-starts are checked under the analytic strategy too
     *(["chsh", "--state", "split-spin1-m0", "--tol", tol] for tol in ("nan", "-1", "0", "inf")),
     ["chsh", "--state", "split-spin1-m0", "--n-starts", "0"],
+    # and so is a given --seed
+    *(["chsh", "--state", "split-spin1-m0", "--seed", seed] for seed in ("abc", "-1", "1.5")),
     # a non-finite flag that the chosen drive kind ignores
     ["evolve", "--drive", "constant", "--drive-frequency", "nan", "--omega", "1", "--tmax", "1",
      "--N", "20", "--samples", "2"],

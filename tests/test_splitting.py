@@ -25,6 +25,7 @@ from oracles import (
     first_failing_order,
     gaussian_rational,
     perturbed,
+    rigidity_constant,
     series_solve_exact,
 )
 
@@ -190,6 +191,41 @@ def test_solver_refuses_an_order_below_two_with_its_message(order):
 def test_solver_takes_a_numpy_integer_order():
     res, ref = aflp_series_solve(np.int64(5), 0.6, 0.8), aflp_series_solve(5, 0.6, 0.8)
     assert type(res.order) is int and res == ref
+
+
+# ---------------------------------------------------------------------------
+# claim 3's rigidity constant
+# ---------------------------------------------------------------------------
+
+def _raised(family, amps):
+    """a+ amps for a mode, J+ amps for a spin: the family's tangent direction."""
+    out = np.zeros_like(amps)
+    out[1:] = family.FAMILY.bands(len(amps) - 1)[1] * amps[:-1]
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [24, 40])
+def test_beamsplitter_rigidity_constant_is_sqrt2_mu_nu(cutoff):
+    rng = np.random.default_rng(cutoff)
+    for _ in range(3):
+        spec = fock.SplitSpec.from_angles(rng.uniform(0.1, 1.47), rng.uniform(0, 2 * math.pi))
+        radius = fock.admissible_radius(cutoff) / 2 * math.sqrt(rng.uniform())
+        psi = fock.glauber_cs(radius * np.exp(2j * math.pi * rng.uniform()), cutoff).amps
+        kappa = rigidity_constant(fock.beamsplit_weight(spec, cutoff), psi, _raised(fock, psi))
+        assert kappa == pytest.approx(math.sqrt(2) * abs(spec.mu) * abs(spec.nu), rel=1e-12)
+
+
+@pytest.mark.parametrize("j_a,j_b,j_c", [(1, 0.5, 0.5), (2, 1, 1), (3, 1, 2), (3, 2, 1),
+                                         (5, 4, 1), (10, 5, 5)])
+def test_stretched_coupling_rigidity_constant_in_closed_form(j_a, j_b, j_c):
+    rng = np.random.default_rng(int(4 * j_a + 2 * j_b))
+    want = math.sqrt(2 * j_b * j_c / (j_a * (j_a - 0.5)))
+    for _ in range(5):
+        params = spin.SpinCsParams.from_angles(j_a, rng.uniform(0, math.pi),
+                                               rng.uniform(0, 2 * math.pi))
+        psi = spin.spin_cs(params).amps
+        kappa = rigidity_constant(spin.coupling_weight(j_b, j_c), psi, _raised(spin, psi))
+        assert kappa == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
