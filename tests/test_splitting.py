@@ -24,6 +24,7 @@ from oracles import (
     cs_fit_distance,
     first_failing_order,
     gaussian_rational,
+    generators,
     perturbed,
     rigidity_constant,
     series_solve_exact,
@@ -197,13 +198,6 @@ def test_solver_takes_a_numpy_integer_order():
 # claim 3's rigidity constant
 # ---------------------------------------------------------------------------
 
-def _raised(family, amps):
-    """a+ amps for a mode, J+ amps for a spin: the family's tangent direction."""
-    out = np.zeros_like(amps)
-    out[1:] = family.FAMILY.bands(len(amps) - 1)[1] * amps[:-1]
-    return out
-
-
 @pytest.mark.parametrize("cutoff", [24, 40])
 def test_beamsplitter_rigidity_constant_is_sqrt2_mu_nu(cutoff):
     rng = np.random.default_rng(cutoff)
@@ -211,7 +205,9 @@ def test_beamsplitter_rigidity_constant_is_sqrt2_mu_nu(cutoff):
         spec = fock.SplitSpec.from_angles(rng.uniform(0.1, 1.47), rng.uniform(0, 2 * math.pi))
         radius = fock.admissible_radius(cutoff) / 2 * math.sqrt(rng.uniform())
         psi = fock.glauber_cs(radius * np.exp(2j * math.pi * rng.uniform()), cutoff).amps
-        kappa = rigidity_constant(fock.beamsplit_weight(spec, cutoff), psi, _raised(fock, psi))
+        # the tangent direction a+ psi
+        dpsi = generators(fock, cutoff)[1] @ psi
+        kappa = rigidity_constant(fock.beamsplit_weight(spec, cutoff), psi, dpsi)
         assert kappa == pytest.approx(math.sqrt(2) * abs(spec.mu) * abs(spec.nu), rel=1e-12)
 
 
@@ -224,7 +220,9 @@ def test_stretched_coupling_rigidity_constant_in_closed_form(j_a, j_b, j_c):
         params = spin.SpinCsParams.from_angles(j_a, rng.uniform(0, math.pi),
                                                rng.uniform(0, 2 * math.pi))
         psi = spin.spin_cs(params).amps
-        kappa = rigidity_constant(spin.coupling_weight(j_b, j_c), psi, _raised(spin, psi))
+        # the tangent direction J+ psi
+        dpsi = generators(spin, int(2 * j_a))[1] @ psi
+        kappa = rigidity_constant(spin.coupling_weight(j_b, j_c), psi, dpsi)
         assert kappa == pytest.approx(want, rel=1e-12)
 
 
